@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify exp bench shardbench netbench netbench-record chaos cover scenario fuzz
+.PHONY: build test race vet verify exp bench netbench chaos cover scenario fuzz
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 # verify is the gate a change must pass before it ships.
 verify: vet race
@@ -40,39 +41,17 @@ fuzz:
 exp: build
 	$(GO) run ./cmd/mtpexp -exp all
 
-# bench runs the full benchmark suite (the paper's figures plus the hot-path
-# micro-benchmarks) and records name -> ns/op, allocs/op, and figure metrics
-# in BENCH_sim.json. Override BENCHTIME for statistically stronger numbers,
-# e.g. `make bench BENCHTIME=2s`.
-BENCHTIME ?= 1x
-bench: build
-	$(GO) test -run XXX -bench 'Benchmark([^S]|S[^h])' -benchtime $(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_sim.json
-	$(GO) test -run XXX -bench 'BenchmarkSharded' -benchtime $(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson -merge -o BENCH_shard.json
-
-# shardbench is the CI smoke gate for the parallel engine: one k=16 sweep
-# point, compared against the committed BENCH_shard.json baseline. It fails
-# on a >25% throughput regression (benchjson -gate default) and writes its
-# results to a scratch file so the committed baseline only changes when a
-# human reruns `make bench` and commits the result.
-shardbench: build
-	$(GO) test -run XXX -bench 'BenchmarkShardedKSweep/k16' -benchtime 1x -benchmem . | \
-		$(GO) run ./cmd/benchjson -o /tmp/BENCH_shard_smoke.json \
-		-gate BENCH_shard.json -gate-metrics 'mtp-Mev/s-8shard,dctcp-Mev/s-8shard'
+# bench runs the repository's one benchmark (bench/, declared in
+# BENCHMARK.json): six workloads, end-to-end metrics; see bench/README.md
+# for -trace 1 (the per-layer ladder), -workload, -compare and -record.
+bench:
+	bash bench/run.sh
 
 # netbench is the real-socket smoke gate: the platform launcher runs the
-# loopback runfile (multi-process, real UDP, re-exec workers), the launcher
-# itself fails on any lost message, and benchjson fails on a >25% msgs/sec
-# regression against the committed BENCH_net.json baseline. Results land in
-# a scratch file; refresh the committed baseline with `make netbench-record`
-# on a quiet machine.
+# loopback runfile (multi-process, real UDP, re-exec workers) and exits
+# non-zero on any lost or duplicated message.
 netbench: build
-	$(GO) run ./cmd/mtploadgen -runfile ci/netbench.run | \
-		$(GO) run ./cmd/benchjson -o /tmp/BENCH_net_smoke.json \
-		-gate BENCH_net.json -gate-metrics 'msgs/s'
-
-netbench-record: build
-	$(GO) run ./cmd/mtploadgen -runfile ci/netbench.run | \
-		$(GO) run ./cmd/benchjson -merge -o BENCH_net.json
+	$(GO) run ./cmd/mtploadgen -runfile ci/netbench.run
 
 # chaos is the crash-tolerance smoke: the launcher SIGKILLs one generator
 # mid-run. It must detect the death within a heartbeat interval, salvage the

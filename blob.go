@@ -51,18 +51,15 @@ func (n *Node) SendBlob(addr string, dstPort uint16, data []byte) (*BlobOutgoing
 		n.mu.Unlock()
 		return nil, errors.New("mtp: node closed")
 	}
-	if _, ok := n.peers[addr]; !ok {
-		resolved, err := n.resolve(addr)
-		if err != nil {
-			n.mu.Unlock()
-			return nil, err
-		}
-		n.peers[addr] = resolved
+	key, err := n.sendKey(addr)
+	if err != nil {
+		n.mu.Unlock()
+		return nil, err
 	}
 	if n.blob.sender == nil {
 		n.blob.sender = core.NewBlobSender(n.ep)
 	}
-	id, msgs := n.blob.sender.SendBlob(addr, dstPort, data, core.SendOptions{})
+	id, msgs := n.blob.sender.SendBlob(key, dstPort, data, core.SendOptions{})
 	out := &BlobOutgoing{ID: id, Chunks: len(msgs), done: make(chan struct{})}
 	remaining := len(msgs)
 	for _, m := range msgs {

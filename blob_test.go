@@ -8,112 +8,109 @@ import (
 	"time"
 )
 
-func TestNodeBlobRoundTrip(t *testing.T) {
-	mn := NewMemNetwork(11)
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	var mu sync.Mutex
-	var blobs []Blob
-	na, err := NewNode(pa, Config{Port: 1, MSS: 700})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer na.Close()
-	nb, err := NewNode(pb, Config{Port: 2, BlobPort: 50, OnBlob: func(b Blob) {
-		mu.Lock()
-		blobs = append(blobs, b)
-		mu.Unlock()
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nb.Close()
+// blobSink collects the blobs a node's OnBlob delivers.
+type blobSink struct {
+	mu    sync.Mutex
+	blobs []Blob
+}
 
+func (s *blobSink) add(b Blob) {
+	s.mu.Lock()
+	s.blobs = append(s.blobs, b)
+	s.mu.Unlock()
+}
+
+// wait returns the blobs delivered once there are n of them or d has passed.
+func (s *blobSink) wait(n int, d time.Duration) []Blob {
+	for deadline := time.Now().Add(d); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		blobs := s.blobs
+		s.mu.Unlock()
+		if len(blobs) >= n || time.Now().After(deadline) {
+			return blobs
+		}
+	}
+}
+
+func TestNodeBlobRoundTrip(t *testing.T) {
+	eachNet(t, 11, func(t *testing.T, tn *testNet) {
+		var sink blobSink
+		na, nb, _ := tn.pair(t, Config{Port: 1, MSS: 700}, Config{Port: 2, BlobPort: 50, OnBlob: sink.add})
+
+		data := make([]byte, 40<<10)
+		rand.New(rand.NewSource(1)).Read(data)
+		out, err := na.SendBlob(nb.Addr().String(), 50, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Chunks < 2 {
+			t.Fatalf("chunks = %d", out.Chunks)
+		}
+		select {
+		case <-out.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("blob never fully acknowledged")
+		}
+		blobs := sink.wait(1, 2*time.Second)
+		if len(blobs) != 1 {
+			t.Fatalf("blobs delivered: %d", len(blobs))
+		}
+		if blobs[0].ID != out.ID || !bytes.Equal(blobs[0].Data, data) {
+			t.Fatal("blob corrupt")
+		}
+		if blobs[0].From.String() != na.Addr().String() {
+			t.Fatalf("from = %v", blobs[0].From)
+		}
+	})
+}
+
+// TestNodeBlobOverUDP: blob mode over real sockets. SendBlob once handed the
+// engine the raw address string, which the UDP datapath dropped on output,
+// so no chunk ever left the node.
+func TestNodeBlobOverUDP(t *testing.T) {
+	tn := &testNet{}
+	var sink blobSink
+	na, nb, _ := tn.pair(t, Config{Port: 1}, Config{Port: 2, BlobPort: 50, OnBlob: sink.add})
 	data := make([]byte, 40<<10)
-	rand.New(rand.NewSource(1)).Read(data)
-	out, err := na.SendBlob("b", 50, data)
+	rand.New(rand.NewSource(4)).Read(data)
+	out, err := na.SendBlob(nb.Addr().String(), 50, data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if out.Chunks < 2 {
-		t.Fatalf("chunks = %d", out.Chunks)
 	}
 	select {
 	case <-out.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("blob never fully acknowledged")
+	case <-time.After(3 * time.Second):
+		t.Fatalf("blob not acknowledged within 3s: %+v", na.Stats().EndpointStats)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(blobs)
-		mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(blobs) != 1 {
+	if blobs := sink.wait(1, 3*time.Second); len(blobs) != 1 || !bytes.Equal(blobs[0].Data, data) {
 		t.Fatalf("blobs delivered: %d", len(blobs))
-	}
-	if blobs[0].ID != out.ID || !bytes.Equal(blobs[0].Data, data) {
-		t.Fatal("blob corrupt")
-	}
-	if blobs[0].From.String() != "a" {
-		t.Fatalf("from = %v", blobs[0].From)
 	}
 }
 
 func TestNodeBlobWithLoss(t *testing.T) {
-	mn := NewMemNetwork(12)
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	mn.Loss = 0.05
-	var mu sync.Mutex
-	var blobs []Blob
-	na, err := NewNode(pa, Config{Port: 1, MSS: 600, RTO: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer na.Close()
-	nb, err := NewNode(pb, Config{Port: 2, BlobPort: 50, OnBlob: func(b Blob) {
-		mu.Lock()
-		blobs = append(blobs, b)
-		mu.Unlock()
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nb.Close()
+	eachNet(t, 12, func(t *testing.T, tn *testNet) {
+		tn.loss = 0.05
+		var sink blobSink
+		na, nb, _ := tn.pair(t,
+			Config{Port: 1, MSS: 600, RTO: 20 * time.Millisecond},
+			Config{Port: 2, BlobPort: 50, OnBlob: sink.add})
 
-	data := make([]byte, 20<<10)
-	rand.New(rand.NewSource(2)).Read(data)
-	out, err := na.SendBlob("b", 50, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-out.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("blob stuck under loss")
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(blobs)
-		mu.Unlock()
-		if n == 1 {
-			break
+		data := make([]byte, 20<<10)
+		rand.New(rand.NewSource(2)).Read(data)
+		out, err := na.SendBlob(nb.Addr().String(), 50, data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(blobs) != 1 || !bytes.Equal(blobs[0].Data, data) {
-		t.Fatalf("blob delivery under loss failed (%d blobs)", len(blobs))
-	}
+		select {
+		case <-out.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatal("blob stuck under loss")
+		}
+		blobs := sink.wait(1, 3*time.Second)
+		if len(blobs) != 1 || !bytes.Equal(blobs[0].Data, data) {
+			t.Fatalf("blob delivery under loss failed (%d blobs)", len(blobs))
+		}
+	})
 }
 
 func TestNodeBlobValidation(t *testing.T) {
@@ -133,56 +130,35 @@ func TestNodeBlobValidation(t *testing.T) {
 }
 
 func TestNodeBlobAndMessagesCoexist(t *testing.T) {
-	mn := NewMemNetwork(14)
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	var mu sync.Mutex
-	var blobs []Blob
-	var msgs []Message
-	na, _ := NewNode(pa, Config{Port: 1})
-	defer na.Close()
-	nb, err := NewNode(pb, Config{
-		Port: 2, BlobPort: 50,
-		OnBlob:    func(b Blob) { mu.Lock(); blobs = append(blobs, b); mu.Unlock() },
-		OnMessage: func(m Message) { mu.Lock(); msgs = append(msgs, m); mu.Unlock() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nb.Close()
+	eachNet(t, 14, func(t *testing.T, tn *testNet) {
+		var sink blobSink
+		na, nb, col := tn.pair(t, Config{Port: 1}, Config{Port: 2, BlobPort: 50, OnBlob: sink.add})
 
-	data := make([]byte, 10<<10)
-	rand.New(rand.NewSource(3)).Read(data)
-	ob, err := na.SendBlob("b", 50, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	om, err := na.Send("b", 2, []byte("plain message"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, om, 5*time.Second)
-	select {
-	case <-ob.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("blob stuck")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		okB, okM := len(blobs) == 1, len(msgs) == 1
-		mu.Unlock()
-		if okB && okM {
-			break
+		data := make([]byte, 10<<10)
+		rand.New(rand.NewSource(3)).Read(data)
+		ob, err := na.SendBlob(nb.Addr().String(), 50, data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(blobs) != 1 || len(msgs) != 1 {
-		t.Fatalf("blobs=%d msgs=%d", len(blobs), len(msgs))
-	}
-	if string(msgs[0].Data) != "plain message" || !bytes.Equal(blobs[0].Data, data) {
-		t.Fatal("content mixed up between ports")
-	}
+		om, err := na.Send(nb.Addr().String(), 2, []byte("plain message"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, om, 5*time.Second)
+		select {
+		case <-ob.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("blob stuck")
+		}
+		blobs := sink.wait(1, 2*time.Second)
+		for deadline := time.Now().Add(2 * time.Second); col.len() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if len(blobs) != 1 || col.len() != 1 {
+			t.Fatalf("blobs=%d msgs=%d", len(blobs), col.len())
+		}
+		if string(col.get(0).Data) != "plain message" || !bytes.Equal(blobs[0].Data, data) {
+			t.Fatal("content mixed up between ports")
+		}
+	})
 }

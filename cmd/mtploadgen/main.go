@@ -10,10 +10,12 @@
 // With -runfile, mtploadgen becomes the deployment launcher: it parses the
 // experiment points (onet-style table or JSON; see internal/platform),
 // re-execs itself once per process per point, coordinates the workers over
-// a TCP control channel, and prints one benchmark line per point on stdout
-// — pipe through cmd/benchjson to record or gate BENCH_net.json:
+// a TCP control channel, prints one `go test -bench`-style line per point on
+// stdout, and exits non-zero if any message was lost or duplicated (`make
+// netbench`). The recorded rates are bench/'s msgs_per_s and allocs_per_msg
+// on small_udp, the same datapath in one process:
 //
-//	mtploadgen -runfile ci/netbench.run | benchjson -o BENCH_net.json
+//	mtploadgen -runfile ci/netbench.run
 //
 // Launcher mode can inject process chaos to rehearse crash tolerance: -chaos
 // takes an explicit schedule spec ("kill:2@150ms"), or -chaos-seed derives a

@@ -84,8 +84,10 @@ func TestStepResponse(t *testing.T) {
 			},
 		},
 		{
-			name:      "swift",
-			algo:      func() Algorithm { return NewSwift(Config{MSS: mss, MaxWindow: 1 << 22}, SwiftConfig{TargetDelay: us(25)}) },
+			name: "swift",
+			algo: func() Algorithm {
+				return NewSwift(Config{MSS: mss, MaxWindow: 1 << 22}, SwiftConfig{TargetDelay: us(25)})
+			},
 			windowMax: 1 << 22,
 			phases: []ccPhase{
 				// Delay below target: additive growth.

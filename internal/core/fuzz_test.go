@@ -46,12 +46,12 @@ func FuzzReassembly(f *testing.F) {
 	f.Add(byte(1), []byte{0, 0})
 	f.Add(byte(4), []byte{3, 0, 2, 0, 1, 0, 0, 0})
 	f.Add(byte(3), []byte{0, 0, 0, 0, 1, 0, 1, 0, 2, 0})
-	f.Add(byte(2), []byte{0, 1, 0, 0, 1, 1, 1, 0})             // trims then data
-	f.Add(byte(2), []byte{5, 0, 0, 0, 1, 0})                   // out-of-range pkt
-	f.Add(byte(3), []byte{0, 2, 1, 4, 2, 8})                   // corrupt + bogus len/off
-	f.Add(byte(3), []byte{0, 16, 1, 32, 2, 0})                 // grow/shrink geometry
-	f.Add(byte(4), []byte{0, 128, 1, 128, 2, 128, 3, 128})     // timer between arrivals
-	f.Add(byte(5), []byte{4, 64, 3, 64, 2, 64, 1, 64, 0, 64})  // synthetic payloads
+	f.Add(byte(2), []byte{0, 1, 0, 0, 1, 1, 1, 0})            // trims then data
+	f.Add(byte(2), []byte{5, 0, 0, 0, 1, 0})                  // out-of-range pkt
+	f.Add(byte(3), []byte{0, 2, 1, 4, 2, 8})                  // corrupt + bogus len/off
+	f.Add(byte(3), []byte{0, 16, 1, 32, 2, 0})                // grow/shrink geometry
+	f.Add(byte(4), []byte{0, 128, 1, 128, 2, 128, 3, 128})    // timer between arrivals
+	f.Add(byte(5), []byte{4, 64, 3, 64, 2, 64, 1, 64, 0, 64}) // synthetic payloads
 
 	f.Fuzz(func(t *testing.T, npktsB byte, script []byte) {
 		const fmss = 64

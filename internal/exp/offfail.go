@@ -33,23 +33,23 @@ import (
 // which the aggregator holds partial state — the crash is guaranteed to land
 // mid-round rather than between rounds.
 type OffFailConfig struct {
-	Workers        int           // 4 gradient sources
-	VecDim         int           // 8 elements per gradient
-	LinkRate       float64       // 10 Gbps
-	LinkDelay      time.Duration // 5 µs
-	QueueCap       int           // 128 packets
-	ECNThreshold   int           // 20 packets
-	RTO            time.Duration // 500 µs initial RTO
-	MaxRTO         time.Duration // 4 ms adaptive-RTO cap
+	Workers         int           // 4 gradient sources
+	VecDim          int           // 8 elements per gradient
+	LinkRate        float64       // 10 Gbps
+	LinkDelay       time.Duration // 5 µs
+	QueueCap        int           // 128 packets
+	ECNThreshold    int           // 20 packets
+	RTO             time.Duration // 500 µs initial RTO
+	MaxRTO          time.Duration // 4 ms adaptive-RTO cap
 	DelegateTimeout time.Duration // 1.5 ms: delegated-ACK confirmation deadline
-	FailoverRTOs   int           // 2 consecutive RTOs declare a pathlet dead
-	ProbeInterval  time.Duration // 3 ms between readmission probes
-	RoundTimeout   time.Duration // 2 ms: aggregator straggler flush
-	StragglerDelay time.Duration // 200 µs: last worker's extra think time
-	CrashAt        time.Duration // 4 ms: aggregator switch crash onset
-	CrashFor       time.Duration // 8 ms: outage duration
-	Duration       time.Duration // 40 ms
-	Seed           int64
+	FailoverRTOs    int           // 2 consecutive RTOs declare a pathlet dead
+	ProbeInterval   time.Duration // 3 ms between readmission probes
+	RoundTimeout    time.Duration // 2 ms: aggregator straggler flush
+	StragglerDelay  time.Duration // 200 µs: last worker's extra think time
+	CrashAt         time.Duration // 4 ms: aggregator switch crash onset
+	CrashFor        time.Duration // 8 ms: outage duration
+	Duration        time.Duration // 40 ms
+	Seed            int64
 	// Check runs the fallback configuration under the invariant harness with
 	// the offload exactly-once audit enabled.
 	Check bool

@@ -183,9 +183,10 @@ type PointResult struct {
 	RingDrops uint64
 }
 
-// BenchLine renders the result as one `go test -bench`-style line, which
-// is exactly what cmd/benchjson parses: custom units become gate-able
-// metrics in BENCH_net.json.
+// BenchLine renders the result as one `go test -bench`-style line with
+// custom units (the single-process counterparts bench/ records are
+// msgs_per_s, allocs_per_msg, mtp.lat_p50_us, mtp.lat_p99_us and
+// mtp.retx_per_kmsg on small_udp).
 func (r PointResult) BenchLine() string {
 	nsPerOp := 0.0
 	if r.Msgs > 0 {

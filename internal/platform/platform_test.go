@@ -151,8 +151,8 @@ func TestRunLoopback(t *testing.T) {
 		t.Fatalf("degenerate metrics: %+v", r)
 	}
 
-	// The bench line must parse under the benchjson grammar: name without
-	// a trailing -N, then alternating value/unit pairs.
+	// The bench line follows the `go test -bench` grammar: name without a
+	// trailing -N, then alternating value/unit pairs.
 	line := r.BenchLine()
 	f := strings.Fields(line)
 	if !strings.HasPrefix(f[0], "BenchmarkNetPoint/smoke2") || len(f) < 4 || len(f)%2 != 0 {

@@ -45,6 +45,10 @@ func newBatchIO(pc net.PacketConn) batchIO {
 // independent.
 type connIO struct {
 	pc net.PacketConn
+	// lastDst/lastAddr remember the previous datagram's destination, so a
+	// run to one peer builds its *net.UDPAddr once. Writer goroutine only.
+	lastDst  netip.AddrPort
+	lastAddr *net.UDPAddr
 }
 
 // readBatch reads exactly one datagram (the portable API has no way to read
@@ -64,7 +68,10 @@ func (c *connIO) readBatch(ms []*dgram) (int, error) {
 func (c *connIO) writeBatch(ms []*dgram) (int, error) {
 	sent := 0
 	for _, m := range ms {
-		if _, err := c.pc.WriteTo(m.buf[:m.n], net.UDPAddrFromAddrPort(m.addr)); err != nil {
+		if m.addr != c.lastDst || c.lastAddr == nil {
+			c.lastDst, c.lastAddr = m.addr, net.UDPAddrFromAddrPort(m.addr)
+		}
+		if _, err := c.pc.WriteTo(m.buf[:m.n], c.lastAddr); err != nil {
 			// Transient per-datagram errors (e.g. ICMP-induced ECONNREFUSED
 			// on loopback) drop the datagram; reliability recovers it. A
 			// closed socket surfaces on the next read.
@@ -77,20 +84,15 @@ func (c *connIO) writeBatch(ms []*dgram) (int, error) {
 
 // toAddrPort converts a net.Addr to a normalized netip.AddrPort. Peer
 // identity must be comparable and stable across the resolve and receive
-// paths, so 4-in-6 mapped addresses are unmapped everywhere.
+// paths, so 4-in-6 mapped addresses are unmapped everywhere. Any address
+// type with an AddrPort method (*net.UDPAddr, the in-memory network's names)
+// converts directly; the rest are parsed from their string form.
 func toAddrPort(a net.Addr) netip.AddrPort {
-	switch v := a.(type) {
-	case *net.UDPAddr:
-		ap := v.AddrPort()
-		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
-	default:
-		if a == nil {
-			return netip.AddrPort{}
-		}
-		ap, err := netip.ParseAddrPort(a.String())
-		if err != nil {
-			return netip.AddrPort{}
-		}
-		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	var ap netip.AddrPort
+	if v, ok := a.(interface{ AddrPort() netip.AddrPort }); ok {
+		ap = v.AddrPort()
+	} else if a != nil {
+		ap, _ = netip.ParseAddrPort(a.String())
 	}
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }

@@ -5,7 +5,7 @@
 // The simulator drives the endpoint under virtual time; this package drives
 // the identical protocol code from real sockets:
 //
-//   - Batched syscalls. On Linux a reader goroutine pulls up to Config.Batch
+//   - Batched syscalls. On Linux a reader goroutine pulls up to maxBatch
 //     datagrams per recvmmsg call into a fixed set of receive buffers, and a
 //     writer goroutine drains the outbound ring into sendmmsg batches.
 //     Elsewhere (and over non-UDP net.PacketConns such as test interposers)
@@ -23,9 +23,9 @@
 //     timing wheel (one goroutine per process, not one runtime timer per
 //     endpoint), at one-tick resolution.
 //
-// The public mtp.Node rebases onto a Transport whenever its PacketConn
-// carries UDP addresses; internal/platform deploys multi-process load tests
-// over it.
+// The public mtp.Node runs on a Transport whatever its PacketConn (the
+// in-memory test network included); internal/platform deploys multi-process
+// load tests over it.
 package udpnet
 
 import (
@@ -46,9 +46,6 @@ type Config struct {
 	// test wrappers) runs one datagram per syscall.
 	Conn net.PacketConn
 
-	// Batch caps datagrams per syscall in both directions. Default 32.
-	Batch int
-
 	// RingSize is the outbound ring capacity (rounded up to a power of
 	// two). Default 1024.
 	RingSize int
@@ -57,12 +54,6 @@ type Config struct {
 	// send buffers. It must cover header + MSS. Default 2048 (fits the
 	// default 1200-byte MSS with generous header room).
 	MaxDatagram int
-
-	// SocketBuffer sizes the kernel send/receive buffers when Conn is a
-	// real UDP socket. Batched senders burst far faster than a default
-	// ~200KB rmem drains, and UDP silently drops on overflow even over
-	// loopback. Default 4MB; negative leaves the kernel default.
-	SocketBuffer int
 
 	// Wheel, when non-nil, shares a process-wide timer wheel; otherwise the
 	// transport owns a private one.
@@ -82,6 +73,15 @@ type Config struct {
 	// wheel goroutine.
 	OnTimer func()
 }
+
+const (
+	// maxBatch caps datagrams per syscall in both directions.
+	maxBatch = 32
+	// socketBuffer sizes the kernel send/receive buffers of a real UDP
+	// socket. Batched senders burst far faster than a default ~200KB rmem
+	// drains, and UDP silently drops on overflow even over loopback.
+	socketBuffer = 4 << 20
+)
 
 // Stats counts transport-level events. Snapshot with Transport.Stats.
 type Stats struct {
@@ -131,22 +131,16 @@ func NewTransport(cfg Config) (*Transport, error) {
 	if cfg.OnPacket == nil {
 		return nil, errors.New("udpnet: nil OnPacket")
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 32
-	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
 	}
 	if cfg.MaxDatagram <= 0 {
 		cfg.MaxDatagram = 2048
 	}
-	if cfg.SocketBuffer == 0 {
-		cfg.SocketBuffer = 4 << 20
-	}
-	if uc, ok := cfg.Conn.(*net.UDPConn); ok && cfg.SocketBuffer > 0 {
+	if uc, ok := cfg.Conn.(*net.UDPConn); ok {
 		// Best effort: the kernel clamps to net.core.{r,w}mem_max.
-		_ = uc.SetReadBuffer(cfg.SocketBuffer)
-		_ = uc.SetWriteBuffer(cfg.SocketBuffer)
+		_ = uc.SetReadBuffer(socketBuffer)
+		_ = uc.SetWriteBuffer(socketBuffer)
 	}
 	t := &Transport{
 		cfg:     cfg,
@@ -271,13 +265,17 @@ func maxUpdate(m *atomic.Uint64, v uint64) {
 	}
 }
 
-// readLoop owns the fixed receive buffer set: recvmmsg fills up to Batch of
+// readLoop owns the fixed receive buffer set: recvmmsg fills up to maxBatch of
 // them per syscall, each datagram is decoded in place and delivered, and the
 // buffers go right back into the next batch — a free list with zero
 // steady-state allocation.
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
-	bufs := make([]*dgram, t.cfg.Batch)
+	slots := maxBatch
+	if _, ok := t.io.(*connIO); ok {
+		slots = 1 // connIO fills one buffer per readBatch
+	}
+	bufs := make([]*dgram, slots)
 	for i := range bufs {
 		bufs[i] = &dgram{buf: make([]byte, t.cfg.MaxDatagram)}
 	}
@@ -316,7 +314,7 @@ func (t *Transport) readLoop() {
 // buffers.
 func (t *Transport) writeLoop() {
 	defer t.wg.Done()
-	batch := make([]*dgram, 0, t.cfg.Batch)
+	batch := make([]*dgram, 0, maxBatch)
 	for {
 		batch = batch[:0]
 		for len(batch) < cap(batch) {

@@ -80,6 +80,11 @@ func TestTransportLoopbackBatched(t *testing.T) {
 			t.Fatalf("received %d/%d datagrams", len(seen), count)
 		}
 	}
+	// The writer counts a batch after sendmmsg returns, which the receiver
+	// can beat.
+	for wait := time.Now().Add(time.Second); tx.Stats().DatagramsOut < count && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
 	ts, rs := tx.Stats(), rx.Stats()
 	if ts.DatagramsOut != count {
 		t.Fatalf("tx datagrams %d, want %d", ts.DatagramsOut, count)

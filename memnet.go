@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -32,8 +33,7 @@ func NewMemNetwork(seed int64) *MemNetwork {
 	return &MemNetwork{conns: make(map[string]*memConn), rng: rand.New(rand.NewSource(seed))}
 }
 
-// memAddr is the address type of both the in-memory network and unresolved
-// peers.
+// memAddr is the in-memory network's address type: the endpoint's name.
 type memAddr string
 
 // Network implements net.Addr.
@@ -41,6 +41,17 @@ func (memAddr) Network() string { return "mem" }
 
 // String implements net.Addr.
 func (a memAddr) String() string { return string(a) }
+
+// memIP is the one link-local address every in-memory endpoint shares.
+var memIP = netip.MustParseAddr("fe80::1")
+
+// AddrPort gives the name the peer-key shape udpnet.Transport carries: the
+// zone of memIP. Zones survive netip.AddrPort <-> *net.UDPAddr conversion
+// unchanged, so memConn.WriteTo recovers the name from what the transport's
+// portable I/O hands it.
+func (a memAddr) AddrPort() netip.AddrPort {
+	return netip.AddrPortFrom(memIP.WithZone(string(a)), 0)
+}
 
 type memPacket struct {
 	// from is the sender's address pre-boxed as net.Addr (boxing per packet
@@ -133,7 +144,13 @@ func (c *memConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 		return 0, net.ErrClosed
 	default:
 	}
-	c.net.send(c.addrIf, addr.String(), p)
+	var to string
+	if ua, ok := addr.(*net.UDPAddr); ok {
+		to = ua.Zone // a memAddr that went through AddrPort
+	} else {
+		to = addr.String()
+	}
+	c.net.send(c.addrIf, to, p)
 	return len(p), nil
 }
 

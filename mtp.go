@@ -12,8 +12,11 @@
 // receiver echoes it, and the sender evolves one congestion window per
 // pathlet, so path changes never invalidate learned state.
 //
-// A Node binds the protocol engine to any net.PacketConn (UDP in practice,
-// or the in-memory network from NewMemNetwork in tests):
+// A Node binds the protocol engine to a net.PacketConn whose addresses are
+// UDP addresses (a socket, or a wrapper around one) or to the in-memory
+// network from NewMemNetwork in tests. Every Node runs the same datapath —
+// internal/udpnet's Transport: reader and writer goroutines, a lock-free send
+// ring, a shared timer wheel — whichever it is:
 //
 //	pc, _ := net.ListenPacket("udp", "127.0.0.1:0")
 //	node, _ := mtp.NewNode(pc, mtp.Config{
@@ -150,35 +153,31 @@ func (o *Outgoing) Done() <-chan struct{} { return o.done }
 
 // Node is one MTP endpoint bound to a packet connection.
 type Node struct {
-	pc    net.PacketConn
-	cfg   Config
-	start time.Time
+	pc  net.PacketConn
+	cfg Config
 
-	// tr is the batched real-socket backend (internal/udpnet), engaged when
-	// pc carries UDP addresses. It owns the I/O goroutines, the outbound
-	// ring, and the timer wheel; peers are then keyed by netip.AddrPort
-	// instead of address strings. nil for in-memory and custom PacketConns,
-	// which keep the portable single-buffer read loop.
+	// tr is the datapath (internal/udpnet): it owns pc, the I/O goroutines,
+	// the outbound ring, and the timer. Batched syscalls on a real UDP
+	// socket, one datagram per call on any other PacketConn. Peers are keyed
+	// by netip.AddrPort throughout.
 	tr *udpnet.Transport
 
 	mu      sync.Mutex
 	ep      *core.Endpoint
-	peers   map[string]net.Addr
 	waiters map[uint64]*Outgoing
-	timer   *time.Timer
 	closed  bool
-	// addrKeys caches peer address strings pre-boxed as core.Addr so the
-	// per-packet paths do not allocate an interface header per conversion.
-	addrKeys map[string]core.Addr
-	// apByName/udpFrom are the transport-mode peer caches: address string →
-	// normalized AddrPort key, and AddrPort key → net.Addr for Message.From.
-	apByName map[string]netip.AddrPort
-	udpFrom  map[netip.AddrPort]*net.UDPAddr
+	// keyByName/fromByAP are the peer caches: address string → normalized
+	// AddrPort key, pre-boxed as core.Addr (filled by sendKey), and AddrPort
+	// key → net.Addr for Message.From (filled by fromAddr, so only peers that
+	// delivered a message are held).
+	keyByName map[string]core.Addr
+	fromByAP  map[netip.AddrPort]net.Addr
 	// trIn is the reused Inbound for transport-delivered packets (the
-	// endpoint copies what it keeps before OnPacket returns).
-	trIn core.Inbound
-	// wbuf is the reused datagram encode buffer (Output runs under mu).
-	wbuf []byte
+	// endpoint copies what it keeps before OnPacket returns). lastFrom is
+	// the previous packet's source and trIn.From its boxed form, so a run of
+	// packets from one peer boxes the key once.
+	trIn     core.Inbound
+	lastFrom netip.AddrPort
 	// inbox stages completed messages while mu is held; they are handed to
 	// cfg.OnMessage after the lock is released so the handler may call
 	// Send and friends.
@@ -188,11 +187,9 @@ type Node struct {
 	// RPC layer state (rpc.go).
 	rpc         rpcState
 	rpcHandlers map[uint16]Handler
-
-	wg sync.WaitGroup
 }
 
-// NewNode binds an MTP endpoint to pc and starts its receive loop. The node
+// NewNode binds an MTP endpoint to pc and starts its I/O goroutines. The node
 // owns pc and closes it on Close.
 func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	if pc == nil {
@@ -219,34 +216,28 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	}
 
 	n := &Node{
-		pc:       pc,
-		cfg:      cfg,
-		start:    time.Now(),
-		peers:    make(map[string]net.Addr),
-		waiters:  make(map[uint64]*Outgoing),
-		addrKeys: make(map[string]core.Addr),
+		pc:        pc,
+		cfg:       cfg,
+		waiters:   make(map[uint64]*Outgoing),
+		keyByName: make(map[string]core.Addr),
+		fromByAP:  make(map[netip.AddrPort]net.Addr),
 	}
-	if _, udp := pc.LocalAddr().(*net.UDPAddr); udp {
-		// Real-socket path: batched syscalls, pooled buffers, timer wheel.
-		maxDgram := cfg.MSS + 1024 // header room; ACK-only packets are smaller
-		if maxDgram < 4096 {
-			maxDgram = 4096
-		}
-		tr, err := udpnet.NewTransport(udpnet.Config{
-			Conn:        pc,
-			MaxDatagram: maxDgram,
-			Wheel:       nodeWheel(),
-			OnPacket:    n.onTransportPacket,
-			OnBatchEnd:  n.drainAll,
-			OnTimer:     n.onTimer,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mtp: %w", err)
-		}
-		n.tr = tr
-		n.apByName = make(map[string]netip.AddrPort)
-		n.udpFrom = make(map[netip.AddrPort]*net.UDPAddr)
+	maxDgram := cfg.MSS + 1024 // header room; ACK-only packets are smaller
+	if maxDgram < 4096 {
+		maxDgram = 4096
 	}
+	tr, err := udpnet.NewTransport(udpnet.Config{
+		Conn:        pc,
+		MaxDatagram: maxDgram,
+		Wheel:       nodeWheel(),
+		OnPacket:    n.onTransportPacket,
+		OnBatchEnd:  n.drainAll,
+		OnTimer:     n.onTimer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mtp: %w", err)
+	}
+	n.tr = tr
 	var ring *trace.Ring
 	if cfg.TraceEvents > 0 {
 		ring = trace.NewRing(cfg.TraceEvents)
@@ -279,12 +270,7 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	}
 	n.ep = core.NewEndpoint(n, coreCfg)
 
-	if n.tr != nil {
-		n.tr.Start()
-	} else {
-		n.wg.Add(1)
-		go n.readLoop()
-	}
+	n.tr.Start()
 	return n, nil
 }
 
@@ -318,9 +304,9 @@ func newEpoch() uint32 {
 	}
 }
 
-// nodeWheel returns the process-wide timer wheel shared by every
-// socket-backed Node: one wheel goroutine serves all endpoint RTO/pacing
-// timers instead of one runtime timer per node per rearm.
+// nodeWheel returns the process-wide timer wheel shared by every Node: one
+// wheel goroutine serves all endpoint RTO/pacing timers instead of one
+// runtime timer per node per rearm.
 var (
 	wheelOnce   sync.Once
 	sharedWheel *udpnet.Wheel
@@ -337,10 +323,10 @@ func nodeWheel() *udpnet.Wheel {
 func (n *Node) onTransportPacket(from netip.AddrPort, hdr *wire.Header, data []byte) {
 	n.mu.Lock()
 	if !n.closed {
-		if _, ok := n.udpFrom[from]; !ok {
-			n.udpFrom[from] = net.UDPAddrFromAddrPort(from)
+		if from != n.lastFrom { // the transport never delivers the zero AddrPort
+			n.lastFrom, n.trIn.From = from, from
 		}
-		n.trIn = core.Inbound{From: from, Hdr: hdr, Data: data}
+		n.trIn.Hdr, n.trIn.Data = hdr, data
 		n.ep.OnPacket(&n.trIn)
 	}
 	n.mu.Unlock()
@@ -355,8 +341,7 @@ type Stats struct {
 	core.EndpointStats
 	// RingFullDrops counts outgoing packets dropped because the transport's
 	// send ring was full — NIC-style local drops, recovered by
-	// retransmission but distinct from network loss. Zero for non-UDP
-	// (in-memory) nodes, which have no ring.
+	// retransmission but distinct from network loss.
 	RingFullDrops uint64
 }
 
@@ -365,11 +350,7 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	es := n.ep.Stats
 	n.mu.Unlock()
-	s := Stats{EndpointStats: es}
-	if n.tr != nil {
-		s.RingFullDrops = n.tr.Stats().RingFullDrops
-	}
-	return s
+	return Stats{EndpointStats: es, RingFullDrops: n.tr.Stats().RingFullDrops}
 }
 
 // Epoch returns the node's incarnation epoch (auto-seeded unless pinned via
@@ -420,74 +401,47 @@ func (n *Node) SendPriority(addr string, dstPort uint16, data []byte, priority u
 	return out, nil
 }
 
-// sendKey resolves a peer address string to its core.Addr form — a
-// normalized netip.AddrPort in transport mode (comparable without per-packet
-// string conversions), the interned string otherwise. Called under mu.
+// sendKey resolves a peer address string to the engine's peer key, a
+// normalized netip.AddrPort (comparable without per-packet string
+// conversions). sendKey and fromAddr are the only places that know an
+// in-memory network's names from UDP addresses. Called under mu.
 func (n *Node) sendKey(addr string) (core.Addr, error) {
-	if n.tr != nil {
-		if ap, ok := n.apByName[addr]; ok {
-			return ap, nil
-		}
+	if key, ok := n.keyByName[addr]; ok {
+		return key, nil
+	}
+	var ap netip.AddrPort
+	if _, mem := n.pc.LocalAddr().(memAddr); mem {
+		ap = memAddr(addr).AddrPort()
+	} else {
 		ua, err := net.ResolveUDPAddr(n.pc.LocalAddr().Network(), addr)
 		if err != nil {
 			return nil, err
 		}
 		p := ua.AddrPort()
-		ap := netip.AddrPortFrom(p.Addr().Unmap(), p.Port())
-		n.apByName[addr] = ap
-		if _, ok := n.udpFrom[ap]; !ok {
-			n.udpFrom[ap] = ua
-		}
-		return ap, nil
+		ap = netip.AddrPortFrom(p.Addr().Unmap(), p.Port())
 	}
-	if _, ok := n.peers[addr]; !ok {
-		resolved, err := n.resolve(addr)
-		if err != nil {
-			return nil, err
-		}
-		n.peers[addr] = resolved
-	}
-	return n.addrKey(addr), nil
+	key := core.Addr(ap)
+	n.keyByName[addr] = key
+	return key, nil
 }
 
-// addrKey returns the cached boxed form of a peer address string, avoiding
-// an interface-conversion allocation per packet. Called under mu.
-func (n *Node) addrKey(addr string) core.Addr {
-	a, ok := n.addrKeys[addr]
-	if !ok {
-		a = addr
-		n.addrKeys[addr] = a
-	}
-	return a
-}
-
-// fromAddr converts a core.Addr peer key back to a net.Addr for delivery to
-// the application. Called under mu.
+// fromAddr converts a peer key back to a net.Addr for delivery to the
+// application, once per peer. Called under mu.
 func (n *Node) fromAddr(key core.Addr) net.Addr {
-	switch a := key.(type) {
-	case netip.AddrPort:
-		if ua := n.udpFrom[a]; ua != nil {
-			return ua
-		}
-		return net.UDPAddrFromAddrPort(a)
-	case string:
-		if from := n.peers[a]; from != nil {
-			return from
-		}
-		return memAddr(a)
+	ap, ok := key.(netip.AddrPort)
+	if !ok {
+		return nil
 	}
-	return nil
-}
-
-func (n *Node) resolve(addr string) (net.Addr, error) {
-	network := n.pc.LocalAddr().Network()
-	switch network {
-	case "udp", "udp4", "udp6":
-		return net.ResolveUDPAddr(network, addr)
-	default:
-		// In-memory and custom PacketConns accept their own string form.
-		return memAddr(addr), nil
+	from := n.fromByAP[ap]
+	if from == nil {
+		if _, mem := n.pc.LocalAddr().(memAddr); mem {
+			from = memAddr(ap.Addr().Zone())
+		} else {
+			from = net.UDPAddrFromAddrPort(ap)
+		}
+		n.fromByAP[ap] = from
 	}
+	return from
 }
 
 // Close shuts the node down and closes the underlying connection.
@@ -498,18 +452,10 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	if n.timer != nil {
-		n.timer.Stop()
-	}
 	n.mu.Unlock()
-	if n.tr != nil {
-		// Transport owns the socket, the I/O goroutines, and the wheel
-		// timer; Close tears all three down and waits for the goroutines.
-		return n.tr.Close()
-	}
-	err := n.pc.Close()
-	n.wg.Wait()
-	return err
+	// Transport owns the socket, the I/O goroutines, and the wheel timer;
+	// Close tears all three down and waits for the goroutines.
+	return n.tr.Close()
 }
 
 // deliver stages a completed message for the user callback. Called under mu.
@@ -564,43 +510,16 @@ func (n *Node) drainAll() {
 
 // --- core.Env implementation (wall-clock) ---
 
-// Now implements core.Env.
-func (n *Node) Now() time.Duration {
-	if n.tr != nil {
-		// The wheel's clock, so SetTimer deadlines share a timebase.
-		return n.tr.Now()
-	}
-	return time.Since(n.start)
-}
+// Now implements core.Env: the wheel's clock, so SetTimer deadlines share a
+// timebase.
+func (n *Node) Now() time.Duration { return n.tr.Now() }
 
-// Output implements core.Env: encode and transmit. Called under mu. In
-// transport mode the packet is encoded into a pooled buffer and queued on
-// the lock-free outbound ring; the writer goroutine performs the syscalls.
+// Output implements core.Env. Called under mu. The packet is encoded into a
+// pooled buffer and queued on the lock-free outbound ring; the writer
+// goroutine performs the syscalls. Every peer key comes from sendKey or the
+// transport's reader, so it is always an AddrPort.
 func (n *Node) Output(pkt *core.Outbound) {
-	if n.tr != nil {
-		if ap, ok := pkt.Dst.(netip.AddrPort); ok {
-			n.tr.Send(ap, pkt.Hdr, pkt.Data)
-		}
-		return
-	}
-	addrStr, _ := pkt.Dst.(string)
-	to := n.peers[addrStr]
-	if to == nil {
-		resolved, err := n.resolve(addrStr)
-		if err != nil {
-			return
-		}
-		n.peers[addrStr] = resolved
-		to = resolved
-	}
-	buf, err := pkt.Hdr.Encode(n.wbuf[:0])
-	if err != nil {
-		return
-	}
-	buf = append(buf, pkt.Data...)
-	n.wbuf = buf[:0]
-	// Ignore transient write errors; reliability recovers them.
-	_, _ = n.pc.WriteTo(buf, to)
+	n.tr.Send(pkt.Dst.(netip.AddrPort), pkt.Hdr, pkt.Data)
 }
 
 // OutputNonRetaining implements core.OutputNonRetainer: Output encodes the
@@ -608,31 +527,12 @@ func (n *Node) Output(pkt *core.Outbound) {
 // ack-list storage across packets.
 func (n *Node) OutputNonRetaining() bool { return true }
 
-// SetTimer implements core.Env. Called under mu. One timer is allocated per
-// node and rearmed with Reset; a rearm that races an in-flight firing at
-// worst delivers one spurious OnTimer, which the endpoint tolerates (it
-// re-derives its deadlines every call).
-func (n *Node) SetTimer(at time.Duration) {
-	if n.tr != nil {
-		n.tr.SetTimer(at)
-		return
-	}
-	if n.timer == nil {
-		n.timer = time.AfterFunc(time.Hour, n.onTimer)
-		n.timer.Stop()
-	}
-	n.timer.Stop()
-	if at <= 0 || n.closed {
-		return
-	}
-	d := at - n.Now()
-	if d < 0 {
-		d = 0
-	}
-	n.timer.Reset(d)
-}
+// SetTimer implements core.Env. Called under mu. A rearm that races an
+// in-flight firing at worst delivers one spurious OnTimer, which the endpoint
+// tolerates (it re-derives its deadlines every call).
+func (n *Node) SetTimer(at time.Duration) { n.tr.SetTimer(at) }
 
-// onTimer is the persistent timer callback.
+// onTimer is the transport's timer callback (wheel goroutine).
 func (n *Node) onTimer() {
 	n.mu.Lock()
 	if !n.closed {
@@ -640,39 +540,4 @@ func (n *Node) onTimer() {
 	}
 	n.mu.Unlock()
 	n.drainAll()
-}
-
-// readLoop decodes datagrams and feeds the engine. The header, Inbound, and
-// payload slice are all reused across packets: Endpoint.OnPacket copies what
-// it keeps before returning (see core.Inbound).
-func (n *Node) readLoop() {
-	defer n.wg.Done()
-	buf := make([]byte, 65536)
-	var hdr wire.Header
-	var in core.Inbound
-	for {
-		nr, from, err := n.pc.ReadFrom(buf)
-		if err != nil {
-			return // closed
-		}
-		consumed, derr := wire.DecodeInto(&hdr, buf[:nr])
-		if derr != nil {
-			continue // not an MTP packet
-		}
-		var data []byte
-		if consumed < nr {
-			data = buf[consumed:nr]
-		}
-		n.mu.Lock()
-		if !n.closed {
-			key := from.String()
-			if _, ok := n.peers[key]; !ok {
-				n.peers[key] = from
-			}
-			in = core.Inbound{From: n.addrKey(key), Hdr: &hdr, Data: data}
-			n.ep.OnPacket(&in)
-		}
-		n.mu.Unlock()
-		n.drainAll()
-	}
 }

@@ -9,9 +9,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mtp/internal/udpnet"
 )
 
-// collectNode builds a node on the mem network that records messages.
+// collected records the messages a node's OnMessage delivers.
 type collected struct {
 	mu   sync.Mutex
 	msgs []Message
@@ -35,34 +37,63 @@ func (c *collected) get(i int) Message {
 	return c.msgs[i]
 }
 
-func memPair(t *testing.T, seed int64, cfgA, cfgB Config) (*Node, *Node, *collected, *MemNetwork) {
+// testNet is the network a Node test runs on: the in-memory network or UDP
+// loopback. Tests address a peer by its Addr().String(), which on the
+// in-memory network is the name it listened on.
+type testNet struct {
+	mem  *MemNetwork // nil: UDP loopback
+	seed int64
+	loss float64 // drop probability; set before the first listen
+}
+
+// eachNet runs body once per network, as subtests "mem" and "udp".
+func eachNet(t *testing.T, seed int64, body func(t *testing.T, tn *testNet)) {
+	t.Run("mem", func(t *testing.T) { body(t, &testNet{mem: NewMemNetwork(seed), seed: seed}) })
+	t.Run("udp", func(t *testing.T) { body(t, &testNet{seed: seed}) })
+}
+
+func (tn *testNet) listen(t *testing.T, name string) net.PacketConn {
 	t.Helper()
-	mn := NewMemNetwork(seed)
-	pa, err := mn.Listen("a")
+	if tn.mem != nil {
+		tn.mem.Loss = tn.loss
+		pc, err := tn.mem.Listen(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no UDP loopback: %v", err)
+	}
+	if tn.loss > 0 {
+		l := udpnet.NewLossy(pc, tn.seed)
+		l.Drop = tn.loss
+		pc = l
+	}
+	return pc
+}
+
+// node starts a Node on a fresh endpoint and closes it with the test.
+func (tn *testNet) node(t *testing.T, name string, cfg Config) *Node {
+	t.Helper()
+	n, err := NewNode(tn.listen(t, name), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := mn.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// pair starts nodes "a" and "b"; b records its messages unless cfgB has its
+// own handler.
+func (tn *testNet) pair(t *testing.T, cfgA, cfgB Config) (*Node, *Node, *collected) {
+	t.Helper()
 	col := &collected{}
 	if cfgB.OnMessage == nil {
 		cfgB.OnMessage = col.add
 	}
-	na, err := NewNode(pa, cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := NewNode(pb, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		na.Close()
-		nb.Close()
-	})
-	return na, nb, col, mn
+	return tn.node(t, "a", cfgA), tn.node(t, "b", cfgB), col
 }
 
 func waitDone(t *testing.T, o *Outgoing, d time.Duration) {
@@ -74,150 +105,145 @@ func waitDone(t *testing.T, o *Outgoing, d time.Duration) {
 	}
 }
 
-func TestNodeMemRoundTrip(t *testing.T) {
-	na, _, col, _ := memPair(t, 1, Config{Port: 10}, Config{Port: 20})
-	data := []byte("hello over the in-memory network")
-	out, err := na.Send("b", 20, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, out, 2*time.Second)
-	deadline := time.Now().Add(time.Second)
-	for col.len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if col.len() != 1 {
-		t.Fatalf("delivered %d", col.len())
-	}
-	m := col.get(0)
-	if !bytes.Equal(m.Data, data) || m.SrcPort != 10 || m.DstPort != 20 {
-		t.Fatalf("message = %+v", m)
-	}
-	if m.From.String() != "a" {
-		t.Fatalf("from = %v", m.From)
-	}
-}
-
-func TestNodeMultiPacketWithLoss(t *testing.T) {
-	na, _, col, mn := memPair(t, 2,
-		Config{Port: 1, MSS: 512, RTO: 20 * time.Millisecond},
-		Config{Port: 2})
-	mn.Loss = 0.05
-	data := make([]byte, 64<<10)
-	rand.New(rand.NewSource(5)).Read(data)
-	out, err := na.Send("b", 2, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, out, 10*time.Second)
-	deadline := time.Now().Add(2 * time.Second)
-	for col.len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if col.len() != 1 {
-		t.Fatalf("delivered %d", col.len())
-	}
-	if !bytes.Equal(col.get(0).Data, data) {
-		t.Fatal("data corrupt under loss")
-	}
-	if na.Stats().PktsRetx == 0 {
-		t.Fatal("no retransmissions under 5% loss")
-	}
-}
-
-func TestNodeBidirectional(t *testing.T) {
-	var gotA []Message
-	var muA sync.Mutex
-	na, nb, col, _ := memPair(t, 3,
-		Config{Port: 1, OnMessage: func(m Message) {
-			muA.Lock()
-			gotA = append(gotA, m)
-			muA.Unlock()
-		}},
-		Config{Port: 2})
-	o1, err := na.Send("b", 2, []byte("ping"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, o1, 2*time.Second)
-	o2, err := nb.Send("a", 1, []byte("pong"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, o2, 2*time.Second)
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		muA.Lock()
-		n := len(gotA)
-		muA.Unlock()
-		if n == 1 && col.len() == 1 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("deliveries: a=%d b=%d", len(gotA), col.len())
-}
-
-func TestNodeManyMessagesConcurrent(t *testing.T) {
-	na, _, col, _ := memPair(t, 4, Config{Port: 1, MSS: 600}, Config{Port: 2})
-	const n = 50
-	outs := make([]*Outgoing, n)
-	payloads := make([][]byte, n)
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		payloads[i] = make([]byte, 1+r.Intn(8000))
-		r.Read(payloads[i])
-		o, err := na.Send("b", 2, payloads[i])
+func TestNodeRoundTrip(t *testing.T) {
+	eachNet(t, 1, func(t *testing.T, tn *testNet) {
+		na, nb, col := tn.pair(t, Config{Port: 10}, Config{Port: 20})
+		data := []byte("hello over the network")
+		out, err := na.Send(nb.Addr().String(), 20, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs[i] = o
-	}
-	for _, o := range outs {
-		waitDone(t, o, 10*time.Second)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for col.len() < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if col.len() != n {
-		t.Fatalf("delivered %d/%d", col.len(), n)
-	}
-	seen := map[uint64]bool{}
-	for i := 0; i < n; i++ {
-		m := col.get(i)
-		if seen[m.ID] {
-			t.Fatalf("duplicate delivery of %d", m.ID)
+		waitDone(t, out, 2*time.Second)
+		deadline := time.Now().Add(time.Second)
+		for col.len() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
-		seen[m.ID] = true
-		if !bytes.Equal(m.Data, payloads[m.ID-1]) {
-			t.Fatalf("message %d corrupt", m.ID)
+		if col.len() != 1 {
+			t.Fatalf("delivered %d", col.len())
 		}
-	}
+		m := col.get(0)
+		if !bytes.Equal(m.Data, data) || m.SrcPort != 10 || m.DstPort != 20 {
+			t.Fatalf("message = %+v", m)
+		}
+		if m.From.String() != na.Addr().String() {
+			t.Fatalf("from = %v", m.From)
+		}
+		// b only ever ACKed, so a has no From address cached for it.
+		na.mu.Lock()
+		defer na.mu.Unlock()
+		if len(na.fromByAP) != 0 {
+			t.Fatalf("sender cached From addresses for a peer that delivered nothing: %v", na.fromByAP)
+		}
+	})
+}
+
+func TestNodeMultiPacketWithLoss(t *testing.T) {
+	eachNet(t, 2, func(t *testing.T, tn *testNet) {
+		tn.loss = 0.05
+		na, nb, col := tn.pair(t,
+			Config{Port: 1, MSS: 512, RTO: 20 * time.Millisecond},
+			Config{Port: 2})
+		data := make([]byte, 64<<10)
+		rand.New(rand.NewSource(5)).Read(data)
+		out, err := na.Send(nb.Addr().String(), 2, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, out, 10*time.Second)
+		deadline := time.Now().Add(2 * time.Second)
+		for col.len() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if col.len() != 1 {
+			t.Fatalf("delivered %d", col.len())
+		}
+		if !bytes.Equal(col.get(0).Data, data) {
+			t.Fatal("data corrupt under loss")
+		}
+		if na.Stats().PktsRetx == 0 {
+			t.Fatal("no retransmissions under 5% loss")
+		}
+	})
+}
+
+func TestNodeBidirectional(t *testing.T) {
+	eachNet(t, 3, func(t *testing.T, tn *testNet) {
+		var gotA []Message
+		var muA sync.Mutex
+		na, nb, col := tn.pair(t,
+			Config{Port: 1, OnMessage: func(m Message) {
+				muA.Lock()
+				gotA = append(gotA, m)
+				muA.Unlock()
+			}},
+			Config{Port: 2})
+		o1, err := na.Send(nb.Addr().String(), 2, []byte("ping"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, o1, 2*time.Second)
+		o2, err := nb.Send(na.Addr().String(), 1, []byte("pong"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, o2, 2*time.Second)
+		deadline := time.Now().Add(time.Second)
+		for time.Now().Before(deadline) {
+			muA.Lock()
+			n := len(gotA)
+			muA.Unlock()
+			if n == 1 && col.len() == 1 {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("deliveries: a=%d b=%d", len(gotA), col.len())
+	})
+}
+
+func TestNodeManyMessagesConcurrent(t *testing.T) {
+	eachNet(t, 4, func(t *testing.T, tn *testNet) {
+		na, nb, col := tn.pair(t, Config{Port: 1, MSS: 600}, Config{Port: 2})
+		const n = 50
+		outs := make([]*Outgoing, n)
+		payloads := make([][]byte, n)
+		r := rand.New(rand.NewSource(7))
+		for i := 0; i < n; i++ {
+			payloads[i] = make([]byte, 1+r.Intn(8000))
+			r.Read(payloads[i])
+			o, err := na.Send(nb.Addr().String(), 2, payloads[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[i] = o
+		}
+		for _, o := range outs {
+			waitDone(t, o, 10*time.Second)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for col.len() < n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if col.len() != n {
+			t.Fatalf("delivered %d/%d", col.len(), n)
+		}
+		seen := map[uint64]bool{}
+		for i := 0; i < n; i++ {
+			m := col.get(i)
+			if seen[m.ID] {
+				t.Fatalf("duplicate delivery of %d", m.ID)
+			}
+			seen[m.ID] = true
+			if !bytes.Equal(m.Data, payloads[m.ID-1]) {
+				t.Fatalf("message %d corrupt", m.ID)
+			}
+		}
+	})
 }
 
 func TestNodeOverUDP(t *testing.T) {
-	pcA, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no UDP loopback: %v", err)
-	}
-	pcB, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		pcA.Close()
-		t.Skipf("no UDP loopback: %v", err)
-	}
-	col := &collected{}
-	na, err := NewNode(pcA, Config{Port: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer na.Close()
-	nb, err := NewNode(pcB, Config{Port: 2, OnMessage: col.add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nb.Close()
-
+	tn := &testNet{}
+	na, nb, col := tn.pair(t, Config{Port: 1}, Config{Port: 2})
 	data := make([]byte, 100<<10)
 	rand.New(rand.NewSource(9)).Read(data)
 	out, err := na.Send(nb.Addr().String(), 2, data)
@@ -279,6 +305,20 @@ func TestMemNetworkAddressing(t *testing.T) {
 	if err := a.SetDeadline(time.Now()); err != nil {
 		t.Fatal(err)
 	}
+	// A datagram reaches its peer whether the destination is the peer's own
+	// address or the UDP-shaped form the transport carries it in.
+	b, err := mn.Listen("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []net.Addr{b.LocalAddr(), net.UDPAddrFromAddrPort(memAddr("b").AddrPort())} {
+		if _, err := a.WriteTo([]byte("x"), to); err != nil {
+			t.Fatal(err)
+		}
+		if _, from, err := b.ReadFrom(make([]byte, 8)); err != nil || from.String() != "a" {
+			t.Fatalf("via %v: from = %v, err = %v", to, from, err)
+		}
+	}
 	a.Close()
 	if _, err := a.WriteTo([]byte("x"), memAddr("b")); err == nil {
 		t.Fatal("write on closed conn accepted")
@@ -292,98 +332,89 @@ func TestMemNetworkAddressing(t *testing.T) {
 // TestNodeReplyFromHandler guards against deadlock when OnMessage calls
 // Send (the echo-server pattern).
 func TestNodeReplyFromHandler(t *testing.T) {
-	mn := NewMemNetwork(8)
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	gotReply := make(chan []byte, 1)
-	na, err := NewNode(pa, Config{Port: 1, OnMessage: func(m Message) {
-		select {
-		case gotReply <- m.Data:
-		default:
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer na.Close()
-	var nb *Node
-	nb, err = NewNode(pb, Config{Port: 2, OnMessage: func(m Message) {
-		if _, err := nb.Send(m.From.String(), m.SrcPort, append([]byte("echo:"), m.Data...)); err != nil {
-			t.Errorf("reply: %v", err)
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nb.Close()
+	eachNet(t, 8, func(t *testing.T, tn *testNet) {
+		gotReply := make(chan []byte, 1)
+		na := tn.node(t, "a", Config{Port: 1, OnMessage: func(m Message) {
+			select {
+			case gotReply <- m.Data:
+			default:
+			}
+		}})
+		var nb *Node
+		ready := make(chan struct{}) // orders the write of nb before the handler's read
+		nb = tn.node(t, "b", Config{Port: 2, OnMessage: func(m Message) {
+			<-ready
+			if _, err := nb.Send(m.From.String(), m.SrcPort, append([]byte("echo:"), m.Data...)); err != nil {
+				t.Errorf("reply: %v", err)
+			}
+		}})
+		close(ready)
 
-	out, err := na.Send("b", 2, []byte("ping"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, out, 5*time.Second)
-	select {
-	case data := <-gotReply:
-		if string(data) != "echo:ping" {
-			t.Fatalf("reply = %q", data)
+		out, err := na.Send(nb.Addr().String(), 2, []byte("ping"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no echo (handler reply deadlocked?)")
-	}
+		waitDone(t, out, 5*time.Second)
+		select {
+		case data := <-gotReply:
+			if string(data) != "echo:ping" {
+				t.Fatalf("reply = %q", data)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no echo (handler reply deadlocked?)")
+		}
+	})
 }
 
 func TestNodePriorityExposed(t *testing.T) {
-	na, _, col, _ := memPair(t, 6, Config{Port: 1}, Config{Port: 2})
-	out, err := na.SendPriority("b", 2, []byte("urgent"), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, out, 2*time.Second)
-	deadline := time.Now().Add(time.Second)
-	for col.len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if col.get(0).Priority != 9 {
-		t.Fatalf("priority = %d", col.get(0).Priority)
-	}
+	eachNet(t, 6, func(t *testing.T, tn *testNet) {
+		na, nb, col := tn.pair(t, Config{Port: 1}, Config{Port: 2})
+		out, err := na.SendPriority(nb.Addr().String(), 2, []byte("urgent"), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, out, 2*time.Second)
+		deadline := time.Now().Add(time.Second)
+		for col.len() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if col.get(0).Priority != 9 {
+			t.Fatalf("priority = %d", col.get(0).Priority)
+		}
+	})
 }
 
 // TestNodeCloseMidTransfer: closing while a large message is in flight must
 // not panic, deadlock, or leave goroutines stuck.
 func TestNodeCloseMidTransfer(t *testing.T) {
-	mn := NewMemNetwork(41)
-	mn.Latency = 2 * time.Millisecond
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	na, _ := NewNode(pa, Config{Port: 1, MSS: 600})
-	nb, _ := NewNode(pb, Config{Port: 2})
-	big := make([]byte, 1<<20)
-	if _, err := na.Send("b", 2, big); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(3 * time.Millisecond) // transfer underway
-	if err := na.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := nb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Further sends fail cleanly.
-	if _, err := na.Send("b", 2, []byte("x")); err == nil {
-		t.Fatal("send after close succeeded")
-	}
+	eachNet(t, 41, func(t *testing.T, tn *testNet) {
+		if tn.mem != nil {
+			tn.mem.Latency = 2 * time.Millisecond
+		}
+		na, nb, _ := tn.pair(t, Config{Port: 1, MSS: 600}, Config{Port: 2})
+		dst := nb.Addr().String()
+		big := make([]byte, 1<<20)
+		if _, err := na.Send(dst, 2, big); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(3 * time.Millisecond) // transfer underway
+		if err := na.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := nb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Further sends fail cleanly.
+		if _, err := na.Send(dst, 2, []byte("x")); err == nil {
+			t.Fatal("send after close succeeded")
+		}
+	})
 }
 
 func TestMemNetworkLatency(t *testing.T) {
-	mn := NewMemNetwork(31)
-	mn.Latency = 5 * time.Millisecond
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	na, _ := NewNode(pa, Config{Port: 1})
-	defer na.Close()
-	col := &collected{}
-	nb, _ := NewNode(pb, Config{Port: 2, OnMessage: col.add})
-	defer nb.Close()
+	tn := &testNet{mem: NewMemNetwork(31)}
+	tn.mem.Latency = 5 * time.Millisecond
+	na, _, _ := tn.pair(t, Config{Port: 1}, Config{Port: 2})
 
 	t0 := time.Now()
 	out, err := na.Send("b", 2, []byte("delayed"))
@@ -398,19 +429,8 @@ func TestMemNetworkLatency(t *testing.T) {
 }
 
 func TestNodeTraceDump(t *testing.T) {
-	mn := NewMemNetwork(21)
-	pa, _ := mn.Listen("a")
-	pb, _ := mn.Listen("b")
-	na, err := NewNode(pa, Config{Port: 1, TraceEvents: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer na.Close()
-	nb, err := NewNode(pb, Config{Port: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nb.Close()
+	tn := &testNet{mem: NewMemNetwork(21)}
+	na, nb, _ := tn.pair(t, Config{Port: 1, TraceEvents: 128}, Config{Port: 2})
 	if nb.TraceDump() != "" {
 		t.Fatal("trace dump without TraceEvents")
 	}

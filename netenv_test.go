@@ -7,36 +7,31 @@ import (
 	"time"
 )
 
-// TestFromAddrKeys covers the peer-key to net.Addr mapping for both
-// backend modes: cached and uncached netip keys (transport mode), string
-// keys (legacy mode), and unknown key types.
+// TestFromAddrKeys covers the peer-key to net.Addr mapping on both
+// networks: uncached and cached netip keys, and unknown key types.
 func TestFromAddrKeys(t *testing.T) {
-	mn := NewMemNetwork(1)
-	pc, err := mn.Listen("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewNode(pc, Config{Port: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-
-	ap := netip.MustParseAddrPort("10.1.2.3:77")
-	if got := node.fromAddr(ap); got.String() != "10.1.2.3:77" {
-		t.Fatalf("uncached netip key: %v", got)
-	}
-	cached := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 77}
-	node.udpFrom = map[netip.AddrPort]*net.UDPAddr{ap: cached}
-	if got := node.fromAddr(ap); got != net.Addr(cached) {
-		t.Fatalf("cached netip key not reused: %v", got)
-	}
-	if got := node.fromAddr("peer-x"); got.String() != "peer-x" {
-		t.Fatalf("string key: %v", got)
-	}
-	if got := node.fromAddr(42); got != nil {
-		t.Fatalf("unknown key type: %v", got)
-	}
+	eachNet(t, 1, func(t *testing.T, tn *testNet) {
+		node := tn.node(t, "a", Config{Port: 1})
+		ap, want := netip.MustParseAddrPort("10.1.2.3:77"), "10.1.2.3:77"
+		if tn.mem != nil {
+			ap, want = memAddr("peer-x").AddrPort(), "peer-x"
+		}
+		got := node.fromAddr(ap)
+		if got.String() != want || got.Network() != node.Addr().Network() {
+			t.Fatalf("uncached key: %v", got)
+		}
+		if node.fromByAP[ap] != got {
+			t.Fatal("miss did not fill the cache")
+		}
+		cached := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 77}
+		node.fromByAP[ap] = cached
+		if got := node.fromAddr(ap); got != net.Addr(cached) {
+			t.Fatalf("cached key not reused: %v", got)
+		}
+		if got := node.fromAddr(42); got != nil {
+			t.Fatalf("unknown key type: %v", got)
+		}
+	})
 }
 
 // TestMemConnDeadlines pins the net.PacketConn no-op deadline surface the
