@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify exp bench netbench chaos cover scenario fuzz
+.PHONY: build test race vet verify golden exp bench netbench chaos cover scenario fuzz
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,26 @@ test:
 race:
 	$(GO) test -race ./...
 
+# golden_clean fails when a golden file differs from the last commit: a test
+# that rewrites one without -update is a bug, and `make golden` output must be
+# reviewed and committed, not left lying in the tree.
+define golden_clean
+@test -z "$$(git status --porcelain internal/*/testdata)" || { echo "golden files changed:"; git status --porcelain internal/*/testdata; exit 1; }
+endef
+
 vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
+	$(golden_clean)
 
-# verify is the gate a change must pass before it ships.
+# verify is the gate a change must pass before it ships; the golden check runs
+# again after the tests have had their chance to touch the files.
 verify: vet race
+	$(golden_clean)
+
+# golden regenerates the experiment and scenario golden files (TESTING.md).
+golden:
+	$(GO) test ./internal/exp ./internal/scenario -run Golden -update -count=1
 
 # cover runs the whole suite with coverage and enforces the committed
 # baseline (ci/coverage_baseline.txt).

@@ -17,8 +17,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
+	"strings"
 
+	"mtp/internal/baseline"
 	"mtp/internal/exp"
 	"mtp/internal/scenario"
 )
@@ -39,7 +40,7 @@ func main() {
 		radix    = flag.Int("k", 0, "scale: fat-tree radix (with -topo fattree)")
 		pattern  = flag.String("pattern", "", "scale traffic: permutation (default), incast, shuffle")
 		msgSize  = flag.Int("msgsize", 0, "scale: message size in bytes")
-		rival    = flag.String("baseline", "dctcp", "rival transport for failover/scale/scalesweep: dctcp, mptcp-lia, mptcp-olia, quic")
+		rival    = flag.String("baseline", baseline.RivalNames()[0], "rival transport for failover/scale/scalesweep: "+strings.Join(baseline.RivalNames(), ", "))
 		rivalRnd = flag.Bool("rival", false, "scenario: sample the rival baseline type per seed instead of always DCTCP")
 		verbose  = flag.Bool("v", false, "verbose output (table1 evidence)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -49,17 +50,22 @@ func main() {
 		offOn    = flag.Bool("offload", false, "scenario: place a sampled in-network device (cache or IDS) on the fabric")
 		parallel = flag.Int("parallel", 1, "sweep workers: 1 sequential, 0 = all CPUs, N fixed (results are identical regardless); capped so workers x shards <= GOMAXPROCS")
 		shards   = flag.Int("shards", 1, "scale/scalesweep: split the simulation across N parallel engines (clamped to pods for fattree, racks for leafspine); results are bit-identical to -shards 1")
-		maxbatch = flag.Int("shardbatch", 0, "scale/scalesweep: cap lookahead windows per barrier round (0 = unbounded batching, 1 = legacy one-window rounds); attribution knob, results identical")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
-	switch *rival {
-	case "dctcp", "mptcp-lia", "mptcp-olia", "quic":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -baseline %q (want dctcp, mptcp-lia, mptcp-olia, or quic)\n", *rival)
-		os.Exit(2)
+	// Values that select code by name are checked here, before any experiment
+	// runs: deeper down an unknown name is a programming error and panics.
+	for _, err := range []error{
+		oneOf("topo", *topoName, exp.ScaleTopos),
+		oneOf("pattern", *pattern, exp.ScalePatterns),
+		oneOf("baseline", *rival, baseline.RivalNames()),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	if *cpuprof != "" {
@@ -177,7 +183,7 @@ func main() {
 	scaleCfg := exp.ScaleConfig{
 		Topo: *topoName, Leaves: *leaves, Spines: *spines, HostsPerLeaf: *perLeaf,
 		K: *radix, Pattern: *pattern, MsgSize: *msgSize, Messages: *messages,
-		Seed: *seed, Workers: *parallel, Shards: *shards, MaxBatch: *maxbatch, Check: *chkOn,
+		Seed: *seed, Workers: *parallel, Shards: *shards, Check: *chkOn,
 		Baseline: *rival,
 	}
 	if *duration > 0 {
@@ -251,5 +257,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	_ = time.Second
+}
+
+// oneOf rejects a flag value outside its accepted set; the empty value (the
+// experiment's default) always passes.
+func oneOf(name, value string, accepted []string) error {
+	if value == "" {
+		return nil
+	}
+	for _, a := range accepted {
+		if value == a {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown -%s %q (want %s)", name, value, strings.Join(accepted, ", "))
 }

@@ -10,8 +10,6 @@ import (
 	"mtp/internal/check"
 	"mtp/internal/core"
 	"mtp/internal/fault"
-	"mtp/internal/sim"
-	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/stats"
 )
@@ -37,11 +35,11 @@ type FailoverConfig struct {
 	SampleInterval     time.Duration // 100 µs
 	Seed               int64
 	MaxWindow          float64 // socket-buffer cap, default 256 KiB
-	// Baseline selects the rival transport run against MTP: "dctcp"
-	// (default), "mptcp-lia" / "mptcp-olia" (coupled multipath TCP with
-	// dead-path reinjection — the strongest rival here, since it holds a
-	// subflow on the surviving path), or "quic" (multiplexed streams, one
-	// connection pinned to the blackholed path like DCTCP).
+	// Baseline names the rival transport run against MTP, one of
+	// baseline.RivalNames: DCTCP (the default), coupled multipath TCP with
+	// dead-path reinjection (the strongest rival here, since it holds a
+	// subflow on the surviving path), or the QUIC-like baseline (multiplexed
+	// streams, one connection pinned to the blackholed path like DCTCP).
 	Baseline string
 	// Check runs the MTP side under the protocol invariant harness
 	// (internal/check) — the failover invariants (no sends onto excluded
@@ -93,25 +91,7 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 256 << 10
 	}
-	if c.Baseline == "" {
-		c.Baseline = "dctcp"
-	}
 	return c
-}
-
-// failoverRivalName is the series label for the configured rival.
-func failoverRivalName(b string) string {
-	switch b {
-	case "", "dctcp":
-		return "DCTCP"
-	case "mptcp-lia":
-		return "MPTCP-LIA"
-	case "mptcp-olia":
-		return "MPTCP-OLIA"
-	case "quic":
-		return "QUIC"
-	}
-	panic(fmt.Sprintf("exp: unknown baseline %q", b))
 }
 
 // FailoverSeries is one system's trace plus its recovery metrics.
@@ -153,68 +133,17 @@ type FailoverResult struct {
 	ViolationCount int
 }
 
-// failoverTopo builds the two-path topology. Unlike fig5Topo the switch
-// defaults to SingleRoute, so all traffic takes the fast path until a
-// header's exclude list forces the slow one — rerouting is entirely
-// end-host-driven. The MPTCP rival passes ECMP instead: its two subflows
-// carry distinct flow IDs precisely so the network spreads them.
-func failoverTopo(cfg FailoverConfig, pathlets bool, policy simnet.ForwardPolicy) (*sim.Engine, *simnet.Network, *simnet.Host, *simnet.Host, *simnet.Link) {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
-	snd := simnet.NewHost(net)
-	rcv := simnet.NewHost(net)
-	if policy == nil {
-		policy = simnet.SingleRoute{}
-	}
-	sw := simnet.NewSwitch(net, policy)
-
-	snd.SetUplink(net.Connect(sw, simnet.LinkConfig{
-		Rate: cfg.FastRate, Delay: cfg.LinkDelay, QueueCap: 4096,
-	}, "snd->sw"))
-
-	fastID, slowID := uint32(1), uint32(2)
-	mk := func(rate float64, id *uint32, name string) *simnet.Link {
-		lc := simnet.LinkConfig{
-			Rate: rate, Delay: cfg.LinkDelay,
-			QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNThreshold,
-		}
-		if pathlets {
-			lc.Pathlet = id
-			lc.StampECN = true
-		}
-		return net.Connect(rcv, lc, name)
-	}
-	fast := mk(cfg.FastRate, &fastID, "fast")
-	slow := mk(cfg.SlowRate, &slowID, "slow")
-	sw.AddRoute(rcv.ID(), fast)
-	sw.AddRoute(rcv.ID(), slow)
-
-	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{
-		Rate: cfg.FastRate, Delay: cfg.LinkDelay, QueueCap: 4096,
-	}, "rcv->snd"))
-	return eng, net, snd, rcv, fast
-}
-
-// byteMeter samples a monotone byte counter every interval, keeping both the
-// raw per-interval byte counts (for time-to-first-delivery) and the derived
-// Gbit/s series.
-func byteMeter(eng *sim.Engine, interval, duration time.Duration, read func() uint64) (*[]float64, *[]uint64) {
-	series := &[]float64{}
-	buckets := &[]uint64{}
-	var last uint64
-	var tick func()
-	tick = func() {
-		total := read()
-		delta := total - last
-		last = total
-		*buckets = append(*buckets, delta)
-		*series = append(*series, float64(delta)*8/interval.Seconds()/1e9)
-		if eng.Now()+interval <= duration {
-			eng.Schedule(interval, tick)
-		}
-	}
-	eng.Schedule(interval, tick)
-	return series, buckets
+// rig builds the two-path topology (see twoPathSpec for the policies) and
+// schedules the blackhole on its fast path.
+func (c FailoverConfig) rig(pathlets int, policy simnet.ForwardPolicy) (*twoPath, *fault.Injector) {
+	rig := newTwoPath(twoPathSpec{
+		FastRate: c.FastRate, SlowRate: c.SlowRate, LinkDelay: c.LinkDelay,
+		QueueCap: c.QueueCap, ECNThreshold: c.ECNThreshold, Seed: c.Seed,
+		Policy: policy, Pathlets: pathlets,
+	})
+	in := fault.NewInjector(rig.eng, c.Seed)
+	in.Blackhole(rig.fast, c.FaultAt, c.FaultFor)
+	return rig, in
 }
 
 // RunFailover executes the experiment for both systems.
@@ -224,45 +153,16 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 
 	// --- MTP run: pathlet failover around the blackhole ---
 	{
-		eng, net, snd, rcv, fastLink := failoverTopo(cfg, true, nil)
+		rig, in := cfg.rig(2, nil)
 		var chk *check.Checker
 		if cfg.Check {
-			chk = check.New(eng, net)
+			chk = check.New(rig.eng, rig.net)
 		}
-		in := fault.NewInjector(eng, cfg.Seed)
-		in.Blackhole(fastLink, cfg.FaultAt, cfg.FaultFor)
-
-		var sender *simhost.MTPHost
-		refill := func(m *core.OutMessage) {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
-		sndCfg := core.Config{
-			LocalPort: 1, OnMessageSent: refill,
-			RTO:           cfg.RTO,
-			FailoverRTOs:  cfg.FailoverRTOs,
-			ProbeInterval: cfg.ProbeInterval,
-			CCConfig:      cc.Config{MaxWindow: cfg.MaxWindow, LineRate: cfg.FastRate},
-		}
-		rcvCfg := core.Config{LocalPort: 2}
-		if chk != nil {
-			sndCfg.Observer = chk
-			rcvCfg.Observer = chk
-		}
-		sender = simhost.AttachMTP(net, snd, sndCfg)
-		receiver := simhost.AttachMTP(net, rcv, rcvCfg)
-		if chk != nil {
-			chk.AttachEndpoint(sender.EP, snd.ID())
-			chk.AttachEndpoint(receiver.EP, rcv.ID())
-		}
-		series, buckets := byteMeter(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
-			return receiver.EP.Stats.PayloadBytes
-		})
-		for i := 0; i < 8; i++ {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
-		eng.Run(cfg.Duration)
-
-		res.MTP = summarizeFailover(cfg, "MTP", *series, *buckets)
+		sender, series := rig.runMTP(core.Config{
+			RTO: cfg.RTO, FailoverRTOs: cfg.FailoverRTOs, ProbeInterval: cfg.ProbeInterval,
+			CCConfig: cc.Config{MaxWindow: cfg.MaxWindow, LineRate: cfg.FastRate},
+		}, chk, cfg.SampleInterval, cfg.Duration)
+		res.MTP = summarizeFailover(cfg, "MTP", series)
 		res.Failovers = sender.EP.Stats.Failovers
 		res.ProbesSent = sender.EP.Stats.ProbesSent
 		res.Readmissions = sender.EP.Stats.Readmissions
@@ -275,129 +175,67 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		}
 	}
 
-	// --- Rival run: the configured baseline under the same blackhole ---
-	switch cfg.Baseline {
-	case "", "dctcp":
-		res.DCTCP = runFailoverDCTCP(cfg)
-	case "mptcp-lia":
-		res.DCTCP = runFailoverMPTCP(cfg, baseline.CouplingLIA)
-	case "mptcp-olia":
-		res.DCTCP = runFailoverMPTCP(cfg, baseline.CouplingOLIA)
-	case "quic":
-		res.DCTCP = runFailoverQUIC(cfg)
-	default:
-		panic(fmt.Sprintf("exp: unknown baseline %q", cfg.Baseline))
-	}
-
+	res.DCTCP = runFailoverRival(cfg)
 	if res.MTP.Recovered && res.DCTCP.Recovered && res.MTP.Recovery > 0 {
 		res.Speedup = float64(res.DCTCP.Recovery) / float64(res.MTP.Recovery)
 	}
 	return res
 }
 
-// runFailoverDCTCP: one connection pinned to the blackholed path. It can
-// only wait the outage out.
-func runFailoverDCTCP(cfg FailoverConfig) FailoverSeries {
-	eng, _, snd, rcv, fastLink := failoverTopo(cfg, false, nil)
-	in := fault.NewInjector(eng, cfg.Seed)
-	in.Blackhole(fastLink, cfg.FaultAt, cfg.FaultFor)
-
-	sender := baseline.NewSender(eng, snd.Send, baseline.SenderConfig{
-		Conn: 1, Dst: rcv.ID(), SkipHandshake: true,
-		RTO:      cfg.RTO,
-		CCConfig: cc.Config{MaxWindow: cfg.MaxWindow},
-	})
-	receiver := baseline.NewReceiver(eng, rcv.Send, baseline.ReceiverConfig{
-		Conn: 1, Src: snd.ID(),
-	})
-	series, buckets := byteMeter(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
-		return uint64(receiver.Delivered())
-	})
-	snd.SetHandler(sender.OnPacket)
-	rcv.SetHandler(receiver.OnPacket)
-	sender.Write(1 << 32)
-	eng.Run(cfg.Duration)
-
-	return summarizeFailover(cfg, "DCTCP", *series, *buckets)
-}
-
-// runFailoverQUIC: multiplexed streams over one connection whose single
-// flow ID is pinned to the blackholed path — stream independence does not
-// help when every stream shares the 5-tuple, so QUIC rides the outage out
-// exactly like DCTCP. Streams run in a closed loop (a completed stream is
-// replaced) to keep offered load up for the whole run.
-func runFailoverQUIC(cfg FailoverConfig) FailoverSeries {
-	eng, _, snd, rcv, fastLink := failoverTopo(cfg, false, nil)
-	in := fault.NewInjector(eng, cfg.Seed)
-	in.Blackhole(fastLink, cfg.FaultAt, cfg.FaultFor)
-
-	const streamSize = 1 << 20
-	var sender *baseline.QUICSender
-	nextStream := uint64(0)
-	openNext := func() {
-		nextStream++
-		sender.OpenStream(nextStream, streamSize)
+// runFailoverRival runs the configured baseline under the same blackhole,
+// wired through the same adapter as every other experiment (baseline.Wiring),
+// with the pipe kept full for the whole run. How each fares is decided by the
+// two registry properties read here:
+//
+//   - DCTCP is one connection pinned to the blackholed path. It can only wait
+//     the outage out.
+//   - QUIC (Multiplexed) runs a closed loop of streams — a completed stream is
+//     replaced — but stream independence does not help when every stream
+//     shares the connection's flow ID: it rides the outage out exactly like
+//     DCTCP.
+//   - MPTCP (Multipath) gets ECMP at the switch, which multiplies the flow ID
+//     by an odd constant and so preserves parity: the even subflow ID hashes
+//     to candidate 0 (fast), the odd one to candidate 1 (slow). When the fast
+//     path blackholes, dead-path detection (FailoverRTOs consecutive
+//     timeouts) reinjects the dead subflow's unacked bytes onto the surviving
+//     one. It is the one rival that recovers during the outage, which is why
+//     it is worth beating on detection latency: it still burns RTOs serially
+//     where MTP's pathlet state is shared across messages.
+func runFailoverRival(cfg FailoverConfig) FailoverSeries {
+	rv := baseline.MustRival(cfg.Baseline)
+	var policy simnet.ForwardPolicy
+	if rv.Multipath {
+		policy = simnet.ECMP{}
 	}
-	sender = baseline.NewQUICSender(eng, snd.Send, baseline.QUICSenderConfig{
-		Conn: 1, Dst: rcv.ID(), RTO: cfg.RTO,
-		CCConfig:         cc.Config{MaxWindow: cfg.MaxWindow},
-		OnStreamComplete: func(time.Duration, uint64) { openNext() },
+	rig, _ := cfg.rig(0, policy)
+	w := rv.Wire(rig.eng, rig, baseline.WireConfig{
+		RTO: cfg.RTO, CCConfig: cc.Config{MaxWindow: cfg.MaxWindow}, FailoverRTOs: cfg.FailoverRTOs,
 	})
-	receiver := baseline.NewQUICReceiver(eng, rcv.Send, baseline.QUICReceiverConfig{
-		Conn: 1, Src: snd.ID(),
-	})
-	series, buckets := byteMeter(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
-		return uint64(receiver.Arrived)
-	})
-	snd.SetHandler(sender.OnPacket)
-	rcv.SetHandler(receiver.OnPacket)
-	for i := 0; i < 8; i++ {
-		openNext()
+	// One effectively infinite message, or eight 1 MB streams each replaced
+	// when it completes.
+	msg, outstanding := baseline.Msg{Src: 0, Dst: 1, Size: 1 << 32, ID: 1}, 1
+	if rv.Multiplexed {
+		msg.Size, outstanding = 1<<20, 8
 	}
-	eng.Run(cfg.Duration)
-
-	return summarizeFailover(cfg, "QUIC", *series, *buckets)
+	var start func()
+	start = func() {
+		msg.Stream++
+		w.Start(msg, func(time.Duration, uint64) {
+			if rv.Multiplexed {
+				start()
+			}
+		})
+	}
+	series := sampleBytes(rig.eng, cfg.SampleInterval, cfg.Duration, w.Expect(msg))
+	for i := 0; i < outstanding; i++ {
+		start()
+	}
+	rig.eng.Run(cfg.Duration)
+	return summarizeFailover(cfg, rv.Short, series)
 }
 
-// runFailoverMPTCP: two coupled subflows whose flow IDs ECMP-hash onto the
-// fast and slow paths. When the fast path blackholes, dead-path detection
-// (FailoverRTOs consecutive timeouts) reinjects the dead subflow's unacked
-// bytes onto the surviving one — MPTCP is the one rival that recovers
-// during the outage, which is exactly why it is worth beating on detection
-// latency: it still burns RTOs serially where MTP's pathlet state is shared
-// across messages.
-func runFailoverMPTCP(cfg FailoverConfig, coupling baseline.Coupling) FailoverSeries {
-	eng, _, snd, rcv, fastLink := failoverTopo(cfg, false, simnet.ECMP{})
-	in := fault.NewInjector(eng, cfg.Seed)
-	in.Blackhole(fastLink, cfg.FaultAt, cfg.FaultFor)
-
-	// ECMP multiplies the flow ID by an odd constant, so parity is
-	// preserved: an even conn hashes to candidate 0 (fast), an odd conn to
-	// candidate 1 (slow).
-	conns := []uint64{2, 3}
-	m := baseline.NewMPTCP(eng, snd.Send, baseline.MPTCPConfig{
-		Conns: conns, Dst: rcv.ID(), RTO: cfg.RTO,
-		CCConfig:     cc.Config{MaxWindow: cfg.MaxWindow},
-		Coupling:     coupling,
-		FailoverRTOs: cfg.FailoverRTOs,
-	})
-	receiver := baseline.NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
-	series, buckets := byteMeter(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
-		return uint64(receiver.Contiguous())
-	})
-	snd.SetHandler(func(pkt *simnet.Packet) {
-		for _, s := range m.Subflows() {
-			s.OnPacket(pkt)
-		}
-	})
-	rcv.SetHandler(receiver.OnPacket)
-	m.Write(1 << 32)
-	eng.Run(cfg.Duration)
-
-	return summarizeFailover(cfg, failoverRivalName(cfg.Baseline), *series, *buckets)
-}
-
-func summarizeFailover(cfg FailoverConfig, name string, series []float64, buckets []uint64) FailoverSeries {
+func summarizeFailover(cfg FailoverConfig, name string, sampled *byteSeries) FailoverSeries {
+	series := sampled.Gbps
 	s := FailoverSeries{Name: name, Gbps: series}
 	preFrom := cfg.FaultAt - time.Millisecond
 	if preFrom < 0 {
@@ -416,7 +254,7 @@ func summarizeFailover(cfg FailoverConfig, name string, series []float64, bucket
 	// (slow) path's capacity.
 	threshold := cfg.SlowRate / 2 / 1e9
 	s.Recovery, s.Recovered = stats.RecoveryTime(series, cfg.SampleInterval, cfg.FaultAt, threshold)
-	s.FirstDelivery, _ = stats.TimeToFirstDelivery(buckets, cfg.SampleInterval, cfg.FaultAt)
+	s.FirstDelivery, _ = stats.TimeToFirstDelivery(sampled.Bytes, cfg.SampleInterval, cfg.FaultAt)
 	s.DipGbits = stats.DipArea(series, cfg.SampleInterval, cfg.FaultAt, s.PreFaultGbps)
 	return s
 }
@@ -450,13 +288,7 @@ func (r FailoverResult) String() string {
 			fmt.Fprintf(&b, "  invariants: ok\n")
 		} else {
 			fmt.Fprintf(&b, "  invariants: %d violation(s)\n", r.ViolationCount)
-			for i, v := range r.Violations {
-				if i >= 8 {
-					fmt.Fprintf(&b, "    ... %d more\n", len(r.Violations)-i)
-					break
-				}
-				fmt.Fprintf(&b, "    %s\n", v)
-			}
+			writeViolations(&b, r.Violations)
 		}
 	}
 	return b.String()
@@ -464,15 +296,5 @@ func (r FailoverResult) String() string {
 
 // Samples renders the two traces side by side for plotting.
 func (r FailoverResult) Samples() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# t_us\t%s_gbps\tmtp_gbps\n", strings.ToLower(r.DCTCP.Name))
-	n := len(r.MTP.Gbps)
-	if len(r.DCTCP.Gbps) < n {
-		n = len(r.DCTCP.Gbps)
-	}
-	step := r.Config.SampleInterval.Microseconds()
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%d\t%.3f\t%.3f\n", int64(i+1)*step, r.DCTCP.Gbps[i], r.MTP.Gbps[i])
-	}
-	return b.String()
+	return samplesTable(r.DCTCP.Name, r.Config.SampleInterval, r.DCTCP.Gbps, r.MTP.Gbps)
 }

@@ -171,9 +171,9 @@ func runFig3TCP(cfg Fig3Config) Fig3Row {
 			startMsg(h)
 		}
 	}
-	series := meterFn(eng, cfg.SampleInterval, cfg.Duration, func() uint64 { return delivered })
+	series := sampleBytes(eng, cfg.SampleInterval, cfg.Duration, func() uint64 { return delivered })
 	eng.Run(cfg.Duration)
-	return summarizeFig3("TCP 1-msg-per-conn", *series, messages)
+	return summarizeFig3("TCP 1-msg-per-conn", series.Gbps, messages)
 }
 
 func runFig3MTP(cfg Fig3Config) Fig3Row {
@@ -199,7 +199,7 @@ func runFig3MTP(cfg Fig3Config) Fig3Row {
 			mh.EP.SendSynthetic(sinks[i].ID(), 2, cfg.MsgSize, core.SendOptions{})
 		}
 	}
-	series := meterFn(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
+	series := sampleBytes(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
 		var total uint64
 		for _, ep := range sinkEPs {
 			total += ep.EP.Stats.PayloadBytes
@@ -207,7 +207,7 @@ func runFig3MTP(cfg Fig3Config) Fig3Row {
 		return total
 	})
 	eng.Run(cfg.Duration)
-	return summarizeFig3("MTP per-message", *series, messages)
+	return summarizeFig3("MTP per-message", series.Gbps, messages)
 }
 
 func summarizeFig3(name string, series []float64, messages int) Fig3Row {

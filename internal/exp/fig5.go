@@ -13,8 +13,6 @@ import (
 	"mtp/internal/baseline"
 	"mtp/internal/cc"
 	"mtp/internal/core"
-	"mtp/internal/sim"
-	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/stats"
 )
@@ -95,64 +93,13 @@ type Fig5Result struct {
 	Improvement float64 // MTP mean / DCTCP mean - 1
 }
 
-// fig5Topo builds the two-path topology; returns engine, sender/receiver
-// hosts and the two forward links (for metering).
-func fig5Topo(cfg Fig5Config, pathlets bool) (*sim.Engine, *simnet.Network, *simnet.Host, *simnet.Host, *simnet.Link, *simnet.Link) {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
-	snd := simnet.NewHost(net)
-	rcv := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, simnet.Alternator{Period: cfg.SwitchPeriod})
-
-	snd.SetUplink(net.Connect(sw, simnet.LinkConfig{
-		Rate: cfg.FastRate, Delay: cfg.LinkDelay, QueueCap: 4096,
-	}, "snd->sw"))
-
-	fastID, slowID := uint32(1), uint32(2)
-	if cfg.SinglePathlet {
-		slowID = fastID
-	}
-	mk := func(rate float64, id *uint32, name string) *simnet.Link {
-		lc := simnet.LinkConfig{
-			Rate: rate, Delay: cfg.LinkDelay,
-			QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNThreshold,
-		}
-		if pathlets {
-			lc.Pathlet = id
-			lc.StampECN = true
-		}
-		return net.Connect(rcv, lc, name)
-	}
-	fast := mk(cfg.FastRate, &fastID, "fast")
-	slow := mk(cfg.SlowRate, &slowID, "slow")
-	sw.AddRoute(rcv.ID(), fast)
-	sw.AddRoute(rcv.ID(), slow)
-
-	// Reverse path for ACKs: direct, uncongested.
-	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{
-		Rate: cfg.FastRate, Delay: cfg.LinkDelay, QueueCap: 4096,
-	}, "rcv->snd"))
-	return eng, net, snd, rcv, fast, slow
-}
-
-// meterFn samples a monotone byte counter every interval and records the
-// derived throughput in Gbit/s — the paper's "measure the flow throughput
-// every 32 µs" methodology, applied to receiver goodput.
-func meterFn(eng *sim.Engine, interval, duration time.Duration, read func() uint64) *[]float64 {
-	series := &[]float64{}
-	var last uint64
-	var tick func()
-	tick = func() {
-		total := read()
-		gbps := float64(total-last) * 8 / interval.Seconds() / 1e9
-		last = total
-		*series = append(*series, gbps)
-		if eng.Now()+interval <= duration {
-			eng.Schedule(interval, tick)
-		}
-	}
-	eng.Schedule(interval, tick)
-	return series
+// rig builds the two-path topology behind the alternating (optical) switch.
+func (c Fig5Config) rig(pathlets int) *twoPath {
+	return newTwoPath(twoPathSpec{
+		FastRate: c.FastRate, SlowRate: c.SlowRate, LinkDelay: c.LinkDelay,
+		QueueCap: c.QueueCap, ECNThreshold: c.ECNThreshold, Seed: c.Seed,
+		Policy: simnet.Alternator{Period: c.SwitchPeriod}, Pathlets: pathlets,
+	})
 }
 
 // RunFig5 executes the experiment for both systems.
@@ -162,51 +109,33 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 
 	// --- MTP run: per-pathlet congestion control ---
 	{
-		eng, net, snd, rcv, _, _ := fig5Topo(cfg, true)
-		var sender *simhost.MTPHost
-		refill := func(m *core.OutMessage) {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
+		pathlets := 2
+		if cfg.SinglePathlet {
+			pathlets = 1
 		}
 		lineRate := cfg.LineRate
 		if lineRate == 0 {
 			lineRate = cfg.FastRate
 		}
-		sender = simhost.AttachMTP(net, snd, core.Config{
-			LocalPort: 1, OnMessageSent: refill, RTO: 2 * time.Millisecond,
-			CC:       cfg.MTPCC,
+		_, series := cfg.rig(pathlets).runMTP(core.Config{
+			RTO: 2 * time.Millisecond, CC: cfg.MTPCC,
 			CCConfig: cc.Config{MaxWindow: cfg.MaxWindow, LineRate: lineRate},
-		})
-		receiver := simhost.AttachMTP(net, rcv, core.Config{LocalPort: 2})
-		series := meterFn(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
-			return receiver.EP.Stats.PayloadBytes
-		})
-		// A long-lasting flow: keep 8 MB outstanding.
-		for i := 0; i < 8; i++ {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
-		eng.Run(cfg.Duration)
-		res.MTP = summarizeFig5("MTP", *series)
+		}, nil, cfg.SampleInterval, cfg.Duration)
+		res.MTP = summarizeFig5("MTP", series.Gbps)
 	}
 
 	// --- DCTCP run: one window for the whole network ---
 	{
-		eng, _, snd, rcv, _, _ := fig5Topo(cfg, false)
-		sender := baseline.NewSender(eng, snd.Send, baseline.SenderConfig{
-			Conn: 1, Dst: rcv.ID(), SkipHandshake: true,
-			RTO:      2 * time.Millisecond,
-			CCConfig: cc.Config{MaxWindow: cfg.MaxWindow},
+		rig := cfg.rig(0)
+		dctcp := baseline.MustRival("") // the default rival
+		w := dctcp.Wire(rig.eng, rig, baseline.WireConfig{
+			RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: cfg.MaxWindow},
 		})
-		receiver := baseline.NewReceiver(eng, rcv.Send, baseline.ReceiverConfig{
-			Conn: 1, Src: snd.ID(),
-		})
-		series := meterFn(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
-			return uint64(receiver.Delivered())
-		})
-		snd.SetHandler(sender.OnPacket)
-		rcv.SetHandler(receiver.OnPacket)
-		sender.Write(1 << 32) // effectively infinite stream
-		eng.Run(cfg.Duration)
-		res.DCTCP = summarizeFig5("DCTCP", *series)
+		stream := baseline.Msg{Src: 0, Dst: 1, Size: 1 << 32, ID: 1} // effectively infinite
+		series := sampleBytes(rig.eng, cfg.SampleInterval, cfg.Duration, w.Expect(stream))
+		w.Start(stream, func(time.Duration, uint64) {})
+		rig.eng.Run(cfg.Duration)
+		res.DCTCP = summarizeFig5(dctcp.Short, series.Gbps)
 	}
 
 	if res.DCTCP.MeanGbps > 0 {
@@ -306,17 +235,7 @@ func (r Fig5Result) String() string {
 
 // Samples renders the two series side by side for plotting.
 func (r Fig5Result) Samples() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# t_us\tdctcp_gbps\tmtp_gbps\n")
-	n := len(r.MTP.Gbps)
-	if len(r.DCTCP.Gbps) < n {
-		n = len(r.DCTCP.Gbps)
-	}
-	step := r.Config.SampleInterval.Microseconds()
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%d\t%.3f\t%.3f\n", int64(i+1)*step, r.DCTCP.Gbps[i], r.MTP.Gbps[i])
-	}
-	return b.String()
+	return samplesTable(r.DCTCP.Name, r.Config.SampleInterval, r.DCTCP.Gbps, r.MTP.Gbps)
 }
 
 func gbpsStr(bps float64) string {

@@ -419,13 +419,7 @@ func (r OffFailResult) String() string {
 			fmt.Fprintf(&b, "  invariants (incl. offload exactly-once): ok\n")
 		} else {
 			fmt.Fprintf(&b, "  invariants: %d violation(s)\n", r.ViolationCount)
-			for i, v := range r.Violations {
-				if i >= 8 {
-					fmt.Fprintf(&b, "    ... %d more\n", len(r.Violations)-i)
-					break
-				}
-				fmt.Fprintf(&b, "    %s\n", v)
-			}
+			writeViolations(&b, r.Violations)
 		}
 	}
 	return b.String()

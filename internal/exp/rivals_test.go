@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"mtp/internal/baseline"
 )
 
 var allBaselines = []string{"dctcp", "mptcp-lia", "mptcp-olia", "quic"}
@@ -20,7 +22,7 @@ func TestScaleRivalBaselinesComplete(t *testing.T) {
 			t.Fatalf("%s: %d rows", b, len(r.Rows))
 		}
 		row := r.Rows[1]
-		if row.System != baselineRowName(b) {
+		if row.System != baseline.MustRival(b).Label {
 			t.Fatalf("%s: row labeled %q", b, row.System)
 		}
 		if row.Completed != row.Expected || row.Expected == 0 {
@@ -61,7 +63,7 @@ func TestFailoverRivalBaselines(t *testing.T) {
 
 	for _, b := range []string{"mptcp-lia", "mptcp-olia"} {
 		r := RunFailover(FailoverConfig{Seed: 1, Baseline: b})
-		if r.DCTCP.Name != failoverRivalName(b) {
+		if r.DCTCP.Name != baseline.MustRival(b).Short {
 			t.Fatalf("%s: rival series named %q", b, r.DCTCP.Name)
 		}
 		if !r.DCTCP.Recovered || r.DCTCP.Recovery >= r.Config.FaultFor {
@@ -105,12 +107,12 @@ func TestScaleRivalDeterminism128(t *testing.T) {
 			Pattern: "permutation", MsgSize: 128 << 10, Messages: 1,
 			Seed: 7, Check: true, Baseline: b,
 		}.withDefaults() // default fabric: 16 leaves x 4 spines x 8 = 128 hosts
-		one := rivalFingerprint(runScaleRival(cfg))
-		two := rivalFingerprint(runScaleRival(cfg))
+		one := rivalFingerprint(runScale(cfg, baseline.MustRival(b).Label))
+		two := rivalFingerprint(runScale(cfg, baseline.MustRival(b).Label))
 		if one != two {
 			t.Fatalf("%s nondeterministic at 128 hosts:\n%s\n%s", b, one, two)
 		}
-		row := runScaleRival(cfg) // third run for the assertions below
+		row := runScale(cfg, baseline.MustRival(b).Label) // third run for the assertions below
 		if row.Completed != row.Expected || row.Expected != 128 {
 			t.Errorf("%s: completed %d of %d", b, row.Completed, row.Expected)
 		}

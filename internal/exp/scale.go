@@ -65,26 +65,28 @@ type ScaleConfig struct {
 	// leaf-spine). Results are bit-identical to Shards == 1 — sharding buys
 	// wall-clock speed, not a different experiment. Default 1.
 	Shards int
-	// Baseline selects the rival transport run against MTP: "dctcp"
-	// (default, DCTCP over ECMP), "mptcp-lia" / "mptcp-olia" (coupled
-	// multipath TCP, RFC 6356 / OLIA), or "quic" (multiplexed streams over
-	// one connection, single CC context, pinned to one ECMP path).
+	// Baseline names the rival transport run against MTP, one of
+	// baseline.RivalNames: DCTCP over ECMP (the default), coupled multipath
+	// TCP (RFC 6356 LIA, or OLIA), or the QUIC-like baseline (multiplexed
+	// streams over one connection, single CC context, pinned to one ECMP
+	// path).
 	Baseline string
-	// MaxBatch caps the lookahead windows a shard may commit per barrier
-	// round (shard.Cluster.MaxBatch): 0 lets the batched bound float (the
-	// default), 1 reproduces the legacy one-window rounds — a bisection and
-	// attribution knob, not a tuning parameter. Results are identical either
-	// way.
-	MaxBatch int
 	// Check runs both systems under the protocol invariant harness
 	// (internal/check): network-wide packet conservation, queue/ECN, and —
 	// for the MTP run — delivery, congestion-bound, and failover invariants.
 	Check bool
 }
 
+// ScaleTopos and ScalePatterns list the values ScaleConfig.Topo and .Pattern
+// accept, defaults first; cmd/mtpexp checks its flags against them.
+var (
+	ScaleTopos    = []string{"leafspine", "fattree"}
+	ScalePatterns = []string{"permutation", "incast", "shuffle"}
+)
+
 func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Topo == "" {
-		c.Topo = "leafspine"
+		c.Topo = ScaleTopos[0]
 	}
 	if c.Leaves == 0 {
 		c.Leaves = 16
@@ -99,7 +101,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 		c.K = 8
 	}
 	if c.Pattern == "" {
-		c.Pattern = "permutation"
+		c.Pattern = ScalePatterns[0]
 	}
 	if c.MsgSize == 0 {
 		c.MsgSize = 1 << 20
@@ -136,9 +138,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = 100 * time.Microsecond
-	}
-	if c.Baseline == "" {
-		c.Baseline = "dctcp"
 	}
 	if c.Shards < 1 {
 		c.Shards = 1
@@ -185,12 +184,12 @@ type ScaleRow struct {
 	ViolationCount int
 
 	// Engine performance for this run. Kept out of String() — the rendered
-	// experiment results must compare equal between sharded and unsharded
-	// runs, and wall clock never does. PerfString renders these.
+	// experiment results must compare equal for every shard count, and wall
+	// clock never does. PerfString renders these.
 	Events    uint64        // events executed across all shards
 	Wall      time.Duration // real time the run took
 	Shards    int           // engines the run was split across
-	Rounds    uint64        // shard barrier rounds (0 when unsharded)
+	Rounds    uint64        // shard barrier rounds (1 on a single engine)
 	Crossings uint64        // packets that crossed a shard boundary
 }
 
@@ -257,71 +256,41 @@ func scalePlan(cfg ScaleConfig, n int) [][]scaleMsg {
 	return plan
 }
 
-func scaleLinkSpecs(cfg ScaleConfig) (host, fabric topo.LinkSpec) {
-	host = topo.LinkSpec{Rate: cfg.HostRate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK}
-	fabric = topo.LinkSpec{Rate: cfg.FabricRate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK}
-	return host, fabric
-}
-
-func scaleFatTreeConfig(cfg ScaleConfig, mk topo.PolicyFunc) topo.FatTreeConfig {
-	host, fabric := scaleLinkSpecs(cfg)
-	return topo.FatTreeConfig{K: cfg.K, HostLink: host, FabricLink: fabric, Policy: mk, Seed: cfg.Seed}
-}
-
-func scaleLeafSpineConfig(cfg ScaleConfig, mk topo.PolicyFunc) topo.LeafSpineConfig {
-	host, fabric := scaleLinkSpecs(cfg)
-	return topo.LeafSpineConfig{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-		HostLink: host, FabricLink: fabric, Policy: mk, Seed: cfg.Seed,
-	}
-}
-
-// buildScaleCluster partitions the configured topology across cfg.Shards
-// engines (see internal/shard). Both topologies shard; withDefaults has
-// already clamped Shards to the partition unit.
+// buildScaleCluster instantiates the configured topology as cfg.Shards
+// engines (internal/shard) with per-switch policies from mk (nil = ECMP).
+// withDefaults has already clamped Shards to the partition unit. One shard is
+// the single-engine run, not an approximation of it: the shard builders and
+// topo.NewFatTree/NewLeafSpine are the same builder, and Cluster.Run on one
+// shard is Engine.Run.
 func buildScaleCluster(cfg ScaleConfig, mk topo.PolicyFunc) *shard.Cluster {
-	var cl *shard.Cluster
-	switch cfg.Topo {
-	case "fattree":
-		cl = shard.NewFatTreeCluster(scaleFatTreeConfig(cfg, mk), cfg.Shards)
-	case "leafspine":
-		cl = shard.NewLeafSpineCluster(scaleLeafSpineConfig(cfg, mk), cfg.Shards)
-	default:
-		panic(fmt.Sprintf("exp: unknown topology %q", cfg.Topo))
+	link := func(rate float64) topo.LinkSpec {
+		return topo.LinkSpec{Rate: rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK}
 	}
-	cl.MaxBatch = cfg.MaxBatch
-	return cl
-}
-
-// buildScaleFabric instantiates the configured topology with per-switch
-// policies from mk (nil = ECMP).
-func buildScaleFabric(cfg ScaleConfig, mk topo.PolicyFunc) *topo.Fabric {
 	switch cfg.Topo {
 	case "fattree":
-		return topo.NewFatTree(scaleFatTreeConfig(cfg, mk))
+		return shard.NewFatTreeCluster(topo.FatTreeConfig{
+			K: cfg.K, HostLink: link(cfg.HostRate), FabricLink: link(cfg.FabricRate), Policy: mk, Seed: cfg.Seed,
+		}, cfg.Shards)
 	case "leafspine":
-		host, fabric := scaleLinkSpecs(cfg)
-		return topo.NewLeafSpine(topo.LeafSpineConfig{
+		return shard.NewLeafSpineCluster(topo.LeafSpineConfig{
 			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			HostLink: host, FabricLink: fabric, Policy: mk, Seed: cfg.Seed,
-		})
-	default:
-		panic(fmt.Sprintf("exp: unknown topology %q", cfg.Topo))
+			HostLink: link(cfg.HostRate), FabricLink: link(cfg.FabricRate), Policy: mk, Seed: cfg.Seed,
+		}, cfg.Shards)
 	}
+	panic(fmt.Sprintf("exp: unknown topology %q", cfg.Topo))
 }
 
 // scaleProbe samples the worst per-trunk queue occupancy on a fixed cadence.
-// In a sharded run each shard probes its own trunks; mergeScaleProbes folds
-// the per-shard series into the global one. Ticks run at sim.PriLast so a
-// sample always observes the fabric after every delivery and retransmission
-// at that instant — in both modes, which is what keeps the series identical.
+// Each shard probes its own trunks; merge folds the per-shard series into the
+// global one. Ticks run at sim.PriLast so a sample always observes the fabric
+// after every delivery and retransmission at that instant, which is what
+// keeps the series identical for every shard count.
 type scaleProbe struct {
-	fab     *topo.Fabric
 	samples []float64
 	peak    int
 }
 
-func (p *scaleProbe) start(cfg ScaleConfig) {
+func (p *scaleProbe) start(fab *topo.Fabric, interval time.Duration) {
 	var tick func()
 	tick = func() {
 		max := 0
@@ -329,8 +298,8 @@ func (p *scaleProbe) start(cfg ScaleConfig) {
 		// when nothing is queued anywhere — which is every tick of the drain
 		// phase, where walking tens of thousands of idle trunks would
 		// otherwise dominate the run.
-		if p.fab.Net.QueuedPackets() > 0 {
-			for _, tr := range p.fab.Trunks() {
+		if fab.Net.QueuedPackets() > 0 {
+			for _, tr := range fab.Trunks() {
 				if q := tr.Link.QueueLen(); q > max {
 					max = q
 				}
@@ -340,39 +309,30 @@ func (p *scaleProbe) start(cfg ScaleConfig) {
 		if max > p.peak {
 			p.peak = max
 		}
-		p.fab.Eng.SchedulePri(cfg.SampleInterval, sim.PriLast, tick)
+		fab.Eng.SchedulePri(interval, sim.PriLast, tick)
 	}
-	p.fab.Eng.SchedulePri(cfg.SampleInterval, sim.PriLast, tick)
+	fab.Eng.SchedulePri(interval, sim.PriLast, tick)
 }
 
-// mergeScaleProbes computes the global occupancy series from per-shard ones:
-// all shards sample at the same virtual instants, so the fabric-wide max at
-// tick t is the max over shards of each shard's local max at tick t.
-func mergeScaleProbes(probes []*scaleProbe) *scaleProbe {
-	if len(probes) == 1 {
-		return probes[0]
+// merge folds one shard's series into the global one: all shards sample at
+// the same virtual instants, so the fabric-wide max at tick t is the max over
+// shards of each shard's local max at tick t.
+func (p *scaleProbe) merge(shard *scaleProbe) {
+	if shard.peak > p.peak {
+		p.peak = shard.peak
 	}
-	m := &scaleProbe{}
-	for _, p := range probes {
-		if p.peak > m.peak {
-			m.peak = p.peak
-		}
-		for i, s := range p.samples {
-			if i < len(m.samples) {
-				if s > m.samples[i] {
-					m.samples[i] = s
-				}
-			} else {
-				m.samples = append(m.samples, s)
-			}
+	for i, s := range shard.samples {
+		if i == len(p.samples) {
+			p.samples = append(p.samples, s)
+		} else if s > p.samples[i] {
+			p.samples[i] = s
 		}
 	}
-	return m
 }
 
-// scaleAcc accumulates one fabric's (or one shard's) workload outcomes.
-// Merging accs is order-insensitive: fct percentiles sort, byte and retx
-// counters add, the makespan takes the max.
+// scaleAcc accumulates one shard's workload outcomes. Merging is
+// order-insensitive: fct percentiles sort, byte and retx counters add, the
+// makespan takes the max.
 type scaleAcc struct {
 	fcts      []float64
 	delivered uint64
@@ -380,20 +340,13 @@ type scaleAcc struct {
 	retx      uint64
 }
 
-func mergeScaleAccs(accs []*scaleAcc) *scaleAcc {
-	if len(accs) == 1 {
-		return accs[0]
+func (a *scaleAcc) merge(shard *scaleAcc) {
+	a.fcts = append(a.fcts, shard.fcts...)
+	a.delivered += shard.delivered
+	if shard.lastDone > a.lastDone {
+		a.lastDone = shard.lastDone
 	}
-	m := &scaleAcc{}
-	for _, a := range accs {
-		m.fcts = append(m.fcts, a.fcts...)
-		m.delivered += a.delivered
-		if a.lastDone > m.lastDone {
-			m.lastDone = a.lastDone
-		}
-		m.retx += a.retx
-	}
-	return m
+	a.retx += shard.retx
 }
 
 // planCount is the total number of planned messages (the Expected column).
@@ -405,477 +358,187 @@ func planCount(plan [][]scaleMsg) int {
 	return total
 }
 
-// baselineRowName maps a ScaleConfig.Baseline value to its row label.
-func baselineRowName(b string) string {
-	switch b {
-	case "", "dctcp":
-		return "DCTCP/ECMP"
-	case "mptcp-lia":
-		return "MPTCP-LIA"
-	case "mptcp-olia":
-		return "MPTCP-OLIA"
-	case "quic":
-		return "QUIC/ECMP"
-	}
-	panic(fmt.Sprintf("exp: unknown baseline %q", b))
-}
+// scaleMTP is the MTP row's label; every other row carries its rival's
+// registry label.
+const scaleMTP = "MTP"
 
 // RunScale runs the configured pattern under MTP and under the configured
 // rival baseline on identical fabrics and traffic, fanning the two runs out
-// via Sweep. With Shards > 1 each system's simulation itself runs on a
-// shard cluster.
+// via Sweep.
 func RunScale(cfg ScaleConfig) ScaleResult {
 	cfg = cfg.withDefaults()
-	systems := []string{"MTP", baselineRowName(cfg.Baseline)}
+	systems := []string{scaleMTP, baseline.MustRival(cfg.Baseline).Label}
 	rows := Sweep(CapWorkers(cfg.Workers, cfg.Shards), systems, func(sys string) ScaleRow {
-		if sys == "MTP" {
-			return runScaleMTP(cfg)
-		}
-		return runScaleRival(cfg)
+		return runScale(cfg, sys)
 	})
 	return ScaleResult{Config: cfg, Hosts: scaleHosts(cfg), Rows: rows}
 }
 
-// setupScaleMTP attaches a closed-loop MTP sender to every host of fab that
-// owns() claims (one message outstanding per sender, the next submitted on
-// completion). Remote destinations are addressed by fab.HostID, which is
-// valid whether or not the destination host is materialized locally. The
-// returned function folds per-endpoint retransmit counters into acc; call it
-// after the run.
-func setupScaleMTP(cfg ScaleConfig, fab *topo.Fabric, owns func(int) bool, plan [][]scaleMsg, chk *check.Checker, acc *scaleAcc) func() {
-	type sender struct {
-		mh     *simhost.MTPHost
-		next   int
-		starts map[uint64]time.Duration
+// scaleDone reports one message fully acknowledged at virtual time now, with
+// the retransmissions its transport attributes to it.
+type scaleDone func(now time.Duration, retx uint64)
+
+// scaleStart sends host src's idx-th planned message from this shard.
+type scaleStart func(src, idx int, done scaleDone)
+
+// runScale runs one system — MTP, or the configured rival under its label —
+// over the plan. It is the only runner: the fabric is always a shard.Cluster
+// (one shard is the single-engine run), every shard gets its own accumulator,
+// probe and checker, and the row is always their merge.
+func runScale(cfg ScaleConfig, system string) ScaleRow {
+	var mk topo.PolicyFunc // nil: ECMP everywhere, what the rivals run over
+	if system == scaleMTP {
+		mk = func() simnet.ForwardPolicy { return simnet.NewMessageLB() }
 	}
-	var senders []*sender
-	for i := 0; i < fab.NumHosts(); i++ {
-		if !owns(i) {
+	cl := buildScaleCluster(cfg, mk)
+	plan := scalePlan(cfg, cl.Shard(0).Fab.NumHosts())
+	shared := check.NewMsgRegistry()
+	type shardRun struct {
+		acc          scaleAcc
+		probe        scaleProbe
+		chk          *check.Checker
+		unattributed func() uint64
+	}
+	runs := make([]shardRun, cl.NumShards())
+	for s := range runs {
+		r, fab := &runs[s], cl.Shard(s).Fab
+		// The network-level invariants (conservation, queue occupancy, ECN)
+		// apply to every rival too; the MTP-specific ones simply never fire
+		// without attached endpoints.
+		if cfg.Check {
+			r.chk = check.New(fab.Eng, fab.Net)
+			r.chk.ShareMessages(shared)
+		}
+		var start scaleStart
+		if system == scaleMTP {
+			start, r.unattributed = installScaleMTP(cfg, fab, plan, r.chk)
+		} else {
+			start, r.unattributed = installScaleRival(cfg, fab, plan)
+		}
+		driveScalePlan(fab, plan, start, &r.acc)
+		r.probe.start(fab, cfg.SampleInterval)
+	}
+	st := cl.Run(cfg.Timeout)
+
+	var acc scaleAcc
+	var probe scaleProbe
+	for s := range runs {
+		runs[s].acc.retx += runs[s].unattributed()
+		acc.merge(&runs[s].acc)
+		probe.merge(&runs[s].probe)
+	}
+	row := scaleRow(cfg, system, &acc, planCount(plan), &probe)
+	row.Events, row.Wall, row.Shards = st.Events, st.Wall, len(runs)
+	row.Rounds, row.Crossings = st.Rounds, st.Crossings
+	// Checkers fold in shard order so the rendered violation list is
+	// deterministic.
+	for _, r := range runs {
+		if r.chk != nil {
+			r.chk.Finalize()
+			row.Checked = true
+			row.Violations = append(row.Violations, r.chk.Violations()...)
+			row.ViolationCount += r.chk.Count()
+		}
+	}
+	return row
+}
+
+// driveScalePlan runs fab's share of the plan closed-loop: every owned host
+// with planned messages sends them back to back, one outstanding, the next
+// submitted when the previous is fully acknowledged. Outcomes land in acc.
+func driveScalePlan(fab *topo.Fabric, plan [][]scaleMsg, start scaleStart, acc *scaleAcc) {
+	var next func(src, idx int)
+	next = func(src, idx int) {
+		if idx >= len(plan[src]) {
+			return
+		}
+		began := fab.Eng.Now()
+		start(src, idx, func(now time.Duration, retx uint64) {
+			acc.fcts = append(acc.fcts, float64((now - began).Microseconds()))
+			acc.delivered += uint64(plan[src][idx].size)
+			acc.lastDone = now
+			acc.retx += retx
+			next(src, idx+1)
+		})
+	}
+	for i := range plan {
+		if fab.OwnsHost(i) && len(plan[i]) > 0 {
+			fab.Eng.Schedule(0, func() { next(i, 0) })
+		}
+	}
+}
+
+// installScaleMTP attaches an MTP endpoint to every host fab owns. Remote
+// destinations are addressed by fab.HostID, which is valid whether or not the
+// destination is materialized locally. MTP counts retransmissions per
+// endpoint, not per message: done always reports zero, and the second result
+// reads the endpoints' total after the run.
+func installScaleMTP(cfg ScaleConfig, fab *topo.Fabric, plan [][]scaleMsg, chk *check.Checker) (scaleStart, func() uint64) {
+	hosts := make([]*simhost.MTPHost, fab.NumHosts())
+	pending := make([]map[uint64]scaleDone, fab.NumHosts()) // by message ID
+	for i := range hosts {
+		if !fab.OwnsHost(i) {
 			continue
 		}
-		i := i
-		s := &sender{starts: make(map[uint64]time.Duration)}
-		senders = append(senders, s)
-		var sendNext func()
-		sendNext = func() {
-			if s.next >= len(plan[i]) {
-				return
-			}
-			msg := plan[i][s.next]
-			s.next++
-			m := s.mh.EP.SendSynthetic(fab.HostID(msg.dst), uint16(1000+msg.dst), msg.size, core.SendOptions{})
-			s.starts[m.ID] = fab.Eng.Now()
-		}
+		pending[i] = make(map[uint64]scaleDone)
 		epCfg := core.Config{
 			LocalPort: uint16(1000 + i), RTO: cfg.RTO,
 			OnMessageSent: func(m *core.OutMessage) {
-				now := fab.Eng.Now()
-				acc.fcts = append(acc.fcts, float64((now - s.starts[m.ID]).Microseconds()))
-				delete(s.starts, m.ID)
-				acc.delivered += uint64(m.Size)
-				acc.lastDone = now
-				sendNext()
+				done := pending[i][m.ID]
+				delete(pending[i], m.ID)
+				done(fab.Eng.Now(), 0)
 			},
 		}
 		if chk != nil {
 			epCfg.Observer = chk
 		}
-		s.mh = simhost.AttachMTP(fab.Net, fab.Host(i), epCfg)
+		hosts[i] = simhost.AttachMTP(fab.Net, fab.Host(i), epCfg)
 		if chk != nil {
-			chk.AttachEndpoint(s.mh.EP, fab.Host(i).ID())
-		}
-		fab.Eng.Schedule(0, sendNext)
-	}
-	return func() {
-		for _, s := range senders {
-			acc.retx += s.mh.EP.Stats.PktsRetx
+			chk.AttachEndpoint(hosts[i].EP, fab.Host(i).ID())
 		}
 	}
-}
-
-func runScaleMTP(cfg ScaleConfig) ScaleRow {
-	if cfg.Shards > 1 {
-		return runScaleMTPSharded(cfg)
-	}
-	fab := buildScaleFabric(cfg, func() simnet.ForwardPolicy { return simnet.NewMessageLB() })
-	plan := scalePlan(cfg, fab.NumHosts())
-	var chk *check.Checker
-	if cfg.Check {
-		chk = check.New(fab.Eng, fab.Net)
-	}
-	acc := &scaleAcc{}
-	collect := setupScaleMTP(cfg, fab, func(int) bool { return true }, plan, chk, acc)
-	probe := &scaleProbe{fab: fab}
-	probe.start(cfg)
-	start := time.Now()
-	fab.Eng.Run(cfg.Timeout)
-	wall := time.Since(start)
-	collect()
-	row := scaleRow(cfg, "MTP", acc, planCount(plan), probe)
-	row.Events, row.Wall, row.Shards = fab.Eng.Processed(), wall, 1
-	applyCheck(&row, chk)
-	return row
-}
-
-func runScaleMTPSharded(cfg ScaleConfig) ScaleRow {
-	cl := buildScaleCluster(cfg, func() simnet.ForwardPolicy { return simnet.NewMessageLB() })
-	plan := scalePlan(cfg, cl.Shard(0).Fab.NumHosts())
-	var shared *check.MsgRegistry
-	if cfg.Check {
-		shared = check.NewMsgRegistry()
-	}
-	S := cl.NumShards()
-	accs := make([]*scaleAcc, S)
-	probes := make([]*scaleProbe, S)
-	chks := make([]*check.Checker, S)
-	collects := make([]func(), S)
-	for s := 0; s < S; s++ {
-		fab := cl.Shard(s).Fab
-		if cfg.Check {
-			chks[s] = check.New(fab.Eng, fab.Net)
-			chks[s].ShareMessages(shared)
-		}
-		accs[s] = &scaleAcc{}
-		collects[s] = setupScaleMTP(cfg, fab, fab.OwnsHost, plan, chks[s], accs[s])
-		probes[s] = &scaleProbe{fab: fab}
-		probes[s].start(cfg)
-	}
-	st := cl.Run(cfg.Timeout)
-	for _, collect := range collects {
-		collect()
-	}
-	row := scaleRow(cfg, "MTP", mergeScaleAccs(accs), planCount(plan), mergeScaleProbes(probes))
-	row.Events, row.Wall, row.Shards = st.Events, st.Wall, S
-	row.Rounds, row.Crossings = st.Rounds, st.Crossings
-	applyCheckSharded(&row, chks)
-	return row
-}
-
-// applyCheck finalizes the invariant harness into one system's row.
-func applyCheck(row *ScaleRow, chk *check.Checker) {
-	if chk == nil {
-		return
-	}
-	chk.Finalize()
-	row.Checked = true
-	row.Violations = chk.Violations()
-	row.ViolationCount = chk.Count()
-}
-
-// applyCheckSharded folds per-shard checkers into the row, in shard order so
-// the rendered violation list is deterministic.
-func applyCheckSharded(row *ScaleRow, chks []*check.Checker) {
-	for _, chk := range chks {
-		if chk == nil {
-			return
-		}
-		chk.Finalize()
-		row.Checked = true
-		row.Violations = append(row.Violations, chk.Violations()...)
-		row.ViolationCount += chk.Count()
-	}
-}
-
-// dctcpConn derives the DCTCP connection ID for host src's idx-th message.
-// IDs must be unique fabric-wide and computable from the plan alone — the
-// sending and receiving shard each derive the same ID without coordination —
-// so the order-dependent global counter the unsharded code once used is out.
-// Low 20 bits: message index + 1; high bits: source host index.
-func dctcpConn(src, idx int) uint64 {
-	return uint64(src)<<20 | uint64(idx+1)
-}
-
-// setupScaleDCTCP wires the DCTCP/ECMP workload onto fab's owned hosts.
-// Receivers for every planned message are created up front: the sender may
-// live in another shard, so the receiving side cannot wait for a "connection
-// start" event that happens elsewhere. A pre-created receiver is passive
-// until the first segment arrives, which keeps unsharded behavior unchanged.
-func setupScaleDCTCP(cfg ScaleConfig, fab *topo.Fabric, owns func(int) bool, plan [][]scaleMsg, acc *scaleAcc) {
-	n := fab.NumHosts()
-	demux := make([]*baseline.Demux, n)
-	for i := 0; i < n; i++ {
-		if !owns(i) {
-			continue
-		}
-		demux[i] = baseline.NewDemux()
-		fab.Host(i).SetHandler(demux[i].Handle)
-	}
-	for src := 0; src < n; src++ {
-		for idx, msg := range plan[src] {
-			if !owns(msg.dst) {
-				continue
-			}
-			rcv := baseline.NewReceiver(fab.Eng, fab.Host(msg.dst).Send, baseline.ReceiverConfig{
-				Conn: dctcpConn(src, idx), Src: fab.HostID(src),
-			})
-			demux[msg.dst].Add(dctcpConn(src, idx), rcv.OnPacket)
-		}
-	}
-	// Closed loop matching the MTP run: each message is one fresh DCTCP
-	// connection (connection setup skipped; both systems start in
-	// established state), the next starting when the previous is fully
-	// acknowledged.
-	var startMsg func(src, idx int)
-	startMsg = func(src, idx int) {
-		if idx >= len(plan[src]) {
-			return
-		}
+	start := func(src, idx int, done scaleDone) {
 		msg := plan[src][idx]
-		conn := dctcpConn(src, idx)
-		start := fab.Eng.Now()
-		var snd *baseline.Sender
-		snd = baseline.NewSender(fab.Eng, fab.Host(src).Send, baseline.SenderConfig{
-			Conn: conn, Dst: fab.HostID(msg.dst), RTO: cfg.RTO, SkipHandshake: true,
-			OnComplete: func(now time.Duration) {
-				acc.fcts = append(acc.fcts, float64((now - start).Microseconds()))
-				acc.delivered += uint64(msg.size)
-				acc.lastDone = now
-				acc.retx += snd.SegsRetx
-				startMsg(src, idx+1)
-			},
-		})
-		demux[src].Add(conn, snd.OnPacket)
-		snd.Write(msg.size)
-		snd.Close()
+		m := hosts[src].EP.SendSynthetic(fab.HostID(msg.dst), uint16(1000+msg.dst), msg.size, core.SendOptions{})
+		pending[src][m.ID] = done
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		if owns(i) && len(plan[i]) > 0 {
-			fab.Eng.Schedule(0, func() { startMsg(i, 0) })
+	retx := func() (n uint64) {
+		for _, mh := range hosts {
+			if mh != nil {
+				n += mh.EP.Stats.PktsRetx
+			}
+		}
+		return n
+	}
+	return start, retx
+}
+
+// installScaleRival wires the configured baseline onto fab's owned hosts
+// (baseline.Wiring) and pre-creates the receiving side of every planned
+// message they are the destination of. A message's retransmissions arrive
+// with its completion; the second result reads what the wiring could not
+// attribute to a completed message.
+func installScaleRival(cfg ScaleConfig, fab *topo.Fabric, plan [][]scaleMsg) (scaleStart, func() uint64) {
+	w := baseline.MustRival(cfg.Baseline).Wire(fab.Eng, fab, baseline.WireConfig{RTO: cfg.RTO})
+	// wireMsg derives a message's wire identifiers from the plan alone, so
+	// the sending and the receiving shard agree without coordination. ID: low
+	// 20 bits message index + 1, high bits source host. ECMP hashes it (and
+	// the subflow IDs MPTCP makes of it): it must not change.
+	wireMsg := func(src, idx int) baseline.Msg {
+		return baseline.Msg{
+			Src: src, Dst: plan[src][idx].dst, Size: plan[src][idx].size,
+			ID: uint64(src)<<20 | uint64(idx+1), Stream: uint64(idx + 1),
 		}
 	}
-}
-
-// setupScaleRival dispatches on the configured baseline and returns a
-// collect function to call after the run (it folds lingering per-connection
-// retransmit counters into acc).
-func setupScaleRival(cfg ScaleConfig, fab *topo.Fabric, owns func(int) bool, plan [][]scaleMsg, acc *scaleAcc) func() {
-	switch cfg.Baseline {
-	case "", "dctcp":
-		setupScaleDCTCP(cfg, fab, owns, plan, acc)
-		return func() {}
-	case "mptcp-lia":
-		return setupScaleMPTCP(cfg, fab, owns, plan, acc, baseline.CouplingLIA)
-	case "mptcp-olia":
-		return setupScaleMPTCP(cfg, fab, owns, plan, acc, baseline.CouplingOLIA)
-	case "quic":
-		return setupScaleQUIC(cfg, fab, owns, plan, acc)
-	}
-	panic(fmt.Sprintf("exp: unknown baseline %q", cfg.Baseline))
-}
-
-func runScaleRival(cfg ScaleConfig) ScaleRow {
-	if cfg.Shards > 1 {
-		return runScaleRivalSharded(cfg)
-	}
-	fab := buildScaleFabric(cfg, nil) // ECMP everywhere
-	plan := scalePlan(cfg, fab.NumHosts())
-	// The network-level invariants (conservation, queue occupancy, ECN)
-	// apply to every baseline too; the MTP-specific ones simply never fire
-	// without attached endpoints.
-	var chk *check.Checker
-	if cfg.Check {
-		chk = check.New(fab.Eng, fab.Net)
-	}
-	acc := &scaleAcc{}
-	collect := setupScaleRival(cfg, fab, func(int) bool { return true }, plan, acc)
-	probe := &scaleProbe{fab: fab}
-	probe.start(cfg)
-	start := time.Now()
-	fab.Eng.Run(cfg.Timeout)
-	wall := time.Since(start)
-	collect()
-	row := scaleRow(cfg, baselineRowName(cfg.Baseline), acc, planCount(plan), probe)
-	row.Events, row.Wall, row.Shards = fab.Eng.Processed(), wall, 1
-	applyCheck(&row, chk)
-	return row
-}
-
-func runScaleRivalSharded(cfg ScaleConfig) ScaleRow {
-	cl := buildScaleCluster(cfg, nil)
-	plan := scalePlan(cfg, cl.Shard(0).Fab.NumHosts())
-	S := cl.NumShards()
-	accs := make([]*scaleAcc, S)
-	probes := make([]*scaleProbe, S)
-	chks := make([]*check.Checker, S)
-	collects := make([]func(), S)
-	var shared *check.MsgRegistry
-	if cfg.Check {
-		shared = check.NewMsgRegistry()
-	}
-	for s := 0; s < S; s++ {
-		fab := cl.Shard(s).Fab
-		if cfg.Check {
-			chks[s] = check.New(fab.Eng, fab.Net)
-			chks[s].ShareMessages(shared)
-		}
-		accs[s] = &scaleAcc{}
-		collects[s] = setupScaleRival(cfg, fab, fab.OwnsHost, plan, accs[s])
-		probes[s] = &scaleProbe{fab: fab}
-		probes[s].start(cfg)
-	}
-	st := cl.Run(cfg.Timeout)
-	for _, collect := range collects {
-		collect()
-	}
-	row := scaleRow(cfg, baselineRowName(cfg.Baseline), mergeScaleAccs(accs), planCount(plan), mergeScaleProbes(probes))
-	row.Events, row.Wall, row.Shards = st.Events, st.Wall, S
-	row.Rounds, row.Crossings = st.Rounds, st.Crossings
-	applyCheckSharded(&row, chks)
-	return row
-}
-
-// mptcpConns derives the two subflow connection IDs for host src's idx-th
-// message: the DCTCP conn shifted up one bit, low bit selecting the subflow.
-// ECMP hashes the two IDs independently, so the subflows usually (not
-// always) land on different paths — exactly MPTCP's deal with the network.
-func mptcpConns(src, idx int) [2]uint64 {
-	base := dctcpConn(src, idx) << 1
-	return [2]uint64{base, base | 1}
-}
-
-// setupScaleMPTCP wires the coupled-CC MPTCP workload onto fab's owned
-// hosts: the same closed loop as DCTCP, with each message striped over two
-// subflows whose windows are coupled (LIA or OLIA). Receivers for every
-// planned message are pre-created on the shard that owns the destination,
-// exactly like setupScaleDCTCP.
-func setupScaleMPTCP(cfg ScaleConfig, fab *topo.Fabric, owns func(int) bool, plan [][]scaleMsg, acc *scaleAcc, coupling baseline.Coupling) func() {
-	n := fab.NumHosts()
-	demux := make([]*baseline.Demux, n)
-	for i := 0; i < n; i++ {
-		if !owns(i) {
-			continue
-		}
-		demux[i] = baseline.NewDemux()
-		fab.Host(i).SetHandler(demux[i].Handle)
-	}
-	for src := 0; src < n; src++ {
+	for src := range plan {
 		for idx, msg := range plan[src] {
-			if !owns(msg.dst) {
-				continue
-			}
-			conns := mptcpConns(src, idx)
-			rcv := baseline.NewMPTCPReceiver(fab.Eng, fab.Host(msg.dst).Send, fab.HostID(src), conns[:], 0)
-			demux[msg.dst].Add(conns[0], rcv.OnPacket)
-			demux[msg.dst].Add(conns[1], rcv.OnPacket)
-		}
-	}
-	var startMsg func(src, idx int)
-	startMsg = func(src, idx int) {
-		if idx >= len(plan[src]) {
-			return
-		}
-		msg := plan[src][idx]
-		conns := mptcpConns(src, idx)
-		start := fab.Eng.Now()
-		var m *baseline.MPTCP
-		m = baseline.NewMPTCP(fab.Eng, fab.Host(src).Send, baseline.MPTCPConfig{
-			Conns: conns[:], Dst: fab.HostID(msg.dst), RTO: cfg.RTO,
-			Coupling: coupling,
-			OnComplete: func(now time.Duration) {
-				acc.fcts = append(acc.fcts, float64((now - start).Microseconds()))
-				acc.delivered += uint64(msg.size)
-				acc.lastDone = now
-				for _, s := range m.Subflows() {
-					acc.retx += s.SegsRetx
-				}
-				startMsg(src, idx+1)
-			},
-		})
-		for i, s := range m.Subflows() {
-			demux[src].Add(conns[i], s.OnPacket)
-		}
-		m.Write(msg.size)
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		if owns(i) && len(plan[i]) > 0 {
-			fab.Eng.Schedule(0, func() { startMsg(i, 0) })
-		}
-	}
-	return func() {}
-}
-
-// quicConn derives the QUIC connection ID for the (src, dst) host pair: one
-// connection carries every message between the pair, each message one
-// stream. The ID doubles as the FlowID, so ECMP pins all of a pair's
-// streams to a single path — the architectural gap the QUIC row measures.
-func quicConn(src, dst int) uint64 {
-	return 1<<62 | uint64(src)<<24 | uint64(dst)
-}
-
-// setupScaleQUIC wires the QUIC workload onto fab's owned hosts: per
-// (src, dst) pair one connection, per planned message one stream, opened in
-// the same closed loop as the DCTCP connections (stream idx+1 starts when
-// stream idx completes). Receivers are pre-created on the owning shard.
-func setupScaleQUIC(cfg ScaleConfig, fab *topo.Fabric, owns func(int) bool, plan [][]scaleMsg, acc *scaleAcc) func() {
-	n := fab.NumHosts()
-	demux := make([]*baseline.Demux, n)
-	for i := 0; i < n; i++ {
-		if !owns(i) {
-			continue
-		}
-		demux[i] = baseline.NewDemux()
-		fab.Host(i).SetHandler(demux[i].Handle)
-	}
-	for src := 0; src < n; src++ {
-		seen := map[int]bool{}
-		for _, msg := range plan[src] {
-			if seen[msg.dst] {
-				continue
-			}
-			seen[msg.dst] = true
-			if owns(msg.dst) {
-				rcv := baseline.NewQUICReceiver(fab.Eng, fab.Host(msg.dst).Send, baseline.QUICReceiverConfig{
-					Conn: quicConn(src, msg.dst), Src: fab.HostID(src),
-				})
-				demux[msg.dst].Add(quicConn(src, msg.dst), rcv.OnPacket)
+			if fab.OwnsHost(msg.dst) {
+				w.Expect(wireMsg(src, idx))
 			}
 		}
 	}
-	// One sender per (src, dst) pair, shared by that pair's streams. starts
-	// maps (sender, stream) to submission time for the FCT series.
-	var allSenders []*baseline.QUICSender
-	for src := 0; src < n; src++ {
-		if !owns(src) || len(plan[src]) == 0 {
-			continue
-		}
-		src := src
-		senders := map[int]*baseline.QUICSender{}
-		starts := map[uint64]time.Duration{}
-		var startMsg func(idx int)
-		startMsg = func(idx int) {
-			if idx >= len(plan[src]) {
-				return
-			}
-			msg := plan[src][idx]
-			snd := senders[msg.dst]
-			if snd == nil {
-				snd = baseline.NewQUICSender(fab.Eng, fab.Host(src).Send, baseline.QUICSenderConfig{
-					Conn: quicConn(src, msg.dst), Dst: fab.HostID(msg.dst), RTO: cfg.RTO,
-					OnStreamComplete: func(now time.Duration, stream uint64) {
-						i := int(stream) - 1
-						acc.fcts = append(acc.fcts, float64((now - starts[stream]).Microseconds()))
-						delete(starts, stream)
-						acc.delivered += uint64(plan[src][i].size)
-						acc.lastDone = now
-						startMsg(i + 1)
-					},
-				})
-				senders[msg.dst] = snd
-				allSenders = append(allSenders, snd)
-				demux[src].Add(quicConn(src, msg.dst), snd.OnPacket)
-			}
-			starts[uint64(idx+1)] = fab.Eng.Now()
-			snd.OpenStream(uint64(idx+1), int64(msg.size))
-		}
-		fab.Eng.Schedule(0, func() { startMsg(0) })
-	}
-	return func() {
-		for _, s := range allSenders {
-			acc.retx += s.PktsRetx
-		}
-	}
+	start := func(src, idx int, done scaleDone) { w.Start(wireMsg(src, idx), done) }
+	return start, w.Unreported
 }
 
 func scaleRow(cfg ScaleConfig, sys string, acc *scaleAcc, expected int, probe *scaleProbe) ScaleRow {
@@ -933,15 +596,21 @@ func (r ScaleResult) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  invariants %-10s %d violation(s)\n", row.System, row.ViolationCount)
-		for i, v := range row.Violations {
-			if i >= 8 {
-				fmt.Fprintf(&b, "    ... %d more\n", len(row.Violations)-i)
-				break
-			}
-			fmt.Fprintf(&b, "    %s\n", v)
-		}
+		writeViolations(&b, row.Violations)
 	}
 	return b.String()
+}
+
+// writeViolations lists the first invariant violations of a checked run,
+// indented under the caller's verdict line.
+func writeViolations(b *strings.Builder, vs []check.Violation) {
+	for i, v := range vs {
+		if i >= 8 {
+			fmt.Fprintf(b, "    ... %d more\n", len(vs)-i)
+			break
+		}
+		fmt.Fprintf(b, "    %s\n", v)
+	}
 }
 
 // PerfString renders the engine-performance side of the result: events,
@@ -981,59 +650,52 @@ func systemNames(rows []ScaleRow) []string {
 	return names
 }
 
-// ScalePoint is one host count's p99 FCT and goodput per system.
-type ScalePoint struct {
-	Hosts   int
-	P99     map[string]float64
-	Goodput map[string]float64
-}
-
 // RunScaleHostSweep sweeps the fabric size (leaf-spine host counts, keeping
 // the configured leaf/spine shape and growing hosts per leaf) through the
 // parallel Sweep runner. Each point runs both systems sequentially inside
 // its worker, so worker count never changes results.
-func RunScaleHostSweep(workers int, hosts []int, base ScaleConfig) []ScalePoint {
+func RunScaleHostSweep(workers int, hosts []int, base ScaleConfig) []ScaleResult {
 	if len(hosts) == 0 {
 		hosts = []int{32, 64, 128}
 	}
 	base = base.withDefaults()
-	return Sweep(workers, hosts, func(n int) ScalePoint {
+	return Sweep(workers, hosts, func(n int) ScaleResult {
 		cfg := base
 		cfg.Workers = 1 // the sweep already fans out
 		cfg.HostsPerLeaf = (n + cfg.Leaves - 1) / cfg.Leaves
-		r := RunScale(cfg)
-		pt := ScalePoint{Hosts: r.Hosts, P99: make(map[string]float64), Goodput: make(map[string]float64)}
-		for _, row := range r.Rows {
-			pt.P99[row.System] = row.P99us
-			pt.Goodput[row.System] = row.GoodputGbps
-		}
-		return pt
+		return RunScale(cfg)
 	})
 }
 
-// ScaleSweepString renders the host-count sweep.
-func ScaleSweepString(points []ScalePoint) string {
+// sweepRival is the short name of the rival a sweep's points ran against,
+// for the column headers (every point shares the sweep's base config).
+func sweepRival(cfg ScaleConfig) string { return baseline.MustRival(cfg.Baseline).Short }
+
+// ScaleSweepString renders the host-count sweep: MTP's and the rival's p99 FCT
+// and goodput per point.
+func ScaleSweepString(points []ScaleResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scale sweep: p99 FCT (us) / goodput (Gbps) vs host count\n")
-	fmt.Fprintf(&b, "  %-6s %10s %12s %10s %12s\n", "hosts", "MTP p99", "DCTCP p99", "MTP gbps", "DCTCP gbps")
+	if len(points) == 0 {
+		return b.String()
+	}
+	rv := sweepRival(points[0].Config)
+	fmt.Fprintf(&b, "  %-6s %10s %12s %10s %12s\n", "hosts", "MTP p99", rv+" p99", "MTP gbps", rv+" gbps")
 	for _, p := range points {
+		mtp, rival := p.Rows[0], p.Rows[1]
 		fmt.Fprintf(&b, "  %-6d %10.0f %12.0f %10.1f %12.1f\n",
-			p.Hosts, p.P99["MTP"], p.P99["DCTCP/ECMP"], p.Goodput["MTP"], p.Goodput["DCTCP/ECMP"])
+			p.Hosts, mtp.P99us, rival.P99us, mtp.GoodputGbps, rival.GoodputGbps)
 	}
 	return b.String()
 }
 
-// ScaleKPoint is one fat-tree radix's results plus the sharded engine's
-// performance: aggregate event throughput and the wall-clock speedup of the
-// sharded MTP run over the identical single-engine run.
+// ScaleKPoint is one fat-tree radix's result (Rows[0] is MTP, Rows[1] the
+// rival, Config.Shards the engines each ran on) plus what the sweep measures
+// around it.
 type ScaleKPoint struct {
-	K, Hosts, Shards int
-	P99              map[string]float64
-	Goodput          map[string]float64
-	// EventsPerSec is the sharded MTP run's aggregate event throughput.
-	EventsPerSec float64
-	// Speedup is MTP wall clock at 1 shard divided by wall clock at Shards
-	// (0 when Shards == 1 — there is nothing to compare).
+	ScaleResult
+	// Speedup is MTP wall clock at 1 shard divided by wall clock at
+	// Config.Shards (0 when that is 1 — there is nothing to compare).
 	Speedup float64
 	// HeapMB is the Go heap in use right after this point's runs (MiB).
 	// It is live-heap, not RSS: a scale ceiling indicator, not a precise
@@ -1042,7 +704,7 @@ type ScaleKPoint struct {
 }
 
 // RunScaleKSweep sweeps fat-tree radices k (hosts = k³/4). Each point runs
-// MTP and DCTCP at base.Shards shards and — when sharded — one extra
+// MTP and the rival at base.Shards shards and — when sharded — one extra
 // single-engine MTP run to measure the parallel speedup on identical work.
 // Points run sequentially when the per-point shard count already saturates
 // the machine (CapWorkers).
@@ -1056,26 +718,11 @@ func RunScaleKSweep(workers int, ks []int, base ScaleConfig) []ScaleKPoint {
 		cfg := base
 		cfg.K = k
 		cfg.Workers = 1 // the sweep already fans out
-		if cfg.Shards > k {
-			cfg.Shards = k
-		}
-		r := RunScale(cfg)
-		pt := ScaleKPoint{K: k, Hosts: r.Hosts, Shards: cfg.Shards,
-			P99: make(map[string]float64), Goodput: make(map[string]float64)}
-		for _, row := range r.Rows {
-			pt.P99[row.System] = row.P99us
-			pt.Goodput[row.System] = row.GoodputGbps
-			if row.System == "MTP" {
-				pt.EventsPerSec = row.EventsPerSec()
-				if cfg.Shards > 1 {
-					solo := cfg
-					solo.Shards = 1
-					ref := runScaleMTP(solo)
-					if row.Wall > 0 {
-						pt.Speedup = float64(ref.Wall) / float64(row.Wall)
-					}
-				}
-			}
+		pt := ScaleKPoint{ScaleResult: RunScale(cfg)}
+		if mtp := pt.Rows[0]; pt.Config.Shards > 1 && mtp.Wall > 0 {
+			solo := pt.Config
+			solo.Shards = 1
+			pt.Speedup = float64(runScale(solo, scaleMTP).Wall) / float64(mtp.Wall)
 		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -1084,20 +731,26 @@ func RunScaleKSweep(workers int, ks []int, base ScaleConfig) []ScaleKPoint {
 	})
 }
 
-// ScaleKSweepString renders the radix sweep.
+// ScaleKSweepString renders the radix sweep; Mevents/s is the MTP run's
+// aggregate event throughput.
 func ScaleKSweepString(points []ScaleKPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fat-tree sweep: p99 FCT (us) / goodput (Gbps) vs radix, sharded engine\n")
+	if len(points) == 0 {
+		return b.String()
+	}
+	rv := sweepRival(points[0].Config)
 	fmt.Fprintf(&b, "  %-4s %6s %7s %10s %12s %10s %12s %10s %8s %8s\n",
-		"k", "hosts", "shards", "MTP p99", "DCTCP p99", "MTP gbps", "DCTCP gbps", "Mevents/s", "speedup", "heap-MB")
+		"k", "hosts", "shards", "MTP p99", rv+" p99", "MTP gbps", rv+" gbps", "Mevents/s", "speedup", "heap-MB")
 	for _, p := range points {
 		speedup := "-"
 		if p.Speedup > 0 {
 			speedup = fmt.Sprintf("%.2fx", p.Speedup)
 		}
+		mtp, rival := p.Rows[0], p.Rows[1]
 		fmt.Fprintf(&b, "  %-4d %6d %7d %10.0f %12.0f %10.1f %12.1f %10.2f %8s %8.0f\n",
-			p.K, p.Hosts, p.Shards, p.P99["MTP"], p.P99["DCTCP/ECMP"],
-			p.Goodput["MTP"], p.Goodput["DCTCP/ECMP"], p.EventsPerSec/1e6, speedup, p.HeapMB)
+			p.Config.K, p.Hosts, p.Config.Shards, mtp.P99us, rival.P99us,
+			mtp.GoodputGbps, rival.GoodputGbps, mtp.EventsPerSec()/1e6, speedup, p.HeapMB)
 	}
 	return b.String()
 }

@@ -29,6 +29,13 @@ func TestScaleShardedDeterminism(t *testing.T) {
 		// exercises the full all-pairs exchange fan-out. A pod holds 16
 		// hosts, so the fan-in must exceed that for incast to cross pods.
 		{"fattree-k8-s8", ScaleConfig{Topo: "fattree", K: 8}, []int{8}, []int64{1}, 32},
+		// The rivals other than the default DCTCP, one shard against two: the
+		// wiring pre-creates receivers on the shard that owns the destination
+		// and derives every subflow, connection and stream ID from the plan,
+		// which is only exercised when sender and receiver sit in different
+		// shards.
+		{"leafspine-mptcp", ScaleConfig{Topo: "leafspine", Leaves: 4, Spines: 3, HostsPerLeaf: 4, Baseline: "mptcp-lia"}, []int{2}, []int64{1}, 8},
+		{"fattree-k4-quic", ScaleConfig{Topo: "fattree", K: 4, Baseline: "quic"}, []int{2}, []int64{1}, 8},
 	}
 	for _, tc := range cases {
 		for _, pattern := range []string{"incast", "permutation"} {
@@ -40,6 +47,7 @@ func TestScaleShardedDeterminism(t *testing.T) {
 				base.Incast = tc.incast
 				base.Seed = seed
 				base.Workers = 1
+				base.Shards = 1
 				base.Check = true
 				ref := RunScale(base)
 				refStr := ref.String()

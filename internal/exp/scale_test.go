@@ -1,6 +1,12 @@
 package exp
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"mtp/internal/baseline"
+)
 
 // smallScale keeps unit runs cheap: 8 hosts, short messages.
 func smallScale(pattern string) ScaleConfig {
@@ -65,21 +71,36 @@ func TestScaleFatTree(t *testing.T) {
 }
 
 // TestScaleHostSweep checks the parallel host-count sweep: every point
-// carries both systems, and worker count does not change the results.
+// carries both systems, worker count does not change the results, and the
+// rendered table shows the configured rival under its own name.
 func TestScaleHostSweep(t *testing.T) {
-	base := smallScale("permutation")
-	seq := RunScaleHostSweep(1, []int{4, 8}, base)
-	par := RunScaleHostSweep(3, []int{4, 8}, base)
-	if len(seq) != 2 || len(par) != 2 {
-		t.Fatalf("point counts: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Hosts != par[i].Hosts {
-			t.Fatalf("point %d hosts differ", i)
+	for _, b := range []string{"dctcp", "quic"} {
+		base := smallScale("permutation")
+		base.Baseline = b
+		seq := RunScaleHostSweep(1, []int{4, 8}, base)
+		par := RunScaleHostSweep(3, []int{4, 8}, base)
+		if len(seq) != 2 || len(par) != 2 {
+			t.Fatalf("%s: point counts: %d vs %d", b, len(seq), len(par))
 		}
-		for _, sys := range []string{"MTP", "DCTCP/ECMP"} {
-			if seq[i].P99[sys] != par[i].P99[sys] || seq[i].Goodput[sys] != par[i].Goodput[sys] {
-				t.Fatalf("point %d system %s differs between worker counts", i, sys)
+		if s, p := ScaleSweepString(seq), ScaleSweepString(par); s != p {
+			t.Fatalf("%s: sweep differs between worker counts:\n%s\nvs\n%s", b, s, p)
+		}
+		// Regression: the table once looked every rival up under DCTCP's row
+		// label, so -baseline quic printed zeros under a DCTCP header.
+		table := ScaleSweepString(seq)
+		short := baseline.MustRival(b).Short
+		if !strings.Contains(table, short+" p99") || !strings.Contains(table, short+" gbps") {
+			t.Errorf("%s: header does not name the rival:\n%s", b, table)
+		}
+		for _, pt := range seq {
+			rival := pt.Rows[1]
+			if rival.System != baseline.MustRival(b).Label || rival.P99us <= 0 || rival.GoodputGbps <= 0 {
+				t.Fatalf("%s: bad rival row %+v", b, rival)
+			}
+			want := fmt.Sprintf("%10.0f %12.0f %10.1f %12.1f",
+				pt.Rows[0].P99us, rival.P99us, pt.Rows[0].GoodputGbps, rival.GoodputGbps)
+			if !strings.Contains(table, want) {
+				t.Errorf("%s: %d-host line does not carry the rival's values %q:\n%s", b, pt.Hosts, want, table)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"mtp/internal/baseline"
@@ -12,127 +11,36 @@ import (
 )
 
 // runRivalSpec executes the sampled workload over the sampled rival
-// transport instead of MTP endpoints. Only the network-level invariants
-// (packet conservation, queue occupancy, ECN marking) apply — the rivals
-// make no MTP delivery promises — but the same fabrics, fault schedules,
-// and in-network devices are in the path, so this is the randomized
-// counterpart of the baseline conformance suite: any panic, stuck
-// retransmission loop, or conservation violation surfaces under a seed
-// that shrinks to a one-line repro.
+// transport instead of MTP endpoints: an open-loop driver (every message
+// starts at its sampled time) over the same adapter the experiments use
+// (baseline.Wiring). Only the network-level invariants (packet conservation,
+// queue occupancy, ECN marking) apply — the rivals make no MTP delivery
+// promises — but the same fabrics, fault schedules, and in-network devices
+// are in the path, so this is the randomized counterpart of the baseline
+// conformance suite: any panic, stuck retransmission loop, or conservation
+// violation surfaces under a seed that shrinks to a one-line repro.
 func runRivalSpec(sp Spec, fab *topo.Fabric, chk *check.Checker) Result {
 	res := Result{Spec: sp, Expected: len(sp.Msgs)}
-	n := fab.NumHosts()
-	demux := make([]*baseline.Demux, n)
-	for i := 0; i < n; i++ {
-		demux[i] = baseline.NewDemux()
-		fab.Host(i).SetHandler(demux[i].Handle)
-	}
-	ccCfg := cc.Config{LineRate: 10e9, MaxWindow: float64(sp.MaxWindowMSS) * 1460}
-	rto := time.Millisecond
-	var completed int
-
-	switch sp.Rival {
-	case "dctcp":
-		for i, ms := range sp.Msgs {
-			conn := uint64(i + 1)
-			delivered := false
-			rcv := baseline.NewReceiver(fab.Eng, fab.Host(ms.Dst).Send, baseline.ReceiverConfig{
-				Conn: conn, Src: fab.HostID(ms.Src),
-				OnFin: func(time.Duration, int64) {
-					if !delivered {
-						delivered = true
-						res.Delivered++
-					}
-				},
-			})
-			demux[ms.Dst].Add(conn, rcv.OnPacket)
-			src, size := ms.Src, ms.Size
-			fab.Eng.ScheduleAt(ms.Start, func() {
-				snd := baseline.NewSender(fab.Eng, fab.Host(src).Send, baseline.SenderConfig{
-					Conn: conn, Dst: fab.HostID(ms.Dst), SkipHandshake: true,
-					RTO: rto, CC: sp.CC, CCConfig: ccCfg,
-					OnComplete: func(time.Duration) { completed++ },
-				})
-				demux[src].Add(conn, snd.OnPacket)
-				snd.Write(size)
-				snd.Close()
-			})
-		}
-
-	case "mptcp-lia", "mptcp-olia":
-		coupling := baseline.CouplingLIA
-		if sp.Rival == "mptcp-olia" {
-			coupling = baseline.CouplingOLIA
-		}
-		for i, ms := range sp.Msgs {
-			base := uint64(i+1) << 1
-			conns := []uint64{base, base | 1}
-			rcv := baseline.NewMPTCPReceiver(fab.Eng, fab.Host(ms.Dst).Send, fab.HostID(ms.Src), conns, 0)
-			size := int64(ms.Size)
-			delivered := false
-			rcv.OnProgress = func(_ time.Duration, contiguous int64) {
-				if !delivered && contiguous >= size {
-					delivered = true
-					res.Delivered++
-				}
-			}
-			demux[ms.Dst].Add(conns[0], rcv.OnPacket)
-			demux[ms.Dst].Add(conns[1], rcv.OnPacket)
-			src, sz := ms.Src, ms.Size
-			fab.Eng.ScheduleAt(ms.Start, func() {
-				m := baseline.NewMPTCP(fab.Eng, fab.Host(src).Send, baseline.MPTCPConfig{
-					Conns: conns, Dst: fab.HostID(ms.Dst),
-					RTO: rto, CC: sp.CC, CCConfig: ccCfg,
-					Coupling: coupling, FailoverRTOs: 2,
-					OnComplete: func(time.Duration) { completed++ },
-				})
-				for j, s := range m.Subflows() {
-					demux[src].Add(conns[j], s.OnPacket)
-				}
-				m.Write(sz)
-			})
-		}
-
-	case "quic":
-		// One connection per (src, dst) pair; each message is one stream.
-		type pair struct{ src, dst int }
-		conn := func(p pair) uint64 { return 1<<62 | uint64(p.src)<<24 | uint64(p.dst) }
-		senders := map[pair]*baseline.QUICSender{}
-		streams := map[pair]uint64{}
-		seen := map[pair]bool{}
-		for _, ms := range sp.Msgs {
-			p := pair{ms.Src, ms.Dst}
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			rcv := baseline.NewQUICReceiver(fab.Eng, fab.Host(p.dst).Send, baseline.QUICReceiverConfig{
-				Conn: conn(p), Src: fab.HostID(p.src),
-				OnStream: func(time.Duration, uint64, int64) { res.Delivered++ },
-			})
-			demux[p.dst].Add(conn(p), rcv.OnPacket)
-		}
-		for _, ms := range sp.Msgs {
-			p := pair{ms.Src, ms.Dst}
-			size := ms.Size
-			fab.Eng.ScheduleAt(ms.Start, func() {
-				snd := senders[p]
-				if snd == nil {
-					snd = baseline.NewQUICSender(fab.Eng, fab.Host(p.src).Send, baseline.QUICSenderConfig{
-						Conn: conn(p), Dst: fab.HostID(p.dst),
-						RTO: rto, CC: sp.CC, CCConfig: ccCfg,
-						OnStreamComplete: func(time.Duration, uint64) { completed++ },
-					})
-					senders[p] = snd
-					demux[p.src].Add(conn(p), snd.OnPacket)
-				}
-				streams[p]++
-				snd.OpenStream(streams[p], int64(size))
-			})
-		}
-
-	default:
-		panic(fmt.Sprintf("scenario: unknown rival %q", sp.Rival))
+	w := baseline.MustRival(sp.Rival).Wire(fab.Eng, fab, baseline.WireConfig{
+		RTO: time.Millisecond, CC: sp.CC,
+		CCConfig:     cc.Config{LineRate: 10e9, MaxWindow: float64(sp.MaxWindowMSS) * 1460},
+		FailoverRTOs: 2,
+		OnDelivered:  func() { res.Delivered++ },
+	})
+	// Wire identifiers are fixed by the spec: the message's index, and its
+	// rank among its (src, dst) pair's messages in start order. ECMP hashes
+	// them, so recorded seeds replay only while they stay as they are.
+	type pair struct{ src, dst int }
+	streams := map[pair]uint64{}
+	for i, ms := range sp.Msgs {
+		m := baseline.Msg{Src: ms.Src, Dst: ms.Dst, Size: ms.Size, ID: uint64(i + 1)}
+		w.Expect(m)
+		fab.Eng.ScheduleAt(ms.Start, func() {
+			p := pair{m.Src, m.Dst}
+			streams[p]++
+			m.Stream = streams[p]
+			w.Start(m, func(time.Duration, uint64) { res.Completed++ })
+		})
 	}
 
 	inj := fault.NewInjector(fab.Eng, sp.Seed)
@@ -142,7 +50,6 @@ func runRivalSpec(sp Spec, fab *topo.Fabric, chk *check.Checker) Result {
 	chk.Finalize()
 	res.Violations = chk.Violations()
 	res.Count = chk.Count()
-	res.Completed = completed
 	res.Events = fab.Eng.Processed()
 	return res
 }

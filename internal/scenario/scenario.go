@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"mtp/internal/baseline"
 	"mtp/internal/cc"
 	"mtp/internal/check"
 	"mtp/internal/core"
@@ -50,9 +51,9 @@ type Overrides struct {
 	// perturbs the rest of the sampled scenario.
 	Offload bool
 	// Rival opts in to sampling the transport under test: instead of MTP
-	// endpoints, the sampled workload runs over one of the rival baselines
-	// (dctcp, mptcp-lia, mptcp-olia, quic) with the network-level invariants
-	// still checked. Its rng draw comes after every other dimension's
+	// endpoints, the sampled workload runs over one of the registered rival
+	// baselines (baseline.RivalNames) with the network-level invariants still
+	// checked. Its rng draw comes after every other dimension's
 	// (including Offload's), so enabling it never perturbs the rest of the
 	// sampled scenario and pre-existing repro seeds stay valid.
 	Rival bool
@@ -114,8 +115,8 @@ type Spec struct {
 	OffloadTarget int
 
 	// Rival names the sampled baseline transport running the workload in
-	// place of MTP ("dctcp", "mptcp-lia", "mptcp-olia", "quic"); empty runs
-	// MTP endpoints as usual.
+	// place of MTP (one of baseline.RivalNames); empty runs MTP endpoints as
+	// usual.
 	Rival string
 }
 
@@ -245,7 +246,8 @@ func Generate(seed int64, ov Overrides) Spec {
 	}
 	// The rival draw comes last of all, for the same seed-stability reason.
 	if ov.Rival {
-		sp.Rival = []string{"dctcp", "mptcp-lia", "mptcp-olia", "quic"}[rng.Intn(4)]
+		names := baseline.RivalNames()
+		sp.Rival = names[rng.Intn(len(names))]
 	}
 	return sp
 }

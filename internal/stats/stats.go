@@ -1,6 +1,6 @@
 // Package stats provides the light measurement utilities used by the
-// experiment harnesses: interval throughput meters, percentile computation,
-// and simple summaries.
+// experiment harnesses: fault-recovery metrics over sampled throughput
+// series, percentile computation, and simple summaries.
 package stats
 
 import (
@@ -10,78 +10,11 @@ import (
 	"time"
 )
 
-// Meter accumulates byte counts into fixed-width time buckets and reports a
-// throughput series, mirroring the "measure the flow throughput every 32 µs"
-// methodology of the paper's Figure 5.
-type Meter struct {
-	interval time.Duration
-	buckets  []uint64
-}
-
-// NewMeter returns a meter with the given sampling interval.
-func NewMeter(interval time.Duration) *Meter {
-	if interval <= 0 {
-		panic("stats: non-positive meter interval")
-	}
-	return &Meter{interval: interval}
-}
-
-// Add records n bytes delivered at time t.
-func (m *Meter) Add(t time.Duration, n int) {
-	if n < 0 || t < 0 {
-		return
-	}
-	idx := int(t / m.interval)
-	for len(m.buckets) <= idx {
-		m.buckets = append(m.buckets, 0)
-	}
-	m.buckets[idx] += uint64(n)
-}
-
-// Interval returns the bucket width.
-func (m *Meter) Interval() time.Duration { return m.interval }
-
-// Buckets returns the raw per-interval byte counts.
-func (m *Meter) Buckets() []uint64 { return m.buckets }
-
-// SeriesGbps converts the buckets to throughput samples in Gbit/s.
-func (m *Meter) SeriesGbps() []float64 {
-	out := make([]float64, len(m.buckets))
-	secs := m.interval.Seconds()
-	for i, b := range m.buckets {
-		out[i] = float64(b) * 8 / secs / 1e9
-	}
-	return out
-}
-
-// TotalBytes returns the sum across buckets.
-func (m *Meter) TotalBytes() uint64 {
-	var t uint64
-	for _, b := range m.buckets {
-		t += b
-	}
-	return t
-}
-
-// MeanGbps returns average throughput between from and to.
-func (m *Meter) MeanGbps(from, to time.Duration) float64 {
-	if to <= from {
-		return 0
-	}
-	lo, hi := int(from/m.interval), int(to/m.interval)
-	var bytes uint64
-	for i := lo; i < hi && i < len(m.buckets); i++ {
-		bytes += m.buckets[i]
-	}
-	return float64(bytes) * 8 / (to - from).Seconds() / 1e9
-}
-
 // RecoveryTime returns how long after faultAt the throughput series first
 // reaches threshold again. series holds one sample per interval starting at
-// t=0 (as produced by Meter.SeriesGbps, in whatever unit threshold uses).
-// Recovery is credited at the end of the qualifying bucket — a sample only
-// proves throughput somewhere within its interval. ok is false if the series
-// never recovers after faultAt.
+// t=0, in whatever unit threshold uses. Recovery is credited at the end of
+// the qualifying bucket — a sample only proves throughput somewhere within
+// its interval. ok is false if the series never recovers after faultAt.
 func RecoveryTime(series []float64, interval, faultAt time.Duration, threshold float64) (rec time.Duration, ok bool) {
 	if interval <= 0 {
 		panic("stats: non-positive interval")

@@ -9,65 +9,6 @@ import (
 	"time"
 )
 
-func TestMeterBuckets(t *testing.T) {
-	m := NewMeter(10 * time.Microsecond)
-	m.Add(0, 100)
-	m.Add(5*time.Microsecond, 100)
-	m.Add(10*time.Microsecond, 300)
-	m.Add(35*time.Microsecond, 50)
-	b := m.Buckets()
-	if len(b) != 4 {
-		t.Fatalf("buckets = %v", b)
-	}
-	if b[0] != 200 || b[1] != 300 || b[2] != 0 || b[3] != 50 {
-		t.Fatalf("buckets = %v", b)
-	}
-	if m.TotalBytes() != 550 {
-		t.Fatalf("total = %d", m.TotalBytes())
-	}
-}
-
-func TestMeterSeriesGbps(t *testing.T) {
-	m := NewMeter(time.Microsecond)
-	// 125 bytes in 1 µs = 1 Gbps.
-	m.Add(0, 125)
-	got := m.SeriesGbps()
-	if len(got) != 1 || math.Abs(got[0]-1.0) > 1e-9 {
-		t.Fatalf("series = %v", got)
-	}
-}
-
-func TestMeterMeanGbps(t *testing.T) {
-	m := NewMeter(time.Microsecond)
-	for i := 0; i < 10; i++ {
-		m.Add(time.Duration(i)*time.Microsecond, 125) // 1 Gbps sustained
-	}
-	if got := m.MeanGbps(0, 10*time.Microsecond); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := m.MeanGbps(5*time.Microsecond, 5*time.Microsecond); got != 0 {
-		t.Fatalf("degenerate range mean = %v", got)
-	}
-}
-
-func TestMeterIgnoresNegative(t *testing.T) {
-	m := NewMeter(time.Microsecond)
-	m.Add(-time.Second, 100)
-	m.Add(0, -100)
-	if m.TotalBytes() != 0 {
-		t.Fatalf("total = %d", m.TotalBytes())
-	}
-}
-
-func TestMeterPanicsOnBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewMeter(0)
-}
-
 func TestPercentile(t *testing.T) {
 	vals := []float64{5, 1, 4, 2, 3}
 	cases := []struct {
