@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify golden exp bench netbench chaos cover scenario fuzz
+.PHONY: build test race vet verify golden exp bench benchpair netbench chaos cover scenario fuzz
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,15 @@ exp: build
 # for -trace 1 (the per-layer ladder), -workload, -compare and -record.
 bench:
 	bash bench/run.sh
+
+# benchpair is the evidence a performance change brings: N alternating runs
+# of one workload on BASE (checked out into a git worktree) and on the working
+# tree, 28 s each as the driver runs them, and per end-to-end metric the
+# median of the per-pair ratios. make benchpair WL=bulk_udp
+N ?= 10
+BASE ?= HEAD~1
+benchpair:
+	bash ci/benchpair.sh $(WL) $(N) $(BASE)
 
 # netbench is the real-socket smoke gate: the platform launcher runs the
 # loopback runfile (multi-process, real UDP, re-exec workers) and exits

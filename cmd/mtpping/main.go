@@ -104,6 +104,14 @@ type pingSummary struct {
 	RingFullDrops   uint64 `json:"ring_full_drops"`
 	StaleEpochDrops uint64 `json:"stale_epoch_drops"`
 	EpochBumps      uint64 `json:"epoch_bumps"`
+	// Datagrams per batch (syscall) is the achieved socket batching, and
+	// AcksReceived against PktsSent the ACK thinning the peer's receive
+	// batches buy.
+	AcksReceived uint64 `json:"acks_received"`
+	DatagramsIn  uint64 `json:"datagrams_in"`
+	DatagramsOut uint64 `json:"datagrams_out"`
+	BatchesIn    uint64 `json:"batches_in"`
+	BatchesOut   uint64 `json:"batches_out"`
 }
 
 func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace bool, interval time.Duration, jsonOut bool) {
@@ -197,6 +205,9 @@ func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace
 			MinRTTus: us(min), AvgRTTus: us(total / time.Duration(len(rtts))), MaxRTTus: us(max),
 			TotalRetx: st.PktsRetx, PktsSent: st.PktsSent,
 			RingFullDrops: st.RingFullDrops, StaleEpochDrops: st.StaleEpochDrops, EpochBumps: st.EpochBumps,
+			AcksReceived: st.AcksReceived,
+			DatagramsIn:  st.DatagramsIn, DatagramsOut: st.DatagramsOut,
+			BatchesIn: st.BatchesIn, BatchesOut: st.BatchesOut,
 		})
 	} else {
 		fmt.Printf("avg message RTT: %v over %d messages (min %v, max %v)\n",

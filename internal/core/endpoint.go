@@ -72,7 +72,8 @@ type Config struct {
 	DelegateTimeout time.Duration
 
 	// AckEvery acknowledges every Nth data packet (plus message
-	// completions). Default 1 (per-packet acks).
+	// completions). Default 1 (per-packet acks). Inside a BeginBatch/EndBatch
+	// bracket it is a minimum: the decision is taken once, at EndBatch.
 	AckEvery int
 
 	// ReceiveTimeout garbage-collects incomplete inbound messages idle this
@@ -271,6 +272,11 @@ type Endpoint struct {
 	pendingAcks map[Addr]*ackBatch
 	ackOrder    []Addr
 	unacked     int
+	// inBatch is set between BeginBatch and EndBatch: ACK flushes and the
+	// sender's post-ACK trySend wait for EndBatch. sendDue records that an
+	// ACK packet arrived inside the bracket.
+	inBatch bool
+	sendDue bool
 	// gapScratch is reused by collectNacks to iterate hole sets in packet
 	// order (maps iterate randomly, and NACK order steers retransmission
 	// order at the sender).
@@ -374,6 +380,9 @@ type inMsg struct {
 	synthtic bool
 	bytes    int
 	lastSeen time.Duration
+	// prefix is the length of the contiguous received prefix: got[:prefix]
+	// is all true, so the gap scan starts there.
+	prefix int
 	// nacked and gapSince are allocated lazily: most messages complete
 	// without ever observing a hole.
 	nacked map[uint32]time.Duration
@@ -388,6 +397,9 @@ type ackBatch struct {
 	feedback []wire.Feedback
 	srcPort  uint16 // remote app port the data came from (ACK's DstPort)
 	dstPort  uint16 // our port (ACK's SrcPort)
+	// urgent forces the next flush decision regardless of AckEvery: a message
+	// completed or a packet arrived trimmed.
+	urgent bool
 }
 
 // NewEndpoint builds an endpoint bound to env.
@@ -760,6 +772,7 @@ func (e *Endpoint) releaseInMsg(f *inMsg) {
 	f.key = inKey{}
 	f.srcPort, f.dstPort = 0, 0
 	f.gotPkts = 0
+	f.prefix = 0
 	f.data = nil
 	f.synthtic = false
 	f.bytes = 0
@@ -793,6 +806,7 @@ func (e *Endpoint) releaseBatch(b *ackBatch) {
 		b.nack = b.nack[:0]
 		b.feedback = b.feedback[:0]
 		b.srcPort, b.dstPort = 0, 0
+		b.urgent = false
 	} else {
 		*b = ackBatch{}
 	}

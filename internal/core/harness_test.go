@@ -39,7 +39,51 @@ type testEnv struct {
 	// letting tests reorder deliveries.
 	jitter func(pkt *Outbound) time.Duration
 
+	// bracket, when non-nil, makes the env deliver arrivals the way a batched
+	// reader does: the first arrival opens the endpoint's batch bracket, which
+	// closes after bracket() packets, after bracketWindow, or before the next
+	// timer fires, whichever comes first. afterBracket runs after each close.
+	bracket      func() int
+	afterBracket func()
+	open         int // packets the open bracket still admits; 0: closed
+	closeAt      sim.Timer
+
 	sent uint64
+}
+
+// bracketWindow bounds how long a test bracket stays open waiting for more
+// arrivals: one recvmmsg drains what is queued, it does not wait.
+const bracketWindow = 20 * time.Microsecond
+
+// receive feeds one arriving packet into the endpoint, bracketed if asked.
+func (te *testEnv) receive(in *Inbound) {
+	if te.ep == nil {
+		return
+	}
+	if te.bracket != nil && te.open == 0 {
+		te.open = te.bracket()
+		te.ep.BeginBatch()
+		te.closeAt = te.world.eng.Schedule(bracketWindow, te.endBracket)
+	}
+	te.ep.OnPacket(in)
+	if te.open == 1 {
+		te.endBracket()
+	} else if te.open > 1 {
+		te.open--
+	}
+}
+
+// endBracket closes the open bracket, if any.
+func (te *testEnv) endBracket() {
+	if te.open == 0 {
+		return
+	}
+	te.open = 0
+	te.closeAt.Stop()
+	te.ep.EndBatch()
+	if te.afterBracket != nil {
+		te.afterBracket()
+	}
 }
 
 func newWorld(seed int64) *testWorld {
@@ -91,11 +135,7 @@ func (te *testEnv) Output(pkt *Outbound) {
 		if te.jitter != nil {
 			d += te.jitter(pkt)
 		}
-		te.world.eng.Schedule(d, func() {
-			if peer.ep != nil {
-				peer.ep.OnPacket(in)
-			}
-		})
+		te.world.eng.Schedule(d, func() { peer.receive(in) })
 	}
 }
 
@@ -108,6 +148,7 @@ func (te *testEnv) SetTimer(at time.Duration) {
 	d := at - te.world.eng.Now()
 	te.timer = te.world.eng.Schedule(d, func() {
 		if te.ep != nil {
+			te.endBracket() // a Node's timer waits for the reader's batch lock
 			te.ep.OnTimer(te.world.eng.Now())
 		}
 	})

@@ -64,7 +64,8 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 			e.Stats.NacksSent++
 		}
 		e.mergeFeedback(batch, hdr.PathFeedback)
-		e.flush(in.From, batch)
+		batch.urgent = true
+		e.maybeFlush(in.From, batch)
 		return
 	}
 
@@ -107,6 +108,9 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 	} else {
 		e.trace(trace.KindRecvData, hdr.MsgID, hdr.PktNum, uint64(hdr.PktLen), 0)
 		f.got[pn] = true
+		for f.prefix < len(f.got) && f.got[f.prefix] {
+			f.prefix++
+		}
 		delete(f.gapSince, uint32(pn))
 		f.gotPkts++
 		f.bytes += int(hdr.PktLen)
@@ -139,9 +143,10 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 	// intra-message reordering), so a hole below the highest received
 	// packet number means loss on the message's path. Under policies that
 	// violate atomicity (packet spraying) this generates spurious
-	// retransmissions — the reordering penalty the paper describes.
+	// retransmissions — the reordering penalty the paper describes. Nothing
+	// below the contiguous received prefix can be a hole.
 	if !e.cfg.DisableNack {
-		for i := 0; i < pn; i++ {
+		for i := f.prefix; i < pn; i++ {
 			if !f.got[i] {
 				if _, seen := f.gapSince[uint32(i)]; !seen {
 					if f.gapSince == nil {
@@ -184,8 +189,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 			e.cfg.OnMessage(msg)
 		}
 		// Completion always flushes so the sender learns promptly.
-		e.flush(in.From, batch)
-		return
+		batch.urgent = true
 	}
 	e.maybeFlush(in.From, batch)
 }
@@ -260,16 +264,54 @@ func (e *Endpoint) mergeFeedback(b *ackBatch, fb []wire.Feedback) {
 	}
 }
 
-// maybeFlush sends the batch once it covers AckEvery data packets; otherwise
-// it arms a short delayed-ack timer.
-func (e *Endpoint) maybeFlush(to Addr, b *ackBatch) {
-	if len(b.sack)+len(b.nack) >= e.cfg.AckEvery || len(b.nack) > 0 {
-		e.flush(to, b)
+// BeginBatch opens a bracket around a run of OnPacket calls that arrived
+// together (one recvmmsg batch). Inside it nothing is acknowledged and the
+// sender side does not transmit: EndBatch applies the flush rule once per
+// peer, so one ACK packet covers every data packet the bracket received from
+// that peer, and runs trySend once however many ACK packets arrived. AckEvery
+// keeps its meaning as a minimum, and a completion, NACK or trimmed packet
+// still forces the flush. A bracket of one packet behaves exactly like no
+// bracket. The caller bounds the bracket (udpnet: 32 datagrams) and with it
+// the ACK's SACK list. Environments that never open one — the simulator —
+// are untouched.
+func (e *Endpoint) BeginBatch() { e.inBatch = true }
+
+// EndBatch closes the bracket: it settles every pending ack batch, in
+// batch-creation order, and resumes sending if an ACK arrived. Without an
+// open bracket it does nothing.
+func (e *Endpoint) EndBatch() {
+	if !e.inBatch {
 		return
+	}
+	e.inBatch = false
+	for i := 0; i < len(e.ackOrder); {
+		to := e.ackOrder[i]
+		if !e.maybeFlush(to, e.pendingAcks[to]) {
+			i++ // still pending (delayed-ack timer armed)
+		}
+	}
+	if e.sendDue {
+		e.sendDue = false
+		e.trySend()
+	}
+}
+
+// maybeFlush is the one flush rule: the batch goes out once it covers
+// AckEvery data packets, carries a NACK, or is urgent; otherwise a short
+// delayed-ack timer is armed. Inside a bracket the decision waits for
+// EndBatch. It reports whether the batch was retired.
+func (e *Endpoint) maybeFlush(to Addr, b *ackBatch) bool {
+	if e.inBatch {
+		return false
+	}
+	if b.urgent || len(b.sack)+len(b.nack) >= e.cfg.AckEvery || len(b.nack) > 0 {
+		e.flush(to, b)
+		return true
 	}
 	if len(b.sack) > 0 {
 		e.setTimer(e.env.Now() + e.rto()/4)
 	}
+	return false
 }
 
 // flush emits one ACK packet carrying the batch and retires it; a batch

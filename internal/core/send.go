@@ -272,6 +272,10 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 		}
 	}
 	e.completed = completed[:0]
+	if e.inBatch {
+		e.sendDue = true // EndBatch sends once for the whole bracket
+		return
+	}
 	e.trySend()
 }
 

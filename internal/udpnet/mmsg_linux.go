@@ -35,6 +35,20 @@ type mmsgIO struct {
 	// rnames/wnames hold peer sockaddrs; RawSockaddrInet6 (28 bytes) is
 	// large enough for both families.
 	rnames, wnames []syscall.RawSockaddrInet6
+
+	// recvFn/sendFn are the RawConn callbacks, built once: a closure made per
+	// call would capture its results by reference and allocate on every
+	// syscall. Arguments and results travel in the fields below instead, one
+	// set per direction (reader and writer are different goroutines).
+	recvFn, sendFn func(fd uintptr) bool
+	wwant          int           // datagrams offered to sendmmsg
+	rgot, wgot     int           // datagrams the kernel moved
+	rerr, werr     syscall.Errno // the syscall's own error
+
+	// rfor is the buffer set the receive slots are armed for and rdirty how
+	// many leading slots the last recvmmsg disturbed: only those are re-armed.
+	rfor   *dgram
+	rdirty int
 }
 
 // newMmsgIO returns the batched implementation for uc, or nil if the raw
@@ -46,57 +60,79 @@ func newMmsgIO(uc *net.UDPConn) batchIO {
 	}
 	la, _ := uc.LocalAddr().(*net.UDPAddr)
 	v6 := la != nil && la.IP.To4() == nil
-	return &mmsgIO{rc: rc, v6: v6}
+	m := &mmsgIO{rc: rc, v6: v6}
+	m.recvFn, m.sendFn = m.recv, m.send
+	return m
 }
 
-func (m *mmsgIO) ensure(hdrs *[]mmsghdr, iovs *[]syscall.Iovec, names *[]syscall.RawSockaddrInet6, n int) {
-	if len(*hdrs) < n {
-		*hdrs = make([]mmsghdr, n)
-		*iovs = make([]syscall.Iovec, n)
-		*names = make([]syscall.RawSockaddrInet6, n)
+// recv is the RawConn.Read callback: one recvmmsg over the armed slots.
+func (m *mmsgIO) recv(fd uintptr) bool {
+	r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // park on the poller until readable
 	}
+	m.rerr, m.rgot = e, int(r1)
+	return true
+}
+
+// send is the RawConn.Write callback: one sendmmsg over whdrs[:wwant].
+func (m *mmsgIO) send(fd uintptr) bool {
+	r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&m.whdrs[0])), uintptr(m.wwant),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // park until writable
+	}
+	m.werr, m.wgot = e, int(r1)
+	return true
+}
+
+// armRecv points receive slot i at d's buffer and resets what the kernel
+// overwrites on delivery (the sockaddr and its length, the message length).
+func (m *mmsgIO) armRecv(i int, d *dgram) {
+	m.rnames[i] = syscall.RawSockaddrInet6{}
+	m.riovs[i] = syscall.Iovec{Base: &d.buf[0], Len: uint64(len(d.buf))}
+	m.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+		Name:    (*byte)(unsafe.Pointer(&m.rnames[i])),
+		Namelen: uint32(unsafe.Sizeof(m.rnames[i])),
+		Iov:     &m.riovs[i],
+		Iovlen:  1,
+	}}
 }
 
 // readBatch fills ms from one recvmmsg call, blocking via the netpoller
-// until at least one datagram is ready.
+// until at least one datagram is ready. The reader passes the same buffer set
+// every time, so all slots are armed once and afterwards only the prefix the
+// previous call consumed (an ACK socket typically gets 1-4 of 32).
 func (m *mmsgIO) readBatch(ms []*dgram) (int, error) {
-	m.ensure(&m.rhdrs, &m.riovs, &m.rnames, len(ms))
-	for i, d := range ms {
-		m.riovs[i] = syscall.Iovec{Base: &d.buf[0], Len: uint64(len(d.buf))}
-		m.rnames[i] = syscall.RawSockaddrInet6{}
-		h := &m.rhdrs[i]
-		h.hdr = syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&m.rnames[i])),
-			Namelen: uint32(unsafe.Sizeof(m.rnames[i])),
-			Iov:     &m.riovs[i],
-			Iovlen:  1,
-		}
-		h.msgLen = 0
+	if m.rfor != ms[0] || len(m.rhdrs) != len(ms) {
+		m.rhdrs = make([]mmsghdr, len(ms))
+		m.riovs = make([]syscall.Iovec, len(ms))
+		m.rnames = make([]syscall.RawSockaddrInet6, len(ms))
+		m.rfor, m.rdirty = ms[0], len(ms)
 	}
-	var n int
-	var operr syscall.Errno
-	err := m.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(ms)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park on the poller until readable
-		}
-		operr, n = e, int(r1)
-		return true
-	})
-	if err != nil {
+	for i := 0; i < m.rdirty; i++ {
+		m.armRecv(i, ms[i])
+	}
+	m.rdirty = 1 // a failed call may still have touched the first slot
+	if err := m.rc.Read(m.recvFn); err != nil {
 		return 0, err // socket closed
 	}
-	if operr != 0 {
-		if operr == syscall.EINTR || operr == syscall.ECONNREFUSED {
+	if m.rerr != 0 {
+		if m.rerr == syscall.EINTR || m.rerr == syscall.ECONNREFUSED {
 			return 0, nil // transient; caller loops
 		}
-		return 0, operr
+		return 0, m.rerr
 	}
+	n := m.rgot
 	for i := 0; i < n; i++ {
 		ms[i].n = int(m.rhdrs[i].msgLen)
 		ms[i].addr = saToAddrPort(&m.rnames[i])
+	}
+	if n > 0 {
+		m.rdirty = n
 	}
 	return n, nil
 }
@@ -105,7 +141,11 @@ func (m *mmsgIO) readBatch(ms []*dgram) (int, error) {
 // as the kernel allows. Per-datagram errors drop that datagram (UDP
 // semantics; the protocol's reliability recovers).
 func (m *mmsgIO) writeBatch(ms []*dgram) (int, error) {
-	m.ensure(&m.whdrs, &m.wiovs, &m.wnames, len(ms))
+	if len(m.whdrs) < len(ms) {
+		m.whdrs = make([]mmsghdr, len(ms))
+		m.wiovs = make([]syscall.Iovec, len(ms))
+		m.wnames = make([]syscall.RawSockaddrInet6, len(ms))
+	}
 	sent := 0
 	for sent < len(ms) {
 		batch := ms[sent:]
@@ -120,30 +160,19 @@ func (m *mmsgIO) writeBatch(ms []*dgram) (int, error) {
 			}
 			h.msgLen = 0
 		}
-		var n int
-		var operr syscall.Errno
-		err := m.rc.Write(func(fd uintptr) bool {
-			r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&m.whdrs[0])), uintptr(len(batch)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // park until writable
-			}
-			operr, n = e, int(r1)
-			return true
-		})
-		if err != nil {
+		m.wwant = len(batch)
+		if err := m.rc.Write(m.sendFn); err != nil {
 			return sent, err // socket closed
 		}
 		switch {
-		case operr == syscall.EINTR:
+		case m.werr == syscall.EINTR:
 			// retry the same span
-		case operr != 0:
+		case m.werr != 0:
 			sent++ // drop the offending datagram and keep the rest moving
-		case n <= 0:
+		case m.wgot <= 0:
 			sent++
 		default:
-			sent += n
+			sent += m.wgot
 		}
 	}
 	return sent, nil

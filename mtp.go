@@ -80,7 +80,9 @@ type Config struct {
 	// down for rack-scale deployments).
 	RTO time.Duration
 
-	// AckEvery batches acknowledgements per N data packets. Default 1.
+	// AckEvery batches acknowledgements per N data packets. Default 1. It is
+	// a minimum: on a real UDP socket one ACK already covers every data packet
+	// of a receive batch (up to 32 per recvmmsg), whatever AckEvery says.
 	AckEvery int
 
 	// OnMessage delivers completed inbound messages. It is called from the
@@ -178,6 +180,9 @@ type Node struct {
 	// packets from one peer boxes the key once.
 	trIn     core.Inbound
 	lastFrom netip.AddrPort
+	// batchOpen is set while the reader goroutine holds mu across one inbound
+	// batch (first onTransportPacket to onBatchEnd). Reader goroutine only.
+	batchOpen bool
 	// inbox stages completed messages while mu is held; they are handed to
 	// cfg.OnMessage after the lock is released so the handler may call
 	// Send and friends.
@@ -231,7 +236,7 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 		MaxDatagram: maxDgram,
 		Wheel:       nodeWheel(),
 		OnPacket:    n.onTransportPacket,
-		OnBatchEnd:  n.drainAll,
+		OnBatchEnd:  n.onBatchEnd,
 		OnTimer:     n.onTimer,
 	})
 	if err != nil {
@@ -318,19 +323,40 @@ func nodeWheel() *udpnet.Wheel {
 }
 
 // onTransportPacket feeds one decoded datagram from the transport reader
-// into the engine. hdr and data are only valid during the call; the
-// endpoint copies what it keeps (core.Inbound contract).
+// into the engine. The first packet of a reader batch takes mu and opens the
+// endpoint's batch bracket; onBatchEnd closes both, so a batch costs one lock
+// hand-off, one ACK per peer and one trySend however many datagrams it holds
+// (a connIO batch holds one, which is the unbracketed behaviour). hdr and data
+// are only valid during the call; the endpoint copies what it keeps
+// (core.Inbound contract).
 func (n *Node) onTransportPacket(from netip.AddrPort, hdr *wire.Header, data []byte) {
-	n.mu.Lock()
-	if !n.closed {
-		if from != n.lastFrom { // the transport never delivers the zero AddrPort
-			n.lastFrom, n.trIn.From = from, from
+	if !n.batchOpen {
+		n.mu.Lock()
+		n.batchOpen = true
+		if !n.closed {
+			n.ep.BeginBatch()
 		}
-		n.trIn.Hdr, n.trIn.Data = hdr, data
-		n.ep.OnPacket(&n.trIn)
 	}
-	n.mu.Unlock()
-	// Completed messages are drained once per batch via OnBatchEnd.
+	if n.closed { // set under mu, so it cannot change inside a batch
+		return
+	}
+	if from != n.lastFrom { // the transport never delivers the zero AddrPort
+		n.lastFrom, n.trIn.From = from, from
+	}
+	n.trIn.Hdr, n.trIn.Data = hdr, data
+	n.ep.OnPacket(&n.trIn)
+}
+
+// onBatchEnd runs after the reader delivered a batch (possibly of nothing but
+// undecodable datagrams, in which case mu was never taken): it closes the
+// bracket, releases mu, and hands completed messages to the application.
+func (n *Node) onBatchEnd() {
+	if n.batchOpen {
+		n.batchOpen = false
+		n.ep.EndBatch()
+		n.mu.Unlock()
+	}
+	n.drainAll()
 }
 
 // Addr returns the node's network address.
@@ -343,6 +369,12 @@ type Stats struct {
 	// send ring was full — NIC-style local drops, recovered by
 	// retransmission but distinct from network loss.
 	RingFullDrops uint64
+	// DatagramsIn/Out and BatchesIn/Out count the transport's datagrams and
+	// the syscalls that moved them: DatagramsIn/BatchesIn is the achieved
+	// receive batching, and AcksSent against PktsReceived the ACK thinning it
+	// buys.
+	DatagramsIn, DatagramsOut uint64
+	BatchesIn, BatchesOut     uint64
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -350,7 +382,15 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	es := n.ep.Stats
 	n.mu.Unlock()
-	return Stats{EndpointStats: es, RingFullDrops: n.tr.Stats().RingFullDrops}
+	ts := n.tr.Stats()
+	return Stats{
+		EndpointStats: es,
+		RingFullDrops: ts.RingFullDrops,
+		DatagramsIn:   ts.DatagramsIn,
+		DatagramsOut:  ts.DatagramsOut,
+		BatchesIn:     ts.BatchesIn,
+		BatchesOut:    ts.BatchesOut,
+	}
 }
 
 // Epoch returns the node's incarnation epoch (auto-seeded unless pinned via
