@@ -6,7 +6,7 @@ import (
 )
 
 func TestFailoverMTPRecoversFaster(t *testing.T) {
-	r := RunFailover(FailoverConfig{Seed: 1})
+	r := failoverOnce(FailoverConfig{Seed: 1, Baseline: "dctcp", Check: true})
 
 	if !r.MTP.Recovered {
 		t.Fatal("MTP never recovered")

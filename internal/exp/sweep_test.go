@@ -58,7 +58,7 @@ func TestTable1WorkersMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full probe matrix twice")
 	}
-	seq := RunTable1Workers(1)
+	seq := table1Once()
 	par := RunTable1Workers(0)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel Table 1 diverged from sequential")
