@@ -13,7 +13,7 @@ func TestFig1Ablation(t *testing.T) {
 	r := RunFig1(Fig1Config{Requests: 200})
 	single, lb, cache := r.Rows[0], r.Rows[1], r.Rows[2]
 	for _, row := range r.Rows {
-		if row.Completed != r.Config.Clients*200 {
+		if row.Completed != fig1Clients*200 {
 			t.Fatalf("%s completed %d", row.System, row.Completed)
 		}
 	}

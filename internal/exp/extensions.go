@@ -3,8 +3,8 @@ package exp
 // Extension experiments for the design points the paper discusses beyond
 // its evaluation figures (Section 3.1.3 pathlet exclusion, Section 4's
 // multi-algorithm coexistence and NDP-style trimming, and message-priority
-// scheduling). Each returns measured rows; the ablation benchmarks in
-// bench_test.go regenerate them.
+// scheduling). Each returns measured rows; `mtpexp -exp ext` prints them and
+// testdata/ext.golden pins them.
 
 import (
 	"fmt"
@@ -14,7 +14,6 @@ import (
 	"mtp/internal/baseline"
 	"mtp/internal/cc"
 	"mtp/internal/core"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/stats"
@@ -39,49 +38,27 @@ func RunExclusion(duration time.Duration) ExclusionResult {
 		duration = 10 * time.Millisecond
 	}
 	run := func(auto bool) (float64, uint64, float64) {
-		eng := sim.NewEngine(1)
-		net := simnet.NewNetwork(eng)
-		snd := simnet.NewHost(net)
-		rcv := simnet.NewHost(net)
-		blaster := simnet.NewHost(net)
-		sw := simnet.NewSwitch(net, &simnet.Spray{})
-
-		snd.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 20e9, Delay: time.Microsecond, QueueCap: 2048}, "snd->sw"))
-		blaster.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 20e9, Delay: time.Microsecond, QueueCap: 2048}, "blast->sw"))
-		p1, p2 := uint32(1), uint32(2)
-		l1 := net.Connect(rcv, simnet.LinkConfig{
-			Rate: 10e9, Delay: time.Microsecond, QueueCap: 128, ECNThreshold: 20,
-			Pathlet: &p1, StampECN: true,
-		}, "congested")
-		l2 := net.Connect(rcv, simnet.LinkConfig{
-			Rate: 10e9, Delay: time.Microsecond, QueueCap: 128, ECNThreshold: 20,
-			Pathlet: &p2, StampECN: true,
-		}, "clean")
-		sw.AddRoute(rcv.ID(), l1)
-		sw.AddRoute(rcv.ID(), l2)
-		rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{Rate: 20e9, Delay: time.Microsecond, QueueCap: 2048}, "rcv->snd"))
+		rig := newTwoPath(twoPathSpec{
+			FastRate: 10e9, SlowRate: 10e9, LinkDelay: time.Microsecond, SlowDelay: time.Microsecond,
+			QueueCap: 128, ECNThreshold: 20, EdgeRate: 20e9, EdgeQueue: 2048,
+			Seed: 1, Policy: &simnet.Spray{}, Pathlets: 2,
+		})
+		l1, l2 := rig.fast, rig.slow // congested, clean
 
 		// Cross traffic pins path 1 at ~90% with non-ECN UDP, so MTP data
 		// crossing it is marked persistently.
-		cross := baseline.NewUDPSender(eng, func(pkt *simnet.Packet) { l1.Enqueue(pkt) },
-			99, rcv.ID(), 1460, 9e9)
+		cross := baseline.NewUDPSender(rig.eng, func(pkt *simnet.Packet) { l1.Enqueue(pkt) },
+			99, rig.rcv.ID(), 1460, 9e9)
 		cross.Start()
 
 		cfg := core.Config{LocalPort: 1, RTO: 2 * time.Millisecond}
 		if auto {
 			cfg.AutoExclude = &core.AutoExcludeConfig{MarkFraction: 0.3, Window: 32, Duration: 5 * time.Millisecond}
 		}
-		var sender *simhost.MTPHost
-		refill := func(*core.OutMessage) {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
-		cfg.OnMessageSent = refill
-		sender = simhost.AttachMTP(net, snd, cfg)
-		receiver := simhost.AttachMTP(net, rcv, core.Config{LocalPort: 2})
-		for i := 0; i < 8; i++ {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
-		eng.Run(duration)
+		sender, fill := rig.saturate(rig.snd, cfg, rig.rcv.ID(), 1<<20)
+		receiver := simhost.AttachMTP(rig.net, rig.rcv, core.Config{LocalPort: 2})
+		fill(8)
+		rig.eng.Run(duration)
 		goodput := float64(receiver.EP.Stats.PayloadBytes) * 8 / duration.Seconds() / 1e9
 		// Congested-path share of MTP traffic: its Tx minus cross traffic.
 		crossBytes := cross.Sent * uint64(1460+40)
@@ -120,24 +97,23 @@ func RunMultiAlgo(duration time.Duration) MultiAlgoResult {
 	if duration <= 0 {
 		duration = 10 * time.Millisecond
 	}
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	snd := simnet.NewHost(net)
-	mid := simnet.NewSwitch(net, nil)
-	rcv := simnet.NewHost(net)
+	r := newRig(1)
+	snd := simnet.NewHost(r.net)
+	mid := simnet.NewSwitch(r.net, nil)
+	rcv := simnet.NewHost(r.net)
 
 	p1, p2 := uint32(1), uint32(2)
 	// Hop 1: 40 Gbps RCP resource (explicit rate feedback).
-	snd.SetUplink(net.Connect(mid, simnet.LinkConfig{
+	snd.SetUplink(r.net.Connect(mid, simnet.LinkConfig{
 		Rate: 40e9, Delay: time.Microsecond, QueueCap: 512,
 		Pathlet: &p1, StampRate: true,
 	}, "rcp-hop"))
 	// Hop 2: 10 Gbps DCTCP resource (ECN feedback) — the bottleneck.
-	mid.AddRoute(rcv.ID(), net.Connect(rcv, simnet.LinkConfig{
+	mid.AddRoute(rcv.ID(), r.net.Connect(rcv, simnet.LinkConfig{
 		Rate: 10e9, Delay: time.Microsecond, QueueCap: 128, ECNThreshold: 20,
 		Pathlet: &p2, StampECN: true,
 	}, "ecn-hop"))
-	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{Rate: 40e9, Delay: time.Microsecond, QueueCap: 512}, "rcv->snd"))
+	rcv.SetUplink(r.net.Connect(snd, simnet.LinkConfig{Rate: 40e9, Delay: time.Microsecond, QueueCap: 512}, "rcv->snd"))
 
 	factory := func(p wire.PathTC) cc.Algorithm {
 		ccCfg := cc.Config{MSS: 1460}
@@ -146,19 +122,12 @@ func RunMultiAlgo(duration time.Duration) MultiAlgoResult {
 		}
 		return cc.NewDCTCP(ccCfg)
 	}
-	var sender *simhost.MTPHost
-	cfg := core.Config{
+	sender, fill := r.saturate(snd, core.Config{
 		LocalPort: 1, CCFactory: factory, RTO: 2 * time.Millisecond,
-		OnMessageSent: func(*core.OutMessage) {
-			sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		},
-	}
-	sender = simhost.AttachMTP(net, snd, cfg)
-	receiver := simhost.AttachMTP(net, rcv, core.Config{LocalPort: 2})
-	for i := 0; i < 8; i++ {
-		sender.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-	}
-	eng.Run(duration)
+	}, rcv.ID(), 1<<20)
+	receiver := simhost.AttachMTP(r.net, rcv, core.Config{LocalPort: 2})
+	fill(8)
+	r.eng.Run(duration)
 
 	res := MultiAlgoResult{
 		GoodputGbps:    float64(receiver.EP.Stats.PayloadBytes) * 8 / duration.Seconds() / 1e9,
@@ -197,10 +166,9 @@ func RunPriority(duration time.Duration) PriorityResult {
 		duration = 10 * time.Millisecond
 	}
 	run := func(prioQueues bool) float64 {
-		eng := sim.NewEngine(1)
-		net := simnet.NewNetwork(eng)
-		snd := simnet.NewHost(net)
-		rcv := simnet.NewHost(net)
+		r := newRig(1)
+		eng, net := r.eng, r.net
+		snd, rcv := simnet.NewHost(net), simnet.NewHost(net)
 		lc := simnet.LinkConfig{
 			Rate: 10e9, Delay: time.Microsecond, QueueCap: 2048, ECNThreshold: 1 << 20,
 		}
@@ -219,8 +187,7 @@ func RunPriority(duration time.Duration) PriorityResult {
 
 		start := map[uint64]time.Duration{}
 		var lat []float64
-		var sender *simhost.MTPHost
-		sender = simhost.AttachMTP(net, snd, core.Config{
+		sender := simhost.AttachMTP(net, snd, core.Config{
 			LocalPort: 1,
 			// Huge windows: the experiment isolates switch scheduling, not CC.
 			CCConfig: cc.Config{InitWindow: 1 << 30},
@@ -237,7 +204,6 @@ func RunPriority(duration time.Duration) PriorityResult {
 		}
 		// Periodic high-priority 2 KB control messages ride on top.
 		for t := 100 * time.Microsecond; t < duration; t += 200 * time.Microsecond {
-			t := t
 			eng.Schedule(t, func() {
 				m := sender.EP.SendSynthetic(rcv.ID(), 2, 2048, core.SendOptions{Priority: 9})
 				start[m.ID] = t
@@ -247,11 +213,10 @@ func RunPriority(duration time.Duration) PriorityResult {
 		eng.Run(duration)
 		return stats.Percentile(lat, 99)
 	}
-	r := PriorityResult{
+	return PriorityResult{
 		FIFOp99us:     run(false),
 		PriorityP99us: run(true),
 	}
-	return r
 }
 
 // String renders the result.
@@ -276,44 +241,37 @@ type TrimResult struct {
 // RunTrim executes the probe: an 8-to-1 incast burst into a shallow buffer.
 func RunTrim() TrimResult {
 	run := func(mode string) (float64, *simnet.Link) {
-		eng := sim.NewEngine(1)
-		net := simnet.NewNetwork(eng)
-		sw := simnet.NewSwitch(net, nil)
-		rcv := simnet.NewHost(net)
+		r := newRig(1)
+		edge := simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}
 		lc := simnet.LinkConfig{
 			Rate: 10e9, Delay: time.Microsecond, QueueCap: 32, ECNThreshold: 8,
 		}
+		up := edge
 		switch mode {
 		case "trim":
 			lc.Trim = true
 		case "lossless":
 			lc.PauseThreshold = 24
+			up.PauseThreshold = 512
 		}
-		down := net.Connect(rcv, lc, "sw->rcv")
-		sw.AddRoute(rcv.ID(), down)
-		rcv.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "rcv->sw"))
+		sw := simnet.NewSwitch(r.net, nil)
+		rcv := r.attach(sw, edge, lc)
+		down := sw.Routes(rcv.ID())[0]
 
 		const senders = 8
 		var done []time.Duration
-		simhost.AttachMTP(net, rcv, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
+		simhost.AttachMTP(r.net, rcv, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
 			done = append(done, m.Complete)
 		}})
 		for i := 0; i < senders; i++ {
-			h := simnet.NewHost(net)
-			upCfg := simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}
+			h := r.attach(sw, up, edge)
 			if mode == "lossless" {
-				upCfg.PauseThreshold = 512
+				down.AddUpstream(h.Uplink())
 			}
-			up := net.Connect(sw, upCfg, "up")
-			h.SetUplink(up)
-			if mode == "lossless" {
-				down.AddUpstream(up)
-			}
-			sw.AddRoute(h.ID(), net.Connect(h, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "downh"))
-			mh := simhost.AttachMTP(net, h, core.Config{LocalPort: uint16(10 + i), RTO: 2 * time.Millisecond})
+			mh := simhost.AttachMTP(r.net, h, core.Config{LocalPort: uint16(10 + i), RTO: 2 * time.Millisecond})
 			mh.EP.SendSynthetic(rcv.ID(), 2, 64<<10, core.SendOptions{})
 		}
-		eng.Run(50 * time.Millisecond)
+		r.eng.Run(50 * time.Millisecond)
 		var worst time.Duration
 		for _, d := range done {
 			if d > worst {

@@ -22,19 +22,10 @@ import (
 // bound to whatever path the network picked and can only wait the outage
 // out. The headline number is how much faster MTP's goodput recovers.
 type FailoverConfig struct {
-	FastRate, SlowRate float64       // 100 / 10 Gbps
-	LinkDelay          time.Duration // 1 µs
-	QueueCap           int           // 128 packets
-	ECNThreshold       int           // 20 packets
-	RTO                time.Duration // 1 ms, both systems
-	FailoverRTOs       int           // 2 consecutive RTOs declare a pathlet dead
-	ProbeInterval      time.Duration // 4 ms between readmission probes
-	FaultAt            time.Duration // 5 ms: blackhole onset
-	FaultFor           time.Duration // 20 ms: blackhole duration
-	Duration           time.Duration // 40 ms
-	SampleInterval     time.Duration // 100 µs
-	Seed               int64
-	MaxWindow          float64 // socket-buffer cap, default 256 KiB
+	FaultAt  time.Duration // 5 ms: blackhole onset
+	FaultFor time.Duration // 20 ms: blackhole duration
+	Duration time.Duration // 40 ms
+	Seed     int64
 	// Baseline names the rival transport run against MTP, one of
 	// baseline.RivalNames: DCTCP (the default), coupled multipath TCP with
 	// dead-path reinjection (the strongest rival here, since it holds a
@@ -48,31 +39,15 @@ type FailoverConfig struct {
 	Check bool
 }
 
+// What the experiment fixes besides the paper's two-path numbers.
+const (
+	failoverRTO            = time.Millisecond     // both systems
+	failoverRTOs           = 2                    // consecutive RTOs declare a pathlet dead
+	failoverProbeInterval  = 4 * time.Millisecond // between readmission probes
+	failoverSampleInterval = 100 * time.Microsecond
+)
+
 func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.FastRate == 0 {
-		c.FastRate = 100e9
-	}
-	if c.SlowRate == 0 {
-		c.SlowRate = 10e9
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = time.Microsecond
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 128
-	}
-	if c.ECNThreshold == 0 {
-		c.ECNThreshold = 20
-	}
-	if c.RTO == 0 {
-		c.RTO = time.Millisecond
-	}
-	if c.FailoverRTOs == 0 {
-		c.FailoverRTOs = 2
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 4 * time.Millisecond
-	}
 	if c.FaultAt == 0 {
 		c.FaultAt = 5 * time.Millisecond
 	}
@@ -82,14 +57,8 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	if c.Duration == 0 {
 		c.Duration = 40 * time.Millisecond
 	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 100 * time.Microsecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxWindow == 0 {
-		c.MaxWindow = 256 << 10
 	}
 	return c
 }
@@ -136,11 +105,7 @@ type FailoverResult struct {
 // rig builds the two-path topology (see twoPathSpec for the policies) and
 // schedules the blackhole on its fast path.
 func (c FailoverConfig) rig(pathlets int, policy simnet.ForwardPolicy) (*twoPath, *fault.Injector) {
-	rig := newTwoPath(twoPathSpec{
-		FastRate: c.FastRate, SlowRate: c.SlowRate, LinkDelay: c.LinkDelay,
-		QueueCap: c.QueueCap, ECNThreshold: c.ECNThreshold, Seed: c.Seed,
-		Policy: policy, Pathlets: pathlets,
-	})
+	rig := paperTwoPath(c.Seed, policy, pathlets)
 	in := fault.NewInjector(rig.eng, c.Seed)
 	in.Blackhole(rig.fast, c.FaultAt, c.FaultFor)
 	return rig, in
@@ -159,9 +124,9 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 			chk = check.New(rig.eng, rig.net)
 		}
 		sender, series := rig.runMTP(core.Config{
-			RTO: cfg.RTO, FailoverRTOs: cfg.FailoverRTOs, ProbeInterval: cfg.ProbeInterval,
-			CCConfig: cc.Config{MaxWindow: cfg.MaxWindow, LineRate: cfg.FastRate},
-		}, chk, cfg.SampleInterval, cfg.Duration)
+			RTO: failoverRTO, FailoverRTOs: failoverRTOs, ProbeInterval: failoverProbeInterval,
+			CCConfig: cc.Config{MaxWindow: paperMaxWindow, LineRate: paperFastRate},
+		}, chk, failoverSampleInterval, cfg.Duration)
 		res.MTP = summarizeFailover(cfg, "MTP", series)
 		res.Failovers = sender.EP.Stats.Failovers
 		res.ProbesSent = sender.EP.Stats.ProbesSent
@@ -209,7 +174,7 @@ func runFailoverRival(cfg FailoverConfig) FailoverSeries {
 	}
 	rig, _ := cfg.rig(0, policy)
 	w := rv.Wire(rig.eng, rig, baseline.WireConfig{
-		RTO: cfg.RTO, CCConfig: cc.Config{MaxWindow: cfg.MaxWindow}, FailoverRTOs: cfg.FailoverRTOs,
+		RTO: failoverRTO, CCConfig: cc.Config{MaxWindow: paperMaxWindow}, FailoverRTOs: failoverRTOs,
 	})
 	// One effectively infinite message, or eight 1 MB streams each replaced
 	// when it completes.
@@ -226,7 +191,7 @@ func runFailoverRival(cfg FailoverConfig) FailoverSeries {
 			}
 		})
 	}
-	series := sampleBytes(rig.eng, cfg.SampleInterval, cfg.Duration, w.Expect(msg))
+	series := sampleBytes(rig.eng, failoverSampleInterval, cfg.Duration, w.Expect(msg))
 	for i := 0; i < outstanding; i++ {
 		start()
 	}
@@ -241,7 +206,7 @@ func summarizeFailover(cfg FailoverConfig, name string, sampled *byteSeries) Fai
 	if preFrom < 0 {
 		preFrom = 0
 	}
-	lo, hi := int(preFrom/cfg.SampleInterval), int(cfg.FaultAt/cfg.SampleInterval)
+	lo, hi := int(preFrom/failoverSampleInterval), int(cfg.FaultAt/failoverSampleInterval)
 	n := 0
 	for i := lo; i < hi && i < len(series); i++ {
 		s.PreFaultGbps += series[i]
@@ -252,10 +217,10 @@ func summarizeFailover(cfg FailoverConfig, name string, sampled *byteSeries) Fai
 	}
 	// Recovered means goodput is back to at least half the surviving
 	// (slow) path's capacity.
-	threshold := cfg.SlowRate / 2 / 1e9
-	s.Recovery, s.Recovered = stats.RecoveryTime(series, cfg.SampleInterval, cfg.FaultAt, threshold)
-	s.FirstDelivery, _ = stats.TimeToFirstDelivery(sampled.Bytes, cfg.SampleInterval, cfg.FaultAt)
-	s.DipGbits = stats.DipArea(series, cfg.SampleInterval, cfg.FaultAt, s.PreFaultGbps)
+	const threshold = paperSlowRate / 2 / 1e9
+	s.Recovery, s.Recovered = stats.RecoveryTime(series, failoverSampleInterval, cfg.FaultAt, threshold)
+	s.FirstDelivery, _ = stats.TimeToFirstDelivery(sampled.Bytes, failoverSampleInterval, cfg.FaultAt)
+	s.DipGbits = stats.DipArea(series, failoverSampleInterval, cfg.FaultAt, s.PreFaultGbps)
 	return s
 }
 
@@ -264,8 +229,7 @@ func (r FailoverResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Failover: %s path blackholes at %v for %v (paths %s/%s, detect after %d RTOs of %v)\n",
 		"fast", r.Config.FaultAt, r.Config.FaultFor,
-		gbpsStr(r.Config.FastRate), gbpsStr(r.Config.SlowRate),
-		r.Config.FailoverRTOs, r.Config.RTO)
+		gbpsStr(paperFastRate), gbpsStr(paperSlowRate), failoverRTOs, failoverRTO)
 	for _, s := range []FailoverSeries{r.DCTCP, r.MTP} {
 		rec := "never"
 		if s.Recovered {
@@ -296,5 +260,5 @@ func (r FailoverResult) String() string {
 
 // Samples renders the two traces side by side for plotting.
 func (r FailoverResult) Samples() string {
-	return samplesTable(r.DCTCP.Name, r.Config.SampleInterval, r.DCTCP.Gbps, r.MTP.Gbps)
+	return samplesTable(r.DCTCP.Name, failoverSampleInterval, r.DCTCP.Gbps, r.MTP.Gbps)
 }

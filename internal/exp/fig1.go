@@ -8,7 +8,6 @@ import (
 
 	"mtp/internal/core"
 	"mtp/internal/offload"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/stats"
@@ -20,42 +19,24 @@ import (
 // experiment ablates the in-network cache and the L7 load balancer and
 // measures request latency and backend load.
 type Fig1Config struct {
-	Clients  int           // default 4
-	Replicas int           // default 3
-	Keys     int           // default 1000
-	ZipfS    float64       // default 1.25
-	Requests int           // per client, default 300
-	Gap      time.Duration // per-client request gap, default 20 µs
-	// ReplicaDelay models backend service time per request. Default 20 µs.
-	ReplicaDelay time.Duration
-	CacheSize    int // hot-key capacity, default 64
-	Seed         int64
+	Requests int // per client, default 300
+	Seed     int64
 }
 
+const (
+	fig1Clients  = 4
+	fig1Replicas = 3
+	fig1Keys     = 1000
+	fig1ZipfS    = 1.25
+	fig1Gap      = 20 * time.Microsecond // per-client request gap
+	// fig1ReplicaDelay models backend service time per request.
+	fig1ReplicaDelay = 10 * time.Microsecond
+	fig1CacheSize    = 64 // hot-key capacity
+)
+
 func (c Fig1Config) withDefaults() Fig1Config {
-	if c.Clients == 0 {
-		c.Clients = 4
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	if c.Keys == 0 {
-		c.Keys = 1000
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.25
-	}
 	if c.Requests == 0 {
 		c.Requests = 300
-	}
-	if c.Gap == 0 {
-		c.Gap = 20 * time.Microsecond
-	}
-	if c.ReplicaDelay == 0 {
-		c.ReplicaDelay = 10 * time.Microsecond
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 64
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -92,23 +73,20 @@ func RunFig1(cfg Fig1Config) Fig1Result {
 }
 
 func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
+	rig := newRig(cfg.Seed)
+	eng, net := rig.eng, rig.net
 	cacheSw := simnet.NewSwitch(net, nil)
 	lbSw := simnet.NewSwitch(net, nil)
 
 	lc := simnet.LinkConfig{Rate: 25e9, Delay: 2 * time.Microsecond, QueueCap: 1024, ECNThreshold: 128}
 
 	// Clients hang off the cache switch.
-	clients := make([]*simnet.Host, cfg.Clients)
+	clients := make([]*simnet.Host, fig1Clients)
 	for i := range clients {
-		h := simnet.NewHost(net)
-		h.SetUplink(net.Connect(cacheSw, lc, "c-up"))
-		cacheSw.AddRoute(h.ID(), net.Connect(h, lc, "c-down"))
-		clients[i] = h
+		clients[i] = rig.attach(cacheSw, lc, lc)
 	}
 	// Replicas hang off the LB switch.
-	nRep := cfg.Replicas
+	nRep := fig1Replicas
 	if !lb {
 		nRep = 1
 	}
@@ -118,14 +96,9 @@ func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
 	for _, c := range clients {
 		lbSw.AddRoute(c.ID(), lbToCache)
 	}
-	repDown := make([]*simnet.Link, nRep)
 	for i := range replicas {
-		h := simnet.NewHost(net)
-		h.SetUplink(net.Connect(lbSw, lc, "r-up"))
-		repDown[i] = net.Connect(h, lc, "r-down")
-		lbSw.AddRoute(h.ID(), repDown[i])
-		cacheSw.AddRoute(h.ID(), toLB)
-		replicas[i] = h
+		replicas[i] = rig.attach(lbSw, lc, lc)
+		cacheSw.AddRoute(replicas[i].ID(), toLB)
 	}
 
 	// Service address.
@@ -138,18 +111,18 @@ func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
 		}
 		offload.NewL7LB(lbSw, vip, ids)
 	} else {
-		lbSw.AddRoute(vip, repDown[0])
+		lbSw.AddRoute(vip, lbSw.Routes(replicas[0].ID())[0]) // the one backend's downlink
 	}
 	var cacheDev *offload.Cache
 	if cache {
-		cacheDev = offload.NewCache(cacheSw, cfg.CacheSize)
+		cacheDev = offload.NewCache(cacheSw, fig1CacheSize)
 	}
 
 	// Replica apps: a single-server queue per replica — requests are served
-	// one at a time, each taking ReplicaDelay (so an overloaded backend
+	// one at a time, each taking fig1ReplicaDelay (so an overloaded backend
 	// builds real queueing delay, which is what the LB relieves).
 	var backendGets uint64
-	for i, rh := range replicas {
+	for _, rh := range replicas {
 		var busyUntil time.Duration
 		var mh *simhost.MTPHost
 		mh = simhost.AttachMTP(net, rh, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
@@ -163,12 +136,11 @@ func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
 			if busyUntil > start {
 				start = busyUntil
 			}
-			busyUntil = start + cfg.ReplicaDelay
+			busyUntil = start + fig1ReplicaDelay
 			eng.ScheduleAt(busyUntil, func() {
 				mh.EP.Send(from, port, offload.EncodeResponse(key, []byte("v")), core.SendOptions{})
 			})
 		}})
-		_ = i
 	}
 
 	// Clients: closed-ish loop with a fixed gap; latency measured per
@@ -176,10 +148,9 @@ func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
 	var lats []float64
 	completed := 0
 	r := rand.New(rand.NewSource(cfg.Seed))
-	zipf := workload.NewZipf(r, cfg.ZipfS, cfg.Keys)
+	zipf := workload.NewZipf(r, fig1ZipfS, fig1Keys)
 	type pending struct{ at time.Duration }
 	for ci, ch := range clients {
-		ci := ci
 		outstanding := make(map[string]pending)
 		var mh *simhost.MTPHost
 		mh = simhost.AttachMTP(net, ch, core.Config{LocalPort: uint16(50 + ci), OnMessage: func(m *core.InMessage) {
@@ -198,7 +169,7 @@ func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
 		}})
 		for q := 0; q < cfg.Requests; q++ {
 			key := fmt.Sprintf("key-%d", zipf.Next())
-			at := time.Duration(q) * cfg.Gap
+			at := time.Duration(q) * fig1Gap
 			eng.Schedule(at, func() {
 				// A repeated in-flight key re-arms the timestamp; slight
 				// undercount of latency for duplicates is acceptable.
@@ -237,7 +208,7 @@ func runFig1(cfg Fig1Config, lb, cache bool) Fig1Row {
 func (r Fig1Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 (quantified): %d clients, Zipf(%.2f) over %d keys, %d reqs/client\n",
-		r.Config.Clients, r.Config.ZipfS, r.Config.Keys, r.Config.Requests)
+		fig1Clients, fig1ZipfS, fig1Keys, r.Config.Requests)
 	fmt.Fprintf(&b, "  %-16s %10s %10s %10s %12s %10s\n", "system", "completed", "p50(us)", "p99(us)", "backend gets", "hit rate")
 	for _, row := range r.Rows {
 		hit := "-"

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mtp/internal/baseline"
-	"mtp/internal/sim"
 	"mtp/internal/simnet"
 )
 
@@ -17,33 +16,21 @@ import (
 // limited window the buffer is bounded but the client is head-of-line
 // blocked down to the server-side drain rate.
 type Fig2Config struct {
-	ClientRate  float64       // default 100 Gbps
-	ServerRate  float64       // default 40 Gbps
-	Delay       time.Duration // per link, default 5 µs
-	Window      int64         // limited-window size, default 256 KiB
-	Duration    time.Duration // default 5 ms
-	SampleEvery time.Duration // default 100 µs
-	Seed        int64
+	Duration time.Duration // default 5 ms
+	Seed     int64
 }
 
+const (
+	fig2ClientRate  = 100e9                // bits/s
+	fig2ServerRate  = 40e9                 // bits/s
+	fig2Delay       = 5 * time.Microsecond // per link
+	fig2Window      = 256 << 10            // the limited regime's window, bytes
+	fig2SampleEvery = 100 * time.Microsecond
+)
+
 func (c Fig2Config) withDefaults() Fig2Config {
-	if c.ClientRate == 0 {
-		c.ClientRate = 100e9
-	}
-	if c.ServerRate == 0 {
-		c.ServerRate = 40e9
-	}
-	if c.Delay == 0 {
-		c.Delay = 5 * time.Microsecond
-	}
-	if c.Window == 0 {
-		c.Window = 256 << 10
-	}
 	if c.Duration == 0 {
 		c.Duration = 5 * time.Millisecond
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 100 * time.Microsecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -73,37 +60,12 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	cfg = cfg.withDefaults()
 	return Fig2Result{Config: cfg, Rows: []Fig2Row{
 		runFig2(cfg, 0),
-		runFig2(cfg, cfg.Window),
+		runFig2(cfg, fig2Window),
 	}}
 }
 
 func runFig2(cfg Fig2Config, window int64) Fig2Row {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
-	client := simnet.NewHost(net)
-	proxy := simnet.NewHost(net)
-	sink := simnet.NewHost(net)
-
-	client.SetUplink(net.Connect(proxy, simnet.LinkConfig{
-		Rate: cfg.ClientRate, Delay: cfg.Delay, QueueCap: 4096, ECNThreshold: 64,
-	}, "c->p"))
-	toClient := net.Connect(client, simnet.LinkConfig{
-		Rate: cfg.ClientRate, Delay: cfg.Delay, QueueCap: 4096,
-	}, "p->c")
-	toSink := net.Connect(sink, simnet.LinkConfig{
-		Rate: cfg.ServerRate, Delay: cfg.Delay, QueueCap: 4096, ECNThreshold: 64,
-	}, "p->s")
-	sink.SetUplink(net.Connect(proxy, simnet.LinkConfig{
-		Rate: cfg.ServerRate, Delay: cfg.Delay, QueueCap: 4096,
-	}, "s->p"))
-
-	emit := func(pkt *simnet.Packet) {
-		if pkt.Dst == client.ID() {
-			toClient.Enqueue(pkt)
-		} else {
-			toSink.Enqueue(pkt)
-		}
-	}
+	rig := newRig(cfg.Seed)
 	// In the unlimited regime the proxy's memory is unbounded. In the
 	// limited regime both halves are bounded: the receive window advertised
 	// to the client and the send buffer toward the server, as in a real
@@ -112,22 +74,10 @@ func runFig2(cfg Fig2Config, window int64) Fig2Row {
 	if window > 0 {
 		sendBuf = window
 	}
-	p := baseline.NewProxy(eng, emit, baseline.ProxyConfig{
-		ClientConn: 1, ServerConn: 2,
-		ClientSrc: client.ID(), ServerDst: sink.ID(),
-		ReceiveWindow: window,
-		SendBuffer:    sendBuf,
-		RTO:           2 * time.Millisecond,
-	})
-	proxy.SetHandler(p.Handle)
-
-	snd := baseline.NewSender(eng, client.Send, baseline.SenderConfig{
-		Conn: 1, Dst: proxy.ID(), SkipHandshake: true, RTO: 2 * time.Millisecond,
-	})
-	client.SetHandler(snd.OnPacket)
-	sinkRcv := baseline.NewReceiver(eng, sink.Send, baseline.ReceiverConfig{Conn: 2, Src: proxy.ID()})
-	sink.SetHandler(sinkRcv.OnPacket)
-
+	p, snd, sinkRcv := rig.proxyRelay(
+		simnet.LinkConfig{Rate: fig2ClientRate, Delay: fig2Delay, QueueCap: 4096},
+		simnet.LinkConfig{Rate: fig2ServerRate, Delay: fig2Delay, QueueCap: 4096},
+		baseline.ProxyConfig{ReceiveWindow: window, SendBuffer: sendBuf, RTO: 2 * time.Millisecond})
 	snd.Write(1 << 34)
 
 	row := Fig2Row{Regime: "unlimited window"}
@@ -141,12 +91,12 @@ func runFig2(cfg Fig2Config, window int64) Fig2Row {
 		if occ > row.PeakOccupancy {
 			row.PeakOccupancy = occ
 		}
-		if eng.Now()+cfg.SampleEvery <= cfg.Duration {
-			eng.Schedule(cfg.SampleEvery, tick)
+		if rig.eng.Now()+fig2SampleEvery <= cfg.Duration {
+			rig.eng.Schedule(fig2SampleEvery, tick)
 		}
 	}
-	eng.Schedule(cfg.SampleEvery, tick)
-	eng.Run(cfg.Duration)
+	rig.eng.Schedule(fig2SampleEvery, tick)
+	rig.eng.Run(cfg.Duration)
 
 	row.FinalOccupancy = p.Occupancy()
 	row.ClientGbps = float64(snd.Acked()) * 8 / cfg.Duration.Seconds() / 1e9
@@ -158,7 +108,7 @@ func runFig2(cfg Fig2Config, window int64) Fig2Row {
 func (r Fig2Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: TCP termination proxy (%s client link, %s server link)\n",
-		gbpsStr(r.Config.ClientRate), gbpsStr(r.Config.ServerRate))
+		gbpsStr(fig2ClientRate), gbpsStr(fig2ServerRate))
 	fmt.Fprintf(&b, "  %-20s %14s %14s %12s %12s\n", "regime", "peak buf(KB)", "final buf(KB)", "client Gbps", "sink Gbps")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-20s %14d %14d %12.1f %12.1f\n",

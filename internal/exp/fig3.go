@@ -7,7 +7,6 @@ import (
 
 	"mtp/internal/baseline"
 	"mtp/internal/core"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/stats"
@@ -20,42 +19,24 @@ import (
 // scratch per message, so aggregate throughput is noisy and low; MTP keeps
 // pathlet congestion state across messages and stays smooth.
 type Fig3Config struct {
-	Rate           float64       // default 100 Gbps
-	Delay          time.Duration // per link, default 1 µs
-	QueueCap       int           // default 256
-	ECNK           int           // default 64
-	Hosts          int           // default 4
-	MsgSize        int           // default 16 KB
-	Outstanding    int           // concurrent messages per host, default 4
-	SampleInterval time.Duration // default 32 µs
-	Duration       time.Duration // default 10 ms
-	Seed           int64
+	Outstanding int           // concurrent messages per host, default 4
+	Duration    time.Duration // default 10 ms
+	Seed        int64
 }
 
+const (
+	fig3Rate           = 100e9            // every link, bits/s
+	fig3Delay          = time.Microsecond // per link
+	fig3QueueCap       = 256              // bottleneck, packets
+	fig3ECNK           = 64               // packets
+	fig3Hosts          = 4
+	fig3MsgSize        = 16 << 10
+	fig3SampleInterval = 32 * time.Microsecond
+)
+
 func (c Fig3Config) withDefaults() Fig3Config {
-	if c.Rate == 0 {
-		c.Rate = 100e9
-	}
-	if c.Delay == 0 {
-		c.Delay = time.Microsecond
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 256
-	}
-	if c.ECNK == 0 {
-		c.ECNK = 64
-	}
-	if c.Hosts == 0 {
-		c.Hosts = 4
-	}
-	if c.MsgSize == 0 {
-		c.MsgSize = 16 << 10
-	}
 	if c.Outstanding == 0 {
 		c.Outstanding = 4
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 32 * time.Microsecond
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Millisecond
@@ -94,39 +75,34 @@ func RunFig3(cfg Fig3Config) Fig3Result {
 }
 
 // fig3Net builds the dumbbell: hosts -> sw1 -> bottleneck -> sw2 -> sinks.
-func fig3Net(cfg Fig3Config) (*sim.Engine, *simnet.Network, []*simnet.Host, []*simnet.Host) {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
-	sw1 := simnet.NewSwitch(net, nil)
-	sw2 := simnet.NewSwitch(net, nil)
+func fig3Net(seed int64) (r *rig, senders, sinks []*simnet.Host) {
+	r = newRig(seed)
+	sw1 := simnet.NewSwitch(r.net, nil)
+	sw2 := simnet.NewSwitch(r.net, nil)
 	pathID := uint32(1)
-	bottleneck := net.Connect(sw2, simnet.LinkConfig{
-		Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK,
+	bottleneck := r.net.Connect(sw2, simnet.LinkConfig{
+		Rate: fig3Rate, Delay: fig3Delay, QueueCap: fig3QueueCap, ECNThreshold: fig3ECNK,
 		Pathlet: &pathID, StampECN: true,
 	}, "bottleneck")
-	back := net.Connect(sw1, simnet.LinkConfig{
-		Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap,
+	back := r.net.Connect(sw1, simnet.LinkConfig{
+		Rate: fig3Rate, Delay: fig3Delay, QueueCap: fig3QueueCap,
 	}, "bottleneck-rev")
 
-	var senders, sinks []*simnet.Host
-	for i := 0; i < cfg.Hosts; i++ {
-		s := simnet.NewHost(net)
-		s.SetUplink(net.Connect(sw1, simnet.LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: 1024}, "s-up"))
-		sw2.AddRoute(s.ID(), back) // unused by sw2 directly; acks go sw2->sw1->s
-		sw1.AddRoute(s.ID(), net.Connect(s, simnet.LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: 1024}, "s-down"))
+	edge := simnet.LinkConfig{Rate: fig3Rate, Delay: fig3Delay, QueueCap: 1024}
+	for i := 0; i < fig3Hosts; i++ {
+		s := r.attach(sw1, edge, edge)
+		sw2.AddRoute(s.ID(), back) // acks go sw2->sw1->s
 		senders = append(senders, s)
 
-		d := simnet.NewHost(net)
-		d.SetUplink(net.Connect(sw2, simnet.LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: 1024}, "d-up"))
-		sw2.AddRoute(d.ID(), net.Connect(d, simnet.LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: 1024}, "d-down"))
+		d := r.attach(sw2, edge, edge)
 		sw1.AddRoute(d.ID(), bottleneck)
 		sinks = append(sinks, d)
 	}
-	return eng, net, senders, sinks
+	return r, senders, sinks
 }
 
 func runFig3TCP(cfg Fig3Config) Fig3Row {
-	eng, _, senders, sinks := fig3Net(cfg)
+	r, senders, sinks := fig3Net(cfg.Seed)
 	var delivered uint64
 	messages := 0
 	nextConn := uint64(1)
@@ -150,20 +126,20 @@ func runFig3TCP(cfg Fig3Config) Fig3Row {
 		nextConn++
 		s := senders[host]
 		d := sinks[host]
-		snd := baseline.NewSender(eng, s.Send, baseline.SenderConfig{
+		snd := baseline.NewSender(r.eng, s.Send, baseline.SenderConfig{
 			Conn: conn, Dst: d.ID(), RTO: 2 * time.Millisecond,
 			OnComplete: func(time.Duration) {
 				messages++
 				startMsg(host) // next message: a brand-new connection
 			},
 		})
-		rcv := baseline.NewReceiver(eng, d.Send, baseline.ReceiverConfig{
+		rcv := baseline.NewReceiver(r.eng, d.Send, baseline.ReceiverConfig{
 			Conn: conn, Src: s.ID(),
 			OnDeliver: func(_ time.Duration, n int) { delivered += uint64(n) },
 		})
 		sndDemuxes[host].Add(conn, snd.OnPacket)
 		demuxes[host].Add(conn, rcv.OnPacket)
-		snd.Write(cfg.MsgSize)
+		snd.Write(fig3MsgSize)
 		snd.Close()
 	}
 	for h := range senders {
@@ -171,42 +147,34 @@ func runFig3TCP(cfg Fig3Config) Fig3Row {
 			startMsg(h)
 		}
 	}
-	series := sampleBytes(eng, cfg.SampleInterval, cfg.Duration, func() uint64 { return delivered })
-	eng.Run(cfg.Duration)
+	series := sampleBytes(r.eng, fig3SampleInterval, cfg.Duration, func() uint64 { return delivered })
+	r.eng.Run(cfg.Duration)
 	return summarizeFig3("TCP 1-msg-per-conn", series.Gbps, messages)
 }
 
 func runFig3MTP(cfg Fig3Config) Fig3Row {
-	eng, net, senders, sinks := fig3Net(cfg)
+	r, senders, sinks := fig3Net(cfg.Seed)
 	messages := 0
 
 	sinkEPs := make([]*simhost.MTPHost, len(sinks))
 	for i, d := range sinks {
-		sinkEPs[i] = simhost.AttachMTP(net, d, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
+		sinkEPs[i] = simhost.AttachMTP(r.net, d, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
 			messages++
 		}})
 	}
 	for i, s := range senders {
-		i := i
-		var mh *simhost.MTPHost
-		refill := func(m *core.OutMessage) {
-			mh.EP.SendSynthetic(sinks[i].ID(), 2, cfg.MsgSize, core.SendOptions{})
-		}
-		mh = simhost.AttachMTP(net, s, core.Config{
-			LocalPort: uint16(10 + i), OnMessageSent: refill, RTO: 2 * time.Millisecond,
-		})
-		for k := 0; k < cfg.Outstanding; k++ {
-			mh.EP.SendSynthetic(sinks[i].ID(), 2, cfg.MsgSize, core.SendOptions{})
-		}
+		_, fill := r.saturate(s, core.Config{LocalPort: uint16(10 + i), RTO: 2 * time.Millisecond},
+			sinks[i].ID(), fig3MsgSize)
+		fill(cfg.Outstanding)
 	}
-	series := sampleBytes(eng, cfg.SampleInterval, cfg.Duration, func() uint64 {
+	series := sampleBytes(r.eng, fig3SampleInterval, cfg.Duration, func() uint64 {
 		var total uint64
 		for _, ep := range sinkEPs {
 			total += ep.EP.Stats.PayloadBytes
 		}
 		return total
 	})
-	eng.Run(cfg.Duration)
+	r.eng.Run(cfg.Duration)
 	return summarizeFig3("MTP per-message", series.Gbps, messages)
 }
 
@@ -224,7 +192,7 @@ func summarizeFig3(name string, series []float64, messages int) Fig3Row {
 func (r Fig3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3: one %dKB message per flow, %d hosts, %s bottleneck\n",
-		r.Config.MsgSize>>10, r.Config.Hosts, gbpsStr(r.Config.Rate))
+		fig3MsgSize>>10, fig3Hosts, gbpsStr(fig3Rate))
 	fmt.Fprintf(&b, "  %-20s %10s %10s %10s\n", "system", "mean Gbps", "CoV", "messages")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-20s %10.1f %10.2f %10d\n", row.System, row.MeanGbps, row.CoV, row.Messages)

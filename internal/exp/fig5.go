@@ -18,21 +18,13 @@ import (
 )
 
 // Fig5Config parameterizes the multipath congestion-control experiment:
-// a fast and a slow path between one sender and one receiver, with the
-// first-hop switch alternating between them on a fixed period (an optical
-// switch). Defaults are the paper's numbers.
+// a fast and a slow path between one sender and one receiver (the paper's
+// two-path numbers, see twopath.go), with the first-hop switch alternating
+// between them on a fixed period (an optical switch).
 type Fig5Config struct {
-	FastRate, SlowRate float64       // 100 / 10 Gbps
-	LinkDelay          time.Duration // 1 µs
-	QueueCap           int           // 128 packets
-	ECNThreshold       int           // 20 packets
-	SwitchPeriod       time.Duration // 384 µs
-	SampleInterval     time.Duration // 32 µs
-	Duration           time.Duration // 20 ms
-	Seed               int64
-	// MaxWindow models the socket-buffer cap both transports get (bytes).
-	// Default 256 KiB (~2× the fast path's bandwidth-delay product).
-	MaxWindow float64
+	SwitchPeriod time.Duration // 384 µs
+	Duration     time.Duration // 20 ms
+	Seed         int64
 	// SinglePathlet runs the MTP ablation where the whole network is one
 	// pathlet (mimicking TCP): both links stamp the same pathlet ID.
 	SinglePathlet bool
@@ -44,27 +36,12 @@ type Fig5Config struct {
 	LineRate float64
 }
 
+// fig5SampleInterval is the paper's "measure the flow throughput every 32 µs".
+const fig5SampleInterval = 32 * time.Microsecond
+
 func (c Fig5Config) withDefaults() Fig5Config {
-	if c.FastRate == 0 {
-		c.FastRate = 100e9
-	}
-	if c.SlowRate == 0 {
-		c.SlowRate = 10e9
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = time.Microsecond
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 128
-	}
-	if c.ECNThreshold == 0 {
-		c.ECNThreshold = 20
-	}
 	if c.SwitchPeriod == 0 {
 		c.SwitchPeriod = 384 * time.Microsecond
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 32 * time.Microsecond
 	}
 	if c.Duration == 0 {
 		c.Duration = 20 * time.Millisecond
@@ -72,8 +49,8 @@ func (c Fig5Config) withDefaults() Fig5Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MaxWindow == 0 {
-		c.MaxWindow = 256 << 10
+	if c.LineRate == 0 {
+		c.LineRate = paperFastRate
 	}
 	return c
 }
@@ -93,19 +70,12 @@ type Fig5Result struct {
 	Improvement float64 // MTP mean / DCTCP mean - 1
 }
 
-// rig builds the two-path topology behind the alternating (optical) switch.
-func (c Fig5Config) rig(pathlets int) *twoPath {
-	return newTwoPath(twoPathSpec{
-		FastRate: c.FastRate, SlowRate: c.SlowRate, LinkDelay: c.LinkDelay,
-		QueueCap: c.QueueCap, ECNThreshold: c.ECNThreshold, Seed: c.Seed,
-		Policy: simnet.Alternator{Period: c.SwitchPeriod}, Pathlets: pathlets,
-	})
-}
-
 // RunFig5 executes the experiment for both systems.
 func RunFig5(cfg Fig5Config) Fig5Result {
 	cfg = cfg.withDefaults()
 	res := Fig5Result{Config: cfg}
+	// Both systems run behind the alternating (optical) switch.
+	optical := simnet.Alternator{Period: cfg.SwitchPeriod}
 
 	// --- MTP run: per-pathlet congestion control ---
 	{
@@ -113,26 +83,22 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 		if cfg.SinglePathlet {
 			pathlets = 1
 		}
-		lineRate := cfg.LineRate
-		if lineRate == 0 {
-			lineRate = cfg.FastRate
-		}
-		_, series := cfg.rig(pathlets).runMTP(core.Config{
+		_, series := paperTwoPath(cfg.Seed, optical, pathlets).runMTP(core.Config{
 			RTO: 2 * time.Millisecond, CC: cfg.MTPCC,
-			CCConfig: cc.Config{MaxWindow: cfg.MaxWindow, LineRate: lineRate},
-		}, nil, cfg.SampleInterval, cfg.Duration)
+			CCConfig: cc.Config{MaxWindow: paperMaxWindow, LineRate: cfg.LineRate},
+		}, nil, fig5SampleInterval, cfg.Duration)
 		res.MTP = summarizeFig5("MTP", series.Gbps)
 	}
 
 	// --- DCTCP run: one window for the whole network ---
 	{
-		rig := cfg.rig(0)
+		rig := paperTwoPath(cfg.Seed, optical, 0)
 		dctcp := baseline.MustRival("") // the default rival
 		w := dctcp.Wire(rig.eng, rig, baseline.WireConfig{
-			RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: cfg.MaxWindow},
+			RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: paperMaxWindow},
 		})
 		stream := baseline.Msg{Src: 0, Dst: 1, Size: 1 << 32, ID: 1} // effectively infinite
-		series := sampleBytes(rig.eng, cfg.SampleInterval, cfg.Duration, w.Expect(stream))
+		series := sampleBytes(rig.eng, fig5SampleInterval, cfg.Duration, w.Expect(stream))
 		w.Start(stream, func(time.Duration, uint64) {})
 		rig.eng.Run(cfg.Duration)
 		res.DCTCP = summarizeFig5(dctcp.Short, series.Gbps)
@@ -144,8 +110,9 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	return res
 }
 
+// summarizeFig5 averages the whole trace, start-up included: there is no
+// warm-up skip, and bench/golden/fig5.json pins the means as computed.
 func summarizeFig5(name string, series []float64) Fig5Series {
-	// Skip the first switch period as warmup.
 	s := stats.Summarize(series)
 	return Fig5Series{Name: name, Gbps: series, MeanGbps: s.Mean}
 }
@@ -226,7 +193,7 @@ func SweepString(points []Fig5SweepPoint) string {
 func (r Fig5Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5: multipath congestion control (paths %s/%s alternating every %v)\n",
-		gbpsStr(r.Config.FastRate), gbpsStr(r.Config.SlowRate), r.Config.SwitchPeriod)
+		gbpsStr(paperFastRate), gbpsStr(paperSlowRate), r.Config.SwitchPeriod)
 	fmt.Fprintf(&b, "  %-6s mean goodput %7.2f Gbps\n", r.DCTCP.Name, r.DCTCP.MeanGbps)
 	fmt.Fprintf(&b, "  %-6s mean goodput %7.2f Gbps\n", r.MTP.Name, r.MTP.MeanGbps)
 	fmt.Fprintf(&b, "  MTP improvement: %+.0f%% (paper reports ~33%%)\n", r.Improvement*100)
@@ -235,7 +202,7 @@ func (r Fig5Result) String() string {
 
 // Samples renders the two series side by side for plotting.
 func (r Fig5Result) Samples() string {
-	return samplesTable(r.DCTCP.Name, r.Config.SampleInterval, r.DCTCP.Gbps, r.MTP.Gbps)
+	return samplesTable(r.DCTCP.Name, fig5SampleInterval, r.DCTCP.Gbps, r.MTP.Gbps)
 }
 
 func gbpsStr(bps float64) string {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mtp/internal/core"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/stats"
@@ -19,14 +18,9 @@ import (
 // message-size mix, and three balancing policies — ECMP, per-packet
 // spraying, and the MTP message-aware balancer.
 type Fig6Config struct {
-	Rate       float64       // per-path, default 100 Gbps
-	BaseDelay  time.Duration // default 1 µs
-	ExtraDelay time.Duration // additional delay on path 2, default 1 µs
-	QueueCap   int           // default 256
-	ECNK       int           // default 64
-	Messages   int           // default 400
-	MaxMsgSize int           // cap on the 10KB..1GB paper mix, default 32 MB
-	Load       float64       // offered load vs one path, default 0.9
+	Messages   int     // default 400
+	MaxMsgSize int     // cap on the 10KB..1GB paper mix, default 32 MB
+	Load       float64 // offered load vs one path, default 0.9
 	Seed       int64
 	Timeout    time.Duration // simulation cap, default 1 s
 	// Workload selects the size distribution: "papermix" (default, the
@@ -34,22 +28,15 @@ type Fig6Config struct {
 	Workload string
 }
 
+const (
+	fig6Rate       = 100e9            // per path, bits/s
+	fig6BaseDelay  = time.Microsecond // per link
+	fig6ExtraDelay = time.Microsecond // additional delay on path 2
+	fig6QueueCap   = 256              // packets
+	fig6ECNK       = 64               // packets
+)
+
 func (c Fig6Config) withDefaults() Fig6Config {
-	if c.Rate == 0 {
-		c.Rate = 100e9
-	}
-	if c.BaseDelay == 0 {
-		c.BaseDelay = time.Microsecond
-	}
-	if c.ExtraDelay == 0 {
-		c.ExtraDelay = time.Microsecond
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 256
-	}
-	if c.ECNK == 0 {
-		c.ECNK = 64
-	}
 	if c.Messages == 0 {
 		c.Messages = 400
 	}
@@ -106,36 +93,20 @@ func RunFig6(cfg Fig6Config) Fig6Result {
 }
 
 func runFig6Policy(cfg Fig6Config, name string, policy simnet.ForwardPolicy) Fig6Row {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
-	snd := simnet.NewHost(net)
-	rcv := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, policy)
-
-	snd.SetUplink(net.Connect(sw, simnet.LinkConfig{
-		Rate: 2 * cfg.Rate, Delay: cfg.BaseDelay, QueueCap: 8192,
-	}, "snd->sw"))
-	p1, p2 := uint32(1), uint32(2)
-	l1 := net.Connect(rcv, simnet.LinkConfig{
-		Rate: cfg.Rate, Delay: cfg.BaseDelay, QueueCap: cfg.QueueCap,
-		ECNThreshold: cfg.ECNK, Pathlet: &p1, StampECN: true,
-	}, "path1")
-	l2 := net.Connect(rcv, simnet.LinkConfig{
-		Rate: cfg.Rate, Delay: cfg.BaseDelay + cfg.ExtraDelay, QueueCap: cfg.QueueCap,
-		ECNThreshold: cfg.ECNK, Pathlet: &p2, StampECN: true,
-	}, "path2")
-	sw.AddRoute(rcv.ID(), l1)
-	sw.AddRoute(rcv.ID(), l2)
-	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{
-		Rate: 2 * cfg.Rate, Delay: cfg.BaseDelay, QueueCap: 8192,
-	}, "rcv->snd"))
+	rig := newTwoPath(twoPathSpec{
+		FastRate: fig6Rate, SlowRate: fig6Rate,
+		LinkDelay: fig6BaseDelay, SlowDelay: fig6BaseDelay + fig6ExtraDelay,
+		QueueCap: fig6QueueCap, ECNThreshold: fig6ECNK,
+		EdgeRate: 2 * fig6Rate, EdgeQueue: 8192,
+		Seed: cfg.Seed, Policy: policy, Pathlets: 2,
+	})
 
 	// FCT bookkeeping: message ID -> start time.
 	start := make(map[uint64]time.Duration)
 	var fcts []float64
 
-	sender := simhost.AttachMTP(net, snd, core.Config{LocalPort: 1, RTO: 2 * time.Millisecond})
-	simhost.AttachMTP(net, rcv, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
+	sender := simhost.AttachMTP(rig.net, rig.snd, core.Config{LocalPort: 1, RTO: 2 * time.Millisecond})
+	simhost.AttachMTP(rig.net, rig.rcv, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
 		if t0, ok := start[m.MsgID]; ok {
 			fcts = append(fcts, float64((m.Complete - t0).Microseconds()))
 			delete(start, m.MsgID)
@@ -150,18 +121,18 @@ func runFig6Policy(cfg Fig6Config, name string, policy simnet.ForwardPolicy) Fig
 	if cfg.Workload == "websearch" {
 		dist = workload.NewEmpirical(workload.WebSearchCDF)
 	}
-	arr := workload.ArrivalsForLoad(cfg.Load, cfg.Rate, dist.Mean())
+	arr := workload.ArrivalsForLoad(cfg.Load, fig6Rate, dist.Mean())
 	t := time.Duration(0)
 	for i := 0; i < cfg.Messages; i++ {
 		size := dist.Sample(r)
 		t += arr.Next(r)
 		at := t
-		eng.Schedule(at, func() {
-			m := sender.EP.SendSynthetic(rcv.ID(), 2, size, core.SendOptions{})
+		rig.eng.Schedule(at, func() {
+			m := sender.EP.SendSynthetic(rig.rcv.ID(), 2, size, core.SendOptions{})
 			start[m.ID] = at
 		})
 	}
-	eng.Run(cfg.Timeout)
+	rig.eng.Run(cfg.Timeout)
 
 	return Fig6Row{
 		Policy:    name,
@@ -213,7 +184,7 @@ func LoadSweepString(points []Fig6LoadPoint) string {
 func (r Fig6Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 6: load- and request-aware load balancing (2×%s paths, %d msgs, %s mix)\n",
-		gbpsStr(r.Config.Rate), r.Config.Messages, sizeStr(r.Config.MaxMsgSize))
+		gbpsStr(fig6Rate), r.Config.Messages, sizeStr(r.Config.MaxMsgSize))
 	fmt.Fprintf(&b, "  %-8s %10s %12s %12s %12s %8s\n", "policy", "completed", "p50 FCT(us)", "p99 FCT(us)", "mean(us)", "retx")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-8s %10d %12.0f %12.0f %12.0f %8d\n",

@@ -8,7 +8,6 @@ import (
 	"mtp/internal/baseline"
 	"mtp/internal/cc"
 	"mtp/internal/core"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 )
@@ -19,32 +18,20 @@ import (
 // one shared queue, DCTCP with one queue per tenant, and MTP with a
 // fair-share policy enforced at the shared queue.
 type Fig7Config struct {
-	Rate         float64       // default 100 Gbps
-	Delay        time.Duration // default 10 µs
-	QueueCap     int           // default 512
-	ECNK         int           // default 64
-	Tenant1Flows int           // default 1
 	Tenant2Flows int           // default 8
 	Duration     time.Duration // default 20 ms
 	Seed         int64
 }
 
+const (
+	fig7Rate         = 100e9                 // every link, bits/s
+	fig7Delay        = 10 * time.Microsecond // the shared link and the receiver's uplink
+	fig7QueueCap     = 512                   // shared link, packets
+	fig7ECNK         = 64                    // packets
+	fig7Tenant1Flows = 1
+)
+
 func (c Fig7Config) withDefaults() Fig7Config {
-	if c.Rate == 0 {
-		c.Rate = 100e9
-	}
-	if c.Delay == 0 {
-		c.Delay = 10 * time.Microsecond
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 512
-	}
-	if c.ECNK == 0 {
-		c.ECNK = 64
-	}
-	if c.Tenant1Flows == 0 {
-		c.Tenant1Flows = 1
-	}
 	if c.Tenant2Flows == 0 {
 		c.Tenant2Flows = 8
 	}
@@ -88,30 +75,16 @@ func RunFig7(cfg Fig7Config) Fig7Result {
 	}}
 }
 
-// fig7Net builds senders -> switch -> shared link -> receiver host.
-func fig7Net(cfg Fig7Config, shared simnet.LinkConfig) (*sim.Engine, *simnet.Network, []*simnet.Host, *simnet.Host, *simnet.Switch) {
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
-	sw := simnet.NewSwitch(net, nil)
-	rcv := simnet.NewHost(net)
-	down := net.Connect(rcv, shared, "shared")
-	sw.AddRoute(rcv.ID(), down)
+// The topology is senders -> switch -> shared link -> receiver: a star of
+// sender hosts over fig7Edge links, and the receiver attached over the shared
+// link under test, answering through the switch over fig7Return.
+var (
+	fig7Edge   = simnet.LinkConfig{Rate: fig7Rate, Delay: time.Microsecond, QueueCap: 1024}
+	fig7Return = simnet.LinkConfig{Rate: fig7Rate, Delay: fig7Delay, QueueCap: 1024}
+)
 
-	n := cfg.Tenant1Flows + cfg.Tenant2Flows
-	hosts := make([]*simnet.Host, n)
-	for i := range hosts {
-		h := simnet.NewHost(net)
-		h.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: cfg.Rate, Delay: time.Microsecond, QueueCap: 1024}, "up"))
-		sw.AddRoute(h.ID(), net.Connect(h, simnet.LinkConfig{Rate: cfg.Rate, Delay: time.Microsecond, QueueCap: 1024}, "down"))
-		hosts[i] = h
-	}
-	// Receiver responds through the switch.
-	rcv.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: 1024}, "rcv->sw"))
-	return eng, net, hosts, rcv, sw
-}
-
-func (c Fig7Config) tenantOf(i int) int {
-	if i < c.Tenant1Flows {
+func tenantOf(i int) int {
+	if i < fig7Tenant1Flows {
 		return 1
 	}
 	return 2
@@ -120,14 +93,14 @@ func (c Fig7Config) tenantOf(i int) int {
 // runFig7DCTCP runs the baseline with a shared queue or per-tenant queues.
 func runFig7DCTCP(cfg Fig7Config, separateQueues bool) Fig7Row {
 	shared := simnet.LinkConfig{
-		Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK,
+		Rate: fig7Rate, Delay: fig7Delay, QueueCap: fig7QueueCap, ECNThreshold: fig7ECNK,
 	}
 	name := "DCTCP shared queue"
 	if separateQueues {
 		name = "DCTCP separate queues"
 		shared.Queues = 2
-		shared.QueueCap = cfg.QueueCap / 2
-		shared.ECNThreshold = cfg.ECNK / 2
+		shared.QueueCap = fig7QueueCap / 2
+		shared.ECNThreshold = fig7ECNK / 2
 		shared.Classify = func(p *simnet.Packet) int {
 			if p.Tenant == 2 {
 				return 1
@@ -135,28 +108,29 @@ func runFig7DCTCP(cfg Fig7Config, separateQueues bool) Fig7Row {
 			return 0
 		}
 	}
-	eng, _, hosts, rcv, _ := fig7Net(cfg, shared)
+	r := newRig(cfg.Seed)
+	hosts, sw := r.star(fig7Tenant1Flows+cfg.Tenant2Flows, fig7Edge)
+	rcv := r.attach(sw, fig7Return, shared)
 
 	delivered := map[int]int64{}
 	demux := baseline.NewDemux()
 	rcv.SetHandler(demux.Handle)
 	for i, h := range hosts {
-		tenant := cfg.tenantOf(i)
+		tenant := tenantOf(i)
 		conn := uint64(i + 1)
-		snd := baseline.NewSender(eng, h.Send, baseline.SenderConfig{
+		snd := baseline.NewSender(r.eng, h.Send, baseline.SenderConfig{
 			Conn: conn, Dst: rcv.ID(), SkipHandshake: true, Tenant: tenant,
 			RTO: 2 * time.Millisecond,
 		})
-		tenantCopy := tenant
-		rcvr := baseline.NewReceiver(eng, rcv.Send, baseline.ReceiverConfig{
+		rcvr := baseline.NewReceiver(r.eng, rcv.Send, baseline.ReceiverConfig{
 			Conn: conn, Src: h.ID(), Tenant: tenant,
-			OnDeliver: func(_ time.Duration, n int) { delivered[tenantCopy] += int64(n) },
+			OnDeliver: func(_ time.Duration, n int) { delivered[tenant] += int64(n) },
 		})
 		demux.Add(conn, rcvr.OnPacket)
 		h.SetHandler(snd.OnPacket)
 		snd.Write(1 << 32)
 	}
-	eng.Run(cfg.Duration)
+	r.eng.Run(cfg.Duration)
 	return Fig7Row{
 		System:      name,
 		Tenant1Gbps: float64(delivered[1]) * 8 / cfg.Duration.Seconds() / 1e9,
@@ -169,37 +143,31 @@ func runFig7DCTCP(cfg Fig7Config, separateQueues bool) Fig7Row {
 func runFig7MTP(cfg Fig7Config) Fig7Row {
 	pathID := uint32(1)
 	shared := simnet.LinkConfig{
-		Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK,
+		Rate: fig7Rate, Delay: fig7Delay, QueueCap: fig7QueueCap, ECNThreshold: fig7ECNK,
 		Pathlet: &pathID, StampECN: true,
 		Policer: &simnet.FairSharePolicer{
-			Rate:      cfg.Rate,
+			Rate:      fig7Rate,
 			Weights:   map[int]float64{1: 1, 2: 1},
 			MarkQueue: 4,
-			DropQueue: cfg.QueueCap - 8,
+			DropQueue: fig7QueueCap - 8,
 		},
 	}
-	eng, net, hosts, rcv, _ := fig7Net(cfg, shared)
+	r := newRig(cfg.Seed)
+	hosts, sw := r.star(fig7Tenant1Flows+cfg.Tenant2Flows, fig7Edge)
+	rcv := r.attach(sw, fig7Return, shared)
 
 	delivered := map[int]int64{}
-	simhost.AttachMTP(net, rcv, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
+	simhost.AttachMTP(r.net, rcv, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
 		delivered[int(m.TC)] += int64(m.Size)
 	}})
 	for i, h := range hosts {
-		tenant := cfg.tenantOf(i)
-		var mh *simhost.MTPHost
-		refill := func(m *core.OutMessage) {
-			mh.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
-		mh = simhost.AttachMTP(net, h, core.Config{
-			LocalPort: uint16(10 + i), TC: uint8(tenant),
-			OnMessageSent: refill, RTO: 2 * time.Millisecond,
+		_, fill := r.saturate(h, core.Config{
+			LocalPort: uint16(10 + i), TC: uint8(tenantOf(i)), RTO: 2 * time.Millisecond,
 			CCConfig: cc.Config{MaxWindow: 1 << 20},
-		})
-		for k := 0; k < 4; k++ {
-			mh.EP.SendSynthetic(rcv.ID(), 2, 1<<20, core.SendOptions{})
-		}
+		}, rcv.ID(), 1<<20)
+		fill(4)
 	}
-	eng.Run(cfg.Duration)
+	r.eng.Run(cfg.Duration)
 	return Fig7Row{
 		System:      "MTP shared queue + policy",
 		Tenant1Gbps: float64(delivered[1]) * 8 / cfg.Duration.Seconds() / 1e9,
@@ -211,17 +179,10 @@ func runFig7MTP(cfg Fig7Config) Fig7Row {
 func (r Fig7Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7: per-entity isolation (%s shared link, tenant2 has %dx the flows)\n",
-		gbpsStr(r.Config.Rate), r.Config.Tenant2Flows/max(1, r.Config.Tenant1Flows))
+		gbpsStr(fig7Rate), r.Config.Tenant2Flows/fig7Tenant1Flows)
 	fmt.Fprintf(&b, "  %-28s %12s %12s %8s\n", "system", "tenant1 Gbps", "tenant2 Gbps", "ratio")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-28s %12.1f %12.1f %8.1f\n", row.System, row.Tenant1Gbps, row.Tenant2Gbps, row.Ratio())
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,6 @@ import (
 	"mtp/internal/core"
 	"mtp/internal/fault"
 	"mtp/internal/offload"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 )
@@ -33,74 +32,32 @@ import (
 // which the aggregator holds partial state — the crash is guaranteed to land
 // mid-round rather than between rounds.
 type OffFailConfig struct {
-	Workers         int           // 4 gradient sources
-	VecDim          int           // 8 elements per gradient
-	LinkRate        float64       // 10 Gbps
-	LinkDelay       time.Duration // 5 µs
-	QueueCap        int           // 128 packets
-	ECNThreshold    int           // 20 packets
-	RTO             time.Duration // 500 µs initial RTO
-	MaxRTO          time.Duration // 4 ms adaptive-RTO cap
-	DelegateTimeout time.Duration // 1.5 ms: delegated-ACK confirmation deadline
-	FailoverRTOs    int           // 2 consecutive RTOs declare a pathlet dead
-	ProbeInterval   time.Duration // 3 ms between readmission probes
-	RoundTimeout    time.Duration // 2 ms: aggregator straggler flush
-	StragglerDelay  time.Duration // 200 µs: last worker's extra think time
-	CrashAt         time.Duration // 4 ms: aggregator switch crash onset
-	CrashFor        time.Duration // 8 ms: outage duration
-	Duration        time.Duration // 40 ms
-	Seed            int64
+	Duration time.Duration // 40 ms
+	Seed     int64
 	// Check runs the fallback configuration under the invariant harness with
 	// the offload exactly-once audit enabled.
 	Check bool
 }
 
+const (
+	offFailWorkers         = 4                       // gradient sources
+	offFailVecDim          = 8                       // elements per gradient
+	offFailLinkRate        = 10e9                    // bits/s
+	offFailLinkDelay       = 5 * time.Microsecond    // per link
+	offFailQueueCap        = 128                     // packets
+	offFailECNK            = 20                      // packets
+	offFailRTO             = 500 * time.Microsecond  // initial RTO
+	offFailMaxRTO          = 4 * time.Millisecond    // adaptive-RTO cap
+	offFailDelegateTimeout = 1500 * time.Microsecond // delegated-ACK confirmation deadline
+	offFailFailoverRTOs    = 2                       // consecutive RTOs declare a pathlet dead
+	offFailProbeInterval   = 3 * time.Millisecond    // between readmission probes
+	offFailRoundTimeout    = 2 * time.Millisecond    // aggregator straggler flush
+	offFailStragglerDelay  = 200 * time.Microsecond  // last worker's extra think time
+	offFailCrashAt         = 4 * time.Millisecond    // aggregator switch crash onset
+	offFailCrashFor        = 8 * time.Millisecond    // outage duration
+)
+
 func (c OffFailConfig) withDefaults() OffFailConfig {
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.VecDim == 0 {
-		c.VecDim = 8
-	}
-	if c.LinkRate == 0 {
-		c.LinkRate = 10e9
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 5 * time.Microsecond
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 128
-	}
-	if c.ECNThreshold == 0 {
-		c.ECNThreshold = 20
-	}
-	if c.RTO == 0 {
-		c.RTO = 500 * time.Microsecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 4 * time.Millisecond
-	}
-	if c.DelegateTimeout == 0 {
-		c.DelegateTimeout = 1500 * time.Microsecond
-	}
-	if c.FailoverRTOs == 0 {
-		c.FailoverRTOs = 2
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 3 * time.Millisecond
-	}
-	if c.RoundTimeout == 0 {
-		c.RoundTimeout = 2 * time.Millisecond
-	}
-	if c.StragglerDelay == 0 {
-		c.StragglerDelay = 200 * time.Microsecond
-	}
-	if c.CrashAt == 0 {
-		c.CrashAt = 4 * time.Millisecond
-	}
-	if c.CrashFor == 0 {
-		c.CrashFor = 8 * time.Millisecond
-	}
 	if c.Duration == 0 {
 		c.Duration = 40 * time.Millisecond
 	}
@@ -157,8 +114,8 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 	}
 	s := OffFailSeries{Name: name}
 
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.NewNetwork(eng)
+	rig := newRig(cfg.Seed)
+	eng, net := rig.eng, rig.net
 	var chk *check.Checker
 	if cfg.Check && fallback {
 		chk = check.New(eng, net)
@@ -169,7 +126,7 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 	// pathlet 2)} → PS; the return path PS → R → workers never crosses the
 	// aggregator, so round-result broadcasts survive the crash. A also
 	// reaches the workers via R for its spoofed ACKs.
-	workers := make([]*simnet.Host, cfg.Workers)
+	workers := make([]*simnet.Host, offFailWorkers)
 	for i := range workers {
 		workers[i] = simnet.NewHost(net)
 	}
@@ -181,8 +138,8 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 
 	lc := func(pathlet uint32) simnet.LinkConfig {
 		c := simnet.LinkConfig{
-			Rate: cfg.LinkRate, Delay: cfg.LinkDelay,
-			QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNThreshold,
+			Rate: offFailLinkRate, Delay: offFailLinkDelay,
+			QueueCap: offFailQueueCap, ECNThreshold: offFailECNK,
 		}
 		if pathlet != 0 {
 			p := pathlet
@@ -212,18 +169,18 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 	// The device emits contributor-tagged aggregates in both configurations
 	// (a device property); straggler flushing likewise. The configurations
 	// differ only in the workers' transport semantics below.
-	agg := offload.NewAggregator(aggSw, ps.ID(), cfg.Workers)
+	agg := offload.NewAggregator(aggSw, ps.ID(), offFailWorkers)
 	agg.EmitContributors = true
-	agg.SetRoundTimeout(cfg.RoundTimeout)
+	agg.SetRoundTimeout(offFailRoundTimeout)
 
 	// Parameter server: the host-side fallback completes rounds from
 	// whatever arrives (in-network aggregates, partial flushes, raw bypass
 	// retransmissions) and broadcasts each result. In the no-fallback
 	// configuration it still understands both formats but, with nothing ever
 	// retransmitted past a dead device, lost contributions stay lost.
-	psagg := offload.NewPSAggregator(cfg.Workers)
+	psagg := offload.NewPSAggregator(offFailWorkers)
 	gradient := func(worker int, round uint64) []int64 {
-		vec := make([]int64, cfg.VecDim)
+		vec := make([]int64, offFailVecDim)
 		for i := range vec {
 			vec[i] = int64(round)*1000 + int64(worker)*10 + int64(i)
 		}
@@ -235,7 +192,7 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 		s.LastRoundAt = eng.Now()
 		for i := range sum {
 			var want int64
-			for w := 0; w < cfg.Workers; w++ {
+			for w := 0; w < offFailWorkers; w++ {
 				want += gradient(w, round)[i]
 			}
 			if sum[i] != want {
@@ -254,12 +211,12 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 
 	psCfg := core.Config{
 		LocalPort: 2,
-		RTO:       cfg.RTO,
+		RTO:       offFailRTO,
 		OnMessage: func(m *core.InMessage) {
 			from, _ := m.From.(simnet.NodeID)
 			psagg.Ingest(from, m.Data)
 		},
-		CCConfig: cc.Config{LineRate: cfg.LinkRate},
+		CCConfig: cc.Config{LineRate: offFailLinkRate},
 	}
 	if chk != nil {
 		psCfg.Observer = chk
@@ -278,7 +235,7 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 		pending map[uint64]*core.OutMessage
 		round   uint64
 	}
-	ws := make([]*workerState, cfg.Workers)
+	ws := make([]*workerState, offFailWorkers)
 	for i := range ws {
 		i := i
 		w := &workerState{pending: make(map[uint64]*core.OutMessage)}
@@ -290,10 +247,10 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 		}
 		wCfg := core.Config{
 			LocalPort:     1,
-			RTO:           cfg.RTO,
-			FailoverRTOs:  cfg.FailoverRTOs,
-			ProbeInterval: cfg.ProbeInterval,
-			CCConfig:      cc.Config{LineRate: cfg.LinkRate},
+			RTO:           offFailRTO,
+			FailoverRTOs:  offFailFailoverRTOs,
+			ProbeInterval: offFailProbeInterval,
+			CCConfig:      cc.Config{LineRate: offFailLinkRate},
 			OnMessage: func(m *core.InMessage) {
 				round, _, ok := offload.DecodeResult(m.Data)
 				if !ok {
@@ -313,17 +270,17 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 					return
 				}
 				next := round + 1
-				if i == cfg.Workers-1 && cfg.StragglerDelay > 0 {
+				if i == offFailWorkers-1 {
 					w.round = next
-					eng.Schedule(cfg.StragglerDelay, func() { sendRound(next) })
+					eng.Schedule(offFailStragglerDelay, func() { sendRound(next) })
 				} else {
 					sendRound(next)
 				}
 			},
 		}
 		if fallback {
-			wCfg.DelegateTimeout = cfg.DelegateTimeout
-			wCfg.MaxRTO = cfg.MaxRTO
+			wCfg.DelegateTimeout = offFailDelegateTimeout
+			wCfg.MaxRTO = offFailMaxRTO
 		}
 		if chk != nil {
 			wCfg.Observer = chk
@@ -335,14 +292,14 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 	}
 
 	in := fault.NewInjector(eng, cfg.Seed)
-	in.CrashSwitch(aggSw, cfg.CrashAt, cfg.CrashFor)
+	in.CrashSwitch(aggSw, offFailCrashAt, offFailCrashFor)
 
 	for i, w := range ws {
 		round := uint64(1)
 		w.round = round
-		if i == cfg.Workers-1 && cfg.StragglerDelay > 0 {
+		if i == offFailWorkers-1 {
 			i := i
-			eng.Schedule(cfg.StragglerDelay, func() {
+			eng.Schedule(offFailStragglerDelay, func() {
 				w.pending[round] = w.host.EP.Send(ps.ID(), 2,
 					offload.EncodeGradient(round, gradient(i, round)), core.SendOptions{})
 			})
@@ -395,7 +352,7 @@ func RunOffFail(cfg OffFailConfig) OffFailResult {
 func (r OffFailResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Offload failure: %d workers, aggregator switch crashes at %v for %v (delegate timeout %v, round timeout %v)\n",
-		r.Config.Workers, r.Config.CrashAt, r.Config.CrashFor, r.Config.DelegateTimeout, r.Config.RoundTimeout)
+		offFailWorkers, offFailCrashAt, offFailCrashFor, offFailDelegateTimeout, offFailRoundTimeout)
 	for _, s := range []OffFailSeries{r.NoFallback, r.Fallback} {
 		state := "recovered"
 		if s.Wedged {

@@ -27,7 +27,7 @@ type ScaleConfig struct {
 	// Topo selects the fabric: "leafspine" (default) or "fattree".
 	Topo string
 	// Leaves/Spines/HostsPerLeaf shape the leaf-spine. Default 16/4/8
-	// (128 hosts, 2:1 oversubscribed at the rack with equal link rates).
+	// (128 hosts, 2:1 oversubscribed at the rack: all links run at one rate).
 	Leaves, Spines, HostsPerLeaf int
 	// K is the fat-tree radix when Topo == "fattree". Default 8 (128 hosts).
 	K int
@@ -46,16 +46,11 @@ type ScaleConfig struct {
 	// Incast is the incast fan-in (clamped to hosts-1). Default 32.
 	Incast int
 
-	HostRate   float64       // host access link rate, default 10 Gbps
-	FabricRate float64       // trunk rate, default 10 Gbps
-	Delay      time.Duration // per-hop propagation, default 1 µs
-	QueueCap   int           // per-port queue, default 256 pkts
-	ECNK       int           // ECN mark threshold, default 64 pkts
+	QueueCap int // per-port queue, default 256 pkts
+	ECNK     int // ECN mark threshold, default 64 pkts
 
-	RTO            time.Duration // endpoint RTO, default 1 ms
-	Seed           int64         // default 1
-	Timeout        time.Duration // simulation cap, default 2 s
-	SampleInterval time.Duration // queue-occupancy sampling, default 100 µs
+	Seed    int64         // default 1
+	Timeout time.Duration // simulation cap, default 2 s
 	// Workers fans the per-system runs out via Sweep; results are identical
 	// regardless (each run owns its engine and RNG). The effective fan-out
 	// is capped so Workers × Shards never exceeds GOMAXPROCS (CapWorkers).
@@ -76,6 +71,16 @@ type ScaleConfig struct {
 	// for the MTP run — delivery, congestion-bound, and failover invariants.
 	Check bool
 }
+
+// What every fabric fixes: equal host and trunk rates (so a rack is
+// oversubscribed by its shape alone), per-hop delay, the endpoints' RTO and
+// the queue-occupancy sampling cadence.
+const (
+	scaleLinkRate       = 10e9 // bits/s
+	scaleDelay          = time.Microsecond
+	scaleRTO            = time.Millisecond
+	scaleSampleInterval = 100 * time.Microsecond
+)
 
 // ScaleTopos and ScalePatterns list the values ScaleConfig.Topo and .Pattern
 // accept, defaults first; cmd/mtpexp checks its flags against them.
@@ -112,32 +117,17 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Incast == 0 {
 		c.Incast = 32
 	}
-	if c.HostRate == 0 {
-		c.HostRate = 10e9
-	}
-	if c.FabricRate == 0 {
-		c.FabricRate = 10e9
-	}
-	if c.Delay == 0 {
-		c.Delay = time.Microsecond
-	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 256
 	}
 	if c.ECNK == 0 {
 		c.ECNK = 64
 	}
-	if c.RTO == 0 {
-		c.RTO = time.Millisecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 100 * time.Microsecond
 	}
 	if c.Shards < 1 {
 		c.Shards = 1
@@ -172,7 +162,7 @@ type ScaleRow struct {
 	// makespan (first send to last completion).
 	GoodputGbps float64
 	// QueuePeak / QueueP99 summarize the worst trunk occupancy (packets)
-	// sampled every SampleInterval across all fabric trunks.
+	// sampled every scaleSampleInterval across all fabric trunks.
 	QueuePeak int
 	QueueP99  float64
 	Retx      uint64
@@ -263,18 +253,16 @@ func scalePlan(cfg ScaleConfig, n int) [][]scaleMsg {
 // topo.NewFatTree/NewLeafSpine are the same builder, and Cluster.Run on one
 // shard is Engine.Run.
 func buildScaleCluster(cfg ScaleConfig, mk topo.PolicyFunc) *shard.Cluster {
-	link := func(rate float64) topo.LinkSpec {
-		return topo.LinkSpec{Rate: rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK}
-	}
+	link := topo.LinkSpec{Rate: scaleLinkRate, Delay: scaleDelay, QueueCap: cfg.QueueCap, ECNThreshold: cfg.ECNK}
 	switch cfg.Topo {
 	case "fattree":
 		return shard.NewFatTreeCluster(topo.FatTreeConfig{
-			K: cfg.K, HostLink: link(cfg.HostRate), FabricLink: link(cfg.FabricRate), Policy: mk, Seed: cfg.Seed,
+			K: cfg.K, HostLink: link, FabricLink: link, Policy: mk, Seed: cfg.Seed,
 		}, cfg.Shards)
 	case "leafspine":
 		return shard.NewLeafSpineCluster(topo.LeafSpineConfig{
 			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			HostLink: link(cfg.HostRate), FabricLink: link(cfg.FabricRate), Policy: mk, Seed: cfg.Seed,
+			HostLink: link, FabricLink: link, Policy: mk, Seed: cfg.Seed,
 		}, cfg.Shards)
 	}
 	panic(fmt.Sprintf("exp: unknown topology %q", cfg.Topo))
@@ -416,7 +404,7 @@ func runScale(cfg ScaleConfig, system string) ScaleRow {
 			start, r.unattributed = installScaleRival(cfg, fab, plan)
 		}
 		driveScalePlan(fab, plan, start, &r.acc)
-		r.probe.start(fab, cfg.SampleInterval)
+		r.probe.start(fab, scaleSampleInterval)
 	}
 	st := cl.Run(cfg.Timeout)
 
@@ -482,7 +470,7 @@ func installScaleMTP(cfg ScaleConfig, fab *topo.Fabric, plan [][]scaleMsg, chk *
 		}
 		pending[i] = make(map[uint64]scaleDone)
 		epCfg := core.Config{
-			LocalPort: uint16(1000 + i), RTO: cfg.RTO,
+			LocalPort: uint16(1000 + i), RTO: scaleRTO,
 			OnMessageSent: func(m *core.OutMessage) {
 				done := pending[i][m.ID]
 				delete(pending[i], m.ID)
@@ -519,7 +507,7 @@ func installScaleMTP(cfg ScaleConfig, fab *topo.Fabric, plan [][]scaleMsg, chk *
 // with its completion; the second result reads what the wiring could not
 // attribute to a completed message.
 func installScaleRival(cfg ScaleConfig, fab *topo.Fabric, plan [][]scaleMsg) (scaleStart, func() uint64) {
-	w := baseline.MustRival(cfg.Baseline).Wire(fab.Eng, fab, baseline.WireConfig{RTO: cfg.RTO})
+	w := baseline.MustRival(cfg.Baseline).Wire(fab.Eng, fab, baseline.WireConfig{RTO: scaleRTO})
 	// wireMsg derives a message's wire identifiers from the plan alone, so
 	// the sending and the receiving shard agree without coordination. ID: low
 	// 20 bits message index + 1, high bits source host. ECMP hashes it (and
@@ -546,7 +534,7 @@ func scaleRow(cfg ScaleConfig, sys string, acc *scaleAcc, expected int, probe *s
 	// completion are idle fabric, not workload behavior.
 	samples := probe.samples
 	if acc.lastDone > 0 {
-		if n := int(acc.lastDone/cfg.SampleInterval) + 1; n < len(samples) {
+		if n := int(acc.lastDone/scaleSampleInterval) + 1; n < len(samples) {
 			samples = samples[:n]
 		}
 	}
@@ -579,7 +567,7 @@ func (r ScaleResult) String() string {
 	}
 	fmt.Fprintf(&b, "Scale: %s on %s (%d hosts, %s links, %s pattern, %s msgs)\n",
 		strings.Join(systemNames(r.Rows), " vs "), shape, r.Hosts,
-		gbpsStr(c.HostRate), c.Pattern, scaleSizeStr(c.MsgSize))
+		gbpsStr(scaleLinkRate), c.Pattern, scaleSizeStr(c.MsgSize))
 	fmt.Fprintf(&b, "  %-10s %9s %12s %12s %9s %7s %8s %8s\n",
 		"system", "completed", "p50 FCT(us)", "p99 FCT(us)", "goodput", "queue", "q-p99", "retx")
 	for _, row := range r.Rows {

@@ -3,15 +3,14 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"mtp/internal/baseline"
 	"mtp/internal/core"
 	"mtp/internal/offload"
-	"mtp/internal/sim"
 	"mtp/internal/simhost"
 	"mtp/internal/simnet"
-	"mtp/internal/wire"
 )
 
 // Table1Result reproduces the paper's Table 1 feature matrix for the
@@ -77,46 +76,52 @@ func RunTable1Workers(workers int) Table1Result {
 	r.Rows[2].Cells[1] = Table1Cell{Feature: table1Features[1], Pass: true, Evidence: "datagrams parsed independently; no reassembly"}
 	r.Rows[2].Cells[2] = Table1Cell{Feature: table1Features[2], Pass: true, Evidence: "datagrams are independent by construction"}
 
+	// The cells that read a figure share one run of it per table, whichever
+	// worker gets there first.
+	fig2 := sync.OnceValue(func() Fig2Result { return RunFig2(Fig2Config{Duration: 2 * time.Millisecond}) })
+	fig5 := sync.OnceValue(func() Fig5Result { return RunFig5(Fig5Config{Duration: 5 * time.Millisecond}) })
+	fig7 := sync.OnceValue(func() Fig7Result { return RunFig7(Fig7Config{Duration: 5 * time.Millisecond}) })
+	isolationDCTCP := func(evidence string) func() Table1Cell {
+		return func() Table1Cell { return probeIsolationDCTCP(fig7()).rename(evidence) }
+	}
+
 	tasks := []table1Task{
 		{0, 0, probeMutationTCP},
 		{0, 2, probeIndependenceTCP},
-		{0, 3, probeMultiResourceTCP},
-		{0, 4, probeIsolationDCTCP},
+		{0, 3, func() Table1Cell { return probeMultiResourceTCP(fig5()) }},
+		{0, 4, func() Table1Cell { return probeIsolationDCTCP(fig7()) }},
 		{1, 0, probeMutationProxy},
-		{1, 1, probeBufferingProxy},
-		{1, 3, probeMultiResourceProxy},
-		{1, 4, func() Table1Cell {
-			return probeIsolationDCTCP().rename("per-flow fairness on each side (measured on shared queue)")
-		}},
+		{1, 1, func() Table1Cell { return probeBufferingProxy(fig2()) }},
+		{1, 3, func() Table1Cell { return probeMultiResourceProxy(fig2()) }},
+		{1, 4, isolationDCTCP("per-flow fairness on each side (measured on shared queue)")},
 		{2, 0, probeMutationUDP},
 		{2, 3, probeMultiResourceUDP},
 		{2, 4, probeIsolationUDP},
 		{3, 0, probeMutationMPTCP},
-		{3, 1, probeBufferingMPTCP},
-		{3, 2, probeIndependenceMPTCP},
-		{3, 3, probeMultiResourceMPTCP},
-		{3, 4, func() Table1Cell {
-			return probeIsolationDCTCP().rename("per-flow fairness; more subflows => more bandwidth (Fig 7 mechanism)")
-		}},
+		{3, 1, func() Table1Cell { return probeBufferingMPTCP(baseline.CouplingNone) }},
+		{3, 2, func() Table1Cell { return probeIndependenceMPTCP(baseline.CouplingNone) }},
+		{3, 3, func() Table1Cell { return probeMultiResourceMPTCP(baseline.CouplingNone) }},
+		{3, 4, isolationDCTCP("per-flow fairness; more subflows => more bandwidth (Fig 7 mechanism)")},
 		{4, 0, func() Table1Cell {
 			c := probeMutationMPTCP()
 			c.Evidence = "coupling changes window arithmetic only: " + c.Evidence
 			return c
 		}},
-		{4, 1, probeBufferingMPTCPCoupled},
-		{4, 2, probeIndependenceMPTCPCoupled},
-		{4, 3, probeMultiResourceMPTCPCoupled},
+		{4, 1, func() Table1Cell { return probeBufferingMPTCP(baseline.CouplingOLIA) }},
+		{4, 2, func() Table1Cell { return probeIndependenceMPTCP(baseline.CouplingOLIA) }},
+		{4, 3, func() Table1Cell { return probeMultiResourceMPTCP(baseline.CouplingOLIA) }},
 		{4, 4, probeIsolationMPTCPCoupled},
 		{5, 0, probeMutationQUIC},
 		{5, 1, probeBufferingQUIC},
 		{5, 2, probeIndependenceQUIC},
 		{5, 3, probeMultiResourceQUIC},
-		{5, 4, probeIsolationQUIC},
+		// One connection = one flow ID = one fair-share unit, same as DCTCP.
+		{5, 4, isolationDCTCP("one connection = one flow share; an entity opening 8 conns takes ~8x (Fig 7 mechanism)")},
 		{6, 0, probeMutationMTP},
 		{6, 1, probeBufferingMTP},
 		{6, 2, probeIndependenceMTP},
-		{6, 3, probeMultiResourceMTP},
-		{6, 4, probeIsolationMTP},
+		{6, 3, func() Table1Cell { return probeMultiResourceMTP(fig5()) }},
+		{6, 4, func() Table1Cell { return probeIsolationMTP(fig7()) }},
 	}
 	cells := Sweep(workers, tasks, func(t table1Task) Table1Cell { return t.fn() })
 	for i, t := range tasks {
@@ -136,14 +141,8 @@ func (c Table1Cell) rename(evidence string) Table1Cell {
 // stream's sequence numbers no longer describe the data and the transfer
 // wedges.
 func probeMutationTCP() Table1Cell {
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "a->sw"))
-	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->b"))
-	b.SetUplink(net.Connect(a, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "b->a"))
+	r := newRig(1)
+	a, b, sw := r.pair(probeLink, probeLink)
 	sw.Interposer = func(pkt *simnet.Packet, _ *simnet.Link) bool {
 		if seg, ok := pkt.Payload.(*baseline.Segment); ok && !seg.Ack && seg.Len > 1 {
 			// The "compressor": payload shrinks, sequence space doesn't.
@@ -152,58 +151,28 @@ func probeMutationTCP() Table1Cell {
 		}
 		return true
 	}
-	done := false
-	snd := baseline.NewSender(eng, a.Send, baseline.SenderConfig{
-		Conn: 1, Dst: b.ID(), SkipHandshake: true, RTO: time.Millisecond,
-		OnComplete: func(time.Duration) { done = true },
-	})
-	rcv := baseline.NewReceiver(eng, b.Send, baseline.ReceiverConfig{Conn: 1, Src: a.ID()})
-	a.SetHandler(snd.OnPacket)
-	b.SetHandler(rcv.OnPacket)
-	snd.Write(256 << 10)
-	snd.Close()
-	eng.Run(50 * time.Millisecond)
+	f := r.tcpStream(a, b, 256<<10)
+	r.eng.Run(50 * time.Millisecond)
 	// Mutation is supported only if the transfer still completes with the
 	// sequence space rewritten under it — it wedges instead.
 	return Table1Cell{
 		Feature: table1Features[0],
-		Pass:    done,
+		Pass:    f.done,
 		Evidence: fmt.Sprintf("stream wedged: completed=%v, %d of %d bytes delivered, %d retx",
-			done, rcv.Delivered(), 256<<10, snd.SegsRetx),
+			f.done, f.rcv.Delivered(), 256<<10, f.snd.SegsRetx),
 	}
 }
 
 // probeMutationProxy terminates and re-originates: the proxy app halves the
 // byte count and both connections complete normally.
 func probeMutationProxy() Table1Cell {
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	client := simnet.NewHost(net)
-	proxy := simnet.NewHost(net)
-	sink := simnet.NewHost(net)
-	client.SetUplink(net.Connect(proxy, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024, ECNThreshold: 64}, "c->p"))
-	toClient := net.Connect(client, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "p->c")
-	toSink := net.Connect(sink, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024, ECNThreshold: 64}, "p->s")
-	sink.SetUplink(net.Connect(proxy, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "s->p"))
-	emit := func(pkt *simnet.Packet) {
-		if pkt.Dst == client.ID() {
-			toClient.Enqueue(pkt)
-		} else {
-			toSink.Enqueue(pkt)
-		}
-	}
-	p := baseline.NewProxy(eng, emit, baseline.ProxyConfig{
-		ClientConn: 1, ServerConn: 2, ClientSrc: client.ID(), ServerDst: sink.ID(),
+	r := newRig(1)
+	_, snd, sinkRcv := r.proxyRelay(probeLink, probeLink, baseline.ProxyConfig{
 		Transform: func(n int64) int64 { return n / 2 },
 	})
-	proxy.SetHandler(p.Handle)
-	snd := baseline.NewSender(eng, client.Send, baseline.SenderConfig{Conn: 1, Dst: proxy.ID(), SkipHandshake: true})
-	client.SetHandler(snd.OnPacket)
-	sinkRcv := baseline.NewReceiver(eng, sink.Send, baseline.ReceiverConfig{Conn: 2, Src: proxy.ID()})
-	sink.SetHandler(sinkRcv.OnPacket)
 	total := int64(1 << 20)
 	snd.Write(int(total))
-	eng.Run(50 * time.Millisecond)
+	r.eng.Run(50 * time.Millisecond)
 	ok := snd.Acked() == total && sinkRcv.Delivered() >= total/2-1500
 	return Table1Cell{
 		Feature: table1Features[0],
@@ -216,13 +185,8 @@ func probeMutationProxy() Table1Cell {
 // probeMutationUDP mutates datagram lengths in flight; nothing breaks
 // because nothing is promised.
 func probeMutationUDP() Table1Cell {
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "a->sw"))
-	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->b"))
+	r := newRig(1)
+	a, b, sw := r.pair(probeLink, probeLink)
 	sw.Interposer = func(pkt *simnet.Packet, _ *simnet.Link) bool {
 		if d, ok := pkt.Payload.(*baseline.Datagram); ok {
 			d.Len /= 2
@@ -230,11 +194,11 @@ func probeMutationUDP() Table1Cell {
 		}
 		return true
 	}
-	rcv := baseline.NewUDPReceiver(eng, 1)
+	rcv := baseline.NewUDPReceiver(r.eng, 1)
 	b.SetHandler(rcv.OnPacket)
-	snd := baseline.NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 1e9)
+	snd := baseline.NewUDPSender(r.eng, a.Send, 1, b.ID(), 1460, 1e9)
 	snd.Start()
-	eng.Run(5 * time.Millisecond)
+	r.eng.Run(5 * time.Millisecond)
 	snd.Stop()
 	ok := rcv.Received > 0 && rcv.Gaps == 0
 	return Table1Cell{
@@ -247,26 +211,20 @@ func probeMutationUDP() Table1Cell {
 // probeMutationMTP pushes a multi-packet message through the compressor
 // offload and verifies content and completion.
 func probeMutationMTP() Table1Cell {
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "a->sw"))
-	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->b"))
-	sw.AddRoute(a.ID(), net.Connect(a, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->a"))
-	b.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "b->sw"))
+	r := newRig(1)
+	hosts, sw := r.star(2, probeLink)
+	a, b := hosts[0], hosts[1]
 	comp := offload.NewCompressor(sw)
 
 	var got *core.InMessage
-	sender := simhost.AttachMTP(net, a, core.Config{LocalPort: 1, MSS: 1000})
-	simhost.AttachMTP(net, b, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) { got = m }})
+	sender := simhost.AttachMTP(r.net, a, core.Config{LocalPort: 1, MSS: 1000})
+	simhost.AttachMTP(r.net, b, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) { got = m }})
 	data := make([]byte, 50*1000+123)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
 	sender.EP.Send(b.ID(), 2, data, core.SendOptions{})
-	eng.Run(50 * time.Millisecond)
+	r.eng.Run(50 * time.Millisecond)
 	ok := got != nil && string(got.Data) == string(offload.CompressBytes(data)) && sender.EP.Pending() == 0
 	return Table1Cell{
 		Feature:  table1Features[0],
@@ -277,8 +235,7 @@ func probeMutationMTP() Table1Cell {
 
 // --- Buffering probes ---
 
-func probeBufferingProxy() Table1Cell {
-	r := RunFig2(Fig2Config{Duration: 2 * time.Millisecond})
+func probeBufferingProxy(r Fig2Result) Table1Cell {
 	peak := r.Rows[0].PeakOccupancy
 	return Table1Cell{
 		Feature:  table1Features[1],
@@ -291,31 +248,17 @@ func probeBufferingMTP() Table1Cell {
 	// The cache offload answers multi-packet-free requests with one packet
 	// of state per message: run the cache probe and report its store-only
 	// footprint.
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	client := simnet.NewHost(net)
-	server := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	client.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "c->sw"))
-	server.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "s->sw"))
-	sw.AddRoute(client.ID(), net.Connect(client, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->c"))
-	sw.AddRoute(server.ID(), net.Connect(server, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->s"))
+	r := newRig(1)
+	hosts, sw := r.star(2, probeLink)
+	client, server := hosts[0], hosts[1]
 	cache := offload.NewCache(sw, 64)
 	hits := 0
-	c := simhost.AttachMTP(net, client, core.Config{LocalPort: 9, OnMessage: func(m *core.InMessage) { hits++ }})
-	var srv *simhost.MTPHost
-	srv = simhost.AttachMTP(net, server, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
-		op, key, value, ok := offload.DecodeKV(m.Data)
-		_ = value
-		if ok && op == 2 { // PUT
-			_ = key
-		}
-	}})
-	_ = srv
+	c := simhost.AttachMTP(r.net, client, core.Config{LocalPort: 9, OnMessage: func(m *core.InMessage) { hits++ }})
+	simhost.AttachMTP(r.net, server, core.Config{LocalPort: 7}) // the store: takes the PUT, never answers
 	c.EP.Send(server.ID(), 7, offload.EncodePut("k", []byte("v")), core.SendOptions{})
-	eng.Run(time.Millisecond)
+	r.eng.Run(time.Millisecond)
 	c.EP.Send(server.ID(), 7, offload.EncodeGet("k"), core.SendOptions{})
-	eng.Run(3 * time.Millisecond)
+	r.eng.Run(3 * time.Millisecond)
 	return Table1Cell{
 		Feature:  table1Features[1],
 		Pass:     cache.Hits == 1 && hits == 1,
@@ -328,17 +271,9 @@ func probeBufferingMTP() Table1Cell {
 // probeIndependenceTCP splits one stream's segments across two receivers:
 // neither sees a complete stream.
 func probeIndependenceTCP() Table1Cell {
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	r1 := simnet.NewHost(net)
-	r2 := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "a->sw"))
-	sw.AddRoute(r1.ID(), net.Connect(r1, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->r1"))
-	sw.AddRoute(r2.ID(), net.Connect(r2, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->r2"))
-	r1.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "r1->sw"))
-	sw.AddRoute(a.ID(), net.Connect(a, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->a"))
+	r := newRig(1)
+	hosts, sw := r.star(3, probeLink)
+	a, r1, r2 := hosts[0], hosts[1], hosts[2]
 	// "Load balance" alternating 16 KB requests inside one stream to the
 	// two replicas.
 	sw.Interposer = func(pkt *simnet.Packet, _ *simnet.Link) bool {
@@ -349,64 +284,40 @@ func probeIndependenceTCP() Table1Cell {
 		}
 		return true
 	}
-	done := false
-	snd := baseline.NewSender(eng, a.Send, baseline.SenderConfig{
-		Conn: 1, Dst: r1.ID(), SkipHandshake: true, RTO: time.Millisecond,
-		OnComplete: func(time.Duration) { done = true },
-	})
-	rcv1 := baseline.NewReceiver(eng, r1.Send, baseline.ReceiverConfig{Conn: 1, Src: a.ID()})
-	a.SetHandler(snd.OnPacket)
-	r1.SetHandler(rcv1.OnPacket)
-	var r2got int
-	r2.SetHandler(func(pkt *simnet.Packet) {
-		if seg, ok := pkt.Payload.(*baseline.Segment); ok && !seg.Ack {
-			r2got += seg.Len
-		}
-	})
-	snd.Write(128 << 10)
-	snd.Close()
-	eng.Run(20 * time.Millisecond)
+	f := r.tcpStream(a, r1, 128<<10)
+	r.eng.Run(20 * time.Millisecond)
 	// The feature is present only if the stream still completes after its
 	// requests were steered to different replicas — it does not.
 	return Table1Cell{
 		Feature: table1Features[2],
-		Pass:    done && rcv1.Delivered() == 128<<10,
+		Pass:    f.done && f.rcv.Delivered() == 128<<10,
 		Evidence: fmt.Sprintf("splitting one stream across replicas stalls it: completed=%v, replica1 got %d/%d bytes",
-			done, rcv1.Delivered(), 128<<10),
+			f.done, f.rcv.Delivered(), 128<<10),
 	}
 }
 
 // probeIndependenceMTP steers alternating messages to two replicas; every
 // message completes.
 func probeIndependenceMTP() Table1Cell {
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	client := simnet.NewHost(net)
-	r1 := simnet.NewHost(net)
-	r2 := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	for _, h := range []*simnet.Host{client, r1, r2} {
-		h.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "up"))
-		sw.AddRoute(h.ID(), net.Connect(h, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "down"))
-	}
-	vip := net.AllocID()
-	lb := offload.NewL7LB(sw, vip, []simnet.NodeID{r1.ID(), r2.ID()})
-	_ = lb
+	r := newRig(1)
+	hosts, sw := r.star(3, probeLink)
+	client, r1, r2 := hosts[0], hosts[1], hosts[2]
+	vip := r.net.AllocID()
+	offload.NewL7LB(sw, vip, []simnet.NodeID{r1.ID(), r2.ID()})
 	served := map[simnet.NodeID]int{}
 	for _, rh := range []*simnet.Host{r1, r2} {
-		rh := rh
 		var mh *simhost.MTPHost
-		mh = simhost.AttachMTP(net, rh, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
+		mh = simhost.AttachMTP(r.net, rh, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
 			served[rh.ID()]++
 			mh.EP.Send(m.From, m.SrcPort, offload.EncodeResponse("k", []byte("ok")), core.SendOptions{})
 		}})
 	}
 	responses := 0
-	c := simhost.AttachMTP(net, client, core.Config{LocalPort: 9, OnMessage: func(m *core.InMessage) { responses++ }})
+	c := simhost.AttachMTP(r.net, client, core.Config{LocalPort: 9, OnMessage: func(m *core.InMessage) { responses++ }})
 	for i := 0; i < 20; i++ {
 		c.EP.Send(vip, 7, offload.EncodeGet("k"), core.SendOptions{})
 	}
-	eng.Run(20 * time.Millisecond)
+	r.eng.Run(20 * time.Millisecond)
 	return Table1Cell{
 		Feature: table1Features[2],
 		Pass:    responses == 20 && served[r1.ID()] > 0 && served[r2.ID()] > 0,
@@ -417,8 +328,7 @@ func probeIndependenceMTP() Table1Cell {
 
 // --- Multi-resource CC probes ---
 
-func probeMultiResourceTCP() Table1Cell {
-	r := RunFig5(Fig5Config{Duration: 5 * time.Millisecond})
+func probeMultiResourceTCP(r Fig5Result) Table1Cell {
 	pass := false // DCTCP's single window mis-sizes on every flip
 	return Table1Cell{
 		Feature: table1Features[3],
@@ -428,8 +338,7 @@ func probeMultiResourceTCP() Table1Cell {
 	}
 }
 
-func probeMultiResourceProxy() Table1Cell {
-	r := RunFig2(Fig2Config{Duration: 2 * time.Millisecond})
+func probeMultiResourceProxy(r Fig2Result) Table1Cell {
 	row := r.Rows[0]
 	pass := row.SinkGbps > 30 && row.ClientGbps > 80
 	return Table1Cell{
@@ -442,16 +351,14 @@ func probeMultiResourceProxy() Table1Cell {
 
 func probeMultiResourceUDP() Table1Cell {
 	// UDP has no congestion control at all: overload a 1G link 10×.
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	a.SetUplink(net.Connect(b, simnet.LinkConfig{Rate: 1e9, Delay: time.Microsecond, QueueCap: 64}, "a->b"))
-	rcv := baseline.NewUDPReceiver(eng, 1)
+	r := newRig(1)
+	a, b := simnet.NewHost(r.net), simnet.NewHost(r.net)
+	a.SetUplink(r.net.Connect(b, simnet.LinkConfig{Rate: 1e9, Delay: time.Microsecond, QueueCap: 64}, "a->b"))
+	rcv := baseline.NewUDPReceiver(r.eng, 1)
 	b.SetHandler(rcv.OnPacket)
-	snd := baseline.NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 10e9)
+	snd := baseline.NewUDPSender(r.eng, a.Send, 1, b.ID(), 1460, 10e9)
 	snd.Start()
-	eng.Run(5 * time.Millisecond)
+	r.eng.Run(5 * time.Millisecond)
 	snd.Stop()
 	loss := 1 - float64(rcv.Received)/float64(snd.Sent)
 	return Table1Cell{
@@ -461,8 +368,7 @@ func probeMultiResourceUDP() Table1Cell {
 	}
 }
 
-func probeMultiResourceMTP() Table1Cell {
-	r := RunFig5(Fig5Config{Duration: 5 * time.Millisecond})
+func probeMultiResourceMTP(r Fig5Result) Table1Cell {
 	pass := r.MTP.MeanGbps > r.DCTCP.MeanGbps
 	return Table1Cell{
 		Feature: table1Features[3],
@@ -474,8 +380,7 @@ func probeMultiResourceMTP() Table1Cell {
 
 // --- Isolation probes ---
 
-func probeIsolationDCTCP() Table1Cell {
-	r := RunFig7(Fig7Config{Duration: 5 * time.Millisecond})
+func probeIsolationDCTCP(r Fig7Result) Table1Cell {
 	row := r.Rows[0]
 	return Table1Cell{
 		Feature:  table1Features[4],
@@ -487,22 +392,20 @@ func probeIsolationDCTCP() Table1Cell {
 func probeIsolationUDP() Table1Cell {
 	// Two tenants blast a shared 10G link; tenant 2 offers 9x the load and
 	// takes ~9x the bandwidth.
-	eng := sim.NewEngine(1)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	a.SetUplink(net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 128}, "a->b"))
-	r1 := baseline.NewUDPReceiver(eng, 1)
-	r2 := baseline.NewUDPReceiver(eng, 2)
+	r := newRig(1)
+	a, b := simnet.NewHost(r.net), simnet.NewHost(r.net)
+	a.SetUplink(r.net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 128}, "a->b"))
+	r1 := baseline.NewUDPReceiver(r.eng, 1)
+	r2 := baseline.NewUDPReceiver(r.eng, 2)
 	b.SetHandler(func(pkt *simnet.Packet) {
 		r1.OnPacket(pkt)
 		r2.OnPacket(pkt)
 	})
-	s1 := baseline.NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 2e9)
-	s2 := baseline.NewUDPSender(eng, a.Send, 2, b.ID(), 1460, 18e9)
+	s1 := baseline.NewUDPSender(r.eng, a.Send, 1, b.ID(), 1460, 2e9)
+	s2 := baseline.NewUDPSender(r.eng, a.Send, 2, b.ID(), 1460, 18e9)
 	s1.Start()
 	s2.Start()
-	eng.Run(5 * time.Millisecond)
+	r.eng.Run(5 * time.Millisecond)
 	s1.Stop()
 	s2.Stop()
 	ratio := float64(r2.Bytes) / float64(r1.Bytes+1)
@@ -513,8 +416,7 @@ func probeIsolationUDP() Table1Cell {
 	}
 }
 
-func probeIsolationMTP() Table1Cell {
-	r := RunFig7(Fig7Config{Duration: 5 * time.Millisecond})
+func probeIsolationMTP(r Fig7Result) Table1Cell {
 	row := r.Rows[2]
 	return Table1Cell{
 		Feature:  table1Features[4],
@@ -562,5 +464,3 @@ func (r Table1Result) Verbose() string {
 	}
 	return b.String()
 }
-
-var _ = wire.Version // keep the wire import if probes stop using it

@@ -6,69 +6,17 @@ import (
 
 	"mtp/internal/baseline"
 	"mtp/internal/cc"
-	"mtp/internal/sim"
 	"mtp/internal/simnet"
 )
 
-// The probes below measure the two upgraded rival rows of Table 1: MPTCP
-// with coupled congestion control (OLIA) and a QUIC-like transport
-// (multiplexed streams, one connection, one CC context). Coupling fixes
-// MPTCP's bottleneck fairness between *connections* but not per-entity
-// isolation; QUIC fixes TCP's intra-connection HoL at the retransmission
-// layer but keeps one flow ID, one window, and in-order-per-stream
-// delivery — so its whole row stays ✗ for in-network computing purposes.
-
-// --- MPTCP (OLIA coupled) row ---
-
-func probeBufferingMPTCPCoupled() Table1Cell {
-	// Coupling changes window arithmetic, not the merge buffer: unequal
-	// path delays still force the receiver to hold the fast path's bytes.
-	eng, m, r, _, _ := mptcpPair(1, 10e9, 10e9, time.Microsecond, 200*time.Microsecond, baseline.CouplingOLIA)
-	m.Write(8 << 20)
-	eng.Run(20 * time.Millisecond)
-	return Table1Cell{
-		Feature:  table1Features[1],
-		Pass:     r.MaxPending < 64<<10, // it will not be
-		Evidence: fmt.Sprintf("coupling does not shrink the merge buffer: peaked at %d KB across unequal paths", r.MaxPending>>10),
-	}
-}
-
-func probeIndependenceMPTCPCoupled() Table1Cell {
-	// Subflow independence survives coupling: both paths still carry their
-	// own sub-stream.
-	eng, m, r, l1, l2 := mptcpPair(2, 10e9, 10e9, time.Microsecond, time.Microsecond, baseline.CouplingOLIA)
-	m.Write(32 << 20)
-	dur := 8 * time.Millisecond
-	eng.Run(dur)
-	gbps := float64(r.Contiguous()) * 8 / dur.Seconds() / 1e9
-	both := l1.Stats().TxBytes > 1<<20 && l2.Stats().TxBytes > 1<<20
-	return Table1Cell{
-		Feature: table1Features[2],
-		Pass:    both && gbps > 12,
-		Evidence: fmt.Sprintf("coupled subflows still routed independently: %.1f Gbps over two 10G paths (%d/%d MB per path)",
-			gbps, l1.Stats().TxBytes>>20, l2.Stats().TxBytes>>20),
-	}
-}
-
-func probeMultiResourceMPTCPCoupled() Table1Cell {
-	// Coupled increase still adapts each subflow window to its own path;
-	// OLIA's whole point is shifting load toward the better path.
-	eng, m, _, _, _ := mptcpPair(3, 40e9, 5e9, time.Microsecond, time.Microsecond, baseline.CouplingOLIA)
-	m.Write(64 << 20)
-	eng.Run(15 * time.Millisecond)
-	s0, s1 := m.Subflows()[0], m.Subflows()[1]
-	fast, slow := s0, s1
-	if s1.Acked() > s0.Acked() {
-		fast, slow = s1, s0
-	}
-	ok := fast.Algo().Window() > slow.Algo().Window() && fast.Acked() > 2*slow.Acked()
-	return Table1Cell{
-		Feature: table1Features[3],
-		Pass:    ok,
-		Evidence: fmt.Sprintf("coupled per-subflow windows fit unequal paths (%.0f vs %.0f KB); OLIA shifts load to the faster one",
-			fast.Algo().Window()/1024, slow.Algo().Window()/1024),
-	}
-}
+// The probes below measure what is particular to the two upgraded rival rows
+// of Table 1: coupled MPTCP's isolation cell (its other cells share the
+// probes in table1_mptcp.go) and a QUIC-like transport (multiplexed streams,
+// one connection, one CC context). Coupling fixes MPTCP's bottleneck fairness
+// between *connections* but not per-entity isolation; QUIC fixes TCP's
+// intra-connection HoL at the retransmission layer but keeps one flow ID, one
+// window, and in-order-per-stream delivery — so its whole row stays ✗ for
+// in-network computing purposes.
 
 // probeIsolationMPTCPCoupled measures what coupling does and does not buy:
 // one coupled connection (2 subflows) sharing a single bottleneck with one
@@ -77,27 +25,22 @@ func probeMultiResourceMPTCPCoupled() Table1Cell {
 // connections still takes proportionally more. Isolation needs per-entity
 // policy in the network, which no end-host coupling can provide.
 func probeIsolationMPTCPCoupled() Table1Cell {
-	eng := sim.NewEngine(4)
-	net := simnet.NewNetwork(eng)
-	snd := simnet.NewHost(net)
-	rcv := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, simnet.SingleRoute{})
-	snd.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 40e9, Delay: time.Microsecond, QueueCap: 4096}, "snd->sw"))
-	sw.AddRoute(rcv.ID(), net.Connect(rcv, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 256, ECNThreshold: 40}, "bottleneck"))
-	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{Rate: 40e9, Delay: time.Microsecond, QueueCap: 4096}, "rcv->snd"))
+	r := newRig(4)
+	edge := simnet.LinkConfig{Rate: 40e9, Delay: time.Microsecond, QueueCap: 4096}
+	snd, rcv, _ := r.pair(edge, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 256, ECNThreshold: 40})
 
 	conns := []uint64{10, 11}
-	m := baseline.NewMPTCP(eng, snd.Send, baseline.MPTCPConfig{
+	m := baseline.NewMPTCP(r.eng, snd.Send, baseline.MPTCPConfig{
 		Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond,
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 		Coupling: baseline.CouplingOLIA,
 	})
-	mr := baseline.NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
-	tcp := baseline.NewSender(eng, snd.Send, baseline.SenderConfig{
+	mr := baseline.NewMPTCPReceiver(r.eng, rcv.Send, snd.ID(), conns, 0)
+	tcp := baseline.NewSender(r.eng, snd.Send, baseline.SenderConfig{
 		Conn: 20, Dst: rcv.ID(), SkipHandshake: true, RTO: 2 * time.Millisecond,
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 	})
-	tr := baseline.NewReceiver(eng, rcv.Send, baseline.ReceiverConfig{Conn: 20, Src: snd.ID()})
+	tr := baseline.NewReceiver(r.eng, rcv.Send, baseline.ReceiverConfig{Conn: 20, Src: snd.ID()})
 
 	sndMux := baseline.NewDemux()
 	for i, s := range m.Subflows() {
@@ -112,7 +55,7 @@ func probeIsolationMPTCPCoupled() Table1Cell {
 
 	m.Write(64 << 20)
 	tcp.Write(64 << 20)
-	eng.Run(10 * time.Millisecond)
+	r.eng.Run(10 * time.Millisecond)
 
 	ratio := float64(m.AckedGlobal()) / float64(tr.Delivered()+1)
 	return Table1Cell{
@@ -125,26 +68,13 @@ func probeIsolationMPTCPCoupled() Table1Cell {
 
 // --- QUIC row ---
 
-// quicProbeTopo builds the one-switch two-host harness shared by the QUIC
-// probes, returning sender, receiver, the switch, and the engine.
-func quicProbeTopo(seed int64, policy simnet.ForwardPolicy) (*sim.Engine, *simnet.Network, *simnet.Host, *simnet.Host, *simnet.Switch) {
-	eng := sim.NewEngine(seed)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, policy)
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "a->sw"))
-	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->b"))
-	b.SetUplink(net.Connect(a, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "b->a"))
-	return eng, net, a, b, sw
-}
-
 // probeMutationQUIC halves stream-frame lengths in flight. Acks are by
 // packet number, so the sender happily believes the transfer completed —
 // while the receiver's streams are full of holes and never finish. The
 // mutation hazard is worse than TCP's: TCP at least wedges loudly.
 func probeMutationQUIC() Table1Cell {
-	eng, _, a, b, sw := quicProbeTopo(1, nil)
+	r := newRig(1)
+	a, b, sw := r.pair(probeLink, probeLink)
 	sw.Interposer = func(pkt *simnet.Packet, _ *simnet.Link) bool {
 		if qp, ok := pkt.Payload.(*baseline.QUICPacket); ok && !qp.Ack && qp.Len > 1 {
 			qp.Len /= 2
@@ -153,15 +83,11 @@ func probeMutationQUIC() Table1Cell {
 		return true
 	}
 	senderDone := 0
-	snd := baseline.NewQUICSender(eng, a.Send, baseline.QUICSenderConfig{
-		Conn: 1, Dst: b.ID(), RTO: time.Millisecond,
+	snd, rcv := r.quicConn(a, b, baseline.QUICSenderConfig{
 		OnStreamComplete: func(time.Duration, uint64) { senderDone++ },
 	})
-	rcv := baseline.NewQUICReceiver(eng, b.Send, baseline.QUICReceiverConfig{Conn: 1, Src: a.ID()})
-	a.SetHandler(snd.OnPacket)
-	b.SetHandler(rcv.OnPacket)
 	snd.OpenStream(1, 256<<10)
-	eng.Run(50 * time.Millisecond)
+	r.eng.Run(50 * time.Millisecond)
 	return Table1Cell{
 		Feature: table1Features[0],
 		Pass:    rcv.StreamsDone == 1,
@@ -175,7 +101,8 @@ func probeMutationQUIC() Table1Cell {
 // window of bytes behind the hole until the retransmission arrives — the
 // same HoL memory bill as TCP, merely scoped to a stream.
 func probeBufferingQUIC() Table1Cell {
-	eng, _, a, b, sw := quicProbeTopo(2, nil)
+	r := newRig(2)
+	a, b, sw := r.pair(probeLink, probeLink)
 	dropped := false
 	sw.Interposer = func(pkt *simnet.Packet, _ *simnet.Link) bool {
 		if qp, ok := pkt.Payload.(*baseline.QUICPacket); ok && !qp.Ack && qp.Offset >= 256<<10 && !dropped {
@@ -184,12 +111,9 @@ func probeBufferingQUIC() Table1Cell {
 		}
 		return true
 	}
-	snd := baseline.NewQUICSender(eng, a.Send, baseline.QUICSenderConfig{Conn: 1, Dst: b.ID(), RTO: time.Millisecond})
-	rcv := baseline.NewQUICReceiver(eng, b.Send, baseline.QUICReceiverConfig{Conn: 1, Src: a.ID()})
-	a.SetHandler(snd.OnPacket)
-	b.SetHandler(rcv.OnPacket)
+	snd, rcv := r.quicConn(a, b, baseline.QUICSenderConfig{})
 	snd.OpenStream(1, 1<<20)
-	eng.Run(20 * time.Millisecond)
+	r.eng.Run(20 * time.Millisecond)
 	return Table1Cell{
 		Feature: table1Features[1],
 		Pass:    rcv.StreamsDone == 1 && rcv.MaxBuffered < 64<<10,
@@ -205,27 +129,16 @@ func probeBufferingQUIC() Table1Cell {
 // their acks never return, and the shared window collapses — stranding the
 // whole connection, not just the steered streams.
 func probeIndependenceQUIC() Table1Cell {
-	eng := sim.NewEngine(3)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	r1 := simnet.NewHost(net)
-	r2 := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, nil)
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "a->sw"))
-	sw.AddRoute(r1.ID(), net.Connect(r1, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->r1"))
-	sw.AddRoute(r2.ID(), net.Connect(r2, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->r2"))
-	r1.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "r1->sw"))
-	sw.AddRoute(a.ID(), net.Connect(a, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 1024}, "sw->a"))
+	r := newRig(3)
+	hosts, sw := r.star(3, probeLink)
+	a, r1, r2 := hosts[0], hosts[1], hosts[2]
 	sw.Interposer = func(pkt *simnet.Packet, _ *simnet.Link) bool {
 		if qp, ok := pkt.Payload.(*baseline.QUICPacket); ok && !qp.Ack && qp.Stream%2 == 0 {
 			pkt.Dst = r2.ID()
 		}
 		return true
 	}
-	snd := baseline.NewQUICSender(eng, a.Send, baseline.QUICSenderConfig{Conn: 1, Dst: r1.ID(), RTO: time.Millisecond})
-	rcv1 := baseline.NewQUICReceiver(eng, r1.Send, baseline.QUICReceiverConfig{Conn: 1, Src: a.ID()})
-	a.SetHandler(snd.OnPacket)
-	r1.SetHandler(rcv1.OnPacket)
+	snd, rcv1 := r.quicConn(a, r1, baseline.QUICSenderConfig{})
 	var r2got int
 	r2.SetHandler(func(pkt *simnet.Packet) {
 		if qp, ok := pkt.Payload.(*baseline.QUICPacket); ok && !qp.Ack {
@@ -236,10 +149,10 @@ func probeIndependenceQUIC() Table1Cell {
 	for id := uint64(1); id <= streams; id++ {
 		snd.OpenStream(id, 32<<10)
 	}
-	eng.Run(20 * time.Millisecond)
+	r.eng.Run(20 * time.Millisecond)
 	return Table1Cell{
 		Feature: table1Features[2],
-		Pass:    rcv1.StreamsDone+0 == streams, // steering must not strand anything
+		Pass:    rcv1.StreamsDone == streams, // steering must not strand anything
 		Evidence: fmt.Sprintf("steering alternating streams to a 2nd replica stranded the connection: %d/%d streams completed; replica2 holds %d KB it cannot ack",
 			rcv1.StreamsDone, streams, r2got>>10),
 	}
@@ -250,35 +163,26 @@ func probeIndependenceQUIC() Table1Cell {
 // congestion window must size to two resources at once and mis-sizes on
 // every flip.
 func probeMultiResourceQUIC() Table1Cell {
-	eng := sim.NewEngine(4)
-	net := simnet.NewNetwork(eng)
-	a := simnet.NewHost(net)
-	b := simnet.NewHost(net)
-	sw := simnet.NewSwitch(net, simnet.Alternator{Period: 500 * time.Microsecond})
-	a.SetUplink(net.Connect(sw, simnet.LinkConfig{Rate: 45e9, Delay: time.Microsecond, QueueCap: 4096}, "a->sw"))
-	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 40e9, Delay: time.Microsecond, QueueCap: 256, ECNThreshold: 40}, "fast"))
-	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 5e9, Delay: time.Microsecond, QueueCap: 256, ECNThreshold: 40}, "slow"))
-	b.SetUplink(net.Connect(a, simnet.LinkConfig{Rate: 45e9, Delay: time.Microsecond, QueueCap: 4096}, "b->a"))
-
+	rig := newTwoPath(twoPathSpec{
+		FastRate: 40e9, SlowRate: 5e9, LinkDelay: time.Microsecond, SlowDelay: time.Microsecond,
+		QueueCap: 256, ECNThreshold: 40, EdgeRate: 45e9, EdgeQueue: 4096,
+		Seed: 4, Policy: simnet.Alternator{Period: 500 * time.Microsecond},
+	})
 	var snd *baseline.QUICSender
 	next := uint64(0)
 	openNext := func() {
 		next++
 		snd.OpenStream(next, 1<<20)
 	}
-	snd = baseline.NewQUICSender(eng, a.Send, baseline.QUICSenderConfig{
-		Conn: 1, Dst: b.ID(), RTO: time.Millisecond,
+	snd, rcv := rig.quicConn(rig.snd, rig.rcv, baseline.QUICSenderConfig{
 		CCConfig:         cc.Config{MaxWindow: 256 << 10},
 		OnStreamComplete: func(time.Duration, uint64) { openNext() },
 	})
-	rcv := baseline.NewQUICReceiver(eng, b.Send, baseline.QUICReceiverConfig{Conn: 1, Src: a.ID()})
-	a.SetHandler(snd.OnPacket)
-	b.SetHandler(rcv.OnPacket)
 	for i := 0; i < 4; i++ {
 		openNext()
 	}
 	dur := 5 * time.Millisecond
-	eng.Run(dur)
+	rig.eng.Run(dur)
 	gbps := float64(rcv.Arrived) * 8 / dur.Seconds() / 1e9
 	return Table1Cell{
 		Feature: table1Features[3],
@@ -286,10 +190,4 @@ func probeMultiResourceQUIC() Table1Cell {
 		Evidence: fmt.Sprintf("single window across alternating 40G/5G paths: %.1f Gbps of a 22.5G time-average (%d retx)",
 			gbps, snd.PktsRetx),
 	}
-}
-
-func probeIsolationQUIC() Table1Cell {
-	// One connection = one flow ID = one fair-share unit: an entity opening
-	// 8 connections takes 8 shares, same as DCTCP (Fig 7 mechanism).
-	return probeIsolationDCTCP().rename("one connection = one flow share; an entity opening 8 conns takes ~8x (Fig 7 mechanism)")
 }

@@ -12,14 +12,45 @@ import (
 	"mtp/internal/simnet"
 )
 
+// The paper's two-path numbers, shared by Figure 5 and the failover
+// experiment.
+const (
+	paperFastRate  = 100e9 // bits/s
+	paperSlowRate  = 10e9
+	paperLinkDelay = time.Microsecond
+	paperQueueCap  = 128 // packets
+	paperECNK      = 20  // packets
+	// paperMaxWindow models the socket-buffer cap both transports get:
+	// ~2× the fast path's bandwidth-delay product.
+	paperMaxWindow = 256 << 10
+)
+
+// paperTwoPath builds the two-path rig with the paper's numbers.
+func paperTwoPath(seed int64, policy simnet.ForwardPolicy, pathlets int) *twoPath {
+	return newTwoPath(twoPathSpec{
+		FastRate: paperFastRate, SlowRate: paperSlowRate,
+		LinkDelay: paperLinkDelay, SlowDelay: paperLinkDelay,
+		QueueCap: paperQueueCap, ECNThreshold: paperECNK,
+		EdgeRate: paperFastRate, EdgeQueue: 4096,
+		Seed: seed, Policy: policy, Pathlets: pathlets,
+	})
+}
+
 // twoPathSpec parameterizes the snd → switch → {fast, slow} → rcv topology
-// of Figure 5 and the failover experiment.
+// with a direct, uncongested rcv → snd return link: Figures 5 and 6, the
+// failover and exclusion experiments, and the multipath Table 1 probes.
 type twoPathSpec struct {
 	FastRate, SlowRate float64
-	LinkDelay          time.Duration
-	QueueCap           int
-	ECNThreshold       int
-	Seed               int64
+	// LinkDelay is the propagation delay of every link but the slow path,
+	// which has SlowDelay.
+	LinkDelay, SlowDelay time.Duration
+	QueueCap             int
+	ECNThreshold         int
+	// EdgeRate and EdgeQueue configure the sender's uplink and the return
+	// link.
+	EdgeRate  float64
+	EdgeQueue int
+	Seed      int64
 	// Policy is the switch's forwarding policy: Figure 5 alternates between
 	// the paths like an optical switch, failover leaves nil (SingleRoute: all
 	// traffic takes the fast path until a header's exclude list forces the
@@ -35,30 +66,27 @@ type twoPathSpec struct {
 // twoPath is the built rig. As a baseline.Hosts, host 0 is the sender and
 // host 1 the receiver.
 type twoPath struct {
-	eng        *sim.Engine
-	net        *simnet.Network
+	*rig
 	snd, rcv   *simnet.Host
 	fast, slow *simnet.Link
 }
 
 func newTwoPath(spec twoPathSpec) *twoPath {
-	r := &twoPath{eng: sim.NewEngine(spec.Seed)}
-	r.net = simnet.NewNetwork(r.eng)
+	r := &twoPath{rig: newRig(spec.Seed)}
 	r.snd = simnet.NewHost(r.net)
 	r.rcv = simnet.NewHost(r.net)
 	sw := simnet.NewSwitch(r.net, spec.Policy)
 
-	r.snd.SetUplink(r.net.Connect(sw, simnet.LinkConfig{
-		Rate: spec.FastRate, Delay: spec.LinkDelay, QueueCap: 4096,
-	}, "snd->sw"))
+	edge := simnet.LinkConfig{Rate: spec.EdgeRate, Delay: spec.LinkDelay, QueueCap: spec.EdgeQueue}
+	r.snd.SetUplink(r.net.Connect(sw, edge, "snd->sw"))
 
 	fastID, slowID := uint32(1), uint32(2)
 	if spec.Pathlets == 1 {
 		slowID = fastID
 	}
-	mk := func(rate float64, id *uint32, name string) *simnet.Link {
+	mk := func(rate float64, delay time.Duration, id *uint32, name string) *simnet.Link {
 		lc := simnet.LinkConfig{
-			Rate: rate, Delay: spec.LinkDelay,
+			Rate: rate, Delay: delay,
 			QueueCap: spec.QueueCap, ECNThreshold: spec.ECNThreshold,
 		}
 		if spec.Pathlets > 0 {
@@ -67,15 +95,13 @@ func newTwoPath(spec twoPathSpec) *twoPath {
 		}
 		return r.net.Connect(r.rcv, lc, name)
 	}
-	r.fast = mk(spec.FastRate, &fastID, "fast")
-	r.slow = mk(spec.SlowRate, &slowID, "slow")
+	r.fast = mk(spec.FastRate, spec.LinkDelay, &fastID, "fast")
+	r.slow = mk(spec.SlowRate, spec.SlowDelay, &slowID, "slow")
 	sw.AddRoute(r.rcv.ID(), r.fast)
 	sw.AddRoute(r.rcv.ID(), r.slow)
 
 	// Reverse path for ACKs: direct, uncongested.
-	r.rcv.SetUplink(r.net.Connect(r.snd, simnet.LinkConfig{
-		Rate: spec.FastRate, Delay: spec.LinkDelay, QueueCap: 4096,
-	}, "rcv->snd"))
+	r.rcv.SetUplink(r.net.Connect(r.snd, edge, "rcv->snd"))
 	return r
 }
 
@@ -95,24 +121,19 @@ func (r *twoPath) HostID(i int) simnet.NodeID { return r.Host(i).ID() }
 // acknowledged 1 MB message replaced — toward a receiver (port 2) whose
 // goodput is sampled. chk, when non-nil, observes both endpoints.
 func (r *twoPath) runMTP(sndCfg core.Config, chk *check.Checker, interval, duration time.Duration) (*simhost.MTPHost, *byteSeries) {
-	var sender *simhost.MTPHost
-	send := func() { sender.EP.SendSynthetic(r.rcv.ID(), 2, 1<<20, core.SendOptions{}) }
 	sndCfg.LocalPort = 1
-	sndCfg.OnMessageSent = func(*core.OutMessage) { send() }
 	rcvCfg := core.Config{LocalPort: 2}
 	if chk != nil {
 		sndCfg.Observer, rcvCfg.Observer = chk, chk
 	}
-	sender = simhost.AttachMTP(r.net, r.snd, sndCfg)
+	sender, fill := r.saturate(r.snd, sndCfg, r.rcv.ID(), 1<<20)
 	receiver := simhost.AttachMTP(r.net, r.rcv, rcvCfg)
 	if chk != nil {
 		chk.AttachEndpoint(sender.EP, r.snd.ID())
 		chk.AttachEndpoint(receiver.EP, r.rcv.ID())
 	}
 	series := sampleBytes(r.eng, interval, duration, func() uint64 { return receiver.EP.Stats.PayloadBytes })
-	for i := 0; i < 8; i++ {
-		send()
-	}
+	fill(8)
 	r.eng.Run(duration)
 	return sender, series
 }
