@@ -7,7 +7,7 @@ import (
 )
 
 // The experiment tests assert the paper's qualitative shapes with shortened
-// durations; the full-length runs live in the root benchmarks.
+// durations; TestGolden pins the full-length runs byte for byte.
 
 func TestFig1Ablation(t *testing.T) {
 	r := RunFig1(Fig1Config{Requests: 200})
