@@ -17,7 +17,12 @@ type Datagram struct {
 	Len  int
 }
 
-// UDPSender blasts fixed-size datagrams at a constant rate.
+// UDPSender blasts fixed-size datagrams at a given mean rate. The gaps are
+// exponential draws from the engine's seeded source (a Poisson process), not a
+// fixed period: strictly periodic sources sharing a drop-tail queue phase-lock
+// — one finds the queue full at every arrival while the other always finds the
+// slot the link just freed — so their shares would measure the phase they
+// started in rather than the load they offer.
 type UDPSender struct {
 	eng  *sim.Engine
 	emit func(*simnet.Packet)
@@ -34,7 +39,7 @@ type UDPSender struct {
 	Sent uint64
 }
 
-// NewUDPSender builds a constant-bit-rate datagram source.
+// NewUDPSender builds a datagram source offering rateBps on average.
 func NewUDPSender(eng *sim.Engine, emit func(*simnet.Packet), flow uint64, dst simnet.NodeID, size int, rateBps float64) *UDPSender {
 	if size <= 0 || rateBps <= 0 {
 		panic("baseline: invalid UDP sender parameters")
@@ -64,8 +69,8 @@ func (u *UDPSender) tick() {
 		FlowID:  u.Flow,
 	})
 	u.seq++
-	gap := time.Duration(float64(u.Size+headerBytes) * 8 / u.Rate * float64(time.Second))
-	u.eng.Schedule(gap, u.tick)
+	mean := float64(u.Size+headerBytes) * 8 / u.Rate * float64(time.Second)
+	u.eng.Schedule(time.Duration(mean*u.eng.Rand().ExpFloat64()), u.tick)
 }
 
 // UDPReceiver counts arriving datagrams and detects sequence gaps.

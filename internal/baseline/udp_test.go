@@ -47,6 +47,29 @@ func TestUDPOverloadDropsWithoutAdapting(t *testing.T) {
 	}
 }
 
+// TestUDPSharesTrackOfferedLoad overloads one drop-tail link 2x from two
+// senders offering 1:9. Neither adapts, so each should lose the same fraction
+// and deliver in proportion to what it offers. With strictly periodic gaps
+// the two phase-locked and the ratio was anywhere from 5x to 159x depending
+// on the start offset.
+func TestUDPSharesTrackOfferedLoad(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		link := simnet.LinkConfig{Rate: 10e9, Delay: us(1), QueueCap: 128}
+		eng, a, b := twoHosts(seed, link, link)
+		r1, r2 := NewUDPReceiver(eng, 1), NewUDPReceiver(eng, 2)
+		b.SetHandler(func(pkt *simnet.Packet) {
+			r1.OnPacket(pkt)
+			r2.OnPacket(pkt)
+		})
+		NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 2e9).Start()
+		NewUDPSender(eng, a.Send, 2, b.ID(), 1460, 18e9).Start()
+		eng.Run(ms(5))
+		if ratio := float64(r2.Bytes) / float64(r1.Bytes); ratio < 6 || ratio > 13 {
+			t.Errorf("seed %d: 9x the offered load took %.1fx the bandwidth, want 6x to 13x", seed, ratio)
+		}
+	}
+}
+
 func TestUDPRejectsBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +259,12 @@ func TestTable1Matrix(t *testing.T) {
 	expect("UDP", 0, true)
 	expect("UDP", 3, false)
 	expect("UDP", 4, false)
+	// ... because shares follow offered load, not because of a drop-tail
+	// artefact: 9x the load must take roughly 9x the bandwidth.
+	var udpRatio float64
+	if _, err := fmt.Sscanf(byName["UDP"].Cells[4].Evidence, "shares track offered load: 9x load → %fx bandwidth", &udpRatio); err != nil || udpRatio < 6 || udpRatio > 13 {
+		t.Fatalf("UDP isolation evidence %q: ratio %.1f (%v), want 6x to 13x", byName["UDP"].Cells[4].Evidence, udpRatio, err)
+	}
 	// MPTCP: the paper's row — ✗ ✗ ✓ ✓ ✗.
 	expect("MPTCP (2 subflows)", 0, false)
 	expect("MPTCP (2 subflows)", 1, false)

@@ -118,7 +118,7 @@ func probeBufferingQUIC() Table1Cell {
 		Feature: table1Features[1],
 		Pass:    rcv.StreamsDone == 1 && rcv.MaxBuffered < 64<<10,
 		Evidence: fmt.Sprintf("one lost packet forced %d KB of reassembly buffer behind the hole (stream done=%v)",
-			rcv.MaxBuffered>>10, rcv.StreamsDone),
+			rcv.MaxBuffered>>10, rcv.StreamsDone == 1),
 	}
 }
 
