@@ -138,6 +138,9 @@ func TestGolden(t *testing.T) {
 		{"failover_early", func() string {
 			return RunFailover(FailoverConfig{Seed: 7, FaultAt: 2 * ms, FaultFor: 4 * ms, Duration: 10 * ms}).String()
 		}},
+		{"scale_sweep", func() string {
+			return ScaleSweepString(RunScaleHostSweep(1, []int{4, 8}, smallScale("permutation")))
+		}},
 		// A horizon that cuts the incast off mid-transfer.
 		{"scale_horizon", func() string {
 			return RunScale(ScaleConfig{

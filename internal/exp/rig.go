@@ -114,11 +114,14 @@ func (r *rig) quicConn(a, b *simnet.Host, cfg baseline.QUICSenderConfig) (*basel
 // pc supplies what an experiment varies; the helper fills in the addressing.
 func (r *rig) proxyRelay(clientLC, serverLC simnet.LinkConfig, pc baseline.ProxyConfig) (*baseline.Proxy, *baseline.Sender, *baseline.Receiver) {
 	client, proxy, sink := simnet.NewHost(r.net), simnet.NewHost(r.net), simnet.NewHost(r.net)
+	marking := func(lc simnet.LinkConfig) simnet.LinkConfig {
+		lc.ECNThreshold = 64
+		return lc
+	}
+	client.SetUplink(r.net.Connect(proxy, marking(clientLC), "c->p"))
 	toClient := r.net.Connect(client, clientLC, "p->c")
+	toSink := r.net.Connect(sink, marking(serverLC), "p->s")
 	sink.SetUplink(r.net.Connect(proxy, serverLC, "s->p"))
-	clientLC.ECNThreshold, serverLC.ECNThreshold = 64, 64
-	client.SetUplink(r.net.Connect(proxy, clientLC, "c->p"))
-	toSink := r.net.Connect(sink, serverLC, "p->s")
 
 	pc.ClientConn, pc.ServerConn = 1, 2
 	pc.ClientSrc, pc.ServerDst = client.ID(), sink.ID()

@@ -51,10 +51,11 @@ func TestRigBuilders(t *testing.T) {
 			}
 		}
 		hops := map[simnet.NodeID]int{} // by receiving host
-		for _, h := range []*simnet.Host{a, b} {
-			simhost.AttachMTP(r.net, h, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
-				hops[h.ID()] = int(m.Complete / time.Microsecond)
-			}}).EP.Send(peerOf(h, a, b).ID(), 2, []byte("ping"), core.SendOptions{})
+		for _, ends := range [][2]*simnet.Host{{a, b}, {b, a}} {
+			from, to := ends[0], ends[1]
+			simhost.AttachMTP(r.net, from, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) {
+				hops[from.ID()] = int(m.Complete / time.Microsecond)
+			}}).EP.Send(to.ID(), 2, []byte("ping"), core.SendOptions{})
 		}
 		r.eng.Run(time.Millisecond)
 		if hops[b.ID()] != tc.fwd || hops[a.ID()] != tc.rev {
@@ -62,11 +63,4 @@ func TestRigBuilders(t *testing.T) {
 				tc.name, hops[b.ID()], hops[a.ID()], tc.fwd, tc.rev)
 		}
 	}
-}
-
-func peerOf(h, a, b *simnet.Host) *simnet.Host {
-	if h == a {
-		return b
-	}
-	return a
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mtp/internal/baseline"
+	"mtp/internal/check"
 )
 
 // smallScale keeps unit runs cheap: 8 hosts, short messages.
@@ -103,5 +104,61 @@ func TestScaleHostSweep(t *testing.T) {
 				t.Errorf("%s: %d-host line does not carry the rival's values %q:\n%s", b, pt.Hosts, want, table)
 			}
 		}
+	}
+}
+
+// TestScaleKSweep checks the fat-tree radix sweep and the perf rendering that
+// `mtpexp -exp scalesweep -topo fattree` and `-exp scale` print: a sharded
+// point carries both systems and a speedup measured against one extra
+// single-engine MTP run, and the tables name the configured rival and the
+// shard statistics.
+func TestScaleKSweep(t *testing.T) {
+	base := smallScale("permutation")
+	base.Shards, base.Baseline = 2, "quic"
+	pts := RunScaleKSweep(1, []int{4}, base)
+	if len(pts) != 1 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	pt := pts[0]
+	if pt.Hosts != 16 || pt.Config.Topo != "fattree" || pt.Config.Shards != 2 {
+		t.Fatalf("k=4 point ran %d hosts on %q at %d shards", pt.Hosts, pt.Config.Topo, pt.Config.Shards)
+	}
+	for _, row := range pt.Rows {
+		if row.Completed != row.Expected || row.Shards != 2 || row.Events == 0 || row.EventsPerSec() <= 0 {
+			t.Fatalf("%s: completed %d of %d on %d shards, %d events", row.System, row.Completed, row.Expected, row.Shards, row.Events)
+		}
+	}
+	if pt.Speedup <= 0 || pt.HeapMB <= 0 {
+		t.Fatalf("speedup %.2f, heap %.0f MB: the sharded point measured neither", pt.Speedup, pt.HeapMB)
+	}
+	table := ScaleKSweepString(pts)
+	for _, want := range []string{"QUIC p99", "QUIC gbps", "speedup", fmt.Sprintf("%-4d %6d %7d", 4, 16, 2)} {
+		if !strings.Contains(table, want) {
+			t.Errorf("radix sweep table lacks %q:\n%s", want, table)
+		}
+	}
+	perf := pt.PerfString()
+	for _, want := range []string{"perf MTP", "perf QUIC/ECMP", "2 shard(s)", "rounds", "crossings"} {
+		if !strings.Contains(perf, want) {
+			t.Errorf("perf lines lack %q:\n%s", want, perf)
+		}
+	}
+	if !strings.Contains(ScaleKSweepString(nil), "Fat-tree sweep") {
+		t.Error("empty sweep does not render its title")
+	}
+}
+
+// TestWriteViolationsCapsTheList pins how a checked run that found
+// violations renders them: the first eight, then a count of the rest.
+func TestWriteViolationsCapsTheList(t *testing.T) {
+	vs := make([]check.Violation, 11)
+	for i := range vs {
+		vs[i] = check.Violation{Rule: "queue", Detail: fmt.Sprintf("v%d", i)}
+	}
+	var b strings.Builder
+	writeViolations(&b, vs)
+	out := b.String()
+	if !strings.Contains(out, "v7") || strings.Contains(out, "v8") || !strings.Contains(out, "... 3 more") {
+		t.Fatalf("want violations 0-7 and a count of 3 more:\n%s", out)
 	}
 }
