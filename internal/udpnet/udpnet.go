@@ -339,6 +339,9 @@ func (t *Transport) writeLoop() {
 		for _, d := range batch {
 			t.pool.Put(d)
 		}
+		// The pool may drop a buffer at any GC; a stale pointer here would
+		// keep it alive, one per slot up to the largest batch ever drained.
+		clear(batch)
 		if err != nil {
 			return // socket closed
 		}
