@@ -15,6 +15,8 @@ type dgram struct {
 	buf  []byte // full capacity backing array
 	n    int    // valid bytes
 	addr netip.AddrPort
+	// trunc marks an inbound datagram the kernel clipped to len(buf).
+	trunc bool
 }
 
 // batchIO reads and writes datagram batches on one socket. readBatch blocks

@@ -130,6 +130,7 @@ func (m *mmsgIO) readBatch(ms []*dgram) (int, error) {
 	for i := 0; i < n; i++ {
 		ms[i].n = int(m.rhdrs[i].msgLen)
 		ms[i].addr = saToAddrPort(&m.rnames[i])
+		ms[i].trunc = m.rhdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0
 	}
 	if n > 0 {
 		m.rdirty = n

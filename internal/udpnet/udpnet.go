@@ -96,6 +96,10 @@ type Stats struct {
 	RingFullDrops uint64
 	// DecodeErrors counts inbound datagrams that were not MTP packets.
 	DecodeErrors uint64
+	// TruncatedDrops counts inbound datagrams dropped because part of them
+	// was missing: the kernel clipped them to the receive buffer (MSG_TRUNC),
+	// or a data packet's payload was not the length its header states.
+	TruncatedDrops uint64
 	// EncodeErrors counts outbound packets whose header failed to encode.
 	EncodeErrors uint64
 }
@@ -120,6 +124,7 @@ type Transport struct {
 	maxIn, maxOut         atomic.Uint64
 	ringDrops             atomic.Uint64
 	decodeErrs, encErrs   atomic.Uint64
+	truncated             atomic.Uint64
 }
 
 // NewTransport validates cfg and builds a transport. Call Start to spawn the
@@ -242,15 +247,16 @@ func (t *Transport) Close() error {
 // Stats snapshots the transport counters.
 func (t *Transport) Stats() Stats {
 	return Stats{
-		DatagramsIn:   t.dgramsIn.Load(),
-		DatagramsOut:  t.dgramsOut.Load(),
-		BatchesIn:     t.batchesIn.Load(),
-		BatchesOut:    t.batchesOut.Load(),
-		MaxBatchIn:    t.maxIn.Load(),
-		MaxBatchOut:   t.maxOut.Load(),
-		RingFullDrops: t.ringDrops.Load(),
-		DecodeErrors:  t.decodeErrs.Load(),
-		EncodeErrors:  t.encErrs.Load(),
+		DatagramsIn:    t.dgramsIn.Load(),
+		DatagramsOut:   t.dgramsOut.Load(),
+		BatchesIn:      t.batchesIn.Load(),
+		BatchesOut:     t.batchesOut.Load(),
+		MaxBatchIn:     t.maxIn.Load(),
+		MaxBatchOut:    t.maxOut.Load(),
+		RingFullDrops:  t.ringDrops.Load(),
+		DecodeErrors:   t.decodeErrs.Load(),
+		TruncatedDrops: t.truncated.Load(),
+		EncodeErrors:   t.encErrs.Load(),
 	}
 }
 
@@ -293,6 +299,10 @@ func (t *Transport) readLoop() {
 		maxUpdate(&t.maxIn, uint64(n))
 		for i := 0; i < n; i++ {
 			d := bufs[i]
+			if d.trunc {
+				t.truncated.Add(1)
+				continue
+			}
 			consumed, derr := wire.DecodeInto(&hdr, d.buf[:d.n])
 			if derr != nil || !d.addr.IsValid() {
 				t.decodeErrs.Add(1)
@@ -301,6 +311,12 @@ func (t *Transport) readLoop() {
 			var data []byte
 			if consumed < d.n {
 				data = d.buf[consumed:d.n]
+			}
+			// A read that reports no truncation (ReadFrom clips silently) still
+			// shows here: reassembly would leave the missing bytes zero.
+			if hdr.Type == wire.TypeData && len(data) != int(hdr.PktLen) {
+				t.truncated.Add(1)
+				continue
 			}
 			t.cfg.OnPacket(d.addr, &hdr, data)
 		}

@@ -4,6 +4,7 @@
 package udpnet_test
 
 import (
+	"bytes"
 	"net"
 	"net/netip"
 	"runtime"
@@ -524,5 +525,71 @@ func TestNewTransportValidation(t *testing.T) {
 	}
 	if _, err := udpnet.NewTransport(udpnet.Config{Conn: udpConn(t)}); err == nil {
 		t.Fatal("nil OnPacket accepted")
+	}
+}
+
+// wrappedConn hides a socket's concrete type, so the Transport takes the
+// one-datagram connIO path that every interposer runs on.
+type wrappedConn struct{ net.PacketConn }
+
+// TestTruncatedDatagramNeverDelivered: a sender whose MSS exceeds the
+// receiver's buffers used to have its datagrams clipped silently, and the
+// message then completed with the missing bytes as zeros. A clipped datagram
+// must be dropped and counted instead: the message is never delivered wrong
+// and never acknowledged.
+func TestTruncatedDatagramNeverDelivered(t *testing.T) {
+	mem := mtp.NewMemNetwork(3)
+	memConn := func(name string) net.PacketConn {
+		pc, err := mem.Listen(name)
+		if err != nil {
+			t.Fatalf("listen %s: %v", name, err)
+		}
+		return pc
+	}
+	for _, tc := range []struct {
+		name     string
+		src, dst net.PacketConn
+	}{
+		{"mem", memConn("src"), memConn("sink")},         // ReadFrom clips with copy
+		{"wrapped", udpConn(t), wrappedConn{udpConn(t)}}, // the kernel clips, ReadFrom does not say so
+		{"udp", udpConn(t), udpConn(t)},                  // recvmmsg flags MSG_TRUNC
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delivered := make(chan []byte, 4)
+			sink, err := mtp.NewNode(tc.dst, mtp.Config{Port: 7, OnMessage: func(m mtp.Message) {
+				delivered <- append([]byte(nil), m.Data...)
+			}})
+			if err != nil {
+				t.Fatalf("sink: %v", err)
+			}
+			defer sink.Close()
+			// One 8 KB packet per message; the default sink sizes its buffers
+			// for a 1200-byte MSS.
+			src, err := mtp.NewNode(tc.src, mtp.Config{Port: 9, MSS: 8000, RTO: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatalf("src: %v", err)
+			}
+			defer src.Close()
+			data := make([]byte, 8000)
+			for i := range data {
+				data[i] = byte(i%251) + 1 // never zero
+			}
+			out, err := src.Send(sink.Addr().String(), 7, data)
+			if err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			for wait := time.Now().Add(5 * time.Second); sink.Stats().TruncatedDrops < 3; time.Sleep(time.Millisecond) {
+				if time.Now().After(wait) {
+					t.Fatalf("the sink counted %d truncated datagrams, want the original and its retransmissions", sink.Stats().TruncatedDrops)
+				}
+			}
+			select {
+			case got := <-delivered:
+				t.Fatalf("a clipped message was delivered: %d bytes, %d of them zero", len(got), bytes.Count(got, []byte{0}))
+			case <-out.Done():
+				t.Fatal("a message that never arrived whole was acknowledged")
+			default:
+			}
+		})
 	}
 }

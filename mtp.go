@@ -369,6 +369,10 @@ type Stats struct {
 	// send ring was full — NIC-style local drops, recovered by
 	// retransmission but distinct from network loss.
 	RingFullDrops uint64
+	// TruncatedDrops counts received datagrams dropped because they were
+	// larger than this node's receive buffers (a peer whose MSS exceeds what
+	// this node sized for) or otherwise shorter than their header states.
+	TruncatedDrops uint64
 	// DatagramsIn/Out and BatchesIn/Out count the transport's datagrams and
 	// the syscalls that moved them: DatagramsIn/BatchesIn is the achieved
 	// receive batching, and AcksSent against PktsReceived the ACK thinning it
@@ -384,12 +388,13 @@ func (n *Node) Stats() Stats {
 	n.mu.Unlock()
 	ts := n.tr.Stats()
 	return Stats{
-		EndpointStats: es,
-		RingFullDrops: ts.RingFullDrops,
-		DatagramsIn:   ts.DatagramsIn,
-		DatagramsOut:  ts.DatagramsOut,
-		BatchesIn:     ts.BatchesIn,
-		BatchesOut:    ts.BatchesOut,
+		EndpointStats:  es,
+		RingFullDrops:  ts.RingFullDrops,
+		TruncatedDrops: ts.TruncatedDrops,
+		DatagramsIn:    ts.DatagramsIn,
+		DatagramsOut:   ts.DatagramsOut,
+		BatchesIn:      ts.BatchesIn,
+		BatchesOut:     ts.BatchesOut,
 	}
 }
 
