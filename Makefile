@@ -18,8 +18,13 @@ define golden_clean
 @test -z "$$(git status --porcelain internal/*/testdata)" || { echo "golden files changed:"; git status --porcelain internal/*/testdata; exit 1; }
 endef
 
+# The build-tagged udpnet files compile for linux/amd64 only on a developer's
+# machine; the two cross-vets keep the portable stub and the arm64 constants
+# from rotting (both work offline, from GOROOT alone).
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/udpnet .
+	GOARCH=arm64 $(GO) vet ./internal/udpnet
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(golden_clean)
 
@@ -61,14 +66,15 @@ exp: build
 bench:
 	bash bench/run.sh
 
-# benchpair is the evidence a performance change brings: N alternating runs
-# of one workload on BASE (checked out into a git worktree) and on the working
-# tree, 28 s each as the driver runs them, and per end-to-end metric the
-# median of the per-pair ratios. make benchpair WL=bulk_udp
+# benchpair is the evidence a performance change brings: for each workload
+# of WL in turn, N alternating runs on BASE (unpacked under .bench_build/) and
+# on the working tree, 28 s each as the driver runs them, and per end-to-end
+# metric both medians, both quartile distances and the median of the per-pair
+# ratios. make benchpair WL="bulk_udp small_udp lossy_udp"
 N ?= 10
 BASE ?= HEAD~1
 benchpair:
-	bash ci/benchpair.sh $(WL) $(N) $(BASE)
+	bash ci/benchpair.sh "$(WL)" $(N) $(BASE)
 
 # netbench is the real-socket smoke gate: the platform launcher runs the
 # loopback runfile (multi-process, real UDP, re-exec workers) and exits

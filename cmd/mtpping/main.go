@@ -104,14 +104,18 @@ type pingSummary struct {
 	RingFullDrops   uint64 `json:"ring_full_drops"`
 	StaleEpochDrops uint64 `json:"stale_epoch_drops"`
 	EpochBumps      uint64 `json:"epoch_bumps"`
-	// Datagrams per batch (syscall) is the achieved socket batching, and
-	// AcksReceived against PktsSent the ACK thinning the peer's receive
-	// batches buy.
-	AcksReceived uint64 `json:"acks_received"`
-	DatagramsIn  uint64 `json:"datagrams_in"`
-	DatagramsOut uint64 `json:"datagrams_out"`
-	BatchesIn    uint64 `json:"batches_in"`
-	BatchesOut   uint64 `json:"batches_out"`
+	// Datagrams per batch (syscall) is the achieved socket batching,
+	// datagrams per kernel message the achieved segmentation offload (1 where
+	// the socket has none), and AcksReceived against PktsSent the ACK thinning
+	// the peer's receive batches buy.
+	AcksReceived   uint64 `json:"acks_received"`
+	DatagramsIn    uint64 `json:"datagrams_in"`
+	DatagramsOut   uint64 `json:"datagrams_out"`
+	BatchesIn      uint64 `json:"batches_in"`
+	BatchesOut     uint64 `json:"batches_out"`
+	KernelMsgsIn   uint64 `json:"kernel_msgs_in"`
+	KernelMsgsOut  uint64 `json:"kernel_msgs_out"`
+	TruncatedDrops uint64 `json:"truncated_drops"`
 }
 
 func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace bool, interval time.Duration, jsonOut bool) {
@@ -208,6 +212,8 @@ func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace
 			AcksReceived: st.AcksReceived,
 			DatagramsIn:  st.DatagramsIn, DatagramsOut: st.DatagramsOut,
 			BatchesIn: st.BatchesIn, BatchesOut: st.BatchesOut,
+			KernelMsgsIn: st.KernelMsgsIn, KernelMsgsOut: st.KernelMsgsOut,
+			TruncatedDrops: st.TruncatedDrops,
 		})
 	} else {
 		fmt.Printf("avg message RTT: %v over %d messages (min %v, max %v)\n",

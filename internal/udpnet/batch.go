@@ -22,11 +22,13 @@ type dgram struct {
 // batchIO reads and writes datagram batches on one socket. readBatch blocks
 // until at least one datagram is available, fills ms[i].buf/.n/.addr for the
 // first k entries, and returns k. writeBatch transmits ms and returns how
-// many were sent. Implementations: mmsgIO (Linux recvmmsg/sendmmsg, many
-// datagrams per syscall) and connIO (portable, one datagram per syscall).
+// many datagrams the socket took and in how many kernel messages (a kernel
+// message can carry a run of datagrams). Implementations: mmsgIO (Linux
+// recvmmsg/sendmmsg, many datagrams per syscall) and connIO (portable, one
+// datagram per syscall).
 type batchIO interface {
 	readBatch(ms []*dgram) (int, error)
-	writeBatch(ms []*dgram) (int, error)
+	writeBatch(ms []*dgram) (sent, kmsgs int, err error)
 }
 
 // newBatchIO selects the best batch implementation for pc: the mmsg syscall
@@ -67,8 +69,7 @@ func (c *connIO) readBatch(ms []*dgram) (int, error) {
 }
 
 // writeBatch writes every datagram, one syscall each.
-func (c *connIO) writeBatch(ms []*dgram) (int, error) {
-	sent := 0
+func (c *connIO) writeBatch(ms []*dgram) (sent, kmsgs int, err error) {
 	for _, m := range ms {
 		if m.addr != c.lastDst || c.lastAddr == nil {
 			c.lastDst, c.lastAddr = m.addr, net.UDPAddrFromAddrPort(m.addr)
@@ -81,7 +82,7 @@ func (c *connIO) writeBatch(ms []*dgram) (int, error) {
 		}
 		sent++
 	}
-	return sent, nil
+	return sent, sent, nil
 }
 
 // toAddrPort converts a net.Addr to a normalized netip.AddrPort. Peer

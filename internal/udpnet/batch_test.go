@@ -61,49 +61,113 @@ func TestLossyDoubleClose(t *testing.T) {
 }
 
 // TestIdleWriterPinsNoSendBuffers: once a burst has gone out, every pooled
-// send buffer must be collectable. The writer's batch slice used to keep the
-// last buffer of each slot alive, so an idle Transport held as many as the
-// largest burst it had ever drained — a heap that depended on timing.
+// send buffer must be collectable. The writer's batch slice, and the iovecs
+// of the mmsg path, used to keep the last buffer of each slot alive, so an
+// idle Transport held as many as the largest burst it had ever drained — a
+// heap that depended on timing.
 func TestIdleWriterPinsNoSendBuffers(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	for _, tc := range []struct {
+		name string
+		wrap func(net.PacketConn) net.PacketConn
+	}{
+		{"udp", func(pc net.PacketConn) net.PacketConn { return pc }},
+		// Wrapped, the Transport takes the connIO path like every test network.
+		{"connIO", func(pc net.PacketConn) net.PacketConn { return NewLossy(pc, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := NewTransport(Config{
+				Conn:     tc.wrap(pc),
+				OnPacket: func(netip.AddrPort, *wire.Header, []byte) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			var made, freed atomic.Int32
+			tr.pool.New = func() any {
+				// The finalizer sits on the bytes, which both a stale *dgram and a
+				// stale iovec keep reachable.
+				d := &dgram{buf: make([]byte, 0, tr.cfg.MaxDatagram)}
+				made.Add(1)
+				runtime.SetFinalizer(&d.buf[:1][0], func(*byte) { freed.Add(1) })
+				return d
+			}
+			// Queued before the writer starts, the burst is drained as one batch.
+			const burst = 8
+			hdr := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgPkts: 1, MsgBytes: 1, PktLen: 1}
+			for i := 0; i < burst; i++ {
+				if !tr.Send(tr.LocalAddrPort(), &hdr, []byte{1}) {
+					t.Fatalf("send %d dropped at the ring", i)
+				}
+			}
+			tr.Start()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if tr.Stats().DatagramsOut == burst {
+					runtime.GC() // the pool lets go after two cycles; finalizers run later still
+					if freed.Load() == made.Load() {
+						return
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("sent %d, %d of %d send buffers still reachable from the idle transport",
+						tr.Stats().DatagramsOut, made.Load()-freed.Load(), made.Load())
+				}
+			}
+		})
+	}
+}
+
+// TestRefusedDatagramNotCounted: a datagram the kernel refuses (port 0 is no
+// destination) is dropped without stopping the batch around it, and is not
+// reported as sent.
+func TestRefusedDatagramNotCounted(t *testing.T) {
+	listen := func() net.PacketConn {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc
+	}
+	got := make(chan uint64, 4)
+	rx, err := NewTransport(Config{Conn: listen(), OnPacket: func(_ netip.AddrPort, hdr *wire.Header, _ []byte) {
+		got <- hdr.MsgID
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wrapped, so the Transport takes the connIO path like every test network.
-	tr, err := NewTransport(Config{
-		Conn:     NewLossy(pc, 1),
-		OnPacket: func(netip.AddrPort, *wire.Header, []byte) {},
-	})
+	defer rx.Close()
+	rx.Start()
+	tx, err := NewTransport(Config{Conn: listen(), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	var made, freed atomic.Int32
-	tr.pool.New = func() any {
-		d := &dgram{buf: make([]byte, 0, tr.cfg.MaxDatagram)}
-		made.Add(1)
-		runtime.SetFinalizer(d, func(*dgram) { freed.Add(1) })
-		return d
-	}
-	// Queued before the writer starts, the burst is drained as one batch.
-	const burst = 8
-	hdr := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgPkts: 1, MsgBytes: 1, PktLen: 1}
-	for i := 0; i < burst; i++ {
-		if !tr.Send(tr.LocalAddrPort(), &hdr, []byte{1}) {
+	defer tx.Close()
+	nowhere := netip.AddrPortFrom(rx.LocalAddrPort().Addr(), 0)
+	for i, dst := range []netip.AddrPort{rx.LocalAddrPort(), nowhere, rx.LocalAddrPort()} {
+		hdr := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgID: uint64(i), MsgPkts: 1, MsgBytes: 1, PktLen: 1}
+		if !tx.Send(dst, &hdr, []byte{1}) {
 			t.Fatalf("send %d dropped at the ring", i)
 		}
 	}
-	tr.Start()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if tr.Stats().DatagramsOut == burst {
-			runtime.GC() // the pool lets go after two cycles; finalizers run later still
-			if freed.Load() == made.Load() {
-				return
+	tx.Start() // the three were queued first, so they are one batch
+	for _, want := range []uint64{0, 2} {
+		select {
+		case id := <-got:
+			if id != want {
+				t.Fatalf("packet %d arrived where %d was due", id, want)
 			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("packet %d never arrived", want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sent %d, %d of %d send buffers still reachable from the idle transport",
-				tr.Stats().DatagramsOut, made.Load()-freed.Load(), made.Load())
-		}
+	}
+	for wait := time.Now().Add(time.Second); tx.Stats().BatchesOut == 0 && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
+	if st := tx.Stats(); st.DatagramsOut != 2 || st.KernelMsgsOut != 2 {
+		t.Fatalf("%d datagrams in %d kernel messages reported sent, want the 2 the kernel took", st.DatagramsOut, st.KernelMsgsOut)
 	}
 }

@@ -22,27 +22,52 @@ type mmsghdr struct {
 	_      [4]byte
 }
 
+// segCmsg is the one control message a send slot can carry: UDP_SEGMENT with
+// the size at which the kernel cuts the slot's bytes back into datagrams.
+type segCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte // pads to CMSG_SPACE(2)
+}
+
+const (
+	// maxSegs is the kernel's UDP_MAX_SEGMENTS: datagrams per segmented send.
+	maxSegs = 64
+	// maxRunBytes keeps a segmented send under the 65507-byte UDP payload limit.
+	maxRunBytes = 65000
+)
+
 // mmsgIO batches datagrams through recvmmsg/sendmmsg on one UDP socket: one
-// syscall moves up to len(ms) datagrams, integrated with the runtime
-// netpoller through SyscallConn so blocked reads park the goroutine instead
-// of spinning.
+// syscall moves many kernel messages, integrated with the runtime netpoller
+// through SyscallConn so blocked reads park the goroutine instead of spinning.
+// Where the socket has UDP_SEGMENT, one kernel message carries a whole run of
+// datagrams (runLen): the slot's iovecs point at the run's pooled buffers as
+// they are, and the kernel cuts the bytes back into datagrams that each begin
+// with their own MTP header.
 type mmsgIO struct {
 	rc syscall.RawConn
 	v6 bool // socket family: v6 sockets need v4-mapped destination sockaddrs
+	// gso: runs go out segmented. Probed at set-up, and cleared for good by
+	// the first segmented send the kernel refuses. Writer goroutine only.
+	gso bool
 
 	rhdrs, whdrs []mmsghdr
 	riovs, wiovs []syscall.Iovec
 	// rnames/wnames hold peer sockaddrs; RawSockaddrInet6 (28 bytes) is
 	// large enough for both families.
 	rnames, wnames []syscall.RawSockaddrInet6
+	// wctl and wruns go with whdrs slot for slot: the slot's control message
+	// (used by runs longer than one) and how many datagrams it carries.
+	wctl  []segCmsg
+	wruns []int
 
 	// recvFn/sendFn are the RawConn callbacks, built once: a closure made per
 	// call would capture its results by reference and allocate on every
 	// syscall. Arguments and results travel in the fields below instead, one
 	// set per direction (reader and writer are different goroutines).
 	recvFn, sendFn func(fd uintptr) bool
-	wwant          int           // datagrams offered to sendmmsg
-	rgot, wgot     int           // datagrams the kernel moved
+	wwant          int           // slots offered to sendmmsg
+	rgot, wgot     int           // slots the kernel moved
 	rerr, werr     syscall.Errno // the syscall's own error
 
 	// rfor is the buffer set the receive slots are armed for and rdirty how
@@ -62,6 +87,12 @@ func newMmsgIO(uc *net.UDPConn) batchIO {
 	v6 := la != nil && la.IP.To4() == nil
 	m := &mmsgIO{rc: rc, v6: v6}
 	m.recvFn, m.sendFn = m.recv, m.send
+	if err := rc.Control(func(fd uintptr) {
+		_, err := syscall.GetsockoptInt(int(fd), solUDP, udpSegment)
+		m.gso = err == nil
+	}); err != nil {
+		return nil
+	}
 	return m
 }
 
@@ -138,45 +169,99 @@ func (m *mmsgIO) readBatch(ms []*dgram) (int, error) {
 	return n, nil
 }
 
-// writeBatch transmits every datagram in ms, issuing as few sendmmsg calls
-// as the kernel allows. Per-datagram errors drop that datagram (UDP
-// semantics; the protocol's reliability recovers).
-func (m *mmsgIO) writeBatch(ms []*dgram) (int, error) {
+// runLen reports how many leading datagrams of ms can leave as one segmented
+// send: one destination, one size, except that a shorter datagram may come
+// last (the kernel cuts at the first one's size and lets only the tail be
+// short), within the kernel's segment count and the UDP length limit.
+func runLen(ms []*dgram) int {
+	first, total := ms[0], ms[0].n
+	n := 1
+	for n < len(ms) && n < maxSegs {
+		d := ms[n]
+		if d.addr != first.addr || d.n > first.n || total+d.n > maxRunBytes {
+			break
+		}
+		n++
+		total += d.n
+		if d.n < first.n {
+			break
+		}
+	}
+	return n
+}
+
+// armSend fills send slots for all of ms, one per run when the socket
+// segments and one per datagram when it does not, and returns how many.
+func (m *mmsgIO) armSend(ms []*dgram) int {
+	slots := 0
+	for i := 0; i < len(ms); slots++ {
+		run := 1
+		if m.gso {
+			run = runLen(ms[i:])
+		}
+		for k, d := range ms[i : i+run] {
+			m.wiovs[i+k] = syscall.Iovec{Base: &d.buf[0], Len: uint64(d.n)}
+		}
+		h := &m.whdrs[slots]
+		*h = mmsghdr{hdr: syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&m.wnames[slots])),
+			Namelen: m.putSockaddr(&m.wnames[slots], ms[i].addr),
+			Iov:     &m.wiovs[i],
+			Iovlen:  uint64(run),
+		}}
+		if run > 1 {
+			c := &m.wctl[slots]
+			*c = segCmsg{
+				hdr:  syscall.Cmsghdr{Len: uint64(syscall.CmsgLen(2)), Level: solUDP, Type: udpSegment},
+				size: uint16(ms[i].n),
+			}
+			h.hdr.Control = (*byte)(unsafe.Pointer(c))
+			h.hdr.Controllen = uint64(unsafe.Sizeof(*c))
+		}
+		m.wruns[slots] = run
+		i += run
+	}
+	return slots
+}
+
+// writeBatch transmits ms in as few sendmmsg calls as the kernel allows and
+// returns how many datagrams it took, in how many kernel messages. A refused
+// datagram is dropped (UDP semantics; the protocol's reliability recovers). A
+// refused run — no checksum offload on the route (EIO), a segment over the
+// path MTU (EINVAL, EMSGSIZE) — turns segmentation off for this socket and
+// goes out again as single datagrams through the same loop.
+func (m *mmsgIO) writeBatch(ms []*dgram) (sent, kmsgs int, err error) {
 	if len(m.whdrs) < len(ms) {
 		m.whdrs = make([]mmsghdr, len(ms))
 		m.wiovs = make([]syscall.Iovec, len(ms))
 		m.wnames = make([]syscall.RawSockaddrInet6, len(ms))
+		m.wctl = make([]segCmsg, len(ms))
+		m.wruns = make([]int, len(ms))
 	}
-	sent := 0
-	for sent < len(ms) {
-		batch := ms[sent:]
-		for i, d := range batch {
-			m.wiovs[i] = syscall.Iovec{Base: &d.buf[0], Len: uint64(d.n)}
-			h := &m.whdrs[i]
-			h.hdr = syscall.Msghdr{
-				Name:    (*byte)(unsafe.Pointer(&m.wnames[i])),
-				Namelen: m.putSockaddr(&m.wnames[i], d.addr),
-				Iov:     &m.wiovs[i],
-				Iovlen:  1,
-			}
-			h.msgLen = 0
-		}
-		m.wwant = len(batch)
+	// The caller returns ms to the pool, which must be the only thing left
+	// holding the buffers.
+	defer clear(m.wiovs[:len(ms)])
+	for next := 0; next < len(ms); {
+		m.wwant = m.armSend(ms[next:])
 		if err := m.rc.Write(m.sendFn); err != nil {
-			return sent, err // socket closed
+			return sent, kmsgs, err // socket closed
 		}
 		switch {
 		case m.werr == syscall.EINTR:
-			// retry the same span
-		case m.werr != 0:
-			sent++ // drop the offending datagram and keep the rest moving
-		case m.wgot <= 0:
-			sent++
+			// the same span again
+		case m.werr == 0 && m.wgot > 0:
+			for _, run := range m.wruns[:m.wgot] {
+				next += run
+				sent += run
+			}
+			kmsgs += m.wgot
+		case m.wruns[0] > 1 && (m.werr == syscall.EIO || m.werr == syscall.EINVAL || m.werr == syscall.EMSGSIZE):
+			m.gso = false
 		default:
-			sent += m.wgot
+			next += m.wruns[0]
 		}
 	}
-	return sent, nil
+	return sent, kmsgs, nil
 }
 
 // putSockaddr encodes ap into sa and returns the sockaddr length for the

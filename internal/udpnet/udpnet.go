@@ -75,8 +75,11 @@ type Config struct {
 }
 
 const (
-	// maxBatch caps datagrams per syscall in both directions.
+	// maxBatch caps datagrams per read syscall.
 	maxBatch = 32
+	// maxWriteBatch caps ring entries per write syscall: two segmented sends
+	// of the most datagrams the kernel takes in one (64).
+	maxWriteBatch = 128
 	// socketBuffer sizes the kernel send/receive buffers of a real UDP
 	// socket. Batched senders burst far faster than a default ~200KB rmem
 	// drains, and UDP silently drops on overflow even over loopback.
@@ -89,6 +92,11 @@ type Stats struct {
 	// BatchesIn/Out count syscalls (recvmmsg/sendmmsg or their fallback
 	// equivalents); DatagramsIn/BatchesIn is the achieved read batching.
 	BatchesIn, BatchesOut uint64
+	// KernelMsgsIn/Out count the messages those syscalls carried (mmsghdr
+	// entries). With segmentation offload one kernel message is a run of
+	// datagrams, and DatagramsOut/KernelMsgsOut is the achieved run length;
+	// without it the two counts are equal.
+	KernelMsgsIn, KernelMsgsOut uint64
 	// MaxBatchIn/Out are the largest single batches observed.
 	MaxBatchIn, MaxBatchOut uint64
 	// RingFullDrops counts datagrams dropped because the outbound ring was
@@ -121,6 +129,7 @@ type Transport struct {
 
 	dgramsIn, dgramsOut   atomic.Uint64
 	batchesIn, batchesOut atomic.Uint64
+	kmsgsIn, kmsgsOut     atomic.Uint64
 	maxIn, maxOut         atomic.Uint64
 	ringDrops             atomic.Uint64
 	decodeErrs, encErrs   atomic.Uint64
@@ -251,6 +260,8 @@ func (t *Transport) Stats() Stats {
 		DatagramsOut:   t.dgramsOut.Load(),
 		BatchesIn:      t.batchesIn.Load(),
 		BatchesOut:     t.batchesOut.Load(),
+		KernelMsgsIn:   t.kmsgsIn.Load(),
+		KernelMsgsOut:  t.kmsgsOut.Load(),
 		MaxBatchIn:     t.maxIn.Load(),
 		MaxBatchOut:    t.maxOut.Load(),
 		RingFullDrops:  t.ringDrops.Load(),
@@ -295,6 +306,7 @@ func (t *Transport) readLoop() {
 			continue // transient error inside the batch read
 		}
 		t.batchesIn.Add(1)
+		t.kmsgsIn.Add(uint64(n))
 		t.dgramsIn.Add(uint64(n))
 		maxUpdate(&t.maxIn, uint64(n))
 		for i := 0; i < n; i++ {
@@ -330,7 +342,7 @@ func (t *Transport) readLoop() {
 // buffers.
 func (t *Transport) writeLoop() {
 	defer t.wg.Done()
-	batch := make([]*dgram, 0, maxBatch)
+	batch := make([]*dgram, 0, maxWriteBatch)
 	for {
 		batch = batch[:0]
 		for len(batch) < cap(batch) {
@@ -348,8 +360,9 @@ func (t *Transport) writeLoop() {
 				return
 			}
 		}
-		sent, err := t.io.writeBatch(batch)
+		sent, kmsgs, err := t.io.writeBatch(batch)
 		t.batchesOut.Add(1)
+		t.kmsgsOut.Add(uint64(kmsgs))
 		t.dgramsOut.Add(uint64(sent))
 		maxUpdate(&t.maxOut, uint64(len(batch)))
 		for _, d := range batch {

@@ -379,6 +379,11 @@ type Stats struct {
 	// buys.
 	DatagramsIn, DatagramsOut uint64
 	BatchesIn, BatchesOut     uint64
+	// KernelMsgsIn/Out count the messages those syscalls carried. Where the
+	// socket has UDP segmentation offload one kernel message is a run of
+	// datagrams, so DatagramsOut/KernelMsgsOut well above 1 says it engaged;
+	// everywhere else the counts equal the datagram counts.
+	KernelMsgsIn, KernelMsgsOut uint64
 }
 
 // Stats returns a snapshot of protocol counters.
@@ -395,6 +400,8 @@ func (n *Node) Stats() Stats {
 		DatagramsOut:   ts.DatagramsOut,
 		BatchesIn:      ts.BatchesIn,
 		BatchesOut:     ts.BatchesOut,
+		KernelMsgsIn:   ts.KernelMsgsIn,
+		KernelMsgsOut:  ts.KernelMsgsOut,
 	}
 }
 
