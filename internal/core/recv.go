@@ -265,7 +265,7 @@ func (e *Endpoint) mergeFeedback(b *ackBatch, fb []wire.Feedback) {
 }
 
 // BeginBatch opens a bracket around a run of OnPacket calls that arrived
-// together (one recvmmsg batch). Inside it nothing is acknowledged and the
+// together (what a socket had queued). Inside it nothing is acknowledged and the
 // sender side does not transmit: EndBatch applies the flush rule once per
 // peer, so one ACK packet covers every data packet the bracket received from
 // that peer, and runs trySend once however many ACK packets arrived. AckEvery

@@ -15,19 +15,28 @@ type dgram struct {
 	buf  []byte // full capacity backing array
 	n    int    // valid bytes
 	addr netip.AddrPort
-	// trunc marks an inbound datagram the kernel clipped to len(buf).
+	// seg, when positive, says an inbound buffer holds a run of datagrams the
+	// kernel coalesced (UDP_GRO): one every seg bytes, the last one possibly
+	// shorter.
+	seg int
+	// trunc marks an inbound buffer the kernel clipped to len(buf).
 	trunc bool
 }
 
-// batchIO reads and writes datagram batches on one socket. readBatch blocks
-// until at least one datagram is available, fills ms[i].buf/.n/.addr for the
-// first k entries, and returns k. writeBatch transmits ms and returns how
-// many datagrams the socket took and in how many kernel messages (a kernel
-// message can carry a run of datagrams). Implementations: mmsgIO (Linux
-// recvmmsg/sendmmsg, many datagrams per syscall) and connIO (portable, one
-// datagram per syscall).
+// batchIO reads and writes datagram batches on one socket. recvBufs says how
+// many receive buffers of what size the reads want, given the largest
+// datagram the transport was sized for. readBatch blocks until at least one
+// datagram is available, fills ms[i].buf/.n/.addr/.seg/.trunc for the first k
+// entries, and returns k; readQueued is the same read without the wait, for
+// what the socket already holds, possibly nothing. writeBatch transmits ms and
+// returns how many datagrams the socket took and in how many kernel messages.
+// A kernel message can carry a run of datagrams in either direction.
+// Implementations: mmsgIO (Linux recvmmsg/sendmmsg, many datagrams per
+// syscall) and connIO (portable, one datagram per syscall).
 type batchIO interface {
+	recvBufs(maxDatagram int) (slots, size int)
 	readBatch(ms []*dgram) (int, error)
+	readQueued(ms []*dgram) int
 	writeBatch(ms []*dgram) (sent, kmsgs int, err error)
 }
 
@@ -54,6 +63,12 @@ type connIO struct {
 	lastDst  netip.AddrPort
 	lastAddr *net.UDPAddr
 }
+
+// recvBufs: one buffer, which is all readBatch fills.
+func (c *connIO) recvBufs(maxDatagram int) (slots, size int) { return 1, maxDatagram }
+
+// readQueued reads nothing: the portable API cannot ask without waiting.
+func (c *connIO) readQueued([]*dgram) int { return 0 }
 
 // readBatch reads exactly one datagram (the portable API has no way to read
 // more without risking a block with data already in hand).

@@ -30,11 +30,29 @@ type segCmsg struct {
 	_    [6]byte // pads to CMSG_SPACE(2)
 }
 
+// groCmsg is the one control message a receive slot can get: UDP_GRO with the
+// size of the datagrams the kernel coalesced into the slot's buffer.
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte // pads to CMSG_SPACE(4)
+}
+
 const (
 	// maxSegs is the kernel's UDP_MAX_SEGMENTS: datagrams per segmented send.
 	maxSegs = 64
 	// maxRunBytes keeps a segmented send under the 65507-byte UDP payload limit.
 	maxRunBytes = 65000
+
+	// A socket with UDP_GRO must offer groSlotBytes per receive slot: a NIC or
+	// a segmenting sender may coalesce anything up to 64 KB, and a smaller
+	// slot clips it. 32 such slots would cost 2 MB per Transport, and measured
+	// on the repository's benchmark 8 already took live_heap_MB on small_udp
+	// from 0.62 to 1.42, over its bound. Two cost a Node what its 32 slots of
+	// 4 KB did. So few slots would shrink the reader's brackets to two single
+	// datagrams, which is why a bracket spans reads (Transport.readLoop).
+	groSlots     = 2
+	groSlotBytes = 1 << 16
 )
 
 // mmsgIO batches datagrams through recvmmsg/sendmmsg on one UDP socket: one
@@ -50,6 +68,9 @@ type mmsgIO struct {
 	// gso: runs go out segmented. Probed at set-up, and cleared for good by
 	// the first segmented send the kernel refuses. Writer goroutine only.
 	gso bool
+	// gro: the socket has UDP_GRO, so a receive slot may come back holding a
+	// run of datagrams. Set once at set-up.
+	gro bool
 
 	rhdrs, whdrs []mmsghdr
 	riovs, wiovs []syscall.Iovec
@@ -60,12 +81,14 @@ type mmsgIO struct {
 	// (used by runs longer than one) and how many datagrams it carries.
 	wctl  []segCmsg
 	wruns []int
+	rctl  []groCmsg // with gro, one per receive slot
 
 	// recvFn/sendFn are the RawConn callbacks, built once: a closure made per
 	// call would capture its results by reference and allocate on every
 	// syscall. Arguments and results travel in the fields below instead, one
 	// set per direction (reader and writer are different goroutines).
 	recvFn, sendFn func(fd uintptr) bool
+	rwait          bool          // park until the socket is readable
 	wwant          int           // slots offered to sendmmsg
 	rgot, wgot     int           // slots the kernel moved
 	rerr, werr     syscall.Errno // the syscall's own error
@@ -90,6 +113,7 @@ func newMmsgIO(uc *net.UDPConn) batchIO {
 	if err := rc.Control(func(fd uintptr) {
 		_, err := syscall.GetsockoptInt(int(fd), solUDP, udpSegment)
 		m.gso = err == nil
+		m.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	}); err != nil {
 		return nil
 	}
@@ -101,7 +125,7 @@ func (m *mmsgIO) recv(fd uintptr) bool {
 	r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
 		uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
 		syscall.MSG_DONTWAIT, 0, 0)
-	if e == syscall.EAGAIN {
+	if e == syscall.EAGAIN && m.rwait {
 		return false // park on the poller until readable
 	}
 	m.rerr, m.rgot = e, int(r1)
@@ -121,7 +145,8 @@ func (m *mmsgIO) send(fd uintptr) bool {
 }
 
 // armRecv points receive slot i at d's buffer and resets what the kernel
-// overwrites on delivery (the sockaddr and its length, the message length).
+// overwrites on delivery (the sockaddr and its length, the control length, the
+// flags, the message length).
 func (m *mmsgIO) armRecv(i int, d *dgram) {
 	m.rnames[i] = syscall.RawSockaddrInet6{}
 	m.riovs[i] = syscall.Iovec{Base: &d.buf[0], Len: uint64(len(d.buf))}
@@ -131,37 +156,68 @@ func (m *mmsgIO) armRecv(i int, d *dgram) {
 		Iov:     &m.riovs[i],
 		Iovlen:  1,
 	}}
+	if m.gro {
+		m.rhdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&m.rctl[i]))
+		m.rhdrs[i].hdr.Controllen = uint64(unsafe.Sizeof(m.rctl[i]))
+	}
+}
+
+// recvBufs: with UDP_GRO a few buffers that each hold whatever the kernel may
+// coalesce, without it a syscall's worth of single datagrams.
+func (m *mmsgIO) recvBufs(maxDatagram int) (slots, size int) {
+	if m.gro {
+		return groSlots, groSlotBytes
+	}
+	return maxBatch, maxDatagram
 }
 
 // readBatch fills ms from one recvmmsg call, blocking via the netpoller
-// until at least one datagram is ready. The reader passes the same buffer set
-// every time, so all slots are armed once and afterwards only the prefix the
+// until at least one datagram is ready.
+func (m *mmsgIO) readBatch(ms []*dgram) (int, error) { return m.read(ms, true) }
+
+// readQueued is readBatch for what the socket already holds. An error waits
+// for the next readBatch to find it again.
+func (m *mmsgIO) readQueued(ms []*dgram) int {
+	n, _ := m.read(ms, false)
+	return n
+}
+
+// read is one recvmmsg over ms. The reader passes the same buffer set every
+// time, so all slots are armed once and afterwards only the prefix the
 // previous call consumed (an ACK socket typically gets 1-4 of 32).
-func (m *mmsgIO) readBatch(ms []*dgram) (int, error) {
+func (m *mmsgIO) read(ms []*dgram, wait bool) (int, error) {
 	if m.rfor != ms[0] || len(m.rhdrs) != len(ms) {
 		m.rhdrs = make([]mmsghdr, len(ms))
 		m.riovs = make([]syscall.Iovec, len(ms))
 		m.rnames = make([]syscall.RawSockaddrInet6, len(ms))
+		m.rctl = make([]groCmsg, len(ms))
 		m.rfor, m.rdirty = ms[0], len(ms)
 	}
 	for i := 0; i < m.rdirty; i++ {
 		m.armRecv(i, ms[i])
 	}
 	m.rdirty = 1 // a failed call may still have touched the first slot
+	m.rwait = wait
 	if err := m.rc.Read(m.recvFn); err != nil {
 		return 0, err // socket closed
 	}
-	if m.rerr != 0 {
-		if m.rerr == syscall.EINTR || m.rerr == syscall.ECONNREFUSED {
-			return 0, nil // transient; caller loops
-		}
+	switch m.rerr {
+	case 0:
+	case syscall.EAGAIN, syscall.EINTR, syscall.ECONNREFUSED:
+		return 0, nil // nothing queued, or transient; the caller loops
+	default:
 		return 0, m.rerr
 	}
 	n := m.rgot
 	for i := 0; i < n; i++ {
-		ms[i].n = int(m.rhdrs[i].msgLen)
-		ms[i].addr = saToAddrPort(&m.rnames[i])
-		ms[i].trunc = m.rhdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0
+		h, d := &m.rhdrs[i].hdr, ms[i]
+		d.n = int(m.rhdrs[i].msgLen)
+		d.addr = saToAddrPort(&m.rnames[i])
+		d.trunc = h.Flags&syscall.MSG_TRUNC != 0
+		d.seg = 0
+		if c := &m.rctl[i]; h.Controllen >= uint64(syscall.CmsgLen(4)) && c.hdr.Level == solUDP && c.hdr.Type == udpGRO {
+			d.seg = int(c.size)
+		}
 	}
 	if n > 0 {
 		m.rdirty = n

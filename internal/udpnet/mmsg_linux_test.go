@@ -342,3 +342,107 @@ func TestSegmentedSendFallback(t *testing.T) {
 		t.Errorf("%d control buffers offered to the kernel, want the one that was refused", controls)
 	}
 }
+
+// queuedPair returns a started sender that has already sent the given
+// datagram sizes to a receiver whose reader is not running yet, so the
+// receiver's socket holds all of them when its reader starts. brackets gets
+// the size of every bracket the receiver closes.
+func queuedPair(t *testing.T, sizes []int) (rx, tx *Transport, brackets chan int) {
+	t.Helper()
+	brackets = make(chan int, len(sizes))
+	open := 0
+	rx, err := NewTransport(Config{
+		Conn:       listenUDP(t, "udp4", "127.0.0.1:0"),
+		OnPacket:   func(netip.AddrPort, *wire.Header, []byte) { open++ },
+		OnBatchEnd: func() { brackets <- open; open = 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rx.Close() })
+	tx, err = NewTransport(Config{Conn: listenUDP(t, "udp4", "127.0.0.1:0"), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tx.Close() })
+	for i, size := range sizes {
+		hdr, payload := mixedPacket(i, size)
+		if !tx.Send(rx.LocalAddrPort(), &hdr, payload) {
+			t.Fatalf("send %d dropped at the ring", i)
+		}
+	}
+	tx.Start()
+	for wait := time.Now().Add(2 * time.Second); tx.Stats().DatagramsOut < uint64(len(sizes)); time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatalf("%d of %d datagrams sent", tx.Stats().DatagramsOut, len(sizes))
+		}
+	}
+	return rx, tx, brackets
+}
+
+func collectBrackets(t *testing.T, brackets chan int, total int) []int {
+	t.Helper()
+	var got []int
+	for sum := 0; sum < total; {
+		select {
+		case n := <-brackets:
+			got = append(got, n)
+			sum += n
+		case <-time.After(2 * time.Second):
+			t.Fatalf("brackets %v closed, then nothing: %d of %d datagrams", got, sum, total)
+		}
+	}
+	return got
+}
+
+// TestBracketBoundedInPackets: a bracket is at most 32 datagrams however the
+// kernel packaged them. One recvmmsg over two 64 KB slots can return more
+// than a hundred, so the bound cannot be "one read"; with 200 queued the
+// reader must close a bracket after every 32nd and after the last.
+func TestBracketBoundedInPackets(t *testing.T) {
+	sizes := mixedSizes()
+	rx, _, brackets := queuedPair(t, sizes)
+	rx.Start()
+	got := collectBrackets(t, brackets, len(sizes))
+	want := []int{32, 32, 32, 32, 32, 32, 8}
+	if len(got) != len(want) {
+		t.Fatalf("brackets of %v datagrams, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("brackets of %v datagrams, want %v", got, want)
+		}
+	}
+	st := rx.Stats()
+	if st.DatagramsIn != uint64(len(sizes)) {
+		t.Errorf("%d datagrams counted in, want %d", st.DatagramsIn, len(sizes))
+	}
+	if m := rx.io.(*mmsgIO); m.gro && st.KernelMsgsIn*4 > st.DatagramsIn {
+		t.Errorf("UDP_GRO is on, yet %d datagrams came in %d kernel messages", st.DatagramsIn, st.KernelMsgsIn)
+	}
+	t.Logf("%d datagrams in %d kernel messages, %d reads", st.DatagramsIn, st.KernelMsgsIn, st.BatchesIn)
+}
+
+// TestReaderNeverWaitsWithBracketOpen: exactly two coalesced datagrams fill
+// both slots of a UDP_GRO socket, which makes the reader look for more; when
+// there is no more it must close the bracket at once, not on the next
+// arrival — nothing else is coming.
+func TestReaderNeverWaitsWithBracketOpen(t *testing.T) {
+	var sizes []int
+	for i := 0; i < 20; i++ {
+		sizes = append(sizes, 1200-300*(i/10)) // two runs of ten
+	}
+	rx, tx, brackets := queuedPair(t, sizes)
+	start := time.Now()
+	rx.Start()
+	got := collectBrackets(t, brackets, len(sizes))
+	if len(got) != 1 {
+		t.Errorf("brackets of %v datagrams, want all %d in one", got, len(sizes))
+	}
+	st := rx.Stats()
+	t.Logf("bracket closed %v after the reader started: %d datagrams, %d kernel messages, %d reads",
+		time.Since(start), st.DatagramsIn, st.KernelMsgsIn, st.BatchesIn)
+	if tx.io.(*mmsgIO).gso && rx.io.(*mmsgIO).gro && (st.KernelMsgsIn != 2 || st.BatchesIn != 1) {
+		t.Errorf("%d kernel messages in %d reads, want the two runs in one", st.KernelMsgsIn, st.BatchesIn)
+	}
+}

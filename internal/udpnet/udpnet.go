@@ -5,11 +5,14 @@
 // The simulator drives the endpoint under virtual time; this package drives
 // the identical protocol code from real sockets:
 //
-//   - Batched syscalls. On Linux a reader goroutine pulls up to maxBatch
-//     datagrams per recvmmsg call into a fixed set of receive buffers, and a
-//     writer goroutine drains the outbound ring into sendmmsg batches.
-//     Elsewhere (and over non-UDP net.PacketConns such as test interposers)
-//     the same loops run one datagram per syscall.
+//   - Batched syscalls. On Linux a reader goroutine pulls datagrams through
+//     recvmmsg into a fixed set of receive buffers, and a writer goroutine
+//     drains the outbound ring into sendmmsg batches. Where the kernel has
+//     UDP segmentation offload a run of datagrams to one peer is one kernel
+//     message in each direction (UDP_SEGMENT, UDP_GRO); every datagram still
+//     carries its own MTP header. Elsewhere (and over non-UDP
+//     net.PacketConns such as test interposers) the same loops run one
+//     datagram per syscall.
 //   - Zero-copy decode. Each received datagram is decoded in place with
 //     wire.DecodeInto into a single reused header; the packet callback gets
 //     buffer-backed slices and must copy what it keeps — the same ownership
@@ -50,9 +53,12 @@ type Config struct {
 	// two). Default 1024.
 	RingSize int
 
-	// MaxDatagram sizes receive buffers and the initial capacity of pooled
-	// send buffers. It must cover header + MSS. Default 2048 (fits the
-	// default 1200-byte MSS with generous header room).
+	// MaxDatagram sizes the receive buffers and the initial capacity of
+	// pooled send buffers. It must cover header + MSS; a larger datagram from
+	// a peer is dropped and counted (Stats.TruncatedDrops). A socket with
+	// UDP_GRO sizes its receive buffers itself, at 64 KB, and receives any
+	// datagram whole. Default 2048 (fits the default 1200-byte MSS with
+	// generous header room).
 	MaxDatagram int
 
 	// Wheel, when non-nil, shares a process-wide timer wheel; otherwise the
@@ -64,9 +70,11 @@ type Config struct {
 	// goroutine.
 	OnPacket func(from netip.AddrPort, hdr *wire.Header, data []byte)
 
-	// OnBatchEnd, when non-nil, runs after each inbound batch has been
-	// delivered — the natural point to flush work staged by OnPacket
-	// (completed-message callbacks, ACK coalescing).
+	// OnBatchEnd, when non-nil, closes a bracket of OnPacket calls: it runs
+	// after at most 32 of them, and before the reader waits for the socket
+	// again — the natural point to flush work staged by OnPacket
+	// (completed-message callbacks, ACK coalescing). Every read is followed
+	// by one, whether or not anything in it was decodable.
 	OnBatchEnd func()
 
 	// OnTimer runs when the SetTimer deadline arrives. Called from the
@@ -75,7 +83,8 @@ type Config struct {
 }
 
 const (
-	// maxBatch caps datagrams per read syscall.
+	// maxBatch caps the datagrams between two OnBatchEnd calls, and the
+	// receive buffers of a socket that returns one datagram in each.
 	maxBatch = 32
 	// maxWriteBatch caps ring entries per write syscall: two segmented sends
 	// of the most datagrams the kernel takes in one (64).
@@ -126,6 +135,12 @@ type Transport struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
+
+	// rxHdr is the one header every inbound datagram is decoded into, and
+	// rxOpen how many datagrams the reader has seen since the last OnBatchEnd.
+	// Reader goroutine only.
+	rxHdr  wire.Header
+	rxOpen int
 
 	dgramsIn, dgramsOut   atomic.Uint64
 	batchesIn, batchesOut atomic.Uint64
@@ -282,59 +297,104 @@ func maxUpdate(m *atomic.Uint64, v uint64) {
 	}
 }
 
-// readLoop owns the fixed receive buffer set: recvmmsg fills up to maxBatch of
-// them per syscall, each datagram is decoded in place and delivered, and the
-// buffers go right back into the next batch — a free list with zero
+// readLoop owns the fixed receive buffer set: a read fills some of the
+// buffers, each datagram in them is decoded in place and delivered, and the
+// buffers go right back into the next read — a free list with zero
 // steady-state allocation.
+//
+// OnPacket calls come in brackets that OnBatchEnd closes, and a bracket is
+// bounded in datagrams, not in reads: it is up to maxBatch datagrams of what
+// the socket had queued. A read that came back with every buffer full is
+// followed by reads that do not wait, because the socket may hold more (with
+// few buffers it usually does); the bracket closes when it reaches maxBatch
+// datagrams, wherever in a buffer that falls, and when the socket is empty.
+// The reader never waits with a bracket open.
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
-	slots := maxBatch
-	if _, ok := t.io.(*connIO); ok {
-		slots = 1 // connIO fills one buffer per readBatch
-	}
+	slots, size := t.io.recvBufs(t.cfg.MaxDatagram)
 	bufs := make([]*dgram, slots)
 	for i := range bufs {
-		bufs[i] = &dgram{buf: make([]byte, t.cfg.MaxDatagram)}
+		bufs[i] = &dgram{buf: make([]byte, size)}
 	}
-	var hdr wire.Header
 	for {
 		n, err := t.io.readBatch(bufs)
 		if err != nil {
 			return // socket closed
 		}
-		if n == 0 {
-			continue // transient error inside the batch read
+		for n > 0 {
+			dgrams := 0
+			for _, d := range bufs[:n] {
+				dgrams += t.deliver(d)
+			}
+			t.batchesIn.Add(1)
+			t.kmsgsIn.Add(uint64(n))
+			t.dgramsIn.Add(uint64(dgrams))
+			maxUpdate(&t.maxIn, uint64(dgrams))
+			if n < len(bufs) {
+				break // the read drained the socket
+			}
+			n = t.io.readQueued(bufs)
 		}
-		t.batchesIn.Add(1)
-		t.kmsgsIn.Add(uint64(n))
-		t.dgramsIn.Add(uint64(n))
-		maxUpdate(&t.maxIn, uint64(n))
-		for i := 0; i < n; i++ {
-			d := bufs[i]
-			if d.trunc {
-				t.truncated.Add(1)
-				continue
-			}
-			consumed, derr := wire.DecodeInto(&hdr, d.buf[:d.n])
-			if derr != nil || !d.addr.IsValid() {
-				t.decodeErrs.Add(1)
-				continue
-			}
-			var data []byte
-			if consumed < d.n {
-				data = d.buf[consumed:d.n]
-			}
-			// A read that reports no truncation (ReadFrom clips silently) still
-			// shows here: reassembly would leave the missing bytes zero.
-			if hdr.Type == wire.TypeData && len(data) != int(hdr.PktLen) {
-				t.truncated.Add(1)
-				continue
-			}
-			t.cfg.OnPacket(d.addr, &hdr, data)
+		if t.rxOpen > 0 {
+			t.endBracket()
 		}
-		if t.cfg.OnBatchEnd != nil {
-			t.cfg.OnBatchEnd()
+	}
+}
+
+// deliver hands the datagrams of one receive buffer to OnPacket — one, or
+// with d.seg the run the kernel coalesced, each decoded on its own — and
+// returns how many there were. Every datagram counts towards the open
+// bracket, decodable or not.
+func (t *Transport) deliver(d *dgram) (dgrams int) {
+	rest := d.buf[:d.n]
+	for {
+		pkt := rest
+		if d.seg > 0 && d.seg < len(rest) && !d.trunc {
+			pkt = rest[:d.seg]
 		}
+		rest = rest[len(pkt):]
+		dgrams++
+		t.deliverPacket(d, pkt)
+		if t.rxOpen++; t.rxOpen == maxBatch {
+			t.endBracket()
+		}
+		if len(rest) == 0 {
+			return dgrams
+		}
+	}
+}
+
+func (t *Transport) deliverPacket(d *dgram, pkt []byte) {
+	if d.trunc {
+		// The kernel clipped the buffer: its last datagram is incomplete, and
+		// which one that is only the kernel knew.
+		t.truncated.Add(1)
+		return
+	}
+	hdr := &t.rxHdr
+	consumed, err := wire.DecodeInto(hdr, pkt)
+	if err != nil || !d.addr.IsValid() {
+		t.decodeErrs.Add(1)
+		return
+	}
+	data := pkt[consumed:]
+	// A read that reports no truncation (ReadFrom clips silently) still shows
+	// here: reassembly would leave the missing bytes zero.
+	if hdr.Type == wire.TypeData && len(data) != int(hdr.PktLen) {
+		t.truncated.Add(1)
+		return
+	}
+	if len(data) == 0 {
+		data = nil
+	}
+	t.cfg.OnPacket(d.addr, hdr, data)
+}
+
+// endBracket closes the open bracket.
+func (t *Transport) endBracket() {
+	t.rxOpen = 0
+	if t.cfg.OnBatchEnd != nil {
+		t.cfg.OnBatchEnd()
 	}
 }
 

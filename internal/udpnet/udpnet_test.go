@@ -5,9 +5,11 @@ package udpnet_test
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +29,46 @@ func udpConn(t *testing.T) *net.UDPConn {
 		t.Fatalf("listen: %v", err)
 	}
 	return pc.(*net.UDPConn)
+}
+
+// offload finds out, by looking, whether loopback sockets here get segmented
+// sends and coalesced receives: eight equal datagrams that are all queued
+// before either side's loop runs leave in fewer kernel messages than
+// datagrams, or arrive so, exactly when the kernel lends a hand.
+func offload(t *testing.T) (gso, gro bool) {
+	t.Helper()
+	const burst = 8
+	got := make(chan struct{}, burst)
+	rx, err := udpnet.NewTransport(udpnet.Config{Conn: udpConn(t), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {
+		got <- struct{}{}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := udpnet.NewTransport(udpnet.Config{Conn: udpConn(t), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	hdr := wire.Header{Type: wire.TypeData, SrcPort: 9, DstPort: 7, MsgPkts: 1, MsgBytes: 64, PktLen: 64}
+	for i := 0; i < burst; i++ {
+		tx.Send(rx.LocalAddrPort(), &hdr, make([]byte, 64))
+	}
+	tx.Start()
+	for wait := time.Now().Add(2 * time.Second); tx.Stats().DatagramsOut < burst && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
+	rx.Start()
+	for i := 0; i < burst; i++ {
+		select {
+		case <-got:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("offload probe: %d of %d datagrams arrived", i, burst)
+		}
+	}
+	ts, rs := tx.Stats(), rx.Stats()
+	return ts.KernelMsgsOut < ts.DatagramsOut, rs.KernelMsgsIn < rs.DatagramsIn
 }
 
 // TestTransportLoopbackBatched drives the raw Transport pair over real UDP:
@@ -235,11 +277,15 @@ func TestNodeSoakLossyExactlyOnce(t *testing.T) {
 // TestNodeAcksPerReceiveBatch pins both arms of the batch contract with 50
 // concurrent 64 KB messages (55 packets each), audited exactly-once against
 // the check ledger. Over real UDP the sink's reader gets many datagrams per
-// recvmmsg and must acknowledge per batch: at most one ACK packet for every
-// four data packets. Over the in-memory network every batch is one datagram
-// (connIO), which must behave as the unbracketed engine does: one ACK per
-// data packet.
+// bracket and must acknowledge per bracket: at most one ACK packet for every
+// four data packets, and — a bracket being at most 32 datagrams however many
+// one recvmmsg returned — never more than 32 SACK refs in one ACK. Where the
+// kernel segments and coalesces, the 55 packets of a message must also have
+// travelled at least eight to a kernel message on both sides. Over the
+// in-memory network every bracket is one datagram (connIO), which must behave
+// as the unbracketed engine does: one ACK per data packet.
 func TestNodeAcksPerReceiveBatch(t *testing.T) {
+	gso, gro := offload(t)
 	mem := mtp.NewMemNetwork(7)
 	memConn := func(name string) net.PacketConn {
 		pc, err := mem.Listen(name)
@@ -251,17 +297,33 @@ func TestNodeAcksPerReceiveBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		src, dst net.PacketConn
-		check    func(t *testing.T, sink mtp.Stats)
+		check    func(t *testing.T, src, sink mtp.Stats)
 	}{
-		{"udp", udpConn(t), udpConn(t), func(t *testing.T, st mtp.Stats) {
+		{"udp", udpConn(t), udpConn(t), func(t *testing.T, src, st mtp.Stats) {
 			if st.AcksSent*4 > st.PktsReceived {
 				t.Errorf("%d ACK packets for %d data packets, want at most one per four", st.AcksSent, st.PktsReceived)
 			}
 			if st.BatchesIn == 0 || st.DatagramsIn < st.PktsReceived {
 				t.Errorf("transport counters not surfaced: %d datagrams in %d batches", st.DatagramsIn, st.BatchesIn)
 			}
+			if !gso || !gro {
+				t.Logf("no segmentation offload on this host (send %v, receive %v): datagrams per kernel message not checked", gso, gro)
+				return
+			}
+			if raceEnabled {
+				// The instrumented sender is slower than the writer draining
+				// its ring, which then finds short runs.
+				t.Log("race detector on: datagrams per kernel message not checked")
+				return
+			}
+			if src.DatagramsOut < 8*src.KernelMsgsOut {
+				t.Errorf("source: %d datagrams in %d kernel messages, want at least 8 to one", src.DatagramsOut, src.KernelMsgsOut)
+			}
+			if st.DatagramsIn < 8*st.KernelMsgsIn {
+				t.Errorf("sink: %d datagrams in %d kernel messages, want at least 8 to one", st.DatagramsIn, st.KernelMsgsIn)
+			}
 		}},
-		{"mem", memConn("src"), memConn("sink"), func(t *testing.T, st mtp.Stats) {
+		{"mem", memConn("src"), memConn("sink"), func(t *testing.T, _, st mtp.Stats) {
 			if st.AcksSent != st.PktsReceived {
 				t.Errorf("%d ACK packets for %d data packets, want one each (batches of one)", st.AcksSent, st.PktsReceived)
 			}
@@ -271,7 +333,8 @@ func TestNodeAcksPerReceiveBatch(t *testing.T) {
 			const count = 50
 			var mu sync.Mutex
 			var got []delivery
-			sink, err := mtp.NewNode(tc.dst, mtp.Config{Port: 7, OnMessage: func(m mtp.Message) {
+			// The trace ring is large enough to keep every event of the run.
+			sink, err := mtp.NewNode(tc.dst, mtp.Config{Port: 7, TraceEvents: 1 << 14, OnMessage: func(m mtp.Message) {
 				mu.Lock()
 				got = append(got, delivery{m.SrcPort, m.ID, m.Data})
 				mu.Unlock()
@@ -328,10 +391,24 @@ func TestNodeAcksPerReceiveBatch(t *testing.T) {
 			if n := reg.Undelivered(); n != 0 || len(got) != count {
 				t.Fatalf("%d deliveries, %d acknowledged messages never delivered", len(got), n)
 			}
-			st := sink.Stats()
-			t.Logf("sink: %d data packets, %d ACK packets, %d datagrams in %d batches",
-				st.PktsReceived, st.AcksSent, st.DatagramsIn, st.BatchesIn)
-			tc.check(t, st)
+			st, ss := sink.Stats(), src.Stats()
+			t.Logf("sink: %d data packets, %d ACK packets, %d datagrams in %d kernel messages in %d reads; source: %d datagrams in %d kernel messages in %d writes",
+				st.PktsReceived, st.AcksSent, st.DatagramsIn, st.KernelMsgsIn, st.BatchesIn, ss.DatagramsOut, ss.KernelMsgsOut, ss.BatchesOut)
+			tc.check(t, ss, st)
+			// Every ACK the sink sent is a trace line "ACK> ... a=<SACK refs>".
+			acks, most := 0, 0
+			for _, line := range strings.Split(sink.TraceDump(), "\n") {
+				if i := strings.Index(line, " a="); i >= 0 && strings.Contains(line, "ACK>") {
+					var refs int
+					fmt.Sscanf(line[i:], " a=%d", &refs)
+					acks++
+					most = max(most, refs)
+				}
+			}
+			// (A straggling retransmission may add an ACK after the snapshot.)
+			if uint64(acks) < st.AcksSent || most > 32 {
+				t.Errorf("%d of %d ACKs traced, the largest with %d SACK refs; want all of them and at most 32", acks, st.AcksSent, most)
+			}
 		})
 	}
 }
@@ -536,8 +613,10 @@ type wrappedConn struct{ net.PacketConn }
 // receiver's buffers used to have its datagrams clipped silently, and the
 // message then completed with the missing bytes as zeros. A clipped datagram
 // must be dropped and counted instead: the message is never delivered wrong
-// and never acknowledged.
+// and never acknowledged. A socket with UDP_GRO has 64 KB receive buffers
+// whatever its node was sized for, so there the same message arrives whole.
 func TestTruncatedDatagramNeverDelivered(t *testing.T) {
+	_, gro := offload(t)
 	mem := mtp.NewMemNetwork(3)
 	memConn := func(name string) net.PacketConn {
 		pc, err := mem.Listen(name)
@@ -549,10 +628,11 @@ func TestTruncatedDatagramNeverDelivered(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		src, dst net.PacketConn
+		whole    bool // the sink's buffers take the datagram after all
 	}{
-		{"mem", memConn("src"), memConn("sink")},         // ReadFrom clips with copy
-		{"wrapped", udpConn(t), wrappedConn{udpConn(t)}}, // the kernel clips, ReadFrom does not say so
-		{"udp", udpConn(t), udpConn(t)},                  // recvmmsg flags MSG_TRUNC
+		{"mem", memConn("src"), memConn("sink"), false},         // ReadFrom clips with copy
+		{"wrapped", udpConn(t), wrappedConn{udpConn(t)}, false}, // the kernel clips, ReadFrom does not say so
+		{"udp", udpConn(t), udpConn(t), gro},                    // recvmmsg flags MSG_TRUNC
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			delivered := make(chan []byte, 4)
@@ -577,6 +657,20 @@ func TestTruncatedDatagramNeverDelivered(t *testing.T) {
 			out, err := src.Send(sink.Addr().String(), 7, data)
 			if err != nil {
 				t.Fatalf("send: %v", err)
+			}
+			if tc.whole {
+				select {
+				case got := <-delivered:
+					if !bytes.Equal(got, data) {
+						t.Fatalf("delivered %d bytes that are not the %d sent", len(got), len(data))
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a datagram that fits a 64 KB receive buffer never arrived")
+				}
+				if n := sink.Stats().TruncatedDrops; n != 0 {
+					t.Fatalf("%d truncated datagrams counted, want none", n)
+				}
+				return
 			}
 			for wait := time.Now().Add(5 * time.Second); sink.Stats().TruncatedDrops < 3; time.Sleep(time.Millisecond) {
 				if time.Now().After(wait) {

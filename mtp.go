@@ -82,7 +82,8 @@ type Config struct {
 
 	// AckEvery batches acknowledgements per N data packets. Default 1. It is
 	// a minimum: on a real UDP socket one ACK already covers every data packet
-	// of a receive batch (up to 32 per recvmmsg), whatever AckEvery says.
+	// of a receive bracket (up to 32 of what the socket had queued), whatever
+	// AckEvery says.
 	AckEvery int
 
 	// OnMessage delivers completed inbound messages. It is called from the
