@@ -364,10 +364,12 @@ func (t *Transport) deliver(d *dgram) (dgrams int) {
 	}
 }
 
+// deliverPacket decodes one datagram of d into the reused header and hands it
+// to OnPacket, or drops and counts it.
 func (t *Transport) deliverPacket(d *dgram, pkt []byte) {
 	if d.trunc {
-		// The kernel clipped the buffer: its last datagram is incomplete, and
-		// which one that is only the kernel knew.
+		// The kernel clipped a datagram larger than the buffer. (What it
+		// coalesces always fits a 64 KB buffer, so this is one datagram.)
 		t.truncated.Add(1)
 		return
 	}
