@@ -60,6 +60,31 @@ func TestLossyDoubleClose(t *testing.T) {
 	}
 }
 
+// listenUDP opens a loopback socket; a host without IPv6 skips the test.
+func listenUDP(t *testing.T, network, addr string) *net.UDPConn {
+	t.Helper()
+	pc, err := net.ListenPacket(network, addr)
+	if err != nil && network == "udp6" {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	if err != nil {
+		t.Fatalf("listen %s %s: %v", network, addr, err)
+	}
+	return pc.(*net.UDPConn)
+}
+
+// waitSent waits, for a few seconds at most, until tr's writer has counted n
+// datagrams out, and reports whether it has. The counter is atomic, so what
+// the writer wrote before counting is ordered before the caller's reads.
+func waitSent(tr *Transport, n uint64) bool {
+	for deadline := time.Now().Add(5 * time.Second); tr.Stats().DatagramsOut < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestIdleWriterPinsNoSendBuffers: once a burst has gone out, every pooled
 // send buffer must be collectable. The writer's batch slice, and the iovecs
 // of the mmsg path, used to keep the last buffer of each slot alive, so an
@@ -75,12 +100,8 @@ func TestIdleWriterPinsNoSendBuffers(t *testing.T) {
 		{"connIO", func(pc net.PacketConn) net.PacketConn { return NewLossy(pc, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
 			tr, err := NewTransport(Config{
-				Conn:     tc.wrap(pc),
+				Conn:     tc.wrap(listenUDP(t, "udp4", "127.0.0.1:0")),
 				OnPacket: func(netip.AddrPort, *wire.Header, []byte) {},
 			})
 			if err != nil {
@@ -125,15 +146,8 @@ func TestIdleWriterPinsNoSendBuffers(t *testing.T) {
 // destination) is dropped without stopping the batch around it, and is not
 // reported as sent.
 func TestRefusedDatagramNotCounted(t *testing.T) {
-	listen := func() net.PacketConn {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc
-	}
 	got := make(chan uint64, 4)
-	rx, err := NewTransport(Config{Conn: listen(), OnPacket: func(_ netip.AddrPort, hdr *wire.Header, _ []byte) {
+	rx, err := NewTransport(Config{Conn: listenUDP(t, "udp4", "127.0.0.1:0"), OnPacket: func(_ netip.AddrPort, hdr *wire.Header, _ []byte) {
 		got <- hdr.MsgID
 	}})
 	if err != nil {
@@ -141,7 +155,7 @@ func TestRefusedDatagramNotCounted(t *testing.T) {
 	}
 	defer rx.Close()
 	rx.Start()
-	tx, err := NewTransport(Config{Conn: listen(), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
+	tx, err := NewTransport(Config{Conn: listenUDP(t, "udp4", "127.0.0.1:0"), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +178,7 @@ func TestRefusedDatagramNotCounted(t *testing.T) {
 			t.Fatalf("packet %d never arrived", want)
 		}
 	}
-	for wait := time.Now().Add(time.Second); tx.Stats().BatchesOut == 0 && time.Now().Before(wait); {
-		time.Sleep(time.Millisecond)
-	}
+	waitSent(tx, 2)
 	if st := tx.Stats(); st.DatagramsOut != 2 || st.KernelMsgsOut != 2 {
 		t.Fatalf("%d datagrams in %d kernel messages reported sent, want the 2 the kernel took", st.DatagramsOut, st.KernelMsgsOut)
 	}

@@ -100,15 +100,6 @@ func TestArmSendControl(t *testing.T) {
 	}
 }
 
-func listenUDP(t *testing.T, network, addr string) *net.UDPConn {
-	t.Helper()
-	pc, err := net.ListenPacket(network, addr)
-	if err != nil {
-		t.Skipf("listen %s %s: %v", network, addr, err)
-	}
-	return pc.(*net.UDPConn)
-}
-
 // mixedSizes is a 200-packet sequence that exercises every way a run ends:
 // long equal stretches (over the segment and byte limits), short tails, short
 // datagrams in the middle, and sizes that grow.
@@ -167,9 +158,7 @@ func sendMixed(t *testing.T, network, addr string, dst netip.AddrPort) *Transpor
 func checkSegmented(t *testing.T, tx *Transport) {
 	t.Helper()
 	want := uint64(len(mixedSizes()))
-	for wait := time.Now().Add(2 * time.Second); tx.Stats().DatagramsOut < want && time.Now().Before(wait); {
-		time.Sleep(time.Millisecond)
-	}
+	waitSent(tx, want)
 	st := tx.Stats()
 	if !tx.io.(*mmsgIO).gso {
 		t.Logf("no UDP_SEGMENT on this socket: %d datagrams in %d kernel messages", st.DatagramsOut, st.KernelMsgsOut)
@@ -318,23 +307,16 @@ func TestSegmentedSendFallback(t *testing.T) {
 			}
 		}
 	}
-	// sentAll waits for the writer to have counted n datagrams, which also
-	// orders its writes to m.gso and the counters above before our reads.
-	sentAll := func(n uint64) {
-		for wait := time.Now().Add(2 * time.Second); tx.Stats().DatagramsOut < n && time.Now().Before(wait); {
-			time.Sleep(time.Millisecond)
-		}
-	}
 	burst(0) // queued before the writer starts: one batch, one run
 	tx.Start()
 	expect(0)
-	sentAll(count)
+	waitSent(tx, count) // also orders the writer's m.gso and counters before the reads below
 	if refused != 1 || m.gso {
 		t.Fatalf("%d refusals, segmentation still on: %v; want one refusal that turns it off", refused, m.gso)
 	}
 	burst(count)
 	expect(count)
-	sentAll(2 * count)
+	waitSent(tx, 2*count)
 	if st := tx.Stats(); st.DatagramsOut != 2*count || st.KernelMsgsOut != 2*count {
 		t.Errorf("%d datagrams in %d kernel messages, want %d singles", st.DatagramsOut, st.KernelMsgsOut, 2*count)
 	}
@@ -372,10 +354,8 @@ func queuedPair(t *testing.T, sizes []int) (rx, tx *Transport, brackets chan int
 		}
 	}
 	tx.Start()
-	for wait := time.Now().Add(2 * time.Second); tx.Stats().DatagramsOut < uint64(len(sizes)); time.Sleep(time.Millisecond) {
-		if time.Now().After(wait) {
-			t.Fatalf("%d of %d datagrams sent", tx.Stats().DatagramsOut, len(sizes))
-		}
+	if !waitSent(tx, uint64(len(sizes))) {
+		t.Fatalf("%d of %d datagrams sent", tx.Stats().DatagramsOut, len(sizes))
 	}
 	return rx, tx, brackets
 }

@@ -387,7 +387,7 @@ func (t *Transport) deliverPacket(d *dgram, pkt []byte) {
 		return
 	}
 	if len(data) == 0 {
-		data = nil
+		data = nil // what core.Inbound reads as "no payload"
 	}
 	t.cfg.OnPacket(d.addr, hdr, data)
 }
