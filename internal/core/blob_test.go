@@ -125,9 +125,10 @@ type captureEnv struct {
 
 func (c *captureEnv) Now() time.Duration { return c.now }
 
-// Output copies the Outbound: the endpoint reuses the pointed-to struct.
+// Output copies the Outbound and its header: the endpoint reuses both.
 func (c *captureEnv) Output(p *Outbound) {
 	q := *p
+	q.Hdr = p.Hdr.Clone()
 	c.pkts = append(c.pkts, &q)
 }
 func (c *captureEnv) SetTimer(at time.Duration) {}

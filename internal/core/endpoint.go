@@ -292,17 +292,15 @@ type Endpoint struct {
 	// Hot-path scratch and pools. The engine drives the endpoint from a
 	// single goroutine (or under the owner's lock), so plain slices suffice.
 	inMsgPool  []*inMsg      // recycled receiver message state
-	batchPool  []*ackBatch   // recycled ack batches (structs only; slices are handed to ACK headers)
+	batchPool  []*ackBatch   // recycled ack batches, list capacity included
 	outScratch Outbound      // reused for every Output call (Env must not retain it)
 	lossPaths  []wire.PathTC // per-ACK/timeout scratch of pathlets with losses
 	completed  []*OutMessage // per-ACK scratch of messages finishing on this ACK
 
-	// reuseHdrs is set when the Env implements OutputNonRetainer: outgoing
-	// headers then live in the scratch fields below and ack batches keep
-	// their list capacity across flushes.
-	reuseHdrs bool
-	dataHdr   wire.Header // scratch header for data packets (reuseHdrs only)
-	ackHdr    wire.Header // scratch header for ACK packets (reuseHdrs only)
+	// Outgoing headers live in these two structs; Env.Output consumes them
+	// before it returns.
+	dataHdr wire.Header // scratch header for data packets
+	ackHdr  wire.Header // scratch header for ACK packets
 
 	// Adaptive retransmission state (Config.MaxRTO > 0): RFC 6298 smoothed
 	// RTT estimators and the current (possibly backed-off) timeout.
@@ -427,9 +425,6 @@ func NewEndpoint(env Env, cfg Config) *Endpoint {
 		}
 	}
 	e.table = pathlet.NewTable(factory)
-	if nr, ok := env.(OutputNonRetainer); ok && nr.OutputNonRetaining() {
-		e.reuseHdrs = true
-	}
 	if cfg.AutoExclude != nil {
 		e.excluder = newAutoExcluder(*cfg.AutoExclude)
 	}
@@ -782,9 +777,8 @@ func (e *Endpoint) releaseInMsg(f *inMsg) {
 	e.inMsgPool = append(e.inMsgPool, f)
 }
 
-// allocBatch returns an empty ack batch, recycling pooled structs. The list
-// slices always start nil: flush hands them to the ACK header, which outlives
-// the batch.
+// allocBatch returns an empty ack batch, recycling pooled structs and the
+// capacity of their lists.
 func (e *Endpoint) allocBatch(srcPort, dstPort uint16) *ackBatch {
 	if k := len(e.batchPool); k > 0 {
 		b := e.batchPool[k-1]
@@ -796,20 +790,11 @@ func (e *Endpoint) allocBatch(srcPort, dstPort uint16) *ackBatch {
 	return &ackBatch{srcPort: srcPort, dstPort: dstPort}
 }
 
-// releaseBatch recycles an ack batch after flush. Under a retaining Env the
-// list slices were handed to the ACK header and must be dropped; under a
-// non-retaining Env the header was consumed inside Output, so the slices are
-// truncated in place and their capacity is reused by the next batch.
+// releaseBatch recycles an ack batch after flush. The ACK header that
+// borrowed its lists was consumed inside Output, so they are truncated in
+// place and the next batch reuses their capacity.
 func (e *Endpoint) releaseBatch(b *ackBatch) {
-	if e.reuseHdrs {
-		b.sack = b.sack[:0]
-		b.nack = b.nack[:0]
-		b.feedback = b.feedback[:0]
-		b.srcPort, b.dstPort = 0, 0
-		b.urgent = false
-	} else {
-		*b = ackBatch{}
-	}
+	*b = ackBatch{sack: b.sack[:0], nack: b.nack[:0], feedback: b.feedback[:0]}
 	e.batchPool = append(e.batchPool, b)
 }
 

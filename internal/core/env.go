@@ -27,7 +27,8 @@ type Addr any
 type Outbound struct {
 	// Dst is the peer the packet is addressed to.
 	Dst Addr
-	// Hdr is the MTP header. The network may mutate it (feedback stamping).
+	// Hdr is the MTP header: the endpoint's scratch, valid until Output
+	// returns (see Env.Output).
 	Hdr *wire.Header
 	// Data is the payload; nil for synthetic payloads and control packets.
 	Data []byte
@@ -50,25 +51,16 @@ type Inbound struct {
 	Trimmed bool
 }
 
-// OutputNonRetainer is an optional Env capability. Implementations that
-// consume Outbound.Hdr synchronously inside Output (e.g. by encoding it to
-// bytes before returning, as real-socket bindings do) return true, and the
-// endpoint then reuses header and ack-list storage across packets instead of
-// allocating fresh ones. Environments that keep the header alive after
-// Output returns — such as the simulator, where headers travel inside
-// queued packets — must not implement this (or must return false).
-type OutputNonRetainer interface {
-	OutputNonRetaining() bool
-}
-
 // Env is the world the endpoint runs in.
 type Env interface {
 	// Now returns the current time (virtual or wall-clock).
 	Now() time.Duration
 	// Output transmits a packet. It must not call back into the endpoint
-	// synchronously, and it must not retain pkt past the call: the endpoint
-	// reuses the pointed-to struct for every transmission. Hdr and Data may
-	// be retained (the endpoint hands ownership of both to the network).
+	// synchronously, and it must not retain pkt, pkt.Hdr or any of Hdr's
+	// lists past the call: all three are the endpoint's scratch, rewritten
+	// for the next transmission. An Env that queues the packet encodes or
+	// copies the header (Header.CopyFrom, Header.Clone) before returning.
+	// Data may be retained: the endpoint hands it to the network.
 	Output(pkt *Outbound)
 	// SetTimer requests a call to Endpoint.OnTimer at or after t. Each call
 	// replaces the previous request; zero cancels.

@@ -321,12 +321,7 @@ func (e *Endpoint) flush(to Addr, b *ackBatch) {
 		e.dropBatch(to, b)
 		return
 	}
-	var hdr *wire.Header
-	if e.reuseHdrs {
-		hdr = &e.ackHdr
-	} else {
-		hdr = new(wire.Header)
-	}
+	hdr := &e.ackHdr
 	*hdr = wire.Header{
 		Type:            wire.TypeAck,
 		SrcPort:         b.dstPort,

@@ -80,12 +80,7 @@ func (e *Endpoint) nextPacket() (*OutMessage, int, bool) {
 // transmit emits one data packet and updates send state.
 func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC) {
 	p := &m.pkts[idx]
-	var hdr *wire.Header
-	if e.reuseHdrs {
-		hdr = &e.dataHdr
-	} else {
-		hdr = new(wire.Header)
-	}
+	hdr := &e.dataHdr
 	*hdr = wire.Header{
 		Type:        wire.TypeData,
 		SrcPort:     e.cfg.LocalPort,

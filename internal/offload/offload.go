@@ -128,8 +128,9 @@ func ackPacket(data *simnet.Packet) *simnet.Packet {
 		Flags:   wire.FlagDelegatedAck,
 		SACK:    []wire.PacketRef{{MsgID: data.Hdr.MsgID, PktNum: data.Hdr.PktNum}},
 		// Echo forward feedback so the sender's pathlet state stays fresh
-		// even when the request never reaches the far end.
-		AckPathFeedback: data.Hdr.PathFeedback,
+		// even when the request never reaches the far end. Copied: the list
+		// belongs to the data packet, which callers release at once.
+		AckPathFeedback: append([]wire.Feedback(nil), data.Hdr.PathFeedback...),
 	}
 	return &simnet.Packet{
 		Src:        data.Dst, // spoof the original destination

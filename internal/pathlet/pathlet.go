@@ -31,7 +31,8 @@ type State struct {
 	LastFeedback time.Duration
 
 	// Excluded reports whether the sender is currently asking the network
-	// to avoid this pathlet.
+	// to avoid this pathlet. Written by Table.SetExcluded only, which keeps
+	// the table's count of exclusions in step.
 	Excluded bool
 }
 
@@ -51,6 +52,11 @@ type Table struct {
 
 	current    wire.PathTC
 	hasCurrent bool
+
+	// excluded counts states with Excluded set, so ExcludeList — called for
+	// every outgoing packet — skips the table walk in the common case of no
+	// exclusions.
+	excluded int
 
 	// sigScratch and updScratch are reused across OnAck calls so the
 	// per-acknowledgement path allocates nothing. The slice returned by
@@ -291,12 +297,24 @@ func (t *Table) ResetAlgorithms() {
 
 // SetExcluded marks or clears a pathlet exclusion request.
 func (t *Table) SetExcluded(p wire.PathTC, excluded bool) {
-	t.Get(p).Excluded = excluded
+	s := t.Get(p)
+	if s.Excluded == excluded {
+		return
+	}
+	s.Excluded = excluded
+	if excluded {
+		t.excluded++
+	} else {
+		t.excluded--
+	}
 }
 
 // ExcludeList returns the pathlets the sender wants the network to avoid,
 // in deterministic order, for inclusion in outgoing headers.
 func (t *Table) ExcludeList() []wire.PathTC {
+	if t.excluded == 0 {
+		return nil
+	}
 	var out []wire.PathTC
 	for p, s := range t.states {
 		if s.Excluded {

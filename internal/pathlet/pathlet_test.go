@@ -170,6 +170,47 @@ func TestExcludeList(t *testing.T) {
 	}
 }
 
+// TestQuickExcludeListMatchesWalk: after every step of a random on/off
+// sequence (repeats and never-seen pathlets included), ExcludeList equals the
+// sorted set of states whose Excluded flag is set — the exclusion count that
+// short-circuits the walk never drifts from the flags.
+func TestQuickExcludeListMatchesWalk(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tb := newTable()
+		for i := 0; i < 200; i++ {
+			p := wire.PathTC{PathID: uint32(r.Intn(6)), TC: uint8(r.Intn(2))}
+			switch r.Intn(3) {
+			case 0:
+				tb.SetExcluded(p, true)
+			case 1:
+				tb.SetExcluded(p, false)
+			default:
+				tb.Get(p) // known but never excluded
+			}
+			var want []wire.PathTC
+			for _, s := range tb.States() { // sorted by (PathID, TC)
+				if s.Excluded {
+					want = append(want, s.Path)
+				}
+			}
+			got := tb.ExcludeList()
+			if (got == nil) != (want == nil) || len(got) != len(want) {
+				return false
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStatesDeterministicOrder(t *testing.T) {
 	tb := newTable()
 	for _, p := range []wire.PathTC{{PathID: 3}, {PathID: 1, TC: 2}, {PathID: 1, TC: 0}, {PathID: 2}} {

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"mtp/internal/core"
+	"mtp/internal/simhost"
 	"mtp/internal/simnet"
 	"mtp/internal/topo"
 )
@@ -265,6 +267,67 @@ func TestShardSteadyStateAllocs(t *testing.T) {
 		// which the high-water mark can never exceed.
 		if high > live+free {
 			t.Errorf("shard %d: pool high-water %d exceeds live %d + free %d", s, high, live, free)
+		}
+	}
+}
+
+// TestMTPSteadyStateAllocs is DESIGN §6's "endpoint packet processing is
+// allocation-free in steady state" as an assertion, under the simulator: a
+// closed-loop MTP incast on a k=4 fat-tree, warmed up, may allocate only
+// per-message state (one OutMessage and its packet table per 256 KB message:
+// a handful of mallocs per thousand events), never per packet. On one engine
+// that is the whole budget; on two shards each crossing also clones its
+// header (the pooled original is recycled in the sending shard), which costs
+// at most the struct and one array per non-empty list.
+func TestMTPSteadyStateAllocs(t *testing.T) {
+	const (
+		sink          = 15
+		msgSize       = 256 << 10
+		perKiloEvent  = 10 // measured ≈2: per-message state only
+		perCrossing   = 4  // Header.Clone: the struct + up to three lists in use
+		windowMinimum = 50000
+	)
+	for _, S := range []int{1, 2} {
+		c := NewFatTreeCluster(topo.FatTreeConfig{K: 4, Seed: 2}, S)
+		for s := 0; s < c.NumShards(); s++ {
+			fab := c.Shard(s).Fab
+			for i := 0; i < fab.NumHosts(); i++ {
+				if !fab.OwnsHost(i) {
+					continue
+				}
+				var mh *simhost.MTPHost
+				next := func() {
+					mh.EP.SendSynthetic(fab.HostID(sink), 1000+sink, msgSize, core.SendOptions{})
+				}
+				mh = simhost.AttachMTP(fab.Net, fab.Host(i), core.Config{
+					LocalPort:     uint16(1000 + i),
+					RTO:           time.Millisecond,
+					OnMessageSent: func(*core.OutMessage) { next() },
+				})
+				if i != sink {
+					fab.Eng.Schedule(0, next)
+				}
+			}
+		}
+		warm := c.Run(10 * time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st := c.Run(30 * time.Millisecond)
+		runtime.ReadMemStats(&after)
+		allocs := after.Mallocs - before.Mallocs
+		events, crossings := st.Events-warm.Events, st.Crossings-warm.Crossings
+		if events < windowMinimum {
+			t.Fatalf("S=%d: measure window executed only %d events", S, events)
+		}
+		if S > 1 && crossings == 0 {
+			t.Fatalf("S=%d: no crossings in the measure window", S)
+		}
+		budget := events*perKiloEvent/1000 + crossings*perCrossing
+		t.Logf("S=%d: %d mallocs over %d events and %d crossings (%.1f per 1000 events; budget %d)",
+			S, allocs, events, crossings, 1000*float64(allocs)/float64(events), budget)
+		if allocs > budget {
+			t.Errorf("S=%d: steady-state window: %d mallocs over %d events and %d crossings (want ≤ %d)",
+				S, allocs, events, crossings, budget)
 		}
 	}
 }

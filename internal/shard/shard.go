@@ -47,12 +47,12 @@ import (
 const never = time.Duration(math.MaxInt64)
 
 // xfer is one packet crossing a shard boundary: the cut link's global rank,
-// the absolute arrival time, and the packet's payload fields. Hdr, Data, and
-// Payload are handed over by pointer, not copied: the transport allocates a
-// fresh header per transmission and never touches it after the delivery that
-// captured it here (link-level duplication clones first), so once the packet
-// leaves via DeliverRemote the sending shard holds no reference. The channel
-// exchange provides the happens-before edge that makes the handoff safe.
+// the absolute arrival time, and the packet's payload fields. The header is a
+// clone — the original lives in the pooled packet, which the sending shard
+// recycles the moment DeliverRemote returns. Data and Payload are handed over
+// by pointer, not copied: nothing on the sending side touches them after the
+// delivery that captured them here. The channel exchange provides the
+// happens-before edge that makes the handoff safe.
 type xfer struct {
 	rank int
 	at   time.Duration
@@ -103,10 +103,14 @@ func (sk sink) DeliverRemote(l *simnet.Link, at time.Duration, pkt *simnet.Packe
 	if !ok {
 		panic(fmt.Sprintf("shard: link %s has a remote hook but no cut port", l.Name()))
 	}
+	var hdr *wire.Header
+	if pkt.Hdr != nil {
+		hdr = pkt.Hdr.Clone()
+	}
 	x := xfer{
 		rank: port.Rank, at: at,
 		src: pkt.Src, dst: pkt.Dst, size: pkt.Size,
-		hdr: pkt.Hdr, payload: pkt.Payload, data: pkt.Data,
+		hdr: hdr, payload: pkt.Payload, data: pkt.Data,
 		ce: pkt.CE, ecnCapable: pkt.ECNCapable,
 		trimmed: pkt.Trimmed, corrupted: pkt.Corrupted,
 		tenant: pkt.Tenant, flowID: pkt.FlowID,
@@ -137,7 +141,10 @@ func (s *Shard) inject(batch []xfer) {
 		}
 		pkt := s.Fab.Net.AllocPacket()
 		pkt.Src, pkt.Dst, pkt.Size = x.src, x.dst, x.size
-		pkt.Hdr, pkt.Payload, pkt.Data = x.hdr, x.payload, x.data
+		if x.hdr != nil {
+			pkt.SetHeader(x.hdr)
+		}
+		pkt.Payload, pkt.Data = x.payload, x.data
 		pkt.CE, pkt.ECNCapable = x.ce, x.ecnCapable
 		pkt.Trimmed, pkt.Corrupted = x.trimmed, x.corrupted
 		pkt.Tenant, pkt.FlowID = x.tenant, x.flowID

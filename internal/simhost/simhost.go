@@ -79,7 +79,9 @@ func (mh *MTPHost) Output(pkt *core.Outbound) {
 	sp := mh.net.AllocPacket()
 	sp.Dst = dst
 	sp.Size = pkt.Size
-	sp.Hdr = pkt.Hdr
+	// The endpoint reuses pkt.Hdr for its next packet; the simulated packet
+	// carries its own copy for switches to stamp.
+	sp.SetHeader(pkt.Hdr)
 	sp.Data = pkt.Data
 	sp.ECNCapable = true
 	sp.Tenant = int(pkt.Hdr.TC)

@@ -78,13 +78,12 @@ type LinkConfig struct {
 
 // RemoteHook receives packets leaving the local shard. DeliverRemote owns
 // pkt afterwards: it must capture what crosses the boundary and release pkt
-// into the local pool before returning. The Packet struct itself is pooled
-// and must not escape, but its Hdr, Data, and Payload references may be
-// handed across by pointer — the transport allocates a fresh header per
-// transmission and nothing on the sending side touches those fields after
-// the transmit-done that invoked the hook (duplication paths clone before
-// enqueueing), so the shard barrier's happens-before edge is the only
-// synchronization the handoff needs.
+// into the local pool before returning. The Packet struct and the header it
+// owns are pooled and must not escape — the hook clones Hdr — but Data and
+// Payload may be handed across by pointer: nothing on the sending side
+// touches them after the transmit-done that invoked the hook, so the shard
+// barrier's happens-before edge is the only synchronization the handoff
+// needs.
 type RemoteHook interface {
 	DeliverRemote(l *Link, deliverAt time.Duration, pkt *Packet)
 }
@@ -345,12 +344,15 @@ func (l *Link) Enqueue(pkt *Packet) {
 	}
 	if l.dupP > 0 && l.faultRng != nil && l.faultRng.Float64() < l.dupP {
 		dup := l.net.AllocPacket()
-		pooled := dup.pooled
+		pooled, own := dup.pooled, dup.hdr
 		*dup = *pkt
 		dup.pooled = pooled
 		dup.released = false
+		// The struct copy aliased pkt's header storage: give dup its own back
+		// and deep-copy the header into it.
+		dup.hdr = own
 		if pkt.Hdr != nil {
-			dup.Hdr = pkt.Hdr.Clone()
+			dup.SetHeader(pkt.Hdr)
 		}
 		l.stats.Duplicated++
 		if l.net.obs != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mtp/internal/sim"
+	"mtp/internal/wire"
 )
 
 // Node is anything that can receive packets from a link.
@@ -48,15 +49,18 @@ type Network struct {
 var poisonFreed bool
 
 // SetPoisonFreed toggles a debug mode for the packet free-list: released
-// packets are overwritten with sentinel values and withheld from reuse, so a
-// use-after-release reads obviously-wrong fields (and, under the race
-// detector, a cross-goroutine stale read is a write/read race on the poisoned
-// words). Double releases panic. Off by default; intended for tests.
+// packets — and the header storage they own, list elements included — are
+// overwritten with sentinel values and withheld from reuse, so a
+// use-after-release of the Packet, of its Hdr, or of a list sliced from that
+// header reads obviously-wrong fields (and, under the race detector, a
+// cross-goroutine stale read is a write/read race on the poisoned words).
+// Double releases panic. Off by default; intended for tests.
 func SetPoisonFreed(on bool) { poisonFreed = on }
 
 // AllocPacket returns a zeroed packet from the network's free-list (or a
 // fresh one). It is recycled automatically when a host delivers it or a link
-// drops it; senders must not retain it past that point.
+// drops it; senders must not retain it, its Hdr after SetHeader, or any list
+// of that header past that point.
 func (n *Network) AllocPacket() *Packet {
 	n.pktLive++
 	if n.pktLive > n.pktHigh {
@@ -122,15 +126,42 @@ func (n *Network) ReleasePacket(p *Packet) {
 	if poisonFreed {
 		// Poison and withhold from the pool: stale readers see nonsense
 		// values instead of the next packet's fields.
+		poisonLists(&p.hdr)
 		*p = Packet{
 			Src: -1, Dst: -1, Size: -0x5EAD,
 			Tenant: -0x5EAD, FlowID: ^uint64(0),
+			hdr:    wire.Header{MsgID: ^uint64(0), PktNum: ^uint32(0)},
 			pooled: true, released: true,
 		}
 		return
 	}
+	// The owned header keeps its list capacities (and stale fields, which
+	// SetHeader overwrites wholesale); everything else is zeroed.
+	own := p.hdr
 	*p = Packet{pooled: true, released: true}
+	p.hdr = own
 	n.pktFree = append(n.pktFree, p)
+}
+
+// poisonLists overwrites the elements of h's lists, out to their capacity, so
+// a list sliced from a released header reads nonsense too.
+func poisonLists(h *wire.Header) {
+	bad := wire.PathTC{PathID: ^uint32(0), TC: 0xFF}
+	for i, l := 0, h.PathExclude[:cap(h.PathExclude)]; i < len(l); i++ {
+		l[i] = bad
+	}
+	for _, l := range [][]wire.Feedback{h.PathFeedback, h.AckPathFeedback} {
+		l = l[:cap(l)]
+		for i := range l {
+			l[i] = wire.Feedback{Path: bad, Type: 0xFF}
+		}
+	}
+	for _, l := range [][]wire.PacketRef{h.SACK, h.NACK} {
+		l = l[:cap(l)]
+		for i := range l {
+			l[i] = wire.PacketRef{MsgID: ^uint64(0), PktNum: ^uint32(0)}
+		}
+	}
 }
 
 // NewNetwork returns an empty topology bound to the engine.
@@ -216,8 +247,10 @@ func (h *Host) AllocPacket() *Packet { return h.net.AllocPacket() }
 
 // Receive implements Node. Delivery is the end of a packet's life: after the
 // handler returns, pooled packets are recycled, so handlers must not retain
-// the Packet (retaining Hdr, Data, or Payload is fine — those are dropped to
-// the garbage collector, not reused).
+// the Packet, its Hdr, or a list sliced from that header: the header storage
+// belongs to the packet and carries the next one. Copy (Header.Clone) what
+// must outlive the call. Data and Payload may be retained — those are dropped
+// to the garbage collector, not reused.
 func (h *Host) Receive(pkt *Packet, _ *Link) {
 	if h.handler != nil {
 		h.handler(pkt)

@@ -24,7 +24,10 @@ type Packet struct {
 	// Size is the on-wire size in bytes including all headers.
 	Size int
 
-	// Hdr is the MTP header for MTP packets; nil otherwise.
+	// Hdr is the MTP header for MTP packets; nil otherwise. Devices read and
+	// mutate it in place. After SetHeader it points at storage the packet
+	// owns, which is recycled with the packet: nothing may keep Hdr or one of
+	// its lists past the packet's release without copying (Header.Clone).
 	Hdr *wire.Header
 
 	// Payload carries transport-specific state for non-MTP packets (e.g.
@@ -63,11 +66,24 @@ type Packet struct {
 	enqueuedAt        time.Duration
 	queueLenAtEnqueue int
 
+	// hdr is the header storage SetHeader fills. Its list capacities survive
+	// ReleasePacket, so a recycled packet carries — and switches stamp
+	// feedback into — a header without allocating.
+	hdr wire.Header
+
 	// pooled marks packets owned by a Network free-list (see
 	// Network.AllocPacket); released guards against double release.
 	// Packets built with &Packet{} are never recycled.
 	pooled   bool
 	released bool
+}
+
+// SetHeader makes p an MTP packet carrying a deep copy of h in storage the
+// packet owns, so the caller may reuse h (and its lists) as soon as the call
+// returns.
+func (p *Packet) SetHeader(h *wire.Header) {
+	p.hdr.CopyFrom(h)
+	p.Hdr = &p.hdr
 }
 
 // IsMTP reports whether the packet carries an MTP header.

@@ -277,7 +277,7 @@ func (m *MessageRR) Choose(sw *Switch, pkt *Packet, c []*Link) *Link {
 	if pkt.Hdr == nil {
 		return ECMP{}.Choose(sw, pkt, c)
 	}
-	key := msgKey{src: pkt.Src, port: pkt.Hdr.SrcPort, msgID: pkt.Hdr.MsgID}
+	key := keyOf(pkt)
 	if l, ok := m.assignments[key]; ok {
 		if linkIn(c, l) {
 			if pkt.Hdr.PktNum+1 >= pkt.Hdr.MsgPkts {
@@ -307,12 +307,11 @@ type MessageLB struct {
 	assignments map[msgKey]*Link
 	// pending tracks bytes assigned to each link that have not yet been
 	// serialized, giving the LB visibility beyond the queue itself. It is
-	// a slice in first-use order (with an index map alongside) rather than
-	// a map keyed by link: every walk over it is deterministic, so tied
-	// scores resolve identically run to run regardless of map iteration
-	// order.
+	// a slice in first-use order rather than a map keyed by link: every
+	// walk over it is deterministic, so tied scores resolve identically run
+	// to run regardless of map iteration order, and with at most one entry
+	// per egress of the switch a scan finds a link faster than a hash.
 	pending   []pendingLink
-	pendingIx map[*Link]int
 	lastDrain time.Duration
 }
 
@@ -321,18 +320,21 @@ type pendingLink struct {
 	bytes float64
 }
 
+// msgKey names one message network-wide. Source node and port share a word
+// so the key is 16 bytes with no padding, which the runtime hashes in one
+// pass instead of field by field.
 type msgKey struct {
-	src   NodeID
-	port  uint16
-	msgID uint64
+	srcPort uint64 // uint64(src)<<16 | port
+	msgID   uint64
+}
+
+func keyOf(pkt *Packet) msgKey {
+	return msgKey{srcPort: uint64(pkt.Src)<<16 | uint64(pkt.Hdr.SrcPort), msgID: pkt.Hdr.MsgID}
 }
 
 // NewMessageLB returns an empty message-aware load balancer.
 func NewMessageLB() *MessageLB {
-	return &MessageLB{
-		assignments: make(map[msgKey]*Link),
-		pendingIx:   make(map[*Link]int),
-	}
+	return &MessageLB{assignments: make(map[msgKey]*Link)}
 }
 
 // Choose implements ForwardPolicy.
@@ -341,7 +343,7 @@ func (m *MessageLB) Choose(sw *Switch, pkt *Packet, c []*Link) *Link {
 		return ECMP{}.Choose(sw, pkt, c)
 	}
 	m.drain(sw.net.eng.Now())
-	key := msgKey{src: pkt.Src, port: pkt.Hdr.SrcPort, msgID: pkt.Hdr.MsgID}
+	key := keyOf(pkt)
 	if l, ok := m.assignments[key]; ok {
 		if linkIn(c, l) {
 			m.account(l, pkt)
@@ -386,20 +388,22 @@ func linkIn(c []*Link, l *Link) bool {
 }
 
 func (m *MessageLB) pendingFor(l *Link) float64 {
-	if i, ok := m.pendingIx[l]; ok {
-		return m.pending[i].bytes
+	for i := range m.pending {
+		if m.pending[i].link == l {
+			return m.pending[i].bytes
+		}
 	}
 	return 0
 }
 
 func (m *MessageLB) account(l *Link, pkt *Packet) {
-	i, ok := m.pendingIx[l]
-	if !ok {
-		i = len(m.pending)
-		m.pendingIx[l] = i
-		m.pending = append(m.pending, pendingLink{link: l})
+	for i := range m.pending {
+		if m.pending[i].link == l {
+			m.pending[i].bytes += float64(pkt.Size)
+			return
+		}
 	}
-	m.pending[i].bytes += float64(pkt.Size)
+	m.pending = append(m.pending, pendingLink{link: l, bytes: float64(pkt.Size)})
 }
 
 // drain decays the pending-bytes estimate at line rate so the score tracks

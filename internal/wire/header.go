@@ -580,14 +580,24 @@ func DecodeFull(b []byte) (*Header, error) {
 // appending feedback) operate on clones so that simulated multicast or
 // retransmission state is not corrupted by aliasing.
 func (h *Header) Clone() *Header {
-	c := *h
-	c.PathExclude = append([]PathTC(nil), h.PathExclude...)
+	c := new(Header)
+	c.CopyFrom(h)
+	return c
+}
+
+// CopyFrom makes h a deep copy of src, reusing the capacity of h's list
+// slices the way DecodeInto does: a header copied repeatedly into the same
+// struct allocates only when a list outgrows every previous one. Every field
+// of h is overwritten, and h's lists never alias src's.
+func (h *Header) CopyFrom(src *Header) {
+	exclude, fwd, echo, sack, nack := h.PathExclude, h.PathFeedback, h.AckPathFeedback, h.SACK, h.NACK
+	*h = *src
+	h.PathExclude = append(exclude[:0], src.PathExclude...)
 	// Feedback stores its value inline, so a slice copy is already deep.
-	c.PathFeedback = append([]Feedback(nil), h.PathFeedback...)
-	c.AckPathFeedback = append([]Feedback(nil), h.AckPathFeedback...)
-	c.SACK = append([]PacketRef(nil), h.SACK...)
-	c.NACK = append([]PacketRef(nil), h.NACK...)
-	return &c
+	h.PathFeedback = append(fwd[:0], src.PathFeedback...)
+	h.AckPathFeedback = append(echo[:0], src.AckPathFeedback...)
+	h.SACK = append(sack[:0], src.SACK...)
+	h.NACK = append(nack[:0], src.NACK...)
 }
 
 // AddPathFeedback appends a feedback entry to the forward path feedback list,

@@ -568,17 +568,13 @@ func (n *Node) drainAll() {
 func (n *Node) Now() time.Duration { return n.tr.Now() }
 
 // Output implements core.Env. Called under mu. The packet is encoded into a
-// pooled buffer and queued on the lock-free outbound ring; the writer
-// goroutine performs the syscalls. Every peer key comes from sendKey or the
+// pooled buffer before the call returns (the header is the endpoint's
+// scratch) and queued on the lock-free outbound ring; the writer goroutine
+// performs the syscalls. Every peer key comes from sendKey or the
 // transport's reader, so it is always an AddrPort.
 func (n *Node) Output(pkt *core.Outbound) {
 	n.tr.Send(pkt.Dst.(netip.AddrPort), pkt.Hdr, pkt.Data)
 }
-
-// OutputNonRetaining implements core.OutputNonRetainer: Output encodes the
-// header to bytes before returning, so the endpoint may reuse header and
-// ack-list storage across packets.
-func (n *Node) OutputNonRetaining() bool { return true }
 
 // SetTimer implements core.Env. Called under mu. A rearm that races an
 // in-flight firing at worst delivers one spurious OnTimer, which the endpoint
