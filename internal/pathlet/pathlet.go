@@ -48,7 +48,10 @@ type Factory func(p wire.PathTC) cc.Algorithm
 // Table is the sender's pathlet state table.
 type Table struct {
 	factory Factory
-	states  map[wire.PathTC]*State
+	// states is keyed by stateKey(path): one word, which the runtime hashes
+	// in a single step where the padded PathTC struct is hashed field by
+	// field — Get runs several times per packet.
+	states map[uint64]*State
 
 	current    wire.PathTC
 	hasCurrent bool
@@ -84,22 +87,25 @@ func NewTable(factory Factory) *Table {
 	if factory == nil {
 		panic("pathlet: nil factory")
 	}
-	return &Table{factory: factory, states: make(map[wire.PathTC]*State)}
+	return &Table{factory: factory, states: make(map[uint64]*State)}
 }
+
+func stateKey(p wire.PathTC) uint64 { return uint64(p.PathID)<<8 | uint64(p.TC) }
 
 // Get returns the state for p, creating it on first use.
 func (t *Table) Get(p wire.PathTC) *State {
-	if s, ok := t.states[p]; ok {
+	k := stateKey(p)
+	if s, ok := t.states[k]; ok {
 		return s
 	}
 	s := &State{Path: p, Algo: t.factory(p)}
-	t.states[p] = s
+	t.states[k] = s
 	return s
 }
 
 // Lookup returns the state for p if it exists.
 func (t *Table) Lookup(p wire.PathTC) (*State, bool) {
-	s, ok := t.states[p]
+	s, ok := t.states[stateKey(p)]
 	return s, ok
 }
 
@@ -289,8 +295,8 @@ func (t *Table) RemoveInflight(p wire.PathTC, n int) {
 // invalidates the congestion estimates learned against its previous
 // incarnation.
 func (t *Table) ResetAlgorithms() {
-	for p, s := range t.states {
-		s.Algo = t.factory(p)
+	for _, s := range t.states {
+		s.Algo = t.factory(s.Path)
 		s.SRTT = 0
 	}
 }
@@ -316,9 +322,9 @@ func (t *Table) ExcludeList() []wire.PathTC {
 		return nil
 	}
 	var out []wire.PathTC
-	for p, s := range t.states {
+	for _, s := range t.states {
 		if s.Excluded {
-			out = append(out, p)
+			out = append(out, s.Path)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -137,9 +137,7 @@ func (n *Network) ReleasePacket(p *Packet) {
 	}
 	// The owned header keeps its list capacities (and stale fields, which
 	// SetHeader overwrites wholesale); everything else is zeroed.
-	own := p.hdr
-	*p = Packet{pooled: true, released: true}
-	p.hdr = own
+	*p = Packet{pooled: true, released: true, hdr: p.hdr}
 	n.pktFree = append(n.pktFree, p)
 }
 
@@ -147,8 +145,9 @@ func (n *Network) ReleasePacket(p *Packet) {
 // a list sliced from a released header reads nonsense too.
 func poisonLists(h *wire.Header) {
 	bad := wire.PathTC{PathID: ^uint32(0), TC: 0xFF}
-	for i, l := 0, h.PathExclude[:cap(h.PathExclude)]; i < len(l); i++ {
-		l[i] = bad
+	exclude := h.PathExclude[:cap(h.PathExclude)]
+	for i := range exclude {
+		exclude[i] = bad
 	}
 	for _, l := range [][]wire.Feedback{h.PathFeedback, h.AckPathFeedback} {
 		l = l[:cap(l)]

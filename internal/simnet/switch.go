@@ -387,21 +387,27 @@ func linkIn(c []*Link, l *Link) bool {
 	return false
 }
 
-func (m *MessageLB) pendingFor(l *Link) float64 {
+// pendingOf returns l's entry in pending, or nil before its first use.
+func (m *MessageLB) pendingOf(l *Link) *pendingLink {
 	for i := range m.pending {
 		if m.pending[i].link == l {
-			return m.pending[i].bytes
+			return &m.pending[i]
 		}
+	}
+	return nil
+}
+
+func (m *MessageLB) pendingFor(l *Link) float64 {
+	if p := m.pendingOf(l); p != nil {
+		return p.bytes
 	}
 	return 0
 }
 
 func (m *MessageLB) account(l *Link, pkt *Packet) {
-	for i := range m.pending {
-		if m.pending[i].link == l {
-			m.pending[i].bytes += float64(pkt.Size)
-			return
-		}
+	if p := m.pendingOf(l); p != nil {
+		p.bytes += float64(pkt.Size)
+		return
 	}
 	m.pending = append(m.pending, pendingLink{link: l, bytes: float64(pkt.Size)})
 }
