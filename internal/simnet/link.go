@@ -344,13 +344,13 @@ func (l *Link) Enqueue(pkt *Packet) {
 	}
 	if l.dupP > 0 && l.faultRng != nil && l.faultRng.Float64() < l.dupP {
 		dup := l.net.AllocPacket()
-		pooled, own := dup.pooled, dup.hdr
+		pooled, own := dup.pooled, dup.own
 		*dup = *pkt
 		dup.pooled = pooled
 		dup.released = false
 		// The struct copy aliased pkt's header storage: give dup its own back
 		// and deep-copy the header into it.
-		dup.hdr = own
+		dup.own = own
 		if pkt.Hdr != nil {
 			dup.SetHeader(pkt.Hdr)
 		}

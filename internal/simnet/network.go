@@ -126,18 +126,20 @@ func (n *Network) ReleasePacket(p *Packet) {
 	if poisonFreed {
 		// Poison and withhold from the pool: stale readers see nonsense
 		// values instead of the next packet's fields.
-		poisonLists(&p.hdr)
+		if p.own != nil {
+			poisonLists(p.own)
+			*p.own = wire.Header{MsgID: ^uint64(0), PktNum: ^uint32(0)}
+		}
 		*p = Packet{
 			Src: -1, Dst: -1, Size: -0x5EAD,
 			Tenant: -0x5EAD, FlowID: ^uint64(0),
-			hdr:    wire.Header{MsgID: ^uint64(0), PktNum: ^uint32(0)},
 			pooled: true, released: true,
 		}
 		return
 	}
-	// The owned header keeps its list capacities (and stale fields, which
-	// SetHeader overwrites wholesale); everything else is zeroed.
-	*p = Packet{pooled: true, released: true, hdr: p.hdr}
+	// The owned header stays with the packet, list capacities and stale
+	// fields included (SetHeader overwrites it wholesale); the rest is zeroed.
+	*p = Packet{pooled: true, released: true, own: p.own}
 	n.pktFree = append(n.pktFree, p)
 }
 

@@ -66,10 +66,13 @@ type Packet struct {
 	enqueuedAt        time.Duration
 	queueLenAtEnqueue int
 
-	// hdr is the header storage SetHeader fills. Its list capacities survive
-	// ReleasePacket, so a recycled packet carries — and switches stamp
-	// feedback into — a header without allocating.
-	hdr wire.Header
+	// own is the header storage SetHeader fills, allocated the first time
+	// the packet carries an MTP header and kept across ReleasePacket with its
+	// list capacities: a recycled packet carries — and switches stamp
+	// feedback into — a header without allocating. A pointer rather than a
+	// value so packets that never carry an MTP header (every baseline
+	// transport's) stay small.
+	own *wire.Header
 
 	// pooled marks packets owned by a Network free-list (see
 	// Network.AllocPacket); released guards against double release.
@@ -82,8 +85,11 @@ type Packet struct {
 // packet owns, so the caller may reuse h (and its lists) as soon as the call
 // returns.
 func (p *Packet) SetHeader(h *wire.Header) {
-	p.hdr.CopyFrom(h)
-	p.Hdr = &p.hdr
+	if p.own == nil {
+		p.own = new(wire.Header)
+	}
+	p.own.CopyFrom(h)
+	p.Hdr = p.own
 }
 
 // IsMTP reports whether the packet carries an MTP header.
