@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify golden exp bench benchpair netbench chaos cover scenario fuzz
+.PHONY: build test race vet verify golden exp sim-smoke bench benchpair netbench chaos cover scenario fuzz
 
 build:
 	$(GO) build ./...
@@ -11,9 +11,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# golden_clean fails when a golden file differs from the last commit: a test
-# that rewrites one without -update is a bug, and `make golden` output must be
-# reviewed and committed, not left lying in the tree.
+# golden_clean fails when a golden file, or a runfile that reproduces one
+# (internal/exp/testdata/*.run), differs from the last commit: a test that
+# rewrites either is a bug, and `make golden` output must be reviewed and
+# committed, not left lying in the tree.
 define golden_clean
 @test -z "$$(git status --porcelain internal/*/testdata)" || { echo "golden files changed:"; git status --porcelain internal/*/testdata; exit 1; }
 endef
@@ -59,6 +60,13 @@ fuzz:
 # exp regenerates the paper's figures on the simulator.
 exp: build
 	$(GO) run ./cmd/mtpexp -exp all
+
+# sim-smoke runs the simulator smokes of CI's verify job end to end through
+# the CLI: the rows of ci/sim.run (scale, sharded scale, table1, failover
+# against two rivals, offfail), every checkable one under the invariant
+# harness. One row: go run ./cmd/mtpexp -run ci/sim.run -only offfail
+sim-smoke: build
+	$(GO) run ./cmd/mtpexp -run ci/sim.run
 
 # bench runs the repository's one benchmark (bench/, declared in
 # BENCHMARK.json): six workloads, end-to-end metrics; see bench/README.md

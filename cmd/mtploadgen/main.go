@@ -8,7 +8,7 @@
 //	mtploadgen -target 127.0.0.1:9999 -count 100
 //
 // With -runfile, mtploadgen becomes the deployment launcher: it parses the
-// experiment points (onet-style table or JSON; see internal/platform),
+// experiment points (the grammar is in internal/platform's package comment),
 // re-execs itself once per process per point, coordinates the workers over
 // a TCP control channel, prints one `go test -bench`-style line per point on
 // stdout, and exits non-zero if any message was lost or duplicated (`make
@@ -30,12 +30,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"sort"
-	"sync"
 	"time"
 
 	"mtp"
@@ -43,30 +42,49 @@ import (
 	"mtp/internal/platform"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is main with its arguments, output and exit status as values.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("mtploadgen", flag.ContinueOnError)
 	var (
-		sink        = flag.String("sink", "", "run a sink on this UDP address")
-		target      = flag.String("target", "", "send load to this sink address")
-		local       = flag.Bool("local", false, "run sink and generator in-process over loopback UDP")
-		count       = flag.Int("count", 1000, "messages to send")
-		size        = flag.Int("size", 16384, "message size in bytes")
-		concurrency = flag.Int("concurrency", 8, "concurrent outstanding messages")
-		port        = flag.Uint("port", 7, "MTP service port")
-		runfile     = flag.String("runfile", "", "run a multi-process experiment series from this runfile")
+		sink    = fs.String("sink", "", "run a sink on this UDP address")
+		target  = fs.String("target", "", "send load to this sink address")
+		local   = fs.Bool("local", false, "run sink and generator in-process over loopback UDP")
+		runfile = fs.String("runfile", "", "run a multi-process experiment series from this runfile")
 
 		// Chaos injection (launcher mode only).
-		chaosSpec   = flag.String("chaos", "", "chaos schedule spec, e.g. kill:2@150ms,stop:1@1s+500ms")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "derive a reproducible chaos schedule from this seed")
-		chaosEvents = flag.Int("chaos-events", 1, "events in a seed-derived schedule")
-		chaosWindow = flag.Duration("chaos-window", 2*time.Second, "offset window for a seed-derived schedule")
+		chaosSpec   = fs.String("chaos", "", "chaos schedule spec, e.g. kill:2@150ms,stop:1@1s+500ms")
+		chaosSeed   = fs.Int64("chaos-seed", 0, "derive a reproducible chaos schedule from this seed")
+		chaosEvents = fs.Int("chaos-events", 1, "events in a seed-derived schedule")
+		chaosWindow = fs.Duration("chaos-window", 2*time.Second, "offset window for a seed-derived schedule")
 
 		// Internal: the launcher re-execs itself with these to become one
 		// worker of a point.
-		workerMode  = flag.Bool("platform-worker", false, "internal: run as a platform worker")
-		controlAddr = flag.String("control", "", "internal: launcher control address")
-		workerIndex = flag.Int("index", -1, "internal: worker index (0 = sink)")
+		workerMode  = fs.Bool("platform-worker", false, "internal: run as a platform worker")
+		controlAddr = fs.String("control", "", "internal: launcher control address")
+		workerIndex = fs.Int("index", -1, "internal: worker index (0 = sink)")
 	)
-	flag.Parse()
+	// The direct modes' workload is a platform.Point like a runfile row's, so
+	// Point.Checked is the only validation.
+	p := platform.Point{Procs: 2}
+	fs.IntVar(&p.Messages, "count", 1000, "messages to send")
+	fs.IntVar(&p.Size, "size", 16384, "message size in bytes")
+	fs.IntVar(&p.Concurrency, "concurrency", 8, "concurrent outstanding messages")
+	port := fs.Uint("port", 7, "MTP service port")
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	if *port > 65535 {
+		fmt.Fprintf(os.Stderr, "mtploadgen: -port %d, need <= 65535\n", *port)
+		return 2
+	}
+	p.Port = uint16(*port)
+	p, err := p.Checked()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mtploadgen: %v\n", err)
+		return 2
+	}
 
 	switch {
 	case *workerMode:
@@ -76,24 +94,21 @@ func main() {
 	case *runfile != "":
 		runRunfile(*runfile, *chaosSpec, *chaosSeed, *chaosEvents, *chaosWindow)
 	case *sink != "":
-		runSink(*sink, uint16(*port))
+		runSink(*sink, p)
 	case *local:
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("listen: %v", err)
-		}
-		node, err := mtp.NewNode(pc, mtp.Config{Port: uint16(*port)})
+		s, err := platform.ListenSink("127.0.0.1:0", p)
 		if err != nil {
 			log.Fatalf("sink: %v", err)
 		}
-		defer node.Close()
-		runLoad(node.Addr().String(), uint16(*port), *count, *size, *concurrency)
+		defer s.Node.Close()
+		return runLoad(stdout, s.Node.Addr().String(), p)
 	case *target != "":
-		runLoad(*target, uint16(*port), *count, *size, *concurrency)
+		return runLoad(stdout, *target, p)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }
 
 // runRunfile is launcher mode: execute every point, bench lines on
@@ -163,33 +178,24 @@ func chaosSchedule(points []platform.Point, spec string, seed int64, events int,
 	return sched
 }
 
-func runSink(addr string, port uint16) {
-	pc, err := net.ListenPacket("udp", addr)
+func runSink(addr string, p platform.Point) {
+	s, err := platform.ListenSink(addr, p)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		log.Fatalf("sink: %v", err)
 	}
-	var received, bytes uint64
-	var mu sync.Mutex
-	node, err := mtp.NewNode(pc, mtp.Config{Port: port, OnMessage: func(m mtp.Message) {
-		mu.Lock()
-		received++
-		bytes += uint64(len(m.Data))
-		mu.Unlock()
-	}})
-	if err != nil {
-		log.Fatalf("node: %v", err)
-	}
-	defer node.Close()
-	log.Printf("mtp sink on %s", node.Addr())
+	defer s.Node.Close()
+	log.Printf("mtp sink on %s", s.Node.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	mu.Lock()
-	log.Printf("received %d messages, %d bytes", received, bytes)
-	mu.Unlock()
+	res := s.Result()
+	log.Printf("received %d messages, %d bytes", res.Received, res.Bytes)
 }
 
-func runLoad(target string, port uint16, count, size, concurrency int) {
+// runLoad drives target with p's workload (platform.Generate, the launcher's
+// own generator) and prints the outcome; any message short of p.Messages is
+// exit status 1.
+func runLoad(stdout io.Writer, target string, p platform.Point) int {
 	pc, err := net.ListenPacket("udp", "0.0.0.0:0")
 	if err != nil {
 		log.Fatalf("listen: %v", err)
@@ -200,49 +206,16 @@ func runLoad(target string, port uint16, count, size, concurrency int) {
 	}
 	defer node.Close()
 
-	payload := make([]byte, size)
-	lat := make([]time.Duration, 0, count)
-	var mu sync.Mutex
-	sem := make(chan struct{}, concurrency)
-	var wg sync.WaitGroup
-
-	start := time.Now()
-	for i := 0; i < count; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t0 := time.Now()
-			out, err := node.Send(target, port, payload)
-			if err != nil {
-				log.Printf("send: %v", err)
-				return
-			}
-			select {
-			case <-out.Done():
-				mu.Lock()
-				lat = append(lat, time.Since(t0))
-				mu.Unlock()
-			case <-time.After(30 * time.Second):
-				log.Printf("message %d timed out", out.ID)
-			}
-		}()
+	res := platform.Generate(node, target, p)
+	elapsed := time.Duration(res.ElapsedSec * float64(time.Second))
+	fmt.Fprintf(stdout, "completed %d/%d messages of %d bytes in %v\n", res.Completed, p.Messages, p.Size, elapsed)
+	fmt.Fprintf(stdout, "goodput: %.2f Gbit/s\n", float64(res.Completed)*float64(p.Size)*8/res.ElapsedSec/1e9)
+	fmt.Fprintf(stdout, "latency p50=%v p90=%v p99=%v max=%v\n",
+		res.Latency(0.50), res.Latency(0.90), res.Latency(0.99), res.Latency(1))
+	fmt.Fprintf(stdout, "stats: %+v\n", node.Stats())
+	if res.Completed < p.Messages {
+		log.Printf("%d send errors, %d timed out", res.SendErrors, res.Timeouts)
+		return 1
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	if len(lat) == 0 {
-		log.Fatal("no messages completed")
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) time.Duration {
-		idx := int(p / 100 * float64(len(lat)-1))
-		return lat[idx]
-	}
-	totalBytes := float64(len(lat)) * float64(size)
-	fmt.Printf("completed %d/%d messages of %d bytes in %v\n", len(lat), count, size, elapsed)
-	fmt.Printf("goodput: %.2f Gbit/s\n", totalBytes*8/elapsed.Seconds()/1e9)
-	fmt.Printf("latency p50=%v p90=%v p99=%v max=%v\n", pct(50), pct(90), pct(99), lat[len(lat)-1])
-	fmt.Printf("stats: %+v\n", node.Stats())
+	return 0
 }

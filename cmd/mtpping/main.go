@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -26,49 +27,68 @@ import (
 	"mtp"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is main with its arguments, output and exit status as values.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("mtpping", flag.ContinueOnError)
 	var (
-		listen   = flag.String("listen", "", "run an echo server on this UDP address")
-		connect  = flag.String("connect", "", "send pings to this server address")
-		count    = flag.Int("count", 5, "number of messages to send")
-		size     = flag.Int("size", 1024, "message size in bytes")
-		port     = flag.Uint("port", 7, "MTP service port")
-		ccAlgo   = flag.String("cc", "dctcp", "congestion control: dctcp, aimd, rcp, swift, dcqcn")
-		doTrace  = flag.Bool("trace", false, "dump the protocol event trace at exit (client)")
-		interval = flag.Duration("interval", 0, "pause between pings (like ping -i)")
-		jsonOut  = flag.Bool("json", false, "emit JSON lines instead of text (client)")
+		listen   = fs.String("listen", "", "run an echo server on this UDP address")
+		connect  = fs.String("connect", "", "send pings to this server address")
+		count    = fs.Int("count", 5, "number of messages to send (at least 1)")
+		size     = fs.Int("size", 1024, "message size in bytes (at least 4: the ping's tag)")
+		port     = fs.Uint("port", 7, "MTP service port")
+		ccAlgo   = fs.String("cc", "dctcp", "congestion control: dctcp, aimd, rcp, swift, dcqcn")
+		doTrace  = fs.Bool("trace", false, "dump the protocol event trace at exit (client)")
+		interval = fs.Duration("interval", 0, "pause between pings (like ping -i)")
+		jsonOut  = fs.Bool("json", false, "emit JSON lines instead of text (client)")
 	)
-	flag.Parse()
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	// The client tags payload[0:2] and its echo handler ignores anything
+	// shorter than 4 bytes; the summary divides by the count.
+	if *size < 4 || *count < 1 {
+		fmt.Fprintf(os.Stderr, "mtpping: -size %d -count %d: need -size >= 4 and -count >= 1\n", *size, *count)
+		return 2
+	}
 
 	switch {
 	case *listen != "":
 		runServer(*listen, uint16(*port), *ccAlgo)
 	case *connect != "":
-		runClient(*connect, uint16(*port), *ccAlgo, *count, *size, *doTrace, *interval, *jsonOut)
+		runClient(stdout, *connect, uint16(*port), *ccAlgo, *count, *size, *doTrace, *interval, *jsonOut)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }
 
-func runServer(addr string, port uint16, ccAlgo string) {
+// newEchoNode opens the server: a node that sends every message back to its
+// sender at the same priority.
+func newEchoNode(addr string, port uint16, ccAlgo string) (*mtp.Node, error) {
 	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return nil, err
 	}
 	var node *mtp.Node
 	node, err = mtp.NewNode(pc, mtp.Config{
 		Port: port,
 		CC:   ccAlgo,
 		OnMessage: func(m mtp.Message) {
-			// Echo the message back at the same priority.
 			if _, err := node.SendPriority(m.From.String(), m.SrcPort, m.Data, m.Priority); err != nil {
 				log.Printf("echo to %s: %v", m.From, err)
 			}
 		},
 	})
+	return node, err
+}
+
+func runServer(addr string, port uint16, ccAlgo string) {
+	node, err := newEchoNode(addr, port, ccAlgo)
 	if err != nil {
-		log.Fatalf("node: %v", err)
+		log.Fatalf("server: %v", err)
 	}
 	defer node.Close()
 	log.Printf("mtp echo server on %s (port %d)", node.Addr(), port)
@@ -118,7 +138,7 @@ type pingSummary struct {
 	TruncatedDrops uint64 `json:"truncated_drops"`
 }
 
-func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace bool, interval time.Duration, jsonOut bool) {
+func runClient(stdout io.Writer, addr string, port uint16, ccAlgo string, count, size int, doTrace bool, interval time.Duration, jsonOut bool) {
 	pc, err := net.ListenPacket("udp", "0.0.0.0:0")
 	if err != nil {
 		log.Fatalf("listen: %v", err)
@@ -152,7 +172,7 @@ func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace
 
 	payload := make([]byte, size)
 	rand.New(rand.NewSource(time.Now().UnixNano())).Read(payload)
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	var rtts []time.Duration
 	retxBase := node.Stats().PktsRetx
 	for i := 0; i < count; i++ {
@@ -185,9 +205,9 @@ func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace
 		if jsonOut {
 			_ = enc.Encode(pingReport{Seq: i, Bytes: size, RTTus: float64(rtt) / float64(time.Microsecond), Retx: retx})
 		} else if retx > 0 {
-			fmt.Printf("msg %d: %d bytes echoed in %v (%d pkt retransmissions)\n", i, size, rtt, retx)
+			fmt.Fprintf(stdout, "msg %d: %d bytes echoed in %v (%d pkt retransmissions)\n", i, size, rtt, retx)
 		} else {
-			fmt.Printf("msg %d: %d bytes echoed in %v\n", i, size, rtt)
+			fmt.Fprintf(stdout, "msg %d: %d bytes echoed in %v\n", i, size, rtt)
 		}
 	}
 	var total time.Duration
@@ -216,12 +236,12 @@ func runClient(addr string, port uint16, ccAlgo string, count, size int, doTrace
 			TruncatedDrops: st.TruncatedDrops,
 		})
 	} else {
-		fmt.Printf("avg message RTT: %v over %d messages (min %v, max %v)\n",
+		fmt.Fprintf(stdout, "avg message RTT: %v over %d messages (min %v, max %v)\n",
 			total/time.Duration(len(rtts)), len(rtts), min, max)
-		fmt.Printf("packets: %d sent, %d retransmitted\n", st.PktsSent, st.PktsRetx)
-		fmt.Printf("client stats: %+v\n", st)
+		fmt.Fprintf(stdout, "packets: %d sent, %d retransmitted\n", st.PktsSent, st.PktsRetx)
+		fmt.Fprintf(stdout, "client stats: %+v\n", st)
 	}
 	if doTrace {
-		fmt.Print(node.TraceDump())
+		fmt.Fprint(stdout, node.TraceDump())
 	}
 }

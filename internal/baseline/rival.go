@@ -11,7 +11,7 @@ import (
 // Rival is one entry of the registry of baseline transports the experiments
 // can run against MTP by name.
 type Rival struct {
-	// Name is the value the -baseline flag and scenario.Spec.Rival carry.
+	// Name is the value mtpexp's baseline cell and scenario.Spec.Rival carry.
 	Name string
 	// Label is the transport's row in the scale table (it names the
 	// forwarding it runs over); Short labels its series and columns elsewhere.

@@ -228,7 +228,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestTable1Matrix(t *testing.T) {
-	r := table1Once()
+	r := goldenTable1(t)
 	byName := map[string]Table1Row{}
 	for _, row := range r.Rows {
 		byName[row.Transport] = row

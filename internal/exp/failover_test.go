@@ -6,7 +6,7 @@ import (
 )
 
 func TestFailoverMTPRecoversFaster(t *testing.T) {
-	r := failoverOnce(FailoverConfig{Seed: 1, Baseline: "dctcp", Check: true})
+	r := goldenFailover(t, "dctcp")
 
 	if !r.MTP.Recovered {
 		t.Fatal("MTP never recovered")

@@ -6,11 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"mtp/internal/cc"
+	"mtp/internal/platform"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output (make golden)")
@@ -35,129 +33,91 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// goldenScale renders one baseline's RunScale results on a small fabric:
-// every topology x pattern unsharded, plus two two-shard rows per topology.
-// Queues are shallow enough that every system retransmits under incast, and
-// Check is on so the merged invariant verdicts are pinned too. A changed
-// connection, flow or stream ID moves an ECMP hash and shows up here.
-func goldenScale(baseline string) string {
+// goldenRun is one run of a testdata runfile: its jobs and what each printed.
+type goldenRun struct {
+	jobs    []Job
+	results []Result
+}
+
+// goldenRuns memoizes runRunfile, so the shape tests assert on the very
+// results the goldens render instead of repeating the expensive runs.
+var goldenRuns = map[string]goldenRun{}
+
+// runRunfile runs the rows of testdata/<file>, cells overriding its globals,
+// as `mtpexp -run testdata/<file> cells...` would.
+func runRunfile(t *testing.T, file string, cells ...string) goldenRun {
+	t.Helper()
+	key := file + " " + strings.Join(cells, " ")
+	if run, ok := goldenRuns[key]; ok {
+		return run
+	}
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := platform.ParseRows(data)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	over, err := platform.ParseCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run goldenRun
+	if run.jobs, err = Load(platform.Override(rows, over)); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	for _, j := range run.jobs {
+		run.results = append(run.results, j.Run(1))
+	}
+	goldenRuns[key] = run
+	return run
+}
+
+// text renders the run as its golden holds it: each row's Text, under a
+// "## name" heading when the row has a name.
+func (run goldenRun) text() string {
 	var b strings.Builder
-	for _, topo := range []string{"leafspine", "fattree"} {
-		run := func(pattern string, shards int) {
-			r := RunScale(ScaleConfig{
-				Topo: topo, Leaves: 4, Spines: 2, HostsPerLeaf: 2, K: 4,
-				Pattern: pattern, MsgSize: 64 << 10, Messages: 2, Incast: 7,
-				QueueCap: 24, ECNK: 6, Seed: 3, Workers: 1, Shards: shards, Baseline: baseline, Check: true,
-			})
-			fmt.Fprintf(&b, "## %s %s shards=%d\n%s", topo, pattern, shards, r)
+	for i, j := range run.jobs {
+		if j.Name != "" {
+			fmt.Fprintf(&b, "## %s\n", j.Name)
 		}
-		for _, pattern := range []string{"incast", "permutation", "shuffle"} {
-			run(pattern, 1)
-		}
-		run("incast", 2)
-		run("permutation", 2)
+		b.WriteString(run.results[i].Text)
 	}
 	return b.String()
 }
 
-// sections joins rendered results under "## label" headings: one golden file
-// holds an experiment at its default configuration and at one that moves its
-// other options off their defaults.
-func sections(labelled ...string) string {
-	var b strings.Builder
-	for i := 0; i < len(labelled); i += 2 {
-		fmt.Fprintf(&b, "## %s\n%s", labelled[i], labelled[i+1])
-	}
-	return b.String()
+// goldenFailover is failover.run's result against one rival, and goldenTable1
+// table1.run's: the package's two expensive runs.
+func goldenFailover(t *testing.T, rival string) FailoverResult {
+	return runRunfile(t, "failover.run", "baseline="+rival).results[0].Value.(FailoverResult)
 }
 
-// failoverOnce and table1Once memoize the package's two expensive runs, so
-// the shape tests assert on the very results the goldens render.
-var (
-	failoverMemo = map[FailoverConfig]FailoverResult{}
-	table1Once   = sync.OnceValue(RunTable1)
-)
-
-func failoverOnce(cfg FailoverConfig) FailoverResult {
-	r, ok := failoverMemo[cfg]
-	if !ok {
-		r = RunFailover(cfg)
-		failoverMemo[cfg] = r
-	}
-	return r
+func goldenTable1(t *testing.T) Table1Result {
+	return runRunfile(t, "table1.run").results[0].Value.(Table1Result)
 }
 
 // TestGolden pins the rendered result of every experiment mtpexp can print,
-// byte for byte. The files are the behaviour of the commit that added them; a
-// refactor must leave them untouched.
+// byte for byte. Each case is a checked-in runfile, testdata/<name>.run, so a
+// golden is reproduced by the text a user would hand `mtpexp -run`. The files
+// are the behaviour of the commit that added them; a refactor must leave them
+// untouched.
 func TestGolden(t *testing.T) {
 	type goldenCase struct {
-		name string
-		run  func() string
+		name, file string
+		cells      []string
 	}
-	const ms = time.Millisecond
-	cases := []goldenCase{
-		{"table1", func() string { return table1Once().Verbose() }},
-		{"ext", ExtensionsSummary},
-		{"fig1", func() string {
-			return sections("default", RunFig1(Fig1Config{}).String(),
-				"requests=100 seed=7", RunFig1(Fig1Config{Requests: 100, Seed: 7}).String())
-		}},
-		{"fig2", func() string {
-			return sections("default", RunFig2(Fig2Config{}).String(),
-				"duration=2ms seed=7", RunFig2(Fig2Config{Duration: 2 * ms, Seed: 7}).String())
-		}},
-		{"fig3", func() string {
-			return sections("outstanding=1", RunFig3(Fig3Config{Outstanding: 1}).String(),
-				"duration=2ms seed=7", RunFig3(Fig3Config{Duration: 2 * ms, Seed: 7}).String())
-		}},
-		{"fig5", func() string { return RunFig5(Fig5Config{Duration: 20 * ms}).String() }},
-		{"fig5_singlepathlet", func() string {
-			return RunFig5(Fig5Config{Duration: 20 * ms, SinglePathlet: true}).String()
-		}},
-		{"fig5_sweeps", func() string {
-			return sections(
-				"period", SweepString(RunFig5PeriodSweep(1, []time.Duration{192 * time.Microsecond}, 2*ms, 7)),
-				"cc", CCSweepString(RunFig5CCSweep(1, []cc.Kind{cc.KindDCQCN}, 2*ms, 7)),
-				"dcqcn linerate=50G", RunFig5(Fig5Config{Duration: 2 * ms, MTPCC: cc.KindDCQCN, LineRate: 50e9}).String())
-		}},
-		{"fig6", func() string {
-			return sections("default", RunFig6(Fig6Config{}).String(),
-				"websearch messages=150 timeout=2ms", RunFig6(Fig6Config{Messages: 150, Workload: "websearch", Timeout: 2 * ms}).String(),
-				"load sweep", LoadSweepString(RunFig6LoadSweep(1, []float64{0.5}, 100, 4<<20, 7)))
-		}},
-		{"fig7", func() string {
-			return sections("default", RunFig7(Fig7Config{}).String(),
-				"tenant2flows=4 duration=4ms seed=7", RunFig7(Fig7Config{Tenant2Flows: 4, Duration: 4 * ms, Seed: 7}).String())
-		}},
-		{"offfail", func() string {
-			return sections("check", RunOffFail(OffFailConfig{Check: true}).String(),
-				"seed=2 duration=25ms", RunOffFail(OffFailConfig{Seed: 2, Duration: 25 * ms}).String())
-		}},
-		// An early, short blackhole that lifts well before the horizon.
-		{"failover_early", func() string {
-			return RunFailover(FailoverConfig{Seed: 7, FaultAt: 2 * ms, FaultFor: 4 * ms, Duration: 10 * ms}).String()
-		}},
-		{"scale_sweep", func() string {
-			return ScaleSweepString(RunScaleHostSweep(1, []int{4, 8}, smallScale("permutation")))
-		}},
-		// A horizon that cuts the incast off mid-transfer.
-		{"scale_horizon", func() string {
-			return RunScale(ScaleConfig{
-				Leaves: 2, Spines: 2, HostsPerLeaf: 2, Pattern: "incast", MsgSize: 256 << 10, Messages: 2, Incast: 3,
-				Seed: 3, Workers: 1, Timeout: ms,
-			}).String()
-		}},
+	var cases []goldenCase
+	for _, name := range []string{"table1", "ext", "fig1", "fig2", "fig3", "fig5", "fig5_singlepathlet",
+		"fig5_sweeps", "fig6", "fig7", "offfail", "failover_early", "scale_sweep", "scale_horizon"} {
+		cases = append(cases, goldenCase{name: name, file: name + ".run"})
 	}
 	for _, b := range allBaselines {
 		cases = append(cases,
-			goldenCase{"scale_" + b, func() string { return goldenScale(b) }},
-			goldenCase{"failover_" + b, func() string {
-				return failoverOnce(FailoverConfig{Seed: 1, Baseline: b, Check: true}).String()
-			}},
-		)
+			goldenCase{"scale_" + b, "scale.run", []string{"baseline=" + b}},
+			goldenCase{"failover_" + b, "failover.run", []string{"baseline=" + b}})
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { checkGolden(t, tc.name, tc.run()) })
+		t.Run(tc.name, func(t *testing.T) { checkGolden(t, tc.name, runRunfile(t, tc.file, tc.cells...).text()) })
 	}
 }

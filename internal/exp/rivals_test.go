@@ -41,9 +41,9 @@ func TestScaleRivalBaselinesComplete(t *testing.T) {
 // recovers during the outage via dead-path reinjection and loses visibly
 // less goodput than DCTCP.
 func TestFailoverRivalBaselines(t *testing.T) {
-	dctcp := failoverOnce(FailoverConfig{Seed: 1, Baseline: "dctcp", Check: true})
+	dctcp := goldenFailover(t, "dctcp")
 
-	quic := failoverOnce(FailoverConfig{Seed: 1, Baseline: "quic", Check: true})
+	quic := goldenFailover(t, "quic")
 	if quic.DCTCP.Name != "QUIC" {
 		t.Fatalf("rival series named %q", quic.DCTCP.Name)
 	}
@@ -62,7 +62,7 @@ func TestFailoverRivalBaselines(t *testing.T) {
 	}
 
 	for _, b := range []string{"mptcp-lia", "mptcp-olia"} {
-		r := failoverOnce(FailoverConfig{Seed: 1, Baseline: b, Check: true})
+		r := goldenFailover(t, b)
 		if r.DCTCP.Name != baseline.MustRival(b).Short {
 			t.Fatalf("%s: rival series named %q", b, r.DCTCP.Name)
 		}

@@ -83,7 +83,7 @@ const (
 )
 
 // ScaleTopos and ScalePatterns list the values ScaleConfig.Topo and .Pattern
-// accept, defaults first; cmd/mtpexp checks its flags against them.
+// accept, defaults first; the registry checks a row's cells against them.
 var (
 	ScaleTopos    = []string{"leafspine", "fattree"}
 	ScalePatterns = []string{"permutation", "incast", "shuffle"}

@@ -87,7 +87,7 @@ func TestScaleHostSweep(t *testing.T) {
 			t.Fatalf("%s: sweep differs between worker counts:\n%s\nvs\n%s", b, s, p)
 		}
 		// Regression: the table once looked every rival up under DCTCP's row
-		// label, so -baseline quic printed zeros under a DCTCP header.
+		// label, so baseline=quic printed zeros under a DCTCP header.
 		table := ScaleSweepString(seq)
 		short := baseline.MustRival(b).Short
 		if !strings.Contains(table, short+" p99") || !strings.Contains(table, short+" gbps") {
@@ -108,7 +108,7 @@ func TestScaleHostSweep(t *testing.T) {
 }
 
 // TestScaleKSweep checks the fat-tree radix sweep and the perf rendering that
-// `mtpexp -exp scalesweep -topo fattree` and `-exp scale` print: a sharded
+// `mtpexp -exp scalesweep topo=fattree` and `-exp scale` print: a sharded
 // point carries both systems and a speedup measured against one extra
 // single-engine MTP run, and the tables name the configured rival and the
 // shard statistics.

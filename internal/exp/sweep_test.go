@@ -58,8 +58,8 @@ func TestTable1WorkersMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full probe matrix twice")
 	}
-	seq := table1Once()
-	par := RunTable1Workers(0)
+	seq := goldenTable1(t)
+	par := RunTable1(0)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("parallel Table 1 diverged from sequential")
 	}

@@ -46,9 +46,6 @@ var table1Features = []string{
 	"Multi-Entity Isolation",
 }
 
-// RunTable1 executes every probe sequentially.
-func RunTable1() Table1Result { return RunTable1Workers(1) }
-
 // table1Task locates one probe's verdict in the matrix: each probe builds
 // its own simulator from a fixed seed, so the flat task list can run on any
 // number of workers and still assemble the identical table.
@@ -57,9 +54,9 @@ type table1Task struct {
 	fn       func() Table1Cell
 }
 
-// RunTable1Workers executes every probe on up to workers goroutines (see
-// Sweep) and assembles the feature matrix.
-func RunTable1Workers(workers int) Table1Result {
+// RunTable1 executes every probe on up to workers goroutines (see Sweep) and
+// assembles the feature matrix.
+func RunTable1(workers int) Table1Result {
 	r := Table1Result{Rows: []Table1Row{
 		{Transport: "TCP pass-through (DCTCP)", Cells: make([]Table1Cell, len(table1Features))},
 		{Transport: "TCP termination (proxy)", Cells: make([]Table1Cell, len(table1Features))},

@@ -10,7 +10,7 @@ import (
 )
 
 // The MPTCP probes below measure the two MPTCP rows of Table 1 (assembled in
-// RunTable1Workers): two uncoupled subflows (CouplingNone) and RFC 6356-style
+// RunTable1): two uncoupled subflows (CouplingNone) and RFC 6356-style
 // coupled congestion control (OLIA). Subflows are byte streams, so mutation
 // inherits TCP's verdict; the interesting cells are measured here: merge
 // buffering, per-subflow independence, per-path windows. Coupling changes

@@ -1,7 +1,9 @@
 package platform
 
 import (
+	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +17,7 @@ concurrency = 16
 rto_ms = 20
 
 procs, messages, size
-2, 5000, 0       # inherits size=512
+2, 5000,         # inherits size=512
 3, 3000, 2048
 `))
 	if err != nil {
@@ -39,36 +41,35 @@ procs, messages, size
 	}
 }
 
-func TestParseRunfileJSON(t *testing.T) {
-	pts, err := ParseRunfile([]byte(`{
-		"defaults": {"size": 256, "concurrency": 4},
-		"points": [
-			{"name": "tiny", "procs": 2, "messages": 100},
-			{"procs": 4, "messages": 50, "size": 4096, "cc": "swift"}
-		]
-	}`))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(pts) != 2 || pts[0].Name != "tiny" || pts[0].Size != 256 || pts[1].CC != "swift" {
-		t.Fatalf("json points wrong: %+v", pts)
-	}
-}
-
+// TestParseRunfileErrors: every rejection happens at parse time, with the
+// offending line, so a bad point never reaches a worker process — where a
+// zero or negative window used to block or panic the send loop and surface
+// only as a heartbeat death.
 func TestParseRunfileErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":      "",
-		"no points":  "size = 512\n",
-		"bad key":    "bogus = 1\n\nprocs, messages, size\n2, 10, 64\n",
-		"bad int":    "procs, messages, size\nx, 10, 64\n",
-		"one proc":   "procs, messages, size\n1, 10, 64\n",
-		"col count":  "procs, messages, size\n2, 10\n",
-		"zero msgs":  "procs, messages, size\n2, 0, 64\n",
-		"bad json":   "{not json",
-		"json empty": `{"points": []}`,
+	const hdr = "procs, messages, size"
+	for name, tc := range map[string]struct{ in, want string }{
+		"empty":           {"", "no rows"},
+		"no points":       {"size = 512\n", "no rows"},
+		"bad global":      {"bogus = 1\n\n" + hdr + "\n2, 10, 64\n", `line 1: global "bogus"`},
+		"bad column":      {"procs, msgs\n2, 10\n", `line 2: unknown key "msgs"`},
+		"bad int":         {hdr + "\nx, 10, 64\n", `line 2: procs: "x" is not a valid int`},
+		"col count":       {hdr + "\n2, 10\n", "line 2: 2 columns, header has 3"},
+		"late global":     {hdr + "\n2, 10, 64\n\nsize = 5\n", "line 4"},
+		"json form":       {`{"points": [{"procs": 2}]}`, "no rows"},
+		"one proc":        {hdr + "\n1, 10, 64\n", "line 2: point \"p1_m10_s64\": procs = 1"},
+		"zero msgs":       {hdr + "\n2, 0, 64\n", "line 2: point \"p2_m0_s64\": messages = 0"},
+		"no size":         {"procs, messages\n2, 10\n", "size = 0"},
+		"negative size":   {hdr + "\n2, 10, -1\n", "size = -1"},
+		"negative window": {"concurrency = -1\n\n" + hdr + "\n2, 10, 64\n", "line 4: point \"p2_m10_s64\": concurrency = -1"},
+		"port range":      {"port = 70000\n\n" + hdr + "\n2, 10, 64\n", `line 1: port: "70000" is not a valid uint16`},
+		"negative port":   {hdr + ", port\n2, 10, 64, -7\n", `line 2: port: "-7"`},
+		"mss low":         {hdr + ", mss\n2, 10, 64, 63\n", "mss = 63"},
+		"mss high":        {hdr + ", mss\n2, 10, 64, 60001\n", "mss = 60001"},
+		"negative rto":    {"rto_ms = -5\n\n" + hdr + "\n2, 10, 64\n", "rto_ms = -5"},
 	} {
-		if _, err := ParseRunfile([]byte(in)); err == nil {
-			t.Errorf("%s: parse accepted %q", name, in)
+		_, err := ParseRunfile([]byte(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseRunfile(%q) = %v, want an error containing %q", name, tc.in, err, tc.want)
 		}
 	}
 }
@@ -119,12 +120,11 @@ func TestRunLoopback(t *testing.T) {
 	if testing.Short() {
 		msgs = 100
 	}
-	points, err := ParseRunfile([]byte(`{
-		"points": [
-			{"name": "smoke2", "procs": 2, "messages": ` + itoa(msgs) + `, "size": 512, "concurrency": 16},
-			{"name": "smoke3", "procs": 3, "messages": ` + itoa(msgs/2) + `, "size": 2048, "concurrency": 8}
-		]
-	}`))
+	points, err := ParseRunfile([]byte(fmt.Sprintf(`
+name, procs, messages, size, concurrency
+smoke2, 2, %d, 512, 16
+smoke3, 3, %d, 2048, 8
+`, msgs, msgs/2)))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -165,37 +165,29 @@ func TestRunLoopback(t *testing.T) {
 	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
-}
-
-func TestSetFieldAliases(t *testing.T) {
+// TestPointKeys: every Point field has exactly one runfile key, its json
+// name, and the aliases the parser once accepted are unknown keys now.
+func TestPointKeys(t *testing.T) {
 	var p Point
-	for k, v := range map[string]string{
-		"name": "x", "hosts": "4", "count": "9", "bytes": "64",
-		"window": "3", "port": "11", "cc": "swift", "mss": "900", "rto": "15",
-	} {
-		if err := setField(&p, k, v); err != nil {
-			t.Fatalf("setField(%s): %v", k, err)
-		}
+	cells, err := ParseCells([]string{"name=x", "procs=4", "messages=9", "size=64",
+		"concurrency=3", "port=11", "cc=swift", "mss=900", "rto_ms=15"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Procs != 4 || p.Messages != 9 || p.Size != 64 || p.Concurrency != 3 ||
-		p.Port != 11 || p.CC != "swift" || p.MSS != 900 || p.RTOMillis != 15 || p.Name != "x" {
-		t.Fatalf("aliases misparsed: %+v", p)
+	if err := Bind(Row{Cells: cells}, &p); err != nil {
+		t.Fatal(err)
+	}
+	want := Point{Name: "x", Procs: 4, Messages: 9, Size: 64, Concurrency: 3, Port: 11, CC: "swift", MSS: 900, RTOMillis: 15}
+	if p != want || len(cells) != reflect.TypeOf(p).NumField() {
+		t.Fatalf("bound %+v from %d cells, want %+v from one cell per field", p, len(cells), want)
 	}
 	if p.rto() != 15*time.Millisecond {
 		t.Fatalf("rto conversion: %v", p.rto())
 	}
-	if err := setField(&p, "port", "zz"); err == nil {
-		t.Fatal("bad port accepted")
+	for _, alias := range []string{"hosts", "msgs", "count", "bytes", "window", "rto", "rtomillis"} {
+		if err := Bind(Row{Cells: []Cell{{Key: alias, Value: "1"}}}, &p); err == nil {
+			t.Errorf("alias %q still binds", alias)
+		}
 	}
 }
 

@@ -4,230 +4,281 @@
 // process per node, coordinating them over a small TCP control channel,
 // and merging their measurements into benchmark lines.
 //
-// The runfile follows the two-part shape of onet's simulation files: a
-// block of global "key = value" defaults, a blank line, then a CSV-ish
-// table with a header row naming per-point fields and one experiment
-// point per line. A JSON form ({"defaults": {...}, "points": [...]}) is
-// accepted too, keyed off a leading '{'.
+// # Runfile grammar
 //
-//	size = 512
-//	concurrency = 16
+// Every configuration this repository runs — a load point of mtploadgen, an
+// experiment of mtpexp, a golden case of internal/exp's TestGolden, a
+// shrunken scenario repro — is one row: cells "key = value" whose keys are
+// the lower-cased field names of the struct the row configures (a field's
+// json name where it has one: Point's rto_ms). A runfile follows the
+// two-part shape of onet's simulation files:
 //
-//	procs, messages, size
-//	2, 5000, 512
-//	3, 3000, 2048
+//	# loopback smoke                  '#' starts a comment
+//	concurrency = 16                  globals: the default of every row whose
+//	rto_ms = 20                       struct has that key
+//	                                  a blank line
+//	name, procs, messages, size       a header row naming the columns
+//	smoke_1gen_512B, 2, 3000, 512     one row per line; an empty cell
+//	smoke_2gen_4KB, 3, 1500,          leaves its key unset
+//
+// A blank line ends a table and the next line is a new header, so one file
+// can hold rows of different shapes. A row's own cell beats a global, and
+// among globals the last one wins, which is how a command line overrides
+// them (mtpexp -run FILE key=value). On a command line a row is spelt as
+// its cells, key=value, one per argument. Values are integers, floats,
+// true/false, Go durations (2ms, 384us), plain strings, and lists joined
+// with ':' (hosts = 32:64:128).
+//
+// For mtpexp the exp cell (or, without one, the name cell) names the
+// experiment and name labels the row: -only selects by it and TestGolden
+// prints it as a "## " heading. Nothing runs until every row has bound: an
+// unknown key, a malformed value or a global that no row has a key for is an
+// error carrying its line number.
 package platform
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Point is one experiment point: a process count plus a workload. Procs
-// includes the sink (process 0); every other process is a closed-loop
-// generator sending Messages messages of Size bytes at the given
-// concurrency.
-type Point struct {
-	// Name labels the point in benchmark output. Auto-derived from the
-	// workload when empty.
-	Name string `json:"name,omitempty"`
-	// Procs is the total process count including the sink. Minimum 2.
-	Procs int `json:"procs"`
-	// Messages is the per-generator message count.
-	Messages int `json:"messages"`
-	// Size is the message payload size in bytes.
-	Size int `json:"size"`
-	// Concurrency is the per-generator outstanding-message window.
-	Concurrency int `json:"concurrency,omitempty"`
-	// Port is the MTP service port on the sink. Default 7.
-	Port uint16 `json:"port,omitempty"`
-	// CC selects the congestion controller (empty = node default).
-	CC string `json:"cc,omitempty"`
-	// MSS overrides the message segment size (0 = node default).
-	MSS int `json:"mss,omitempty"`
-	// RTOMillis overrides the retransmission timeout (0 = node default).
-	RTOMillis int `json:"rto_ms,omitempty"`
+// Cell is one key with its value, and the runfile line it was written on
+// (0 for a command-line cell).
+type Cell struct {
+	Key, Value string
+	Line       int
 }
 
-// label returns the point's display name, deriving one when unset.
-func (p Point) label() string {
-	if p.Name != "" {
-		return p.Name
-	}
-	return fmt.Sprintf("p%d_m%d_s%d", p.Procs, p.Messages, p.Size)
+// Row is one configuration: the file's globals, then the row's own cells.
+type Row struct {
+	Line    int
+	Globals []Cell
+	Cells   []Cell
 }
 
-// rto converts the runfile's integer milliseconds to a duration.
-func (p Point) rto() time.Duration { return time.Duration(p.RTOMillis) * time.Millisecond }
-
-// withDefaults fills zero fields from d and validates.
-func (p Point) withDefaults(d Point) (Point, error) {
-	if p.Procs == 0 {
-		p.Procs = d.Procs
-	}
-	if p.Messages == 0 {
-		p.Messages = d.Messages
-	}
-	if p.Size == 0 {
-		p.Size = d.Size
-	}
-	if p.Concurrency == 0 {
-		p.Concurrency = d.Concurrency
-	}
-	if p.Port == 0 {
-		p.Port = d.Port
-	}
-	if p.CC == "" {
-		p.CC = d.CC
-	}
-	if p.MSS == 0 {
-		p.MSS = d.MSS
-	}
-	if p.RTOMillis == 0 {
-		p.RTOMillis = d.RTOMillis
-	}
-	// Final fallbacks for fields neither the point nor the globals set.
-	if p.Concurrency == 0 {
-		p.Concurrency = 8
-	}
-	if p.Port == 0 {
-		p.Port = 7
-	}
-	if p.Procs < 2 {
-		return p, fmt.Errorf("point %q: procs = %d, need >= 2 (sink + generators)", p.label(), p.Procs)
-	}
-	if p.Messages <= 0 || p.Size <= 0 {
-		return p, fmt.Errorf("point %q: messages and size must be positive", p.label())
-	}
-	return p, nil
-}
-
-// ParseRunfile parses either runfile form and returns the fully
-// defaulted, validated experiment points in file order.
-func ParseRunfile(data []byte) ([]Point, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return nil, fmt.Errorf("runfile: empty")
-	}
-	if trimmed[0] == '{' {
-		return parseJSONRunfile([]byte(trimmed))
-	}
-	return parseTableRunfile(trimmed)
-}
-
-func parseJSONRunfile(data []byte) ([]Point, error) {
-	var rf struct {
-		Defaults Point   `json:"defaults"`
-		Points   []Point `json:"points"`
-	}
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return nil, fmt.Errorf("runfile: %w", err)
-	}
-	if len(rf.Points) == 0 {
-		return nil, fmt.Errorf("runfile: no points")
-	}
-	out := make([]Point, 0, len(rf.Points))
-	for _, p := range rf.Points {
-		p, err := p.withDefaults(rf.Defaults)
-		if err != nil {
-			return nil, err
+// Get returns the value Bind would leave under key, "" when no cell sets it.
+func (r Row) Get(key string) string {
+	for _, cells := range [][]Cell{r.Cells, r.Globals} {
+		for i := len(cells) - 1; i >= 0; i-- {
+			if cells[i].Key == key {
+				return cells[i].Value
+			}
 		}
-		out = append(out, p)
 	}
-	return out, nil
+	return ""
 }
 
-// parseTableRunfile parses the onet-style two-part text form: globals,
-// blank line, header row, one point per row. '#' starts a comment.
-func parseTableRunfile(text string) ([]Point, error) {
-	var defaults Point
+// Err prefixes err with the row's line, when it came from a file.
+func (r Row) Err(err error) error { return lineErr(r.Line, err) }
+
+func lineErr(line int, err error) error {
+	if line == 0 || err == nil {
+		return err
+	}
+	return fmt.Errorf("runfile line %d: %w", line, err)
+}
+
+// ParseRows parses a runfile into its rows, in file order.
+func ParseRows(data []byte) ([]Row, error) {
+	var globals []Cell
 	var header []string
-	var out []Point
-	inTable := false
-	for ln, raw := range strings.Split(text, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
+	var rows []Row
+	for i, raw := range strings.Split(string(data), "\n") {
+		ln := i + 1
+		line, _, commented := strings.Cut(raw, "#")
 		line = strings.TrimSpace(line)
-		if line == "" {
-			if defaults != (Point{}) || inTable {
-				inTable = true // blank line after globals: table follows
-			}
-			continue
-		}
 		switch {
-		case !inTable && strings.Contains(line, "="):
-			k, v, _ := strings.Cut(line, "=")
-			if err := setField(&defaults, strings.TrimSpace(k), strings.TrimSpace(v)); err != nil {
-				return nil, fmt.Errorf("runfile line %d: %w", ln+1, err)
+		case line == "" && !commented:
+			header = nil // a blank line ends the table
+		case line == "": // a comment line: it does not end the table
+		case header == nil && strings.Contains(line, "="):
+			if rows != nil {
+				return nil, lineErr(ln, fmt.Errorf("%q: globals go before the first table", line))
 			}
+			k, v, _ := strings.Cut(line, "=")
+			globals = append(globals, Cell{strings.ToLower(strings.TrimSpace(k)), strings.TrimSpace(v), ln})
 		case header == nil:
-			inTable = true
 			for _, c := range strings.Split(line, ",") {
 				header = append(header, strings.ToLower(strings.TrimSpace(c)))
 			}
 		default:
 			cols := strings.Split(line, ",")
 			if len(cols) != len(header) {
-				return nil, fmt.Errorf("runfile line %d: %d columns, header has %d", ln+1, len(cols), len(header))
+				return nil, lineErr(ln, fmt.Errorf("%d columns, header has %d", len(cols), len(header)))
 			}
-			p := Point{}
-			for i, c := range cols {
-				if err := setField(&p, header[i], strings.TrimSpace(c)); err != nil {
-					return nil, fmt.Errorf("runfile line %d: %w", ln+1, err)
+			row := Row{Line: ln}
+			for j, c := range cols {
+				if c = strings.TrimSpace(c); c != "" {
+					row.Cells = append(row.Cells, Cell{header[j], c, ln})
 				}
 			}
-			p, err := p.withDefaults(defaults)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
+			rows = append(rows, row)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("runfile: no points (need a header row and at least one data row)")
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("runfile: no rows (need a header row and at least one data row)")
 	}
-	return out, nil
+	for i := range rows {
+		rows[i].Globals = globals
+	}
+	return rows, nil
 }
 
-// setField assigns one runfile key to its Point field.
-func setField(p *Point, key, val string) error {
-	atoi := func() (int, error) {
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %q is not an integer", key, val)
+// ParseCells parses command-line cells, each "key=value".
+func ParseCells(args []string) ([]Cell, error) {
+	cells := make([]Cell, 0, len(args))
+	for _, a := range args {
+		k, v, ok := strings.Cut(a, "=")
+		if !ok || k == "" || strings.HasPrefix(k, "-") {
+			return nil, fmt.Errorf("%q: want key=value (flags go before the cells)", a)
 		}
-		return n, nil
+		cells = append(cells, Cell{Key: strings.ToLower(k), Value: v})
+	}
+	return cells, nil
+}
+
+// Override returns rows with cells appended to every row's globals, where
+// they beat the file's own.
+func Override(rows []Row, cells []Cell) []Row {
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		r.Globals = append(append([]Cell(nil), r.Globals...), cells...)
+		out[i] = r
+	}
+	return out
+}
+
+// BindRows is the one binder: it sets the fields of the structs that
+// dsts(i, row) points at from each row — globals first, skipping a key none
+// of the row's structs has, then the row's own cells, where an unknown key is
+// an error — and rejects a global that no row at all could use (a misspelt
+// default would otherwise vanish). All rows must share their globals, as
+// those of one file do.
+func BindRows(rows []Row, dsts func(i int, r Row) ([]any, error)) error {
+	used := map[string]bool{}
+	for i, r := range rows {
+		structs, err := dsts(i, r)
+		if err != nil {
+			return r.Err(err)
+		}
+		fields := fieldsOf(structs)
+		for _, c := range r.Globals {
+			if f, ok := fields[c.Key]; ok {
+				used[c.Key] = true
+				if err := set(f, c); err != nil {
+					return err
+				}
+			}
+		}
+		for _, c := range r.Cells {
+			f, ok := fields[c.Key]
+			if !ok {
+				return lineErr(c.Line, fmt.Errorf("unknown key %q (want one of %s)", c.Key, strings.Join(Keys(structs...), ", ")))
+			}
+			if err := set(f, c); err != nil {
+				return err
+			}
+		}
+	}
+	if len(rows) > 0 {
+		for _, c := range rows[0].Globals {
+			if !used[c.Key] {
+				return lineErr(c.Line, fmt.Errorf("global %q: no row has that key", c.Key))
+			}
+		}
+	}
+	return nil
+}
+
+// Bind binds one row (see BindRows).
+func Bind(r Row, dsts ...any) error {
+	return BindRows([]Row{r}, func(int, Row) ([]any, error) { return dsts, nil })
+}
+
+// Keys lists, sorted, the keys a row may set on the structs dsts point at.
+func Keys(dsts ...any) []string {
+	fields := fieldsOf(dsts)
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// fieldsOf maps every key of the structs to its field; the first struct wins
+// a key two of them share.
+func fieldsOf(structs []any) map[string]reflect.Value {
+	fields := map[string]reflect.Value{}
+	for j := len(structs) - 1; j >= 0; j-- {
+		collect(reflect.ValueOf(structs[j]).Elem(), fields)
+	}
+	return fields
+}
+
+// collect maps each settable field of struct v to its key, flattening
+// embedded structs.
+func collect(v reflect.Value, into map[string]reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		sf := v.Type().Field(i)
+		switch {
+		case sf.Anonymous && sf.Type.Kind() == reflect.Struct:
+			collect(v.Field(i), into)
+		case sf.IsExported():
+			key, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+			if key == "" {
+				key = strings.ToLower(sf.Name)
+			}
+			into[key] = v.Field(i)
+		}
+	}
+}
+
+// set parses c's value into field f by f's type.
+func set(f reflect.Value, c Cell) error {
+	if f.Kind() == reflect.Slice {
+		parts := strings.Split(c.Value, ":")
+		list := reflect.MakeSlice(f.Type(), len(parts), len(parts))
+		for i, p := range parts {
+			if err := set(list.Index(i), Cell{c.Key, p, c.Line}); err != nil {
+				return err
+			}
+		}
+		f.Set(list)
+		return nil
 	}
 	var err error
-	switch key {
-	case "name":
-		p.Name = val
-	case "procs", "hosts":
-		p.Procs, err = atoi()
-	case "messages", "msgs", "count":
-		p.Messages, err = atoi()
-	case "size", "bytes":
-		p.Size, err = atoi()
-	case "concurrency", "window":
-		p.Concurrency, err = atoi()
-	case "port":
-		var n int
-		if n, err = atoi(); err == nil {
-			p.Port = uint16(n)
-		}
-	case "cc":
-		p.CC = val
-	case "mss":
-		p.MSS, err = atoi()
-	case "rto_ms", "rto":
-		p.RTOMillis, err = atoi()
+	switch {
+	case f.Type() == reflect.TypeOf(time.Duration(0)):
+		var d time.Duration
+		d, err = time.ParseDuration(c.Value)
+		f.SetInt(int64(d))
+	case f.Kind() == reflect.String:
+		f.SetString(c.Value)
+	case f.Kind() == reflect.Bool:
+		var b bool
+		b, err = strconv.ParseBool(c.Value)
+		f.SetBool(b)
+	case f.CanInt():
+		var n int64
+		n, err = strconv.ParseInt(c.Value, 10, f.Type().Bits())
+		f.SetInt(n)
+	case f.CanUint():
+		var n uint64
+		n, err = strconv.ParseUint(c.Value, 10, f.Type().Bits())
+		f.SetUint(n)
+	case f.CanFloat():
+		var x float64
+		x, err = strconv.ParseFloat(c.Value, f.Type().Bits())
+		f.SetFloat(x)
 	default:
-		return fmt.Errorf("unknown runfile key %q", key)
+		panic(fmt.Sprintf("platform: cannot bind key %q to a %s field", c.Key, f.Type()))
 	}
-	return err
+	if err != nil {
+		return lineErr(c.Line, fmt.Errorf("%s: %q is not a valid %s", c.Key, c.Value, f.Type()))
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mtp"
@@ -106,30 +105,54 @@ func nodeConfig(p Point, port uint16, onMsg func(mtp.Message)) mtp.Config {
 	return mtp.Config{Port: port, MSS: p.MSS, CC: p.CC, RTO: p.rto(), OnMessage: onMsg}
 }
 
-// runSink receives until the launcher says every generator is done, then
-// reports totals, including per-source-port counts so the launcher can
-// audit survivors individually after a chaos kill.
-func runSink(cc *ctrlConn, p Point) error {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+// Sink is the receiving node of a load test and its running totals.
+type Sink struct {
+	Node *mtp.Node
+	mu   sync.Mutex
+	res  WorkerResult // Received, Bytes, PortCounts
+}
+
+// ListenSink opens a sink for p's workload on the UDP address addr.
+func ListenSink(addr string, p Point) (*Sink, error) {
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var received atomic.Int64
-	var bytes atomic.Uint64
-	var portMu sync.Mutex
-	ports := make(map[string]int)
-	node, err := mtp.NewNode(pc, nodeConfig(p, p.Port, func(m mtp.Message) {
-		received.Add(1)
-		bytes.Add(uint64(len(m.Data)))
-		portMu.Lock()
-		ports[strconv.Itoa(int(m.SrcPort))]++
-		portMu.Unlock()
+	s := &Sink{res: WorkerResult{PortCounts: make(map[string]int)}}
+	s.Node, err = mtp.NewNode(pc, nodeConfig(p, p.Port, func(m mtp.Message) {
+		s.mu.Lock()
+		s.res.Received++
+		s.res.Bytes += uint64(len(m.Data))
+		s.res.PortCounts[strconv.Itoa(int(m.SrcPort))]++
+		s.mu.Unlock()
 	}))
+	return s, err
+}
+
+// Result reports what has arrived so far, with per-source-port counts so the
+// launcher can audit survivors individually after a chaos kill.
+func (s *Sink) Result() WorkerResult {
+	drops := s.Node.Stats().RingFullDrops // before mu: the node calls OnMessage, which takes it
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := s.res
+	res.RingDrops = drops
+	res.PortCounts = make(map[string]int, len(s.res.PortCounts))
+	for k, v := range s.res.PortCounts {
+		res.PortCounts[k] = v
+	}
+	return res
+}
+
+// runSink receives until the launcher says every generator is done, then
+// reports totals.
+func runSink(cc *ctrlConn, p Point) error {
+	sink, err := ListenSink("127.0.0.1:0", p)
 	if err != nil {
 		return err
 	}
-	defer node.Close()
-	if err := cc.send(ctrlMsg{Type: "ready", Index: 0, Addr: node.Addr().String()}); err != nil {
+	defer sink.Node.Close()
+	if err := cc.send(ctrlMsg{Type: "ready", Index: 0, Addr: sink.Node.Addr().String()}); err != nil {
 		return err
 	}
 	if _, err := cc.expect("start", workerTimeout); err != nil {
@@ -147,22 +170,15 @@ func runSink(cc *ctrlConn, p Point) error {
 		return err
 	}
 	runtime.ReadMemStats(&ms1)
-	portMu.Lock()
-	res := WorkerResult{
-		Received:   int(received.Load()),
-		Bytes:      bytes.Load(),
-		PortCounts: ports,
-		ElapsedSec: time.Since(t0).Seconds(),
-		CPUSec:     cpuSeconds() - cpu0,
-		Mallocs:    ms1.Mallocs - ms0.Mallocs,
-		RingDrops:  node.Stats().RingFullDrops,
-	}
-	portMu.Unlock()
+	res := sink.Result()
+	res.ElapsedSec = time.Since(t0).Seconds()
+	res.CPUSec = cpuSeconds() - cpu0
+	res.Mallocs = ms1.Mallocs - ms0.Mallocs
 	return cc.send(ctrlMsg{Type: "done", Index: 0, Result: &res})
 }
 
-// runGenerator sends the point's closed-loop workload at the sink and
-// reports per-message RTTs plus resource use.
+// runGenerator sends the point's workload at the sink the launcher names and
+// reports the outcome.
 func runGenerator(cc *ctrlConn, p Point, index int) error {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -180,15 +196,27 @@ func runGenerator(cc *ctrlConn, p Point, index int) error {
 	if err != nil {
 		return err
 	}
-	target := start.Addr
+	res := Generate(node, start.Addr, p)
+	if err := cc.send(ctrlMsg{Type: "done", Index: index, Result: &res}); err != nil {
+		return err
+	}
+	// Stay alive (still ACK-reachable) until the sink has been drained.
+	_, err = cc.expect("stop", workerTimeout)
+	return err
+}
 
+// Generate is the one closed-loop driver: it sends p.Messages messages of
+// p.Size bytes from node to target's port p.Port, p.Concurrency outstanding,
+// each waiting up to 30 s for its end-to-end acknowledgement, and reports
+// per-message RTTs plus resource use. p must have passed Point.Checked.
+func Generate(node *mtp.Node, target string, p Point) WorkerResult {
 	payload := make([]byte, p.Size)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	var mu sync.Mutex
 	var h hist
-	var sent, completed, timeouts, sendErrors int
+	var res WorkerResult
 	sem := make(chan struct{}, p.Concurrency)
 	var wg sync.WaitGroup
 
@@ -204,47 +232,44 @@ func runGenerator(cc *ctrlConn, p Point, index int) error {
 			defer func() { <-sem }()
 			s0 := time.Now()
 			out, err := node.Send(target, p.Port, payload)
+			mu.Lock()
 			if err != nil {
-				mu.Lock()
-				sendErrors++
-				mu.Unlock()
+				res.SendErrors++
+			} else {
+				res.Sent++
+			}
+			mu.Unlock()
+			if err != nil {
 				return
 			}
-			mu.Lock()
-			sent++
-			mu.Unlock()
 			select {
 			case <-out.Done():
 				mu.Lock()
-				completed++
+				res.Completed++
 				h.add(time.Since(s0))
 				mu.Unlock()
 			case <-time.After(30 * time.Second):
 				mu.Lock()
-				timeouts++
+				res.Timeouts++
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(t0)
+	res.ElapsedSec = time.Since(t0).Seconds()
 	runtime.ReadMemStats(&ms1)
-	res := WorkerResult{
-		Sent:       sent,
-		Completed:  completed,
-		Timeouts:   timeouts,
-		SendErrors: sendErrors,
-		Hist:       h.slice(),
-		ElapsedSec: elapsed.Seconds(),
-		CPUSec:     cpuSeconds() - cpu0,
-		Mallocs:    ms1.Mallocs - ms0.Mallocs,
-		Retx:       node.Stats().PktsRetx,
-		RingDrops:  node.Stats().RingFullDrops,
-	}
-	if err := cc.send(ctrlMsg{Type: "done", Index: index, Result: &res}); err != nil {
-		return err
-	}
-	// Stay alive (still ACK-reachable) until the sink has been drained.
-	_, err = cc.expect("stop", workerTimeout)
-	return err
+	res.Hist = h.slice()
+	res.CPUSec = cpuSeconds() - cpu0
+	res.Mallocs = ms1.Mallocs - ms0.Mallocs
+	res.Retx = node.Stats().PktsRetx
+	res.RingDrops = node.Stats().RingFullDrops
+	return res
+}
+
+// Latency returns the message RTT at quantile q in [0,1] of a generator's
+// result (bucket midpoints: ~4% resolution, see hist.go).
+func (r WorkerResult) Latency(q float64) time.Duration {
+	var h hist
+	h.merge(r.Hist)
+	return h.percentile(q)
 }

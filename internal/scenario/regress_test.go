@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"mtp/internal/platform"
 )
 
 // TestRegressions replays shrunken scenario seeds that exposed real protocol
@@ -25,8 +28,8 @@ func TestRegressions(t *testing.T) {
 		ov   Overrides
 	}{
 		{
-			// mtpexp -exp scenario -seed=51 -topo=leafspine -leaves=4
-			//   -spines=2 -hostsperleaf=1 -messages=2 -faults=2 -duration=31ms
+			// mtpexp -exp scenario seed=51 topo=leafspine leaves=4
+			//   spines=2 hostsperleaf=1 messages=2 maxfaults=2 horizon=31ms
 			name: "msglb-sticky-exclude-51",
 			seed: 51,
 			ov: Overrides{
@@ -35,8 +38,8 @@ func TestRegressions(t *testing.T) {
 			},
 		},
 		{
-			// mtpexp -exp scenario -seed=58 -topo=leafspine -leaves=4
-			//   -spines=2 -hostsperleaf=2 -messages=4 -faults=1 -duration=19ms
+			// mtpexp -exp scenario seed=58 topo=leafspine leaves=4
+			//   spines=2 hostsperleaf=2 messages=4 maxfaults=1 horizon=19ms
 			name: "msglb-sticky-exclude-58",
 			seed: 58,
 			ov: Overrides{
@@ -55,7 +58,7 @@ func TestRegressions(t *testing.T) {
 	}
 }
 
-// TestRivalRegressions pins one seed per rival baseline under -rival
+// TestRivalRegressions pins one seed per rival baseline under rival=true
 // sampling. These seeds were chosen because their last rng draw selects the
 // named rival and the fault sampler places link/switch outages in the
 // message window, so the pins exercise each rival's retransmission path
@@ -69,11 +72,11 @@ func TestRivalRegressions(t *testing.T) {
 		seed  int64
 		rival string
 	}{
-		// mtpexp -exp scenario -seed=1 -rival  (15 msgs, 2 faults, 6 hosts)
+		// mtpexp -exp scenario seed=1 rival=true  (15 msgs, 2 faults, 6 hosts)
 		{name: "rival-quic-1", seed: 1, rival: "quic"},
-		// mtpexp -exp scenario -seed=2 -rival  (11 msgs, 3 faults, 6 hosts)
+		// mtpexp -exp scenario seed=2 rival=true  (11 msgs, 3 faults, 6 hosts)
 		{name: "rival-mptcp-lia-2", seed: 2, rival: "mptcp-lia"},
-		// mtpexp -exp scenario -seed=12 -rival  (5 msgs, 3 faults, 3 hosts)
+		// mtpexp -exp scenario seed=12 rival=true  (5 msgs, 3 faults, 3 hosts)
 		{name: "rival-mptcp-olia-12", seed: 12, rival: "mptcp-olia"},
 	}
 	ov := Overrides{MaxFaults: -1, Rival: true}
@@ -91,9 +94,9 @@ func TestRivalRegressions(t *testing.T) {
 	}
 }
 
-// TestRivalDrawIsLast locks the seed-stability contract: enabling -rival
+// TestRivalDrawIsLast locks the seed-stability contract: enabling rival
 // must not perturb any previously sampled dimension, because the rival
-// draw is appended after every other dimension (including -offload's).
+// draw is appended after every other dimension (including offload's).
 // Old shrunken repro lines would silently replay different scenarios if
 // this ever regressed.
 func TestRivalDrawIsLast(t *testing.T) {
@@ -105,8 +108,42 @@ func TestRivalDrawIsLast(t *testing.T) {
 		}
 		rv.Rival = ""
 		if !reflect.DeepEqual(base, rv) {
-			t.Errorf("seed %d: enabling -rival changed the sampled scenario:\nbase: %+v\nrival: %+v",
+			t.Errorf("seed %d: enabling rival changed the sampled scenario:\nbase: %+v\nrival: %+v",
 				seed, base, rv)
+		}
+	}
+}
+
+// TestReproLineRoundTrips: the line a shrunken seed is reported as is a row of
+// Row's keys, so parsing and binding it (internal/platform, as mtpexp does)
+// gives back the same (seed, Overrides) — for the pinned seeds above and for
+// both readings of MaxFaults, free (-1, not printed) and capped to zero.
+func TestReproLineRoundTrips(t *testing.T) {
+	for _, want := range []Row{
+		{Seed: 51, Overrides: Overrides{Topo: "leafspine", Leaves: 4, Spines: 2, HostsPerLeaf: 1,
+			Messages: 2, MaxFaults: 2, Horizon: 31 * time.Millisecond}},
+		{Seed: 58, Overrides: Overrides{Topo: "leafspine", Leaves: 4, Spines: 2, HostsPerLeaf: 2,
+			Messages: 4, MaxFaults: 1, Horizon: 19 * time.Millisecond}},
+		{Seed: 12, Overrides: Overrides{MaxFaults: -1, Rival: true}},
+		{Seed: 4, Overrides: Overrides{MaxFaults: 0, Offload: true, Horizon: 1500 * time.Microsecond}},
+		{Seed: -3, Overrides: NoOverrides()},
+	} {
+		want.Scenarios = 1
+		line := ReproLine(want.Seed, want.Overrides)
+		words := strings.Fields(line)
+		if strings.Join(words[:3], " ") != "mtpexp -exp scenario" {
+			t.Fatalf("repro line %q does not start with the command", line)
+		}
+		cells, err := platform.ParseCells(words[3:])
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		got := NewRow()
+		if err := platform.Bind(platform.Row{Cells: cells}, &got); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if got != want {
+			t.Errorf("%s\nbound %+v\nwant  %+v", line, got, want)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // invariant checker; and a shrinker reduces a violating scenario — fewer
 // hosts, fewer faults, fewer messages, a shorter horizon — to a minimal
 // configuration that still reproduces, printable as a one-line `mtpexp -exp
-// scenario` repro.
+// scenario` row.
 //
 // Everything is a pure function of (seed, Overrides): the same pair always
 // generates, runs, and fails identically, which is what makes a shrunken seed
@@ -535,36 +535,67 @@ func Search(start int64, n int, ov Overrides) (seed int64, min Overrides, res Re
 	return 0, ov, Result{}, false
 }
 
-// ReproLine renders the one-line mtpexp invocation that replays (seed, ov).
+// Row is what a `mtpexp -exp scenario` row binds (the grammar is in
+// internal/platform's package comment): the first seed, how many consecutive
+// seeds to run, and the caps, whose keys let a shrunken repro replay exactly.
+type Row struct {
+	Seed      int64
+	Scenarios int
+	Overrides
+}
+
+// NewRow is the row before any cell is bound: seed 1, one scenario, all free.
+func NewRow() Row { return Row{Seed: 1, Scenarios: 1, Overrides: NoOverrides()} }
+
+// RunRow runs the row's seeds under the invariant harness and renders the
+// outcome: the full result of a single seed, one line per passing seed of
+// several, and for every violating seed its shrunken result and repro line.
+func RunRow(r Row) (text string, failed bool) {
+	var b strings.Builder
+	for s := r.Seed; s < r.Seed+int64(r.Scenarios); s++ {
+		res := Run(s, r.Overrides)
+		switch {
+		case res.Count > 0:
+			failed = true
+			min, shrunk := Shrink(s, r.Overrides)
+			fmt.Fprintf(&b, "%sshrunken repro: %s\n", shrunk, ReproLine(s, min))
+		case r.Scenarios == 1:
+			b.WriteString(res.String())
+		default:
+			fmt.Fprintf(&b, "scenario seed=%d: ok (%d/%d delivered, %d events)\n",
+				s, res.Delivered, res.Expected, res.Events)
+		}
+	}
+	return b.String(), failed
+}
+
+// ReproLine renders the one-line mtpexp invocation that replays (seed, ov):
+// a row of Row's keys, which binds back to the same pair.
 func ReproLine(seed int64, ov Overrides) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mtpexp -exp scenario -seed=%d", seed)
+	fmt.Fprintf(&b, "mtpexp -exp scenario seed=%d", seed)
 	if ov.Topo != "" {
-		fmt.Fprintf(&b, " -topo=%s", ov.Topo)
+		fmt.Fprintf(&b, " topo=%s", ov.Topo)
 	}
-	if ov.Leaves > 0 {
-		fmt.Fprintf(&b, " -leaves=%d", ov.Leaves)
-	}
-	if ov.Spines > 0 {
-		fmt.Fprintf(&b, " -spines=%d", ov.Spines)
-	}
-	if ov.HostsPerLeaf > 0 {
-		fmt.Fprintf(&b, " -hostsperleaf=%d", ov.HostsPerLeaf)
-	}
-	if ov.Messages > 0 {
-		fmt.Fprintf(&b, " -messages=%d", ov.Messages)
+	for _, c := range []struct {
+		key string
+		n   int
+	}{{"leaves", ov.Leaves}, {"spines", ov.Spines}, {"hostsperleaf", ov.HostsPerLeaf}, {"messages", ov.Messages}} {
+		if c.n > 0 {
+			fmt.Fprintf(&b, " %s=%d", c.key, c.n)
+		}
 	}
 	if ov.MaxFaults >= 0 {
-		fmt.Fprintf(&b, " -faults=%d", ov.MaxFaults)
+		fmt.Fprintf(&b, " maxfaults=%d", ov.MaxFaults)
 	}
 	if ov.Horizon > 0 {
-		fmt.Fprintf(&b, " -duration=%v", ov.Horizon)
+		fmt.Fprintf(&b, " horizon=%v", ov.Horizon)
 	}
 	if ov.Offload {
-		b.WriteString(" -offload")
+		b.WriteString(" offload=true")
 	}
 	if ov.Rival {
-		b.WriteString(" -rival")
+		b.WriteString(" rival=true")
 	}
 	return b.String()
 }
