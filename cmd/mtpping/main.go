@@ -73,15 +73,18 @@ func newEchoNode(addr string, port uint16, ccAlgo string) (*mtp.Node, error) {
 		return nil, err
 	}
 	var node *mtp.Node
+	ready := make(chan struct{}) // closed once node is set: a message can arrive before NewNode returns
 	node, err = mtp.NewNode(pc, mtp.Config{
 		Port: port,
 		CC:   ccAlgo,
 		OnMessage: func(m mtp.Message) {
+			<-ready
 			if _, err := node.SendPriority(m.From.String(), m.SrcPort, m.Data, m.Priority); err != nil {
 				log.Printf("echo to %s: %v", m.From, err)
 			}
 		},
 	})
+	close(ready)
 	return node, err
 }
 
