@@ -79,10 +79,14 @@ bench:
 # on the working tree, 28 s each as the driver runs them, and per end-to-end
 # metric both medians, both quartile distances and the median of the per-pair
 # ratios. make benchpair WL="bulk_udp small_udp lossy_udp"
+# TRACED=K adds K traced pairs (--trace 1, 6 s) per workload and prints the
+# per-layer cells of both sides: timeouts, retransmissions, duplicates, NACKs,
+# engine latency, CPU per message, timer lateness.
 N ?= 10
 BASE ?= HEAD~1
+TRACED ?= 0
 benchpair:
-	bash ci/benchpair.sh "$(WL)" $(N) $(BASE)
+	TRACED=$(TRACED) bash ci/benchpair.sh "$(WL)" $(N) $(BASE)
 
 # netbench is the real-socket smoke gate: the platform launcher runs the
 # loopback runfile (multi-process, real UDP, re-exec workers) and exits

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs: the working tree against a base commit, alternating.
 #
-#   ci/benchpair.sh "WORKLOAD..." [N=10] [BASE=HEAD~1] [SECONDS=28]
+#   [TRACED=K] ci/benchpair.sh "WORKLOAD..." [N=10] [BASE=HEAD~1] [SECONDS=28]
 #
 # Unpacks BASE (git archive) under .bench_build/ and, for each workload of the
 # list in turn, runs `bash bench/run.sh --workload W --seconds SECONDS --seed i`
@@ -12,12 +12,24 @@
 # asks every perf change to bring: the claimed workload and, in the same
 # command, the ones that must not move. SECONDS exists to smoke-test this
 # script; a claim uses the default, which is what the driver runs.
+#
+# With TRACED=K in the environment each workload's table is followed by K more
+# alternating pairs run with --trace 1 --seconds 6, and the per-layer cells
+# that say where a real-path change landed (timeouts, retransmissions,
+# duplicates, NACKs, the engine's latency percentiles, CPU per message, timer
+# lateness) side by side: both medians, their ratio, and every reading. A cell
+# the workload does not produce prints "-".
 set -euo pipefail
 
 wls=${1:?usage: ci/benchpair.sh '"WORKLOAD..." [N=10] [BASE=HEAD~1] [SECONDS=28]'}
 n=${2:-10}
 base=${3:-HEAD~1}
 secs=${4:-28}
+traced=${TRACED:-0}
+traced_secs=6
+cells="mtp.timeouts_per_kmsg mtp.retx_per_kmsg mtp.dup_rx_per_kmsg mtp.nacks_per_kmsg
+	mtp.lat_p50_us mtp.lat_p99_us os.cpu_us_per_msg os.sys_cpu_frac
+	udpnet.timer_late_us_p50 udpnet.timer_late_us_p99"
 
 root=$(git rev-parse --show-toplevel)
 work="$root/.bench_build/benchpair"
@@ -26,18 +38,36 @@ mkdir -p "$work/base"
 git -C "$root" archive "$base" | tar -x -C "$work/base"
 trap 'rm -rf "$work/base"' EXIT
 
-# run TREE SIDE WORKLOAD PAIR: one benchmark run; its result object (the last
-# line of standard output) becomes "metric value" lines in $work/WORKLOAD.SIDE.PAIR.
+# run SIDE WORKLOAD PAIR [traced]: one benchmark run; its result object (the
+# last line of standard output) becomes "metric value" lines in
+# $work/WORKLOAD.SIDE.PAIR, or $work/WORKLOAD.traced.SIDE.PAIR for a traced run.
 run() {
-	local last
-	last=$(bash "$1/bench/run.sh" --workload "$3" --seconds "$secs" --seed "$4" | tail -n 1) ||
-		{ echo "benchpair: $3 $2 run $4 failed: $last" >&2; exit 1; }
+	local tree=$root out="$work/$2.$1.$3" last
+	local -a args=(--workload "$2" --seconds "$secs" --seed "$3")
+	[[ $1 == base ]] && tree="$work/base"
+	if [[ ${4:-} == traced ]]; then
+		out="$work/$2.traced.$1.$3"
+		args=(--workload "$2" --seconds "$traced_secs" --seed "$3" --trace 1)
+	fi
+	last=$(bash "$tree/bench/run.sh" "${args[@]}" | tail -n 1) ||
+		{ echo "benchpair: $2 $1 ${4:-} run $3 failed: $last" >&2; exit 1; }
 	case $last in
 	*'"failed":0,'*) ;;
-	*) echo "benchpair: $3 $2 run $4 had failures: $last" >&2; exit 1 ;;
+	*) echo "benchpair: $2 $1 ${4:-} run $3 had failures: $last" >&2; exit 1 ;;
 	esac
 	grep -o '"[A-Za-z0-9_.]*":{"value":[-+.eE0-9]*' <<<"$last" |
-		sed 's/"\([^"]*\)":{"value":/\1 /' >"$work/$3.$2.$4"
+		sed 's/"\([^"]*\)":{"value":/\1 /' >"$out"
+}
+
+# pair WORKLOAD PAIR [traced]: one run on each side, base first in odd pairs.
+pair() {
+	if (($2 % 2)); then
+		run base "$@"
+		run change "$@"
+	else
+		run change "$@"
+		run base "$@"
+	fi
 }
 
 # quantile Q: the Q-quantile (linear interpolation) of the numbers on stdin.
@@ -50,13 +80,7 @@ iqr() { local all; all=$(cat); echo "$(quantile 0.75 <<<"$all") $(quantile 0.25 
 
 for wl in $wls; do
 	for i in $(seq 1 "$n"); do
-		if ((i % 2)); then
-			run "$work/base" base "$wl" "$i"
-			run "$root" change "$wl" "$i"
-		else
-			run "$root" change "$wl" "$i"
-			run "$work/base" base "$wl" "$i"
-		fi
+		pair "$wl" "$i"
 		echo "$wl: pair $i/$n done" >&2
 	done
 
@@ -72,5 +96,24 @@ for wl in $wls; do
 			"$(side change | quantile 0.5)" "$(side change | iqr)" \
 			"$(quantile 0.5 <<<"$ratios")" \
 			"$(awk '$1 > 1' <<<"$ratios" | wc -l)" "$(awk '$1 < 1' <<<"$ratios" | wc -l)"
+	done
+
+	((traced)) || continue
+	for i in $(seq 1 "$traced"); do
+		pair "$wl" "$i" traced
+		echo "$wl: traced pair $i/$traced done" >&2
+	done
+	echo "$wl: $traced traced pairs of $traced_secs s (--trace 1), per-layer cells"
+	printf '%-26s %12s %12s %8s  %s\n' cell base_median change_median ratio 'readings: base | change'
+	for m in $cells; do
+		side() { awk -v m="$m" '$1 == m {print $2}' "$work/$wl.traced.$1".*; }
+		if [[ -z $(side base) || -z $(side change) ]]; then
+			printf '%-26s %12s %12s %8s\n' "$m" - - -
+			continue
+		fi
+		b=$(side base | quantile 0.5) c=$(side change | quantile 0.5)
+		printf '%-26s %12.6g %12.6g %8s  %s | %s\n' "$m" "$b" "$c" \
+			"$(awk -v b="$b" -v c="$c" 'BEGIN {if (b != 0) printf "%.3f", c / b; else print "-"}')" \
+			"$(side base | xargs printf '%.5g ')" "$(side change | xargs printf '%.5g ')"
 	done
 done

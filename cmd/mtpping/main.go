@@ -114,13 +114,21 @@ type pingReport struct {
 
 // pingSummary is the final -json line.
 type pingSummary struct {
-	Count     int     `json:"count"`
-	Bytes     int     `json:"bytes"`
-	MinRTTus  float64 `json:"min_rtt_us"`
-	AvgRTTus  float64 `json:"avg_rtt_us"`
-	MaxRTTus  float64 `json:"max_rtt_us"`
-	TotalRetx uint64  `json:"total_retx"`
-	PktsSent  uint64  `json:"pkts_sent"`
+	Count    int     `json:"count"`
+	Bytes    int     `json:"bytes"`
+	MinRTTus float64 `json:"min_rtt_us"`
+	AvgRTTus float64 `json:"avg_rtt_us"`
+	MaxRTTus float64 `json:"max_rtt_us"`
+	// SRTTus and RTOus are the engine's own view of the path at exit: the
+	// packet-level smoothed RTT the retransmission timer follows (the RTTs
+	// above are message round trips through the echo handler) and the
+	// timeout it arrived at; RTOBackoffs counts the timeout rounds that
+	// doubled it on the way.
+	SRTTus      float64 `json:"srtt_us"`
+	RTOus       float64 `json:"rto_us"`
+	RTOBackoffs uint64  `json:"rto_backoffs"`
+	TotalRetx   uint64  `json:"total_retx"`
+	PktsSent    uint64  `json:"pkts_sent"`
 	// RingFullDrops separates local send-ring drops (NIC-style backpressure)
 	// from network loss; StaleEpochDrops and EpochBumps surface peer
 	// restarts observed during the run.
@@ -225,11 +233,13 @@ func runClient(stdout io.Writer, addr string, port uint16, ccAlgo string, count,
 		}
 	}
 	st := node.Stats()
+	srtt, rto, _ := node.RTT(addr)
 	if jsonOut {
 		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 		_ = enc.Encode(pingSummary{
 			Count: len(rtts), Bytes: size,
 			MinRTTus: us(min), AvgRTTus: us(total / time.Duration(len(rtts))), MaxRTTus: us(max),
+			SRTTus: us(srtt), RTOus: us(rto), RTOBackoffs: st.RTOBackoffs,
 			TotalRetx: st.PktsRetx, PktsSent: st.PktsSent,
 			RingFullDrops: st.RingFullDrops, StaleEpochDrops: st.StaleEpochDrops, EpochBumps: st.EpochBumps,
 			AcksReceived: st.AcksReceived,
@@ -241,7 +251,8 @@ func runClient(stdout io.Writer, addr string, port uint16, ccAlgo string, count,
 	} else {
 		fmt.Fprintf(stdout, "avg message RTT: %v over %d messages (min %v, max %v)\n",
 			total/time.Duration(len(rtts)), len(rtts), min, max)
-		fmt.Fprintf(stdout, "packets: %d sent, %d retransmitted\n", st.PktsSent, st.PktsRetx)
+		fmt.Fprintf(stdout, "packets: %d sent, %d retransmitted; engine srtt %v, rto %v after %d backoffs\n",
+			st.PktsSent, st.PktsRetx, srtt, rto, st.RTOBackoffs)
 		fmt.Fprintf(stdout, "client stats: %+v\n", st)
 	}
 	if doTrace {

@@ -38,6 +38,11 @@ func TestClientJSON(t *testing.T) {
 	if sum.Count != 3 || sum.Bytes != 2048 || sum.MinRTTus <= 0 || sum.MinRTTus > sum.AvgRTTus || sum.AvgRTTus > sum.MaxRTTus || sum.PktsSent == 0 {
 		t.Errorf("summary = %+v", sum)
 	}
+	// The engine's timeout toward the server: measured (three clean loopback
+	// samples leave it well under the 20 ms it starts at), never above it.
+	if sum.SRTTus <= 0 || sum.RTOus <= 0 || sum.RTOus > 20000 {
+		t.Errorf("summary srtt_us %v rto_us %v, want 0 < rto_us <= 20000", sum.SRTTus, sum.RTOus)
+	}
 	if dec.More() {
 		t.Errorf("output continues past the summary")
 	}

@@ -143,7 +143,7 @@ func TestBatchAckEveryStillDefers(t *testing.T) {
 	if got := env.take(); len(got) != 0 {
 		t.Fatalf("3 of AckEvery=8 packets flushed at EndBatch: %v", got)
 	}
-	if want := env.now + ep.rto()/4; env.timerAt != want {
+	if want := env.now + ep.rto(nil)/4; env.timerAt != want {
 		t.Fatalf("delayed-ack timer at %v, want %v", env.timerAt, want)
 	}
 	env.now = env.timerAt

@@ -126,8 +126,8 @@ func TestAdaptiveRTOTracksRTTAndStaysClamped(t *testing.T) {
 		a.Send("b", 2, []byte("sample"), SendOptions{})
 		w.eng.Run(w.eng.Now() + 2*time.Millisecond)
 	}
-	rto := a.rto()
-	if rto < cfg.MinRTO || rto > cfg.MaxRTO {
+	srtt, rto, ok := a.PeerRTT("b")
+	if !ok || rto < cfg.MinRTO || rto > cfg.MaxRTO {
 		t.Fatalf("rto %v outside [%v, %v]", rto, cfg.MinRTO, cfg.MaxRTO)
 	}
 	// Path RTT is ~200µs + ack-delay; the 10ms configured initial value must
@@ -135,7 +135,7 @@ func TestAdaptiveRTOTracksRTTAndStaysClamped(t *testing.T) {
 	if rto >= cfg.RTO {
 		t.Fatalf("rto %v did not adapt below initial %v", rto, cfg.RTO)
 	}
-	if a.srtt == 0 {
+	if srtt == 0 {
 		t.Fatal("no RTT samples folded into SRTT")
 	}
 }
@@ -152,8 +152,8 @@ func TestAdaptiveRTOBacksOffUnderLoss(t *testing.T) {
 	if a.Stats.RTOBackoffs < 2 {
 		t.Fatalf("RTOBackoffs = %d, want repeated exponential backoff", a.Stats.RTOBackoffs)
 	}
-	if a.curRTO != 2*time.Millisecond {
-		t.Fatalf("curRTO = %v, want capped at MaxRTO", a.curRTO)
+	if _, rto, _ := a.PeerRTT("b"); rto != 2*time.Millisecond {
+		t.Fatalf("rto = %v, want capped at MaxRTO", rto)
 	}
 }
 
@@ -161,11 +161,15 @@ func TestFixedRTOWhenAdaptiveDisabled(t *testing.T) {
 	w, a, _, _, _ := pair(6, us(50),
 		Config{LocalPort: 1, RTO: 700 * time.Microsecond}, // MaxRTO zero
 		Config{LocalPort: 2, OnMessage: func(*InMessage) {}})
+	var m *OutMessage
 	for i := 0; i < 5; i++ {
-		a.Send("b", 2, []byte("x"), SendOptions{})
+		m = a.Send("b", 2, []byte("x"), SendOptions{})
 	}
 	w.eng.Run(10 * time.Millisecond)
-	if got := a.rto(); got != 700*time.Microsecond {
+	if _, _, ok := a.PeerRTT("b"); ok || a.peerRTTs != nil {
+		t.Fatal("fixed mode created an RTT estimator")
+	}
+	if got := a.rto(m.rtt); got != 700*time.Microsecond {
 		t.Fatalf("rto() = %v, want the fixed configured RTO", got)
 	}
 	if a.Stats.RTOBackoffs != 0 {

@@ -47,17 +47,24 @@ type Config struct {
 	CCFactory pathlet.Factory
 
 	// RTO is the retransmission timeout. Default 1ms (datacenter scale).
-	// With MaxRTO set it is only the initial value; the effective timeout
-	// then adapts to measured RTT (RFC 6298).
+	// With MaxRTO set it is the timeout toward a peer before the first RTT
+	// sample from it, and the horizon of receiver-side timers (delayed ACK,
+	// re-NACK hold-off) toward a peer this endpoint never sent to; after the
+	// first sample the timeout follows that peer's measured RTT (RFC 6298).
 	RTO time.Duration
 
-	// MaxRTO, when positive, enables adaptive retransmission: the effective
-	// RTO is driven by SRTT/RTTVAR estimates (RFC 6298: srtt + 4*rttvar,
-	// alpha=1/8, beta=1/4) with exponential backoff on consecutive timeout
-	// rounds, clamped to [MinRTO, MaxRTO]. Retransmitted packets never feed
-	// the estimator (Karn's rule). Zero keeps the fixed Config.RTO.
+	// MaxRTO, when positive, enables adaptive retransmission: each peer
+	// this endpoint sends to gets its own SRTT/RTTVAR estimator (RFC 6298:
+	// srtt + 4*rttvar, alpha=1/8, beta=1/4) driving the timeout toward that
+	// peer, with exponential backoff on consecutive timeout rounds of that
+	// peer's packets, clamped to [MinRTO, MaxRTO]. Retransmitted packets
+	// never feed the estimator (Karn's rule), so under persistent loss a
+	// backed-off timeout stays up until a first-transmission packet is
+	// acknowledged. Zero keeps the fixed Config.RTO for every peer and
+	// allocates no estimator.
 	MaxRTO time.Duration
-	// MinRTO floors the adaptive RTO. Defaults to RTO/4 when MaxRTO is set.
+	// MinRTO floors the adaptive RTO. Defaults to RTO/4 when MaxRTO is set;
+	// a MaxRTO below it is raised to it.
 	MinRTO time.Duration
 
 	// DelegateTimeout, when positive, enables delegated-ACK semantics: an
@@ -175,6 +182,9 @@ type OutMessage struct {
 
 	data []byte // nil for synthetic messages
 	pkts []outPkt
+	// rtt is the destination's estimator (adaptive mode; nil in fixed mode),
+	// looked up once at Send so no packet pays a map access for its timeout.
+	rtt *peerRTT
 	// nextNew indexes the first never-sent packet.
 	nextNew int
 	// ackedPkts counts acknowledged packets.
@@ -302,11 +312,13 @@ type Endpoint struct {
 	dataHdr wire.Header // scratch header for data packets
 	ackHdr  wire.Header // scratch header for ACK packets
 
-	// Adaptive retransmission state (Config.MaxRTO > 0): RFC 6298 smoothed
-	// RTT estimators and the current (possibly backed-off) timeout.
-	srtt   time.Duration
-	rttvar time.Duration
-	curRTO time.Duration
+	// Adaptive retransmission state (Config.MaxRTO > 0 only): one RFC 6298
+	// estimator per peer sent to, created by the first Send toward it. A
+	// shared estimator would floor on the nearest peer and resend everything
+	// bound for a far one before its ACK could return. backedOff is OnTimer's
+	// scratch of the peers whose packets expired in one firing.
+	peerRTTs  map[Addr]*peerRTT
+	backedOff []*peerRTT
 
 	// Stats counts protocol events.
 	Stats EndpointStats
@@ -410,7 +422,6 @@ func NewEndpoint(env Env, cfg Config) *Endpoint {
 		inflows:     make(map[inKey]*inMsg),
 		pendingAcks: make(map[Addr]*ackBatch),
 		nextID:      1,
-		curRTO:      cfg.RTO,
 	}
 	factory := cfg.CCFactory
 	if factory == nil {
@@ -476,6 +487,7 @@ func (e *Endpoint) newMessage(dst Addr, dstPort uint16, size int, opts SendOptio
 		TC:      e.cfg.TC,
 		Size:    size,
 		Created: e.env.Now(),
+		rtt:     e.peerRTTFor(dst),
 	}
 	e.nextID++
 	npkts := (size + e.cfg.MSS - 1) / e.cfg.MSS
@@ -576,53 +588,79 @@ func (e *Endpoint) Release(m *OutMessage) bool {
 	return true
 }
 
-// rto returns the effective retransmission timeout: the adaptive estimate
-// when Config.MaxRTO is set, the fixed Config.RTO otherwise.
-func (e *Endpoint) rto() time.Duration {
+// peerRTT is the RFC 6298 estimator toward one peer: smoothed RTT, its
+// variance, and the current (possibly backed-off) timeout.
+type peerRTT struct {
+	srtt   time.Duration
+	rttvar time.Duration
+	rto    time.Duration
+}
+
+// peerRTTFor returns the estimator toward dst, creating it at the initial
+// Config.RTO on the first Send; nil in fixed mode, which keeps none.
+func (e *Endpoint) peerRTTFor(dst Addr) *peerRTT {
 	if e.cfg.MaxRTO <= 0 {
+		return nil
+	}
+	pr := e.peerRTTs[dst]
+	if pr == nil {
+		if e.peerRTTs == nil {
+			e.peerRTTs = make(map[Addr]*peerRTT)
+		}
+		pr = &peerRTT{rto: e.cfg.RTO}
+		e.peerRTTs[dst] = pr
+	}
+	return pr
+}
+
+// PeerRTT reports the smoothed RTT and the effective retransmission timeout
+// toward a peer. ok is false when no estimator exists for it: fixed mode, or
+// nothing was ever sent there. srtt is zero until the first sample.
+func (e *Endpoint) PeerRTT(peer Addr) (srtt, rto time.Duration, ok bool) {
+	pr := e.peerRTTs[peer]
+	if pr == nil {
+		return 0, 0, false
+	}
+	return pr.srtt, pr.rto, true
+}
+
+// rto returns the effective retransmission timeout toward the peer pr
+// estimates: its adaptive value, or the fixed Config.RTO when there is no
+// estimator (fixed mode, or a peer this endpoint only receives from).
+func (e *Endpoint) rto(pr *peerRTT) time.Duration {
+	if pr == nil {
 		return e.cfg.RTO
 	}
-	return e.curRTO
+	return pr.rto
 }
 
 // sampleRTT feeds one fresh (never-retransmitted) RTT measurement into the
-// RFC 6298 estimator and recomputes the effective RTO, collapsing any
-// exponential backoff.
-func (e *Endpoint) sampleRTT(s time.Duration) {
-	if e.cfg.MaxRTO <= 0 || s <= 0 {
+// peer's estimator and recomputes its RTO, collapsing any exponential
+// backoff.
+func (e *Endpoint) sampleRTT(pr *peerRTT, s time.Duration) {
+	if pr == nil || s <= 0 {
 		return
 	}
-	if e.srtt == 0 {
-		e.srtt = s
-		e.rttvar = s / 2
+	if pr.srtt == 0 {
+		pr.srtt = s
+		pr.rttvar = s / 2
 	} else {
-		d := e.srtt - s
+		d := pr.srtt - s
 		if d < 0 {
 			d = -d
 		}
-		e.rttvar = (3*e.rttvar + d) / 4
-		e.srtt = (7*e.srtt + s) / 8
+		pr.rttvar = (3*pr.rttvar + d) / 4
+		pr.srtt = (7*pr.srtt + s) / 8
 	}
-	rto := e.srtt + 4*e.rttvar
-	if rto < e.cfg.MinRTO {
-		rto = e.cfg.MinRTO
-	}
-	if rto > e.cfg.MaxRTO {
-		rto = e.cfg.MaxRTO
-	}
-	e.curRTO = rto
+	pr.rto = min(max(pr.srtt+4*pr.rttvar, e.cfg.MinRTO), e.cfg.MaxRTO)
 }
 
-// backoffRTO doubles the effective RTO after a timeout round (adaptive mode
-// only), up to MaxRTO.
-func (e *Endpoint) backoffRTO() {
-	if e.cfg.MaxRTO <= 0 || e.curRTO >= e.cfg.MaxRTO {
+// backoffRTO doubles the peer's RTO after a timeout round, up to MaxRTO.
+func (e *Endpoint) backoffRTO(pr *peerRTT) {
+	if pr.rto >= e.cfg.MaxRTO {
 		return
 	}
-	e.curRTO *= 2
-	if e.curRTO > e.cfg.MaxRTO {
-		e.curRTO = e.cfg.MaxRTO
-	}
+	pr.rto = min(2*pr.rto, e.cfg.MaxRTO)
 	e.Stats.RTOBackoffs++
 }
 

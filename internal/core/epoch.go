@@ -48,10 +48,11 @@ func (e *Endpoint) admitEpoch(from Addr, ep uint32) bool {
 //     are retransmitted from scratch. Messages that completed before the
 //     restart are NOT resent: their delivery happened in the old incarnation
 //     and replaying them into the new one would violate exactly-once.
-//   - Estimates: the RTT estimator and every pathlet's congestion algorithm
-//     restart (re-slow-start). This is deliberately conservative — pathlet
-//     state is not per-peer, so estimates learned against other peers are
-//     also discarded — but a host restart is rare and safety beats warmth.
+//   - Estimates: the peer's RTT estimator restarts (other peers keep theirs)
+//     and every pathlet's congestion algorithm restarts (re-slow-start). The
+//     latter is deliberately conservative — pathlet state is not per-peer, so
+//     windows learned against other peers are also discarded — but a host
+//     restart is rare and safety beats warmth.
 //     In-flight attribution is preserved except for the rewound packets,
 //     whose attribution is released here.
 func (e *Endpoint) resetPeer(from Addr) {
@@ -98,9 +99,11 @@ func (e *Endpoint) resetPeer(from Addr) {
 		m.rtxQueue = m.rtxQueue[:0]
 	}
 
-	// Estimates: back to initial RTO and slow start.
-	e.srtt, e.rttvar = 0, 0
-	e.curRTO = e.cfg.RTO
+	// Estimates: this peer's RTO back to its initial value — in place, the
+	// rewound messages above hold the pointer — and slow start everywhere.
+	if pr := e.peerRTTs[from]; pr != nil {
+		*pr = peerRTT{rto: e.cfg.RTO}
+	}
 	e.table.ResetAlgorithms()
 
 	e.trySend()

@@ -213,7 +213,7 @@ func (e *Endpoint) collectNacks(now time.Duration, f *inMsg, batch *ackBatch) {
 			e.setTimer(first + e.cfg.NackDelay)
 			continue
 		}
-		if t, ok := f.nacked[pkt]; ok && now-t < e.rto()/2 {
+		if t, ok := f.nacked[pkt]; ok && now-t < e.rto(e.peerRTTs[f.key.from])/2 {
 			continue
 		}
 		if f.nacked == nil {
@@ -309,7 +309,7 @@ func (e *Endpoint) maybeFlush(to Addr, b *ackBatch) bool {
 		return true
 	}
 	if len(b.sack) > 0 {
-		e.setTimer(e.env.Now() + e.rto()/4)
+		e.setTimer(e.env.Now() + e.rto(e.peerRTTs[to])/4)
 	}
 	return false
 }

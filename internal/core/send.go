@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -25,8 +26,12 @@ func (e *Endpoint) trySend() {
 		// window they themselves occupy would deadlock recovery.
 		if !isRtx && !st.CanSend(length) {
 			// Window-limited on the current pathlet. Progress resumes when
-			// acks arrive; arm the RTO backstop below.
-			break
+			// acks arrive; make sure some timer is armed so the endpoint
+			// cannot deadlock if every in-flight packet is lost.
+			if e.timerAt == 0 || e.timerAt <= now {
+				e.setTimer(now + e.rto(m.rtt))
+			}
+			return
 		}
 		// Rate pacing when the current pathlet's algorithm is rate-based.
 		if bps, ok := st.Algo.Rate(); ok && bps > 0 {
@@ -41,11 +46,6 @@ func (e *Endpoint) trySend() {
 			e.nextSendAt += interval
 		}
 		e.transmit(m, idx, isRtx, st.Path)
-	}
-	// Blocked with work outstanding: make sure some timer is armed so the
-	// endpoint cannot deadlock if every in-flight packet is lost.
-	if e.timerAt == 0 || e.timerAt <= now {
-		e.setTimer(now + e.rto())
 	}
 }
 
@@ -134,7 +134,7 @@ func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC
 	}
 
 	e.output(m.Dst, hdr, data, hdr.EncodedLen()+e.cfg.HeaderOverhead+int(p.length))
-	e.setTimer(now + e.rto())
+	e.setTimer(now + e.rto(m.rtt))
 }
 
 // onAckPacket processes an arriving ACK/NACK packet at the sender.
@@ -147,6 +147,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 
 	ackedBytes := 0
 	var rttSample time.Duration
+	var rttPeer *peerRTT // estimator of the message rttSample came from
 	completed := e.completed[:0]
 
 	// A delegated ACK (spoofed by an in-network device) is provisional when
@@ -179,7 +180,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 			}
 			if !p.retxPkt {
 				if s := now - p.sentAt; s > rttSample {
-					rttSample = s
+					rttSample, rttPeer = s, m.rtt
 				}
 			}
 			delegArmed = true
@@ -195,7 +196,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 			ackedBytes += int(p.length)
 			if !p.retxPkt {
 				if s := now - p.sentAt; s > rttSample {
-					rttSample = s
+					rttSample, rttPeer = s, m.rtt
 				}
 			}
 		}
@@ -208,7 +209,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 			completed = append(completed, m)
 		}
 	}
-	e.sampleRTT(rttSample)
+	e.sampleRTT(rttPeer, rttSample)
 	if delegArmed {
 		e.setTimer(now + e.cfg.DelegateTimeout)
 	}
@@ -308,7 +309,7 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 	// Retransmission timeouts. Delegated packets are exempt: they wait on
 	// the separate delegate-confirmation deadline below.
 	var next time.Duration
-	timedOut := false
+	backedOff := e.backedOff[:0]
 	lossPaths := e.lossPaths[:0]
 	for _, m := range e.active {
 		for i := range m.pkts {
@@ -334,12 +335,14 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 				}
 				continue
 			}
-			deadline := p.sentAt + e.rto()
+			deadline := p.sentAt + e.rto(m.rtt)
 			if deadline <= now {
 				p.inRtx = true
 				m.rtxQueue = append(m.rtxQueue, i)
 				e.Stats.Timeouts++
-				timedOut = true
+				if m.rtt != nil && !slices.Contains(backedOff, m.rtt) {
+					backedOff = append(backedOff, m.rtt)
+				}
 				e.trace(trace.KindTimeout, m.ID, uint32(i), 0, 0)
 				if !pathSeen(lossPaths, p.path) {
 					lossPaths = append(lossPaths, p.path)
@@ -358,11 +361,13 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 		}
 	}
 	e.lossPaths = lossPaths[:0]
-	if timedOut {
-		// One exponential backoff per timer firing, however many packets
-		// expired together (adaptive mode only).
-		e.backoffRTO()
+	// One exponential backoff per peer per timer firing, however many of its
+	// packets expired together, and only after the walk so every deadline
+	// above used the same timeout (adaptive mode only).
+	for _, pr := range backedOff {
+		e.backoffRTO(pr)
 	}
+	e.backedOff = backedOff[:0]
 
 	// Emit NACKs whose reordering-tolerance delay has expired, scanning
 	// partial messages in arrival order (not map order) for determinism.

@@ -74,6 +74,9 @@ func NewWheel(tick time.Duration, slots int) *Wheel {
 // Now returns the wheel's monotonic clock: time elapsed since NewWheel.
 func (w *Wheel) Now() time.Duration { return time.Since(w.start) }
 
+// Tick returns the wheel's resolution.
+func (w *Wheel) Tick() time.Duration { return w.tick }
+
 // Close stops the wheel goroutine. Pending timers never fire.
 func (w *Wheel) Close() {
 	w.mu.Lock()

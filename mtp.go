@@ -76,8 +76,13 @@ type Config struct {
 	// (default), "aimd", "rcp", or "swift".
 	CC string
 
-	// RTO is the retransmission timeout. Default 20ms (wide-area safe; tune
-	// down for rack-scale deployments).
+	// RTO is the retransmission timeout toward a peer before the first RTT
+	// sample from it, and the ceiling afterwards: once a peer's RTT has been
+	// measured the timeout toward it follows srtt + 4*rttvar (RFC 6298, one
+	// estimator per peer), never below two ticks of the timer wheel (2ms)
+	// or RTO, whichever is smaller, and never above RTO. Default 20ms
+	// (wide-area safe; a rack-scale peer is timed at rack scale without
+	// tuning it down).
 	RTO time.Duration
 
 	// AckEvery batches acknowledgements per N data packets. Default 1. It is
@@ -228,6 +233,7 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 		keyByName: make(map[string]core.Addr),
 		fromByAP:  make(map[netip.AddrPort]net.Addr),
 	}
+	wheel := nodeWheel()
 	maxDgram := cfg.MSS + 1024 // header room; ACK-only packets are smaller
 	if maxDgram < 4096 {
 		maxDgram = 4096
@@ -235,7 +241,7 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	tr, err := udpnet.NewTransport(udpnet.Config{
 		Conn:        pc,
 		MaxDatagram: maxDgram,
-		Wheel:       nodeWheel(),
+		Wheel:       wheel,
 		OnPacket:    n.onTransportPacket,
 		OnBatchEnd:  n.onBatchEnd,
 		OnTimer:     n.onTimer,
@@ -259,6 +265,8 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 		TC:             cfg.TC,
 		CC:             kind,
 		RTO:            cfg.RTO,
+		MaxRTO:         cfg.RTO,
+		MinRTO:         min(cfg.RTO, rtoFloorTicks*wheel.Tick()),
 		AckEvery:       cfg.AckEvery,
 		NackDelay:      cfg.NackDelay,
 		FeedbackBudget: cfg.FeedbackBudget,
@@ -279,6 +287,12 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	n.tr.Start()
 	return n, nil
 }
+
+// rtoFloorTicks floors the adaptive RTO in wheel ticks. A timer armed for two
+// ticks never fires less than one tick after the send, so a peer closer than
+// the wheel can measure is not retransmitted to on the wheel's rounding. An
+// explicit Config.RTO below the floor wins: it stays both floor and ceiling.
+const rtoFloorTicks = 2
 
 // epochLast remembers the most recent incarnation epoch handed out in this
 // process, so same-process restarts (a Node closed and reopened within one
@@ -404,6 +418,20 @@ func (n *Node) Stats() Stats {
 		KernelMsgsIn:   ts.KernelMsgsIn,
 		KernelMsgsOut:  ts.KernelMsgsOut,
 	}
+}
+
+// RTT reports the engine's smoothed round-trip time and current
+// retransmission timeout toward the peer at addr. ok is false until the node
+// has sent to that peer; srtt is zero until a first-transmission packet has
+// been acknowledged.
+func (n *Node) RTT(addr string) (srtt, rto time.Duration, ok bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	key, known := n.keyByName[addr]
+	if !known {
+		return 0, 0, false
+	}
+	return n.ep.PeerRTT(key)
 }
 
 // Epoch returns the node's incarnation epoch (auto-seeded unless pinned via

@@ -44,6 +44,8 @@ type testNet struct {
 	mem  *MemNetwork // nil: UDP loopback
 	seed int64
 	loss float64 // drop probability; set before the first listen
+	// wrap, when set, interposes on every conn listen opens.
+	wrap func(net.PacketConn) net.PacketConn
 }
 
 // eachNet runs body once per network, as subtests "mem" and "udp".
@@ -53,6 +55,15 @@ func eachNet(t *testing.T, seed int64, body func(t *testing.T, tn *testNet)) {
 }
 
 func (tn *testNet) listen(t *testing.T, name string) net.PacketConn {
+	t.Helper()
+	pc := tn.open(t, name)
+	if tn.wrap != nil {
+		pc = tn.wrap(pc)
+	}
+	return pc
+}
+
+func (tn *testNet) open(t *testing.T, name string) net.PacketConn {
 	t.Helper()
 	if tn.mem != nil {
 		tn.mem.Loss = tn.loss
