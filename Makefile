@@ -81,7 +81,8 @@ bench:
 # ratios. make benchpair WL="bulk_udp small_udp lossy_udp"
 # TRACED=K adds K traced pairs (--trace 1, 6 s) per workload and prints the
 # per-layer cells of both sides: timeouts, retransmissions, duplicates, NACKs,
-# engine latency, CPU per message, timer lateness.
+# engine latency, CPU per message, timer lateness, context switches, scheduler
+# latency, Node mutex wait, ACKs per message.
 N ?= 10
 BASE ?= HEAD~1
 TRACED ?= 0

@@ -76,7 +76,7 @@ func (n *Node) SendBlob(addr string, dstPort uint16, data []byte) (*BlobOutgoing
 			}
 		}(w)
 	}
-	n.mu.Unlock()
+	n.unlock()
 	return out, nil
 }
 

@@ -17,7 +17,8 @@
 # alternating pairs run with --trace 1 --seconds 6, and the per-layer cells
 # that say where a real-path change landed (timeouts, retransmissions,
 # duplicates, NACKs, the engine's latency percentiles, CPU per message, timer
-# lateness) side by side: both medians, their ratio, and every reading. A cell
+# lateness, context switches, scheduler latency, Node mutex wait, ACKs per
+# message) side by side: both medians, their ratio, and every reading. A cell
 # the workload does not produce prints "-".
 set -euo pipefail
 
@@ -29,7 +30,8 @@ traced=${TRACED:-0}
 traced_secs=6
 cells="mtp.timeouts_per_kmsg mtp.retx_per_kmsg mtp.dup_rx_per_kmsg mtp.nacks_per_kmsg
 	mtp.lat_p50_us mtp.lat_p99_us os.cpu_us_per_msg os.sys_cpu_frac
-	udpnet.timer_late_us_p50 udpnet.timer_late_us_p99"
+	udpnet.timer_late_us_p50 udpnet.timer_late_us_p99
+	os.ctxsw_per_msg go.sched_lat_us_p99 mtp.mutex_wait_us_per_msg mtp.acks_per_msg"
 
 root=$(git rev-parse --show-toplevel)
 work="$root/.bench_build/benchpair"

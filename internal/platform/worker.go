@@ -130,13 +130,26 @@ func ListenSink(addr string, p Point) (*Sink, error) {
 }
 
 // Result reports what has arrived so far, with per-source-port counts so the
-// launcher can audit survivors individually after a chaos kill.
+// launcher can audit survivors individually after a chaos kill. The engine
+// delivers a message before the ACK that confirms it leaves, but the node
+// writes a receive bracket's ACKs before it hands the bracket's messages to
+// OnMessage; so Result first waits, a second at most, until OnMessage has
+// counted every message the engine had delivered, and a message whose sender
+// saw it confirmed is in the counts.
 func (s *Sink) Result() WorkerResult {
-	drops := s.Node.Stats().RingFullDrops // before mu: the node calls OnMessage, which takes it
+	st := s.Node.Stats() // before mu: the node calls OnMessage, which takes it
+	caughtUp := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return uint64(s.res.Received) >= st.MsgsDelivered
+	}
+	for deadline := time.Now().Add(time.Second); !caughtUp() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res := s.res
-	res.RingDrops = drops
+	res.RingDrops = st.RingFullDrops
 	res.PortCounts = make(map[string]int, len(s.res.PortCounts))
 	for k, v := range s.res.PortCounts {
 		res.PortCounts[k] = v
@@ -165,7 +178,8 @@ func runSink(cc *ctrlConn, p Point) error {
 	// The launcher sends stop only after every generator reported done,
 	// and generators only finish once their messages are end-to-end
 	// acknowledged — which MTP does strictly after delivery. So at stop
-	// time the sink's counters are final.
+	// time the engine's delivery count is final, and Result waits for
+	// OnMessage to catch up with it.
 	if _, err := cc.expect("stop", workerTimeout); err != nil {
 		return err
 	}

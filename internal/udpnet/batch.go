@@ -7,8 +7,8 @@ import (
 
 // dgram is one datagram in flight through the transport: a contiguous
 // encoded buffer (header followed by payload) and the peer address. Outbound
-// dgrams are pooled — Send fills one, the writer goroutine transmits it and
-// returns it to the pool. Inbound dgrams are the reader's fixed buffer set,
+// dgrams are pooled — Queue fills one, a Flush transmits it and returns it to
+// the pool. Inbound dgrams are the reader's fixed buffer set,
 // reused across batches (the packet callback contract is copy-what-you-keep,
 // mirroring core.Inbound).
 type dgram struct {
@@ -59,7 +59,7 @@ func newBatchIO(pc net.PacketConn) batchIO {
 type connIO struct {
 	pc net.PacketConn
 	// lastDst/lastAddr remember the previous datagram's destination, so a
-	// run to one peer builds its *net.UDPAddr once. Writer goroutine only.
+	// run to one peer builds its *net.UDPAddr once. Write lock holder only.
 	lastDst  netip.AddrPort
 	lastAddr *net.UDPAddr
 }

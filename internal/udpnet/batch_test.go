@@ -73,32 +73,54 @@ func listenUDP(t *testing.T, network, addr string) *net.UDPConn {
 	return pc.(*net.UDPConn)
 }
 
-// waitSent waits, for a few seconds at most, until tr's writer has counted n
-// datagrams out, and reports whether it has. The counter is atomic, so what
-// the writer wrote before counting is ordered before the caller's reads.
-func waitSent(tr *Transport, n uint64) bool {
-	for deadline := time.Now().Add(5 * time.Second); tr.Stats().DatagramsOut < n; time.Sleep(time.Millisecond) {
+// pinCounter counts the send buffers a Transport's pool makes and how many of
+// them the collector has freed.
+type pinCounter struct{ made, freed atomic.Int32 }
+
+// countPins makes tr's pool count its buffers. The finalizer sits on the
+// bytes, which both a stale *dgram and a stale iovec keep reachable.
+func countPins(tr *Transport) *pinCounter {
+	c := &pinCounter{}
+	tr.pool.New = func() any {
+		d := &dgram{buf: make([]byte, 0, tr.cfg.MaxDatagram)}
+		c.made.Add(1)
+		runtime.SetFinalizer(&d.buf[:1][0], func(*byte) { c.freed.Add(1) })
+		return d
+	}
+	return c
+}
+
+// collected collects garbage until every buffer made so far has been freed,
+// for a few seconds at most, and reports whether it was.
+func (c *pinCounter) collected() bool {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC() // the pool lets go after two cycles; finalizers run later still
+		if c.freed.Load() == c.made.Load() {
+			return true
+		}
 		if time.Now().After(deadline) {
 			return false
 		}
 	}
-	return true
 }
 
-// TestIdleWriterPinsNoSendBuffers: once a burst has gone out, every pooled
-// send buffer must be collectable. The writer's batch slice, and the iovecs
-// of the mmsg path, used to keep the last buffer of each slot alive, so an
-// idle Transport held as many as the largest burst it had ever drained — a
-// heap that depended on timing.
-func TestIdleWriterPinsNoSendBuffers(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		wrap func(net.PacketConn) net.PacketConn
-	}{
-		{"udp", func(pc net.PacketConn) net.PacketConn { return pc }},
-		// Wrapped, the Transport takes the connIO path like every test network.
-		{"connIO", func(pc net.PacketConn) net.PacketConn { return NewLossy(pc, 1) }},
-	} {
+// pinConns are the two write paths a pinned buffer could hide in.
+var pinConns = []struct {
+	name string
+	wrap func(net.PacketConn) net.PacketConn
+}{
+	{"udp", func(pc net.PacketConn) net.PacketConn { return pc }},
+	// Wrapped, the Transport takes the connIO path like every test network.
+	{"connIO", func(pc net.PacketConn) net.PacketConn { return NewLossy(pc, 1) }},
+}
+
+// TestIdleTransportPinsNoSendBuffers: once a burst has gone out, every pooled
+// send buffer must be collectable. The batch slice, and the iovecs of the
+// mmsg path, used to keep the last buffer of each slot alive, so an idle
+// Transport held as many as the largest burst it had ever drained — a heap
+// that depended on timing.
+func TestIdleTransportPinsNoSendBuffers(t *testing.T) {
+	for _, tc := range pinConns {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, err := NewTransport(Config{
 				Conn:     tc.wrap(listenUDP(t, "udp4", "127.0.0.1:0")),
@@ -108,36 +130,71 @@ func TestIdleWriterPinsNoSendBuffers(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tr.Close()
-			var made, freed atomic.Int32
-			tr.pool.New = func() any {
-				// The finalizer sits on the bytes, which both a stale *dgram and a
-				// stale iovec keep reachable.
-				d := &dgram{buf: make([]byte, 0, tr.cfg.MaxDatagram)}
-				made.Add(1)
-				runtime.SetFinalizer(&d.buf[:1][0], func(*byte) { freed.Add(1) })
-				return d
-			}
-			// Queued before the writer starts, the burst is drained as one batch.
+			pins := countPins(tr)
+			// Queued first and flushed once, the burst is written as one batch.
 			const burst = 8
 			hdr := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgPkts: 1, MsgBytes: 1, PktLen: 1}
 			for i := 0; i < burst; i++ {
-				if !tr.Send(tr.LocalAddrPort(), &hdr, []byte{1}) {
-					t.Fatalf("send %d dropped at the ring", i)
+				if !tr.Queue(tr.LocalAddrPort(), &hdr, []byte{1}) {
+					t.Fatalf("queue %d dropped at the ring", i)
 				}
 			}
+			tr.Flush()
+			if st := tr.Stats(); st.DatagramsOut != burst || st.BatchesOut != 1 {
+				t.Fatalf("%d datagrams in %d writes, want %d in one", st.DatagramsOut, st.BatchesOut, burst)
+			}
+			if !pins.collected() {
+				t.Fatalf("%d of %d send buffers still reachable from the idle transport",
+					pins.made.Load()-pins.freed.Load(), pins.made.Load())
+			}
+		})
+	}
+}
+
+// TestClosedTransportPinsNoSendBuffers: Close hands what the ring still holds
+// back to the pool rather than leaving it pinned for as long as the Transport
+// is referenced, and after Close a Queue, Send or Flush writes nothing and
+// pins nothing.
+func TestClosedTransportPinsNoSendBuffers(t *testing.T) {
+	for _, tc := range pinConns {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := NewTransport(Config{
+				Conn:     tc.wrap(listenUDP(t, "udp4", "127.0.0.1:0")),
+				OnPacket: func(netip.AddrPort, *wire.Header, []byte) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pins := countPins(tr)
 			tr.Start()
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				if tr.Stats().DatagramsOut == burst {
-					runtime.GC() // the pool lets go after two cycles; finalizers run later still
-					if freed.Load() == made.Load() {
-						return
-					}
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("sent %d, %d of %d send buffers still reachable from the idle transport",
-						tr.Stats().DatagramsOut, made.Load()-freed.Load(), made.Load())
+			const burst = 8
+			hdr := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgPkts: 1, MsgBytes: 1, PktLen: 1}
+			dst := tr.LocalAddrPort()
+			for i := 0; i < burst; i++ {
+				if !tr.Queue(dst, &hdr, []byte{1}) {
+					t.Fatalf("queue %d dropped at the ring", i)
 				}
 			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(after string) {
+				t.Helper()
+				if !pins.collected() {
+					t.Fatalf("after %s, %d of %d send buffers still reachable from the closed transport",
+						after, pins.made.Load()-pins.freed.Load(), pins.made.Load())
+				}
+			}
+			check("Close")
+			if tr.Queue(dst, &hdr, []byte{1}) || tr.Send(dst, &hdr, []byte{1}) {
+				t.Fatal("a closed transport took a datagram")
+			}
+			tr.Flush()
+			if n := tr.Stats().DatagramsOut; n != 0 {
+				t.Fatalf("%d datagrams written by a closed transport", n)
+			}
+			check("Queue, Send and Flush")
+			runtime.KeepAlive(tr) // its ring must not go with it, or the checks prove nothing
 		})
 	}
 }
@@ -163,11 +220,11 @@ func TestRefusedDatagramNotCounted(t *testing.T) {
 	nowhere := netip.AddrPortFrom(rx.LocalAddrPort().Addr(), 0)
 	for i, dst := range []netip.AddrPort{rx.LocalAddrPort(), nowhere, rx.LocalAddrPort()} {
 		hdr := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgID: uint64(i), MsgPkts: 1, MsgBytes: 1, PktLen: 1}
-		if !tx.Send(dst, &hdr, []byte{1}) {
-			t.Fatalf("send %d dropped at the ring", i)
+		if !tx.Queue(dst, &hdr, []byte{1}) {
+			t.Fatalf("queue %d dropped at the ring", i)
 		}
 	}
-	tx.Start() // the three were queued first, so they are one batch
+	tx.Flush() // the three were queued first, so they are one batch
 	for _, want := range []uint64{0, 2} {
 		select {
 		case id := <-got:
@@ -178,7 +235,6 @@ func TestRefusedDatagramNotCounted(t *testing.T) {
 			t.Fatalf("packet %d never arrived", want)
 		}
 	}
-	waitSent(tx, 2)
 	if st := tx.Stats(); st.DatagramsOut != 2 || st.KernelMsgsOut != 2 {
 		t.Fatalf("%d datagrams in %d kernel messages reported sent, want the 2 the kernel took", st.DatagramsOut, st.KernelMsgsOut)
 	}

@@ -66,7 +66,7 @@ type mmsgIO struct {
 	rc syscall.RawConn
 	v6 bool // socket family: v6 sockets need v4-mapped destination sockaddrs
 	// gso: runs go out segmented. Probed at set-up, and cleared for good by
-	// the first segmented send the kernel refuses. Writer goroutine only.
+	// the first segmented send the kernel refuses. Write lock holder only.
 	gso bool
 	// gro: the socket has UDP_GRO, so a receive slot may come back holding a
 	// run of datagrams. Set once at set-up.
@@ -86,7 +86,8 @@ type mmsgIO struct {
 	// recvFn/sendFn are the RawConn callbacks, built once: a closure made per
 	// call would capture its results by reference and allocate on every
 	// syscall. Arguments and results travel in the fields below instead, one
-	// set per direction (reader and writer are different goroutines).
+	// set per direction (the reader goroutine reads while whichever goroutine
+	// holds the transport's write lock writes).
 	recvFn, sendFn func(fd uintptr) bool
 	rwait          bool          // park until the socket is readable
 	wwant          int           // slots offered to sendmmsg

@@ -133,8 +133,9 @@ func mixedPacket(i, size int) (wire.Header, []byte) {
 	}, payload
 }
 
-// sendMixed queues the mixed sequence on a fresh Transport before its writer
-// starts, so the ring is drained in full batches, and returns the Transport.
+// sendMixed queues the mixed sequence on a fresh Transport and writes it with
+// one Flush, so the ring is drained in full batches, and returns the
+// Transport.
 func sendMixed(t *testing.T, network, addr string, dst netip.AddrPort) *Transport {
 	t.Helper()
 	tx, err := NewTransport(Config{Conn: listenUDP(t, network, addr), OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
@@ -144,11 +145,11 @@ func sendMixed(t *testing.T, network, addr string, dst netip.AddrPort) *Transpor
 	t.Cleanup(func() { tx.Close() })
 	for i, size := range mixedSizes() {
 		hdr, payload := mixedPacket(i, size)
-		if !tx.Send(dst, &hdr, payload) {
-			t.Fatalf("send %d dropped at the ring", i)
+		if !tx.Queue(dst, &hdr, payload) {
+			t.Fatalf("queue %d dropped at the ring", i)
 		}
 	}
-	tx.Start()
+	tx.Flush()
 	return tx
 }
 
@@ -158,7 +159,6 @@ func sendMixed(t *testing.T, network, addr string, dst netip.AddrPort) *Transpor
 func checkSegmented(t *testing.T, tx *Transport) {
 	t.Helper()
 	want := uint64(len(mixedSizes()))
-	waitSent(tx, want)
 	st := tx.Stats()
 	if !tx.io.(*mmsgIO).gso {
 		t.Logf("no UDP_SEGMENT on this socket: %d datagrams in %d kernel messages", st.DatagramsOut, st.KernelMsgsOut)
@@ -285,14 +285,17 @@ func TestSegmentedSendFallback(t *testing.T) {
 		}
 		return m.send(fd)
 	}
+	// burst queues count datagrams and writes them with one Flush: one batch,
+	// one run.
 	burst := func(base int) {
 		payload := make([]byte, 1200)
 		for i := 0; i < count; i++ {
 			hdr := wire.Header{Type: wire.TypeData, SrcPort: 9, DstPort: 7, MsgID: uint64(base + i), MsgPkts: 1, MsgBytes: 1200, PktLen: 1200}
-			if !tx.Send(rx.LocalAddrPort(), &hdr, payload) {
-				t.Fatalf("send %d dropped at the ring", base+i)
+			if !tx.Queue(rx.LocalAddrPort(), &hdr, payload) {
+				t.Fatalf("queue %d dropped at the ring", base+i)
 			}
 		}
+		tx.Flush()
 	}
 	expect := func(base int) {
 		t.Helper()
@@ -307,16 +310,13 @@ func TestSegmentedSendFallback(t *testing.T) {
 			}
 		}
 	}
-	burst(0) // queued before the writer starts: one batch, one run
-	tx.Start()
+	burst(0)
 	expect(0)
-	waitSent(tx, count) // also orders the writer's m.gso and counters before the reads below
 	if refused != 1 || m.gso {
 		t.Fatalf("%d refusals, segmentation still on: %v; want one refusal that turns it off", refused, m.gso)
 	}
 	burst(count)
 	expect(count)
-	waitSent(tx, 2*count)
 	if st := tx.Stats(); st.DatagramsOut != 2*count || st.KernelMsgsOut != 2*count {
 		t.Errorf("%d datagrams in %d kernel messages, want %d singles", st.DatagramsOut, st.KernelMsgsOut, 2*count)
 	}
@@ -325,10 +325,10 @@ func TestSegmentedSendFallback(t *testing.T) {
 	}
 }
 
-// queuedPair returns a started sender that has already sent the given
-// datagram sizes to a receiver whose reader is not running yet, so the
-// receiver's socket holds all of them when its reader starts. brackets gets
-// the size of every bracket the receiver closes.
+// queuedPair returns a sender that has already written the given datagram
+// sizes, queued and flushed once, to a receiver whose reader is not running
+// yet, so the receiver's socket holds all of them when its reader starts.
+// brackets gets the size of every bracket the receiver closes.
 func queuedPair(t *testing.T, sizes []int) (rx, tx *Transport, brackets chan int) {
 	t.Helper()
 	brackets = make(chan int, len(sizes))
@@ -349,13 +349,13 @@ func queuedPair(t *testing.T, sizes []int) (rx, tx *Transport, brackets chan int
 	t.Cleanup(func() { tx.Close() })
 	for i, size := range sizes {
 		hdr, payload := mixedPacket(i, size)
-		if !tx.Send(rx.LocalAddrPort(), &hdr, payload) {
-			t.Fatalf("send %d dropped at the ring", i)
+		if !tx.Queue(rx.LocalAddrPort(), &hdr, payload) {
+			t.Fatalf("queue %d dropped at the ring", i)
 		}
 	}
-	tx.Start()
-	if !waitSent(tx, uint64(len(sizes))) {
-		t.Fatalf("%d of %d datagrams sent", tx.Stats().DatagramsOut, len(sizes))
+	tx.Flush()
+	if n := tx.Stats().DatagramsOut; n != uint64(len(sizes)) {
+		t.Fatalf("%d of %d datagrams sent", n, len(sizes))
 	}
 	return rx, tx, brackets
 }

@@ -5,12 +5,13 @@ import (
 )
 
 // ring is a bounded lock-free multi-producer multi-consumer queue (Vyukov's
-// bounded MPMC algorithm). Producers are Transport.Send callers — usually one
+// bounded MPMC algorithm). Producers are Transport.Queue callers — usually one
 // goroutine at a time (the endpoint runs under its owner's lock) but the
-// transport makes no such assumption — and the single consumer is the writer
-// goroutine draining datagrams into sendmmsg batches. Push never blocks: a
-// full ring reports failure and the caller drops the datagram, exactly like a
-// full NIC queue; MTP's reliability layer recovers the loss.
+// transport makes no such assumption — and the consumer is whichever Flush
+// caller holds the transport's write lock, draining datagrams into sendmmsg
+// batches. Push never blocks: a full ring reports failure and the caller drops
+// the datagram, exactly like a full NIC queue; MTP's reliability layer
+// recovers the loss.
 type ring struct {
 	mask  uint64
 	cells []ringCell
@@ -59,6 +60,15 @@ func (r *ring) push(d *dgram) bool {
 			pos = r.enq.Load()
 		}
 	}
+}
+
+// empty reports whether a pop would find nothing now. A push that has claimed
+// the next cell but not yet filled it counts as empty, since its caller
+// flushes after it, and so may a pop racing the call, since the popper holds
+// the write lock and looks again after letting go (Transport.Flush).
+func (r *ring) empty() bool {
+	pos := r.deq.Load()
+	return r.cells[pos&r.mask].seq.Load() != pos+1
 }
 
 // pop dequeues one datagram, reporting false when the ring is empty.

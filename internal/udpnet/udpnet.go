@@ -6,22 +6,24 @@
 // the identical protocol code from real sockets:
 //
 //   - Batched syscalls. On Linux a reader goroutine pulls datagrams through
-//     recvmmsg into a fixed set of receive buffers, and a writer goroutine
-//     drains the outbound ring into sendmmsg batches. Where the kernel has
-//     UDP segmentation offload a run of datagrams to one peer is one kernel
-//     message in each direction (UDP_SEGMENT, UDP_GRO); every datagram still
-//     carries its own MTP header. Elsewhere (and over non-UDP
-//     net.PacketConns such as test interposers) the same loops run one
-//     datagram per syscall.
+//     recvmmsg into a fixed set of receive buffers, and whoever queued
+//     datagrams writes them: Flush drains the outbound ring into sendmmsg
+//     batches on the calling goroutine, and concurrent flushers combine
+//     into one writer. Where the kernel has UDP segmentation offload a run
+//     of datagrams to one peer is one kernel message in each direction
+//     (UDP_SEGMENT, UDP_GRO); every datagram still carries its own MTP
+//     header. Elsewhere (and over non-UDP net.PacketConns such as test
+//     interposers) the same loops run one datagram per syscall.
 //   - Zero-copy decode. Each received datagram is decoded in place with
 //     wire.DecodeInto into a single reused header; the packet callback gets
 //     buffer-backed slices and must copy what it keeps — the same ownership
 //     contract as core.Inbound, which is what lets receive buffers recycle
 //     without ever escaping to the heap.
-//   - A lock-free outbound ring. Send encodes header+payload into a pooled
+//   - A lock-free outbound ring. Queue encodes header+payload into a pooled
 //     buffer and pushes it onto a bounded MPMC ring, so the protocol engine
-//     never performs a syscall while its owner's lock is held. A full ring
-//     drops the datagram like a full NIC queue; reliability recovers it.
+//     never performs a syscall while its owner's lock is held; the owner
+//     calls Flush once it has let go. A full ring drops the datagram like a
+//     full NIC queue; reliability recovers it.
 //   - A timer wheel. SetTimer deadlines are served by a shared hashed
 //     timing wheel (one goroutine per process, not one runtime timer per
 //     endpoint), at one-tick resolution.
@@ -129,12 +131,14 @@ type Transport struct {
 	ownWheel bool
 	timer    *Timer
 
-	out     *ring
-	pool    sync.Pool // *dgram send buffers
-	sendSig chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	out  *ring
+	pool sync.Pool // *dgram send buffers
+	// wmu is held by the one goroutine writing the ring out, and wbatch is
+	// its batch. Flush only ever TryLocks it.
+	wmu    sync.Mutex
+	wbatch []*dgram
+	wg     sync.WaitGroup // the reader
+	closed atomic.Bool
 
 	// rxHdr is the one header every inbound datagram is decoded into, and
 	// rxOpen how many datagrams the reader has seen since the last OnBatchEnd.
@@ -152,7 +156,7 @@ type Transport struct {
 }
 
 // NewTransport validates cfg and builds a transport. Call Start to spawn the
-// I/O goroutines.
+// reader.
 func NewTransport(cfg Config) (*Transport, error) {
 	if cfg.Conn == nil {
 		return nil, errors.New("udpnet: nil Conn")
@@ -172,12 +176,11 @@ func NewTransport(cfg Config) (*Transport, error) {
 		_ = uc.SetWriteBuffer(socketBuffer)
 	}
 	t := &Transport{
-		cfg:     cfg,
-		io:      newBatchIO(cfg.Conn),
-		wheel:   cfg.Wheel,
-		out:     newRing(cfg.RingSize),
-		sendSig: make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		io:     newBatchIO(cfg.Conn),
+		wheel:  cfg.Wheel,
+		out:    newRing(cfg.RingSize),
+		wbatch: make([]*dgram, 0, maxWriteBatch),
 	}
 	if t.wheel == nil {
 		t.wheel = NewWheel(0, 0)
@@ -192,11 +195,11 @@ func NewTransport(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// Start spawns the reader and writer goroutines.
+// Start spawns the reader goroutine, the transport's only one: datagrams are
+// written by whoever flushes them.
 func (t *Transport) Start() {
-	t.wg.Add(2)
+	t.wg.Add(1)
 	go t.readLoop()
-	go t.writeLoop()
 }
 
 // LocalAddrPort returns the socket's bound address as a normalized
@@ -223,11 +226,24 @@ func (t *Transport) SetTimer(at time.Duration) {
 	t.wheel.Schedule(t.timer, at-t.wheel.Now())
 }
 
-// Send encodes hdr+payload into a pooled buffer and queues it for the
-// writer goroutine. It never blocks and never performs a syscall; it
-// reports false when the datagram was dropped (ring full or encode error).
-// hdr and payload are not retained past the call.
+// Send queues one datagram and flushes it: Queue followed by Flush, for
+// callers that hold no lock of their own.
 func (t *Transport) Send(dst netip.AddrPort, hdr *wire.Header, payload []byte) bool {
+	ok := t.Queue(dst, hdr, payload)
+	t.Flush()
+	return ok
+}
+
+// Queue encodes hdr+payload into a pooled buffer and pushes it onto the
+// outbound ring, where it waits for the next Flush. It never blocks and never
+// performs a syscall, so it may be called under a lock that Flush must not
+// run under. It reports false when the datagram was dropped (ring full,
+// encode error, or transport closed). hdr and payload are not retained past
+// the call.
+func (t *Transport) Queue(dst netip.AddrPort, hdr *wire.Header, payload []byte) bool {
+	if t.closed.Load() {
+		return false
+	}
 	d := t.pool.Get().(*dgram)
 	buf, err := hdr.Encode(d.buf[:0])
 	if err != nil {
@@ -244,14 +260,56 @@ func (t *Transport) Send(dst netip.AddrPort, hdr *wire.Header, payload []byte) b
 		t.pool.Put(d)
 		return false
 	}
-	select {
-	case t.sendSig <- struct{}{}:
-	default:
-	}
 	return true
 }
 
-// Close stops the goroutines and closes the socket. Safe to call twice.
+// Flush writes what the ring holds on the calling goroutine. Each pass takes
+// the write lock if it is free, writes one batch, lets go and looks at the
+// ring again. When another goroutine holds the lock Flush returns at once:
+// that goroutine looks at the ring after letting go, so nothing queued
+// before a Flush call is left in the ring once every Flush has returned.
+// Concurrent flushers thus combine into one writer and one sendmmsg.
+func (t *Transport) Flush() {
+	for !t.out.empty() {
+		if !t.wmu.TryLock() {
+			return
+		}
+		t.drain()
+		t.wmu.Unlock()
+	}
+}
+
+// drain pops up to maxWriteBatch datagrams, writes them in one writeBatch and
+// recycles the buffers; on a closed transport it only recycles them. It is
+// the one caller of writeBatch and runs with wmu held.
+func (t *Transport) drain() {
+	batch := t.wbatch[:0]
+	for len(batch) < cap(batch) {
+		d, ok := t.out.pop()
+		if !ok {
+			break
+		}
+		batch = append(batch, d)
+	}
+	if len(batch) > 0 && !t.closed.Load() {
+		// An error means the socket was closed under us: the batch is
+		// recycled like any other and Close recycles the rest.
+		sent, kmsgs, _ := t.io.writeBatch(batch)
+		t.batchesOut.Add(1)
+		t.kmsgsOut.Add(uint64(kmsgs))
+		t.dgramsOut.Add(uint64(sent))
+		maxUpdate(&t.maxOut, uint64(len(batch)))
+	}
+	for _, d := range batch {
+		t.pool.Put(d)
+	}
+	// The pool may drop a buffer at any GC; a stale pointer here would keep
+	// it alive, one per slot up to the largest batch ever drained.
+	clear(batch)
+}
+
+// Close stops the reader, closes the socket and recycles whatever the ring
+// still holds; a later Queue drops. Safe to call twice.
 func (t *Transport) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -260,8 +318,8 @@ func (t *Transport) Close() error {
 		t.wheel.Stop(t.timer)
 	}
 	err := t.cfg.Conn.Close() // unblocks the reader
-	close(t.done)             // unblocks the writer
 	t.wg.Wait()
+	t.Flush()
 	if t.ownWheel {
 		t.wheel.Close()
 	}
@@ -397,44 +455,5 @@ func (t *Transport) endBracket() {
 	t.rxOpen = 0
 	if t.cfg.OnBatchEnd != nil {
 		t.cfg.OnBatchEnd()
-	}
-}
-
-// writeLoop drains the outbound ring into sendmmsg batches and recycles the
-// buffers.
-func (t *Transport) writeLoop() {
-	defer t.wg.Done()
-	batch := make([]*dgram, 0, maxWriteBatch)
-	for {
-		batch = batch[:0]
-		for len(batch) < cap(batch) {
-			d, ok := t.out.pop()
-			if !ok {
-				break
-			}
-			batch = append(batch, d)
-		}
-		if len(batch) == 0 {
-			select {
-			case <-t.sendSig:
-				continue
-			case <-t.done:
-				return
-			}
-		}
-		sent, kmsgs, err := t.io.writeBatch(batch)
-		t.batchesOut.Add(1)
-		t.kmsgsOut.Add(uint64(kmsgs))
-		t.dgramsOut.Add(uint64(sent))
-		maxUpdate(&t.maxOut, uint64(len(batch)))
-		for _, d := range batch {
-			t.pool.Put(d)
-		}
-		// The pool may drop a buffer at any GC; a stale pointer here would
-		// keep it alive, one per slot up to the largest batch ever drained.
-		clear(batch)
-		if err != nil {
-			return // socket closed
-		}
 	}
 }

@@ -32,9 +32,9 @@ func udpConn(t *testing.T) *net.UDPConn {
 }
 
 // offload finds out, by looking, whether loopback sockets here get segmented
-// sends and coalesced receives: eight equal datagrams that are all queued
-// before either side's loop runs leave in fewer kernel messages than
-// datagrams, or arrive so, exactly when the kernel lends a hand.
+// sends and coalesced receives: eight equal datagrams that are queued and
+// flushed at once, before the receiver's reader runs, leave in fewer kernel
+// messages than datagrams, or arrive so, exactly when the kernel lends a hand.
 func offload(t *testing.T) (gso, gro bool) {
 	t.Helper()
 	const burst = 8
@@ -53,12 +53,9 @@ func offload(t *testing.T) (gso, gro bool) {
 	defer tx.Close()
 	hdr := wire.Header{Type: wire.TypeData, SrcPort: 9, DstPort: 7, MsgPkts: 1, MsgBytes: 64, PktLen: 64}
 	for i := 0; i < burst; i++ {
-		tx.Send(rx.LocalAddrPort(), &hdr, make([]byte, 64))
+		tx.Queue(rx.LocalAddrPort(), &hdr, make([]byte, 64))
 	}
-	tx.Start()
-	for wait := time.Now().Add(2 * time.Second); tx.Stats().DatagramsOut < burst && time.Now().Before(wait); {
-		time.Sleep(time.Millisecond)
-	}
+	tx.Flush()
 	rx.Start()
 	for i := 0; i < burst; i++ {
 		select {
@@ -73,7 +70,8 @@ func offload(t *testing.T) (gso, gro bool) {
 
 // TestTransportLoopbackBatched drives the raw Transport pair over real UDP:
 // every datagram must arrive intact, and the sender side must actually
-// batch (fewer write syscalls than datagrams) under a burst.
+// batch (fewer write syscalls than datagrams) a burst queued and flushed at
+// once.
 func TestTransportLoopbackBatched(t *testing.T) {
 	const count = 512
 	recvd := make(chan uint64, count)
@@ -101,7 +99,6 @@ func TestTransportLoopbackBatched(t *testing.T) {
 		t.Fatalf("tx transport: %v", err)
 	}
 	defer tx.Close()
-	tx.Start()
 
 	dst := rx.LocalAddrPort()
 	payload := make([]byte, 64)
@@ -109,10 +106,11 @@ func TestTransportLoopbackBatched(t *testing.T) {
 	for i := 0; i < count; i++ {
 		hdr.MsgID = uint64(i)
 		payload[0] = byte(i)
-		if !tx.Send(dst, &hdr, payload) {
-			t.Fatalf("send %d dropped at the ring", i)
+		if !tx.Queue(dst, &hdr, payload) {
+			t.Fatalf("queue %d dropped at the ring", i)
 		}
 	}
+	tx.Flush()
 	seen := make(map[uint64]bool)
 	timeout := time.After(5 * time.Second)
 	for len(seen) < count {
@@ -122,11 +120,6 @@ func TestTransportLoopbackBatched(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("received %d/%d datagrams", len(seen), count)
 		}
-	}
-	// The writer counts a batch after sendmmsg returns, which the receiver
-	// can beat.
-	for wait := time.Now().Add(time.Second); tx.Stats().DatagramsOut < count && time.Now().Before(wait); {
-		time.Sleep(time.Millisecond)
 	}
 	ts, rs := tx.Stats(), rx.Stats()
 	if ts.DatagramsOut != count {
@@ -140,6 +133,86 @@ func TestTransportLoopbackBatched(t *testing.T) {
 	}
 	t.Logf("tx: %d datagrams in %d syscalls (max batch %d); rx: %d in %d (max %d)",
 		ts.DatagramsOut, ts.BatchesOut, ts.MaxBatchOut, rs.DatagramsIn, rs.BatchesIn, rs.MaxBatchIn)
+}
+
+// TestNoDatagramStranded: Flush writes only when the write lock is free and
+// otherwise leaves the ring to the goroutine holding it, which looks again
+// after letting go. Eight goroutines queue and flush 2 000 datagrams each,
+// released together for every datagram; whenever all eight Flush calls have
+// returned, every datagram queued so far has been written, and the sink
+// counts exactly 16 000 on arrival. A window on what is in flight keeps the
+// receiver's queue from overflowing.
+func TestNoDatagramStranded(t *testing.T) {
+	const goroutines, each, window = 8, 2000, 128
+	const total = goroutines * each
+	mem := mtp.NewMemNetwork(5)
+	memConn := func(name string) net.PacketConn {
+		pc, err := mem.Listen(name)
+		if err != nil {
+			t.Fatalf("listen %s: %v", name, err)
+		}
+		return pc
+	}
+	for _, tc := range []struct {
+		name   string
+		tx, rx net.PacketConn
+	}{
+		{"mem", memConn("tx"), memConn("rx")},
+		{"udp", udpConn(t), udpConn(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got atomic.Int64
+			rx, err := udpnet.NewTransport(udpnet.Config{Conn: tc.rx, OnPacket: func(netip.AddrPort, *wire.Header, []byte) {
+				got.Add(1)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			rx.Start()
+			tx, err := udpnet.NewTransport(udpnet.Config{Conn: tc.tx, OnPacket: func(netip.AddrPort, *wire.Header, []byte) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Close()
+
+			dst := rx.LocalAddrPort()
+			payload := make([]byte, 8)
+			for i := 0; i < each; i++ {
+				for deadline := time.Now().Add(5 * time.Second); int64(i*goroutines)-got.Load() >= window; time.Sleep(50 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d of %d datagrams arrived", got.Load(), i*goroutines)
+					}
+				}
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						hdr := wire.Header{Type: wire.TypeData, SrcPort: uint16(g), DstPort: 7, MsgID: uint64(i), MsgPkts: 1, MsgBytes: 8, PktLen: 8}
+						<-start
+						if !tx.Queue(dst, &hdr, payload) {
+							t.Errorf("goroutine %d: datagram %d dropped at the ring", g, i)
+						}
+						tx.Flush()
+					}(g)
+				}
+				close(start)
+				wg.Wait()
+				if st := tx.Stats(); st.DatagramsOut != uint64((i+1)*goroutines) {
+					t.Fatalf("round %d: %d of %d datagrams written when every Flush had returned", i, st.DatagramsOut, (i+1)*goroutines)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); got.Load() < total && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond) // room for a datagram too many
+			if n := got.Load(); n != total {
+				t.Fatalf("the sink counted %d datagrams, want %d", n, total)
+			}
+		})
+	}
 }
 
 // delivery is one message observed at the soak receiver.
@@ -311,8 +384,8 @@ func TestNodeAcksPerReceiveBatch(t *testing.T) {
 				return
 			}
 			if raceEnabled {
-				// The instrumented sender is slower than the writer draining
-				// its ring, which then finds short runs.
+				// The instrumented engine queues so slowly against the
+				// flushes that they find short runs.
 				t.Log("race detector on: datagrams per kernel message not checked")
 				return
 			}
@@ -535,8 +608,9 @@ func TestTransportIPv6Loopback(t *testing.T) {
 	}
 }
 
-// TestTransportEdgePaths covers the non-happy Send/SetTimer branches:
-// encode failure, ring overflow accounting, and timer cancellation.
+// TestTransportEdgePaths covers the non-happy Queue/Send/SetTimer branches:
+// encode failure, ring overflow accounting, timer cancellation, and use
+// after Close.
 func TestTransportEdgePaths(t *testing.T) {
 	fired := make(chan struct{}, 4)
 	tr, err := udpnet.NewTransport(udpnet.Config{
@@ -556,13 +630,13 @@ func TestTransportEdgePaths(t *testing.T) {
 	if tr.Stats().EncodeErrors != 1 {
 		t.Fatalf("encode errors = %d", tr.Stats().EncodeErrors)
 	}
-	// Ring overflow: the writer goroutine is not started, so pushes past
-	// the ring capacity must drop and count.
+	// Ring overflow: nothing flushes between the queues, so pushes past the
+	// ring capacity must drop and count.
 	good := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgPkts: 1, MsgBytes: 1, PktLen: 1}
 	dst := netip.MustParseAddrPort("127.0.0.1:9")
 	sent := 0
 	for i := 0; i < 5; i++ {
-		if tr.Send(dst, &good, []byte{1}) {
+		if tr.Queue(dst, &good, []byte{1}) {
 			sent++
 		}
 	}
@@ -587,10 +661,13 @@ func TestTransportEdgePaths(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Close is idempotent and Send after close drops at the ring or pool
-	// without panicking.
+	// Close is idempotent, and Send and SetTimer after close drop without
+	// panicking.
 	if err := tr.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+	if tr.Send(dst, &good, []byte{1}) {
+		t.Fatal("sent after close")
 	}
 	tr.SetTimer(tr.Now() + time.Millisecond)
 }

@@ -15,8 +15,8 @@
 // A Node binds the protocol engine to a net.PacketConn whose addresses are
 // UDP addresses (a socket, or a wrapper around one) or to the in-memory
 // network from NewMemNetwork in tests. Every Node runs the same datapath —
-// internal/udpnet's Transport: reader and writer goroutines, a lock-free send
-// ring, a shared timer wheel — whichever it is:
+// internal/udpnet's Transport: a reader goroutine, a lock-free send ring that
+// whoever filled it writes out, a shared timer wheel — whichever it is:
 //
 //	pc, _ := net.ListenPacket("udp", "127.0.0.1:0")
 //	node, _ := mtp.NewNode(pc, mtp.Config{
@@ -164,12 +164,14 @@ type Node struct {
 	pc  net.PacketConn
 	cfg Config
 
-	// tr is the datapath (internal/udpnet): it owns pc, the I/O goroutines,
-	// the outbound ring, and the timer. Batched syscalls on a real UDP
-	// socket, one datagram per call on any other PacketConn. Peers are keyed
-	// by netip.AddrPort throughout.
+	// tr is the datapath (internal/udpnet): it owns pc, the reader
+	// goroutine, the outbound ring, and the timer. Batched syscalls on a real
+	// UDP socket, one datagram per call on any other PacketConn. Peers are
+	// keyed by netip.AddrPort throughout.
 	tr *udpnet.Transport
 
+	// mu guards the engine and everything below. Whoever releases it after
+	// engine work does so through unlock, which writes what the engine queued.
 	mu      sync.Mutex
 	ep      *core.Endpoint
 	waiters map[uint64]*Outgoing
@@ -364,14 +366,23 @@ func (n *Node) onTransportPacket(from netip.AddrPort, hdr *wire.Header, data []b
 
 // onBatchEnd runs after the reader delivered a batch (possibly of nothing but
 // undecodable datagrams, in which case mu was never taken): it closes the
-// bracket, releases mu, and hands completed messages to the application.
+// bracket, releases mu — writing the bracket's ACKs before any handler runs —
+// and hands completed messages to the application.
 func (n *Node) onBatchEnd() {
 	if n.batchOpen {
 		n.batchOpen = false
 		n.ep.EndBatch()
-		n.mu.Unlock()
+		n.unlock()
 	}
 	n.drainAll()
+}
+
+// unlock releases mu and then writes what the engine queued while it was
+// held: the caller that caused a write pays for it, no syscall runs under mu,
+// and callers releasing mu concurrently combine into one writer.
+func (n *Node) unlock() {
+	n.mu.Unlock()
+	n.tr.Flush()
 }
 
 // Addr returns the node's network address.
@@ -464,7 +475,7 @@ func (n *Node) SendPriority(addr string, dstPort uint16, data []byte, priority u
 		return nil, errors.New("mtp: empty message")
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlock()
 	if n.closed {
 		return nil, errors.New("mtp: node closed")
 	}
@@ -533,9 +544,10 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	n.mu.Unlock()
-	// Transport owns the socket, the I/O goroutines, and the wheel timer;
-	// Close tears all three down and waits for the goroutines.
+	n.unlock()
+	// Transport owns the socket, the reader, and the wheel timer; Close
+	// tears all three down, waits for the reader and recycles what its ring
+	// still holds.
 	return n.tr.Close()
 }
 
@@ -597,11 +609,11 @@ func (n *Node) Now() time.Duration { return n.tr.Now() }
 
 // Output implements core.Env. Called under mu. The packet is encoded into a
 // pooled buffer before the call returns (the header is the endpoint's
-// scratch) and queued on the lock-free outbound ring; the writer goroutine
-// performs the syscalls. Every peer key comes from sendKey or the
-// transport's reader, so it is always an AddrPort.
+// scratch) and queued on the lock-free outbound ring; no syscall runs here.
+// It is written when mu is released (unlock). Every peer key comes from
+// sendKey or the transport's reader, so it is always an AddrPort.
 func (n *Node) Output(pkt *core.Outbound) {
-	n.tr.Send(pkt.Dst.(netip.AddrPort), pkt.Hdr, pkt.Data)
+	n.tr.Queue(pkt.Dst.(netip.AddrPort), pkt.Hdr, pkt.Data)
 }
 
 // SetTimer implements core.Env. Called under mu. A rearm that races an
@@ -615,6 +627,6 @@ func (n *Node) onTimer() {
 	if !n.closed {
 		n.ep.OnTimer(n.Now())
 	}
-	n.mu.Unlock()
+	n.unlock()
 	n.drainAll()
 }

@@ -2,6 +2,7 @@ package mtp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -418,6 +419,61 @@ func TestNodeCloseMidTransfer(t *testing.T) {
 		// Further sends fail cleanly.
 		if _, err := na.Send(dst, 2, []byte("x")); err == nil {
 			t.Fatal("send after close succeeded")
+		}
+	})
+}
+
+// TestEveryQueuedPacketIsWritten: the engine queues packets under mu and the
+// Node writes them when it lets go of mu, on whichever goroutine that is. So
+// once the calls that queued packets have returned and the pair is idle,
+// every packet either engine emitted has been written or counted as dropped
+// — DatagramsOut + RingFullDrops + EncodeErrors == PktsSent + AcksSent on both
+// nodes — whatever queued it: Send, Call, SendBlob, a timer (lost blob chunks,
+// single-packet messages, come back only on a timeout) or a receive bracket
+// (ACKs, the RPC reply).
+func TestEveryQueuedPacketIsWritten(t *testing.T) {
+	eachNet(t, 9, func(t *testing.T, tn *testNet) {
+		tn.loss = 0.1
+		var sink blobSink
+		na, nb, _ := tn.pair(t, Config{Port: 1, MSS: 600}, Config{Port: 2, BlobPort: 50, OnBlob: sink.add})
+		if err := nb.ServeRPC(3, func(_ string, req []byte) ([]byte, error) { return req, nil }); err != nil {
+			t.Fatal(err)
+		}
+		dst := nb.Addr().String()
+		out, err := na.Send(dst, 2, make([]byte, 6000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, out, 10*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if _, err := na.Call(ctx, dst, 3, []byte("ping")); err != nil {
+			t.Fatalf("call: %v", err)
+		}
+		blob, err := na.SendBlob(dst, 50, make([]byte, 20<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-blob.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("blob never fully acknowledged")
+		}
+		if na.Stats().Timeouts == 0 {
+			t.Fatal("no retransmission timer fired: the timer path went unexercised")
+		}
+		for name, n := range map[string]*Node{"source": na, "sink": nb} {
+			var emitted, accounted uint64
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				st, ts := n.Stats(), n.tr.Stats()
+				emitted, accounted = st.PktsSent+st.AcksSent, ts.DatagramsOut+ts.RingFullDrops+ts.EncodeErrors
+				if emitted == accounted || time.Now().After(deadline) {
+					break
+				}
+			}
+			if emitted != accounted {
+				t.Errorf("%s: the engine emitted %d packets, the transport wrote or dropped %d", name, emitted, accounted)
+			}
 		}
 	})
 }
