@@ -89,6 +89,7 @@ func main() {
 		if *crash {
 			pending[w] = make(map[uint64]*core.OutMessage)
 			cfg.RTO = 500 * time.Microsecond
+			cfg.MinRTO = 125 * time.Microsecond
 			cfg.MaxRTO = 4 * time.Millisecond
 			cfg.DelegateTimeout = 1500 * time.Microsecond
 			// The server's result broadcast is the end-to-end confirmation

@@ -116,7 +116,7 @@ func TestBatchDuplicateReackInsideBracket(t *testing.T) {
 
 // A hole seen inside a bracket is NACKed in the bracket's ACK.
 func TestBatchHoleNackedAtEndBatch(t *testing.T) {
-	env, ep, _ := receiver(Config{AckEvery: 8}) // the NACK must force the flush
+	env, ep, _ := receiver(Config{})
 	ep.BeginBatch()
 	ep.OnPacket(dataPkt(1, 0, 4))
 	ep.OnPacket(dataPkt(1, 2, 4))
@@ -130,27 +130,20 @@ func TestBatchHoleNackedAtEndBatch(t *testing.T) {
 	}
 }
 
-// AckEvery stays a minimum: a bracket that brings fewer packets than that,
-// none of them urgent, leaves the batch to the delayed-ack timer.
-func TestBatchAckEveryStillDefers(t *testing.T) {
-	env, ep, _ := receiver(Config{AckEvery: 8})
-	env.now = time.Millisecond
-	ep.BeginBatch()
-	for pn := 0; pn < 3; pn++ {
-		ep.OnPacket(dataPkt(1, pn, 20))
+// collectNacks scans up to the highest packet received, not to the one that
+// just arrived: packets 0-5 of a message, 5 arrives first, 2 more than half an
+// RTO later, and the second NACK lists every hole again, 3 and 4 included,
+// in ascending order.
+func TestGapNackScansToHighWaterMark(t *testing.T) {
+	env, ep, _ := receiver(Config{})
+	ep.OnPacket(dataPkt(1, 5, 6))
+	if got := env.take(); len(got) != 1 || !sameRefs(got[0].NACK, refs(1, 0, 1, 2, 3, 4)) {
+		t.Fatalf("first sighting emitted %v, want NACK 1:{0,1,2,3,4}", got)
 	}
-	ep.EndBatch()
-	if got := env.take(); len(got) != 0 {
-		t.Fatalf("3 of AckEvery=8 packets flushed at EndBatch: %v", got)
-	}
-	if want := env.now + ep.rto(nil)/4; env.timerAt != want {
-		t.Fatalf("delayed-ack timer at %v, want %v", env.timerAt, want)
-	}
-	env.now = env.timerAt
-	ep.OnTimer(env.now)
-	got := env.take()
-	if len(got) != 1 || !sameRefs(got[0].SACK, refs(1, 0, 1, 2)) {
-		t.Fatalf("timer emitted %v, want one ACK with SACK 1:{0,1,2}", got)
+	env.now += ep.rto(nil)/2 + time.Microsecond
+	ep.OnPacket(dataPkt(1, 2, 6))
+	if got := env.take(); len(got) != 1 || !sameRefs(got[0].NACK, refs(1, 0, 1, 3, 4)) {
+		t.Fatalf("late packet emitted %v, want NACK 1:{0,1,3,4}", got)
 	}
 }
 

@@ -142,7 +142,7 @@ func TestAdaptiveRTOTracksRTTAndStaysClamped(t *testing.T) {
 
 func TestAdaptiveRTOBacksOffUnderLoss(t *testing.T) {
 	w, a, _, ea, _ := pair(5, us(10),
-		Config{LocalPort: 1, RTO: 300 * time.Microsecond, MaxRTO: 2 * time.Millisecond},
+		Config{LocalPort: 1, RTO: 300 * time.Microsecond, MinRTO: 75 * time.Microsecond, MaxRTO: 2 * time.Millisecond},
 		Config{LocalPort: 2, OnMessage: func(*InMessage) {}})
 	ea.drop = func(pkt *Outbound) bool { return pkt.Hdr.Type == wire.TypeData }
 
@@ -157,22 +157,28 @@ func TestAdaptiveRTOBacksOffUnderLoss(t *testing.T) {
 	}
 }
 
+// TestFixedRTOWhenAdaptiveDisabled: a config that sets only RTO pins floor
+// and ceiling to it, so the timeout stays at RTO through RTT samples and
+// through timeouts, and never backs off.
 func TestFixedRTOWhenAdaptiveDisabled(t *testing.T) {
-	w, a, _, _, _ := pair(6, us(50),
-		Config{LocalPort: 1, RTO: 700 * time.Microsecond}, // MaxRTO zero
+	const rto = 700 * time.Microsecond
+	w, a, _, ea, _ := pair(6, us(50),
+		Config{LocalPort: 1, RTO: rto},
 		Config{LocalPort: 2, OnMessage: func(*InMessage) {}})
-	var m *OutMessage
 	for i := 0; i < 5; i++ {
-		m = a.Send("b", 2, []byte("x"), SendOptions{})
+		a.Send("b", 2, []byte("x"), SendOptions{})
 	}
 	w.eng.Run(10 * time.Millisecond)
-	if _, _, ok := a.PeerRTT("b"); ok || a.peerRTTs != nil {
-		t.Fatal("fixed mode created an RTT estimator")
+	if srtt, got, ok := a.PeerRTT("b"); !ok || srtt == 0 || got != rto {
+		t.Fatalf("after samples: srtt %v rto %v ok %v, want a sample and rto %v", srtt, got, ok, rto)
 	}
-	if got := a.rto(m.rtt); got != 700*time.Microsecond {
-		t.Fatalf("rto() = %v, want the fixed configured RTO", got)
+	ea.drop = func(*Outbound) bool { return true }
+	a.Send("b", 2, []byte("lost"), SendOptions{})
+	w.eng.Run(w.eng.Now() + 10*time.Millisecond)
+	if _, got, _ := a.PeerRTT("b"); a.Stats.Timeouts == 0 || got != rto {
+		t.Fatalf("after %d timeouts: rto %v, want %v", a.Stats.Timeouts, got, rto)
 	}
 	if a.Stats.RTOBackoffs != 0 {
-		t.Fatalf("RTOBackoffs = %d in fixed mode", a.Stats.RTOBackoffs)
+		t.Fatalf("RTOBackoffs = %d with floor == ceiling", a.Stats.RTOBackoffs)
 	}
 }

@@ -121,10 +121,12 @@ func TestLossRecoveryViaNack(t *testing.T) {
 
 func TestLossRecoveryViaRTOOnly(t *testing.T) {
 	var got []*InMessage
-	w, a, _, ea, _ := pair(5, us(5),
+	w, a, _, ea, eb := pair(5, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: 500 * time.Microsecond},
-		Config{LocalPort: 2, DisableNack: true, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
 	)
+	// Every ACK that carries a NACK is lost, so only the RTO can recover.
+	eb.drop = func(pkt *Outbound) bool { return len(pkt.Hdr.NACK) > 0 }
 	n := 0
 	ea.drop = func(pkt *Outbound) bool {
 		if pkt.Hdr.Type != wire.TypeData {
@@ -143,8 +145,8 @@ func TestLossRecoveryViaRTOOnly(t *testing.T) {
 	if !bytes.Equal(got[0].Data, data) {
 		t.Fatal("data corrupt")
 	}
-	if a.Stats.Timeouts == 0 {
-		t.Fatal("expected RTO-driven recovery")
+	if a.Stats.Timeouts == 0 || a.Stats.NacksReceived != 0 {
+		t.Fatalf("timeouts %d, NACKs received %d: expected RTO-driven recovery", a.Stats.Timeouts, a.Stats.NacksReceived)
 	}
 }
 
@@ -277,12 +279,15 @@ func TestMarkedPathletShrinksOnlyItself(t *testing.T) {
 	}
 }
 
+// TestAckBatching: a receiver whose arrivals come in brackets of up to eight
+// packets sends fewer ACK packets than it receives data packets.
 func TestAckBatching(t *testing.T) {
 	var got []*InMessage
-	w, a, b, _, _ := pair(11, us(5),
+	w, a, b, _, eb := pair(11, us(5),
 		Config{LocalPort: 1, MSS: 1000},
-		Config{LocalPort: 2, AckEvery: 8, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
 	)
+	eb.bracket = func() int { return 8 }
 	a.SendSynthetic("b", 2, 64*1000, SendOptions{})
 	w.eng.Run(100 * time.Millisecond)
 	if len(got) != 1 {
@@ -293,39 +298,11 @@ func TestAckBatching(t *testing.T) {
 	}
 }
 
-// TestDelayedAckFlushOnTimer: with a large AckEvery, a message smaller than
-// the batch threshold still gets acknowledged via the delayed-ack timer, so
-// the sender completes without waiting for an RTO.
-func TestDelayedAckFlushOnTimer(t *testing.T) {
-	var got []*InMessage
-	w, a, b, _, _ := pair(72, us(5),
-		Config{LocalPort: 1, MSS: 1000, RTO: 10 * time.Millisecond},
-		Config{LocalPort: 2, AckEvery: 64, RTO: 10 * time.Millisecond,
-			OnMessage: func(m *InMessage) { got = append(got, m) }},
-	)
-	m := a.SendSynthetic("b", 2, 3*1000, SendOptions{})
-	w.eng.Run(8 * time.Millisecond)
-	if len(got) != 1 {
-		t.Fatal("message not delivered")
-	}
-	if !m.Done() {
-		t.Fatal("sender did not complete")
-	}
-	if b.Stats.AcksSent == 0 {
-		t.Fatal("no acks sent")
-	}
-	// Completion must come from the delayed-ack flush (RTO/4 = 2.5ms), not
-	// from sender retransmission after the 10ms RTO.
-	if a.Stats.PktsRetx != 0 {
-		t.Fatalf("retransmissions = %d; delayed ack too late", a.Stats.PktsRetx)
-	}
-}
-
 func TestReceiverGC(t *testing.T) {
 	w := newWorld(12)
 	env := w.env("r", 0)
 	var got []*InMessage
-	ep := NewEndpoint(env, Config{LocalPort: 2, ReceiveTimeout: time.Millisecond,
+	ep := NewEndpoint(env, Config{LocalPort: 2,
 		OnMessage: func(m *InMessage) { got = append(got, m) }})
 	env.ep = ep
 
@@ -338,12 +315,12 @@ func TestReceiverGC(t *testing.T) {
 	if len(ep.inflows) != 1 {
 		t.Fatalf("inflows = %d", len(ep.inflows))
 	}
-	w.eng.Run(time.Millisecond)
+	w.eng.Run(receiveTimeout)
 	ep.OnTimer(w.eng.Now())
 	if len(ep.inflows) != 1 {
 		t.Fatal("GC too eager")
 	}
-	w.eng.Run(5 * time.Millisecond)
+	w.eng.Run(receiveTimeout + time.Millisecond)
 	ep.OnTimer(w.eng.Now())
 	if len(ep.inflows) != 0 {
 		t.Fatal("stale inflow not collected")
@@ -390,8 +367,7 @@ func TestCancelReleasesState(t *testing.T) {
 	var got []*InMessage
 	w, a, _, _, _ := pair(71, us(50),
 		Config{LocalPort: 1, MSS: 1000, CCConfig: ccTiny()},
-		Config{LocalPort: 2, ReceiveTimeout: 5 * time.Millisecond,
-			OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
 	)
 	big := a.SendSynthetic("b", 2, 100*1000, SendOptions{})
 	small := a.SendSynthetic("b", 2, 3*1000, SendOptions{})
@@ -406,7 +382,7 @@ func TestCancelReleasesState(t *testing.T) {
 	if big.Done() || !big.Canceled() {
 		t.Fatalf("state: done=%v canceled=%v", big.Done(), big.Canceled())
 	}
-	w.eng.Run(30 * time.Millisecond)
+	w.eng.Run(receiveTimeout + 30*time.Millisecond)
 	// Only the small message is delivered; the sender drains fully.
 	if len(got) != 1 || got[0].MsgID != small.ID {
 		t.Fatalf("deliveries = %+v", got)
@@ -427,45 +403,8 @@ func TestCancelReleasesState(t *testing.T) {
 	}
 }
 
-// TestNackDelayRecoversViaTimer: with a generous NackDelay, a genuine loss
-// is still recovered by the timer-driven NACK path, far faster than the
-// RTO. (The delay exists so transient in-network reordering does not look
-// like loss; see Config.NackDelay.)
-func TestNackDelayRecoversViaTimer(t *testing.T) {
-	var got []*InMessage
-	w, a, b, ea, _ := pair(61, us(5),
-		Config{LocalPort: 1, MSS: 1000, RTO: 5 * time.Millisecond},
-		Config{LocalPort: 2, NackDelay: 300 * time.Microsecond,
-			OnMessage: func(m *InMessage) { got = append(got, m) }},
-	)
-	dropped := false
-	ea.drop = func(pkt *Outbound) bool {
-		if pkt.Hdr.Type == wire.TypeData && pkt.Hdr.PktNum == 7 && !dropped {
-			dropped = true
-			return true
-		}
-		return false
-	}
-	a.SendSynthetic("b", 2, 20*1000, SendOptions{})
-	w.eng.Run(50 * time.Millisecond)
-	if len(got) != 1 {
-		t.Fatalf("message not delivered under delayed NACK (nacks=%d)", b.Stats.NacksSent)
-	}
-	if b.Stats.NacksSent == 0 {
-		t.Fatal("timer-driven NACK never fired")
-	}
-	if got[0].Complete > 3*time.Millisecond {
-		t.Fatalf("recovery at %v suggests RTO, not delayed NACK", got[0].Complete)
-	}
-	// The NACK must not have fired before the delay elapsed.
-	if got[0].Complete < 300*time.Microsecond {
-		t.Fatalf("completion at %v is before the NACK delay", got[0].Complete)
-	}
-}
-
-// TestNackDelayZeroIsImmediate: the default behaviour is unchanged — a hole
-// is NACKed on the first later arrival.
-func TestNackDelayZeroIsImmediate(t *testing.T) {
+// TestGapNackedOnFirstSighting: a hole is NACKed on the first later arrival.
+func TestGapNackedOnFirstSighting(t *testing.T) {
 	var got []*InMessage
 	w, a, b, ea, _ := pair(62, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: 5 * time.Millisecond},

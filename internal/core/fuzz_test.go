@@ -92,7 +92,6 @@ func runReassembly(t *testing.T, npktsB byte, script []byte, bracketed bool) (ma
 		LocalPort: 9,
 		MSS:       fmss,
 		RTO:       time.Millisecond,
-		NackDelay: 100 * time.Microsecond,
 		OnMessage: func(m *InMessage) {
 			deliveries[m.MsgID]++
 			if deliveries[m.MsgID] > 1 {

@@ -280,6 +280,7 @@ func offFailLeg(cfg OffFailConfig, fallback bool) (OffFailSeries, []fault.Event,
 		}
 		if fallback {
 			wCfg.DelegateTimeout = offFailDelegateTimeout
+			wCfg.MinRTO = offFailRTO / 4
 			wCfg.MaxRTO = offFailMaxRTO
 		}
 		if chk != nil {

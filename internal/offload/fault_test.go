@@ -323,7 +323,7 @@ func TestAggregatorExactlyOnceUnderLossDupCrash(t *testing.T) {
 		}
 		psagg, sumErrs := attachPS(t, net, ps, 5, workerIDs, dim)
 
-		wcfg := core.Config{RTO: 400 * time.Microsecond, MaxRTO: 4 * time.Millisecond,
+		wcfg := core.Config{RTO: 400 * time.Microsecond, MinRTO: 100 * time.Microsecond, MaxRTO: 4 * time.Millisecond,
 			DelegateTimeout: 1500 * time.Microsecond}
 		for i := 0; i < nWorkers; i++ {
 			attachWorker(net, hosts[i], i, ps.ID(), 5, nRounds, dim,
@@ -376,7 +376,7 @@ func TestSpineCrashMidRoundRecovers(t *testing.T) {
 
 	workerIDs := []simnet.NodeID{f.Host(0).ID(), f.Host(1).ID()}
 	psagg, sumErrs := attachPS(t, f.Net, ps, 5, workerIDs, dim)
-	wcfg := core.Config{RTO: 500 * time.Microsecond, MaxRTO: 8 * time.Millisecond,
+	wcfg := core.Config{RTO: 500 * time.Microsecond, MinRTO: 125 * time.Microsecond, MaxRTO: 8 * time.Millisecond,
 		DelegateTimeout: 1500 * time.Microsecond}
 	for i := 0; i < nWorkers; i++ {
 		// Worker 1 straggles each round, so worker 0's contribution sits
@@ -480,7 +480,7 @@ func TestCacheNoStaleReadUnderFaults(t *testing.T) {
 	// the device's response is corrupted in flight the GET reverts to a
 	// bypass retransmission that the backend answers reliably.
 	c = simhost.AttachMTP(net, client, core.Config{
-		LocalPort: 9, RTO: 400 * time.Microsecond, MaxRTO: 4 * time.Millisecond,
+		LocalPort: 9, RTO: 400 * time.Microsecond, MinRTO: 100 * time.Microsecond, MaxRTO: 4 * time.Millisecond,
 		DelegateTimeout: 1200 * time.Microsecond,
 		OnMessageSent: func(m *core.OutMessage) {
 			// PUT completed end to end: now read it back.

@@ -1,44 +1,50 @@
-package scenario
+package scenario_test
 
 import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"time"
+
+	"mtp/internal/exp"
+	"mtp/internal/platform"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output (make golden)")
 
 // TestGolden pins Result.String() — spec line, delivered/completed counts and
 // the engine's event count — for the seeds regress_test.go names, plus one
-// DCTCP seed so every rival's open-loop wiring is covered. The event count
+// seed per rival so every rival's open-loop wiring is covered. The event count
 // makes this an event-for-event pin: a changed connection or stream ID, an
-// extra timer or a reordered callback all move it.
+// extra timer or a reordered callback all move it. Each case is a one-row
+// runfile, testdata/<name>.run, that `mtpexp -run` prints identically.
 func TestGolden(t *testing.T) {
-	rival := Overrides{MaxFaults: -1, Rival: true}
-	cases := []struct {
-		name string
-		seed int64
-		ov   Overrides
-	}{
-		{"msglb-sticky-exclude-51", 51, Overrides{
-			Topo: "leafspine", Leaves: 4, Spines: 2, HostsPerLeaf: 1,
-			Messages: 2, MaxFaults: 2, Horizon: 31 * time.Millisecond,
-		}},
-		{"msglb-sticky-exclude-58", 58, Overrides{
-			Topo: "leafspine", Leaves: 4, Spines: 2, HostsPerLeaf: 2,
-			Messages: 4, MaxFaults: 1, Horizon: 19 * time.Millisecond,
-		}},
-		{"rival-quic-1", 1, rival},
-		{"rival-mptcp-lia-2", 2, rival},
-		{"rival-mptcp-olia-12", 12, rival},
-		{"rival-dctcp-4", 4, rival},
+	files, err := filepath.Glob(filepath.Join("testdata", "*.run"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata/*.run (%v)", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := Run(tc.seed, tc.ov).String()
-			path := filepath.Join("testdata", tc.name+".golden")
+	for _, file := range files {
+		name := strings.TrimSuffix(filepath.Base(file), ".run")
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := platform.ParseRows(data)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			jobs, err := exp.Load(rows)
+			if err != nil || len(jobs) != 1 {
+				t.Fatalf("%s: %d rows, %v; want one scenario row", file, len(jobs), err)
+			}
+			res := jobs[0].Run(1)
+			if res.Failed {
+				t.Errorf("%s violated an invariant", file)
+			}
+			got := res.Text + "\n"
+			path := filepath.Join("testdata", name+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -85,12 +85,6 @@ type Config struct {
 	// tuning it down).
 	RTO time.Duration
 
-	// AckEvery batches acknowledgements per N data packets. Default 1. It is
-	// a minimum: on a real UDP socket one ACK already covers every data packet
-	// of a receive bracket (up to 32 of what the socket had queued), whatever
-	// AckEvery says.
-	AckEvery int
-
 	// OnMessage delivers completed inbound messages. It is called from the
 	// node's receive goroutine; do not block.
 	OnMessage func(m Message)
@@ -106,31 +100,6 @@ type Config struct {
 	// events (sends, acks, retransmissions, deliveries) readable via
 	// Node.TraceDump — lightweight always-on diagnostics.
 	TraceEvents int
-
-	// NackDelay makes receiver gap-NACKs reordering-tolerant: a hole is
-	// NACKed only after staying open this long. Zero NACKs immediately
-	// (correct when the network keeps messages atomic).
-	NackDelay time.Duration
-
-	// FeedbackBudget caps echoed pathlet-feedback entries per ACK (header
-	// overhead control); zero means unlimited.
-	FeedbackBudget int
-
-	// AutoExcludePathlets enables the policy that asks the network to
-	// avoid persistently congested pathlets via the header exclude list.
-	AutoExcludePathlets bool
-
-	// FailoverRTOs enables pathlet failure recovery: after this many
-	// consecutive timeout rounds on one pathlet the node declares it dead,
-	// excludes it in outgoing headers so the network reroutes, and fails
-	// surviving messages over to a healthy pathlet. Zero disables.
-	FailoverRTOs int
-
-	// ProbeInterval is how often a dead pathlet is probed for readmission
-	// (one live packet has the pathlet omitted from its exclude list; any
-	// feedback from it readmits the pathlet). Default 8x RTO. Requires
-	// FailoverRTOs > 0.
-	ProbeInterval time.Duration
 }
 
 // Message is a completed inbound message.
@@ -256,27 +225,17 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	if cfg.TraceEvents > 0 {
 		ring = trace.NewRing(cfg.TraceEvents)
 	}
-	var autoExclude *core.AutoExcludeConfig
-	if cfg.AutoExcludePathlets {
-		autoExclude = &core.AutoExcludeConfig{}
-	}
 	coreCfg := core.Config{
-		LocalPort:      cfg.Port,
-		Epoch:          cfg.Epoch,
-		MSS:            cfg.MSS,
-		TC:             cfg.TC,
-		CC:             kind,
-		RTO:            cfg.RTO,
-		MaxRTO:         cfg.RTO,
-		MinRTO:         min(cfg.RTO, rtoFloorTicks*wheel.Tick()),
-		AckEvery:       cfg.AckEvery,
-		NackDelay:      cfg.NackDelay,
-		FeedbackBudget: cfg.FeedbackBudget,
-		AutoExclude:    autoExclude,
-		FailoverRTOs:   cfg.FailoverRTOs,
-		ProbeInterval:  cfg.ProbeInterval,
-		Trace:          ring,
-		OnMessage:      n.deliver,
+		LocalPort: cfg.Port,
+		Epoch:     cfg.Epoch,
+		MSS:       cfg.MSS,
+		TC:        cfg.TC,
+		CC:        kind,
+		RTO:       cfg.RTO,
+		MaxRTO:    cfg.RTO,
+		MinRTO:    min(cfg.RTO, rtoFloorTicks*wheel.Tick()),
+		Trace:     ring,
+		OnMessage: n.deliver,
 		OnMessageSent: func(m *core.OutMessage) {
 			if w, ok := n.waiters[m.ID]; ok {
 				delete(n.waiters, m.ID)
