@@ -82,7 +82,8 @@ bench:
 # TRACED=K adds K traced pairs (--trace 1, 6 s) per workload and prints the
 # per-layer cells of both sides: timeouts, retransmissions, duplicates, NACKs,
 # engine latency, CPU per message, timer lateness, context switches, scheduler
-# latency, Node mutex wait, ACKs per message.
+# latency, Node mutex wait, ACKs per message; under the simulator, allocation,
+# GC share, wall time and each row's cost per event.
 N ?= 10
 BASE ?= HEAD~1
 TRACED ?= 0

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -31,11 +32,11 @@ func TestStreamTransfer(t *testing.T) {
 	var doneAt time.Duration
 	var finAt time.Duration
 	var total int64
-	snd := NewSender(eng, a.Send, SenderConfig{
+	snd := NewSender(eng, a, SenderConfig{
 		Conn: 1, Dst: b.ID(),
 		OnComplete: func(now time.Duration) { doneAt = now },
 	})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{
+	rcv := NewReceiver(eng, b, ReceiverConfig{
 		Conn: 1, Src: a.ID(),
 		OnFin: func(now time.Duration, n int64) { finAt, total = now, n },
 	})
@@ -65,8 +66,8 @@ func TestHandshakeCostsOneRTT(t *testing.T) {
 		simnet.LinkConfig{Rate: 100e9, Delay: us(50), QueueCap: 256},
 	)
 	var finAt time.Duration
-	snd := NewSender(eng, a.Send, SenderConfig{Conn: 1, Dst: b.ID()})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{Conn: 1, Src: a.ID(),
+	snd := NewSender(eng, a, SenderConfig{Conn: 1, Dst: b.ID()})
+	rcv := NewReceiver(eng, b, ReceiverConfig{Conn: 1, Src: a.ID(),
 		OnFin: func(now time.Duration, _ int64) { finAt = now }})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
@@ -87,8 +88,8 @@ func TestSlowStartGrowth(t *testing.T) {
 		simnet.LinkConfig{Rate: 100e9, Delay: us(10), QueueCap: 1024},
 		simnet.LinkConfig{Rate: 100e9, Delay: us(10), QueueCap: 1024},
 	)
-	snd := NewSender(eng, a.Send, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{Conn: 1, Src: a.ID()})
+	snd := NewSender(eng, a, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true})
+	rcv := NewReceiver(eng, b, ReceiverConfig{Conn: 1, Src: a.ID()})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 	w0 := snd.Algo().Window()
@@ -107,8 +108,8 @@ func TestDCTCPRespondsToMarks(t *testing.T) {
 		simnet.LinkConfig{Rate: 1e9, Delay: us(10), QueueCap: 256, ECNThreshold: 10},
 		simnet.LinkConfig{Rate: 1e9, Delay: us(10), QueueCap: 256},
 	)
-	snd := NewSender(eng, a.Send, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true, CC: cc.KindDCTCP})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{Conn: 1, Src: a.ID()})
+	snd := NewSender(eng, a, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true, CC: cc.KindDCTCP})
+	rcv := NewReceiver(eng, b, ReceiverConfig{Conn: 1, Src: a.ID()})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 	snd.Write(50 << 20)
@@ -136,8 +137,8 @@ func TestFastRetransmitOnReordering(t *testing.T) {
 	sw.AddRoute(b.ID(), net.Connect(b, simnet.LinkConfig{Rate: 100e9, Delay: us(30), QueueCap: 1024}, "p2"))
 	b.SetUplink(net.Connect(a, simnet.LinkConfig{Rate: 100e9, Delay: us(1), QueueCap: 1024}, "b->a"))
 
-	snd := NewSender(eng, a.Send, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{Conn: 1, Src: a.ID()})
+	snd := NewSender(eng, a, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true})
+	rcv := NewReceiver(eng, b, ReceiverConfig{Conn: 1, Src: a.ID()})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 	snd.Write(2 << 20)
@@ -161,11 +162,11 @@ func TestLossRecovery(t *testing.T) {
 		simnet.LinkConfig{Rate: 1e9, Delay: us(10), QueueCap: 64},
 	)
 	done := false
-	snd := NewSender(eng, a.Send, SenderConfig{
+	snd := NewSender(eng, a, SenderConfig{
 		Conn: 1, Dst: b.ID(), SkipHandshake: true, RTO: 500 * time.Microsecond,
 		CC: cc.KindAIMD,
 	})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{Conn: 1, Src: a.ID(),
+	rcv := NewReceiver(eng, b, ReceiverConfig{Conn: 1, Src: a.ID(),
 		OnFin: func(time.Duration, int64) { done = true }})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
@@ -186,8 +187,8 @@ func TestReceiveWindowBlocksSender(t *testing.T) {
 		simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 1024},
 		simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 1024},
 	)
-	snd := NewSender(eng, a.Send, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true})
-	rcv := NewReceiver(eng, b.Send, ReceiverConfig{Conn: 1, Src: a.ID(), WindowLimit: 64 << 10})
+	snd := NewSender(eng, a, SenderConfig{Conn: 1, Dst: b.ID(), SkipHandshake: true})
+	rcv := NewReceiver(eng, b, ReceiverConfig{Conn: 1, Src: a.ID(), WindowLimit: 64 << 10})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 	snd.Write(10 << 20)
@@ -221,22 +222,22 @@ func TestProxyUnlimitedWindowBufferGrows(t *testing.T) {
 	proxyToSink := net.Connect(sink, simnet.LinkConfig{Rate: 40e9, Delay: us(5), QueueCap: 4096, ECNThreshold: 64}, "p->s")
 	sink.SetUplink(net.Connect(proxy, simnet.LinkConfig{Rate: 40e9, Delay: us(5), QueueCap: 4096}, "s->p"))
 
-	emitProxy := func(pkt *simnet.Packet) {
+	emitProxy := Route{Pool: proxy, Emit: func(pkt *simnet.Packet) {
 		if pkt.Dst == client.ID() {
 			proxyToClient.Enqueue(pkt)
 		} else {
 			proxyToSink.Enqueue(pkt)
 		}
-	}
+	}}
 	p := NewProxy(eng, emitProxy, ProxyConfig{
 		ClientConn: 1, ServerConn: 2,
 		ClientSrc: client.ID(), ServerDst: sink.ID(),
 		SendBuffer: 1 << 40, // effectively unbounded proxy memory
 	})
 	proxy.SetHandler(p.Handle)
-	snd := NewSender(eng, client.Send, SenderConfig{Conn: 1, Dst: proxy.ID(), SkipHandshake: true})
+	snd := NewSender(eng, client, SenderConfig{Conn: 1, Dst: proxy.ID(), SkipHandshake: true})
 	client.SetHandler(snd.OnPacket)
-	sinkRcv := NewReceiver(eng, sink.Send, ReceiverConfig{Conn: 2, Src: proxy.ID()})
+	sinkRcv := NewReceiver(eng, sink, ReceiverConfig{Conn: 2, Src: proxy.ID()})
 	sink.SetHandler(sinkRcv.OnPacket)
 
 	snd.Write(1 << 30)
@@ -263,13 +264,13 @@ func TestProxyLimitedWindowBoundsBufferButBlocks(t *testing.T) {
 	proxyToClient := net.Connect(client, simnet.LinkConfig{Rate: 100e9, Delay: us(5), QueueCap: 4096}, "p->c")
 	proxyToSink := net.Connect(sink, simnet.LinkConfig{Rate: 40e9, Delay: us(5), QueueCap: 4096}, "p->s")
 	sink.SetUplink(net.Connect(proxy, simnet.LinkConfig{Rate: 40e9, Delay: us(5), QueueCap: 4096}, "s->p"))
-	emitProxy := func(pkt *simnet.Packet) {
+	emitProxy := Route{Pool: proxy, Emit: func(pkt *simnet.Packet) {
 		if pkt.Dst == client.ID() {
 			proxyToClient.Enqueue(pkt)
 		} else {
 			proxyToSink.Enqueue(pkt)
 		}
-	}
+	}}
 	p := NewProxy(eng, emitProxy, ProxyConfig{
 		ClientConn: 1, ServerConn: 2,
 		ClientSrc: client.ID(), ServerDst: sink.ID(),
@@ -277,9 +278,9 @@ func TestProxyLimitedWindowBoundsBufferButBlocks(t *testing.T) {
 		SendBuffer:    128 << 10,
 	})
 	proxy.SetHandler(p.Handle)
-	snd := NewSender(eng, client.Send, SenderConfig{Conn: 1, Dst: proxy.ID(), SkipHandshake: true})
+	snd := NewSender(eng, client, SenderConfig{Conn: 1, Dst: proxy.ID(), SkipHandshake: true})
 	client.SetHandler(snd.OnPacket)
-	sinkRcv := NewReceiver(eng, sink.Send, ReceiverConfig{Conn: 2, Src: proxy.ID()})
+	sinkRcv := NewReceiver(eng, sink, ReceiverConfig{Conn: 2, Src: proxy.ID()})
 	sink.SetHandler(sinkRcv.OnPacket)
 
 	snd.Write(1 << 30)
@@ -321,4 +322,38 @@ func TestSenderStringAndAccessors(t *testing.T) {
 		(&Segment{Syn: true, SynAck: true, Ack: true}).String() == "" {
 		t.Fatal("empty segment strings")
 	}
+}
+
+// TestSegmentLivesWithItsPacket: a segment is released with the packet that
+// carries it, the duplicate fault gives the copy a segment of its own, poison
+// turns a released segment into sentinels, and a second release panics. The
+// handler keeps the segments past their release on purpose, to look at them.
+func TestSegmentLivesWithItsPacket(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := simnet.NewNetwork(eng)
+	a, b := simnet.NewHost(net), simnet.NewHost(net)
+	l := net.Connect(b, simnet.LinkConfig{Rate: 10e9, Delay: us(1)}, "a->b")
+	l.SetDuplicate(1, rand.New(rand.NewSource(1)))
+	a.SetUplink(l)
+	var got []*Segment
+	b.SetHandler(func(pkt *simnet.Packet) { got = append(got, pkt.Payload.(*Segment)) })
+	simnet.SetPoisonFreed(true)
+	defer simnet.SetPoisonFreed(false)
+
+	NewSender(eng, a, SenderConfig{Conn: 7, Dst: b.ID(), SkipHandshake: true}).Write(100)
+	eng.Run(us(500))
+	if len(got) != 2 || got[0] == got[1] {
+		t.Fatalf("want the segment and its duplicate's own copy, got %v", got)
+	}
+	for i, seg := range got {
+		if seg.Conn != ^uint64(0) || seg.Seq != -0x5EAD {
+			t.Errorf("segment %d after its release reads %v, want sentinels", i, seg)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second release did not panic")
+		}
+	}()
+	got[0].Recycle(false)
 }

@@ -263,13 +263,13 @@ func TestCoupledMPTCPTransfer(t *testing.T) {
 			c1, c2 := splitConns(t)
 			conns := []uint64{c1, c2}
 			var doneAt time.Duration
-			m := NewMPTCP(eng, snd.Send, MPTCPConfig{
+			m := NewMPTCP(eng, snd, MPTCPConfig{
 				Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond,
 				CCConfig:   cc.Config{MaxWindow: 256 << 10},
 				Coupling:   kind,
 				OnComplete: func(now time.Duration) { doneAt = now },
 			})
-			r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+			r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 			snd.SetHandler(func(pkt *simnet.Packet) {
 				for _, s := range m.Subflows() {
 					s.OnPacket(pkt)
@@ -310,12 +310,12 @@ func TestSchedulerChoiceDeterminism(t *testing.T) {
 		eng, snd, rcv, _, _ := mptcpTopo(11, 10e9, 10e9)
 		c1, c2 := splitConns(t)
 		conns := []uint64{c1, c2}
-		m := NewMPTCP(eng, snd.Send, MPTCPConfig{
+		m := NewMPTCP(eng, snd, MPTCPConfig{
 			Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond,
 			CCConfig:  cc.Config{MaxWindow: 256 << 10},
 			Scheduler: sched(),
 		})
-		r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+		r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 		snd.SetHandler(func(pkt *simnet.Packet) {
 			for _, s := range m.Subflows() {
 				s.OnPacket(pkt)
@@ -375,12 +375,12 @@ func TestSchedLowestRTTPrefersFastPath(t *testing.T) {
 	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{Rate: 20e9, Delay: us(1), QueueCap: 4096}, "rcv->snd"))
 
 	conns := []uint64{c1, c2}
-	m := NewMPTCP(eng, snd.Send, MPTCPConfig{
+	m := NewMPTCP(eng, snd, MPTCPConfig{
 		Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond,
 		CCConfig:  cc.Config{MaxWindow: 32 << 10},
 		Scheduler: SchedLowestRTT{},
 	})
-	r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)

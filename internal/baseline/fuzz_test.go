@@ -41,13 +41,13 @@ func FuzzQUICStreamReassembly(f *testing.F) {
 		eng := sim.NewEngine(1)
 		completions := map[uint64]int64{}
 		acks := 0
-		rcv := NewQUICReceiver(eng, func(pkt *simnet.Packet) {
+		rcv := NewQUICReceiver(eng, Route{Pool: simnet.NewNetwork(eng), Emit: func(pkt *simnet.Packet) {
 			qp, ok := pkt.Payload.(*QUICPacket)
 			if !ok || !qp.Ack {
 				panic("receiver emitted a non-ack packet")
 			}
 			acks++
-		}, QUICReceiverConfig{
+		}}, QUICReceiverConfig{
 			Conn: 1, Src: 2,
 			StreamWindow: size, // any in-range frame fits; mutated ones can overflow
 			OnStream: func(_ sim.Time, stream uint64, sz int64) {

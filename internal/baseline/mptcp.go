@@ -97,8 +97,8 @@ type MPTCPConfig struct {
 	OnComplete func(now time.Duration)
 }
 
-// NewMPTCP builds a multipath sender whose subflows emit through emit.
-func NewMPTCP(eng *sim.Engine, emit func(*simnet.Packet), cfg MPTCPConfig) *MPTCP {
+// NewMPTCP builds a multipath sender whose subflows send through port.
+func NewMPTCP(eng *sim.Engine, port Port, cfg MPTCPConfig) *MPTCP {
 	if len(cfg.Conns) == 0 {
 		panic("baseline: MPTCP needs subflows")
 	}
@@ -131,7 +131,7 @@ func NewMPTCP(eng *sim.Engine, emit func(*simnet.Packet), cfg MPTCPConfig) *MPTC
 		if m.coupler != nil {
 			sc.Algo = m.coupler.Sub(i)
 		}
-		s := NewSender(eng, emit, sc)
+		s := NewSender(eng, port, sc)
 		m.subflows = append(m.subflows, s)
 		m.subs = append(m.subs, &msub{s: s})
 	}
@@ -363,11 +363,11 @@ type mergeSeg struct {
 }
 
 // NewMPTCPReceiver builds the receiving half. Subflow receivers ack through
-// emit toward src.
-func NewMPTCPReceiver(eng *sim.Engine, emit func(*simnet.Packet), src simnet.NodeID, conns []uint64, tenant int) *MPTCPReceiver {
+// port toward src.
+func NewMPTCPReceiver(eng *sim.Engine, port Port, src simnet.NodeID, conns []uint64, tenant int) *MPTCPReceiver {
 	r := &MPTCPReceiver{subflows: make(map[uint64]*subRecv), pending: make(map[int64]int64)}
 	for _, conn := range conns {
-		sub := NewReceiver(eng, emit, ReceiverConfig{Conn: conn, Src: src, Tenant: tenant})
+		sub := NewReceiver(eng, port, ReceiverConfig{Conn: conn, Src: src, Tenant: tenant})
 		r.subflows[conn] = &subRecv{r: sub, segs: make(map[int64]mergeSeg)}
 	}
 	return r

@@ -46,8 +46,8 @@ func TestMPTCPUsesBothPaths(t *testing.T) {
 	eng, snd, rcv, l1, l2 := mptcpTopo(1, 10e9, 10e9)
 	c1, c2 := splitConns(t)
 	conns := []uint64{c1, c2}
-	m := NewMPTCP(eng, snd.Send, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)
@@ -77,8 +77,8 @@ func TestMPTCPPerPathWindows(t *testing.T) {
 	eng, snd, rcv, _, _ := mptcpTopo(2, 40e9, 5e9)
 	c1, c2 := splitConns(t)
 	conns := []uint64{c1, c2}
-	m := NewMPTCP(eng, snd.Send, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)
@@ -107,8 +107,8 @@ func TestMPTCPMergePreservesOrderUnderLoss(t *testing.T) {
 	eng, snd, rcv, _, _ := mptcpTopo(3, 10e9, 10e9)
 	c1, c2 := splitConns(t)
 	conns := []uint64{c1, c2}
-	m := NewMPTCP(eng, snd.Send, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 	// Drop every 19th data packet at the sender host.
 	n := 0
 	snd.SetHandler(func(pkt *simnet.Packet) {
@@ -156,8 +156,8 @@ func TestMPTCPPathFlipStillSuffers(t *testing.T) {
 	rcv.SetUplink(net.Connect(snd, simnet.LinkConfig{Rate: 100e9, Delay: time.Microsecond, QueueCap: 4096}, "rcv->snd"))
 
 	conns := []uint64{1, 2}
-	m := NewMPTCP(eng, snd.Send, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv.Send, snd.ID(), conns, 0)
+	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)

@@ -48,8 +48,8 @@ type Proxy struct {
 }
 
 // NewProxy wires a proxy onto a host: install its Handle as the host
-// handler (or add both halves to a Demux).
-func NewProxy(eng *sim.Engine, emit func(*simnet.Packet), cfg ProxyConfig) *Proxy {
+// handler (or add both halves to a Demux). Both halves send through port.
+func NewProxy(eng *sim.Engine, port Port, cfg ProxyConfig) *Proxy {
 	if cfg.SendBuffer <= 0 {
 		cfg.SendBuffer = 256 << 10
 	}
@@ -57,7 +57,7 @@ func NewProxy(eng *sim.Engine, emit func(*simnet.Packet), cfg ProxyConfig) *Prox
 		cfg.MSS = 1460
 	}
 	p := &Proxy{sendBuf: cfg.SendBuffer, transform: cfg.Transform}
-	p.Server = NewSender(eng, emit, SenderConfig{
+	p.Server = NewSender(eng, port, SenderConfig{
 		Conn:          cfg.ServerConn,
 		Dst:           cfg.ServerDst,
 		MSS:           cfg.MSS,
@@ -69,7 +69,7 @@ func NewProxy(eng *sim.Engine, emit func(*simnet.Packet), cfg ProxyConfig) *Prox
 			p.pump()
 		},
 	})
-	p.Client = NewReceiver(eng, emit, ReceiverConfig{
+	p.Client = NewReceiver(eng, port, ReceiverConfig{
 		Conn:        cfg.ClientConn,
 		Src:         cfg.ClientSrc,
 		WindowLimit: cfg.ReceiveWindow,

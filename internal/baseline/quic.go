@@ -209,7 +209,7 @@ type qOutStream struct {
 type QUICSender struct {
 	cfg  QUICSenderConfig
 	eng  *sim.Engine
-	emit func(*simnet.Packet)
+	port Port
 	algo cc.Algorithm
 
 	nextPkt      uint64 // starts at 1; 0 is "no packet" in pure credit acks
@@ -236,8 +236,8 @@ type QUICSender struct {
 	BytesSent int64
 }
 
-// NewQUICSender builds a sender that transmits packets through emit.
-func NewQUICSender(eng *sim.Engine, emit func(*simnet.Packet), cfg QUICSenderConfig) *QUICSender {
+// NewQUICSender builds a sender that transmits packets through port.
+func NewQUICSender(eng *sim.Engine, port Port, cfg QUICSenderConfig) *QUICSender {
 	cfg = cfg.withDefaults()
 	ccCfg := cfg.CCConfig
 	ccCfg.MSS = cfg.MSS
@@ -248,7 +248,7 @@ func NewQUICSender(eng *sim.Engine, emit func(*simnet.Packet), cfg QUICSenderCon
 	return &QUICSender{
 		cfg:     cfg,
 		eng:     eng,
-		emit:    emit,
+		port:    port,
 		algo:    algo,
 		nextPkt: 1,
 		byPkt:   make(map[uint64]*qSent),
@@ -347,17 +347,14 @@ func (s *QUICSender) sendFrame(st *qOutStream, off int64, n int, fin, rtx bool) 
 		s.PktsRetx++
 	}
 	s.BytesSent += int64(n)
-	s.emit(&simnet.Packet{
-		Dst:  s.cfg.Dst,
-		Size: n + quicHeaderBytes,
-		Payload: &QUICPacket{
-			Conn: s.cfg.Conn, PktNum: pn,
-			Stream: st.id, Offset: off, Len: n, Fin: fin,
-		},
-		ECNCapable: true,
-		Tenant:     s.cfg.Tenant,
-		FlowID:     s.cfg.Conn,
-	})
+	pkt := s.port.AllocPacket()
+	pkt.Dst, pkt.Size = s.cfg.Dst, n+quicHeaderBytes
+	pkt.Payload = &QUICPacket{
+		Conn: s.cfg.Conn, PktNum: pn,
+		Stream: st.id, Offset: off, Len: n, Fin: fin,
+	}
+	pkt.ECNCapable, pkt.Tenant, pkt.FlowID = true, s.cfg.Tenant, s.cfg.Conn
+	s.port.Send(pkt)
 }
 
 // OnPacket handles an arriving ACK for this connection.
@@ -549,7 +546,7 @@ type qInStream struct {
 type QUICReceiver struct {
 	cfg  QUICReceiverConfig
 	eng  *sim.Engine
-	emit func(*simnet.Packet)
+	port Port
 
 	streams map[uint64]*qInStream
 	largest uint64
@@ -574,12 +571,12 @@ type QUICReceiver struct {
 	MaxBuffered int64
 }
 
-// NewQUICReceiver builds a receiver that acks through emit.
-func NewQUICReceiver(eng *sim.Engine, emit func(*simnet.Packet), cfg QUICReceiverConfig) *QUICReceiver {
+// NewQUICReceiver builds a receiver that acks through port.
+func NewQUICReceiver(eng *sim.Engine, port Port, cfg QUICReceiverConfig) *QUICReceiver {
 	if cfg.StreamWindow <= 0 {
 		cfg.StreamWindow = 1 << 20
 	}
-	return &QUICReceiver{cfg: cfg, eng: eng, emit: emit, streams: make(map[uint64]*qInStream)}
+	return &QUICReceiver{cfg: cfg, eng: eng, port: port, streams: make(map[uint64]*qInStream)}
 }
 
 // Stream returns the contiguous prefix length of a stream (tests).
@@ -713,12 +710,8 @@ func fuzzMaxTo(ss *spanSet) int64 {
 
 func (r *QUICReceiver) sendAck(qp *QUICPacket) {
 	r.AcksSent++
-	r.emit(&simnet.Packet{
-		Dst:        r.cfg.Src,
-		Size:       quicAckSize,
-		Payload:    qp,
-		ECNCapable: true,
-		Tenant:     r.cfg.Tenant,
-		FlowID:     r.cfg.Conn,
-	})
+	pkt := r.port.AllocPacket()
+	pkt.Dst, pkt.Size, pkt.Payload = r.cfg.Src, quicAckSize, qp
+	pkt.ECNCapable, pkt.Tenant, pkt.FlowID = true, r.cfg.Tenant, r.cfg.Conn
+	r.port.Send(pkt)
 }

@@ -12,8 +12,8 @@ import (
 func TestQUICStreamTransfer(t *testing.T) {
 	link := simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 4096}
 	eng, a, b := twoHosts(1, link, link)
-	snd := NewQUICSender(eng, a.Send, QUICSenderConfig{Conn: 1, Dst: b.ID()})
-	rcv := NewQUICReceiver(eng, b.Send, QUICReceiverConfig{Conn: 1, Src: a.ID()})
+	snd := NewQUICSender(eng, a, QUICSenderConfig{Conn: 1, Dst: b.ID()})
+	rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 1, Src: a.ID()})
 	var done []uint64
 	snd.cfg.OnStreamComplete = func(_ time.Duration, stream uint64) { done = append(done, stream) }
 	a.SetHandler(snd.OnPacket)
@@ -44,8 +44,8 @@ func TestQUICStreamTransfer(t *testing.T) {
 func TestQUICStreamIndependence(t *testing.T) {
 	link := simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 4096}
 	eng, a, b := twoHosts(2, link, link)
-	snd := NewQUICSender(eng, a.Send, QUICSenderConfig{Conn: 1, Dst: b.ID()})
-	rcv := NewQUICReceiver(eng, b.Send, QUICReceiverConfig{Conn: 1, Src: a.ID()})
+	snd := NewQUICSender(eng, a, QUICSenderConfig{Conn: 1, Dst: b.ID()})
+	rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 1, Src: a.ID()})
 	completed := map[uint64]time.Duration{}
 	rcv.cfg.OnStream = func(now time.Duration, stream uint64, _ int64) { completed[stream] = now }
 	a.SetHandler(snd.OnPacket)
@@ -93,8 +93,8 @@ func TestQUICStreamFlowControl(t *testing.T) {
 	const win = 16 << 10
 	link := simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 4096}
 	eng, a, b := twoHosts(3, link, link)
-	snd := NewQUICSender(eng, a.Send, QUICSenderConfig{Conn: 1, Dst: b.ID(), StreamWindow: win})
-	rcv := NewQUICReceiver(eng, b.Send, QUICReceiverConfig{Conn: 1, Src: a.ID(), StreamWindow: win, ManualConsume: true})
+	snd := NewQUICSender(eng, a, QUICSenderConfig{Conn: 1, Dst: b.ID(), StreamWindow: win})
+	rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 1, Src: a.ID(), StreamWindow: win, ManualConsume: true})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 
@@ -131,11 +131,11 @@ func TestQUICSingleFlowID(t *testing.T) {
 	link := simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 4096}
 	eng, a, b := twoHosts(4, link, link)
 	flows := map[uint64]int{}
-	snd := NewQUICSender(eng, func(pkt *simnet.Packet) {
+	snd := NewQUICSender(eng, Route{Pool: a, Emit: func(pkt *simnet.Packet) {
 		flows[pkt.FlowID]++
 		a.Send(pkt)
-	}, QUICSenderConfig{Conn: 7, Dst: b.ID()})
-	rcv := NewQUICReceiver(eng, b.Send, QUICReceiverConfig{Conn: 7, Src: a.ID()})
+	}}, QUICSenderConfig{Conn: 7, Dst: b.ID()})
+	rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 7, Src: a.ID()})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 	for id := uint64(1); id <= 8; id++ {
@@ -160,8 +160,8 @@ func TestQUICDeterminism(t *testing.T) {
 	run := func() string {
 		link := simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 4096}
 		eng, a, b := twoHosts(5, link, link)
-		snd := NewQUICSender(eng, a.Send, QUICSenderConfig{Conn: 1, Dst: b.ID()})
-		rcv := NewQUICReceiver(eng, b.Send, QUICReceiverConfig{Conn: 1, Src: a.ID()})
+		snd := NewQUICSender(eng, a, QUICSenderConfig{Conn: 1, Dst: b.ID()})
+		rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 1, Src: a.ID()})
 		a.SetHandler(snd.OnPacket)
 		n := 0
 		b.SetHandler(func(pkt *simnet.Packet) {

@@ -32,7 +32,7 @@ type ReceiverConfig struct {
 type Receiver struct {
 	cfg  ReceiverConfig
 	eng  *sim.Engine
-	emit func(*simnet.Packet)
+	port Port
 
 	rcvNxt    int64
 	ooo       map[int64]int // seq -> len
@@ -51,12 +51,12 @@ type Receiver struct {
 	PeakOooLen int
 }
 
-// NewReceiver builds a receiver that sends ACKs through emit.
-func NewReceiver(eng *sim.Engine, emit func(*simnet.Packet), cfg ReceiverConfig) *Receiver {
+// NewReceiver builds a receiver that sends ACKs through port.
+func NewReceiver(eng *sim.Engine, port Port, cfg ReceiverConfig) *Receiver {
 	if cfg.WindowLimit <= 0 {
 		cfg.WindowLimit = 1 << 40
 	}
-	return &Receiver{cfg: cfg, eng: eng, emit: emit, ooo: make(map[int64]int), finSeq: -1}
+	return &Receiver{cfg: cfg, eng: eng, port: port, ooo: make(map[int64]int), finSeq: -1}
 }
 
 // Buffered returns bytes delivered in-order but not yet consumed by the
@@ -79,7 +79,7 @@ func (r *Receiver) Consume(n int64) {
 		r.consumed = r.delivered
 	}
 	if after := r.window(); after > before {
-		r.sendAck(&Segment{Conn: r.cfg.Conn, Ack: true, AckNo: r.rcvNxt, Wnd: after, WndUpdate: true})
+		r.sendAck(Segment{Conn: r.cfg.Conn, Ack: true, AckNo: r.rcvNxt, Wnd: after, WndUpdate: true})
 	}
 }
 
@@ -103,7 +103,7 @@ func (r *Receiver) OnPacket(pkt *simnet.Packet) {
 	}
 	now := r.eng.Now()
 	if seg.Syn {
-		r.sendAck(&Segment{Conn: r.cfg.Conn, Ack: true, SynAck: true, Syn: true, Wnd: r.window()})
+		r.sendAck(Segment{Conn: r.cfg.Conn, Ack: true, SynAck: true, Syn: true, Wnd: r.window()})
 		return
 	}
 	r.SegsRcvd++
@@ -139,7 +139,7 @@ func (r *Receiver) OnPacket(pkt *simnet.Packet) {
 	if b := r.Buffered(); b > r.MaxBuffer {
 		r.MaxBuffer = b
 	}
-	r.sendAck(&Segment{Conn: r.cfg.Conn, Ack: true, AckNo: r.rcvNxt, Wnd: r.window(), ECNEcho: r.ceSeen})
+	r.sendAck(Segment{Conn: r.cfg.Conn, Ack: true, AckNo: r.rcvNxt, Wnd: r.window(), ECNEcho: r.ceSeen})
 	r.ceSeen = false
 
 	if !r.finished && r.finSeq >= 0 && r.rcvNxt >= r.finSeq {
@@ -158,16 +158,12 @@ func (r *Receiver) advance(now time.Duration, n int) {
 	}
 }
 
-func (r *Receiver) sendAck(seg *Segment) {
+func (r *Receiver) sendAck(seg Segment) {
 	r.AcksSent++
-	r.emit(&simnet.Packet{
-		Dst:        r.cfg.Src,
-		Size:       ackSize,
-		Payload:    seg,
-		ECNCapable: true,
-		Tenant:     r.cfg.Tenant,
-		FlowID:     r.cfg.Conn,
-	})
+	pkt := r.port.AllocPacket()
+	pkt.Dst, pkt.Size, pkt.Payload = r.cfg.Src, ackSize, newSegment(seg)
+	pkt.ECNCapable, pkt.Tenant, pkt.FlowID = true, r.cfg.Tenant, r.cfg.Conn
+	r.port.Send(pkt)
 }
 
 // Demux routes packets on one host to per-connection handlers by connection

@@ -165,7 +165,7 @@ func (w *Wiring) Expect(m Msg) func() uint64 {
 	switch w.rival.kind {
 	case kindMPTCP:
 		conns := subflowConns(m.ID)
-		rcv := NewMPTCPReceiver(w.eng, dst.Send, src, conns[:], 0)
+		rcv := NewMPTCPReceiver(w.eng, dst, src, conns[:], 0)
 		if delivered != nil {
 			size, done := int64(m.Size), false
 			rcv.OnProgress = func(_ time.Duration, contiguous int64) {
@@ -186,7 +186,7 @@ func (w *Wiring) Expect(m Msg) func() uint64 {
 			if delivered != nil {
 				rc.OnStream = func(time.Duration, uint64, int64) { delivered() }
 			}
-			rcv = NewQUICReceiver(w.eng, dst.Send, rc)
+			rcv = NewQUICReceiver(w.eng, dst, rc)
 			w.quicRcv[conn] = rcv
 			w.demux[m.Dst].Add(conn, rcv.OnPacket)
 		}
@@ -196,7 +196,7 @@ func (w *Wiring) Expect(m Msg) func() uint64 {
 		if delivered != nil {
 			rc.OnFin = func(time.Duration, int64) { delivered() }
 		}
-		rcv := NewReceiver(w.eng, dst.Send, rc)
+		rcv := NewReceiver(w.eng, dst, rc)
 		w.demux[m.Dst].Add(m.ID, rcv.OnPacket)
 		return func() uint64 { return uint64(rcv.Delivered()) }
 	}
@@ -214,7 +214,7 @@ func (w *Wiring) Start(m Msg, done func(now time.Duration, retx uint64)) {
 	case kindMPTCP:
 		conns := subflowConns(m.ID)
 		var mp *MPTCP
-		mp = NewMPTCP(w.eng, src.Send, MPTCPConfig{
+		mp = NewMPTCP(w.eng, src, MPTCPConfig{
 			Conns: conns[:], Dst: dst,
 			RTO: w.cfg.RTO, CC: w.cfg.CC, CCConfig: w.cfg.CCConfig,
 			Coupling: w.rival.coupling, FailoverRTOs: w.cfg.FailoverRTOs,
@@ -235,7 +235,7 @@ func (w *Wiring) Start(m Msg, done func(now time.Duration, retx uint64)) {
 		c := w.quicSnd[conn]
 		if c == nil {
 			c = &quicConn{done: make(map[uint64]func(time.Duration, uint64))}
-			c.snd = NewQUICSender(w.eng, src.Send, QUICSenderConfig{
+			c.snd = NewQUICSender(w.eng, src, QUICSenderConfig{
 				Conn: conn, Dst: dst,
 				RTO: w.cfg.RTO, CC: w.cfg.CC, CCConfig: w.cfg.CCConfig,
 				OnStreamComplete: func(now time.Duration, stream uint64) {
@@ -253,7 +253,7 @@ func (w *Wiring) Start(m Msg, done func(now time.Duration, retx uint64)) {
 		c.snd.OpenStream(m.Stream, int64(m.Size))
 	default:
 		var snd *Sender
-		snd = NewSender(w.eng, src.Send, SenderConfig{
+		snd = NewSender(w.eng, src, SenderConfig{
 			Conn: m.ID, Dst: dst, SkipHandshake: true,
 			RTO: w.cfg.RTO, CC: w.cfg.CC, CCConfig: w.cfg.CCConfig,
 			OnComplete: func(now time.Duration) { done(now, snd.SegsRetx) },

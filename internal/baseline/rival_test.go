@@ -38,8 +38,8 @@ func handWired(rv Rival) []uint64 {
 		id := uint64(i + 1)
 		switch rv.kind {
 		case kindDCTCP:
-			s := NewSender(fab.Eng, snd.Send, SenderConfig{Conn: id, Dst: rcv.ID(), SkipHandshake: true, RTO: time.Millisecond})
-			r := NewReceiver(fab.Eng, rcv.Send, ReceiverConfig{Conn: id, Src: snd.ID()})
+			s := NewSender(fab.Eng, snd, SenderConfig{Conn: id, Dst: rcv.ID(), SkipHandshake: true, RTO: time.Millisecond})
+			r := NewReceiver(fab.Eng, rcv, ReceiverConfig{Conn: id, Src: snd.ID()})
 			sd.Add(id, s.OnPacket)
 			rd.Add(id, r.OnPacket)
 			s.Write(size)
@@ -47,8 +47,8 @@ func handWired(rv Rival) []uint64 {
 			counters = append(counters, func() uint64 { return s.SegsRetx })
 		case kindMPTCP:
 			conns := []uint64{id << 1, id<<1 | 1}
-			m := NewMPTCP(fab.Eng, snd.Send, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: time.Millisecond, Coupling: rv.coupling})
-			r := NewMPTCPReceiver(fab.Eng, rcv.Send, snd.ID(), conns, 0)
+			m := NewMPTCP(fab.Eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: time.Millisecond, Coupling: rv.coupling})
+			r := NewMPTCPReceiver(fab.Eng, rcv, snd.ID(), conns, 0)
 			for j, s := range m.Subflows() {
 				sd.Add(conns[j], s.OnPacket)
 				rd.Add(conns[j], r.OnPacket)
@@ -58,8 +58,8 @@ func handWired(rv Rival) []uint64 {
 		case kindQUIC:
 			if quic == nil {
 				conn := uint64(1<<62 | 0<<24 | 1)
-				quic = NewQUICSender(fab.Eng, snd.Send, QUICSenderConfig{Conn: conn, Dst: rcv.ID(), RTO: time.Millisecond})
-				r := NewQUICReceiver(fab.Eng, rcv.Send, QUICReceiverConfig{Conn: conn, Src: snd.ID()})
+				quic = NewQUICSender(fab.Eng, snd, QUICSenderConfig{Conn: conn, Dst: rcv.ID(), RTO: time.Millisecond})
+				r := NewQUICReceiver(fab.Eng, rcv, QUICReceiverConfig{Conn: conn, Src: snd.ID()})
 				sd.Add(conn, quic.OnPacket)
 				rd.Add(conn, r.OnPacket)
 				counters = append(counters, func() uint64 { return quic.PktsRetx })

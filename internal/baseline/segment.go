@@ -10,9 +10,17 @@
 // kernel-level details that do not affect the measured shapes.
 package baseline
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"mtp/internal/simnet"
+)
 
 // Segment is the TCP-model packet payload carried in simnet.Packet.Payload.
+// The packet owns it (simnet.OwnedPayload): a segment lives exactly as long as
+// the packet carrying it and is recycled with it, so a handler copies the
+// fields it needs rather than keeping the segment.
 type Segment struct {
 	// Conn identifies the connection (both directions share it).
 	Conn uint64
@@ -38,6 +46,43 @@ type Segment struct {
 	// GlobalSeq is the offset of this segment's bytes in the MPTCP-level
 	// stream (-1 / unset for single-path connections).
 	GlobalSeq int64
+
+	// released guards against recycling one segment twice.
+	released bool
+}
+
+// segPool recycles segments between the packets that carry them. A sync.Pool
+// rather than a list on the Network: a segment that crossed shards is released
+// on another goroutine than the one that drew it, and the pool empties itself
+// over garbage collections, so a finished fabric's segments do not stay live.
+var segPool = sync.Pool{New: func() any { return new(Segment) }}
+
+// newSegment returns a recycled segment holding s.
+func newSegment(s Segment) *Segment {
+	p := segPool.Get().(*Segment)
+	*p = s
+	return p
+}
+
+// Copy implements simnet.OwnedPayload.
+func (s *Segment) Copy() simnet.OwnedPayload { return newSegment(*s) }
+
+// Recycle implements simnet.OwnedPayload. A second release panics, as it does
+// for a pooled packet.
+func (s *Segment) Recycle(poison bool) {
+	if s.released {
+		panic("baseline: double release of segment")
+	}
+	if poison {
+		*s = Segment{
+			Conn: ^uint64(0), Seq: -0x5EAD, Len: -0x5EAD, AckNo: -0x5EAD, Wnd: -0x5EAD, GlobalSeq: -0x5EAD,
+			Ack: true, ECNEcho: true, WndUpdate: true, Syn: true, SynAck: true, Fin: true,
+			released: true,
+		}
+		return
+	}
+	s.released = true
+	segPool.Put(s)
 }
 
 // String renders a trace-friendly summary.

@@ -59,7 +59,7 @@ func (c SenderConfig) withDefaults() SenderConfig {
 type Sender struct {
 	cfg  SenderConfig
 	eng  *sim.Engine
-	emit func(*simnet.Packet)
+	port Port
 
 	algo cc.Algorithm
 
@@ -89,8 +89,8 @@ type Sender struct {
 	BytesSent int64
 }
 
-// NewSender builds a sender that transmits packets through emit.
-func NewSender(eng *sim.Engine, emit func(*simnet.Packet), cfg SenderConfig) *Sender {
+// NewSender builds a sender that transmits packets through port.
+func NewSender(eng *sim.Engine, port Port, cfg SenderConfig) *Sender {
 	cfg = cfg.withDefaults()
 	algo := cfg.Algo
 	if algo == nil {
@@ -105,7 +105,7 @@ func NewSender(eng *sim.Engine, emit func(*simnet.Packet), cfg SenderConfig) *Se
 	s := &Sender{
 		cfg:       cfg,
 		eng:       eng,
-		emit:      emit,
+		port:      port,
 		algo:      algo,
 		rcvWnd:    1 << 40, // until the receiver advertises
 		segSentAt: make(map[int64]time.Duration),
@@ -150,7 +150,7 @@ func (s *Sender) pump() {
 	if !s.established {
 		if !s.synSent {
 			s.synSent = true
-			s.send(&Segment{Conn: s.cfg.Conn, Syn: true}, ackSize)
+			s.send(Segment{Conn: s.cfg.Conn, Syn: true}, ackSize)
 			s.armRTO()
 		}
 		return
@@ -170,7 +170,7 @@ func (s *Sender) pump() {
 		if s.sndNxt-s.sndUna+n > wnd && s.sndNxt > s.sndUna {
 			break // partial segment would overflow the window
 		}
-		seg := &Segment{Conn: s.cfg.Conn, Seq: s.sndNxt, Len: int(n), GlobalSeq: s.globalFor(s.sndNxt)}
+		seg := Segment{Conn: s.cfg.Conn, Seq: s.sndNxt, Len: int(n), GlobalSeq: s.globalFor(s.sndNxt)}
 		if s.closed && s.sndNxt+n == s.total {
 			seg.Fin = true
 		}
@@ -184,16 +184,12 @@ func (s *Sender) pump() {
 	}
 }
 
-func (s *Sender) send(seg *Segment, size int) {
+func (s *Sender) send(seg Segment, size int) {
 	s.SegsSent++
-	s.emit(&simnet.Packet{
-		Dst:        s.cfg.Dst,
-		Size:       size,
-		Payload:    seg,
-		ECNCapable: true,
-		Tenant:     s.cfg.Tenant,
-		FlowID:     s.cfg.Conn,
-	})
+	pkt := s.port.AllocPacket()
+	pkt.Dst, pkt.Size, pkt.Payload = s.cfg.Dst, size, newSegment(seg)
+	pkt.ECNCapable, pkt.Tenant, pkt.FlowID = true, s.cfg.Tenant, s.cfg.Conn
+	s.port.Send(pkt)
 }
 
 // OnPacket handles an arriving ACK (or SYNACK) for this connection.
@@ -284,7 +280,7 @@ func (s *Sender) retransmitHead() {
 	if n <= 0 {
 		return
 	}
-	seg := &Segment{Conn: s.cfg.Conn, Seq: s.sndUna, Len: int(n), GlobalSeq: s.globalFor(s.sndUna)}
+	seg := Segment{Conn: s.cfg.Conn, Seq: s.sndUna, Len: int(n), GlobalSeq: s.globalFor(s.sndUna)}
 	if s.closed && s.sndUna+n == s.total {
 		seg.Fin = true
 	}
@@ -329,7 +325,7 @@ func (s *Sender) onRTO() {
 	if !s.established {
 		if s.synSent {
 			s.Timeouts++
-			s.send(&Segment{Conn: s.cfg.Conn, Syn: true}, ackSize)
+			s.send(Segment{Conn: s.cfg.Conn, Syn: true}, ackSize)
 			s.armRTO()
 		}
 		return

@@ -25,7 +25,7 @@ type Datagram struct {
 // started in rather than the load they offer.
 type UDPSender struct {
 	eng  *sim.Engine
-	emit func(*simnet.Packet)
+	port Port
 
 	Flow   uint64
 	Dst    simnet.NodeID
@@ -39,12 +39,13 @@ type UDPSender struct {
 	Sent uint64
 }
 
-// NewUDPSender builds a datagram source offering rateBps on average.
-func NewUDPSender(eng *sim.Engine, emit func(*simnet.Packet), flow uint64, dst simnet.NodeID, size int, rateBps float64) *UDPSender {
+// NewUDPSender builds a datagram source, sending through port, that offers
+// rateBps on average.
+func NewUDPSender(eng *sim.Engine, port Port, flow uint64, dst simnet.NodeID, size int, rateBps float64) *UDPSender {
 	if size <= 0 || rateBps <= 0 {
 		panic("baseline: invalid UDP sender parameters")
 	}
-	return &UDPSender{eng: eng, emit: emit, Flow: flow, Dst: dst, Size: size, Rate: rateBps}
+	return &UDPSender{eng: eng, port: port, Flow: flow, Dst: dst, Size: size, Rate: rateBps}
 }
 
 // Start begins transmission.
@@ -61,13 +62,11 @@ func (u *UDPSender) tick() {
 		return
 	}
 	u.Sent++
-	u.emit(&simnet.Packet{
-		Dst:     u.Dst,
-		Size:    u.Size + headerBytes,
-		Payload: &Datagram{Flow: u.Flow, Seq: u.seq, Len: u.Size},
-		Tenant:  u.Tenant,
-		FlowID:  u.Flow,
-	})
+	pkt := u.port.AllocPacket()
+	pkt.Dst, pkt.Size = u.Dst, u.Size+headerBytes
+	pkt.Payload = &Datagram{Flow: u.Flow, Seq: u.seq, Len: u.Size}
+	pkt.Tenant, pkt.FlowID = u.Tenant, u.Flow
+	u.port.Send(pkt)
 	u.seq++
 	mean := float64(u.Size+headerBytes) * 8 / u.Rate * float64(time.Second)
 	u.eng.Schedule(time.Duration(mean*u.eng.Rand().ExpFloat64()), u.tick)

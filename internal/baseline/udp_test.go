@@ -13,7 +13,7 @@ func TestUDPConstantRate(t *testing.T) {
 	)
 	rcv := NewUDPReceiver(eng, 1)
 	b.SetHandler(rcv.OnPacket)
-	snd := NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 1e9)
+	snd := NewUDPSender(eng, a, 1, b.ID(), 1460, 1e9)
 	snd.Start()
 	eng.Run(ms(10))
 	snd.Stop()
@@ -34,7 +34,7 @@ func TestUDPOverloadDropsWithoutAdapting(t *testing.T) {
 	)
 	rcv := NewUDPReceiver(eng, 1)
 	b.SetHandler(rcv.OnPacket)
-	snd := NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 10e9)
+	snd := NewUDPSender(eng, a, 1, b.ID(), 1460, 10e9)
 	snd.Start()
 	eng.Run(ms(10))
 	snd.Stop()
@@ -61,8 +61,8 @@ func TestUDPSharesTrackOfferedLoad(t *testing.T) {
 			r1.OnPacket(pkt)
 			r2.OnPacket(pkt)
 		})
-		NewUDPSender(eng, a.Send, 1, b.ID(), 1460, 2e9).Start()
-		NewUDPSender(eng, a.Send, 2, b.ID(), 1460, 18e9).Start()
+		NewUDPSender(eng, a, 1, b.ID(), 1460, 2e9).Start()
+		NewUDPSender(eng, a, 2, b.ID(), 1460, 18e9).Start()
 		eng.Run(ms(5))
 		if ratio := float64(r2.Bytes) / float64(r1.Bytes); ratio < 6 || ratio > 13 {
 			t.Errorf("seed %d: 9x the offered load took %.1fx the bandwidth, want 6x to 13x", seed, ratio)

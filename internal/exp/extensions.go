@@ -47,7 +47,7 @@ func RunExclusion(duration time.Duration) ExclusionResult {
 
 		// Cross traffic pins path 1 at ~90% with non-ECN UDP, so MTP data
 		// crossing it is marked persistently.
-		cross := baseline.NewUDPSender(rig.eng, func(pkt *simnet.Packet) { l1.Enqueue(pkt) },
+		cross := baseline.NewUDPSender(rig.eng, baseline.Route{Pool: rig.net, Emit: l1.Enqueue},
 			99, rig.rcv.ID(), 1460, 9e9)
 		cross.Start()
 

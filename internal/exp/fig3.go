@@ -126,14 +126,14 @@ func runFig3TCP(cfg Fig3Config) Fig3Row {
 		nextConn++
 		s := senders[host]
 		d := sinks[host]
-		snd := baseline.NewSender(r.eng, s.Send, baseline.SenderConfig{
+		snd := baseline.NewSender(r.eng, s, baseline.SenderConfig{
 			Conn: conn, Dst: d.ID(), RTO: 2 * time.Millisecond,
 			OnComplete: func(time.Duration) {
 				messages++
 				startMsg(host) // next message: a brand-new connection
 			},
 		})
-		rcv := baseline.NewReceiver(r.eng, d.Send, baseline.ReceiverConfig{
+		rcv := baseline.NewReceiver(r.eng, d, baseline.ReceiverConfig{
 			Conn: conn, Src: s.ID(),
 			OnDeliver: func(_ time.Duration, n int) { delivered += uint64(n) },
 		})

@@ -118,11 +118,11 @@ func runFig7DCTCP(cfg Fig7Config, separateQueues bool) Fig7Row {
 	for i, h := range hosts {
 		tenant := tenantOf(i)
 		conn := uint64(i + 1)
-		snd := baseline.NewSender(r.eng, h.Send, baseline.SenderConfig{
+		snd := baseline.NewSender(r.eng, h, baseline.SenderConfig{
 			Conn: conn, Dst: rcv.ID(), SkipHandshake: true, Tenant: tenant,
 			RTO: 2 * time.Millisecond,
 		})
-		rcvr := baseline.NewReceiver(r.eng, rcv.Send, baseline.ReceiverConfig{
+		rcvr := baseline.NewReceiver(r.eng, rcv, baseline.ReceiverConfig{
 			Conn: conn, Src: h.ID(), Tenant: tenant,
 			OnDeliver: func(_ time.Duration, n int) { delivered[tenant] += int64(n) },
 		})

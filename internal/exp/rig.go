@@ -83,11 +83,11 @@ type tcpFlow struct {
 // and installs both hosts' packet handlers.
 func (r *rig) tcpStream(a, b *simnet.Host, size int) *tcpFlow {
 	f := &tcpFlow{}
-	f.snd = baseline.NewSender(r.eng, a.Send, baseline.SenderConfig{
+	f.snd = baseline.NewSender(r.eng, a, baseline.SenderConfig{
 		Conn: 1, Dst: b.ID(), SkipHandshake: true,
 		OnComplete: func(time.Duration) { f.done = true },
 	})
-	f.rcv = baseline.NewReceiver(r.eng, b.Send, baseline.ReceiverConfig{Conn: 1, Src: a.ID()})
+	f.rcv = baseline.NewReceiver(r.eng, b, baseline.ReceiverConfig{Conn: 1, Src: a.ID()})
 	a.SetHandler(f.snd.OnPacket)
 	b.SetHandler(f.rcv.OnPacket)
 	f.snd.Write(size)
@@ -100,8 +100,8 @@ func (r *rig) tcpStream(a, b *simnet.Host, size int) *tcpFlow {
 // hosts' packet handlers.
 func (r *rig) quicConn(a, b *simnet.Host, cfg baseline.QUICSenderConfig) (*baseline.QUICSender, *baseline.QUICReceiver) {
 	cfg.Conn, cfg.Dst = 1, b.ID()
-	snd := baseline.NewQUICSender(r.eng, a.Send, cfg)
-	rcv := baseline.NewQUICReceiver(r.eng, b.Send, baseline.QUICReceiverConfig{Conn: 1, Src: a.ID()})
+	snd := baseline.NewQUICSender(r.eng, a, cfg)
+	rcv := baseline.NewQUICReceiver(r.eng, b, baseline.QUICReceiverConfig{Conn: 1, Src: a.ID()})
 	a.SetHandler(snd.OnPacket)
 	b.SetHandler(rcv.OnPacket)
 	return snd, rcv
@@ -125,19 +125,19 @@ func (r *rig) proxyRelay(clientLC, serverLC simnet.LinkConfig, pc baseline.Proxy
 
 	pc.ClientConn, pc.ServerConn = 1, 2
 	pc.ClientSrc, pc.ServerDst = client.ID(), sink.ID()
-	p := baseline.NewProxy(r.eng, func(pkt *simnet.Packet) {
+	p := baseline.NewProxy(r.eng, baseline.Route{Pool: proxy, Emit: func(pkt *simnet.Packet) {
 		if pkt.Dst == client.ID() {
 			toClient.Enqueue(pkt)
 		} else {
 			toSink.Enqueue(pkt)
 		}
-	}, pc)
+	}}, pc)
 	proxy.SetHandler(p.Handle)
-	snd := baseline.NewSender(r.eng, client.Send, baseline.SenderConfig{
+	snd := baseline.NewSender(r.eng, client, baseline.SenderConfig{
 		Conn: 1, Dst: proxy.ID(), SkipHandshake: true, RTO: pc.RTO,
 	})
 	client.SetHandler(snd.OnPacket)
-	rcv := baseline.NewReceiver(r.eng, sink.Send, baseline.ReceiverConfig{Conn: 2, Src: proxy.ID()})
+	rcv := baseline.NewReceiver(r.eng, sink, baseline.ReceiverConfig{Conn: 2, Src: proxy.ID()})
 	sink.SetHandler(rcv.OnPacket)
 	return p, snd, rcv
 }

@@ -193,7 +193,7 @@ func probeMutationUDP() Table1Cell {
 	}
 	rcv := baseline.NewUDPReceiver(r.eng, 1)
 	b.SetHandler(rcv.OnPacket)
-	snd := baseline.NewUDPSender(r.eng, a.Send, 1, b.ID(), 1460, 1e9)
+	snd := baseline.NewUDPSender(r.eng, a, 1, b.ID(), 1460, 1e9)
 	snd.Start()
 	r.eng.Run(5 * time.Millisecond)
 	snd.Stop()
@@ -353,7 +353,7 @@ func probeMultiResourceUDP() Table1Cell {
 	a.SetUplink(r.net.Connect(b, simnet.LinkConfig{Rate: 1e9, Delay: time.Microsecond, QueueCap: 64}, "a->b"))
 	rcv := baseline.NewUDPReceiver(r.eng, 1)
 	b.SetHandler(rcv.OnPacket)
-	snd := baseline.NewUDPSender(r.eng, a.Send, 1, b.ID(), 1460, 10e9)
+	snd := baseline.NewUDPSender(r.eng, a, 1, b.ID(), 1460, 10e9)
 	snd.Start()
 	r.eng.Run(5 * time.Millisecond)
 	snd.Stop()
@@ -398,8 +398,8 @@ func probeIsolationUDP() Table1Cell {
 		r1.OnPacket(pkt)
 		r2.OnPacket(pkt)
 	})
-	s1 := baseline.NewUDPSender(r.eng, a.Send, 1, b.ID(), 1460, 2e9)
-	s2 := baseline.NewUDPSender(r.eng, a.Send, 2, b.ID(), 1460, 18e9)
+	s1 := baseline.NewUDPSender(r.eng, a, 1, b.ID(), 1460, 2e9)
+	s2 := baseline.NewUDPSender(r.eng, a, 2, b.ID(), 1460, 18e9)
 	s1.Start()
 	s2.Start()
 	r.eng.Run(5 * time.Millisecond)

@@ -28,12 +28,12 @@ func mptcpPair(seed int64, r1, r2 float64, d2 time.Duration, coupling baseline.C
 	// ECMP's hash multiplies by an odd constant, so an odd and an even
 	// connection ID take different paths.
 	conns := []uint64{1, 2}
-	m := baseline.NewMPTCP(rig.eng, rig.snd.Send, baseline.MPTCPConfig{
+	m := baseline.NewMPTCP(rig.eng, rig.snd, baseline.MPTCPConfig{
 		Conns: conns, Dst: rig.rcv.ID(), RTO: 2 * time.Millisecond,
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 		Coupling: coupling,
 	})
-	r := baseline.NewMPTCPReceiver(rig.eng, rig.rcv.Send, rig.snd.ID(), conns, 0)
+	r := baseline.NewMPTCPReceiver(rig.eng, rig.rcv, rig.snd.ID(), conns, 0)
 	rig.snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)

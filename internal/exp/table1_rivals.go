@@ -30,17 +30,17 @@ func probeIsolationMPTCPCoupled() Table1Cell {
 	snd, rcv, _ := r.pair(edge, simnet.LinkConfig{Rate: 10e9, Delay: time.Microsecond, QueueCap: 256, ECNThreshold: 40})
 
 	conns := []uint64{10, 11}
-	m := baseline.NewMPTCP(r.eng, snd.Send, baseline.MPTCPConfig{
+	m := baseline.NewMPTCP(r.eng, snd, baseline.MPTCPConfig{
 		Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond,
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 		Coupling: baseline.CouplingOLIA,
 	})
-	mr := baseline.NewMPTCPReceiver(r.eng, rcv.Send, snd.ID(), conns, 0)
-	tcp := baseline.NewSender(r.eng, snd.Send, baseline.SenderConfig{
+	mr := baseline.NewMPTCPReceiver(r.eng, rcv, snd.ID(), conns, 0)
+	tcp := baseline.NewSender(r.eng, snd, baseline.SenderConfig{
 		Conn: 20, Dst: rcv.ID(), SkipHandshake: true, RTO: 2 * time.Millisecond,
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 	})
-	tr := baseline.NewReceiver(r.eng, rcv.Send, baseline.ReceiverConfig{Conn: 20, Src: snd.ID()})
+	tr := baseline.NewReceiver(r.eng, rcv, baseline.ReceiverConfig{Conn: 20, Src: snd.ID()})
 
 	sndMux := baseline.NewDemux()
 	for i, s := range m.Subflows() {

@@ -51,8 +51,11 @@ const never = time.Duration(math.MaxInt64)
 // clone — the original lives in the pooled packet, which the sending shard
 // recycles the moment DeliverRemote returns. Data and Payload are handed over
 // by pointer, not copied: nothing on the sending side touches them after the
-// delivery that captured them here. The channel exchange provides the
-// happens-before edge that makes the handoff safe.
+// delivery that captured them here. A Payload the packet owns
+// (simnet.OwnedPayload) moves rather than being shared: DeliverRemote takes it
+// out of the packet before releasing it, and the packet inject builds owns it
+// from then on. The channel exchange provides the happens-before edge that
+// makes the handoff safe.
 type xfer struct {
 	rank int
 	at   time.Duration
@@ -116,6 +119,7 @@ func (sk sink) DeliverRemote(l *simnet.Link, at time.Duration, pkt *simnet.Packe
 		tenant: pkt.Tenant, flowID: pkt.FlowID,
 	}
 	sk.s.outbox[port.DstShard] = append(sk.s.outbox[port.DstShard], x)
+	pkt.Payload = nil // it crosses with x: the release must not recycle it
 	sk.s.Fab.Net.ReleasePacket(pkt)
 	// This crossing can wake its destination at x.at — earlier than that
 	// shard's barrier report promised — and the earliest echo lands here at

@@ -79,11 +79,13 @@ type LinkConfig struct {
 // RemoteHook receives packets leaving the local shard. DeliverRemote owns
 // pkt afterwards: it must capture what crosses the boundary and release pkt
 // into the local pool before returning. The Packet struct and the header it
-// owns are pooled and must not escape — the hook clones Hdr — but Data and
-// Payload may be handed across by pointer: nothing on the sending side
-// touches them after the transmit-done that invoked the hook, so the shard
-// barrier's happens-before edge is the only synchronization the handoff
-// needs.
+// owns are pooled and must not escape — the hook clones Hdr. Data and Payload
+// may be handed across by pointer: nothing on the sending side touches them
+// after the transmit-done that invoked the hook, so the shard barrier's
+// happens-before edge is the only synchronization the handoff needs. An
+// OwnedPayload moves with the crossing: the hook clears pkt.Payload before
+// the release, or the release would recycle the payload in flight, and the
+// packet that carries it on the far side owns it from then on.
 type RemoteHook interface {
 	DeliverRemote(l *Link, deliverAt time.Duration, pkt *Packet)
 }
@@ -348,11 +350,15 @@ func (l *Link) Enqueue(pkt *Packet) {
 		*dup = *pkt
 		dup.pooled = pooled
 		dup.released = false
-		// The struct copy aliased pkt's header storage: give dup its own back
-		// and deep-copy the header into it.
+		// The struct copy aliased pkt's header storage and owned payload: give
+		// dup its own back and deep-copy the header into it, and give it a
+		// payload of its own.
 		dup.own = own
 		if pkt.Hdr != nil {
 			dup.SetHeader(pkt.Hdr)
+		}
+		if op, ok := pkt.Payload.(OwnedPayload); ok {
+			dup.Payload = op.Copy()
 		}
 		l.stats.Duplicated++
 		if l.net.obs != nil {

@@ -49,18 +49,18 @@ type Network struct {
 var poisonFreed bool
 
 // SetPoisonFreed toggles a debug mode for the packet free-list: released
-// packets — and the header storage they own, list elements included — are
-// overwritten with sentinel values and withheld from reuse, so a
-// use-after-release of the Packet, of its Hdr, or of a list sliced from that
-// header reads obviously-wrong fields (and, under the race detector, a
-// cross-goroutine stale read is a write/read race on the poisoned words).
-// Double releases panic. Off by default; intended for tests.
+// packets — and the header storage they own, list elements included, and
+// their OwnedPayload — are overwritten with sentinel values and withheld from
+// reuse, so a use-after-release of the Packet, of its Hdr, of a list sliced
+// from that header, or of its payload reads obviously-wrong fields (and, under
+// the race detector, a cross-goroutine stale read is a write/read race on the
+// poisoned words). Double releases panic. Off by default; intended for tests.
 func SetPoisonFreed(on bool) { poisonFreed = on }
 
 // AllocPacket returns a zeroed packet from the network's free-list (or a
 // fresh one). It is recycled automatically when a host delivers it or a link
-// drops it; senders must not retain it, its Hdr after SetHeader, or any list
-// of that header past that point.
+// drops it; senders must not retain it, its Hdr after SetHeader, any list of
+// that header, or an OwnedPayload they put in it past that point.
 func (n *Network) AllocPacket() *Packet {
 	n.pktLive++
 	if n.pktLive > n.pktHigh {
@@ -123,6 +123,9 @@ func (n *Network) ReleasePacket(p *Packet) {
 		panic("simnet: double release of pooled packet")
 	}
 	n.pktLive--
+	if op, ok := p.Payload.(OwnedPayload); ok {
+		op.Recycle(poisonFreed)
+	}
 	if poisonFreed {
 		// Poison and withhold from the pool: stale readers see nonsense
 		// values instead of the next packet's fields.
@@ -248,10 +251,11 @@ func (h *Host) AllocPacket() *Packet { return h.net.AllocPacket() }
 
 // Receive implements Node. Delivery is the end of a packet's life: after the
 // handler returns, pooled packets are recycled, so handlers must not retain
-// the Packet, its Hdr, or a list sliced from that header: the header storage
-// belongs to the packet and carries the next one. Copy (Header.Clone) what
-// must outlive the call. Data and Payload may be retained — those are dropped
-// to the garbage collector, not reused.
+// the Packet, its Hdr, a list sliced from that header, or a Payload that is an
+// OwnedPayload: the header storage and such a payload belong to the packet and
+// carry the next ones. Copy (Header.Clone, a copy of the payload's fields) what
+// must outlive the call. Data and any other Payload may be retained — those
+// are dropped to the garbage collector, not reused.
 func (h *Host) Receive(pkt *Packet, _ *Link) {
 	if h.handler != nil {
 		h.handler(pkt)

@@ -31,7 +31,10 @@ type Packet struct {
 	Hdr *wire.Header
 
 	// Payload carries transport-specific state for non-MTP packets (e.g.
-	// a TCP segment model).
+	// a TCP segment model). A payload that implements OwnedPayload belongs to
+	// the packet the way its owned header does: it is recycled with the
+	// packet, so nothing may keep it past the packet's release without
+	// copying it. Other payloads are left to the garbage collector.
 	Payload any
 
 	// Data optionally carries application bytes for offload experiments
@@ -79,6 +82,20 @@ type Packet struct {
 	// Packets built with &Packet{} are never recycled.
 	pooled   bool
 	released bool
+}
+
+// OwnedPayload is a Payload whose storage the carrying packet owns, as it owns
+// its header: the TCP model's segment is one. It lives exactly as long as that
+// packet. ReleasePacket recycles it with the packet, whether the packet was
+// delivered, dropped or faulted, and the duplicate fault gives the duplicate a
+// Copy of its own.
+type OwnedPayload interface {
+	// Copy returns a copy for another packet to own.
+	Copy() OwnedPayload
+	// Recycle ends the payload's life so the next packet may reuse it. With
+	// poison set it is overwritten with sentinels and withheld from reuse
+	// instead (see SetPoisonFreed).
+	Recycle(poison bool)
 }
 
 // SetHeader makes p an MTP packet carrying a deep copy of h in storage the
