@@ -81,9 +81,10 @@ bench:
 # ratios. make benchpair WL="bulk_udp small_udp lossy_udp"
 # TRACED=K adds K traced pairs (--trace 1, 6 s) per workload and prints the
 # per-layer cells of both sides: timeouts, retransmissions, duplicates, NACKs,
-# engine latency, CPU per message, timer lateness, context switches, scheduler
-# latency, Node mutex wait, ACKs per message; under the simulator, allocation,
-# GC share, wall time and each row's cost per event.
+# engine latency, CPU per message, timer lateness, the wheel's Schedule cost,
+# context switches, scheduler latency, Node mutex wait, packets and ACKs per
+# message; under the simulator, allocation, GC share, wall time and each row's
+# cost per event.
 N ?= 10
 BASE ?= HEAD~1
 TRACED ?= 0

@@ -17,11 +17,12 @@
 # alternating pairs run with --trace 1 --seconds 6, and the per-layer cells
 # that say where a change landed side by side: both medians, their ratio, and
 # every reading. The real-path cells are timeouts, retransmissions, duplicates,
-# NACKs, the engine's latency percentiles, CPU per message, timer lateness,
-# context switches, scheduler latency, Node mutex wait and ACKs per message;
-# the simulator's are its allocation (sim.alloc_MB, go.alloc_B_per_msg), GC
-# share, wall time, each row's cost per event and their ratio
-# (exp.mtp_over_dctcp_cost). A cell the workload does not produce prints "-".
+# NACKs, the engine's latency percentiles, CPU per message, timer lateness and
+# the wheel's Schedule cost, context switches, scheduler latency, Node mutex
+# wait, and packets and ACKs per message; the simulator's are its allocation
+# (sim.alloc_MB, go.alloc_B_per_msg), GC share, wall time, each row's cost per
+# event and their ratio (exp.mtp_over_dctcp_cost). A cell the workload does
+# not produce prints "-".
 set -euo pipefail
 
 wls=${1:?usage: ci/benchpair.sh '"WORKLOAD..." [N=10] [BASE=HEAD~1] [SECONDS=28]'}
@@ -32,8 +33,9 @@ traced=${TRACED:-0}
 traced_secs=6
 cells="mtp.timeouts_per_kmsg mtp.retx_per_kmsg mtp.dup_rx_per_kmsg mtp.nacks_per_kmsg
 	mtp.lat_p50_us mtp.lat_p99_us os.cpu_us_per_msg os.sys_cpu_frac
-	udpnet.timer_late_us_p50 udpnet.timer_late_us_p99
-	os.ctxsw_per_msg go.sched_lat_us_p99 mtp.mutex_wait_us_per_msg mtp.acks_per_msg
+	udpnet.timer_late_us_p50 udpnet.timer_late_us_p99 udpnet.wheel_schedule_ns
+	os.ctxsw_per_msg go.sched_lat_us_p99 mtp.mutex_wait_us_per_msg
+	mtp.pkts_sent_per_msg mtp.acks_per_msg
 	sim.alloc_MB go.alloc_B_per_msg go.gc_cpu_frac sim.wall_ms
 	simhost.mtp_ns_per_event baseline.dctcp_ns_per_event exp.mtp_over_dctcp_cost"
 

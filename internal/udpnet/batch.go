@@ -49,20 +49,24 @@ func newBatchIO(pc net.PacketConn) batchIO {
 			return io
 		}
 	}
-	return &connIO{pc: pc}
+	if ac, ok := pc.(addrPortConn); ok {
+		return &connIO{conn: ac}
+	}
+	return &connIO{conn: &packetConnIO{pc: pc}}
 }
 
-// connIO is the portable fallback: ReadFrom/WriteTo, one datagram per call.
-// It also serves non-UDP net.PacketConns (the in-memory test network, lossy
-// interposers), which is what keeps the protocol-level tests platform-
-// independent.
-type connIO struct {
-	pc net.PacketConn
-	// lastDst/lastAddr remember the previous datagram's destination, so a
-	// run to one peer builds its *net.UDPAddr once. Write lock holder only.
-	lastDst  netip.AddrPort
-	lastAddr *net.UDPAddr
+// addrPortConn is the datagram API of *net.UDPConn that takes and returns
+// netip.AddrPort: neither direction boxes an address, so neither allocates.
+// *Lossy has it too.
+type addrPortConn interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 }
+
+// connIO is the portable fallback: one datagram per call. It also serves
+// non-UDP net.PacketConns (the in-memory test network, lossy interposers),
+// which is what keeps the protocol-level tests platform-independent.
+type connIO struct{ conn addrPortConn }
 
 // recvBufs: one buffer, which is all readBatch fills.
 func (c *connIO) recvBufs(maxDatagram int) (slots, size int) { return 1, maxDatagram }
@@ -74,22 +78,19 @@ func (c *connIO) readQueued([]*dgram) int { return 0 }
 // more without risking a block with data already in hand).
 func (c *connIO) readBatch(ms []*dgram) (int, error) {
 	m := ms[0]
-	n, from, err := c.pc.ReadFrom(m.buf)
+	n, from, err := c.conn.ReadFromUDPAddrPort(m.buf)
 	if err != nil {
 		return 0, err
 	}
 	m.n = n
-	m.addr = toAddrPort(from)
+	m.addr = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 	return 1, nil
 }
 
 // writeBatch writes every datagram, one syscall each.
 func (c *connIO) writeBatch(ms []*dgram) (sent, kmsgs int, err error) {
 	for _, m := range ms {
-		if m.addr != c.lastDst || c.lastAddr == nil {
-			c.lastDst, c.lastAddr = m.addr, net.UDPAddrFromAddrPort(m.addr)
-		}
-		if _, err := c.pc.WriteTo(m.buf[:m.n], c.lastAddr); err != nil {
+		if _, err := c.conn.WriteToUDPAddrPort(m.buf[:m.n], m.addr); err != nil {
 			// Transient per-datagram errors (e.g. ICMP-induced ECONNREFUSED
 			// on loopback) drop the datagram; reliability recovers it. A
 			// closed socket surfaces on the next read.
@@ -98,6 +99,29 @@ func (c *connIO) writeBatch(ms []*dgram) (sent, kmsgs int, err error) {
 		sent++
 	}
 	return sent, sent, nil
+}
+
+// packetConnIO gives any other net.PacketConn (the in-memory network, test
+// wrappers) the AddrPort API through ReadFrom/WriteTo, which box an address
+// per datagram.
+type packetConnIO struct {
+	pc net.PacketConn
+	// lastDst/lastAddr remember the previous datagram's destination, so a
+	// run to one peer builds its *net.UDPAddr once. Write lock holder only.
+	lastDst  netip.AddrPort
+	lastAddr *net.UDPAddr
+}
+
+func (c *packetConnIO) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	n, from, err := c.pc.ReadFrom(b)
+	return n, toAddrPort(from), err
+}
+
+func (c *packetConnIO) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
+	if addr != c.lastDst || c.lastAddr == nil {
+		c.lastDst, c.lastAddr = addr, net.UDPAddrFromAddrPort(addr)
+	}
+	return c.pc.WriteTo(b, c.lastAddr)
 }
 
 // toAddrPort converts a net.Addr to a normalized netip.AddrPort. Peer

@@ -26,7 +26,7 @@
 //     full NIC queue; reliability recovers it.
 //   - A timer wheel. SetTimer deadlines are served by a shared hashed
 //     timing wheel (one goroutine per process, not one runtime timer per
-//     endpoint), at one-tick resolution.
+//     endpoint), at one-tick resolution and never early.
 //
 // The public mtp.Node runs on a Transport whatever its PacketConn (the
 // in-memory test network included); internal/platform deploys multi-process
@@ -223,7 +223,7 @@ func (t *Transport) SetTimer(at time.Duration) {
 		t.wheel.Stop(t.timer)
 		return
 	}
-	t.wheel.Schedule(t.timer, at-t.wheel.Now())
+	t.wheel.scheduleAt(t.timer, at)
 }
 
 // Send queues one datagram and flushes it: Queue followed by Flush, for

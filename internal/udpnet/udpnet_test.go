@@ -497,30 +497,41 @@ func TestNodeAcksPerReceiveBatch(t *testing.T) {
 // the one-packet message (its packet-state slice, and a send buffer now and
 // then: 64 KB reassembly buffers bring GCs, and a GC empties the sync.Pool).
 // Nothing is allocated per packet, per ACK or per syscall, or the budget
-// would be blown 55 times over.
+// would be blown 55 times over. The lossy case puts both sockets behind a
+// Lossy that injects nothing, so the transport takes the portable connIO
+// path: it holds the 512 B budget too, reading and writing without boxing an
+// address.
 func TestUDPEnvSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		size   int
 		msgs   int
 		budget float64
+		lossy  bool
 	}{
-		{"512B", 512, 2000, 12},
-		{"64KB", 64 << 10, 300, 14},
+		{"512B", 512, 2000, 12, false},
+		{"512B/lossy", 512, 2000, 12, true},
+		{"64KB", 64 << 10, 300, 14, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if raceEnabled && tc.size > 512 {
 				t.Skip("sync.Pool drops a quarter of Puts under the race detector: one allocation per four packets")
 			}
+			conn := func(seed int64) net.PacketConn {
+				if tc.lossy {
+					return udpnet.NewLossy(udpConn(t), seed)
+				}
+				return udpConn(t)
+			}
 			var received atomic.Int64
-			sink, err := mtp.NewNode(udpConn(t), mtp.Config{Port: 7, OnMessage: func(m mtp.Message) {
+			sink, err := mtp.NewNode(conn(1), mtp.Config{Port: 7, OnMessage: func(m mtp.Message) {
 				received.Add(1)
 			}})
 			if err != nil {
 				t.Fatalf("sink: %v", err)
 			}
 			defer sink.Close()
-			src, err := mtp.NewNode(udpConn(t), mtp.Config{Port: 9})
+			src, err := mtp.NewNode(conn(2), mtp.Config{Port: 9})
 			if err != nil {
 				t.Fatalf("src: %v", err)
 			}

@@ -88,3 +88,52 @@ func TestWheelManyTimers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestWheelNeverFiresEarly: timers whose delays are spread across a tick, armed
+// at every phase of the wheel's clock, fire at or after their deadline and
+// within a tick of it, plus what a shared host adds to a wake-up.
+func TestWheelNeverFiresEarly(t *testing.T) {
+	const tick = 250 * time.Microsecond
+	const rounds, spread, slack = 8, 16, 20 * time.Millisecond
+	w := NewWheel(tick, 256)
+	defer w.Close()
+	late := make(chan time.Duration, rounds*spread)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < spread; i++ {
+			d := 2*time.Millisecond + time.Duration(i)*tick/spread
+			t0 := w.Now()
+			w.Schedule(NewTimer(func() { late <- w.Now() - t0 - d }), d)
+		}
+		time.Sleep(tick * 3 / 7) // the next round starts at another phase
+	}
+	for n := 0; n < rounds*spread; n++ {
+		select {
+		case l := <-late:
+			if l < 0 || l > tick+slack {
+				t.Errorf("fired %v after its deadline, want within [0, %v]", l, tick+slack)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d timers fired", n, rounds*spread)
+		}
+	}
+}
+
+// TestWheelSleepsToTheArmedSlot: a lone timer 160 ticks out costs the wheel
+// goroutine a handful of wake-ups, not one per tick.
+func TestWheelSleepsToTheArmedSlot(t *testing.T) {
+	w := NewWheel(250*time.Microsecond, 256)
+	defer w.Close()
+	fired := make(chan struct{})
+	w.Schedule(NewTimer(func() { close(fired) }), 40*time.Millisecond)
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	w.mu.Lock()
+	wakes := w.wakes
+	w.mu.Unlock()
+	if wakes > 4 {
+		t.Fatalf("the wheel advanced %d times for one timer 160 ticks out, want a handful", wakes)
+	}
+}
