@@ -50,12 +50,14 @@ scenario:
 	SCENARIO_SEEDS=$(SCENARIO_SEEDS) $(GO) test ./internal/scenario -run Scenario -count=1 -v
 
 # fuzz runs the native fuzz targets (reassembly state machine, wire decoder,
-# QUIC-baseline stream reassembly) for FUZZTIME each.
+# QUIC-baseline stream reassembly, event order against a sorted oracle) for
+# FUZZTIME each.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzReassembly -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzQUICStreamReassembly -fuzztime $(FUZZTIME) ./internal/baseline
+	$(GO) test -run XXX -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME) ./internal/sim
 
 # exp regenerates the paper's figures on the simulator.
 exp: build
@@ -83,8 +85,10 @@ bench:
 # per-layer cells of both sides: timeouts, retransmissions, duplicates, NACKs,
 # engine latency, CPU per message, timer lateness, the wheel's Schedule cost,
 # context switches, scheduler latency, Node mutex wait, packets and ACKs per
-# message; under the simulator, allocation, GC share, wall time and each row's
-# cost per event.
+# message; under the simulator, allocation, GC share, wall time, the engine's
+# and a hop's cost, event throughput, each row's cost per event, the two shard
+# speedups, and the exact counts a behaviour-preserving change must not move
+# (events per row, MTP retransmissions).
 N ?= 10
 BASE ?= HEAD~1
 TRACED ?= 0

@@ -20,9 +20,13 @@
 # NACKs, the engine's latency percentiles, CPU per message, timer lateness and
 # the wheel's Schedule cost, context switches, scheduler latency, Node mutex
 # wait, and packets and ACKs per message; the simulator's are its allocation
-# (sim.alloc_MB, go.alloc_B_per_msg), GC share, wall time, each row's cost per
-# event and their ratio (exp.mtp_over_dctcp_cost). A cell the workload does
-# not produce prints "-".
+# (sim.alloc_MB, go.alloc_B_per_msg), GC share, wall time, the engine alone
+# (sim.ns_per_event), one hop (simnet.ns_per_hop), event throughput
+# (sim.mev_per_s), each row's cost per event and their ratio
+# (exp.mtp_over_dctcp_cost), the two-shard speedups, and the exact counts a
+# behaviour-preserving change must leave alone (sim.events_mtp,
+# sim.events_dctcp, exp.incast_mtp_retx). A cell the workload does not
+# produce prints "-".
 set -euo pipefail
 
 wls=${1:?usage: ci/benchpair.sh '"WORKLOAD..." [N=10] [BASE=HEAD~1] [SECONDS=28]'}
@@ -37,7 +41,10 @@ cells="mtp.timeouts_per_kmsg mtp.retx_per_kmsg mtp.dup_rx_per_kmsg mtp.nacks_per
 	os.ctxsw_per_msg go.sched_lat_us_p99 mtp.mutex_wait_us_per_msg
 	mtp.pkts_sent_per_msg mtp.acks_per_msg
 	sim.alloc_MB go.alloc_B_per_msg go.gc_cpu_frac sim.wall_ms
-	simhost.mtp_ns_per_event baseline.dctcp_ns_per_event exp.mtp_over_dctcp_cost"
+	sim.ns_per_event simnet.ns_per_hop sim.mev_per_s
+	simhost.mtp_ns_per_event baseline.dctcp_ns_per_event exp.mtp_over_dctcp_cost
+	shard.speedup_2 shard.dctcp_speedup_2
+	sim.events_mtp sim.events_dctcp exp.incast_mtp_retx"
 
 root=$(git rev-parse --show-toplevel)
 work="$root/.bench_build/benchpair"

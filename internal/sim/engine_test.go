@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -156,6 +157,41 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule/run allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestReservedChurnZeroAlloc runs bench's engine rung on a fresh engine:
+// after Reserve, 4096 events always pending, each rescheduling itself at a
+// pseudo-random distance. Not one malloc: the radix lists live in the arena,
+// so no bucket grows lazily.
+func TestReservedChurnZeroAlloc(t *testing.T) {
+	const pending, total = 4096, 100000
+	e := NewEngine(1)
+	e.Reserve(pending)
+	fired := 0
+	lcg := uint32(1)
+	var tick func(a1, a2 any)
+	tick = func(_, _ any) {
+		fired++
+		if fired+pending <= total {
+			lcg = lcg*1664525 + 1013904223
+			e.ScheduleArg(time.Duration(1+lcg>>22), tick, nil, nil)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < pending; i++ {
+		lcg = lcg*1664525 + 1013904223
+		e.ScheduleArg(time.Duration(1+lcg>>22), tick, nil, nil)
+	}
+	e.RunAll(total)
+	runtime.ReadMemStats(&ms1)
+	if fired != total {
+		t.Fatalf("fired %d events, want %d", fired, total)
+	}
+	if n := ms1.Mallocs - ms0.Mallocs; n != 0 {
+		t.Fatalf("a reserved engine allocated %d times over %d events, want 0", n, fired)
 	}
 }
 
