@@ -1,7 +1,7 @@
 // Package check is the protocol invariant harness: a Checker observes every
 // packet event in a simulated network (via the simnet Observer hooks) and
-// every protocol event in attached MTP endpoints (via the core Observer
-// hooks) and asserts protocol-wide properties on each step:
+// every protocol event in attached MTP endpoints (via core.Observer) and
+// asserts protocol-wide properties on each step:
 //
 //   - packet conservation: every enqueued packet is delivered, dropped, or
 //     faulted — never duplicated (outside an injected duplication fault) and
@@ -163,7 +163,7 @@ func NewMsgRegistry() *MsgRegistry {
 func (c *Checker) ShareMessages(reg *MsgRegistry) { c.shared = reg }
 
 // RecordSend registers a message queued at a real-network sender — the
-// socket-backed counterpart of the Observer's MessageQueued hook, for tests
+// socket-backed counterpart of the Observer's KindQueued event, for tests
 // that run the endpoint over internal/udpnet instead of the simulator. node
 // is any stable per-process identity the test assigns. It returns an error
 // when (node, srcPort, msgID) was already used.
@@ -216,22 +216,6 @@ func (r *MsgRegistry) Undelivered() int {
 	n := 0
 	for _, rec := range r.msgs {
 		if rec.deliveries == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// UndeliveredFor counts recorded sends from one node that have never been
-// delivered. Restart soaks use it to reconcile per incarnation: sends from a
-// crashed incarnation may legitimately stay undelivered, while every send
-// from a surviving incarnation must drain to zero.
-func (r *MsgRegistry) UndeliveredFor(node simnet.NodeID) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for key, rec := range r.msgs {
-		if key.node == node && rec.deliveries == 0 {
 			n++
 		}
 	}
@@ -607,8 +591,32 @@ func phaseName(p pktPhase) string {
 
 // --- core.Observer: delivery, cc bounds, failover sanity ---
 
-// MessageQueued implements core.Observer.
-func (c *Checker) MessageQueued(e *core.Endpoint, m *core.OutMessage) {
+// Observe implements core.Observer: it records failures and feedback for the
+// failover audit and routes the events the audits below consume; every other
+// kind passes unexamined.
+func (c *Checker) Observe(e *core.Endpoint, ev *core.Event) {
+	switch ev.Kind {
+	case core.KindQueued:
+		c.messageQueued(e, ev.Out)
+	case core.KindDeliver:
+		c.messageDelivered(ev.In)
+	case core.KindPathletUpdated:
+		c.pathletUpdated(e, ev.State)
+	case core.KindFailover:
+		c.info(e).dead[ev.Path] = true
+	case core.KindFeedback:
+		info := c.info(e)
+		info.feedbackFrom = ev.Path
+		info.hasFeedbackFrom = true
+	case core.KindReadmit:
+		c.pathletReadmitted(e, ev.Path)
+	case core.KindProbe:
+		c.probeSent(e, ev.Path)
+	}
+}
+
+// messageQueued registers an outbound message for the delivery audit.
+func (c *Checker) messageQueued(e *core.Endpoint, m *core.OutMessage) {
 	info := c.info(e)
 	if !info.haveNode {
 		return
@@ -651,8 +659,9 @@ func (c *Checker) recordContribution(node simnet.NodeID, data []byte) {
 	byWorker[node] = vec
 }
 
-// MessageDelivered implements core.Observer.
-func (c *Checker) MessageDelivered(e *core.Endpoint, m *core.InMessage) {
+// messageDelivered checks one delivery against its send record: exactly
+// once, same size, same payload.
+func (c *Checker) messageDelivered(m *core.InMessage) {
 	from, ok := m.From.(simnet.NodeID)
 	if !ok {
 		return
@@ -684,8 +693,8 @@ func (c *Checker) MessageDelivered(e *core.Endpoint, m *core.InMessage) {
 	}
 }
 
-// PathletUpdated implements core.Observer: window/rate bound audit.
-func (c *Checker) PathletUpdated(e *core.Endpoint, st *pathlet.State) {
+// pathletUpdated is the window/rate bound audit.
+func (c *Checker) pathletUpdated(e *core.Endpoint, st *pathlet.State) {
 	info := c.info(e)
 	if !info.boundsKnown {
 		return
@@ -710,22 +719,10 @@ func (c *Checker) PathletUpdated(e *core.Endpoint, st *pathlet.State) {
 	}
 }
 
-// PathletFailed implements core.Observer.
-func (c *Checker) PathletFailed(e *core.Endpoint, p wire.PathTC) {
-	c.info(e).dead[p] = true
-}
-
-// FeedbackReceived implements core.Observer.
-func (c *Checker) FeedbackReceived(e *core.Endpoint, p wire.PathTC) {
-	info := c.info(e)
-	info.feedbackFrom = p
-	info.hasFeedbackFrom = true
-}
-
-// PathletReadmitted implements core.Observer: a dead pathlet may only come
-// back when feedback from that very pathlet is being processed — the probe
-// (or any rerouted packet) made it across and back.
-func (c *Checker) PathletReadmitted(e *core.Endpoint, p wire.PathTC) {
+// pathletReadmitted: a dead pathlet may only come back when feedback from
+// that very pathlet is being processed — the probe (or any rerouted packet)
+// made it across and back.
+func (c *Checker) pathletReadmitted(e *core.Endpoint, p wire.PathTC) {
 	info := c.info(e)
 	if !info.dead[p] {
 		c.violate("failover", "pathlet %d/%d readmitted but was never declared dead", p.PathID, p.TC)
@@ -736,8 +733,8 @@ func (c *Checker) PathletReadmitted(e *core.Endpoint, p wire.PathTC) {
 	}
 }
 
-// ProbeSent implements core.Observer.
-func (c *Checker) ProbeSent(e *core.Endpoint, p wire.PathTC) {
+// probeSent: only a dead pathlet is probed.
+func (c *Checker) probeSent(e *core.Endpoint, p wire.PathTC) {
 	if !c.info(e).dead[p] {
 		c.violate("failover", "probe sent toward pathlet %d/%d, which is not dead", p.PathID, p.TC)
 	}

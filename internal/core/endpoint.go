@@ -7,7 +7,6 @@ import (
 
 	"mtp/internal/cc"
 	"mtp/internal/pathlet"
-	"mtp/internal/trace"
 	"mtp/internal/wire"
 )
 
@@ -100,12 +99,9 @@ type Config struct {
 	// returned"). The freshest entries win; zero means unlimited.
 	FeedbackBudget int
 
-	// Trace, when non-nil, records protocol events (sends, acks,
-	// retransmissions, deliveries, exclusions) into the ring for debugging.
-	Trace *trace.Ring
-
-	// Observer, when non-nil, receives protocol-level events for invariant
-	// checking (internal/check). Nil in normal operation.
+	// Observer, when non-nil, receives every protocol event: the invariant
+	// checker (internal/check) and package mtp's trace ring attach here. Nil
+	// in normal operation.
 	Observer Observer
 }
 
@@ -276,6 +272,8 @@ type Endpoint struct {
 	// before it returns.
 	dataHdr wire.Header // scratch header for data packets
 	ackHdr  wire.Header // scratch header for ACK packets
+	// event is the one Event handed to the Observer (see observe).
+	event Event
 
 	// Retransmission clock: one RFC 6298 estimator per peer sent to, created
 	// by the first Send toward it. A shared estimator would floor on the
@@ -475,7 +473,7 @@ func (e *Endpoint) push(m *OutMessage) {
 	e.byID[m.ID] = m
 	e.Stats.MsgsSent++
 	if e.cfg.Observer != nil {
-		e.cfg.Observer.MessageQueued(e, m)
+		e.observe(Event{Kind: KindQueued, Msg: m.ID, A: uint64(m.Size), Out: m})
 	}
 	e.trySend()
 }
@@ -542,7 +540,7 @@ func (e *Endpoint) Release(m *OutMessage) bool {
 	e.removeCompleted()
 	e.Stats.MsgsReleased++
 	e.Stats.MsgsCompleted++
-	e.trace(trace.KindComplete, m.ID, 0, uint64(m.Size), 0)
+	e.emit(KindComplete, m.ID, 0, uint64(m.Size), 0)
 	if e.cfg.OnMessageSent != nil {
 		e.cfg.OnMessageSent(m)
 	}
@@ -720,14 +718,6 @@ func (e *Endpoint) msgFloor() uint64 {
 		return e.active[0].ID
 	}
 	return e.nextID
-}
-
-// trace records an event when tracing is enabled.
-func (e *Endpoint) trace(kind trace.Kind, msg uint64, pkt uint32, a, b uint64) {
-	if e.cfg.Trace == nil {
-		return
-	}
-	e.cfg.Trace.Add(trace.Event{At: e.env.Now(), Kind: kind, Msg: msg, Pkt: pkt, A: a, B: b})
 }
 
 // allocInMsg returns receiver message state for key with a cleared npkts-sized

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mtp/internal/trace"
 	"mtp/internal/wire"
 )
 
@@ -29,7 +28,7 @@ func (e *Endpoint) admitEpoch(from Addr, ep uint32) bool {
 	}
 	e.peerEpochs[from] = ep
 	e.Stats.EpochBumps++
-	e.trace(trace.KindEpochBump, 0, 0, uint64(ep), uint64(last))
+	e.emit(KindEpochBump, 0, 0, uint64(ep), uint64(last))
 	e.resetPeer(from)
 	return true
 }

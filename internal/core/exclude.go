@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"mtp/internal/trace"
 	"mtp/internal/wire"
 )
 
@@ -72,7 +71,7 @@ func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Fe
 		if now >= t {
 			delete(a.until, p)
 			e.table.SetExcluded(p, false)
-			e.trace(trace.KindReadmit, 0, 0, uint64(p.PathID), uint64(p.TC))
+			e.emitPath(KindUnexclude, p)
 		}
 	}
 	for _, f := range entries {
@@ -115,7 +114,7 @@ func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Fe
 		if _, already := a.until[f.Path]; !already {
 			e.table.SetExcluded(f.Path, true)
 			e.Stats.Exclusions++
-			e.trace(trace.KindExclude, 0, 0, uint64(f.Path.PathID), uint64(f.Path.TC))
+			e.emitPath(KindExclude, f.Path)
 		}
 		a.until[f.Path] = now + a.cfg.Duration
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"mtp/internal/trace"
 	"mtp/internal/wire"
 )
 
@@ -68,10 +67,7 @@ func (e *Endpoint) failPathlet(p wire.PathTC) {
 	delete(f.rtoRuns, p)
 	e.table.SetExcluded(p, true)
 	e.Stats.Failovers++
-	e.trace(trace.KindFailover, 0, 0, uint64(p.PathID), uint64(p.TC))
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.PathletFailed(e, p)
-	}
+	e.emitPath(KindFailover, p)
 
 	// Fail surviving messages over: every packet still unacknowledged on the
 	// dead pathlet is presumed lost and queued for retransmission on whatever
@@ -107,9 +103,7 @@ func (e *Endpoint) noteFeedbackPath(p wire.PathTC) {
 	if f == nil {
 		return
 	}
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.FeedbackReceived(e, p)
-	}
+	e.emitPath(KindFeedback, p)
 	delete(f.rtoRuns, p)
 	for i, d := range f.dead {
 		if d.path != p {
@@ -118,10 +112,7 @@ func (e *Endpoint) noteFeedbackPath(p wire.PathTC) {
 		f.dead = append(f.dead[:i], f.dead[i+1:]...)
 		e.table.SetExcluded(p, false)
 		e.Stats.Readmissions++
-		e.trace(trace.KindReadmit, 0, 0, uint64(p.PathID), uint64(p.TC))
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.PathletReadmitted(e, p)
-		}
+		e.emitPath(KindReadmit, p)
 		return
 	}
 }
@@ -146,10 +137,7 @@ func (e *Endpoint) sendExcludeList() []wire.PathTC {
 		}
 		d.nextProbeAt = now + e.cfg.ProbeInterval
 		e.Stats.ProbesSent++
-		e.trace(trace.KindProbe, 0, 0, uint64(d.path.PathID), uint64(d.path.TC))
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.ProbeSent(e, d.path)
-		}
+		e.emitPath(KindProbe, d.path)
 		kept := make([]wire.PathTC, 0, len(list))
 		for _, p := range list {
 			if p != d.path {

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"mtp/internal/trace"
 	"mtp/internal/wire"
 )
 
@@ -100,9 +99,9 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 
 	if f.got[pn] {
 		e.Stats.PktsDuplicate++
-		e.trace(trace.KindDupData, hdr.MsgID, hdr.PktNum, uint64(hdr.PktLen), 0)
+		e.emit(KindDupData, hdr.MsgID, hdr.PktNum, uint64(hdr.PktLen), 0)
 	} else {
-		e.trace(trace.KindRecvData, hdr.MsgID, hdr.PktNum, uint64(hdr.PktLen), 0)
+		e.emit(KindRecvData, hdr.MsgID, hdr.PktNum, uint64(hdr.PktLen), 0)
 		f.got[pn] = true
 		for f.prefix < len(f.got) && f.got[f.prefix] {
 			f.prefix++
@@ -148,7 +147,6 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 		defer e.releaseInMsg(f)
 		e.rememberDone(key)
 		e.Stats.MsgsDelivered++
-		e.trace(trace.KindDeliver, hdr.MsgID, 0, uint64(f.bytes), 0)
 		msg := &InMessage{
 			From:     in.From,
 			SrcPort:  hdr.SrcPort,
@@ -166,7 +164,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 			msg.Data = f.data[:f.bytes]
 		}
 		if e.cfg.Observer != nil {
-			e.cfg.Observer.MessageDelivered(e, msg)
+			e.observe(Event{Kind: KindDeliver, Msg: hdr.MsgID, A: uint64(f.bytes), In: msg})
 		}
 		if e.cfg.OnMessage != nil {
 			e.cfg.OnMessage(msg)
@@ -195,7 +193,7 @@ func (e *Endpoint) collectNacks(now time.Duration, f *inMsg, batch *ackBatch) {
 		f.nacked[pkt] = now
 		batch.nack = append(batch.nack, wire.PacketRef{MsgID: f.key.msgID, PktNum: pkt})
 		e.Stats.NacksSent++
-		e.trace(trace.KindNackOut, f.key.msgID, pkt, 0, 0)
+		e.emit(KindNackOut, f.key.msgID, pkt, 0, 0)
 	}
 }
 
@@ -292,7 +290,7 @@ func (e *Endpoint) flush(to Addr, b *ackBatch) {
 		PathExclude: e.table.ExcludeList(),
 	}
 	e.Stats.AcksSent++
-	e.trace(trace.KindSendAck, 0, 0, uint64(len(b.sack)), uint64(len(b.nack)))
+	e.emit(KindSendAck, 0, 0, uint64(len(b.sack)), uint64(len(b.nack)))
 	e.output(to, hdr, nil, hdr.EncodedLen()+headerOverhead)
 	e.dropBatch(to, b)
 }

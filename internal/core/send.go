@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"mtp/internal/trace"
 	"mtp/internal/wire"
 )
 
@@ -127,10 +126,12 @@ func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC
 	e.table.AddInflight(path, int(p.length))
 	p.attributed = true
 	e.Stats.PktsSent++
-	if isRtx {
-		e.trace(trace.KindRetransmit, m.ID, uint32(idx), uint64(p.length), uint64(path.PathID))
-	} else {
-		e.trace(trace.KindSendData, m.ID, uint32(idx), uint64(p.length), uint64(path.PathID))
+	if e.cfg.Observer != nil {
+		kind := KindSendData
+		if isRtx {
+			kind = KindRetransmit
+		}
+		e.observe(Event{Kind: kind, Msg: m.ID, Pkt: uint32(idx), A: uint64(p.length), B: uint64(path.PathID), Path: path})
 	}
 
 	e.output(m.Dst, hdr, data, hdr.EncodedLen()+headerOverhead+int(p.length))
@@ -143,7 +144,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 	hdr := in.Hdr
 	e.Stats.AcksReceived++
 	e.Stats.NacksReceived += uint64(len(hdr.NACK))
-	e.trace(trace.KindRecvAck, 0, 0, uint64(len(hdr.SACK)), uint64(len(hdr.NACK)))
+	e.emit(KindRecvAck, 0, 0, uint64(len(hdr.SACK)), uint64(len(hdr.NACK)))
 
 	ackedBytes := 0
 	var rttSample time.Duration
@@ -226,7 +227,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 		}
 		if e.cfg.Observer != nil {
 			for _, st := range updated {
-				e.cfg.Observer.PathletUpdated(e, st)
+				e.observe(Event{Kind: KindPathletUpdated, A: uint64(st.Algo.Window()), B: uint64(st.Inflight), Path: st.Path, State: st})
 			}
 		}
 	}
@@ -250,6 +251,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 		}
 		p.inRtx = true
 		m.rtxQueue = append(m.rtxQueue, int(ref.PktNum))
+		e.emit(KindNackIn, ref.MsgID, ref.PktNum, 0, 0)
 		if !pathSeen(lossPaths, p.path) {
 			lossPaths = append(lossPaths, p.path)
 			e.table.OnLoss(now, p.path)
@@ -261,7 +263,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 		e.removeCompleted()
 		for _, m := range completed {
 			e.Stats.MsgsCompleted++
-			e.trace(trace.KindComplete, m.ID, 0, uint64(m.Size), 0)
+			e.emit(KindComplete, m.ID, 0, uint64(m.Size), 0)
 			if e.cfg.OnMessageSent != nil {
 				e.cfg.OnMessageSent(m)
 			}
@@ -329,7 +331,7 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 					m.rtxQueue = append(m.rtxQueue, i)
 					m.bypass = true
 					e.Stats.DelegateTimeouts++
-					e.trace(trace.KindTimeout, m.ID, uint32(i), 1, 0)
+					e.emit(KindTimeout, m.ID, uint32(i), 1, 0)
 				} else if next == 0 || deadline < next {
 					next = deadline
 				}
@@ -343,7 +345,7 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 				if !slices.Contains(backedOff, m.rtt) {
 					backedOff = append(backedOff, m.rtt)
 				}
-				e.trace(trace.KindTimeout, m.ID, uint32(i), 0, 0)
+				e.emit(KindTimeout, m.ID, uint32(i), 0, 0)
 				if !pathSeen(lossPaths, p.path) {
 					lossPaths = append(lossPaths, p.path)
 					e.table.OnLoss(now, p.path)

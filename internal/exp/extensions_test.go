@@ -4,6 +4,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mtp/internal/baseline"
+	"mtp/internal/check"
+	"mtp/internal/core"
+	"mtp/internal/simnet"
 )
 
 func TestExclusionSteersAwayFromCongestion(t *testing.T) {
@@ -21,6 +26,32 @@ func TestExclusionSteersAwayFromCongestion(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "exclusion") {
 		t.Fatal("missing render")
+	}
+}
+
+// TestExclusionUnderCheck: RunExclusion's congested two-path rig under the
+// invariant checker. The sender excludes the congested pathlet, the
+// exclusion expires, and it is excluded again; an expiry is no failover
+// readmission, so the checker's failover audit has nothing to report.
+func TestExclusionUnderCheck(t *testing.T) {
+	rig := newTwoPath(twoPathSpec{
+		FastRate: 10e9, SlowRate: 10e9, LinkDelay: time.Microsecond, SlowDelay: time.Microsecond,
+		QueueCap: 128, ECNThreshold: 20, EdgeRate: 20e9, EdgeQueue: 2048,
+		Seed: 1, Policy: &simnet.Spray{}, Pathlets: 2,
+	})
+	chk := check.New(rig.eng, rig.net)
+	baseline.NewUDPSender(rig.eng, baseline.Route{Pool: rig.net, Emit: rig.fast.Enqueue},
+		99, rig.rcv.ID(), 1460, 9e9).Start()
+	sender, _ := rig.runMTP(core.Config{RTO: 2 * time.Millisecond, AutoExclude: &core.AutoExcludeConfig{
+		MarkFraction: 0.3, Window: 32, Duration: 2 * time.Millisecond,
+	}}, chk, time.Millisecond, 12*time.Millisecond)
+	chk.Finalize()
+	// A second exclusion of the one congested pathlet means the first expired.
+	if n := sender.EP.Stats.Exclusions; n < 2 {
+		t.Fatalf("%d exclusions: none expired and recurred", n)
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatalf("%v\n%v", err, chk.Violations())
 	}
 }
 
