@@ -3,6 +3,7 @@ package mtp
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -161,4 +162,37 @@ func TestNodeBlobAndMessagesCoexist(t *testing.T) {
 			t.Fatal("content mixed up between ports")
 		}
 	})
+}
+
+// TestNodeBlobUnackedLeaksNothing: a blob whose chunks are never
+// acknowledged leaves no goroutine behind once the node is closed.
+func TestNodeBlobUnackedLeaksNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	mn := NewMemNetwork(15)
+	pc, err := mn.Listen("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(pc, Config{Port: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := n.SendBlob("nobody", 50, make([]byte, 64<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Chunks < 2 {
+		t.Fatalf("chunks = %d", out.Chunks)
+	}
+	n.Close()
+	select {
+	case <-out.Done():
+		t.Fatal("blob acknowledged with no receiver")
+	default:
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the node", runtime.NumGoroutine(), base)
+		}
+	}
 }
