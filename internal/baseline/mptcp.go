@@ -312,9 +312,6 @@ func (m *MPTCP) reinject(i int) {
 	}
 }
 
-// Pump re-runs striping (call from ack hooks or timers when windows open).
-func (m *MPTCP) Pump() { m.pump() }
-
 // Acked returns total stream bytes acknowledged across subflows. With
 // reinjection this can exceed the stream length (two subflows may both
 // carry and ack the same global bytes); AckedGlobal counts each global byte
@@ -448,11 +445,3 @@ func (r *MPTCPReceiver) merge(global, n int64) {
 
 // Contiguous returns the merged in-order stream length.
 func (r *MPTCPReceiver) Contiguous() int64 { return r.contiguous }
-
-// Subflow returns a subflow receiver by conn ID.
-func (r *MPTCPReceiver) Subflow(conn uint64) *Receiver {
-	if s := r.subflows[conn]; s != nil {
-		return s.r
-	}
-	return nil
-}

@@ -92,17 +92,3 @@ func (r *SchedRoundRobin) Pick(subs []*Sender) int {
 	r.next = i + 1
 	return i
 }
-
-// NewScheduler builds a scheduler by name ("maxfree", "lowest-rtt",
-// "round-robin"); empty means the default SchedMaxFree. Unknown names panic.
-func NewScheduler(name string) SubflowScheduler {
-	switch name {
-	case "", "maxfree":
-		return SchedMaxFree{}
-	case "lowest-rtt":
-		return SchedLowestRTT{}
-	case "round-robin":
-		return &SchedRoundRobin{}
-	}
-	panic("baseline: unknown scheduler " + name)
-}

@@ -250,9 +250,6 @@ func (c *Cluster) NumShards() int { return len(c.shards) }
 // Shard returns shard i.
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
-// Plan returns the partition.
-func (c *Cluster) Plan() topo.ShardPlan { return c.plan }
-
 // RunStats summarizes one parallel run.
 type RunStats struct {
 	// Events is the total events executed across all shards.

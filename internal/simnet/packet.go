@@ -108,6 +108,3 @@ func (p *Packet) SetHeader(h *wire.Header) {
 	p.own.CopyFrom(h)
 	p.Hdr = p.own
 }
-
-// IsMTP reports whether the packet carries an MTP header.
-func (p *Packet) IsMTP() bool { return p.Hdr != nil }

@@ -141,9 +141,6 @@ func (s *Switch) SetDown(down bool) {
 // Down reports whether the switch is crashed.
 func (s *Switch) Down() bool { return s.down }
 
-// SetPolicy replaces the forwarding policy.
-func (s *Switch) SetPolicy(p ForwardPolicy) { s.policy = p }
-
 // Receive implements Node: route and enqueue.
 func (s *Switch) Receive(pkt *Packet, from *Link) {
 	if s.down {
