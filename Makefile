@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify golden exp sim-smoke bench benchpair netbench chaos cover scenario fuzz
+.PHONY: build test race vet verify golden exp sim-smoke bench benchpair netbench chaos cover scenario fuzz loc
 
 build:
 	$(GO) build ./...
@@ -108,3 +108,8 @@ netbench: build
 # if the kill missed the run entirely (no point came back degraded).
 chaos: build
 	$(GO) run ./cmd/mtploadgen -runfile ci/chaos.run -chaos kill:2@150ms
+
+# loc prints the Go line counts CHANGES.md quotes: non-test and test lines
+# for each package of the root module, the module's totals, and bench's total.
+loc:
+	bash ci/loc.sh
