@@ -11,8 +11,8 @@ import (
 // TestPoisonFreedChangesNothing: a simulated MTP packet's header lives in the
 // pooled packet, and so does a DCTCP packet's segment, so anything that keeps
 // pkt.Hdr (or a list sliced from it) or the segment past the packet's release
-// — a host handler, a switch policy, an offload device, a check or
-// core.Observer hook, a duplicate or a shard crossing sharing the original's
+// — a host handler, a switch policy, an offload device, a check audit or
+// core.Observer, a duplicate or a shard crossing sharing the original's
 // — reads the next packet's. With poison on, released headers and segments
 // read as sentinels instead, so a stale reader changes the outcome: a fat-tree
 // incast of both rows (one engine and two shards), the DCTCP row of a
