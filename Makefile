@@ -86,9 +86,10 @@ bench:
 # engine latency, CPU per message, timer lateness, the wheel's Schedule cost,
 # context switches, scheduler latency, Node mutex wait, packets and ACKs per
 # message; under the simulator, allocation, GC share, wall time, the engine's
-# and a hop's cost, event throughput, each row's cost per event, the two shard
-# speedups, and the exact counts a behaviour-preserving change must not move
-# (events per row, MTP retransmissions).
+# cost and allocations per event and a hop's cost, event throughput, each
+# row's cost per event, the two shard speedups, and the exact counts a
+# behaviour-preserving change must not move (events per row, MTP
+# retransmissions, the two-shard run's barrier rounds and crossings).
 N ?= 10
 BASE ?= HEAD~1
 TRACED ?= 0

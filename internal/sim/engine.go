@@ -14,13 +14,21 @@
 // element is not.
 //
 // Events live by value in an arena with a free-list, so steady-state
-// Schedule/Stop/Run perform zero heap allocations. The pending set is a
-// monotone radix queue: the clock never runs backwards and nothing is
-// scheduled before it, so an event is filed by the highest bit in which its
-// time differs from the last popped time, and a pop only compares the
-// events of the lowest non-empty bucket. Only the events due at one instant
-// are ordered by comparison, in a small 4-ary heap keyed by (priority,
-// sequence).
+// Schedule/Stop/Run perform zero heap allocations. The pending set sorts only
+// what arrives unsorted. A simulated network schedules most of its events
+// with a handful of delays (a link's propagation delay, the serialization
+// time of a full packet and of an ACK), and since the clock never runs
+// backwards the events scheduled with one delay come due in the order they
+// were scheduled. Each such delay gets a lane: a FIFO ring whose entries
+// carry their (time, priority, sequence) key inline, so a push is an append
+// and a pop compares only the lane heads. Every other event goes to a
+// monotone radix queue: nothing is scheduled before the clock, so an event is
+// filed by the highest bit in which its time differs from the last time the
+// queue popped, and a pop only compares the events of the lowest non-empty
+// bucket. Only the radix events due at one instant are ordered by
+// comparison, in a small 4-ary heap keyed by (priority, sequence). A pop
+// takes the (time, priority, sequence) minimum of the lane heads and the
+// radix queue, so lanes change the cost of the order, never the order.
 package sim
 
 import (
@@ -47,13 +55,61 @@ type event struct {
 	a1  any
 	a2  any
 	gen uint32
-	// bkt is the queue bucket holding the slot: 0 for the same-instant heap,
-	// 1–63 for a radix list, -1 once fired, cancelled, or free.
+	// bkt is where the slot is queued: 0 for the same-instant heap, 1–63 for
+	// a radix list, laneBkt+i for lane i, -1 once fired, cancelled, or free.
 	bkt int32
-	// pos is the slot's heap index in bucket 0. In a list bucket pos and
-	// next are the previous and next slots of the list, -1 at either end; a
-	// free slot's next is the next free slot.
+	// pos is the slot's heap index in bucket 0 and its ring index in a lane.
+	// In a list bucket pos and next are the previous and next slots of the
+	// list, -1 at either end; a free slot's next is the next free slot.
 	pos, next int32
+}
+
+// laneCount is the number of lanes. sim_incast spends 97 % of its schedules
+// on four delays (propagation, the serialization of a data packet and of two
+// ACK sizes).
+const laneCount = 4
+
+// A lane is freed when it carries less than 1/laneShare of the schedules of
+// an epoch of laneEpoch schedules: a rare delay costs every pop a comparison
+// and saves a few placements.
+const (
+	laneEpoch = 4096
+	laneShare = 64
+)
+
+// laneBkt is the bkt of the slots queued in lane 0.
+const laneBkt = 64
+
+// minLaneRing is the ring size a lane starts with when Reserve gave it none.
+const minLaneRing = 16
+
+// laneEntry is a lane's copy of an event's order key, so comparing lane heads
+// never reads the arena. slot is ^slot once Stop cancelled the event.
+type laneEntry struct {
+	at   Time
+	pri  uint64
+	seq  uint64
+	slot int32
+}
+
+// lane is the FIFO of the events scheduled with one delay, in (at, pri, seq)
+// order: a ring of n entries from head, its length a power of two.
+type lane struct {
+	buf     []laneEntry
+	head, n int32
+}
+
+func (ln *lane) first() *laneEntry { return &ln.buf[ln.head] }
+
+// before reports whether a orders before b by (at, pri, seq).
+func (a *laneEntry) before(b *laneEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
 }
 
 // heapArity is the fan-out of the same-instant heap. A 4-ary heap halves the
@@ -81,6 +137,10 @@ func (t Timer) Stop() bool {
 	ev := &e.arena[t.slot]
 	if ev.gen != t.gen || ev.bkt < 0 {
 		return false
+	}
+	if ev.bkt >= laneBkt {
+		e.laneCancel(t.slot)
+		return true
 	}
 	e.unlink(t.slot)
 	e.release(t.slot)
@@ -121,6 +181,20 @@ type Engine struct {
 	loOK    uint64    // bit b set: lo[b] is exact (a Stop of the earliest clears it)
 	pending int
 
+	// Lane i holds the events scheduled delay[i] ahead of the clock; a free
+	// lane's delay is -1, and it may still hold events until it drains. A
+	// free, empty lane goes to a delay that missed three times in a row
+	// (missRun times so far for missed, the last delay that missed), so a
+	// delay that does not repeat costs the lookup and nothing else.
+	lanes    [laneCount]lane
+	delay    [laneCount]Time
+	laneAt   [laneCount]Time  // the time of lane i's head, maxTime when empty
+	laneMask uint32           // bit i set: lane i is non-empty, and its head is live
+	laneHits [laneCount]int32 // lookups lane i served this epoch
+	epoch    int32            // lookups left in this epoch
+	missed   Time
+	missRun  int
+
 	processed uint64
 	running   bool
 	// runLimit is the exclusive bound of the RunBefore window currently
@@ -143,7 +217,12 @@ const PriLast = ^uint64(0)
 // NewEngine returns an engine with the clock at zero and randomness derived
 // from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), free: -1}
+	e := &Engine{rng: rand.New(rand.NewSource(seed)), free: -1, missed: -1}
+	for i := range e.delay {
+		e.delay[i] = -1
+		e.laneAt[i] = maxTime
+	}
+	return e
 }
 
 // Now returns the current virtual time.
@@ -162,11 +241,12 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Reserve grows the arena and same-instant heap capacity so at least n
 // events can be pending at once without reallocation (the radix lists and
-// the free-list live in the arena and need nothing more). Topology builders
-// call it with an estimate derived from the fabric's element count (hosts,
-// links, timers), so a shard's engine reaches its steady-state footprint at
-// construction time instead of through repeated doubling during the first
-// congestion burst.
+// the free-list live in the arena and need nothing more), and sizes each
+// lane's ring for an even share of them. Topology builders call it with an
+// estimate derived from the fabric's element count (hosts, links, timers),
+// so a shard's engine reaches its steady-state footprint at construction
+// time instead of through repeated doubling during the first congestion
+// burst.
 func (e *Engine) Reserve(n int) {
 	if cap(e.arena) < n {
 		arena := make([]event, len(e.arena), n)
@@ -177,6 +257,15 @@ func (e *Engine) Reserve(n int) {
 		order := make([]int32, len(e.order), n)
 		copy(order, e.order)
 		e.order = order
+	}
+	ring := minLaneRing
+	for ring < n/laneCount {
+		ring *= 2
+	}
+	for i := range e.lanes {
+		if len(e.lanes[i].buf) < ring {
+			e.laneResize(i, ring)
+		}
 	}
 }
 
@@ -284,8 +373,161 @@ func (e *Engine) schedule(at Time, pri uint64, fn func(), afn func(a1, a2 any), 
 	ev.a1 = a1
 	ev.a2 = a2
 	e.pending++
-	e.place(slot)
+	if i := e.laneFor(at - e.now); i >= 0 {
+		e.lanePush(i, slot)
+	} else {
+		e.place(slot)
+	}
 	return Timer{en: e, slot: slot, gen: ev.gen}
+}
+
+// laneFor returns the lane of the events scheduled d ahead of the clock, or
+// -1 to send the event to the radix queue. A delay without a lane that
+// misses three times in a row takes a free lane if there is one; every
+// laneEpoch lookups, a lane that carried fewer than laneEpoch/laneShare of
+// them is freed, to take no new events and to drain.
+func (e *Engine) laneFor(d Time) int {
+	if e.epoch--; e.epoch < 0 {
+		e.epoch = laneEpoch
+		for i, hits := range e.laneHits {
+			if hits < laneEpoch/laneShare {
+				e.delay[i] = -1
+			}
+			e.laneHits[i] = 0
+		}
+	}
+	for i, ld := range e.delay {
+		if ld == d {
+			e.laneHits[i]++
+			return i
+		}
+	}
+	if d != e.missed {
+		e.missed, e.missRun = d, 1
+		return -1
+	}
+	if e.missRun++; e.missRun < 3 {
+		return -1
+	}
+	for i, ld := range e.delay {
+		if ld < 0 && e.laneMask&(1<<i) == 0 {
+			e.delay[i] = d
+			e.missed = -1
+			return i
+		}
+	}
+	return -1
+}
+
+// lanePush appends a pending slot to lane i. Its time is at least that of
+// every entry already there, because the clock never runs backwards; only
+// the entries of equal time and higher priority at the tail move back one.
+func (e *Engine) lanePush(i int, slot int32) {
+	ln := &e.lanes[i]
+	if int(ln.n) == len(ln.buf) {
+		e.laneResize(i, max(minLaneRing, 2*len(ln.buf)))
+	}
+	ev := &e.arena[slot]
+	ev.bkt = int32(laneBkt + i)
+	mask := int32(len(ln.buf) - 1)
+	p := (ln.head + ln.n) & mask
+	for k := ln.n; k > 0; k-- {
+		q := (p - 1) & mask
+		prev := &ln.buf[q]
+		if prev.at != ev.at || prev.pri <= ev.pri {
+			break
+		}
+		ln.buf[p] = *prev
+		if prev.slot >= 0 {
+			e.arena[prev.slot].pos = p
+		}
+		p = q
+	}
+	ln.buf[p] = laneEntry{at: ev.at, pri: ev.pri, seq: ev.seq, slot: slot}
+	ev.pos = p
+	if ln.n++; ln.n == 1 {
+		e.laneAt[i] = ev.at
+		e.laneMask |= 1 << i
+	}
+}
+
+// laneResize moves lane i's entries to the start of a ring of size entries.
+func (e *Engine) laneResize(i, size int) {
+	ln := &e.lanes[i]
+	buf := make([]laneEntry, size)
+	for k := int32(0); k < ln.n; k++ {
+		ent := ln.buf[(ln.head+k)&int32(len(ln.buf)-1)]
+		buf[k] = ent
+		if ent.slot >= 0 {
+			e.arena[ent.slot].pos = k
+		}
+	}
+	ln.buf, ln.head = buf, 0
+}
+
+// laneDrop removes lane i's head entry, then every cancelled entry behind
+// it, returning their slots to the free-list: a non-empty lane's head is
+// always live.
+func (e *Engine) laneDrop(i int) {
+	ln := &e.lanes[i]
+	mask := int32(len(ln.buf) - 1)
+	for {
+		ln.head = (ln.head + 1) & mask
+		if ln.n--; ln.n == 0 {
+			e.laneAt[i] = maxTime
+			e.laneMask &^= 1 << i
+			return
+		}
+		h := &ln.buf[ln.head]
+		if h.slot >= 0 {
+			e.laneAt[i] = h.at
+			return
+		}
+		e.reclaim(^h.slot)
+	}
+}
+
+// laneCancel stops a slot held in a lane. At the head or the tail the entry
+// leaves the ring at once, taking any cancelled entries it uncovers along;
+// in between it is marked cancelled, and its slot waits for the entry to
+// reach the head.
+func (e *Engine) laneCancel(slot int32) {
+	ev := &e.arena[slot]
+	i := int(ev.bkt - laneBkt)
+	ln := &e.lanes[i]
+	mask := int32(len(ln.buf) - 1)
+	switch p := ev.pos; p {
+	case ln.head:
+		e.release(slot)
+		e.laneDrop(i)
+	case (ln.head + ln.n - 1) & mask:
+		e.release(slot)
+		for ln.n--; ln.buf[(ln.head+ln.n-1)&mask].slot < 0; ln.n-- {
+			e.reclaim(^ln.buf[(ln.head+ln.n-1)&mask].slot)
+		}
+	default:
+		e.retire(slot)
+		ln.buf[p].slot = ^slot
+	}
+}
+
+// laneFirst returns the non-empty lane whose head orders first; laneMask
+// must be non-zero. It finds the earliest head time, then reads the heads
+// only to break a tie.
+func (e *Engine) laneFirst() int {
+	best, at := 0, e.laneAt[0]
+	for i := 1; i < laneCount; i++ {
+		if e.laneAt[i] < at {
+			best, at = i, e.laneAt[i]
+		}
+	}
+	for i := best + 1; i < laneCount; i++ {
+		if e.laneAt[i] == at && e.laneMask&(1<<i) != 0 &&
+			(e.laneMask&(1<<best) == 0 || e.lanes[i].first().before(e.lanes[best].first())) {
+			best = i
+		}
+	}
+	return best
 }
 
 // place files a pending slot in bucket bits.Len64(at ^ last): onto the
@@ -360,8 +602,8 @@ func (e *Engine) earliest(b int) Time {
 	return e.lo[b]
 }
 
-// peek returns the firing time of the earliest pending event and the bucket
-// holding it, without touching the queue.
+// peek returns the firing time of the earliest event of the radix queue and
+// the bucket holding it, without touching the queue.
 func (e *Engine) peek() (at Time, b int, ok bool) {
 	if len(e.order) > 0 {
 		return e.last, 0, true
@@ -454,10 +696,16 @@ func (e *Engine) removeAt(i int) {
 	}
 }
 
-// release recycles an arena slot onto the free-list, bumping its generation
-// so stale Timer handles become inert, and dropping references so fired
-// callbacks and their captures can be collected.
+// release recycles an arena slot onto the free-list.
 func (e *Engine) release(slot int32) {
+	e.retire(slot)
+	e.reclaim(slot)
+}
+
+// retire ends a slot's event: it bumps the generation so stale Timer
+// handles become inert, and drops references so fired callbacks and their
+// captures can be collected.
+func (e *Engine) retire(slot int32) {
 	ev := &e.arena[slot]
 	ev.gen++
 	ev.fn = nil
@@ -466,7 +714,11 @@ func (e *Engine) release(slot int32) {
 	ev.a2 = nil
 	ev.bkt = -1
 	e.pending--
-	ev.next = e.free
+}
+
+// reclaim puts a retired slot on the free-list.
+func (e *Engine) reclaim(slot int32) {
+	e.arena[slot].next = e.free
 	e.free = slot
 }
 
@@ -476,18 +728,43 @@ func (e *Engine) release(slot int32) {
 // leaves the queue exactly as it was, because a shard may still inject an
 // arrival anywhere in [now, next event) after the window closes.
 func (e *Engine) fire(limit Time, inclusive bool) bool {
-	at, b, ok := e.peek()
+	rat, b, rok := e.peek()
+	at, ok, lane := rat, rok, -1
+	if e.laneMask != 0 {
+		lane = e.laneFirst()
+		if lat := e.laneAt[lane]; !rok || lat <= rat {
+			at, ok = lat, true
+		} else {
+			lane = -1
+		}
+	}
 	if !ok || at > limit || at == limit && !inclusive {
 		return false
 	}
-	if b > 0 {
-		e.refill(b, at)
+	if rok && rat == at {
+		// The radix queue holds an event due at at too: order that instant's
+		// radix events, and keep the lane head only if it comes first.
+		if b > 0 {
+			e.refill(b, at)
+		}
+		if lane >= 0 {
+			h, top := e.lanes[lane].first(), &e.arena[e.order[0]]
+			if top.pri < h.pri || top.pri == h.pri && top.seq < h.seq {
+				lane = -1
+			}
+		}
 	}
-	slot := e.order[0]
+	var slot int32
+	if lane < 0 {
+		slot = e.order[0]
+		e.removeAt(0)
+	} else {
+		slot = e.lanes[lane].first().slot
+		e.laneDrop(lane)
+	}
 	ev := &e.arena[slot]
 	fn, afn, a1, a2, pri, seq := ev.fn, ev.afn, ev.a1, ev.a2, ev.pri, ev.seq
 	e.now = at
-	e.removeAt(0)
 	e.release(slot)
 	e.processed++
 	if e.step != nil {
@@ -566,6 +843,11 @@ func (e *Engine) TightenRunLimit(until Time) {
 // it may still land anywhere from the clock on.
 func (e *Engine) NextEventAt() (at Time, ok bool) {
 	at, _, ok = e.peek()
+	if e.laneMask != 0 {
+		if lat := e.laneAt[e.laneFirst()]; !ok || lat < at {
+			at, ok = lat, true
+		}
+	}
 	return at, ok
 }
 

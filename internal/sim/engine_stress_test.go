@@ -24,21 +24,60 @@ type orderModel interface {
 }
 
 // engineModel drives *Engine, reaching every Schedule* entry point: the
-// event id picks one of those that can carry the requested priority.
+// event id picks one of those that can carry the requested priority. It
+// also notes where each event was queued, so a drive can count the lane
+// cases it reached.
 type engineModel struct {
 	e      *Engine
 	timers map[int]Timer
 	fire   func(id int)
+	lane   map[int]int    // id → the lane that took it, -1 for the radix queue
+	pri    map[int]uint64 // id → its priority
+	last   int            // the id fired last, -1 before the first
+	lastAt Time
+	cover  laneCover
 }
 
-func engineModelFire(a1, a2 any) { a1.(*engineModel).fire(a2.(int)) }
+// laneCover counts the lane cases a drive reached.
+type laneCover struct {
+	pushes      int // events queued in a lane
+	tieInserts  int // ... ahead of an entry of equal time and higher priority
+	crossTies   int // consecutive fires at one time from two different lanes
+	crossPriSeq int // ... with equal priorities, rank or PriLast, so seq decides
+	radixTies   int // consecutive fires at one time, one from a lane, one not
+	stopHead    int // Stop of a lane's head
+	stopTail    int // Stop of a lane's tail
+	stopMiddle  int // Stop of an entry in between, marked cancelled
+	injected    int // shard-pattern injections that landed in a lane
+}
+
+func engineModelFire(a1, a2 any) { a1.(*engineModel).fired(a2.(int)) }
+
+// fired counts the ties the firing of id closes, then hands it on.
+func (m *engineModel) fired(id int) {
+	now := m.e.Now()
+	if m.last >= 0 && m.lastAt == now {
+		a, b := m.lane[m.last], m.lane[id]
+		switch {
+		case a >= 0 && b >= 0 && a != b:
+			m.cover.crossTies++
+			if p := m.pri[id]; p != 0 && p == m.pri[m.last] {
+				m.cover.crossPriSeq++
+			}
+		case a >= 0 != (b >= 0):
+			m.cover.radixTies++
+		}
+	}
+	m.last, m.lastAt = id, now
+	m.fire(id)
+}
 
 func (m *engineModel) now() Time { return m.e.Now() }
 
 func (m *engineModel) schedule(at Time, pri uint64, id int) {
 	e := m.e
 	d := at - e.Now()
-	fn := func() { m.fire(id) }
+	fn := func() { m.fired(id) }
 	var t Timer
 	if pri == 0 {
 		switch id % 7 {
@@ -68,14 +107,39 @@ func (m *engineModel) schedule(at Time, pri uint64, id int) {
 		}
 	}
 	m.timers[id] = t
+	m.pri[id] = pri
+	m.lane[id] = -1
+	if b := e.arena[t.slot].bkt; b >= laneBkt {
+		m.lane[id] = int(b - laneBkt)
+		m.cover.pushes++
+		if ln := &e.lanes[b-laneBkt]; e.arena[t.slot].pos != (ln.head+ln.n-1)&int32(len(ln.buf)-1) {
+			m.cover.tieInserts++
+		}
+	}
 }
 
 func newEngineModel(seed int64) *engineModel {
-	return &engineModel{e: NewEngine(seed), timers: map[int]Timer{}}
+	return &engineModel{e: NewEngine(seed), timers: map[int]Timer{}, lane: map[int]int{}, pri: map[int]uint64{}, last: -1}
 }
 
 func (m *engineModel) setFire(fire func(id int)) { m.fire = fire }
-func (m *engineModel) stop(id int) bool          { return m.timers[id].Stop() }
+
+func (m *engineModel) stop(id int) bool {
+	t := m.timers[id]
+	if t.Pending() && m.lane[id] >= 0 {
+		ln, pos := &m.e.lanes[m.lane[id]], m.e.arena[t.slot].pos
+		switch pos {
+		case ln.head:
+			m.cover.stopHead++
+		case (ln.head + ln.n - 1) & int32(len(ln.buf)-1):
+			m.cover.stopTail++
+		default:
+			m.cover.stopMiddle++
+		}
+	}
+	return t.Stop()
+}
+
 func (m *engineModel) timerPending(id int) bool  { return m.timers[id].Pending() }
 func (m *engineModel) run(until Time)            { m.e.Run(until) }
 func (m *engineModel) runBefore(limit Time) Time { return m.e.RunBefore(limit) }
@@ -236,6 +300,21 @@ func spread(exp, frac int) Time {
 	return Time(1)<<exp + Time(frac)*(Time(1)<<exp)>>16
 }
 
+// hopDelays are the delays of 97 % of sim_incast's schedules: propagation,
+// the serialization of a data packet, and that of two ACK sizes.
+var hopDelays = [...]Time{time.Microsecond, 1248 * time.Nanosecond, 116 * time.Nanosecond, 103 * time.Nanosecond}
+
+// hop maps (exp, frac) to one of hopDelays, or for three exps in 31 to
+// spread's delay, so the engine's lanes take most events and the radix
+// queue the rest. Sums of hopDelays coincide (1 µs + 1.248 µs either way
+// round), which brings events of different lanes due at one time.
+func hop(exp, frac int) Time {
+	if exp%8 != 7 {
+		return hopDelays[frac%len(hopDelays)]
+	}
+	return spread(exp, frac)
+}
+
 // rank is a link-rank-like priority: small and positive, or PriLast.
 func rank(h uint64) uint64 {
 	if h%5 == 0 {
@@ -244,11 +323,13 @@ func rank(h uint64) uint64 {
 	return 1 + h%64
 }
 
-// orderSide is one model under driveOrder, with its fire log and id counter.
+// orderSide is one model under driveOrder, with its fire log, id counter,
+// and the delay distribution its callbacks draw from (spread or hop).
 type orderSide struct {
-	m    orderModel
-	log  []int // fired ids, and -1/-2 for a callback's Stop result
-	next int
+	m     orderModel
+	log   []int // fired ids, and -1/-2 for a callback's Stop result
+	next  int
+	delay func(exp, frac int) Time
 }
 
 // maxOrderIDs bounds how many events one drive creates, callbacks included.
@@ -273,9 +354,9 @@ func (s *orderSide) onFire(id int) {
 	case 1:
 		child(m.now(), rank(h>>8))
 	case 2:
-		child(m.now()+spread(int(h>>8%31), int(h>>16%65536)), PriLast)
+		child(m.now()+s.delay(int(h>>8%31), int(h>>16%65536)), PriLast)
 	case 3:
-		child(m.now()+spread(int(h>>8%31), int(h>>16%65536)), rank(h>>40))
+		child(m.now()+s.delay(int(h>>8%31), int(h>>16%65536)), rank(h>>40))
 	case 4:
 		m.tighten(m.now() + Time(h>>8%2000) - 1000)
 	case 5:
@@ -290,12 +371,22 @@ func (s *orderSide) onFire(id int) {
 // driveOrder applies the same op stream to the engine and to the oracle and
 // fails at the first observable difference: fire order, clock, pending
 // count, peeked time, Stop and Pending results, RunBefore's returned bound.
-func driveOrder(t *testing.T, src orderSource, seed int64) {
+// With hops set, schedules, callbacks and run horizons draw their delays
+// from hop instead of spread, and shard-pattern injections land on one of
+// hopDelays when it falls before the peeked time. It returns the lane cases
+// the drive reached.
+func driveOrder(t *testing.T, src orderSource, seed int64, hops bool) laneCover {
 	t.Helper()
-	eng, ref := &orderSide{m: newEngineModel(seed)}, &orderSide{m: &refModel{}}
+	em := newEngineModel(seed)
+	eng, ref := &orderSide{m: em}, &orderSide{m: &refModel{}}
 	sides := []*orderSide{eng, ref}
+	delay := spread
+	if hops {
+		delay = hop
+	}
 	for _, s := range sides {
 		s.m.setFire(s.onFire)
+		s.delay = delay
 	}
 	check := func(step int, what string) {
 		t.Helper()
@@ -330,7 +421,7 @@ func driveOrder(t *testing.T, src orderSource, seed int64) {
 			case 1:
 				at = now - Time(src.pick(1000))
 			default:
-				at = now + spread(src.pick(31), src.pick(65536))
+				at = now + delay(src.pick(31), src.pick(65536))
 			}
 			pri := uint64(0)
 			if p := src.pick(4); p == 1 {
@@ -356,12 +447,12 @@ func driveOrder(t *testing.T, src orderSource, seed int64) {
 				t.Fatalf("step %d: Pending(%d) = %v, reference %v after Stop", step, id, a, b)
 			}
 		case op < 11: // Run to an inclusive horizon, sometimes behind the clock
-			until := now + spread(src.pick(31), src.pick(65536)) - Time(src.pick(2))*Time(time.Microsecond)
+			until := now + delay(src.pick(31), src.pick(65536)) - Time(src.pick(2))*Time(time.Microsecond)
 			for _, s := range sides {
 				s.m.run(until)
 			}
 		case op < 13: // one RunBefore window, callbacks tightening it
-			limit := now + spread(src.pick(31), src.pick(65536))
+			limit := now + delay(src.pick(31), src.pick(65536))
 			if a, b := eng.m.runBefore(limit), ref.m.runBefore(limit); a != b {
 				t.Fatalf("step %d: RunBefore(%v) = %v, reference %v", step, limit, a, b)
 			}
@@ -371,10 +462,16 @@ func driveOrder(t *testing.T, src orderSource, seed int64) {
 				continue
 			}
 			at := now + Time(src.pick(1<<16))*(next-now)>>16
+			if d := hopDelays[src.pick(len(hopDelays))]; hops && now+d < next {
+				at = now + d
+			}
 			pri := rank(uint64(src.pick(1 << 16)))
 			for _, s := range sides {
 				s.m.schedule(at, pri, s.next)
 				s.next++
+			}
+			if em.lane[eng.next-1] >= 0 {
+				em.cover.injected++
 			}
 		default:
 			if src.pick(4) == 0 {
@@ -389,29 +486,61 @@ func driveOrder(t *testing.T, src orderSource, seed int64) {
 		s.m.runAll()
 	}
 	check(-1, "drain")
+	return em.cover
 }
 
 // TestEngineStressVsReference interleaves every scheduling entry point,
 // Stop, Run, RunBefore with callbacks that tighten it, NextEventAt peeks
 // followed by injections before the peeked time, and callbacks that schedule
 // at delay 0 and at the current instant, on the engine and on a sorted
-// (at, pri, seq) oracle, and requires the two to agree at every step.
+// (at, pri, seq) oracle, and requires the two to agree at every step. The
+// second pass draws delays from hop, and must reach every lane case: an
+// event queued ahead of equal-time entries of its lane, ties between lanes
+// broken by priority and by sequence, ties between a lane and the radix
+// queue, a Stop at a lane's head, tail and middle, and injections queued in
+// a lane.
 func TestEngineStressVsReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		driveOrder(t, &randSource{r: rand.New(rand.NewSource(seed)), steps: 3000}, seed)
+		driveOrder(t, &randSource{r: rand.New(rand.NewSource(seed)), steps: 3000}, seed, false)
+	}
+	var sum laneCover
+	for seed := int64(1); seed <= 8; seed++ {
+		c := driveOrder(t, &randSource{r: rand.New(rand.NewSource(seed)), steps: 3000}, seed, true)
+		sum.pushes += c.pushes
+		sum.tieInserts += c.tieInserts
+		sum.crossTies += c.crossTies
+		sum.crossPriSeq += c.crossPriSeq
+		sum.radixTies += c.radixTies
+		sum.stopHead += c.stopHead
+		sum.stopTail += c.stopTail
+		sum.stopMiddle += c.stopMiddle
+		sum.injected += c.injected
+	}
+	t.Logf("lane cases reached: %+v", sum)
+	if sum.pushes == 0 || sum.tieInserts == 0 || sum.crossTies == 0 || sum.crossPriSeq == 0 || sum.radixTies == 0 ||
+		sum.stopHead == 0 || sum.stopTail == 0 || sum.stopMiddle == 0 || sum.injected == 0 {
+		t.Fatalf("the hop drive missed a lane case: %+v", sum)
 	}
 }
 
-// FuzzEngineOrder drives the same comparison from the fuzzer's bytes.
+// FuzzEngineOrder drives the same comparison from the fuzzer's bytes; an
+// odd first byte selects the hop delays.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("\x00\x00\x01\x07\x00\x00\x0e\x00\x00\x0b\x00\x10\x00\x00\x0d\xff\xff"))
+	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	r := rand.New(rand.NewSource(1))
-	seed := make([]byte, 600)
-	r.Read(seed)
-	f.Add(seed)
+	for _, mode := range []byte{0, 1} {
+		seed := make([]byte, 600)
+		r.Read(seed)
+		seed[0] = mode
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		driveOrder(t, &byteSource{data: data}, 1)
+		if len(data) == 0 {
+			return
+		}
+		driveOrder(t, &byteSource{data: data[1:]}, 1, data[0]&1 == 1)
 	})
 }
 

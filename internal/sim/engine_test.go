@@ -195,6 +195,54 @@ func TestReservedChurnZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaneRearmChurn re-arms one timer 10^5 times at a lane's delay while
+// packet-like events share the lane, so the timer's entry is cancelled at the
+// lane's tail and in its middle. Cancelled entries must be reclaimed as the
+// lane drains: the arena does not grow past its warm-up size, and a
+// reserved engine allocates nothing.
+func TestLaneRearmChurn(t *testing.T) {
+	const d, rearms = time.Microsecond, 100000
+	e := NewEngine(1)
+	e.Reserve(64)
+	fired, packets := 0, 0
+	nop := func(_, _ any) { fired++ }
+	var tm Timer
+	steps := 0
+	step := func() {
+		if steps++; steps%3 == 0 {
+			e.ScheduleArg(d, nop, nil, nil) // a packet queued behind the timer
+			packets++
+		}
+		tm.Stop()
+		tm = e.ScheduleArg(d, nop, nil, nil)
+		e.Run(e.Now() + d/8)
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if b := e.arena[tm.slot].bkt; b < laneBkt {
+		t.Fatalf("the timer is queued in bucket %d, not in a lane", b)
+	}
+	arena := len(e.arena)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < rearms; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&ms1)
+	if len(e.arena) != arena {
+		t.Fatalf("the arena grew from %d to %d slots over %d re-arms", arena, len(e.arena), rearms)
+	}
+	if n := ms1.Mallocs - ms0.Mallocs; n != 0 {
+		t.Fatalf("a reserved engine allocated %d times over %d re-arms, want 0", n, rearms)
+	}
+	e.RunAll(uint64(e.Pending()))
+	if fired != packets+1 {
+		t.Fatalf("%d events fired, want the %d packets and the last timer", fired, packets)
+	}
+}
+
 func TestTimerStopMiddleOfHeap(t *testing.T) {
 	e := NewEngine(1)
 	var fired []int
@@ -339,4 +387,67 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 		e.Run(time.Second)
 	}
+}
+
+// hopMix draws a delay the way sim_incast's MTP row schedules: 97 % of its
+// schedules use one of four delays (1 µs propagation, 1.248 µs data
+// serialization, 116 ns and 103 ns ACK serialization), the rest a timer-like
+// delay from 1 ns to 1 ms. Propagation carries a link-rank priority, as a
+// delivery does.
+func hopMix(r uint32) (Time, uint64) {
+	switch p := r % 1000; {
+	case p < 492:
+		return time.Microsecond, 1<<32 + uint64(r>>10%512)
+	case p < 743:
+		return 1248 * time.Nanosecond, 0
+	case p < 898:
+		return 116 * time.Nanosecond, 0
+	case p < 970:
+		return 103 * time.Nanosecond, 0
+	default:
+		return Time(1 + r>>12%(1<<20)), 0
+	}
+}
+
+// churn runs b.N events on e with pending always scheduled, each event
+// rescheduling itself with the delay and priority draw returns, and times
+// all but the warm-up that brings the arena (and the lanes) to steady state.
+func churn(b *testing.B, e *Engine, pending int, draw func(uint32) (Time, uint64)) {
+	warm := 64 * pending
+	total, fired := warm+b.N, 0
+	lcg := uint32(1)
+	var tick func(a1, a2 any)
+	tick = func(_, _ any) {
+		if fired++; fired == warm {
+			b.ResetTimer()
+		}
+		if fired+pending <= total {
+			lcg = lcg*1664525 + 1013904223
+			d, pri := draw(lcg)
+			e.ScheduleArgPri(d, pri, tick, nil, nil)
+		}
+	}
+	for i := 0; i < pending; i++ {
+		lcg = lcg*1664525 + 1013904223
+		d, pri := draw(lcg)
+		e.ScheduleArgPri(d, pri, tick, nil, nil)
+	}
+	b.ReportAllocs()
+	e.RunAll(uint64(total))
+}
+
+// BenchmarkEngineHopMix times the engine alone on a simulated network's
+// traffic: 2048 events always pending, each rescheduling itself with a delay
+// and priority from hopMix. Bench's sim.ns_per_event rung draws uniform
+// random delays instead, which no simulated network produces.
+func BenchmarkEngineHopMix(b *testing.B) {
+	e := NewEngine(1)
+	e.Reserve(2048)
+	churn(b, e, 2048, hopMix)
+}
+
+// BenchmarkEngineUniform is the shape of bench's sim.ns_per_event rung: 4096
+// events always pending, each rescheduling itself 1 ns to 1 µs ahead.
+func BenchmarkEngineUniform(b *testing.B) {
+	churn(b, NewEngine(1), 4096, func(r uint32) (Time, uint64) { return Time(1 + r>>22), 0 })
 }

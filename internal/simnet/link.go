@@ -141,9 +141,11 @@ type Link struct {
 	dst  Node
 	name string
 
-	queues  [][]*Packet
+	queues  []pktRing
 	rrNext  int
 	busy    bool
+	qlen    int // packets queued across queues
+	qbytes  int // their bytes
 	stats   LinkStats
 	minWire time.Duration // serialization time of a 1-byte packet, for sanity
 
@@ -179,7 +181,7 @@ func newLink(n *Network, dst Node, cfg LinkConfig, name string) *Link {
 		cfg:        cfg,
 		dst:        dst,
 		name:       name,
-		queues:     make([][]*Packet, cfg.Queues),
+		queues:     make([]pktRing, cfg.Queues),
 		flowSeen:   make(map[uint64]time.Duration),
 		flowWindow: time.Millisecond,
 	}
@@ -200,23 +202,36 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // QueueLen returns the total number of queued packets across queues.
-func (l *Link) QueueLen() int {
-	n := 0
-	for _, q := range l.queues {
-		n += len(q)
-	}
-	return n
-}
+func (l *Link) QueueLen() int { return l.qlen }
 
 // QueueBytes returns the total bytes waiting across queues.
-func (l *Link) QueueBytes() int {
-	n := 0
-	for _, q := range l.queues {
-		for _, p := range q {
-			n += p.Size
+func (l *Link) QueueBytes() int { return l.qbytes }
+
+// pktRing is one egress queue: a FIFO of n packets from buf[head], its
+// length a power of two, so a dequeue moves nothing.
+type pktRing struct {
+	buf     []*Packet
+	head, n int
+}
+
+func (r *pktRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		buf := make([]*Packet, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
+		r.buf, r.head = buf, 0
 	}
-	return n
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+func (r *pktRing) pop() *Packet {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
 }
 
 // SerializationDelay returns the time to put a packet of size bytes on the
@@ -283,18 +298,17 @@ func (l *Link) SetDuplicate(p float64, rng *rand.Rand) {
 
 // FlushQueues discards every queued packet and returns how many were lost.
 func (l *Link) FlushQueues() int {
-	n := 0
-	for i, q := range l.queues {
-		n += len(q)
-		for j := range q {
+	n := l.qlen
+	for i := range l.queues {
+		for q := &l.queues[i]; q.n > 0; {
+			pkt := q.pop()
 			if l.net.obs != nil {
-				l.net.obs.PacketDropped(l, q[j], DropFault)
+				l.net.obs.PacketDropped(l, pkt, DropFault)
 			}
-			l.net.ReleasePacket(q[j])
-			q[j] = nil
+			l.net.ReleasePacket(pkt)
 		}
-		l.queues[i] = q[:0]
 	}
+	l.qlen, l.qbytes = 0, 0
 	l.net.queuedPkts -= n
 	return n
 }
@@ -401,18 +415,18 @@ func (l *Link) enqueue(pkt *Packet) {
 			qi = 0
 		}
 	}
-	q := l.queues[qi]
+	q := &l.queues[qi]
 
 	// Lossless mode never drops: the pause mechanism bounds growth (at the
 	// network edge the bound is host memory, as with real PFC).
-	if len(q) >= l.cfg.QueueCap && l.cfg.PauseThreshold == 0 {
+	if q.n >= l.cfg.QueueCap && l.cfg.PauseThreshold == 0 {
 		if l.cfg.Trim && pkt.Hdr != nil && !pkt.Trimmed && pkt.Hdr.Type == wire.TypeData {
 			// NDP-style trimming: keep the header, drop the payload. Headers
 			// are tiny, so they get generous dedicated headroom beyond the
 			// payload queue (NDP queues them at high priority); the trim
 			// signal must survive exactly when overload is worst.
 			l.trim(pkt)
-			if len(q) >= l.cfg.QueueCap+l.cfg.QueueCap*4 {
+			if q.n >= l.cfg.QueueCap+l.cfg.QueueCap*4 {
 				l.stats.Drops++
 				if l.net.obs != nil {
 					l.net.obs.PacketDropped(l, pkt, DropQueueFull)
@@ -431,20 +445,22 @@ func (l *Link) enqueue(pkt *Packet) {
 	}
 
 	ecnMarked := false
-	if l.cfg.ECNThreshold > 0 && len(q) >= l.cfg.ECNThreshold {
+	if l.cfg.ECNThreshold > 0 && q.n >= l.cfg.ECNThreshold {
 		l.markPacket(pkt)
 		ecnMarked = true
 	}
 
 	pkt.enqueuedAt = now
-	pkt.queueLenAtEnqueue = len(q)
+	pkt.queueLenAtEnqueue = q.n
 	l.trackFlow(pkt, now)
 	if l.net.obs != nil {
-		l.net.obs.PacketEnqueued(l, pkt, qi, len(q), ecnMarked)
+		l.net.obs.PacketEnqueued(l, pkt, qi, q.n, ecnMarked)
 	}
-	l.queues[qi] = append(q, pkt)
+	q.push(pkt)
+	l.qlen++
+	l.qbytes += pkt.Size
 	l.net.queuedPkts++
-	if l.cfg.PauseThreshold > 0 && l.QueueLen() >= l.cfg.PauseThreshold {
+	if l.cfg.PauseThreshold > 0 && l.qlen >= l.cfg.PauseThreshold {
 		l.pauseUpstream()
 	}
 	if !l.busy {
@@ -500,31 +516,31 @@ func (l *Link) transmitNext() {
 		l.busy = false
 		return
 	}
-	qi := -1
-	if l.cfg.StrictPriority {
-		for i := len(l.queues) - 1; i >= 0; i-- {
-			if len(l.queues[i]) > 0 {
-				qi = i
-				break
-			}
-		}
-	} else {
-		for i := 0; i < len(l.queues); i++ {
-			cand := (l.rrNext + i) % len(l.queues)
-			if len(l.queues[cand]) > 0 {
-				qi = cand
-				break
-			}
-		}
-	}
-	if qi < 0 {
+	if l.qlen == 0 {
 		l.busy = false
 		return
 	}
-	l.rrNext = (qi + 1) % len(l.queues)
-	pkt := l.queues[qi][0]
-	copy(l.queues[qi], l.queues[qi][1:])
-	l.queues[qi] = l.queues[qi][:len(l.queues[qi])-1]
+	nq := len(l.queues)
+	qi := 0
+	if l.cfg.StrictPriority {
+		qi = nq - 1
+		for l.queues[qi].n == 0 {
+			qi--
+		}
+	} else if nq > 1 {
+		qi = l.rrNext
+		for l.queues[qi].n == 0 {
+			if qi++; qi == nq {
+				qi = 0
+			}
+		}
+	}
+	if l.rrNext = qi + 1; l.rrNext == nq {
+		l.rrNext = 0
+	}
+	pkt := l.queues[qi].pop()
+	l.qlen--
+	l.qbytes -= pkt.Size
 	l.net.queuedPkts--
 
 	l.busy = true
