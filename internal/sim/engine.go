@@ -523,18 +523,24 @@ func (e *Engine) laneCancel(slot int32) {
 }
 
 // laneFirst returns the non-empty lane whose head orders first; laneMask
-// must be non-zero. It finds the earliest head time, then reads the heads
-// only to break a tie.
+// must be non-zero. One pass over the head times finds the earliest; the
+// heads are read only when two lanes tie on it.
 func (e *Engine) laneFirst() int {
-	best, at := 0, e.laneAt[0]
+	best, at, tie := 0, e.laneAt[0], false
 	for i := 1; i < laneCount; i++ {
-		if e.laneAt[i] < at {
-			best, at = i, e.laneAt[i]
+		if t := e.laneAt[i]; t < at {
+			best, at, tie = i, t, false
+		} else if t == at {
+			tie = true
 		}
 	}
-	for i := best + 1; i < laneCount; i++ {
-		if e.laneAt[i] == at && e.laneMask&(1<<i) != 0 &&
-			(e.laneMask&(1<<best) == 0 || e.lanes[i].first().before(e.lanes[best].first())) {
+	if !tie {
+		return best
+	}
+	best = -1
+	for i, t := range e.laneAt {
+		if t == at && e.laneMask&(1<<i) != 0 &&
+			(best < 0 || e.lanes[i].first().before(e.lanes[best].first())) {
 			best = i
 		}
 	}
