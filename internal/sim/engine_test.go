@@ -390,20 +390,20 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 }
 
 // hopMix draws a delay the way sim_incast's MTP row schedules: 97 % of its
-// schedules use one of four delays (1 µs propagation, 1.248 µs data
-// serialization, 116 ns and 103 ns ACK serialization), the rest a timer-like
-// delay from 1 ns to 1 ms. Propagation carries a link-rank priority, as a
-// delivery does.
+// schedules use one of hopDelays (1 µs propagation 49.2 %, 1.248 µs data
+// serialization 25.1 %, 116 ns and 103 ns ACK serialization 15.5 % and
+// 7.2 %), the rest a timer-like delay from 1 ns to 1 ms. Propagation carries
+// a link-rank priority, as a delivery does.
 func hopMix(r uint32) (Time, uint64) {
 	switch p := r % 1000; {
 	case p < 492:
-		return time.Microsecond, 1<<32 + uint64(r>>10%512)
+		return hopDelays[0], 1<<32 + uint64(r>>10%512)
 	case p < 743:
-		return 1248 * time.Nanosecond, 0
+		return hopDelays[1], 0
 	case p < 898:
-		return 116 * time.Nanosecond, 0
+		return hopDelays[2], 0
 	case p < 970:
-		return 103 * time.Nanosecond, 0
+		return hopDelays[3], 0
 	default:
 		return Time(1 + r>>12%(1<<20)), 0
 	}
