@@ -198,8 +198,9 @@ func TestReservedChurnZeroAlloc(t *testing.T) {
 // TestLaneRearmChurn re-arms one timer 10^5 times at a lane's delay while
 // packet-like events share the lane, so the timer's entry is cancelled at the
 // lane's tail and in its middle. Cancelled entries must be reclaimed as the
-// lane drains: the arena does not grow past its warm-up size, and a
-// reserved engine allocates nothing.
+// lane drains: the arena keeps its warm-up size, and on a reserved engine no
+// buffer is reallocated (the arena, the same-instant heap, each lane's ring),
+// which is all the engine ever allocates after NewEngine and Reserve.
 func TestLaneRearmChurn(t *testing.T) {
 	const d, rearms = time.Microsecond, 100000
 	e := NewEngine(1)
@@ -223,19 +224,23 @@ func TestLaneRearmChurn(t *testing.T) {
 	if b := e.arena[tm.slot].bkt; b < laneBkt {
 		t.Fatalf("the timer is queued in bucket %d, not in a lane", b)
 	}
-	arena := len(e.arena)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+	type buffers struct {
+		arena, arenaCap, orderCap int
+		rings                     [laneCount]*laneEntry
+	}
+	snap := func() (b buffers) {
+		b.arena, b.arenaCap, b.orderCap = len(e.arena), cap(e.arena), cap(e.order)
+		for i := range e.lanes {
+			b.rings[i] = &e.lanes[i].buf[0]
+		}
+		return b
+	}
+	before := snap()
 	for i := 0; i < rearms; i++ {
 		step()
 	}
-	runtime.ReadMemStats(&ms1)
-	if len(e.arena) != arena {
-		t.Fatalf("the arena grew from %d to %d slots over %d re-arms", arena, len(e.arena), rearms)
-	}
-	if n := ms1.Mallocs - ms0.Mallocs; n != 0 {
-		t.Fatalf("a reserved engine allocated %d times over %d re-arms, want 0", n, rearms)
+	if after := snap(); after != before {
+		t.Fatalf("over %d re-arms the engine's buffers went from %+v to %+v", rearms, before, after)
 	}
 	e.RunAll(uint64(e.Pending()))
 	if fired != packets+1 {
@@ -386,6 +391,32 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.Schedule(time.Duration(j%97)*time.Microsecond, func() {})
 		}
 		e.Run(time.Second)
+	}
+}
+
+// TestEngineLanesVsReference is TestEngineStressVsReference with delays
+// drawn from hop, and must reach every lane case: an event queued ahead of
+// equal-time entries of higher priority, ties between lanes broken by
+// priority and by sequence, ties between a lane and the radix queue, a Stop
+// at a lane's head, tail and middle, and injections queued in a lane.
+func TestEngineLanesVsReference(t *testing.T) {
+	var sum laneCover
+	for seed := int64(1); seed <= 8; seed++ {
+		c := driveOrder(t, &randSource{r: rand.New(rand.NewSource(seed)), steps: 3000}, seed, true)
+		sum.pushes += c.pushes
+		sum.tieInserts += c.tieInserts
+		sum.crossTies += c.crossTies
+		sum.crossPriSeq += c.crossPriSeq
+		sum.radixTies += c.radixTies
+		sum.stopHead += c.stopHead
+		sum.stopTail += c.stopTail
+		sum.stopMiddle += c.stopMiddle
+		sum.injected += c.injected
+	}
+	t.Logf("lane cases reached: %+v", sum)
+	if sum.pushes == 0 || sum.tieInserts == 0 || sum.crossTies == 0 || sum.crossPriSeq == 0 || sum.radixTies == 0 ||
+		sum.stopHead == 0 || sum.stopTail == 0 || sum.stopMiddle == 0 || sum.injected == 0 {
+		t.Fatalf("the hop drive missed a lane case: %+v", sum)
 	}
 }
 
