@@ -243,10 +243,14 @@ func (e *Engine) SetStepHook(fn func(at Time, pri, seq uint64)) { e.step = fn }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Reserve grows the arena and same-instant heap capacity so at least n
-// events can be pending at once without reallocation (the radix lists and
-// the free-list live in the arena and need nothing more), and sizes each
-// lane's ring for an even share of them. Topology builders call it with an
+// Reserve grows the arena and the same-instant heap so at least n events can
+// be queued at once without reallocation (the radix lists and the free-list
+// live in the arena and need nothing more). An event stopped in the middle
+// of a lane holds its slot, and so counts as queued, until its entry reaches
+// the lane's head. Each lane's ring gets room for an even share of the n,
+// and a delay that holds more doubles its ring: rings sized for all n would
+// spread each lane's sliding window over four times the memory, which cost
+// BenchmarkEngineHopMix about 5 %. Topology builders call it with an
 // estimate derived from the fabric's element count (hosts, links, timers),
 // so a shard's engine reaches its steady-state footprint at construction
 // time instead of through repeated doubling during the first congestion
@@ -377,13 +381,7 @@ func (e *Engine) schedule(at Time, pri uint64, fn func(), afn func(a1, a2 any), 
 	ev.a1 = a1
 	ev.a2 = a2
 	e.pending++
-	// With no lane in use, a delay other than the last miss is a miss: it is
-	// settled here, because on an engine whose delays do not repeat the call
-	// into laneFor cost every schedule ≈ 9 % of an event.
-	if d := at - e.now; e.laneUsed == 0 && d != e.missed {
-		e.missed, e.missRun = d, 1
-		e.place(slot)
-	} else if i := e.laneFor(d); i >= 0 {
+	if i := e.laneFor(at - e.now); i >= 0 {
 		e.lanePush(i, slot)
 	} else {
 		e.place(slot)
@@ -396,20 +394,24 @@ func (e *Engine) schedule(at Time, pri uint64, fn func(), afn func(a1, a2 any), 
 // in a row takes a free, empty lane if there is one. Every laneEpoch
 // schedules (seq counts them), a lane that took fewer than
 // laneEpoch/laneShare of them is freed, to take no new events and to drain.
+// With no lane in use there is nothing to free or look up, so on an engine
+// whose delays do not repeat a schedule pays one comparison here.
 func (e *Engine) laneFor(d Time) int {
-	if e.seq%laneEpoch == 0 {
-		for i, hits := range e.laneHits {
-			if hits < laneEpoch/laneShare {
-				e.delay[i] = -1
-				e.laneUsed &^= 1 << i
+	if e.laneUsed != 0 {
+		if e.seq%laneEpoch == 0 {
+			for i, hits := range e.laneHits {
+				if hits < laneEpoch/laneShare {
+					e.delay[i] = -1
+					e.laneUsed &^= 1 << i
+				}
+				e.laneHits[i] = 0
 			}
-			e.laneHits[i] = 0
 		}
-	}
-	for i, ld := range e.delay {
-		if ld == d {
-			e.laneHits[i]++
-			return i
+		for i, ld := range e.delay {
+			if ld == d {
+				e.laneHits[i]++
+				return i
+			}
 		}
 	}
 	if d != e.missed {

@@ -468,8 +468,10 @@ func driveOrder(t *testing.T, src orderSource, seed int64, hops bool) laneCover 
 				continue
 			}
 			at := now + Time(src.pick(1<<16))*(next-now)>>16
-			if d := hopDelays[src.pick(len(hopDelays))]; hops && now+d < next {
-				at = now + d
+			if hops {
+				if d := hopDelays[src.pick(len(hopDelays))]; now+d < next {
+					at = now + d
+				}
 			}
 			pri := rank(uint64(src.pick(1 << 16)))
 			for _, s := range sides {
@@ -507,17 +509,19 @@ func TestEngineStressVsReference(t *testing.T) {
 }
 
 // FuzzEngineOrder drives the same comparison from the fuzzer's bytes; an
-// odd first byte selects the hop delays.
+// odd first byte selects the hop delays, and the rest is the schedule. Each
+// seed schedule is added behind both mode bytes.
 func FuzzEngineOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	f.Add([]byte("\x00\x00\x01\x07\x00\x00\x0e\x00\x00\x0b\x00\x10\x00\x00\x0d\xff\xff"))
-	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	r := rand.New(rand.NewSource(1))
-	for _, mode := range []byte{0, 1} {
-		seed := make([]byte, 600)
-		r.Read(seed)
-		seed[0] = mode
-		f.Add(seed)
+	random := make([]byte, 600)
+	rand.New(rand.NewSource(1)).Read(random)
+	for _, seed := range [][]byte{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+		[]byte("\x00\x00\x01\x07\x00\x00\x0e\x00\x00\x0b\x00\x10\x00\x00\x0d\xff\xff"),
+		random,
+	} {
+		for _, mode := range []byte{0, 1} {
+			f.Add(append([]byte{mode}, seed...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

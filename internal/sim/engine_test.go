@@ -195,16 +195,40 @@ func TestReservedChurnZeroAlloc(t *testing.T) {
 	}
 }
 
+// engineBuffers is what an engine has allocated: the arena's length and
+// capacity, the same-instant heap's capacity and each lane ring's address.
+type engineBuffers struct {
+	arena, arenaCap, orderCap int
+	rings                     [laneCount]*laneEntry
+}
+
+func buffersOf(e *Engine) (b engineBuffers) {
+	b.arena, b.arenaCap, b.orderCap = len(e.arena), cap(e.arena), cap(e.order)
+	for i := range e.lanes {
+		b.rings[i] = &e.lanes[i].buf[0]
+	}
+	return b
+}
+
+// sameAlloc reports whether the engine reallocated none of the buffers of b
+// since it was taken (the arena may have grown within its capacity).
+func (b engineBuffers) sameAlloc(e *Engine) bool {
+	now := buffersOf(e)
+	now.arena = b.arena
+	return now == b
+}
+
 // TestLaneRearmChurn re-arms one timer 10^5 times at a lane's delay while
 // packet-like events share the lane, so the timer's entry is cancelled at the
 // lane's tail and in its middle. Cancelled entries must be reclaimed as the
-// lane drains: the arena keeps its warm-up size, and on a reserved engine no
-// buffer is reallocated (the arena, the same-instant heap, each lane's ring),
-// which is all the engine ever allocates after NewEngine and Reserve.
+// lane drains: the arena keeps its warm-up size, and no buffer is
+// reallocated after Reserve (the arena, the same-instant heap, each lane's
+// ring), which is all the engine ever allocates after NewEngine and Reserve.
 func TestLaneRearmChurn(t *testing.T) {
 	const d, rearms = time.Microsecond, 100000
 	e := NewEngine(1)
 	e.Reserve(64)
+	reserved := buffersOf(e)
 	fired, packets := 0, 0
 	nop := func(_, _ any) { fired++ }
 	var tm Timer
@@ -224,27 +248,79 @@ func TestLaneRearmChurn(t *testing.T) {
 	if b := e.arena[tm.slot].bkt; b < laneBkt {
 		t.Fatalf("the timer is queued in bucket %d, not in a lane", b)
 	}
-	type buffers struct {
-		arena, arenaCap, orderCap int
-		rings                     [laneCount]*laneEntry
-	}
-	snap := func() (b buffers) {
-		b.arena, b.arenaCap, b.orderCap = len(e.arena), cap(e.arena), cap(e.order)
-		for i := range e.lanes {
-			b.rings[i] = &e.lanes[i].buf[0]
-		}
-		return b
-	}
-	before := snap()
+	warm := len(e.arena)
 	for i := 0; i < rearms; i++ {
 		step()
 	}
-	if after := snap(); after != before {
-		t.Fatalf("over %d re-arms the engine's buffers went from %+v to %+v", rearms, before, after)
+	if !reserved.sameAlloc(e) {
+		t.Fatalf("the engine reallocated a buffer: %+v after Reserve, %+v after %d re-arms", reserved, buffersOf(e), rearms)
+	}
+	if len(e.arena) != warm {
+		t.Fatalf("over %d re-arms the arena grew from %d to %d slots", rearms, warm, len(e.arena))
 	}
 	e.RunAll(uint64(e.Pending()))
 	if fired != packets+1 {
 		t.Fatalf("%d events fired, want the %d packets and the last timer", fired, packets)
+	}
+}
+
+// TestReserveOneLane keeps exactly n events queued after Reserve(n), nearly
+// all of them at one delay, with entries stopped in the lane's middle still
+// holding their slots. The arena and the same-instant heap must not be
+// reallocated, and the arena must not outgrow n; only the lane that took
+// them all may double its ring.
+func TestReserveOneLane(t *testing.T) {
+	const n, d = 1000, time.Microsecond
+	e := NewEngine(1)
+	e.Reserve(n)
+	reserved := buffersOf(e)
+	// queued counts the slots in use: pending events, and stopped ones whose
+	// entries are still in a lane.
+	queued := func() int {
+		q := e.Pending()
+		for i := range e.lanes {
+			ln := &e.lanes[i]
+			for k := int32(0); k < ln.n; k++ {
+				if ln.buf[(ln.head+k)&int32(len(ln.buf)-1)].slot < 0 {
+					q++
+				}
+			}
+		}
+		return q
+	}
+	nop := func(_, _ any) {}
+	var timers []Timer
+	held, most, lane := 0, 0, int32(0)
+	for round := 0; round < 40; round++ {
+		for queued() < n {
+			timers = append(timers, e.ScheduleArg(d, nop, nil, nil))
+		}
+		lane = e.arena[timers[len(timers)-1].slot].bkt - laneBkt
+		most = max(most, int(e.lanes[lane].n))
+		for k := len(timers) - 2; k > len(timers)-n/2; k -= 3 {
+			if ev := &e.arena[timers[k].slot]; timers[k].Pending() && ev.bkt >= laneBkt {
+				ln := &e.lanes[ev.bkt-laneBkt]
+				if ev.pos != ln.head && ev.pos != (ln.head+ln.n-1)&int32(len(ln.buf)-1) {
+					held++
+				}
+			}
+			timers[k].Stop()
+		}
+		for queued() < n {
+			timers = append(timers, e.ScheduleArg(d, nop, nil, nil))
+		}
+		e.Run(e.Now() + d/4)
+	}
+	if most < n-8 || held == 0 {
+		t.Fatalf("one lane held at most %d of %d events, %d stops in a lane's middle", most, n, held)
+	}
+	after := buffersOf(e)
+	after.arena, after.rings[lane] = reserved.arena, reserved.rings[lane]
+	if after != reserved {
+		t.Fatalf("the engine reallocated a buffer: %+v after Reserve(%d), %+v after", reserved, n, buffersOf(e))
+	}
+	if len(e.arena) > n {
+		t.Fatalf("the arena grew to %d slots with %d events queued", len(e.arena), n)
 	}
 }
 
