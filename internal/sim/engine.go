@@ -21,20 +21,15 @@
 // backwards the events scheduled with one delay come due in the order they
 // were scheduled. Each such delay gets a lane: a FIFO ring whose entries
 // carry their (time, priority, sequence) key inline, so a push is an append
-// and a pop compares only the lane heads. Every other event goes to a
-// monotone radix queue: nothing is scheduled before the clock, so an event is
-// filed by the highest bit in which its time differs from the last time the
-// queue popped, and a pop only compares the events of the lowest non-empty
-// bucket. Only the radix events due at one instant are ordered by
-// comparison, in a small 4-ary heap keyed by (priority, sequence). A pop
-// takes the (time, priority, sequence) minimum of the lane heads and the
-// radix queue, so lanes change the cost of the order, never the order.
+// and a pop compares only the lane heads. Every other event (timers, and
+// delays that do not repeat) goes to one 4-ary min-heap keyed by the same
+// (time, priority, sequence). A pop takes the minimum of the lane heads and
+// the heap's top, so lanes change the cost of the order, never the order.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -43,24 +38,41 @@ import (
 // Time is simulated time measured as a duration since the start of the run.
 type Time = time.Duration
 
+// key is an event's place in the total order.
+type key struct {
+	at  Time
+	pri uint64 // first tiebreak among equal timestamps (0 for plain events)
+	seq uint64 // final tiebreak: FIFO among equal (at, pri)
+}
+
+// before reports whether a orders before b by (at, pri, seq). It is the
+// engine's one order comparison: the heap, the lanes and the choice between
+// them all use it.
+func (a *key) before(b *key) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
+}
+
 // event is a scheduled callback, stored by value in the engine arena.
 // Exactly one of fn and afn is set. gen disambiguates Timer handles across
 // slot reuse.
 type event struct {
-	at  Time
-	pri uint64 // first tiebreak among equal timestamps (0 for plain events)
-	seq uint64 // final tiebreak: FIFO among equal (at, pri)
+	key
 	fn  func()
 	afn func(a1, a2 any)
 	a1  any
 	a2  any
 	gen uint32
-	// bkt is where the slot is queued: 0 for the same-instant heap, 1–63 for
-	// a radix list, laneBkt+i for lane i, -1 once fired, cancelled, or free.
+	// bkt is where the slot is queued: 0 for the heap, laneBkt+i for lane i,
+	// -1 once fired, cancelled, or free.
 	bkt int32
-	// pos is the slot's heap index in bucket 0 and its ring index in a lane.
-	// In a list bucket pos and next are the previous and next slots of the
-	// list, -1 at either end; a free slot's next is the next free slot.
+	// pos is the slot's index in the heap or in its lane's ring; a free
+	// slot's next is the next free slot.
 	pos, next int32
 }
 
@@ -71,14 +83,14 @@ const laneCount = 4
 
 // A lane is freed when it takes less than 1/laneShare of the schedules of an
 // epoch of laneEpoch schedules: a rare delay costs every pop a comparison and
-// saves a few placements.
+// saves a few heap sifts.
 const (
 	laneEpoch = 4096
 	laneShare = 64
 )
 
 // laneBkt is the bkt of the slots queued in lane 0.
-const laneBkt = 64
+const laneBkt = 1
 
 // minLaneRing is the ring size a lane starts with; NewEngine allocates the
 // four in one block, so an engine that is never reserved allocates nothing
@@ -88,9 +100,7 @@ const minLaneRing = 16
 // laneEntry is a lane's copy of an event's order key, so comparing lane heads
 // never reads the arena. slot is ^slot once Stop cancelled the event.
 type laneEntry struct {
-	at   Time
-	pri  uint64
-	seq  uint64
+	key
 	slot int32
 }
 
@@ -103,19 +113,8 @@ type lane struct {
 
 func (ln *lane) first() *laneEntry { return &ln.buf[ln.head] }
 
-// before reports whether a orders before b by (at, pri, seq).
-func (a *laneEntry) before(b *laneEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
-}
-
-// heapArity is the fan-out of the same-instant heap. A 4-ary heap halves the
-// tree depth vs binary and keeps the children of a node on one cache line.
+// heapArity is the fan-out of the heap. A 4-ary heap halves the tree depth
+// vs binary and keeps the children of a node on one cache line.
 const heapArity = 4
 
 // maxTime is the latest representable instant: RunAll's unbounded limit.
@@ -144,7 +143,7 @@ func (t Timer) Stop() bool {
 		e.laneCancel(t.slot)
 		return true
 	}
-	e.unlink(t.slot)
+	e.removeAt(int(ev.pos))
 	e.release(t.slot)
 	return true
 }
@@ -166,21 +165,9 @@ type Engine struct {
 	free  int32   // last freed slot, -1 if none (LIFO for cache locality)
 	rng   *rand.Rand
 
-	// The pending set is a monotone radix queue relative to last, the firing
-	// time of the most recent pop: last <= now <= the time of every pending
-	// event. A pending slot sits in bucket bits.Len64(at ^ last). Bucket 0
-	// holds the events due at last, ordered as a 4-ary min-heap keyed by
-	// (pri, seq); bucket b >= 1 is an unordered list, linked through the
-	// arena, of the events whose highest bit differing from last is b-1.
-	// Moving last to the earliest time of the lowest non-empty list sends
-	// every event of that list to a lower bucket, so an event is compared a
-	// handful of times over its life instead of on every pop.
-	last    Time
-	order   []int32   // bucket 0: 4-ary min-heap of slots, keyed by (pri, seq)
-	head    [64]int32 // buckets 1–63: first slot of each non-empty list
-	lo      [64]Time  // buckets 1–63: earliest time in the list where loOK says so
-	mask    uint64    // bit b set: bucket b's list is non-empty
-	loOK    uint64    // bit b set: lo[b] is exact (a Stop of the earliest clears it)
+	// order is a 4-ary min-heap of the slots of the pending events that no
+	// lane took, keyed by (at, pri, seq).
+	order   []int32
 	pending int
 
 	// Lane i holds the events scheduled delay[i] ahead of the clock; a free
@@ -243,9 +230,9 @@ func (e *Engine) SetStepHook(fn func(at Time, pri, seq uint64)) { e.step = fn }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Reserve grows the arena and the same-instant heap so at least n events can
-// be queued at once without reallocation (the radix lists and the free-list
-// live in the arena and need nothing more). An event stopped in the middle
+// Reserve grows the arena and the heap so at least n events can be queued at
+// once without reallocation (the free-list lives in the arena and needs
+// nothing more). An event stopped in the middle
 // of a lane holds its slot, and so counts as queued, until its entry reaches
 // the lane's head. Each lane's ring gets room for an even share of the n,
 // and a delay that holds more doubles its ring: rings sized for all n would
@@ -365,8 +352,8 @@ func (e *Engine) schedule(at Time, pri uint64, fn func(), afn func(a1, a2 any), 
 		e.arena = append(e.arena, event{})
 		slot = int32(len(e.arena) - 1)
 		if cap(e.order) < cap(e.arena) {
-			// Bucket 0 may hold every slot at once: its heap grows with the
-			// arena, so an instant that gathers many events never grows it
+			// The heap may hold every slot at once: it grows with the
+			// arena, so a burst of events that take no lane never grows it
 			// mid-run.
 			e.order = slices.Grow(e.order, cap(e.arena)-len(e.order))
 		}
@@ -384,13 +371,15 @@ func (e *Engine) schedule(at Time, pri uint64, fn func(), afn func(a1, a2 any), 
 	if i := e.laneFor(at - e.now); i >= 0 {
 		e.lanePush(i, slot)
 	} else {
-		e.place(slot)
+		ev.bkt = 0
+		e.order = append(e.order, slot)
+		e.siftUp(len(e.order) - 1)
 	}
 	return Timer{en: e, slot: slot, gen: ev.gen}
 }
 
 // laneFor returns the lane of the events scheduled d ahead of the clock, or
-// -1 to send the event to the radix queue. A delay that misses three times
+// -1 to send the event to the heap. A delay that misses three times
 // in a row takes a free, empty lane if there is one. Every laneEpoch
 // schedules (seq counts them), a lane that took fewer than
 // laneEpoch/laneShare of them is freed, to take no new events and to drain.
@@ -447,7 +436,7 @@ func (e *Engine) lanePush(i int, slot int32) {
 	for k := ln.n; k > 0; k-- {
 		q := (p - 1) & mask
 		prev := &ln.buf[q]
-		if prev.at != ev.at || prev.pri <= ev.pri {
+		if !ev.before(&prev.key) {
 			break
 		}
 		ln.buf[p] = *prev
@@ -456,7 +445,7 @@ func (e *Engine) lanePush(i int, slot int32) {
 		}
 		p = q
 	}
-	ln.buf[p] = laneEntry{at: ev.at, pri: ev.pri, seq: ev.seq, slot: slot}
+	ln.buf[p] = laneEntry{key: ev.key, slot: slot}
 	ev.pos = p
 	if ln.n++; ln.n == 1 {
 		e.laneAt[i] = ev.at
@@ -542,125 +531,19 @@ func (e *Engine) laneFirst() int {
 	best = -1
 	for i, t := range e.laneAt {
 		if t == at && e.laneMask&(1<<i) != 0 &&
-			(best < 0 || e.lanes[i].first().before(e.lanes[best].first())) {
+			(best < 0 || e.lanes[i].first().before(&e.lanes[best].first().key)) {
 			best = i
 		}
 	}
 	return best
 }
 
-// place files a pending slot in bucket bits.Len64(at ^ last): onto the
-// same-instant heap when it is due at last, else at the head of its list.
-func (e *Engine) place(slot int32) {
-	ev := &e.arena[slot]
-	b := bits.Len64(uint64(ev.at ^ e.last))
-	ev.bkt = int32(b)
-	if b == 0 {
-		ev.pos = int32(len(e.order))
-		e.order = append(e.order, slot)
-		e.siftUp(len(e.order) - 1)
-		return
-	}
-	bit := uint64(1) << b
-	ev.pos = -1
-	if e.mask&bit == 0 {
-		e.mask |= bit
-		e.loOK |= bit
-		e.lo[b] = ev.at
-		ev.next = -1
-	} else {
-		h := e.head[b]
-		e.arena[h].pos = slot
-		ev.next = h
-		if ev.at < e.lo[b] {
-			e.lo[b] = ev.at
-		}
-	}
-	e.head[b] = slot
-}
-
-// unlink takes a pending slot out of its bucket.
-func (e *Engine) unlink(slot int32) {
-	ev := &e.arena[slot]
-	b := ev.bkt
-	if b == 0 {
-		e.removeAt(int(ev.pos))
-		return
-	}
-	bit := uint64(1) << b
-	switch {
-	case ev.pos < 0 && ev.next < 0:
-		e.mask &^= bit
-	case ev.at == e.lo[b]:
-		e.loOK &^= bit
-	}
-	if ev.pos >= 0 {
-		e.arena[ev.pos].next = ev.next
-	} else {
-		e.head[b] = ev.next
-	}
-	if ev.next >= 0 {
-		e.arena[ev.next].pos = ev.pos
-	}
-}
-
-// earliest returns the earliest time in the non-empty list bucket b,
-// rescanning the list only after a Stop took out its earliest event. The
-// shard barrier peeks every round, so a peek that leaves last alone must
-// still not pay a scan each time.
-func (e *Engine) earliest(b int) Time {
-	bit := uint64(1) << b
-	if e.loOK&bit == 0 {
-		lo := maxTime
-		for s := e.head[b]; s >= 0; s = e.arena[s].next {
-			lo = min(lo, e.arena[s].at)
-		}
-		e.lo[b] = lo
-		e.loOK |= bit
-	}
-	return e.lo[b]
-}
-
-// peek returns the firing time of the earliest event of the radix queue and
-// the bucket holding it, without touching the queue.
-func (e *Engine) peek() (at Time, b int, ok bool) {
-	if len(e.order) > 0 {
-		return e.last, 0, true
-	}
-	if e.mask == 0 {
-		return 0, 0, false
-	}
-	b = bits.TrailingZeros64(e.mask)
-	return e.earliest(b), b, true
-}
-
-// refill moves last up to at, the earliest time in list bucket b, which
-// sends every event of b to a lower bucket and the ones due at at onto the
-// same-instant heap.
-func (e *Engine) refill(b int, at Time) {
-	e.last = at
-	e.mask &^= uint64(1) << b
-	for s := e.head[b]; s >= 0; {
-		next := e.arena[s].next
-		e.place(s)
-		s = next
-	}
-}
-
-// less orders two slots of the same-instant heap by (priority, sequence).
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.arena[a], &e.arena[b]
-	if ea.pri != eb.pri {
-		return ea.pri < eb.pri
-	}
-	return ea.seq < eb.seq
-}
-
 func (e *Engine) siftUp(i int) {
 	slot := e.order[i]
+	k := &e.arena[slot].key
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !e.less(slot, e.order[parent]) {
+		if !k.before(&e.arena[e.order[parent]].key) {
 			break
 		}
 		e.order[i] = e.order[parent]
@@ -674,22 +557,19 @@ func (e *Engine) siftUp(i int) {
 func (e *Engine) siftDown(i int) {
 	n := len(e.order)
 	slot := e.order[i]
+	k := &e.arena[slot].key
 	for {
 		first := heapArity*i + 1
 		if first >= n {
 			break
 		}
-		best := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(e.order[c], e.order[best]) {
-				best = c
+		best, bk := first, &e.arena[e.order[first]].key
+		for c := first + 1; c < min(first+heapArity, n); c++ {
+			if ck := &e.arena[e.order[c]].key; ck.before(bk) {
+				best, bk = c, ck
 			}
 		}
-		if !e.less(e.order[best], slot) {
+		if !bk.before(k) {
 			break
 		}
 		e.order[i] = e.order[best]
@@ -743,36 +623,25 @@ func (e *Engine) reclaim(slot int32) {
 
 // fire pops and executes the earliest pending event if it is due by limit
 // (at < limit, or at <= limit when inclusive), and reports whether it ran
-// one. It is the one place that advances last: an event that is not due
-// leaves the queue exactly as it was, because a shard may still inject an
-// arrival anywhere in [now, next event) after the window closes.
+// one. An event that is not due leaves the pending set exactly as it was,
+// because a shard may still inject an arrival anywhere in [now, next event)
+// after the window closes.
 func (e *Engine) fire(limit Time, inclusive bool) bool {
-	rat, b, rok := e.peek()
-	at, ok, lane := rat, rok, -1
+	var next *key
+	lane := -1
 	if e.laneMask != 0 {
 		lane = e.laneFirst()
-		if lat := e.laneAt[lane]; !rok || lat <= rat {
-			at, ok = lat, true
-		} else {
-			lane = -1
+		next = &e.lanes[lane].first().key
+	}
+	if len(e.order) > 0 {
+		if top := &e.arena[e.order[0]].key; next == nil || top.before(next) {
+			lane, next = -1, top
 		}
 	}
-	if !ok || at > limit || at == limit && !inclusive {
+	if next == nil || next.at > limit || next.at == limit && !inclusive {
 		return false
 	}
-	if rok && rat == at {
-		// The radix queue holds an event due at at too: order that instant's
-		// radix events, and keep the lane head only if it comes first.
-		if b > 0 {
-			e.refill(b, at)
-		}
-		if lane >= 0 {
-			h, top := e.lanes[lane].first(), &e.arena[e.order[0]]
-			if top.pri < h.pri || top.pri == h.pri && top.seq < h.seq {
-				lane = -1
-			}
-		}
-	}
+	at := next.at
 	var slot int32
 	if lane < 0 {
 		slot = e.order[0]
@@ -861,7 +730,9 @@ func (e *Engine) TightenRunLimit(until Time) {
 // global synchronization window. It is a pure peek: arrivals injected after
 // it may still land anywhere from the clock on.
 func (e *Engine) NextEventAt() (at Time, ok bool) {
-	at, _, ok = e.peek()
+	if len(e.order) > 0 {
+		at, ok = e.arena[e.order[0]].at, true
+	}
 	if e.laneMask != 0 {
 		if lat := e.laneAt[e.laneFirst()]; !ok || lat < at {
 			at, ok = lat, true

@@ -40,7 +40,7 @@ type engineModel struct {
 type modelEvent struct {
 	t    Timer
 	pri  uint64
-	lane int // the lane that took it, -1 for the radix queue
+	lane int // the lane that took it, -1 for the heap
 }
 
 // laneCover counts the lane cases a drive reached.
@@ -49,7 +49,8 @@ type laneCover struct {
 	tieInserts  int // ... ahead of an entry of equal time and higher priority
 	crossTies   int // consecutive fires at one time from two different lanes
 	crossPriSeq int // ... with equal priorities, rank or PriLast, so seq decides
-	radixTies   int // consecutive fires at one time, one from a lane, one not
+	heapTies    int // consecutive fires at one time from a lane and the heap, priorities unequal
+	heapTiesSeq int // ... with equal priorities, so seq decides
 	stopHead    int // Stop of a lane's head
 	stopTail    int // Stop of a lane's tail
 	stopMiddle  int // Stop of an entry in between, marked cancelled
@@ -70,7 +71,11 @@ func (m *engineModel) fired(id int) {
 				m.cover.crossPriSeq++
 			}
 		case a >= 0 != (b >= 0):
-			m.cover.radixTies++
+			if m.events[id].pri == m.events[m.last].pri {
+				m.cover.heapTiesSeq++
+			} else {
+				m.cover.heapTies++
+			}
 		}
 	}
 	m.last, m.lastAt = id, now
@@ -311,9 +316,9 @@ func spread(exp, frac int) Time {
 var hopDelays = [...]Time{time.Microsecond, 1248 * time.Nanosecond, 116 * time.Nanosecond, 103 * time.Nanosecond}
 
 // hop maps (exp, frac) to one of hopDelays, or for three exps in 31 to
-// spread's delay, so the engine's lanes take most events and the radix
-// queue the rest. Sums of hopDelays coincide (1 µs + 1.248 µs either way
-// round), which brings events of different lanes due at one time.
+// spread's delay, so the engine's lanes take most events and the heap the
+// rest. Sums of hopDelays coincide (1 µs + 1.248 µs either way round), which
+// brings events of different lanes due at one time.
 func hop(exp, frac int) Time {
 	if exp%8 != 7 {
 		return hopDelays[frac%len(hopDelays)]

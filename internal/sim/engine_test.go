@@ -162,8 +162,8 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 
 // TestReservedChurnZeroAlloc runs bench's engine rung on a fresh engine:
 // after Reserve, 4096 events always pending, each rescheduling itself at a
-// pseudo-random distance. Not one malloc: the radix lists live in the arena,
-// so no bucket grows lazily.
+// pseudo-random distance. Not one malloc: the heap and the lane rings are
+// sized by Reserve, so nothing grows lazily.
 func TestReservedChurnZeroAlloc(t *testing.T) {
 	const pending, total = 4096, 100000
 	e := NewEngine(1)
@@ -196,7 +196,7 @@ func TestReservedChurnZeroAlloc(t *testing.T) {
 }
 
 // engineBuffers is what an engine has allocated: the arena's length and
-// capacity, the same-instant heap's capacity and each lane ring's address.
+// capacity, the heap's capacity and each lane ring's address.
 type engineBuffers struct {
 	arena, arenaCap, orderCap int
 	rings                     [laneCount]*laneEntry
@@ -222,8 +222,8 @@ func (b engineBuffers) sameAlloc(e *Engine) bool {
 // packet-like events share the lane, so the timer's entry is cancelled at the
 // lane's tail and in its middle. Cancelled entries must be reclaimed as the
 // lane drains: the arena keeps its warm-up size, and no buffer is
-// reallocated after Reserve (the arena, the same-instant heap, each lane's
-// ring), which is all the engine ever allocates after NewEngine and Reserve.
+// reallocated after Reserve (the arena, the heap, each lane's ring), which is
+// all the engine ever allocates after NewEngine and Reserve.
 func TestLaneRearmChurn(t *testing.T) {
 	const d, rearms = time.Microsecond, 100000
 	e := NewEngine(1)
@@ -266,9 +266,9 @@ func TestLaneRearmChurn(t *testing.T) {
 
 // TestReserveOneLane keeps exactly n events queued after Reserve(n), nearly
 // all of them at one delay, with entries stopped in the lane's middle still
-// holding their slots. The arena and the same-instant heap must not be
-// reallocated, and the arena must not outgrow n; only the lane that took
-// them all may double its ring.
+// holding their slots. The arena and the heap must not be reallocated, and
+// the arena must not outgrow n; only the lane that took them all may double
+// its ring.
 func TestReserveOneLane(t *testing.T) {
 	const n, d = 1000, time.Microsecond
 	e := NewEngine(1)
@@ -473,8 +473,9 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 // TestEngineLanesVsReference is TestEngineStressVsReference with delays
 // drawn from hop, and must reach every lane case: an event queued ahead of
 // equal-time entries of higher priority, ties between lanes broken by
-// priority and by sequence, ties between a lane and the radix queue, a Stop
-// at a lane's head, tail and middle, and injections queued in a lane.
+// priority and by sequence, ties between a lane and the heap broken by
+// priority and by sequence, a Stop at a lane's head, tail and middle, and
+// injections queued in a lane.
 func TestEngineLanesVsReference(t *testing.T) {
 	var sum laneCover
 	for seed := int64(1); seed <= 8; seed++ {
@@ -483,14 +484,16 @@ func TestEngineLanesVsReference(t *testing.T) {
 		sum.tieInserts += c.tieInserts
 		sum.crossTies += c.crossTies
 		sum.crossPriSeq += c.crossPriSeq
-		sum.radixTies += c.radixTies
+		sum.heapTies += c.heapTies
+		sum.heapTiesSeq += c.heapTiesSeq
 		sum.stopHead += c.stopHead
 		sum.stopTail += c.stopTail
 		sum.stopMiddle += c.stopMiddle
 		sum.injected += c.injected
 	}
 	t.Logf("lane cases reached: %+v", sum)
-	if sum.pushes == 0 || sum.tieInserts == 0 || sum.crossTies == 0 || sum.crossPriSeq == 0 || sum.radixTies == 0 ||
+	if sum.pushes == 0 || sum.tieInserts == 0 || sum.crossTies == 0 || sum.crossPriSeq == 0 ||
+		sum.heapTies == 0 || sum.heapTiesSeq == 0 ||
 		sum.stopHead == 0 || sum.stopTail == 0 || sum.stopMiddle == 0 || sum.injected == 0 {
 		t.Fatalf("the hop drive missed a lane case: %+v", sum)
 	}
