@@ -232,16 +232,15 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Reserve grows the arena and the heap so at least n events can be queued at
 // once without reallocation (the free-list lives in the arena and needs
-// nothing more). An event stopped in the middle
-// of a lane holds its slot, and so counts as queued, until its entry reaches
-// the lane's head. Each lane's ring gets room for an even share of the n,
-// and a delay that holds more doubles its ring: rings sized for all n would
-// spread each lane's sliding window over four times the memory, which cost
-// BenchmarkEngineHopMix about 5 %. Topology builders call it with an
-// estimate derived from the fabric's element count (hosts, links, timers),
-// so a shard's engine reaches its steady-state footprint at construction
-// time instead of through repeated doubling during the first congestion
-// burst.
+// nothing more). An event stopped in the middle of a lane holds its slot,
+// and so counts as queued, until its entry reaches the lane's head. Each
+// lane's ring gets room for an even share of the n, and a delay that holds
+// more doubles its ring: rings sized for all n would spread each lane's
+// sliding window over four times the memory, which cost BenchmarkEngineHopMix
+// about 5 %. Topology builders call it with an estimate derived from the
+// fabric's element count (hosts, links, timers), so a shard's engine reaches
+// its steady-state footprint at construction time instead of through
+// repeated doubling during the first congestion burst.
 func (e *Engine) Reserve(n int) {
 	if cap(e.arena) < n {
 		arena := make([]event, len(e.arena), n)
@@ -379,10 +378,10 @@ func (e *Engine) schedule(at Time, pri uint64, fn func(), afn func(a1, a2 any), 
 }
 
 // laneFor returns the lane of the events scheduled d ahead of the clock, or
-// -1 to send the event to the heap. A delay that misses three times
-// in a row takes a free, empty lane if there is one. Every laneEpoch
-// schedules (seq counts them), a lane that took fewer than
-// laneEpoch/laneShare of them is freed, to take no new events and to drain.
+// -1 to send the event to the heap. A delay that misses three times in a row
+// takes a free, empty lane if there is one. Every laneEpoch schedules (seq
+// counts them), a lane that took fewer than laneEpoch/laneShare of them is
+// freed, to take no new events and to drain.
 // With no lane in use there is nothing to free or look up, so on an engine
 // whose delays do not repeat a schedule pays one comparison here.
 func (e *Engine) laneFor(d Time) int {
@@ -623,9 +622,8 @@ func (e *Engine) reclaim(slot int32) {
 
 // fire pops and executes the earliest pending event if it is due by limit
 // (at < limit, or at <= limit when inclusive), and reports whether it ran
-// one. An event that is not due leaves the pending set exactly as it was,
-// because a shard may still inject an arrival anywhere in [now, next event)
-// after the window closes.
+// one. An event that is not due stays pending untouched: a shard may still
+// inject an arrival anywhere in [now, next event) after the window closes.
 func (e *Engine) fire(limit Time, inclusive bool) bool {
 	var next *key
 	lane := -1
