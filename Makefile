@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify golden exp sim-smoke bench benchpair netbench chaos cover scenario fuzz loc
+.PHONY: build test race vet verify golden exp sim-smoke bench benchpair netbench chaos cover scenario fuzz loc options
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,7 @@ endef
 # from rotting (both work offline, from GOROOT alone).
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	GOOS=darwin $(GO) vet ./internal/udpnet .
 	GOARCH=arm64 $(GO) vet ./internal/udpnet
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
@@ -114,3 +115,9 @@ chaos: build
 # for each package of the root module, the module's totals, and bench's total.
 loc:
 	bash ci/loc.sh
+
+# options prints the settable fields callers can set: per package directory,
+# the exported fields of every exported *Config, *Options or *Spec struct
+# (bench included), and their total. CHANGES.md quotes its totals.
+options:
+	$(GO) run ./ci/options

@@ -56,8 +56,8 @@ func NewCoupler(kind Coupling, cfg cc.Config, n int) *Coupler {
 func (c *Coupler) Sub(i int) *CoupledWindow { return c.subs[i] }
 
 func (c *Coupler) clamp(w float64) float64 {
-	if w < c.cfg.MinWindow {
-		w = c.cfg.MinWindow
+	if w < float64(c.cfg.MSS) {
+		w = float64(c.cfg.MSS)
 	}
 	if c.cfg.MaxWindow > 0 && w > c.cfg.MaxWindow {
 		w = c.cfg.MaxWindow

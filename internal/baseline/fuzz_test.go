@@ -10,8 +10,9 @@ import (
 // FuzzQUICStreamReassembly drives the QUIC receiver's per-stream
 // reassembly with an arbitrary schedule of stream frames — out-of-order,
 // duplicated, overlapping, with malformed offsets (shifted, negative),
-// oversum lengths past the FIN, conflicting FINs, corrupted packets, and
-// frames for a second stream or a foreign connection. Run with
+// oversum lengths past the FIN, conflicting FINs, frames beyond the
+// flow-control credit, corrupted packets, and frames for a second stream or
+// a foreign connection. Run with
 // `go test -fuzz=FuzzQUICStreamReassembly ./internal/baseline`.
 //
 // Invariants: never panic; each stream completes at most once; Delivered
@@ -29,6 +30,7 @@ func FuzzQUICStreamReassembly(f *testing.F) {
 	f.Add(byte(3), []byte{0, 64, 1, 32, 2, 8, 0, 0, 2, 0})                       // dup + corrupt + empty frame
 	f.Add(byte(5), []byte{0, 128, 1, 128, 0, 0, 2, 128, 1, 0, 2, 0, 3, 0, 4, 0}) // second stream interleaved
 	f.Add(byte(6), []byte{7, 0, 6, 0, 5, 4, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0})       // out-of-range pkt + oversum
+	f.Add(byte(3), []byte{1, 3, 0, 0, 1, 0, 2, 0})                               // beyond credit then clean
 
 	f.Fuzz(func(t *testing.T, npktsB byte, script []byte) {
 		const qmss = 64
@@ -49,7 +51,6 @@ func FuzzQUICStreamReassembly(f *testing.F) {
 			acks++
 		}}, QUICReceiverConfig{
 			Conn: 1, Src: 2,
-			StreamWindow: size, // any in-range frame fits; mutated ones can overflow
 			OnStream: func(_ sim.Time, stream uint64, sz int64) {
 				if _, dup := completions[stream]; dup {
 					t.Fatalf("stream %d completed twice", stream)
@@ -92,12 +93,15 @@ func FuzzQUICStreamReassembly(f *testing.F) {
 			}
 			wrongConn := flags&0x40 != 0 && flags&0x20 != 0 // both ⇒ foreign conn
 			mutated := pn >= npkts
-			if flags&0x01 != 0 {
+			switch flags & 0x03 {
+			case 0x01:
 				off += 7
-				mutated = true
-			}
-			if flags&0x02 != 0 {
+			case 0x02:
 				off -= 5
+			case 0x03:
+				off += quicStreamWindow // past the flow-control credit
+			}
+			if flags&0x03 != 0 {
 				mutated = true
 			}
 			if flags&0x04 != 0 {
@@ -166,8 +170,8 @@ func FuzzQUICStreamReassembly(f *testing.F) {
 						t.Fatalf("stream %d spans unsorted/unmerged: %+v then %+v", id, spans[k-1], s)
 					}
 				}
-				if hi := fuzzMaxTo(&st.got); hi > st.consumed+size {
-					t.Fatalf("stream %d holds bytes past flow-control credit: %d > %d", id, hi, st.consumed+size)
+				if hi := fuzzMaxTo(&st.got); hi > st.consumed+quicStreamWindow {
+					t.Fatalf("stream %d holds bytes past flow-control credit: %d > %d", id, hi, st.consumed+quicStreamWindow)
 				}
 			}
 		}

@@ -12,14 +12,12 @@ import (
 // each an independent sequence space with its own loss recovery. Segments
 // carry their global stream offset so the receiver can merge subflows.
 //
-// Two knobs turn the original simplified model into a credible rival:
-//
-//   - Coupling links the subflow congestion windows (LIA per RFC 6356 or
-//     OLIA per Khalili et al.), so one connection's subflows collectively
-//     take a single flow's share on a shared bottleneck while shifting load
-//     toward the less congested path.
-//   - Scheduler picks the subflow for each MSS chunk (max free window,
-//     lowest RTT, or round-robin).
+// Coupling turns the original simplified model into a credible rival: it
+// links the subflow congestion windows (LIA per RFC 6356 or OLIA per Khalili
+// et al.), so one connection's subflows collectively take a single flow's
+// share on a shared bottleneck while shifting load toward the less congested
+// path. Each MSS chunk goes to the subflow with the most free window
+// (maxFree).
 //
 // With FailoverRTOs set, a subflow whose path stops acking is declared dead
 // after that many consecutive timeouts and its unacked bytes are reinjected
@@ -29,7 +27,6 @@ import (
 type MPTCP struct {
 	subflows []*Sender
 	subs     []*msub
-	sched    SubflowScheduler
 	coupler  *Coupler
 
 	total  int64
@@ -86,8 +83,6 @@ type MPTCPConfig struct {
 	// Coupling selects coupled congestion control across the subflows
 	// (CouplingLIA, CouplingOLIA); empty keeps independent windows.
 	Coupling Coupling
-	// Scheduler picks the subflow for each chunk; nil means SchedMaxFree.
-	Scheduler SubflowScheduler
 	// FailoverRTOs enables dead-path reinjection: after this many
 	// consecutive timeouts on a subflow without ack progress, its unacked
 	// bytes are re-striped onto the other subflows. 0 disables (legacy).
@@ -103,12 +98,8 @@ func NewMPTCP(eng *sim.Engine, port Port, cfg MPTCPConfig) *MPTCP {
 		panic("baseline: MPTCP needs subflows")
 	}
 	m := &MPTCP{
-		sched:      cfg.Scheduler,
 		failRTOs:   cfg.FailoverRTOs,
 		onComplete: cfg.OnComplete,
-	}
-	if m.sched == nil {
-		m.sched = SchedMaxFree{}
 	}
 	if cfg.Coupling != CouplingNone {
 		ccCfg := cfg.CCConfig
@@ -138,6 +129,28 @@ func NewMPTCP(eng *sim.Engine, port Port, cfg MPTCPConfig) *MPTCP {
 	return m
 }
 
+// maxFree returns the index of the subflow with the most free congestion
+// window (window minus in-flight minus unsent backlog); subs is never empty.
+// The pick is a pure function of the subflow states, so a run is
+// reproducible.
+func maxFree(subs []*Sender) int {
+	best := -1
+	var bestFree float64
+	for i, s := range subs {
+		free := s.Algo().Window() - float64(s.Outstanding()) - float64(s.total-s.sndNxt)
+		if best == -1 || free > bestFree {
+			best, bestFree = i, free
+		}
+	}
+	return best
+}
+
+// saturated reports whether a subflow already holds at least two windows of
+// unacked backlog — assigning more would only deepen its queue.
+func saturated(s *Sender) bool {
+	return float64(s.total-s.sndUna) >= 2*s.Algo().Window()
+}
+
 // Subflows exposes the per-path senders (tests inspect their windows).
 func (m *MPTCP) Subflows() []*Sender { return m.subflows }
 
@@ -150,15 +163,12 @@ func (m *MPTCP) Write(n int) {
 	m.pump()
 }
 
-// pump assigns unscheduled stream bytes to scheduler-picked subflows in MSS
-// chunks, recording each chunk's global offset.
+// pump assigns unscheduled stream bytes to subflows in MSS chunks, each to
+// the one maxFree picks, recording each chunk's global offset.
 func (m *MPTCP) pump() {
 	for m.next < m.total {
 		live, idx := m.liveSenders()
-		i := m.sched.Pick(live)
-		if i < 0 {
-			break
-		}
+		i := maxFree(live)
 		if idx != nil {
 			i = idx[i]
 		}
@@ -297,15 +307,12 @@ func (m *MPTCP) reinject(i int) {
 		g := st.global + (lo - st.local)
 		n := st.local + st.n - lo
 		live, idx := m.liveSenders()
-		j := m.sched.Pick(live)
-		if j < 0 {
-			return
-		}
+		j := maxFree(live)
 		if idx != nil {
 			j = idx[j]
 		}
 		if j == i {
-			continue // scheduler fell back to the dead subflow itself
+			continue // maxFree fell back to the dead subflow itself
 		}
 		m.assign(j, g, n)
 		m.Reinjected += n

@@ -31,6 +31,12 @@ const quicAckSize = 40
 // (RFC 9002 kPacketThreshold).
 const quicPktThreshold = 3
 
+// quicStreamWindow is the per-stream flow-control window: the credit a
+// sender assumes before the receiver's first MaxStreamData arrives, and how
+// far past its contiguous prefix a receiver accepts a stream's bytes (and
+// advertises in MaxStreamData).
+const quicStreamWindow = 1 << 20
+
 // QUICPacket is the QUIC-model payload carried in simnet.Packet.Payload:
 // either one stream frame or one ACK (optionally carrying a flow-control
 // update for the acked stream).
@@ -154,9 +160,6 @@ type QUICSenderConfig struct {
 	RTO time.Duration
 	// Tenant tags outgoing packets for per-entity policies.
 	Tenant int
-	// StreamWindow is the per-stream flow-control credit assumed before
-	// the receiver's first MaxStreamData arrives. Default 1<<20.
-	StreamWindow int64
 	// OnStreamComplete fires when every byte of a stream is acknowledged.
 	OnStreamComplete func(now time.Duration, stream uint64)
 	// OnAcked fires on newly acknowledged stream bytes.
@@ -172,9 +175,6 @@ func (c QUICSenderConfig) withDefaults() QUICSenderConfig {
 	}
 	if c.RTO <= 0 {
 		c.RTO = time.Millisecond
-	}
-	if c.StreamWindow <= 0 {
-		c.StreamWindow = 1 << 20
 	}
 	return c
 }
@@ -271,7 +271,7 @@ func (s *QUICSender) OpenStream(id uint64, size int64) {
 	if size <= 0 {
 		panic("baseline: QUIC stream needs bytes")
 	}
-	s.streams[id] = &qOutStream{id: id, size: size, credit: s.cfg.StreamWindow}
+	s.streams[id] = &qOutStream{id: id, size: size, credit: quicStreamWindow}
 	s.order = append(s.order, id)
 	s.pump()
 }
@@ -518,13 +518,6 @@ type QUICReceiverConfig struct {
 	Conn uint64
 	// Src is the sender's node (where ACKs go).
 	Src simnet.NodeID
-	// StreamWindow bounds per-stream reassembly state: frames beyond
-	// consumed+StreamWindow are dropped, and MaxStreamData advertises
-	// exactly that limit. Default 1<<20.
-	StreamWindow int64
-	// ManualConsume disables credit auto-advance: the application must
-	// call Consume to open the stream window (models a slow reader).
-	ManualConsume bool
 	// OnStream fires when a stream completes (all bytes up to FIN
 	// contiguous).
 	OnStream func(now time.Duration, stream uint64, size int64)
@@ -573,9 +566,6 @@ type QUICReceiver struct {
 
 // NewQUICReceiver builds a receiver that acks through port.
 func NewQUICReceiver(eng *sim.Engine, port Port, cfg QUICReceiverConfig) *QUICReceiver {
-	if cfg.StreamWindow <= 0 {
-		cfg.StreamWindow = 1 << 20
-	}
 	return &QUICReceiver{cfg: cfg, eng: eng, port: port, streams: make(map[uint64]*qInStream)}
 }
 
@@ -585,24 +575,6 @@ func (r *QUICReceiver) Stream(id uint64) int64 {
 		return st.got.contiguous()
 	}
 	return 0
-}
-
-// Consume advances the application's read cursor on a stream when
-// ManualConsume is set, opening flow-control credit; the update rides a
-// pure ACK.
-func (r *QUICReceiver) Consume(stream uint64, n int64) {
-	st := r.streams[stream]
-	if st == nil || n <= 0 {
-		return
-	}
-	st.consumed += n
-	if c := st.got.contiguous(); st.consumed > c {
-		st.consumed = c
-	}
-	r.sendAck(&QUICPacket{
-		Conn: r.cfg.Conn, Ack: true, AckLargest: r.largest,
-		Stream: stream, MaxStreamData: st.consumed + r.cfg.StreamWindow,
-	})
 }
 
 // OnPacket handles an arriving data packet for this connection.
@@ -633,7 +605,7 @@ func (r *QUICReceiver) OnPacket(pkt *simnet.Packet) {
 	r.sendAck(&QUICPacket{
 		Conn: r.cfg.Conn, Ack: true, AckPkt: qp.PktNum, AckLargest: r.largest,
 		ECNEcho: pkt.CE, Stream: qp.Stream,
-		MaxStreamData: st.consumed + r.cfg.StreamWindow,
+		MaxStreamData: st.consumed + quicStreamWindow,
 	})
 }
 
@@ -666,7 +638,7 @@ func (r *QUICReceiver) ingestFrame(now time.Duration, qp *QUICPacket, st *qInStr
 		r.BadFrames++ // oversum: frame claims bytes past the final size
 		return
 	}
-	if end > st.consumed+r.cfg.StreamWindow {
+	if end > st.consumed+quicStreamWindow {
 		r.FlowDropped++ // sender ignored flow control; protect the buffer
 		return
 	}
@@ -686,7 +658,7 @@ func (r *QUICReceiver) ingestFrame(now time.Duration, qp *QUICPacket, st *qInStr
 		if r.Buffered > r.MaxBuffered {
 			r.MaxBuffered = r.Buffered
 		}
-		if !r.cfg.ManualConsume && contig > beforeContig {
+		if contig > beforeContig {
 			st.consumed = contig
 		}
 	}

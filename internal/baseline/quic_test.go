@@ -84,36 +84,43 @@ func TestQUICStreamIndependence(t *testing.T) {
 	}
 }
 
-// TestQUICStreamFlowControl pins per-stream flow control: with a slow
-// reader (ManualConsume) and a 16 KB stream window, the sender stalls
-// stream 1 at exactly the advertised credit while small stream 2 completes
-// — the limit is per stream, not per connection. Consuming reopens the
-// window in credit-sized steps until the stream finishes.
+// TestQUICStreamFlowControl pins per-stream flow control: while every copy
+// of stream 1's first packet is held back, the receiver's contiguous prefix
+// stays at zero and so does the credit it advertises beyond one stream
+// window. The sender stalls stream 1 at exactly that credit while small
+// stream 2 completes — the limit is per stream, not per connection. Letting
+// the hole through moves the credit and stream 1 finishes.
 func TestQUICStreamFlowControl(t *testing.T) {
-	const win = 16 << 10
+	const size = 2 * quicStreamWindow
 	link := simnet.LinkConfig{Rate: 10e9, Delay: us(10), QueueCap: 4096}
 	eng, a, b := twoHosts(3, link, link)
-	snd := NewQUICSender(eng, a, QUICSenderConfig{Conn: 1, Dst: b.ID(), StreamWindow: win})
-	rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 1, Src: a.ID(), StreamWindow: win, ManualConsume: true})
+	snd := NewQUICSender(eng, a, QUICSenderConfig{Conn: 1, Dst: b.ID()})
+	rcv := NewQUICReceiver(eng, b, QUICReceiverConfig{Conn: 1, Src: a.ID()})
+	hold := true
 	a.SetHandler(snd.OnPacket)
-	b.SetHandler(rcv.OnPacket)
+	b.SetHandler(func(pkt *simnet.Packet) {
+		if qp, ok := pkt.Payload.(*QUICPacket); ok && hold && qp.Stream == 1 && qp.Offset == 0 {
+			return // the hole at the head of stream 1
+		}
+		rcv.OnPacket(pkt)
+	})
 
-	snd.OpenStream(1, 64<<10)
+	snd.OpenStream(1, size)
 	snd.OpenStream(2, 8<<10)
-	eng.Run(5 * time.Millisecond)
-	if got := rcv.Stream(1); got != win {
-		t.Fatalf("stream 1 received %d bytes; flow control should stall it at %d", got, win)
+	eng.Run(10 * time.Millisecond)
+	if got := rcv.Stream(1); got != 0 {
+		t.Fatalf("stream 1 contiguous prefix %d behind a held hole", got)
+	}
+	if hi := fuzzMaxTo(&rcv.streams[1].got); hi != quicStreamWindow {
+		t.Fatalf("stream 1 received up to offset %d; flow control should stall it at %d", hi, quicStreamWindow)
 	}
 	if rcv.StreamsDone != 1 || rcv.Delivered != 8<<10 {
 		t.Fatalf("stream 2 (within credit) should have completed: done=%d delivered=%d", rcv.StreamsDone, rcv.Delivered)
 	}
-	// The application reads; each consume opens another credit window.
-	for i := 1; i <= 4; i++ {
-		rcv.Consume(1, win)
-		eng.Run(time.Duration(5+5*i) * time.Millisecond)
-	}
-	if got := rcv.Stream(1); got != 64<<10 {
-		t.Fatalf("stream 1 stuck at %d after consuming", got)
+	hold = false
+	eng.Run(40 * time.Millisecond)
+	if got := rcv.Stream(1); got != size {
+		t.Fatalf("stream 1 stuck at %d after the hole filled", got)
 	}
 	if rcv.StreamsDone != 2 {
 		t.Fatalf("stream 1 never completed: done=%d", rcv.StreamsDone)

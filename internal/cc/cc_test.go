@@ -33,10 +33,10 @@ func TestFactory(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.MSS != 1460 || c.InitWindow != 14600 || c.MinWindow != 1460 {
+	if c.MSS != 1460 || c.InitWindow != 14600 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if got := c.clamp(-5); got != c.MinWindow {
+	if got := c.clamp(-5); got != 1460 {
 		t.Fatalf("clamp(-5) = %v", got)
 	}
 	c.MaxWindow = 10000
@@ -79,7 +79,7 @@ func TestAIMDHalvesOnceAndFloors(t *testing.T) {
 	if got := a.Window(); got != 25*mss {
 		t.Fatalf("after second mark window = %v, want %v", got, 25*mss)
 	}
-	// Repeated losses can never go below MinWindow.
+	// Repeated losses can never go below one MSS.
 	for i := 0; i < 100; i++ {
 		a.OnLoss(now + us(1000*(i+1)))
 	}
@@ -192,7 +192,7 @@ func TestRCPIgnoresAcksWithoutRate(t *testing.T) {
 }
 
 func TestSwiftIncreasesBelowTargetDecreasesAbove(t *testing.T) {
-	s := NewSwift(cfg(), SwiftConfig{TargetDelay: us(25)})
+	s := NewSwift(cfg())
 	w0 := s.Window()
 	now := us(0)
 	for i := 0; i < 50; i++ {
@@ -217,21 +217,21 @@ func TestSwiftIncreasesBelowTargetDecreasesAbove(t *testing.T) {
 }
 
 func TestSwiftLoss(t *testing.T) {
-	s := NewSwift(cfg(), SwiftConfig{})
+	s := NewSwift(cfg())
 	s.cwnd = 100 * mss
 	s.OnLoss(us(10))
 	if got := s.Window(); got != 50*mss {
-		t.Fatalf("loss window = %v, want %v (MaxMDF=0.5)", got, 50*mss)
+		t.Fatalf("loss window = %v, want %v (swiftMaxMDF=0.5)", got, 50*mss)
 	}
 }
 
 // TestQuickWindowsStayBounded: under arbitrary feedback sequences every
-// algorithm keeps its window within [MinWindow, MaxWindow].
+// algorithm keeps its window within [one MSS, MaxWindow].
 func TestQuickWindowsStayBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := Config{MSS: mss, MaxWindow: 1 << 24}
-		algos := []Algorithm{NewAIMD(c), NewDCTCP(c), NewRCP(c), NewSwift(c, SwiftConfig{})}
+		algos := []Algorithm{NewAIMD(c), NewDCTCP(c), NewRCP(c), NewSwift(c)}
 		now := time.Duration(0)
 		for i := 0; i < 500; i++ {
 			now += time.Duration(r.Intn(50)) * time.Microsecond

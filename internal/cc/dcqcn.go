@@ -2,39 +2,20 @@ package cc
 
 import "time"
 
-// DCQCNConfig tunes the DCQCN algorithm.
-type DCQCNConfig struct {
-	// LineRate is the NIC line rate in bits/s and the starting rate
-	// (DCQCN starts at full speed). Zero means 10 Gbps.
-	LineRate float64
-	// G is the alpha EWMA gain. Zero means 1/16.
-	G float64
-	// RateAI is the additive-increase step in bits/s. Zero means 40 Mbps.
-	RateAI float64
-	// Period is the rate-update interval (the paper's 55 µs timer).
-	Period time.Duration
-	// MinRate floors the sending rate. Zero means 10 Mbps.
-	MinRate float64
-}
-
-func (c DCQCNConfig) withDefaults() DCQCNConfig {
-	if c.LineRate <= 0 {
-		c.LineRate = 10e9
-	}
-	if c.G <= 0 {
-		c.G = 1.0 / 16.0
-	}
-	if c.RateAI <= 0 {
-		c.RateAI = 40e6
-	}
-	if c.Period <= 0 {
-		c.Period = 55 * time.Microsecond
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 10e6
-	}
-	return c
-}
+// DCQCN's parameters.
+const (
+	// dcqcnLineRate is the starting and ceiling rate (bits/s) when
+	// Config.LineRate is zero; DCQCN starts at full speed.
+	dcqcnLineRate = 10e9
+	// dcqcnG is the alpha EWMA gain.
+	dcqcnG = 1.0 / 16.0
+	// dcqcnRateAI is the additive-increase step in bits/s.
+	dcqcnRateAI = 40e6
+	// dcqcnPeriod is the rate-update interval (the paper's 55 µs timer).
+	dcqcnPeriod = 55 * time.Microsecond
+	// dcqcnMinRate floors the sending rate (bits/s).
+	dcqcnMinRate = 10e6
+)
 
 // DCQCN implements a simplified DCQCN rate controller (Zhu et al.,
 // SIGCOMM'15): the sender starts at line rate; ECN marks drive an alpha
@@ -44,8 +25,8 @@ func (c DCQCNConfig) withDefaults() DCQCNConfig {
 // (additive increase). Section 4 of the MTP paper names DCQCN as one of the
 // algorithms MTP can express on a pathlet.
 type DCQCN struct {
-	cfg  Config
-	qcfg DCQCNConfig
+	cfg      Config
+	lineRate float64 // bps
 
 	alpha float64
 	rc    float64 // current rate (bps)
@@ -60,14 +41,17 @@ type DCQCN struct {
 }
 
 // NewDCQCN returns a DCQCN controller.
-func NewDCQCN(cfg Config, qcfg DCQCNConfig) *DCQCN {
-	qcfg = qcfg.withDefaults()
+func NewDCQCN(cfg Config) *DCQCN {
+	line := cfg.LineRate
+	if line <= 0 {
+		line = dcqcnLineRate
+	}
 	return &DCQCN{
-		cfg:   cfg.withDefaults(),
-		qcfg:  qcfg,
-		alpha: 1,
-		rc:    qcfg.LineRate,
-		rt:    qcfg.LineRate,
+		cfg:      cfg.withDefaults(),
+		lineRate: line,
+		alpha:    1,
+		rc:       line,
+		rt:       line,
 	}
 }
 
@@ -101,11 +85,11 @@ func (d *DCQCN) OnAck(now time.Duration, s Signal) {
 	}
 	if s.ECN {
 		// Alpha rises and the rate cuts, at most once per period.
-		if now-d.lastAlphaUpd >= d.qcfg.Period {
+		if now-d.lastAlphaUpd >= dcqcnPeriod {
 			d.lastAlphaUpd = now
-			d.alpha = (1-d.qcfg.G)*d.alpha + d.qcfg.G
+			d.alpha = (1-dcqcnG)*d.alpha + dcqcnG
 		}
-		if now-d.lastDecrease >= d.qcfg.Period {
+		if now-d.lastDecrease >= dcqcnPeriod {
 			d.lastDecrease = now
 			d.rt = d.rc
 			d.rc = d.floor(d.rc * (1 - d.alpha/2))
@@ -115,11 +99,11 @@ func (d *DCQCN) OnAck(now time.Duration, s Signal) {
 		return
 	}
 	// No mark: alpha decays once per period, and the rate recovers.
-	if now-d.lastAlphaUpd >= d.qcfg.Period {
+	if now-d.lastAlphaUpd >= dcqcnPeriod {
 		d.lastAlphaUpd = now
-		d.alpha *= 1 - d.qcfg.G
+		d.alpha *= 1 - dcqcnG
 	}
-	if now-d.lastIncrease >= d.qcfg.Period {
+	if now-d.lastIncrease >= dcqcnPeriod {
 		d.lastIncrease = now
 		d.recoveries++
 		switch {
@@ -127,14 +111,14 @@ func (d *DCQCN) OnAck(now time.Duration, s Signal) {
 			// Fast recovery: halve the distance to the target.
 		case d.recoveries <= 10:
 			// Additive increase: raise the target.
-			d.rt += d.qcfg.RateAI
+			d.rt += dcqcnRateAI
 		default:
 			// Hyper increase: the network has been clean for many periods;
 			// probe aggressively (the original algorithm's HAI stage).
-			d.rt += d.qcfg.RateAI * 10 * float64(d.recoveries-10)
+			d.rt += dcqcnRateAI * 10 * float64(d.recoveries-10)
 		}
-		if d.rt > d.qcfg.LineRate {
-			d.rt = d.qcfg.LineRate
+		if d.rt > d.lineRate {
+			d.rt = d.lineRate
 		}
 		d.rc = d.cap((d.rc + d.rt) / 2)
 	}
@@ -142,7 +126,7 @@ func (d *DCQCN) OnAck(now time.Duration, s Signal) {
 
 // OnLoss implements Algorithm: treat like a hard mark.
 func (d *DCQCN) OnLoss(now time.Duration) {
-	if now-d.lastDecrease < d.qcfg.Period {
+	if now-d.lastDecrease < dcqcnPeriod {
 		return
 	}
 	d.lastDecrease = now
@@ -153,15 +137,15 @@ func (d *DCQCN) OnLoss(now time.Duration) {
 }
 
 func (d *DCQCN) floor(r float64) float64 {
-	if r < d.qcfg.MinRate {
-		return d.qcfg.MinRate
+	if r < dcqcnMinRate {
+		return dcqcnMinRate
 	}
 	return r
 }
 
 func (d *DCQCN) cap(r float64) float64 {
-	if r > d.qcfg.LineRate {
-		return d.qcfg.LineRate
+	if r > d.lineRate {
+		return d.lineRate
 	}
 	return d.floor(r)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDCQCNStartsAtLineRate(t *testing.T) {
-	d := NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 25e9})
+	d := NewDCQCN(Config{MSS: mss, LineRate: 25e9})
 	bps, ok := d.Rate()
 	if !ok || bps != 25e9 {
 		t.Fatalf("initial rate = %v, %v", bps, ok)
@@ -20,7 +20,7 @@ func TestDCQCNStartsAtLineRate(t *testing.T) {
 }
 
 func TestDCQCNDecreasesOnMarksIncreasesAfter(t *testing.T) {
-	d := NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9})
+	d := NewDCQCN(Config{MSS: mss})
 	now := time.Duration(0)
 	// Sustained marks: rate must fall well below line rate.
 	for i := 0; i < 50; i++ {
@@ -52,7 +52,7 @@ func TestDCQCNDecreasesOnMarksIncreasesAfter(t *testing.T) {
 }
 
 func TestDCQCNFastRecoveryPrecedesAdditive(t *testing.T) {
-	d := NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9})
+	d := NewDCQCN(Config{MSS: mss})
 	now := time.Duration(0)
 	// Two decreases so the remembered target sits below line rate (a first
 	// cut from line rate leaves target == line rate, which caps additive
@@ -85,7 +85,7 @@ func TestDCQCNFastRecoveryPrecedesAdditive(t *testing.T) {
 }
 
 func TestDCQCNLossHalves(t *testing.T) {
-	d := NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9})
+	d := NewDCQCN(Config{MSS: mss})
 	d.OnLoss(time.Millisecond)
 	bps, _ := d.Rate()
 	if bps != 5e9 {
@@ -99,15 +99,14 @@ func TestDCQCNLossHalves(t *testing.T) {
 }
 
 func TestDCQCNRateFloor(t *testing.T) {
-	d := NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9, MinRate: 100e6})
+	d := NewDCQCN(Config{MSS: mss})
 	now := time.Duration(0)
 	for i := 0; i < 1000; i++ {
 		now += 60 * time.Microsecond
 		d.OnAck(now, Signal{AckedBytes: mss, ECN: true, RTT: us(50)})
 	}
-	bps, _ := d.Rate()
-	if bps < 100e6 {
-		t.Fatalf("rate %v below floor", bps)
+	if bps, _ := d.Rate(); bps != dcqcnMinRate {
+		t.Fatalf("rate %v after sustained marks, want the %v floor", bps, dcqcnMinRate)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestStepResponse(t *testing.T) {
 	}{
 		{
 			name:    "dcqcn",
-			algo:    func() Algorithm { return NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: line}) },
+			algo:    func() Algorithm { return NewDCQCN(Config{MSS: mss, LineRate: line}) },
 			rateMax: line,
 			phases: []ccPhase{
 				// Sustained marks cut the rate multiplicatively.
@@ -86,7 +86,7 @@ func TestStepResponse(t *testing.T) {
 		{
 			name: "swift",
 			algo: func() Algorithm {
-				return NewSwift(Config{MSS: mss, MaxWindow: 1 << 22}, SwiftConfig{TargetDelay: us(25)})
+				return NewSwift(Config{MSS: mss, MaxWindow: 1 << 22})
 			},
 			windowMax: 1 << 22,
 			phases: []ccPhase{
@@ -99,7 +99,7 @@ func TestStepResponse(t *testing.T) {
 					sig: Signal{AckedBytes: mss, HasDelay: true, Delay: us(250), RTT: us(100)}}}, want: "down"},
 				// Acks without delay feedback count as uncongested: growth.
 				{name: "no-delay", steps: []ccStep{{reps: 50, dt: us(10), sig: mk(false)}}, want: "up"},
-				// Loss cuts by MaxMDF.
+				// Loss cuts by swiftMaxMDF.
 				{name: "loss", steps: []ccStep{{reps: 1, dt: us(500), loss: true}}, want: "down"},
 			},
 		},
@@ -120,8 +120,8 @@ func TestStepResponse(t *testing.T) {
 							a.OnAck(now, st.sig)
 						}
 						// Hard bounds hold after every individual step.
-						if w := a.Window(); w < norm.MinWindow {
-							t.Fatalf("%s: window %v below floor %v", ph.name, w, norm.MinWindow)
+						if w := a.Window(); w < float64(norm.MSS) {
+							t.Fatalf("%s: window %v below the one-MSS floor", ph.name, w)
 						}
 						if tc.windowMax > 0 && a.Window() > tc.windowMax {
 							t.Fatalf("%s: window %v above cap %v", ph.name, a.Window(), tc.windowMax)
@@ -173,9 +173,9 @@ func TestStepResponseMarkFraction(t *testing.T) {
 		// Recovery is aggressive enough that sparse marks (1 in 25+) are fully
 		// absorbed between cuts, so the light case uses 1-in-8 marking, which
 		// still settles measurably below a clean link.
-		heavy := settle(NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9}), 2)
-		light := settle(NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9}), 8)
-		clean := settle(NewDCQCN(Config{MSS: mss}, DCQCNConfig{LineRate: 10e9}), 0)
+		heavy := settle(NewDCQCN(Config{MSS: mss}), 2)
+		light := settle(NewDCQCN(Config{MSS: mss}), 8)
+		clean := settle(NewDCQCN(Config{MSS: mss}), 0)
 		if !(heavy < light && light < clean) {
 			t.Fatalf("steady rates not ordered by mark fraction: 1/2=%.2f 1/8=%.2f clean=%.2f Gbps",
 				heavy/1e9, light/1e9, clean/1e9)

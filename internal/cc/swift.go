@@ -2,41 +2,24 @@ package cc
 
 import "time"
 
-// SwiftConfig carries the delay-based parameters for Swift.
-type SwiftConfig struct {
-	// TargetDelay is the fabric queueing-delay target. Zero means 25 µs.
-	TargetDelay time.Duration
-	// AI is the additive-increase step in MSS per RTT. Zero means 1.
-	AI float64
-	// Beta is the multiplicative-decrease factor cap. Zero means 0.8.
-	Beta float64
-	// MaxMDF caps the per-event decrease fraction. Zero means 0.5.
-	MaxMDF float64
-}
-
-func (c SwiftConfig) withDefaults() SwiftConfig {
-	if c.TargetDelay <= 0 {
-		c.TargetDelay = 25 * time.Microsecond
-	}
-	if c.AI <= 0 {
-		c.AI = 1
-	}
-	if c.Beta <= 0 {
-		c.Beta = 0.8
-	}
-	if c.MaxMDF <= 0 {
-		c.MaxMDF = 0.5
-	}
-	return c
-}
+// Swift's delay-based parameters.
+const (
+	// swiftTarget is the fabric queueing-delay target.
+	swiftTarget = 25 * time.Microsecond
+	// swiftAI is the additive-increase step in MSS per RTT.
+	swiftAI = 1
+	// swiftBeta scales the decrease fraction by the delay excess.
+	swiftBeta = 0.8
+	// swiftMaxMDF caps the per-event decrease fraction.
+	swiftMaxMDF = 0.5
+)
 
 // Swift implements a Swift-style delay-based algorithm (Kumar et al.,
 // SIGCOMM'20, simplified): the window grows additively while measured delay
 // is below target and shrinks multiplicatively in proportion to how far the
 // delay exceeds the target, with at most one decrease per RTT.
 type Swift struct {
-	cfg  Config
-	scfg SwiftConfig
+	cfg Config
 
 	cwnd    float64
 	srtt    time.Duration
@@ -45,8 +28,9 @@ type Swift struct {
 }
 
 // NewSwift returns a delay-based algorithm.
-func NewSwift(cfg Config, scfg SwiftConfig) *Swift {
-	return &Swift{cfg: cfg.withDefaults(), scfg: scfg.withDefaults(), cwnd: cfg.withDefaults().InitWindow}
+func NewSwift(cfg Config) *Swift {
+	cfg = cfg.withDefaults()
+	return &Swift{cfg: cfg, cwnd: cfg.InitWindow}
 }
 
 // Name implements Algorithm.
@@ -65,15 +49,15 @@ func (s *Swift) OnAck(now time.Duration, sig Signal) {
 	}
 	delay := sig.Delay
 	if !sig.HasDelay {
-		// Without explicit delay feedback, infer queueing delay from RTT
-		// inflation over the minimum observed (coarse but serviceable).
+		// Without delay feedback from the pathlet the delay counts as zero:
+		// the window only grows additively and shrinks on loss. RTT
+		// inflation is not used as a stand-in.
 		delay = 0
 	}
-	target := s.scfg.TargetDelay
-	if delay <= target {
+	if delay <= swiftTarget {
 		// Additive increase, scaled by acked bytes over the window.
 		if s.cwnd > 0 {
-			inc := s.scfg.AI * float64(s.cfg.MSS) * float64(sig.AckedBytes) / s.cwnd
+			inc := swiftAI * float64(s.cfg.MSS) * float64(sig.AckedBytes) / s.cwnd
 			s.cwnd = s.cfg.clamp(s.cwnd + inc)
 		}
 		return
@@ -85,11 +69,8 @@ func (s *Swift) OnAck(now time.Duration, sig Signal) {
 	}
 	s.hasCut = true
 	s.lastCut = now
-	excess := float64(delay-target) / float64(delay)
-	mdf := s.scfg.Beta * excess
-	if mdf > s.scfg.MaxMDF {
-		mdf = s.scfg.MaxMDF
-	}
+	excess := float64(delay-swiftTarget) / float64(delay)
+	mdf := min(swiftBeta*excess, swiftMaxMDF)
 	s.cwnd = s.cfg.clamp(s.cwnd * (1 - mdf))
 }
 
@@ -100,7 +81,7 @@ func (s *Swift) OnLoss(now time.Duration) {
 	}
 	s.hasCut = true
 	s.lastCut = now
-	s.cwnd = s.cfg.clamp(s.cwnd * (1 - s.scfg.MaxMDF))
+	s.cwnd = s.cfg.clamp(s.cwnd * (1 - swiftMaxMDF))
 }
 
 func (s *Swift) updateRTT(sample time.Duration) {

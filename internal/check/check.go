@@ -295,7 +295,7 @@ func (c *Checker) AttachEndpoint(ep *core.Endpoint, node simnet.NodeID) {
 		ccCfg.MSS = cfg.MSS
 		norm := ccCfg.Normalized()
 		info.boundsKnown = true
-		info.minWin = norm.MinWindow
+		info.minWin = float64(norm.MSS) // cc floors every window at one MSS
 		info.maxWin = norm.MaxWindow
 		info.lineRate = norm.LineRate
 	}

@@ -76,10 +76,10 @@ type Config struct {
 	// acknowledged.
 	OnMessageSent func(m *OutMessage)
 
-	// AutoExclude, when non-nil, enables the sender policy that asks the
-	// network to avoid persistently marked pathlets via the header's
-	// path-exclude list.
-	AutoExclude *AutoExcludeConfig
+	// AutoExclude enables the sender policy that asks the network to avoid
+	// persistently marked pathlets via the header's path-exclude list
+	// (exclude.go).
+	AutoExclude bool
 
 	// FailoverRTOs, when positive, enables pathlet failure recovery: a
 	// pathlet that suffers this many consecutive retransmission-timeout
@@ -396,8 +396,8 @@ func NewEndpoint(env Env, cfg Config) *Endpoint {
 		}
 	}
 	e.table = pathlet.NewTable(factory)
-	if cfg.AutoExclude != nil {
-		e.excluder = newAutoExcluder(*cfg.AutoExclude)
+	if cfg.AutoExclude {
+		e.excluder = newAutoExcluder()
 	}
 	if cfg.FailoverRTOs > 0 {
 		e.fo = newFailoverState()

@@ -6,47 +6,30 @@ import (
 	"mtp/internal/wire"
 )
 
-// AutoExcludeConfig enables the sender-side policy that asks the network to
+// Config.AutoExclude enables the sender-side policy that asks the network to
 // avoid persistently congested pathlets (Section 3.1.3: "MTP has end-hosts
 // provide feedback to the network about the pathlets that should not be
-// used"). A pathlet is excluded when its recent ECN mark fraction exceeds
-// MarkFraction while at least one known alternative pathlet is healthy;
-// exclusions expire after Duration so the network can be re-probed.
-type AutoExcludeConfig struct {
-	// MarkFraction is the ECN mark rate over the observation window that
-	// triggers exclusion. Default 0.5.
-	MarkFraction float64
-	// Window is the number of feedback events per observation window.
-	// Default 32.
-	Window int
-	// Duration is how long an exclusion lasts before the pathlet is
-	// re-admitted for probing. Default 1ms.
-	Duration time.Duration
-	// MinPathlets is the minimum number of known pathlets before any
-	// exclusion is issued (never exclude the only path). Default 2.
-	MinPathlets int
-}
-
-func (c AutoExcludeConfig) withDefaults() AutoExcludeConfig {
-	if c.MarkFraction <= 0 {
-		c.MarkFraction = 0.5
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Millisecond
-	}
-	if c.MinPathlets <= 0 {
-		c.MinPathlets = 2
-	}
-	return c
-}
+// used"). A pathlet is excluded when its ECN mark fraction over an
+// observation window reaches excludeMarkFraction while at least one known
+// alternative pathlet is healthy; exclusions expire after excludeDuration so
+// the network can be re-probed.
+const (
+	// excludeMarkFraction is the mark rate over one observation window that
+	// triggers exclusion.
+	excludeMarkFraction = 0.3
+	// excludeWindow is the number of feedback events per observation window.
+	excludeWindow = 32
+	// excludeDuration is how long an exclusion lasts before the pathlet is
+	// re-admitted for probing.
+	excludeDuration = 5 * time.Millisecond
+	// excludeMinPathlets is the number of observed pathlets below which no
+	// exclusion is issued (never exclude the only path).
+	excludeMinPathlets = 2
+)
 
 // autoExcluder tracks per-pathlet mark rates and drives the table's
 // exclusion list.
 type autoExcluder struct {
-	cfg    AutoExcludeConfig
 	counts map[wire.PathTC]*markWindow
 	until  map[wire.PathTC]time.Duration
 }
@@ -56,9 +39,8 @@ type markWindow struct {
 	marked int
 }
 
-func newAutoExcluder(cfg AutoExcludeConfig) *autoExcluder {
+func newAutoExcluder() *autoExcluder {
 	return &autoExcluder{
-		cfg:    cfg.withDefaults(),
 		counts: make(map[wire.PathTC]*markWindow),
 		until:  make(map[wire.PathTC]time.Duration),
 	}
@@ -87,12 +69,12 @@ func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Fe
 		if f.ECNMarked() || f.Type == wire.FeedbackTrim {
 			w.marked++
 		}
-		if w.events < a.cfg.Window {
+		if w.events < excludeWindow {
 			continue
 		}
 		frac := float64(w.marked) / float64(w.events)
 		w.events, w.marked = 0, 0
-		if frac < a.cfg.MarkFraction {
+		if frac < excludeMarkFraction {
 			continue
 		}
 		// Only exclude when an alternative exists that has actually been
@@ -108,7 +90,7 @@ func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Fe
 				healthy++
 			}
 		}
-		if observed < a.cfg.MinPathlets || healthy == 0 {
+		if observed < excludeMinPathlets || healthy == 0 {
 			continue
 		}
 		if _, already := a.until[f.Path]; !already {
@@ -116,6 +98,6 @@ func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Fe
 			e.Stats.Exclusions++
 			e.emitPath(KindExclude, f.Path)
 		}
-		a.until[f.Path] = now + a.cfg.Duration
+		a.until[f.Path] = now + excludeDuration
 	}
 }

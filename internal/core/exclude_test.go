@@ -12,9 +12,7 @@ import (
 // in outgoing headers, and re-admit it after the exclusion expires.
 func TestAutoExcludeMarksCongestedPathlet(t *testing.T) {
 	w, a, _, ea, _ := pair(31, us(5),
-		Config{LocalPort: 1, MSS: 1000, AutoExclude: &AutoExcludeConfig{
-			MarkFraction: 0.5, Window: 16, Duration: 2 * time.Millisecond,
-		}},
+		Config{LocalPort: 1, MSS: 1000, AutoExclude: true},
 		Config{LocalPort: 2},
 	)
 	good := wire.PathTC{PathID: 1}
@@ -57,11 +55,12 @@ func TestAutoExcludeMarksCongestedPathlet(t *testing.T) {
 		t.Fatal("exclude list not carried in headers")
 	}
 
-	// Stop marking; after Duration the exclusion expires.
+	// Stop marking; the exclusion expires excludeDuration after the last
+	// marked window, and the next feedback once it has re-admits the pathlet.
 	ea.stampECN = func(pkt *Outbound) (wire.PathTC, bool, bool) {
 		return good, false, true
 	}
-	a.SendSynthetic("b", 2, 200*1000, SendOptions{})
+	w.eng.Schedule(excludeDuration, func() { a.SendSynthetic("b", 2, 200*1000, SendOptions{}) })
 	w.eng.Run(20 * time.Millisecond)
 	if st.Excluded {
 		t.Fatal("exclusion never expired")
@@ -72,7 +71,7 @@ func TestAutoExcludeMarksCongestedPathlet(t *testing.T) {
 // policy must not exclude it no matter how congested.
 func TestAutoExcludeNeverExcludesOnlyPath(t *testing.T) {
 	w, a, _, ea, _ := pair(32, us(5),
-		Config{LocalPort: 1, MSS: 1000, AutoExclude: &AutoExcludeConfig{Window: 8}},
+		Config{LocalPort: 1, MSS: 1000, AutoExclude: true},
 		Config{LocalPort: 2},
 	)
 	only := wire.PathTC{PathID: 7}
@@ -83,13 +82,5 @@ func TestAutoExcludeNeverExcludesOnlyPath(t *testing.T) {
 	w.eng.Run(10 * time.Millisecond)
 	if a.Stats.Exclusions != 0 {
 		t.Fatalf("excluded the only pathlet (%d exclusions)", a.Stats.Exclusions)
-	}
-}
-
-// TestAutoExcludeDefaults exercises the config defaulting.
-func TestAutoExcludeDefaults(t *testing.T) {
-	c := AutoExcludeConfig{}.withDefaults()
-	if c.MarkFraction != 0.5 || c.Window != 32 || c.Duration != time.Millisecond || c.MinPathlets != 2 {
-		t.Fatalf("defaults = %+v", c)
 	}
 }

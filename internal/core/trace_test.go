@@ -113,9 +113,7 @@ func failoverRun(t *testing.T, snd *recorder) {
 // auto-exclude policy excludes it, and then stops, so the exclusion expires.
 func excludeRun(t *testing.T, snd *recorder) {
 	w, a, _, ea, _ := pair(53, us(5),
-		Config{LocalPort: 1, MSS: 1000, Observer: snd, AutoExclude: &AutoExcludeConfig{
-			MarkFraction: 0.5, Window: 16, Duration: 2 * time.Millisecond,
-		}},
+		Config{LocalPort: 1, MSS: 1000, Observer: snd, AutoExclude: true},
 		Config{LocalPort: 2},
 	)
 	good, bad := wire.PathTC{PathID: 1}, wire.PathTC{PathID: 2}

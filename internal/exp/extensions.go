@@ -51,10 +51,7 @@ func RunExclusion(duration time.Duration) ExclusionResult {
 			99, rig.rcv.ID(), 1460, 9e9)
 		cross.Start()
 
-		cfg := core.Config{LocalPort: 1, RTO: 2 * time.Millisecond}
-		if auto {
-			cfg.AutoExclude = &core.AutoExcludeConfig{MarkFraction: 0.3, Window: 32, Duration: 5 * time.Millisecond}
-		}
+		cfg := core.Config{LocalPort: 1, RTO: 2 * time.Millisecond, AutoExclude: auto}
 		sender, fill := rig.saturate(rig.snd, cfg, rig.rcv.ID(), 1<<20)
 		receiver := simhost.AttachMTP(rig.net, rig.rcv, core.Config{LocalPort: 2})
 		fill(8)

@@ -42,9 +42,8 @@ func TestExclusionUnderCheck(t *testing.T) {
 	chk := check.New(rig.eng, rig.net)
 	baseline.NewUDPSender(rig.eng, baseline.Route{Pool: rig.net, Emit: rig.fast.Enqueue},
 		99, rig.rcv.ID(), 1460, 9e9).Start()
-	sender, _ := rig.runMTP(core.Config{RTO: 2 * time.Millisecond, AutoExclude: &core.AutoExcludeConfig{
-		MarkFraction: 0.3, Window: 32, Duration: 2 * time.Millisecond,
-	}}, chk, time.Millisecond, 12*time.Millisecond)
+	sender, _ := rig.runMTP(core.Config{RTO: 2 * time.Millisecond, AutoExclude: true},
+		chk, time.Millisecond, 12*time.Millisecond)
 	chk.Finalize()
 	// A second exclusion of the one congested pathlet means the first expired.
 	if n := sender.EP.Stats.Exclusions; n < 2 {

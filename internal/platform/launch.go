@@ -244,7 +244,7 @@ func runPoint(p Point, opts Options, logf func(string, ...any)) (PointResult, er
 
 	hellos := make(chan helloEvt, 2*n)
 	events := make(chan wevent, 8*n)
-	go acceptLoop(ln, opts.PhaseTimeout, hellos, stop)
+	go acceptLoop(ln, phaseTimeout, hellos, stop)
 
 	state := make([]int, n)
 	result := make([]*WorkerResult, n)
@@ -267,9 +267,9 @@ func runPoint(p Point, opts Options, logf func(string, ...any)) (PointResult, er
 	// Phase 1 — registration and readiness: every worker hellos, gets its
 	// setup, and reports ready; the sink's ready carries the data-plane
 	// address. Pre-start there are no survivors to salvage, so any death
-	// here fails the point — but within PhaseTimeout, not PointTimeout.
+	// here fails the point — but within phaseTimeout, not PointTimeout.
 	var sinkAddr string
-	phaseEnd := time.Now().Add(opts.PhaseTimeout)
+	phaseEnd := time.Now().Add(phaseTimeout)
 	for readyCount := 0; readyCount < n; {
 		select {
 		case h := <-hellos:
@@ -298,7 +298,7 @@ func runPoint(p Point, opts Options, logf func(string, ...any)) (PointResult, er
 				return res, fmt.Errorf("worker %d: unexpected %q during setup", ev.index, ev.msg.Type)
 			}
 		case <-time.After(time.Until(phaseEnd)):
-			return res, fmt.Errorf("setup phase timed out after %v", opts.PhaseTimeout)
+			return res, fmt.Errorf("setup phase timed out after %v", phaseTimeout)
 		}
 	}
 	if sinkAddr == "" {
@@ -399,7 +399,7 @@ func runPoint(p Point, opts Options, logf func(string, ...any)) (PointResult, er
 	if err := conns[0].send(ctrlMsg{Type: "stop"}); err != nil {
 		return res, fmt.Errorf("stop sink: %w", err)
 	}
-	drainEnd := time.Now().Add(opts.PhaseTimeout)
+	drainEnd := time.Now().Add(phaseTimeout)
 	var sinkRes *WorkerResult
 	for sinkRes == nil {
 		select {
@@ -424,7 +424,7 @@ func runPoint(p Point, opts Options, logf func(string, ...any)) (PointResult, er
 				}
 			}
 		case <-time.After(time.Until(drainEnd)):
-			return res, fmt.Errorf("sink drain timed out after %v", opts.PhaseTimeout)
+			return res, fmt.Errorf("sink drain timed out after %v", phaseTimeout)
 		}
 	}
 	for i := 1; i < n; i++ {

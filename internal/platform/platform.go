@@ -109,6 +109,11 @@ type procGo struct {
 func (p *procGo) Wait() error { <-p.done; return p.err }
 func (p *procGo) Kill()       {} // exits when its control conn closes
 
+// phaseTimeout bounds each control-plane phase (worker registration,
+// setup/ready, sink drain): a worker that cannot even register is detected
+// in seconds, not PointTimeout.
+const phaseTimeout = 30 * time.Second
+
 // Options tunes a Run.
 type Options struct {
 	// Spawn starts workers. Nil panics — commands pass ReexecSpawn with
@@ -117,10 +122,6 @@ type Options struct {
 	// PointTimeout bounds one experiment point's load phase end to end.
 	// Default 5min.
 	PointTimeout time.Duration
-	// PhaseTimeout bounds each control-plane phase (worker registration,
-	// setup/ready, sink drain). Default 30s — a worker that cannot even
-	// register is detected in seconds, not PointTimeout.
-	PhaseTimeout time.Duration
 	// HeartbeatTimeout is how long a worker's control connection may stay
 	// silent before the launcher declares it dead. Workers beat every
 	// hbInterval; the default 4s rides out scheduler hiccups while still
@@ -211,9 +212,6 @@ func Run(points []Point, opts Options) ([]PointResult, error) {
 	}
 	if opts.PointTimeout <= 0 {
 		opts.PointTimeout = 5 * time.Minute
-	}
-	if opts.PhaseTimeout <= 0 {
-		opts.PhaseTimeout = 30 * time.Second
 	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 4 * time.Second

@@ -46,6 +46,48 @@ func TestWheelDoubleClose(t *testing.T) {
 	w.Schedule(tm, time.Millisecond)
 }
 
+// TestTransportsShareOneWheel: Transports take no wheel of their own; every
+// one runs its timer on the process wheel, and closing one stops only its
+// own timer, so another Transport's SetTimer keeps firing.
+func TestTransportsShareOneWheel(t *testing.T) {
+	newTransport := func(fired chan struct{}) *Transport {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTransport(Config{
+			Conn:     pc,
+			OnPacket: func(netip.AddrPort, *wire.Header, []byte) {},
+			OnTimer:  func() { fired <- struct{}{} },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	firedA, firedB := make(chan struct{}, 1), make(chan struct{}, 1)
+	a, b := newTransport(firedA), newTransport(firedB)
+	defer b.Close()
+	if a.wheel != b.wheel || a.wheel != processWheel() {
+		t.Fatal("transports built without a wheel run on different wheels")
+	}
+	a.SetTimer(a.Now() + 20*time.Millisecond)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b.SetTimer(b.Now() + time.Millisecond)
+	select {
+	case <-firedB:
+	case <-time.After(2 * time.Second):
+		t.Fatal("closing one transport stopped the other's timer")
+	}
+	select {
+	case <-firedA:
+		t.Fatal("a closed transport's timer fired")
+	case <-time.After(40 * time.Millisecond):
+	}
+}
+
 func TestLossyDoubleClose(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

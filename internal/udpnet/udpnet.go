@@ -24,9 +24,11 @@
 //     never performs a syscall while its owner's lock is held; the owner
 //     calls Flush once it has let go. A full ring drops the datagram like a
 //     full NIC queue; reliability recovers it.
-//   - A timer wheel. SetTimer deadlines are served by a shared hashed
-//     timing wheel (one goroutine per process, not one runtime timer per
-//     endpoint), at one-tick resolution and never early.
+//   - A timer wheel. SetTimer deadlines of every Transport in the process
+//     are served by one hashed timing wheel that the package owns (one
+//     goroutine per process, not one runtime timer per endpoint), at
+//     one-tick resolution and never early. Closing a Transport stops its
+//     timer, never the wheel.
 //
 // The public mtp.Node runs on a Transport whatever its PacketConn (the
 // in-memory test network included); internal/platform deploys multi-process
@@ -51,10 +53,6 @@ type Config struct {
 	// test wrappers) runs one datagram per syscall.
 	Conn net.PacketConn
 
-	// RingSize is the outbound ring capacity (rounded up to a power of
-	// two). Default 1024.
-	RingSize int
-
 	// MaxDatagram sizes the receive buffers and the initial capacity of
 	// pooled send buffers. It must cover header + MSS; a larger datagram from
 	// a peer is dropped and counted (Stats.TruncatedDrops). A socket with
@@ -62,10 +60,6 @@ type Config struct {
 	// datagram whole. Default 2048 (fits the default 1200-byte MSS with
 	// generous header room).
 	MaxDatagram int
-
-	// Wheel, when non-nil, shares a process-wide timer wheel; otherwise the
-	// transport owns a private one.
-	Wheel *Wheel
 
 	// OnPacket delivers one decoded datagram. hdr and data are valid only
 	// during the call (copy what you keep). Called from the reader
@@ -80,11 +74,19 @@ type Config struct {
 	OnBatchEnd func()
 
 	// OnTimer runs when the SetTimer deadline arrives. Called from the
-	// wheel goroutine.
+	// process wheel's goroutine.
 	OnTimer func()
 }
 
+// processWheel is the one timer wheel every Transport of the process shares:
+// one wheel goroutine serves all endpoint RTO/pacing timers instead of one
+// runtime timer per endpoint per rearm. It is started by the first
+// NewTransport and never closed.
+var processWheel = sync.OnceValue(func() *Wheel { return NewWheel(0, 0) })
+
 const (
+	// ringSize is the outbound ring's capacity in datagrams.
+	ringSize = 1024
 	// maxBatch caps the datagrams between two OnBatchEnd calls, and the
 	// receive buffers of a socket that returns one datagram in each.
 	maxBatch = 32
@@ -125,11 +127,10 @@ type Stats struct {
 
 // Transport runs batched socket I/O and timers for one endpoint.
 type Transport struct {
-	cfg      Config
-	io       batchIO
-	wheel    *Wheel
-	ownWheel bool
-	timer    *Timer
+	cfg   Config
+	io    batchIO
+	wheel *Wheel
+	timer *Timer
 
 	out  *ring
 	pool sync.Pool // *dgram send buffers
@@ -164,9 +165,6 @@ func NewTransport(cfg Config) (*Transport, error) {
 	if cfg.OnPacket == nil {
 		return nil, errors.New("udpnet: nil OnPacket")
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 1024
-	}
 	if cfg.MaxDatagram <= 0 {
 		cfg.MaxDatagram = 2048
 	}
@@ -178,13 +176,9 @@ func NewTransport(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:    cfg,
 		io:     newBatchIO(cfg.Conn),
-		wheel:  cfg.Wheel,
-		out:    newRing(cfg.RingSize),
+		wheel:  processWheel(),
+		out:    newRing(ringSize),
 		wbatch: make([]*dgram, 0, maxWriteBatch),
-	}
-	if t.wheel == nil {
-		t.wheel = NewWheel(0, 0)
-		t.ownWheel = true
 	}
 	if cfg.OnTimer != nil {
 		t.timer = NewTimer(cfg.OnTimer)
@@ -320,9 +314,6 @@ func (t *Transport) Close() error {
 	err := t.cfg.Conn.Close() // unblocks the reader
 	t.wg.Wait()
 	t.Flush()
-	if t.ownWheel {
-		t.wheel.Close()
-	}
 	return err
 }
 

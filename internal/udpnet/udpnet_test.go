@@ -626,7 +626,6 @@ func TestTransportEdgePaths(t *testing.T) {
 	fired := make(chan struct{}, 4)
 	tr, err := udpnet.NewTransport(udpnet.Config{
 		Conn:     udpConn(t),
-		RingSize: 2,
 		OnPacket: func(netip.AddrPort, *wire.Header, []byte) {},
 		OnTimer:  func() { fired <- struct{}{} },
 	})
@@ -642,17 +641,18 @@ func TestTransportEdgePaths(t *testing.T) {
 		t.Fatalf("encode errors = %d", tr.Stats().EncodeErrors)
 	}
 	// Ring overflow: nothing flushes between the queues, so pushes past the
-	// ring capacity must drop and count.
+	// ring's 1024 datagrams must drop and count.
+	const ringSize = 1024
 	good := wire.Header{Type: wire.TypeData, SrcPort: 1, DstPort: 2, MsgPkts: 1, MsgBytes: 1, PktLen: 1}
 	dst := netip.MustParseAddrPort("127.0.0.1:9")
 	sent := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < ringSize+3; i++ {
 		if tr.Queue(dst, &good, []byte{1}) {
 			sent++
 		}
 	}
-	if sent != 2 || tr.Stats().RingFullDrops != 3 {
-		t.Fatalf("sent=%d drops=%d, want 2/3", sent, tr.Stats().RingFullDrops)
+	if sent != ringSize || tr.Stats().RingFullDrops != 3 {
+		t.Fatalf("sent=%d drops=%d, want %d/3", sent, tr.Stats().RingFullDrops, ringSize)
 	}
 	// Timer: cancel must stop a pending deadline; re-arm must fire.
 	tr.SetTimer(tr.Now() + 5*time.Millisecond)

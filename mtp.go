@@ -229,7 +229,6 @@ func NewNode(pc net.PacketConn, cfg Config) (*Node, error) {
 	tr, err := udpnet.NewTransport(udpnet.Config{
 		Conn:        pc,
 		MaxDatagram: maxDgram,
-		Wheel:       nodeWheel(),
 		OnPacket:    n.onTransportPacket,
 		OnBatchEnd:  n.onBatchEnd,
 		OnTimer:     n.onTimer,
@@ -301,19 +300,6 @@ func newEpoch() uint32 {
 			return cand
 		}
 	}
-}
-
-// nodeWheel returns the process-wide timer wheel shared by every Node: one
-// wheel goroutine serves all endpoint RTO/pacing timers instead of one
-// runtime timer per node per rearm.
-var (
-	wheelOnce   sync.Once
-	sharedWheel *udpnet.Wheel
-)
-
-func nodeWheel() *udpnet.Wheel {
-	wheelOnce.Do(func() { sharedWheel = udpnet.NewWheel(0, 0) })
-	return sharedWheel
 }
 
 // onTransportPacket feeds one decoded datagram from the transport reader
