@@ -100,8 +100,9 @@ func TestDocumentedRows(t *testing.T) {
 		"-exp scenario offload=true":                         1,
 		"-exp scenario seed=1 rival=true":                    1,
 		"-exp scenario seed=51 topo=leafspine leaves=4 spines=2 hostsperleaf=1 messages=2 maxfaults=2 horizon=31ms": 1,
-		"-run ../../ci/sim.run":                                    6,
+		"-run ../../ci/sim.run":                                    7,
 		"-run ../../ci/sim.run -only sharded-scale":                1,
+		"-run ../../ci/sim.run -only sharded-leafspine":            1,
 		"-run ../../ci/sim.run -only failover-quic":                1,
 		"-run ../../internal/exp/testdata/scale.run baseline=quic": 10,
 		"-run ../../internal/exp/testdata/fig6.run -only default":  1,

@@ -127,11 +127,34 @@ func (c scaleSweepRow) run(workers int) Result {
 	return Result{Text: ScaleSweepString(RunScaleHostSweep(workers, c.Hosts, c.ScaleConfig))}
 }
 
+// check refuses a fabric shape no builder makes (zero picks the default).
+func (c ScaleConfig) check() error {
+	if c.K != 0 && (c.K < 2 || c.K%2 != 0) {
+		return fmt.Errorf("k=%d: a fat-tree radix is even and at least 2", c.K)
+	}
+	if c.Leaves < 0 || c.Spines < 0 || c.HostsPerLeaf < 0 {
+		return fmt.Errorf("leaves, spines and hostsperleaf must not be negative")
+	}
+	return nil
+}
+
 func (c scaleSweepRow) check() error {
 	if fat := c.Topo == "fattree"; c.K != 0 || (fat && c.Hosts != nil) || (!fat && c.Ks != nil) {
 		return fmt.Errorf("scalesweep sweeps hosts= on a leaf-spine and ks= with topo=fattree; k= is the point's")
 	}
-	return nil
+	for _, k := range c.Ks {
+		pt := c.ScaleConfig
+		pt.K = k
+		if err := pt.check(); err != nil {
+			return err
+		}
+	}
+	for _, n := range c.Hosts {
+		if n < 0 {
+			return fmt.Errorf("hosts=%d: a host count must not be negative", n)
+		}
+	}
+	return c.ScaleConfig.check()
 }
 
 func (c scenarioRow) run(int) Result {

@@ -64,11 +64,15 @@ func TestLoadRunfile(t *testing.T) {
 		t.Errorf("global seed not bound: %+v", c)
 	}
 	for in, want := range map[string]string{
-		"exp, topo\nscale, foo\n":          `runfile line 2: scale: unknown topo "foo" (want leafspine, fattree)`,
-		"exp\n\nname\nfig8\n":              `runfile line 4: unknown experiment "fig8"`,
-		"exp, seed\ntable1, 7\n":           `runfile line 2: unknown key "seed"`,
-		"shards = 2\n\nexp\nfig1\nfig2\n":  `runfile line 1: global "shards": no row has that key`,
-		"exp, hosts\nscalesweep, 32:x:8\n": `runfile line 2: hosts: "x" is not a valid int`,
+		"exp, topo\nscale, foo\n":                   `runfile line 2: scale: unknown topo "foo" (want leafspine, fattree)`,
+		"exp\n\nname\nfig8\n":                       `runfile line 4: unknown experiment "fig8"`,
+		"exp, seed\ntable1, 7\n":                    `runfile line 2: unknown key "seed"`,
+		"shards = 2\n\nexp\nfig1\nfig2\n":           `runfile line 1: global "shards": no row has that key`,
+		"exp, hosts\nscalesweep, 32:x:8\n":          `runfile line 2: hosts: "x" is not a valid int`,
+		"exp, topo, k\nscale, fattree, 5\n":         `runfile line 2: k=5: a fat-tree radix is even and at least 2`,
+		"exp, leaves\nscale, -2\n":                  `runfile line 2: leaves, spines and hostsperleaf must not be negative`,
+		"exp, topo, ks\nscalesweep, fattree, 4:5\n": `runfile line 2: k=5: a fat-tree radix is even and at least 2`,
+		"exp, hosts\nscalesweep, 32:-100\n":         `runfile line 2: hosts=-100: a host count must not be negative`,
 	} {
 		rows, err := platform.ParseRows([]byte(in))
 		if err == nil {

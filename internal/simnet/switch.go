@@ -20,15 +20,16 @@ type ForwardPolicy interface {
 // destinations to one or more candidate egress links, and a forwarding
 // policy that picks among them.
 type Switch struct {
-	id     NodeID
-	net    *Network
+	id  NodeID
+	net *Network
+	// routes holds the AddRoute entries of a hand-wired switch; nil until
+	// the first one.
 	routes map[NodeID][]*Link
-	// routeFn, when non-nil, computes candidates instead of the routes map.
-	// Structured topologies (fat-trees) use it to derive candidates
-	// arithmetically from the destination ID: a k=32 fat-tree has 8192 hosts
-	// and 1280 switches, and materializing per-host route entries in every
-	// switch would cost gigabytes. Explicit AddRoute entries still win when
-	// present (hosts attached directly to this switch).
+	// routeFn, when non-nil, computes candidates for destinations with no
+	// routes entry. The topo fabrics (leaf-spine and fat-tree) route by it
+	// alone, deriving candidates arithmetically from the destination ID: a
+	// k=32 fat-tree has 8192 hosts and 1280 switches, and materializing
+	// per-host route entries in every switch would cost gigabytes.
 	routeFn func(dst NodeID) []*Link
 	policy  ForwardPolicy
 	// egress lists every distinct egress link in registration order
@@ -60,7 +61,7 @@ func NewSwitch(n *Network, policy ForwardPolicy) *Switch {
 	if policy == nil {
 		policy = SingleRoute{}
 	}
-	s := &Switch{id: n.AllocID(), net: n, routes: make(map[NodeID][]*Link), policy: policy}
+	s := &Switch{id: n.AllocID(), net: n, policy: policy}
 	n.Register(s)
 	return s
 }
@@ -74,6 +75,9 @@ func (s *Switch) Network() *Network { return s.net }
 
 // AddRoute appends a candidate egress link for packets destined to dst.
 func (s *Switch) AddRoute(dst NodeID, l *Link) {
+	if s.routes == nil {
+		s.routes = make(map[NodeID][]*Link)
+	}
 	s.routes[dst] = append(s.routes[dst], l)
 	for _, e := range s.egress {
 		if e == l {
@@ -159,8 +163,8 @@ func (s *Switch) Receive(pkt *Packet, from *Link) {
 
 // Forward routes a packet (also used by offloads that generate packets).
 func (s *Switch) Forward(pkt *Packet) {
-	// Computed-routing switches (fat-tree tiers) keep the routes map empty,
-	// so the per-packet path skips the map hash entirely.
+	// Computed-routing switches (every topo-built fabric) have no routes
+	// map, so the per-packet path skips the map hash entirely.
 	var candidates []*Link
 	if len(s.routes) > 0 {
 		candidates = s.routes[pkt.Dst]

@@ -25,22 +25,27 @@ type FatTreeConfig struct {
 	Seed int64
 }
 
+// withDefaults fills the zero fields and panics on a radix no fat-tree has.
 func (c FatTreeConfig) withDefaults() FatTreeConfig {
 	if c.K == 0 {
 		c.K = 4
+	}
+	if c.K < 2 || c.K%2 != 0 {
+		panic(fmt.Sprintf("topo: fat-tree radix must be even and >= 2, got %d", c.K))
 	}
 	c.HostLink = c.HostLink.withDefaults()
 	c.FabricLink = c.FabricLink.withDefaults()
 	return c
 }
 
-// NewFatTree builds a k-ary fat-tree. Hosts are ordered pod-major, then
-// edge, then port: host index ((pod·k/2)+edge)·k/2+port. Upward routing
-// offers every uplink as an equal-cost candidate; downward routing is
-// deterministic single-path, giving the canonical path counts: 1 for
-// same-edge pairs, k/2 within a pod across edges, and (k/2)² across pods.
+// NewFatTree builds a k-ary fat-tree: shard 0 of the one-shard plan. Hosts
+// are ordered pod-major, then edge, then port: host index
+// ((pod·k/2)+edge)·k/2+port. Upward routing offers every uplink as an
+// equal-cost candidate; downward routing is deterministic single-path, giving
+// the canonical path counts: 1 for same-edge pairs, k/2 within a pod across
+// edges, and (k/2)² across pods.
 func NewFatTree(cfg FatTreeConfig) *Fabric {
-	f, _ := buildFatTree(cfg, nil, 0, nil)
+	f, _ := NewFatTreeShard(cfg, PlanFatTreeShards(cfg, 1), 0, nil)
 	return f
 }
 
@@ -48,41 +53,24 @@ func NewFatTree(cfg FatTreeConfig) *Fabric {
 // plan: its pods' switches and hosts, its round-robin share of the cores,
 // and every link whose transmitting side it owns. The walk is the full
 // topology's walk with unowned elements skipped, so node IDs, pathlet IDs,
-// and link ranks are identical to the unsharded build. Links whose receiver
+// and link ranks are identical to the one-shard build. Links whose receiver
 // lives in another shard get the remote hook instead of a local delivery
 // (see simnet.LinkConfig.Remote); links arriving from another shard are
 // materialized as mirror ingresses so deliveries injected by the shard
 // driver carry the true link identity. The returned ShardCut indexes both.
 func NewFatTreeShard(cfg FatTreeConfig, plan ShardPlan, shard int, remote simnet.RemoteHook) (*Fabric, *ShardCut) {
-	return buildFatTree(cfg, &plan, shard, remote)
-}
-
-func buildFatTree(cfg FatTreeConfig, plan *ShardPlan, shard int, remote simnet.RemoteHook) (*Fabric, *ShardCut) {
 	cfg = cfg.withDefaults()
 	k := cfg.K
-	if k < 2 || k%2 != 0 {
-		panic(fmt.Sprintf("topo: fat-tree radix must be even and >= 2, got %d", k))
-	}
 	half := k / 2
-	f := newFabric(cfg.Seed)
-	cut := &ShardCut{
-		Out:       make(map[*simnet.Link]CutPort),
-		In:        make(map[int]*simnet.Link),
-		Lookahead: cfg.FabricLink.Delay,
-	}
-	ownPod := func(p int) bool { return plan == nil || plan.PodShard[p] == shard }
-	ownCore := func(ci int) bool { return plan == nil || plan.CoreShard[ci] == shard }
+	f := newFabric(cfg.Seed, cfg.FabricLink.Delay, remote)
+	ownPod := func(p int) bool { return plan.PodShard[p] == shard }
 
 	// Switches first — cores, then per pod aggs and edges — so node IDs and
 	// pathlet assignment are stable for a given config. Core a*half+c is
 	// the c-th core attached to the a-th agg of every pod.
 	cores := make([]*simnet.Switch, half*half)
 	for i := range cores {
-		if ownCore(i) {
-			cores[i] = f.addSwitch(TierSpine, -1, cfg.Policy)
-		} else {
-			f.Net.SkipIDs(1)
-		}
+		cores[i] = f.addSwitch(plan.CoreShard[i] == shard, TierSpine, -1, cfg.Policy)
 	}
 	aggs := make([][]*simnet.Switch, k)  // [pod][a]
 	edges := make([][]*simnet.Switch, k) // [pod][e]
@@ -90,85 +78,29 @@ func buildFatTree(cfg FatTreeConfig, plan *ShardPlan, shard int, remote simnet.R
 		aggs[p] = make([]*simnet.Switch, half)
 		edges[p] = make([]*simnet.Switch, half)
 		for a := 0; a < half; a++ {
-			if ownPod(p) {
-				aggs[p][a] = f.addSwitch(TierAgg, p, cfg.Policy)
-			} else {
-				f.Net.SkipIDs(1)
-			}
+			aggs[p][a] = f.addSwitch(ownPod(p), TierAgg, p, cfg.Policy)
 		}
 		for e := 0; e < half; e++ {
-			if ownPod(p) {
-				edges[p][e] = f.addSwitch(TierLeaf, p, cfg.Policy)
-			} else {
-				f.Net.SkipIDs(1)
-			}
+			edges[p][e] = f.addSwitch(ownPod(p), TierLeaf, p, cfg.Policy)
 		}
 	}
 	// Unowned switches keep their positional IDs for cut-link bookkeeping.
-	numSwitches := half*half + k*k
-	coreID := func(ci int) simnet.NodeID { return simnet.NodeID(ci) }
-	aggID := func(p, a int) simnet.NodeID { return simnet.NodeID(half*half + p*k + a) }
-	edgeID := func(p, e int) simnet.NodeID { return simnet.NodeID(half*half + p*k + half + e) }
+	core := func(ci int) trunkEnd {
+		return trunkEnd{cores[ci], simnet.NodeID(ci), plan.CoreShard[ci], TierSpine}
+	}
+	agg := func(p, a int) trunkEnd {
+		return trunkEnd{aggs[p][a], simnet.NodeID(half*half + p*k + a), plan.PodShard[p], TierAgg}
+	}
+	edge := func(p, e int) trunkEnd {
+		return trunkEnd{edges[p][e], simnet.NodeID(half*half + p*k + half + e), plan.PodShard[p], TierLeaf}
+	}
 
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for h := 0; h < half; h++ {
-				if ownPod(p) {
-					f.addHost(p, edges[p][e], cfg.HostLink, false)
-				} else {
-					f.skipHost(p)
-				}
+				f.addHost(p, edges[p][e], cfg.HostLink)
 			}
 		}
-	}
-
-	// addTrunk wires one directed trunk, advancing the pathlet and rank
-	// counters whether or not this shard materializes it. from/to are nil
-	// for switches other shards own; toID and dstShard describe the far end
-	// of a boundary crossing.
-	addTrunk := func(from, to *simnet.Switch, toID simnet.NodeID, dstShard int, fromTier, toTier Tier, pod int, name string) *simnet.Link {
-		id := f.nextPathlet
-		f.nextPathlet++
-		rank := f.allocRank()
-		if from == nil && to == nil {
-			return nil
-		}
-		pathlet := id
-		spec := cfg.FabricLink
-		lcfg := simnet.LinkConfig{
-			Rate: spec.Rate, Delay: spec.Delay,
-			QueueCap: spec.QueueCap, ECNThreshold: spec.ECNThreshold,
-			Pathlet: &pathlet, StampECN: true,
-			Rank: rank,
-		}
-		if from != nil && to != nil {
-			l := f.Net.Connect(to, lcfg, name)
-			from.AddEgress(l)
-			f.trunks = append(f.trunks, &Trunk{
-				Link: l, From: from, To: to,
-				FromTier: fromTier, ToTier: toTier, Pod: pod, Pathlet: id,
-			})
-			return l
-		}
-		if from != nil {
-			// Boundary egress: queue and wire live here, delivery crosses.
-			lcfg.Remote = remote
-			l := f.Net.Connect(remoteNode{id: toID}, lcfg, name)
-			from.AddEgress(l)
-			f.trunks = append(f.trunks, &Trunk{
-				Link: l, From: from, To: nil,
-				FromTier: fromTier, ToTier: toTier, Pod: pod, Pathlet: id,
-			})
-			cut.Out[l] = CutPort{Rank: rank, DstShard: dstShard}
-			return l
-		}
-		// Boundary ingress: a mirror of the owning shard's egress, carrying
-		// the same name, config, and rank, so injected deliveries are
-		// indistinguishable from local ones. Not a Trunk — its queue is
-		// always empty here (the real queue is in the owning shard).
-		l := f.Net.Connect(to, lcfg, name)
-		cut.In[rank] = l
-		return l
 	}
 
 	// Trunks: edge↔agg inside each pod, agg↔core across pods.
@@ -188,29 +120,17 @@ func buildFatTree(cfg FatTreeConfig, plan *ShardPlan, shard int, remote simnet.R
 			aggDown[p][i] = make([]*simnet.Link, half)
 			aggUp[p][i] = make([]*simnet.Link, half)
 		}
-		podShard := shard
-		if plan != nil {
-			podShard = plan.PodShard[p]
-		}
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				edgeUp[p][e][a] = addTrunk(edges[p][e], aggs[p][a], aggID(p, a), podShard,
-					TierLeaf, TierAgg, p, fmt.Sprintf("p%d-edge%d-agg%d", p, e, a))
-				aggDown[p][a][e] = addTrunk(aggs[p][a], edges[p][e], edgeID(p, e), podShard,
-					TierAgg, TierLeaf, p, fmt.Sprintf("p%d-agg%d-edge%d", p, a, e))
+				edgeUp[p][e][a] = f.addTrunk(cfg.FabricLink, edge(p, e), agg(p, a), p, fmt.Sprintf("p%d-edge%d-agg%d", p, e, a))
+				aggDown[p][a][e] = f.addTrunk(cfg.FabricLink, agg(p, a), edge(p, e), p, fmt.Sprintf("p%d-agg%d-edge%d", p, a, e))
 			}
 		}
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
 				ci := a*half + c
-				coreShard := shard
-				if plan != nil {
-					coreShard = plan.CoreShard[ci]
-				}
-				aggUp[p][a][c] = addTrunk(aggs[p][a], cores[ci], coreID(ci), coreShard,
-					TierAgg, TierSpine, p, fmt.Sprintf("p%d-agg%d-core%d", p, a, ci))
-				coreDown[ci][p] = addTrunk(cores[ci], aggs[p][a], aggID(p, a), podShard,
-					TierSpine, TierAgg, p, fmt.Sprintf("core%d-p%d-agg%d", ci, p, a))
+				aggUp[p][a][c] = f.addTrunk(cfg.FabricLink, agg(p, a), core(ci), p, fmt.Sprintf("p%d-agg%d-core%d", p, a, ci))
+				coreDown[ci][p] = f.addTrunk(cfg.FabricLink, core(ci), agg(p, a), p, fmt.Sprintf("core%d-p%d-agg%d", ci, p, a))
 			}
 		}
 	}
@@ -219,31 +139,16 @@ func buildFatTree(cfg FatTreeConfig, plan *ShardPlan, shard int, remote simnet.R
 	// switch would need O(k⁵/4) entries fabric-wide (~10M at k=32), so each
 	// switch decomposes the contiguous host ID via the shared per-radix
 	// class tables (see ftclass.go) — two int32 loads per packet instead of
-	// two divisions. Candidate sets and their order are exactly what the
-	// AddRoute-based construction produced: all uplinks upward, the unique
-	// downlink downward, and the host's access link at its own edge (folded
-	// into the route function so edge route maps stay empty and Forward
-	// skips the map probe entirely).
-	hostBase := simnet.NodeID(numSwitches)
-	nHosts := k * half * half
+	// two divisions. Candidate sets: all uplinks upward, the unique
+	// downlink downward, and the host's access link at its own edge.
+	hostBase, nHosts := f.hostIDs[0], len(f.hostIDs)
 	cls := fatTreeClasses(k)
 	for p := 0; p < k; p++ {
 		if !ownPod(p) {
 			continue
 		}
 		for e := 0; e < half; e++ {
-			ups := edgeUp[p][e]
-			base := (p*half + e) * half // first host index under this edge
-			edges[p][e].SetRouteFunc(func(dst simnet.NodeID) []*simnet.Link {
-				hi := int(dst - hostBase)
-				if uint(hi) >= uint(nHosts) {
-					return nil
-				}
-				if local := hi - base; uint(local) < uint(half) {
-					return f.hostDown[hi : hi+1]
-				}
-				return ups
-			})
+			edges[p][e].SetRouteFunc(f.leafRoute((p*half+e)*half, half, edgeUp[p][e]))
 		}
 		for a := 0; a < half; a++ {
 			p, ups := p, aggUp[p][a]
@@ -280,28 +185,6 @@ func buildFatTree(cfg FatTreeConfig, plan *ShardPlan, shard int, remote simnet.R
 		})
 	}
 
-	// Size the packet pool and event arena from what this shard actually
-	// owns, so the hot path never grows either mid-run: roughly one in-
-	// flight packet per host plus a queue share per trunk, and one pending
-	// event per link plus a few timers per host. Both are capped — an
-	// unsharded k=64 build would otherwise reserve tens of MB it may never
-	// touch.
-	ownedHosts := 0
-	for _, h := range f.hosts {
-		if h != nil {
-			ownedHosts++
-		}
-	}
-	nLinks := len(f.Net.Links())
-	pkts := ownedHosts + nLinks/4 + 256
-	if pkts > 1<<16 {
-		pkts = 1 << 16
-	}
-	f.Net.PreallocPackets(pkts)
-	events := nLinks + 4*ownedHosts + 1024
-	if events > 1<<18 {
-		events = 1 << 18
-	}
-	f.Eng.Reserve(events)
-	return f, cut
+	f.reservePools()
+	return f, f.cut
 }

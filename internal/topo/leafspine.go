@@ -28,6 +28,8 @@ type LeafSpineConfig struct {
 	Seed int64
 }
 
+// withDefaults fills the zero fields and panics on a shape no leaf-spine
+// has.
 func (c LeafSpineConfig) withDefaults() LeafSpineConfig {
 	if c.Leaves == 0 {
 		c.Leaves = 2
@@ -38,45 +40,23 @@ func (c LeafSpineConfig) withDefaults() LeafSpineConfig {
 	if c.HostsPerLeaf == 0 {
 		c.HostsPerLeaf = 2
 	}
+	if c.Leaves < 1 || c.Spines < 1 || c.HostsPerLeaf < 1 {
+		panic("topo: leaf-spine needs at least one leaf, spine, and host per leaf")
+	}
 	c.HostLink = c.HostLink.withDefaults()
 	c.FabricLink = c.FabricLink.withDefaults()
 	return c
 }
 
-// PlanLeafSpineShards computes the rack partition for cfg across shards:
-// leaves (and their hosts — a rack never splits) in contiguous blocks,
-// spines round-robin, exactly parallel to the fat-tree plan's pods/cores.
-// The PodShard slice is indexed by leaf. It panics when shards is out of
-// range — callers decide policy (clamping, refusing) before planning.
-func PlanLeafSpineShards(cfg LeafSpineConfig, shards int) ShardPlan {
-	cfg = cfg.withDefaults()
-	if shards < 1 || shards > cfg.Leaves {
-		panic(fmt.Sprintf("topo: leaf-spine with %d leaves cannot split into %d shards", cfg.Leaves, shards))
-	}
-	plan := ShardPlan{
-		Shards:    shards,
-		PodShard:  make([]int, cfg.Leaves),
-		CoreShard: make([]int, cfg.Spines),
-		Lookahead: cfg.FabricLink.Delay,
-	}
-	for l := 0; l < cfg.Leaves; l++ {
-		plan.PodShard[l] = l * shards / cfg.Leaves
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		plan.CoreShard[s] = s % shards
-	}
-	return plan
-}
-
-// NewLeafSpine builds a leaf-spine fabric. Hosts are ordered leaf-major:
-// host i sits under leaf i/HostsPerLeaf. Each leaf routes local hosts via
-// their access link and every remote host via all Spines uplinks (the
-// policy picks among them); each spine routes every host via its one
-// downlink to the host's leaf — exactly the equal-cost shortest paths, so
-// routing is loop-free by construction and CountPaths(i,j) == Spines for
-// inter-rack pairs.
+// NewLeafSpine builds a leaf-spine fabric: shard 0 of the one-shard plan.
+// Hosts are ordered leaf-major: host i sits under leaf i/HostsPerLeaf. Each
+// leaf routes local hosts via their access link and every remote host via
+// all Spines uplinks (the policy picks among them); each spine routes every
+// host via its one downlink to the host's leaf — exactly the equal-cost
+// shortest paths, so routing is loop-free by construction and
+// CountPaths(i,j) == Spines for inter-rack pairs.
 func NewLeafSpine(cfg LeafSpineConfig) *Fabric {
-	f, _ := buildLeafSpine(cfg, nil, 0, nil)
+	f, _ := NewLeafSpineShard(cfg, PlanLeafSpineShards(cfg, 1), 0, nil)
 	return f
 }
 
@@ -85,165 +65,71 @@ func NewLeafSpine(cfg LeafSpineConfig) *Fabric {
 // the spines, and every link whose transmitting side it owns. As with
 // NewFatTreeShard, the walk is the full topology's walk with unowned
 // elements skipped, so node IDs, pathlet IDs, and link ranks match the
-// unsharded build; boundary egresses get the remote hook and boundary
+// one-shard build; boundary egresses get the remote hook and boundary
 // ingresses materialize as rank-keyed mirrors, indexed by the returned
 // ShardCut. Host↔leaf links never cross (a rack is atomic); only leaf↔spine
 // trunks do.
 func NewLeafSpineShard(cfg LeafSpineConfig, plan ShardPlan, shard int, remote simnet.RemoteHook) (*Fabric, *ShardCut) {
-	return buildLeafSpine(cfg, &plan, shard, remote)
-}
-
-func buildLeafSpine(cfg LeafSpineConfig, plan *ShardPlan, shard int, remote simnet.RemoteHook) (*Fabric, *ShardCut) {
 	cfg = cfg.withDefaults()
-	if cfg.Leaves < 1 || cfg.Spines < 1 || cfg.HostsPerLeaf < 1 {
-		panic("topo: leaf-spine needs at least one leaf, spine, and host per leaf")
-	}
-	f := newFabric(cfg.Seed)
-	cut := &ShardCut{
-		Out:       make(map[*simnet.Link]CutPort),
-		In:        make(map[int]*simnet.Link),
-		Lookahead: cfg.FabricLink.Delay,
-	}
-	ownLeaf := func(li int) bool { return plan == nil || plan.PodShard[li] == shard }
-	ownSpine := func(si int) bool { return plan == nil || plan.CoreShard[si] == shard }
+	f := newFabric(cfg.Seed, cfg.FabricLink.Delay, remote)
 
 	// Switches first, in tier order, so IDs and pathlets are stable.
 	spines := make([]*simnet.Switch, cfg.Spines)
-	for s := 0; s < cfg.Spines; s++ {
-		if ownSpine(s) {
-			spines[s] = f.addSwitch(TierSpine, -1, cfg.Policy)
-		} else {
-			f.Net.SkipIDs(1)
-		}
+	for si := range spines {
+		spines[si] = f.addSwitch(plan.CoreShard[si] == shard, TierSpine, -1, cfg.Policy)
 	}
 	leaves := make([]*simnet.Switch, cfg.Leaves)
-	for l := 0; l < cfg.Leaves; l++ {
-		if ownLeaf(l) {
-			leaves[l] = f.addSwitch(TierLeaf, l, cfg.Policy)
-		} else {
-			f.Net.SkipIDs(1)
-		}
+	for li := range leaves {
+		leaves[li] = f.addSwitch(plan.PodShard[li] == shard, TierLeaf, li, cfg.Policy)
 	}
 	// Unowned switches keep their positional IDs for cut-link bookkeeping.
-	spineID := func(si int) simnet.NodeID { return simnet.NodeID(si) }
-	leafID := func(li int) simnet.NodeID { return simnet.NodeID(cfg.Spines + li) }
-
-	for li := 0; li < cfg.Leaves; li++ {
-		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			if ownLeaf(li) {
-				f.addHost(li, leaves[li], cfg.HostLink, true)
-			} else {
-				f.skipHost(li)
-			}
-		}
+	spine := func(si int) trunkEnd {
+		return trunkEnd{spines[si], simnet.NodeID(si), plan.CoreShard[si], TierSpine}
+	}
+	leaf := func(li int) trunkEnd {
+		return trunkEnd{leaves[li], simnet.NodeID(cfg.Spines + li), plan.PodShard[li], TierLeaf}
 	}
 
-	// addTrunk wires one directed leaf↔spine trunk, advancing the pathlet
-	// and rank counters whether or not this shard materializes it (same
-	// contract as the fat-tree's boundary-aware addTrunk).
-	addTrunk := func(from, to *simnet.Switch, toID simnet.NodeID, dstShard int, fromTier, toTier Tier, pod int, name string) *simnet.Link {
-		id := f.nextPathlet
-		f.nextPathlet++
-		rank := f.allocRank()
-		if from == nil && to == nil {
-			return nil
+	for li := range leaves {
+		for h := 0; h < cfg.HostsPerLeaf; h++ {
+			f.addHost(li, leaves[li], cfg.HostLink)
 		}
-		pathlet := id
-		spec := cfg.FabricLink
-		lcfg := simnet.LinkConfig{
-			Rate: spec.Rate, Delay: spec.Delay,
-			QueueCap: spec.QueueCap, ECNThreshold: spec.ECNThreshold,
-			Pathlet: &pathlet, StampECN: true,
-			Rank: rank,
-		}
-		if from != nil && to != nil {
-			l := f.Net.Connect(to, lcfg, name)
-			from.AddEgress(l)
-			f.trunks = append(f.trunks, &Trunk{
-				Link: l, From: from, To: to,
-				FromTier: fromTier, ToTier: toTier, Pod: pod, Pathlet: id,
-			})
-			return l
-		}
-		if from != nil {
-			// Boundary egress: queue and wire live here, delivery crosses.
-			lcfg.Remote = remote
-			l := f.Net.Connect(remoteNode{id: toID}, lcfg, name)
-			from.AddEgress(l)
-			f.trunks = append(f.trunks, &Trunk{
-				Link: l, From: from, To: nil,
-				FromTier: fromTier, ToTier: toTier, Pod: pod, Pathlet: id,
-			})
-			cut.Out[l] = CutPort{Rank: rank, DstShard: dstShard}
-			return l
-		}
-		// Boundary ingress: a rank-keyed mirror of the owning shard's egress.
-		l := f.Net.Connect(to, lcfg, name)
-		cut.In[rank] = l
-		return l
 	}
 
 	// Full leaf↔spine mesh.
 	ups := make([][]*simnet.Link, cfg.Leaves)   // [leaf][spine]
 	downs := make([][]*simnet.Link, cfg.Leaves) // [leaf][spine]
-	for li := 0; li < cfg.Leaves; li++ {
+	for li := range leaves {
 		ups[li] = make([]*simnet.Link, cfg.Spines)
 		downs[li] = make([]*simnet.Link, cfg.Spines)
-		leafShard := shard
-		if plan != nil {
-			leafShard = plan.PodShard[li]
-		}
-		for si := 0; si < cfg.Spines; si++ {
-			spineShard := shard
-			if plan != nil {
-				spineShard = plan.CoreShard[si]
-			}
-			ups[li][si] = addTrunk(leaves[li], spines[si], spineID(si), spineShard,
-				TierLeaf, TierSpine, li, fmt.Sprintf("leaf%d-spine%d", li, si))
-			downs[li][si] = addTrunk(spines[si], leaves[li], leafID(li), leafShard,
-				TierSpine, TierLeaf, li, fmt.Sprintf("spine%d-leaf%d", si, li))
-		}
-	}
-
-	// Routes: leaves spread remote traffic across every spine; spines have
-	// one way down to each leaf. Destination IDs come from the hostIDs
-	// inventory, which is populated for owned and unowned hosts alike.
-	for hi := 0; hi < cfg.Leaves*cfg.HostsPerLeaf; hi++ {
-		hid := f.HostID(hi)
-		hl := f.hostPod[hi]
-		for li := range leaves {
-			if li == hl || leaves[li] == nil {
-				continue // local access route installed by addHost
-			}
-			for si := range spines {
-				leaves[li].AddRoute(hid, ups[li][si])
-			}
-		}
 		for si := range spines {
-			if spines[si] != nil {
-				spines[si].AddRoute(hid, downs[hl][si])
-			}
+			ups[li][si] = f.addTrunk(cfg.FabricLink, leaf(li), spine(si), li, fmt.Sprintf("leaf%d-spine%d", li, si))
+			downs[li][si] = f.addTrunk(cfg.FabricLink, spine(si), leaf(li), li, fmt.Sprintf("spine%d-leaf%d", si, li))
 		}
 	}
 
-	// Size the packet pool and event arena from the owned element counts
-	// (see buildFatTree for rationale and the caps).
-	ownedHosts := 0
-	for _, h := range f.hosts {
-		if h != nil {
-			ownedHosts++
+	// Routes, computed from the contiguous host IDs as the fat-tree's are:
+	// leaves spread remote traffic across every spine; spines have one way
+	// down to each leaf.
+	hostBase, nHosts, perLeaf := f.hostIDs[0], len(f.hostIDs), cfg.HostsPerLeaf
+	for li, l := range leaves {
+		if l != nil {
+			l.SetRouteFunc(f.leafRoute(li*perLeaf, perLeaf, ups[li]))
 		}
 	}
-	nLinks := len(f.Net.Links())
-	pkts := ownedHosts + nLinks/4 + 256
-	if pkts > 1<<16 {
-		pkts = 1 << 16
+	for si, s := range spines {
+		if s == nil {
+			continue
+		}
+		s.SetRouteFunc(func(dst simnet.NodeID) []*simnet.Link {
+			hi := int(dst - hostBase)
+			if uint(hi) >= uint(nHosts) {
+				return nil
+			}
+			return downs[hi/perLeaf][si : si+1]
+		})
 	}
-	f.Net.PreallocPackets(pkts)
-	events := nLinks + 4*ownedHosts + 1024
-	if events > 1<<18 {
-		events = 1 << 18
-	}
-	f.Eng.Reserve(events)
-	return f, cut
+
+	f.reservePools()
+	return f, f.cut
 }

@@ -7,25 +7,31 @@ import (
 	"mtp/internal/simnet"
 )
 
-// ShardPlan partitions a fat-tree across S parallel simulation shards
-// (internal/shard). Pods are assigned in contiguous blocks — pod-internal
-// traffic (host↔edge↔agg) never crosses a shard boundary — and cores
-// round-robin, spreading the top tier's load. Replicating the core tier
-// instead was rejected: replicated core egress queues would see different
+// ShardPlan partitions a fabric across S parallel simulation shards
+// (internal/shard). Pods — the racks of a leaf-spine — are assigned in
+// contiguous blocks, so pod-internal traffic (host↔edge↔agg, host↔leaf)
+// never crosses a shard boundary, and the top tier's switches (fat-tree
+// cores, leaf-spine spines) round-robin, spreading its load. Every build is a
+// shard's walk under a plan: NewFatTree and NewLeafSpine build shard 0 of
+// the one-shard plan, which owns every node. Replicating the top tier
+// instead was rejected: replicated egress queues would see different
 // contention than the single shared queue, breaking bit-identity with the
-// unsharded run.
+// one-shard run.
 type ShardPlan struct {
-	// Shards is the shard count S, 1 ≤ S ≤ k.
+	// Shards is the shard count S, 1 ≤ S ≤ pods.
 	Shards int
-	// PodShard maps pod → owning shard (contiguous blocks).
+	// PodShard maps pod (leaf-spine: leaf) → owning shard (contiguous
+	// blocks).
 	PodShard []int
-	// CoreShard maps core index → owning shard (round-robin).
+	// CoreShard maps core (leaf-spine: spine) index → owning shard
+	// (round-robin).
 	CoreShard []int
 	// Lookahead is the minimum propagation delay over every link that can
-	// cross a shard boundary (here: all boundary links are FabricLink-class
-	// agg↔core trunks). A shard that knows every neighbour's clock has
-	// passed T may run freely to T+Lookahead: any packet a neighbour emits
-	// after T needs at least Lookahead of wire time to arrive.
+	// cross a shard boundary (the FabricLink-class trunks into and out of
+	// the top tier: agg↔core, leaf↔spine). A shard that knows every
+	// neighbour's clock has passed T may run freely to T+Lookahead: any
+	// packet a neighbour emits after T needs at least Lookahead of wire time
+	// to arrive.
 	Lookahead time.Duration
 }
 
@@ -34,22 +40,36 @@ type ShardPlan struct {
 // refusing) before planning.
 func PlanFatTreeShards(cfg FatTreeConfig, shards int) ShardPlan {
 	cfg = cfg.withDefaults()
-	k := cfg.K
-	if shards < 1 || shards > k {
-		panic(fmt.Sprintf("topo: fat-tree with %d pods cannot split into %d shards", k, shards))
+	half := cfg.K / 2
+	return planShards("fat-tree pods", cfg.K, half*half, shards, cfg.FabricLink.Delay)
+}
+
+// PlanLeafSpineShards computes the rack partition for cfg across shards:
+// leaves (and their hosts — a rack never splits) are the pods, spines the
+// cores. It panics when shards is out of range — callers decide policy
+// (clamping, refusing) before planning.
+func PlanLeafSpineShards(cfg LeafSpineConfig, shards int) ShardPlan {
+	cfg = cfg.withDefaults()
+	return planShards("leaf-spine racks", cfg.Leaves, cfg.Spines, shards, cfg.FabricLink.Delay)
+}
+
+// planShards deals pods to shards in contiguous blocks and cores
+// round-robin.
+func planShards(unit string, pods, cores, shards int, lookahead time.Duration) ShardPlan {
+	if shards < 1 || shards > pods {
+		panic(fmt.Sprintf("topo: %d %s cannot split into %d shards", pods, unit, shards))
 	}
-	half := k / 2
 	plan := ShardPlan{
 		Shards:    shards,
-		PodShard:  make([]int, k),
-		CoreShard: make([]int, half*half),
-		Lookahead: cfg.FabricLink.Delay,
+		PodShard:  make([]int, pods),
+		CoreShard: make([]int, cores),
+		Lookahead: lookahead,
 	}
-	for p := 0; p < k; p++ {
-		plan.PodShard[p] = p * shards / k
+	for p := range plan.PodShard {
+		plan.PodShard[p] = p * shards / pods
 	}
-	for ci := range plan.CoreShard {
-		plan.CoreShard[ci] = ci % shards
+	for c := range plan.CoreShard {
+		plan.CoreShard[c] = c % shards
 	}
 	return plan
 }

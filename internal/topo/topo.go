@@ -51,6 +51,15 @@ func (s LinkSpec) withDefaults() LinkSpec {
 	return s
 }
 
+// link is the configuration of one link of this class, ranked rank.
+func (s LinkSpec) link(rank int) simnet.LinkConfig {
+	return simnet.LinkConfig{
+		Rate: s.Rate, Delay: s.Delay,
+		QueueCap: s.QueueCap, ECNThreshold: s.ECNThreshold,
+		Rank: rank,
+	}
+}
+
 // PolicyFunc builds a fresh forwarding-policy instance for one switch.
 // Stateful policies (MessageLB, MessageRR, Spray) must not be shared between
 // switches, so the fabric calls this once per switch. Nil means ECMP.
@@ -110,8 +119,8 @@ type Fabric struct {
 	hostUp   []*simnet.Link
 	hostDown []*simnet.Link
 	// hostIDs holds every host's network address, including hosts that a
-	// partitioned build (NewFatTreeShard) left to other shards — the walk
-	// allocates the same IDs whether or not the node is materialized.
+	// partitioned build left to other shards — the walk allocates the same
+	// IDs whether or not the node is materialized.
 	hostIDs []simnet.NodeID
 
 	switches  map[Tier][]*simnet.Switch
@@ -123,17 +132,11 @@ type Fabric struct {
 	// same-timestamp delivery ordering in the engine (simnet.LinkConfig.Rank)
 	// so event order is a function of the wiring, not engine-local history.
 	nextRank int
-}
 
-func newFabric(seed int64) *Fabric {
-	eng := sim.NewEngine(seed)
-	return &Fabric{
-		Eng:         eng,
-		Net:         simnet.NewNetwork(eng),
-		switches:    make(map[Tier][]*simnet.Switch),
-		switchPod:   make(map[*simnet.Switch]int),
-		nextPathlet: 1,
-	}
+	// cut is the shard's boundary, filled as the walk wires trunks, and
+	// remote the hook boundary egresses deliver through.
+	cut    *ShardCut
+	remote simnet.RemoteHook
 }
 
 // NumHosts returns the number of hosts in the fabric — the full topology's
@@ -206,7 +209,33 @@ func (f *Fabric) PodTrunks(pod int) []*Trunk {
 
 // --- construction helpers ---
 
-func (f *Fabric) addSwitch(t Tier, pod int, policy PolicyFunc) *simnet.Switch {
+// newFabric starts one shard's walk of a fabric. The cut collects the
+// boundary links as the walk wires them, and remote is the hook their
+// deliveries leave by (nil in a one-shard build, which has no boundary).
+func newFabric(seed int64, lookahead time.Duration, remote simnet.RemoteHook) *Fabric {
+	eng := sim.NewEngine(seed)
+	return &Fabric{
+		Eng:         eng,
+		Net:         simnet.NewNetwork(eng),
+		switches:    make(map[Tier][]*simnet.Switch),
+		switchPod:   make(map[*simnet.Switch]int),
+		nextPathlet: 1,
+		cut: &ShardCut{
+			Out:       make(map[*simnet.Link]CutPort),
+			In:        make(map[int]*simnet.Link),
+			Lookahead: lookahead,
+		},
+		remote: remote,
+	}
+}
+
+// addSwitch materializes the next switch when this shard owns it; otherwise
+// it only reserves the switch's positional ID and returns nil.
+func (f *Fabric) addSwitch(own bool, t Tier, pod int, policy PolicyFunc) *simnet.Switch {
+	if !own {
+		f.Net.SkipIDs(1)
+		return nil
+	}
 	var p simnet.ForwardPolicy
 	if policy != nil {
 		p = policy()
@@ -228,69 +257,117 @@ func (f *Fabric) allocRank() int {
 	return f.nextRank
 }
 
-// addHost materializes one host under leaf. installRoute selects whether the
-// leaf gets an explicit AddRoute entry for the host's downlink: leaf-spine
-// keeps table routing, while the fat-tree folds local-host delivery into its
-// computed route function so the leaf's routes map stays empty and the
-// per-packet forwarding path never hashes a map (simnet.Switch.Forward's
-// fast path).
-func (f *Fabric) addHost(pod int, leaf *simnet.Switch, spec LinkSpec, installRoute bool) *simnet.Host {
-	h := simnet.NewHost(f.Net)
-	i := len(f.hosts)
-	up := f.Net.Connect(leaf, simnet.LinkConfig{
-		Rate: spec.Rate, Delay: spec.Delay,
-		QueueCap: spec.QueueCap, ECNThreshold: spec.ECNThreshold,
-		Rank: f.allocRank(),
-	}, fmt.Sprintf("host%d-up", i))
-	down := f.Net.Connect(h, simnet.LinkConfig{
-		Rate: spec.Rate, Delay: spec.Delay,
-		QueueCap: spec.QueueCap, ECNThreshold: spec.ECNThreshold,
-		Rank: f.allocRank(),
-	}, fmt.Sprintf("host%d-down", i))
-	h.SetUplink(up)
-	if installRoute {
-		leaf.AddRoute(h.ID(), down)
+// addHost materializes the next host under leaf. The host's downlink is a
+// leaf egress, so a leaf crash flushes the packets queued toward the host;
+// the leaf's route function (leafRoute) is what sends packets down it. Under
+// a leaf another shard owns (nil), addHost only advances the ID, rank and
+// inventory counters.
+func (f *Fabric) addHost(pod int, leaf *simnet.Switch, spec LinkSpec) {
+	var h *simnet.Host
+	var up, down *simnet.Link
+	if leaf == nil {
+		f.hostIDs = append(f.hostIDs, f.Net.NextID())
+		f.Net.SkipIDs(1)
+		f.nextRank += 2 // the up and down access links
+	} else {
+		h = simnet.NewHost(f.Net)
+		i := len(f.hosts)
+		up = f.Net.Connect(leaf, spec.link(f.allocRank()), fmt.Sprintf("host%d-up", i))
+		down = f.Net.Connect(h, spec.link(f.allocRank()), fmt.Sprintf("host%d-down", i))
+		h.SetUplink(up)
+		leaf.AddEgress(down)
+		f.hostIDs = append(f.hostIDs, h.ID())
 	}
 	f.hosts = append(f.hosts, h)
 	f.hostPod = append(f.hostPod, pod)
 	f.hostUp = append(f.hostUp, up)
 	f.hostDown = append(f.hostDown, down)
-	f.hostIDs = append(f.hostIDs, h.ID())
-	return h
 }
 
-// skipHost advances the ID, rank, and inventory counters for a host that
-// belongs to another shard, without materializing it.
-func (f *Fabric) skipHost(pod int) {
-	id := f.Net.NextID()
-	f.Net.SkipIDs(1)
-	f.nextRank += 2 // the up and down access links
-	f.hosts = append(f.hosts, nil)
-	f.hostPod = append(f.hostPod, pod)
-	f.hostUp = append(f.hostUp, nil)
-	f.hostDown = append(f.hostDown, nil)
-	f.hostIDs = append(f.hostIDs, id)
+// trunkEnd is one side of a trunk as a shard's walk sees it: the switch (nil
+// when another shard owns it), its positional ID and owning shard (which
+// name the far end of a boundary crossing), and its tier.
+type trunkEnd struct {
+	sw    *simnet.Switch
+	id    simnet.NodeID
+	shard int
+	tier  Tier
 }
 
-// addTrunk wires from→to with a fresh pathlet ID and ECN-feedback stamping,
-// so per-(pathlet, TC) congestion state forms at MTP senders for every hop.
-func (f *Fabric) addTrunk(from, to *simnet.Switch, fromTier, toTier Tier, pod int, spec LinkSpec, name string) *Trunk {
+// addTrunk wires the directed trunk from→to with the next pathlet ID and
+// ECN-feedback stamping, so per-(pathlet, TC) congestion state forms at MTP
+// senders for every hop. The pathlet and rank counters advance whether or
+// not this shard materializes the link, so both match the one-shard build.
+// A trunk into a switch another shard owns is a boundary egress: its queue
+// and wire live here, and delivery crosses by the remote hook. A trunk out
+// of one is a boundary ingress: a mirror of the owning shard's egress, with
+// the same name, config and rank, so injected deliveries are
+// indistinguishable from local ones; it is not a Trunk (its queue is always
+// empty here). The cut indexes both.
+func (f *Fabric) addTrunk(spec LinkSpec, from, to trunkEnd, pod int, name string) *simnet.Link {
 	id := f.nextPathlet
 	f.nextPathlet++
-	pathlet := id
-	l := f.Net.Connect(to, simnet.LinkConfig{
-		Rate: spec.Rate, Delay: spec.Delay,
-		QueueCap: spec.QueueCap, ECNThreshold: spec.ECNThreshold,
-		Pathlet: &pathlet, StampECN: true,
-		Rank: f.allocRank(),
-	}, name)
-	tr := &Trunk{
-		Link: l, From: from, To: to,
-		FromTier: fromTier, ToTier: toTier,
-		Pod: pod, Pathlet: id,
+	rank := f.allocRank()
+	if from.sw == nil && to.sw == nil {
+		return nil
 	}
-	f.trunks = append(f.trunks, tr)
-	return tr
+	pathlet := id
+	lcfg := spec.link(rank)
+	lcfg.Pathlet, lcfg.StampECN = &pathlet, true
+	if from.sw == nil {
+		l := f.Net.Connect(to.sw, lcfg, name)
+		f.cut.In[rank] = l
+		return l
+	}
+	var l *simnet.Link
+	if to.sw != nil {
+		l = f.Net.Connect(to.sw, lcfg, name)
+	} else {
+		lcfg.Remote = f.remote
+		l = f.Net.Connect(remoteNode{id: to.id}, lcfg, name)
+		f.cut.Out[l] = CutPort{Rank: rank, DstShard: to.shard}
+	}
+	from.sw.AddEgress(l)
+	f.trunks = append(f.trunks, &Trunk{
+		Link: l, From: from.sw, To: to.sw,
+		FromTier: from.tier, ToTier: to.tier, Pod: pod, Pathlet: id,
+	})
+	return l
+}
+
+// leafRoute is the route function of a leaf (fat-tree edge) whose hosts are
+// the n host indices from base: a host's access link for those, every uplink
+// for any other host, nothing for a destination that is no host. Host IDs
+// follow the switch IDs contiguously, in host-index order.
+func (f *Fabric) leafRoute(base, n int, ups []*simnet.Link) func(simnet.NodeID) []*simnet.Link {
+	hostBase, nHosts := f.hostIDs[0], len(f.hostIDs)
+	return func(dst simnet.NodeID) []*simnet.Link {
+		hi := int(dst - hostBase)
+		if uint(hi) >= uint(nHosts) {
+			return nil
+		}
+		if uint(hi-base) < uint(n) {
+			return f.hostDown[hi : hi+1]
+		}
+		return ups
+	}
+}
+
+// reservePools sizes the packet pool and event arena from what this shard
+// owns, so the hot path never grows either mid-run: roughly one in-flight
+// packet per host plus a queue share per link, and one pending event per
+// link plus a few timers per host. Both are capped — a one-shard k=64 build
+// would otherwise reserve tens of MB it may never touch.
+func (f *Fabric) reservePools() {
+	ownedHosts := 0
+	for _, h := range f.hosts {
+		if h != nil {
+			ownedHosts++
+		}
+	}
+	nLinks := len(f.Net.Links())
+	f.Net.PreallocPackets(min(ownedHosts+nLinks/4+256, 1<<16))
+	f.Eng.Reserve(min(nLinks+4*ownedHosts+1024, 1<<18))
 }
 
 // --- path verification (property tests, experiment sanity) ---

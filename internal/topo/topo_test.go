@@ -177,3 +177,28 @@ func TestFabricPolicyPerSwitch(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeCrashFlushesHostQueues: a fat-tree edge's host downlinks are its
+// egresses, so crashing the edge drops the packets queued toward its hosts
+// and counts them as the switch's fault drops.
+func TestEdgeCrashFlushesHostQueues(t *testing.T) {
+	f := NewFatTree(FatTreeConfig{K: 4})
+	edge := f.Switches(TierLeaf)[0]
+	_, down := f.HostLinks(0)
+	const sent = 8
+	for i := 0; i < sent; i++ {
+		p := f.Net.AllocPacket()
+		p.Dst, p.Size = f.HostID(0), 1500
+		edge.Receive(p, nil)
+	}
+	queued := down.QueueLen()
+	if queued != sent-1 { // the first is on the wire
+		t.Fatalf("%d packets queued toward host 0, want %d", queued, sent-1)
+	}
+	fault.NewInjector(f.Eng, 1).CrashSwitch(edge, time.Nanosecond, 0)
+	f.Eng.Run(2 * time.Nanosecond)
+	if down.QueueLen() != 0 || edge.FaultDrops != uint64(queued) || down.Stats().FaultDrops != uint64(queued) {
+		t.Fatalf("after the crash: queue %d, switch drops %d, link drops %d; want 0, %d, %d",
+			down.QueueLen(), edge.FaultDrops, down.Stats().FaultDrops, queued, queued)
+	}
+}
