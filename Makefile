@@ -118,6 +118,8 @@ loc:
 
 # options prints the settable fields callers can set: per package directory,
 # the exported fields of every exported *Config, *Options or *Spec struct
-# (bench included), and their total. CHANGES.md quotes its totals.
+# (bench included), and their total; then the exported functions and methods
+# of internal/ that have no caller, which ci/options' test holds at zero.
+# CHANGES.md quotes both totals.
 options:
 	$(GO) run ./ci/options

@@ -1,8 +1,11 @@
-// Command options counts the settable fields a Go tree offers its callers:
-// per package directory, the exported fields of every exported struct type
-// whose name ends in Config, Options or Spec, then the total. Test files,
-// testdata and dot-directories are skipped; build constraints are not
-// evaluated, so every non-test .go file counts.
+// Command options prints two tables about what a Go tree offers its callers.
+// The first counts settable fields: per package directory, the exported
+// fields of every exported struct type whose name ends in Config, Options or
+// Spec, then the total (test files, testdata and dot-directories skipped;
+// build constraints not evaluated, so every non-test .go file counts). The
+// second lists the dead names: the exported functions and methods of the
+// internal/ packages that nothing calls (see deadNames), then their number.
+// Each dir must be a module root; modules nested under it are scanned too.
 //
 //	go run ./ci/options [dir ...]    (or: make options; default dir ".")
 package main
@@ -33,6 +36,15 @@ func main() {
 		}
 	}
 	report(os.Stdout, counts)
+	for _, root := range roots {
+		dead, err := deadNames(root)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "options:", err)
+			os.Exit(1)
+		}
+		fmt.Println()
+		reportDead(os.Stdout, dead)
+	}
 }
 
 // count adds to counts, keyed by directory, the option fields of the non-test

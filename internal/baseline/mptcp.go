@@ -154,9 +154,6 @@ func saturated(s *Sender) bool {
 // Subflows exposes the per-path senders (tests inspect their windows).
 func (m *MPTCP) Subflows() []*Sender { return m.subflows }
 
-// Coupler exposes the shared coupled-CC state (nil when uncoupled).
-func (m *MPTCP) Coupler() *Coupler { return m.coupler }
-
 // Write appends n bytes to the stream and stripes them across subflows.
 func (m *MPTCP) Write(n int) {
 	m.total += int64(n)
@@ -317,18 +314,6 @@ func (m *MPTCP) reinject(i int) {
 		m.assign(j, g, n)
 		m.Reinjected += n
 	}
-}
-
-// Acked returns total stream bytes acknowledged across subflows. With
-// reinjection this can exceed the stream length (two subflows may both
-// carry and ack the same global bytes); AckedGlobal counts each global byte
-// once.
-func (m *MPTCP) Acked() int64 {
-	var t int64
-	for _, s := range m.subflows {
-		t += s.Acked()
-	}
-	return t
 }
 
 // AckedGlobal returns the contiguously acknowledged global stream prefix.

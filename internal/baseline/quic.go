@@ -256,12 +256,6 @@ func NewQUICSender(eng *sim.Engine, port Port, cfg QUICSenderConfig) *QUICSender
 	}
 }
 
-// Algo exposes the connection's congestion-control state.
-func (s *QUICSender) Algo() cc.Algorithm { return s.algo }
-
-// Outstanding returns unacknowledged bytes in flight.
-func (s *QUICSender) Outstanding() int64 { return s.bytesOut }
-
 // OpenStream starts stream id carrying size bytes and pumps transmission.
 // Stream IDs must be unique per connection.
 func (s *QUICSender) OpenStream(id uint64, size int64) {
@@ -567,14 +561,6 @@ type QUICReceiver struct {
 // NewQUICReceiver builds a receiver that acks through port.
 func NewQUICReceiver(eng *sim.Engine, port Port, cfg QUICReceiverConfig) *QUICReceiver {
 	return &QUICReceiver{cfg: cfg, eng: eng, port: port, streams: make(map[uint64]*qInStream)}
-}
-
-// Stream returns the contiguous prefix length of a stream (tests).
-func (r *QUICReceiver) Stream(id uint64) int64 {
-	if st := r.streams[id]; st != nil {
-		return st.got.contiguous()
-	}
-	return 0
 }
 
 // OnPacket handles an arriving data packet for this connection.

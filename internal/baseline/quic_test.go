@@ -30,8 +30,8 @@ func TestQUICStreamTransfer(t *testing.T) {
 	if snd.PktsRetx != 0 {
 		t.Fatalf("unexpected retransmissions: %d", snd.PktsRetx)
 	}
-	if snd.Outstanding() != 0 {
-		t.Fatalf("bytes still outstanding: %d", snd.Outstanding())
+	if snd.bytesOut != 0 {
+		t.Fatalf("bytes still outstanding: %d", snd.bytesOut)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestQUICStreamFlowControl(t *testing.T) {
 	snd.OpenStream(1, size)
 	snd.OpenStream(2, 8<<10)
 	eng.Run(10 * time.Millisecond)
-	if got := rcv.Stream(1); got != 0 {
+	if got := rcv.streams[1].got.contiguous(); got != 0 {
 		t.Fatalf("stream 1 contiguous prefix %d behind a held hole", got)
 	}
 	if hi := fuzzMaxTo(&rcv.streams[1].got); hi != quicStreamWindow {
@@ -119,7 +119,7 @@ func TestQUICStreamFlowControl(t *testing.T) {
 	}
 	hold = false
 	eng.Run(40 * time.Millisecond)
-	if got := rcv.Stream(1); got != size {
+	if got := rcv.streams[1].got.contiguous(); got != size {
 		t.Fatalf("stream 1 stuck at %d after the hole filled", got)
 	}
 	if rcv.StreamsDone != 2 {

@@ -125,10 +125,6 @@ func (s *Sender) Outstanding() int64 { return s.sndNxt - s.sndUna }
 // Acked returns cumulatively acknowledged bytes.
 func (s *Sender) Acked() int64 { return s.sndUna }
 
-// SRTT returns the smoothed round-trip time estimate (0 until the first
-// sample) — the signal RTT-aware subflow schedulers read.
-func (s *Sender) SRTT() time.Duration { return s.srtt }
-
 // Write appends n bytes to the stream and pumps transmission.
 func (s *Sender) Write(n int) {
 	if s.closed {

@@ -115,8 +115,8 @@ func TestDCTCPAlphaConvergesToMarkFraction(t *testing.T) {
 		now += us(12)
 		d.OnAck(now, Signal{AckedBytes: mss, ECN: i%10 < 4, RTT: us(100)})
 	}
-	if d.Alpha() < 0.3 || d.Alpha() > 0.5 {
-		t.Fatalf("alpha = %v, want ~0.4", d.Alpha())
+	if d.alpha < 0.3 || d.alpha > 0.5 {
+		t.Fatalf("alpha = %v, want ~0.4", d.alpha)
 	}
 }
 

@@ -71,9 +71,6 @@ func (d *DCQCN) Window() float64 {
 	return d.cfg.clamp(w)
 }
 
-// Alpha exposes the congestion estimate.
-func (d *DCQCN) Alpha() float64 { return d.alpha }
-
 // OnAck implements Algorithm.
 func (d *DCQCN) OnAck(now time.Duration, s Signal) {
 	if s.RTT > 0 {

@@ -31,8 +31,8 @@ func TestDCQCNDecreasesOnMarksIncreasesAfter(t *testing.T) {
 	if low >= 5e9 {
 		t.Fatalf("rate after sustained marks = %.2f Gbps", low/1e9)
 	}
-	if d.Alpha() < 0.5 {
-		t.Fatalf("alpha = %v after sustained marks", d.Alpha())
+	if d.alpha < 0.5 {
+		t.Fatalf("alpha = %v after sustained marks", d.alpha)
 	}
 	// Marks stop: fast recovery then additive increase bring it back up.
 	for i := 0; i < 3000; i++ {
@@ -46,8 +46,8 @@ func TestDCQCNDecreasesOnMarksIncreasesAfter(t *testing.T) {
 	if high > 10e9 {
 		t.Fatalf("rate exceeded line rate: %.2f Gbps", high/1e9)
 	}
-	if d.Alpha() > 0.1 {
-		t.Fatalf("alpha did not decay: %v", d.Alpha())
+	if d.alpha > 0.1 {
+		t.Fatalf("alpha did not decay: %v", d.alpha)
 	}
 }
 

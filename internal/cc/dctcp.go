@@ -8,8 +8,6 @@ import "time"
 // window of data when marks were observed, instead of Reno's blind halving.
 type DCTCP struct {
 	cfg Config
-	// G is the EWMA gain for alpha (paper default 1/16).
-	G float64
 
 	cwnd     float64
 	ssthresh float64
@@ -25,13 +23,15 @@ type DCTCP struct {
 	hasCut  bool
 }
 
-// NewDCTCP returns a DCTCP algorithm with the canonical g=1/16 gain and
-// alpha initialized to 1 (conservative start, as in the paper).
+// dctcpG is the EWMA gain for alpha (the paper's g = 1/16).
+const dctcpG = 1.0 / 16.0
+
+// NewDCTCP returns a DCTCP algorithm with alpha initialized to 1
+// (conservative start, as in the paper).
 func NewDCTCP(cfg Config) *DCTCP {
 	cfg = cfg.withDefaults()
 	return &DCTCP{
 		cfg:      cfg,
-		G:        1.0 / 16.0,
 		cwnd:     cfg.InitWindow,
 		ssthresh: 1 << 30,
 		alpha:    1,
@@ -46,9 +46,6 @@ func (d *DCTCP) Window() float64 { return d.cwnd }
 
 // Rate implements Algorithm: DCTCP is window based.
 func (d *DCTCP) Rate() (float64, bool) { return 0, false }
-
-// Alpha exposes the current mark-fraction EWMA (useful in tests and traces).
-func (d *DCTCP) Alpha() float64 { return d.alpha }
 
 // OnAck implements Algorithm.
 func (d *DCTCP) OnAck(now time.Duration, s Signal) {
@@ -67,7 +64,7 @@ func (d *DCTCP) OnAck(now time.Duration, s Signal) {
 	}
 	if now >= d.windowEnd && d.ackedBytes > 0 {
 		f := float64(d.markedBytes) / float64(d.ackedBytes)
-		d.alpha = (1-d.G)*d.alpha + d.G*f
+		d.alpha = (1-dctcpG)*d.alpha + dctcpG*f
 		if d.markedBytes > 0 {
 			d.cutAlpha(now)
 		}

@@ -9,8 +9,6 @@ import "time"
 // from rate*RTT so window-based senders can also use RCP pathlets.
 type RCP struct {
 	cfg Config
-	// Gain is the EWMA weight applied to fresh rate feedback.
-	Gain float64
 
 	rateBps float64
 	srtt    time.Duration
@@ -20,8 +18,11 @@ type RCP struct {
 // NewRCP returns an explicit-rate algorithm. Until the first rate feedback
 // arrives it behaves like a fixed initial window.
 func NewRCP(cfg Config) *RCP {
-	return &RCP{cfg: cfg.withDefaults(), Gain: 0.5}
+	return &RCP{cfg: cfg.withDefaults()}
 }
+
+// rcpGain is the EWMA weight applied to fresh rate feedback.
+const rcpGain = 0.5
 
 // Name implements Algorithm.
 func (r *RCP) Name() string { return string(KindRCP) }
@@ -39,7 +40,7 @@ func (r *RCP) OnAck(now time.Duration, s Signal) {
 		r.hasRate = true
 		return
 	}
-	r.rateBps = (1-r.Gain)*r.rateBps + r.Gain*s.RateBps
+	r.rateBps = (1-rcpGain)*r.rateBps + rcpGain*s.RateBps
 }
 
 // OnLoss implements Algorithm: halve the rate as a safety response; the

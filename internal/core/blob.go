@@ -106,9 +106,6 @@ func NewBlobReassembler(onBlob func(*Blob)) *BlobReassembler {
 	}
 }
 
-// PendingBlobs returns the number of partially received blobs.
-func (r *BlobReassembler) PendingBlobs() int { return len(r.pending) }
-
 // Feed consumes one inbound message. It returns an error if the message is
 // not a valid blob chunk; duplicate chunks are ignored.
 func (r *BlobReassembler) Feed(m *InMessage) error {

@@ -35,7 +35,7 @@ func TestBlobRoundTrip(t *testing.T) {
 	if blobs[0].ID != id || !bytes.Equal(blobs[0].Data, data) {
 		t.Fatal("blob corrupt")
 	}
-	if reasm.PendingBlobs() != 0 {
+	if len(reasm.pending) != 0 {
 		t.Fatal("reassembler leaked state")
 	}
 }

@@ -157,7 +157,6 @@ type OutMessage struct {
 	// rtxQueue lists packet indexes awaiting retransmission.
 	rtxQueue []int
 	done     bool
-	canceled bool
 	// bypass marks retransmissions with wire.FlagBypassOffload: a delegated
 	// ACK went unconfirmed, so in-network devices must pass the raw payload
 	// through to the true destination.
@@ -168,14 +167,11 @@ type OutMessage struct {
 }
 
 // Done reports whether every packet has been acknowledged.
-func (m *OutMessage) Done() bool { return m.done && !m.canceled }
+func (m *OutMessage) Done() bool { return m.done }
 
 // Data returns the message's application payload (nil for synthetic
 // messages). Exposed for invariant checking; callers must not mutate it.
 func (m *OutMessage) Data() []byte { return m.data }
-
-// Canceled reports whether the message was aborted with Cancel.
-func (m *OutMessage) Canceled() bool { return m.canceled }
 
 type outPkt struct {
 	offset uint32
@@ -480,33 +476,6 @@ func (e *Endpoint) push(m *OutMessage) {
 
 // Pending returns the number of unfinished outbound messages.
 func (e *Endpoint) Pending() int { return len(e.active) }
-
-// Cancel aborts an outbound message: unsent packets are never transmitted,
-// in-flight attribution is released, and late ACKs are ignored. It reports
-// whether the message was still pending. The receiver's partial state ages
-// out after receiveTimeout — message independence means nothing else
-// references it.
-func (e *Endpoint) Cancel(m *OutMessage) bool {
-	if m == nil || m.done {
-		return false
-	}
-	if _, ok := e.byID[m.ID]; !ok {
-		return false
-	}
-	for i := range m.pkts {
-		p := &m.pkts[i]
-		if p.attributed {
-			e.table.RemoveInflight(p.path, int(p.length))
-			p.attributed = false
-		}
-	}
-	m.rtxQueue = nil
-	m.done = true
-	m.canceled = true
-	e.removeCompleted()
-	e.trySend()
-	return true
-}
 
 // Release completes an outbound message on application-level end-to-end
 // confirmation. With delegated ACKs (Config.DelegateTimeout) a message

@@ -360,49 +360,6 @@ func TestTrimmedPacketNacked(t *testing.T) {
 	}
 }
 
-// TestCancelReleasesState: canceling a window-blocked message stops its
-// transmission, releases in-flight attribution, and lets queued messages
-// proceed.
-func TestCancelReleasesState(t *testing.T) {
-	var got []*InMessage
-	w, a, _, _, _ := pair(71, us(50),
-		Config{LocalPort: 1, MSS: 1000, CCConfig: ccTiny()},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
-	)
-	big := a.SendSynthetic("b", 2, 100*1000, SendOptions{})
-	small := a.SendSynthetic("b", 2, 3*1000, SendOptions{})
-	// Let a couple of packets of the big message fly, then cancel it.
-	w.eng.Run(200 * time.Microsecond)
-	if !a.Cancel(big) {
-		t.Fatal("Cancel returned false for pending message")
-	}
-	if a.Cancel(big) {
-		t.Fatal("second Cancel returned true")
-	}
-	if big.Done() || !big.Canceled() {
-		t.Fatalf("state: done=%v canceled=%v", big.Done(), big.Canceled())
-	}
-	w.eng.Run(receiveTimeout + 30*time.Millisecond)
-	// Only the small message is delivered; the sender drains fully.
-	if len(got) != 1 || got[0].MsgID != small.ID {
-		t.Fatalf("deliveries = %+v", got)
-	}
-	if a.Pending() != 0 {
-		t.Fatalf("pending = %d", a.Pending())
-	}
-	for _, st := range a.Table().States() {
-		if st.Inflight != 0 {
-			t.Fatalf("inflight leak after cancel: %v=%d", st.Path, st.Inflight)
-		}
-	}
-	if !small.Done() {
-		t.Fatal("small message did not complete")
-	}
-	if a.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
 // TestGapNackedOnFirstSighting: a hole is NACKed on the first later arrival.
 func TestGapNackedOnFirstSighting(t *testing.T) {
 	var got []*InMessage

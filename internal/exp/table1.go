@@ -425,7 +425,7 @@ func probeIsolationMTP(r Fig7Result) Table1Cell {
 // String renders the matrix with ✓/✗ cells.
 func (r Table1Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: transport feature matrix (every cell measured; see -v for evidence)\n")
+	fmt.Fprintf(&b, "Table 1: transport feature matrix (every cell measured; see verbose=true for evidence)\n")
 	fmt.Fprintf(&b, "  %-26s", "transport")
 	for _, f := range table1Features {
 		fmt.Fprintf(&b, " %-13.13s", f)

@@ -47,9 +47,6 @@ func NewInjector(eng *sim.Engine, seed int64) *Injector {
 	return &Injector{eng: eng, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Rand exposes the injector's random source for custom fault processes.
-func (in *Injector) Rand() *rand.Rand { return in.rng }
-
 // Events returns the log of fault actions fired so far, in firing order.
 func (in *Injector) Events() []Event { return in.events }
 

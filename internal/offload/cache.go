@@ -54,9 +54,6 @@ func (c *Cache) reset() {
 	c.Resets++
 }
 
-// Len returns the number of cached keys.
-func (c *Cache) Len() int { return len(c.store) }
-
 // interpose inspects each packet; returning false consumes it.
 func (c *Cache) interpose(pkt *simnet.Packet, _ *simnet.Link) bool {
 	hdr := pkt.Hdr

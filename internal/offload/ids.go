@@ -21,6 +21,8 @@ type IDS struct {
 	// mode only counts.
 	Inline bool
 
+	// flows holds the in-flight messages' scan states, each at most
+	// maxLen-1 bytes.
 	flows map[idsKey]*idsFlow
 
 	// Stats
@@ -69,10 +71,6 @@ func (ids *IDS) reset() {
 	ids.flows = make(map[idsKey]*idsFlow)
 	ids.Resets++
 }
-
-// FlowStates returns the number of in-flight message scan states (bounded
-// by messages in flight, each holding at most maxLen-1 bytes).
-func (ids *IDS) FlowStates() int { return len(ids.flows) }
 
 func (ids *IDS) interpose(pkt *simnet.Packet, _ *simnet.Link) bool {
 	hdr := pkt.Hdr

@@ -35,8 +35,8 @@ func TestIDSDetectsAcrossPacketBoundary(t *testing.T) {
 	if len(got) != 1 || !bytes.Equal(got[0].Data, data) {
 		t.Fatal("detection mode corrupted traffic")
 	}
-	if ids.FlowStates() != 0 {
-		t.Fatalf("leaked %d flow states", ids.FlowStates())
+	if len(ids.flows) != 0 {
+		t.Fatalf("leaked %d flow states", len(ids.flows))
 	}
 }
 
@@ -99,8 +99,8 @@ func TestIDSBoundedState(t *testing.T) {
 		c.EP.Send(server.ID(), 7, data, core.SendOptions{})
 	}
 	eng.Run(20 * time.Millisecond)
-	if ids.FlowStates() != 0 {
-		t.Fatalf("flow states leaked: %d", ids.FlowStates())
+	if len(ids.flows) != 0 {
+		t.Fatalf("flow states leaked: %d", len(ids.flows))
 	}
 	if ids.ScannedPkts == 0 {
 		t.Fatal("nothing scanned")

@@ -14,12 +14,6 @@ import (
 // Because each request is an independent MTP message, the balancer needs no
 // connection termination, no byte-stream reassembly, and no per-connection
 // buffers (contrast with Figure 2's proxy).
-//
-// Replica health mirrors the transport's pathlet failover (core/failover.go):
-// a replica accumulating ejectAfter unanswered requests is ejected from the
-// candidate set; every probeEvery-th steering decision that skips it instead
-// sends one probe request its way, and a response from an ejected replica —
-// proof it is alive, like pathlet feedback — readmits it.
 type L7LB struct {
 	sw       *simnet.Switch
 	vip      simnet.NodeID
@@ -29,20 +23,10 @@ type L7LB struct {
 	sticky      map[stickyKey]simnet.NodeID
 	rr          int
 
-	// Health ejection (disabled until SetHealth is called).
-	ejectAfter int
-	probeEvery int
-	ejected    map[simnet.NodeID]bool
-	sinceProbe map[simnet.NodeID]int
-
 	// Steered counts requests per replica (index-aligned with replicas).
 	Steered map[simnet.NodeID]uint64
-
-	// Health stats
-	Ejections    uint64
-	Probes       uint64
-	Readmissions uint64
-	Resets       uint64
+	// Resets counts crashes (reset).
+	Resets uint64
 }
 
 type stickyKey struct {
@@ -63,8 +47,6 @@ func NewL7LB(sw *simnet.Switch, vip simnet.NodeID, replicas []simnet.NodeID) *L7
 		replicas:    replicas,
 		outstanding: make(map[simnet.NodeID]int),
 		sticky:      make(map[stickyKey]simnet.NodeID),
-		ejected:     make(map[simnet.NodeID]bool),
-		sinceProbe:  make(map[simnet.NodeID]int),
 		Steered:     make(map[simnet.NodeID]uint64),
 	}
 	sw.Interposer = lb.interpose
@@ -72,47 +54,24 @@ func NewL7LB(sw *simnet.Switch, vip simnet.NodeID, replicas []simnet.NodeID) *L7
 	return lb
 }
 
-// SetHealth enables replica health tracking: a replica with ejectAfter
-// consecutive unanswered requests is ejected (its backlog presumed lost),
-// and one of every probeEvery steering decisions that would skip it becomes
-// a probe toward it. Zero values disable.
-func (lb *L7LB) SetHealth(ejectAfter, probeEvery int) {
-	lb.ejectAfter = ejectAfter
-	lb.probeEvery = probeEvery
-}
-
-// reset models a balancer crash: stickiness, outstanding counts, and health
-// verdicts are SRAM state and do not survive. Requests steered before the
-// crash may be double-answered or lost; recovery is the clients' delegated
-// retransmission machinery, not the device's.
+// reset models a balancer crash: stickiness and outstanding counts are SRAM
+// state and do not survive. Requests steered before the crash may be
+// double-answered or lost; recovery is the clients' delegated retransmission
+// machinery, not the device's.
 func (lb *L7LB) reset() {
 	lb.outstanding = make(map[simnet.NodeID]int)
 	lb.sticky = make(map[stickyKey]simnet.NodeID)
-	lb.ejected = make(map[simnet.NodeID]bool)
-	lb.sinceProbe = make(map[simnet.NodeID]int)
 	lb.Resets++
 }
 
 // NoteDone informs the balancer that a replica finished a request (apps call
 // this when responses flow back through the switch; the interposer does it
-// automatically for KVS responses). A response from an ejected replica is
-// proof of life and readmits it, mirroring feedback-driven pathlet
-// readmission.
+// automatically for KVS responses).
 func (lb *L7LB) NoteDone(replica simnet.NodeID) {
 	if lb.outstanding[replica] > 0 {
 		lb.outstanding[replica]--
 	}
-	if lb.ejected[replica] {
-		// Requests queued before the failure died with it; counting them
-		// against the revived replica would re-eject it instantly.
-		lb.outstanding[replica] = 0
-		delete(lb.ejected, replica)
-		lb.Readmissions++
-	}
 }
-
-// Ejected reports whether a replica is currently ejected.
-func (lb *L7LB) Ejected(replica simnet.NodeID) bool { return lb.ejected[replica] }
 
 func (lb *L7LB) interpose(pkt *simnet.Packet, _ *simnet.Link) bool {
 	hdr := pkt.Hdr
@@ -157,61 +116,15 @@ func (lb *L7LB) interpose(pkt *simnet.Packet, _ *simnet.Link) bool {
 	return true
 }
 
-// pick returns the healthy replica with the fewest outstanding requests,
-// after updating health verdicts. When health is enabled and every replica
-// is ejected, all are candidates again (the filterExcluded fallback).
+// pick returns the replica with the fewest outstanding requests, ties going
+// round-robin.
 func (lb *L7LB) pick() simnet.NodeID {
-	if lb.ejectAfter > 0 {
-		for _, r := range lb.replicas {
-			if !lb.ejected[r] && lb.outstanding[r] >= lb.ejectAfter {
-				lb.ejected[r] = true
-				lb.sinceProbe[r] = 0
-				lb.Ejections++
-			}
-		}
-		// Probe turn: one of every probeEvery decisions that would skip an
-		// ejected replica goes to it instead, so a revived replica can prove
-		// itself (its response readmits it via NoteDone).
-		if lb.probeEvery > 0 {
-			for _, r := range lb.replicas {
-				if !lb.ejected[r] {
-					continue
-				}
-				lb.sinceProbe[r]++
-				if lb.sinceProbe[r] >= lb.probeEvery {
-					lb.sinceProbe[r] = 0
-					lb.Probes++
-					return r
-				}
-			}
-		}
-	}
-	healthy := lb.healthyCandidates()
-	best := healthy[lb.rr%len(healthy)]
+	best := lb.replicas[lb.rr%len(lb.replicas)]
 	lb.rr++
-	for _, r := range healthy {
+	for _, r := range lb.replicas {
 		if lb.outstanding[r] < lb.outstanding[best] {
 			best = r
 		}
 	}
 	return best
-}
-
-// healthyCandidates returns the non-ejected replicas, or all replicas when
-// everything is ejected (no alternative remains — same rule the switch uses
-// for fully excluded pathlet lists).
-func (lb *L7LB) healthyCandidates() []simnet.NodeID {
-	if lb.ejectAfter <= 0 || len(lb.ejected) == 0 {
-		return lb.replicas
-	}
-	healthy := make([]simnet.NodeID, 0, len(lb.replicas))
-	for _, r := range lb.replicas {
-		if !lb.ejected[r] {
-			healthy = append(healthy, r)
-		}
-	}
-	if len(healthy) == 0 {
-		return lb.replicas
-	}
-	return healthy
 }

@@ -68,8 +68,8 @@ func TestCacheHitBypassesBackend(t *testing.T) {
 	if got := store["k1"]; !bytes.Equal(got, []byte("v1")) {
 		t.Fatalf("backend store = %q", got)
 	}
-	if cache.Len() != 1 || cache.Puts != 1 {
-		t.Fatalf("cache state: len=%d puts=%d", cache.Len(), cache.Puts)
+	if len(cache.store) != 1 || cache.Puts != 1 {
+		t.Fatalf("cache state: len=%d puts=%d", len(cache.store), cache.Puts)
 	}
 
 	// GET is answered by the switch: backend sees no GET.
@@ -115,8 +115,8 @@ func TestCacheMissForwardsAndLearns(t *testing.T) {
 		t.Fatalf("client got %d responses", len(responses))
 	}
 	// The response crossing the switch populated the cache.
-	if cache.Len() != 1 {
-		t.Fatalf("cache did not learn from response: len=%d", cache.Len())
+	if len(cache.store) != 1 {
+		t.Fatalf("cache did not learn from response: len=%d", len(cache.store))
 	}
 	// Second GET now hits in-network.
 	c.EP.Send(server.ID(), 7, EncodeGet("cold"), core.SendOptions{})

@@ -129,38 +129,6 @@ func (t *Table) SetCurrent(p wire.PathTC) {
 	t.hasCurrent = true
 }
 
-// Signals groups the feedback entries of one acknowledgement by pathlet and
-// converts them to congestion-control signals. ackedBytes and rtt apply to
-// every pathlet the ACK carries feedback for (the packet traversed them all).
-func Signals(entries []wire.Feedback, ackedBytes int, rtt time.Duration) map[wire.PathTC]cc.Signal {
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make(map[wire.PathTC]cc.Signal, len(entries))
-	for _, f := range entries {
-		s := out[f.Path]
-		s.AckedBytes = ackedBytes
-		s.RTT = rtt
-		switch f.Type {
-		case wire.FeedbackECN:
-			s.ECN = s.ECN || f.ECNMarked()
-		case wire.FeedbackRate:
-			s.HasRate = true
-			s.RateBps = float64(f.RateBps())
-		case wire.FeedbackDelay:
-			s.HasDelay = true
-			s.Delay = time.Duration(f.DelayNanos())
-		case wire.FeedbackQueueLen:
-			// Queue occupancy is advisory; expose as delay-free signal.
-		case wire.FeedbackTrim:
-			// Trimming indicates severe congestion: treat as a mark.
-			s.ECN = true
-		}
-		out[f.Path] = s
-	}
-	return out
-}
-
 // OnAck applies one acknowledgement's feedback to the table: it updates every
 // referenced pathlet's algorithm and RTT, marks the most recent feedback's
 // pathlet as current, and returns the set of pathlets that were updated.
@@ -177,9 +145,11 @@ func (t *Table) OnAck(now time.Duration, entries []wire.Feedback, ackedBytes int
 		t.updScratch = append(t.updScratch[:0], s)
 		return t.updScratch
 	}
-	// Group feedback by pathlet without a map: acknowledgements carry a
+	// Group feedback by pathlet, converted to congestion-control signals;
+	// ackedBytes and rtt apply to every pathlet the ACK carries feedback for
+	// (the packet traversed them all). No map: acknowledgements carry a
 	// handful of entries, so linear search beats hashing and allocates
-	// nothing. The accumulation mirrors Signals exactly.
+	// nothing.
 	sigs := t.sigScratch[:0]
 	for i := range entries {
 		f := &entries[i]

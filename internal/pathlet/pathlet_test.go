@@ -89,7 +89,26 @@ func TestOnAckNoFeedbackUsesDefaultPath(t *testing.T) {
 	}
 }
 
+// recorder is an algorithm that keeps every signal OnAck hands it.
+type recorder struct {
+	cc.Algorithm
+	sigs []cc.Signal
+}
+
+func (r *recorder) OnAck(now time.Duration, s cc.Signal) {
+	r.sigs = append(r.sigs, s)
+	r.Algorithm.OnAck(now, s)
+}
+
+// TestSignalsGrouping: OnAck hands each pathlet one signal that merges all of
+// the ACK's feedback entries for it.
 func TestSignalsGrouping(t *testing.T) {
+	recs := map[wire.PathTC]*recorder{}
+	tb := NewTable(func(p wire.PathTC) cc.Algorithm {
+		r := &recorder{Algorithm: cc.NewDCTCP(cc.Config{MSS: 1460})}
+		recs[p] = r
+		return r
+	})
 	p1 := wire.PathTC{PathID: 1}
 	p2 := wire.PathTC{PathID: 2, TC: 1}
 	entries := []wire.Feedback{
@@ -98,23 +117,26 @@ func TestSignalsGrouping(t *testing.T) {
 		wire.DelayFeedback(p2, 7000),
 		wire.TrimFeedback(p1, 1460),
 	}
-	sigs := Signals(entries, 2920, us(80))
-	if len(sigs) != 2 {
-		t.Fatalf("got %d signal groups", len(sigs))
+	if updated := tb.OnAck(us(1), entries, 2920, us(80)); len(updated) != 2 {
+		t.Fatalf("updated %d pathlets", len(updated))
 	}
-	s1 := sigs[p1]
-	if !s1.ECN || s1.AckedBytes != 2920 || s1.RTT != us(80) {
+	if len(recs) != 2 || len(recs[p1].sigs) != 1 || len(recs[p2].sigs) != 1 {
+		t.Fatalf("signal groups: %d pathlets, %d and %d signals", len(recs), len(recs[p1].sigs), len(recs[p2].sigs))
+	}
+	s1 := recs[p1].sigs[0]
+	if !s1.ECN || s1.AckedBytes != 2920 || s1.RTT != us(80) || s1.HasRate || s1.HasDelay {
 		t.Fatalf("p1 signal = %+v", s1)
 	}
-	s2 := sigs[p2]
-	if !s2.HasRate || s2.RateBps != 25e9 || !s2.HasDelay || s2.Delay != 7*time.Microsecond {
+	s2 := recs[p2].sigs[0]
+	if !s2.HasRate || s2.RateBps != 25e9 || !s2.HasDelay || s2.Delay != 7*time.Microsecond || s2.AckedBytes != 2920 {
 		t.Fatalf("p2 signal = %+v", s2)
 	}
 	if s2.ECN {
 		t.Fatal("p2 marked without ECN feedback")
 	}
-	if Signals(nil, 1, us(1)) != nil {
-		t.Fatal("Signals(nil) != nil")
+	tb.OnAck(us(2), nil, 1, us(1))
+	if d := recs[DefaultPath]; d == nil || len(d.sigs) != 1 || d.sigs[0] != (cc.Signal{AckedBytes: 1, RTT: us(1)}) {
+		t.Fatalf("no-feedback ACK: default pathlet recorder %+v", d)
 	}
 }
 

@@ -24,9 +24,8 @@ type Proc interface {
 }
 
 // Signaler is the optional Proc extension the chaos executor needs for
-// brownouts: SIGSTOP/SIGCONT to freeze and thaw a worker. Real process
-// spawns implement it; in-process GoSpawn workers cannot be signaled,
-// so chaos schedules require a process-based SpawnFunc.
+// brownouts: SIGSTOP/SIGCONT to freeze and thaw a worker. ReexecSpawn's
+// processes implement it; a Proc that does not cannot be browned out.
 type Signaler interface {
 	Signal(sig os.Signal) error
 }
@@ -86,29 +85,6 @@ func (p *procCmd) Signal(sig os.Signal) error {
 	return p.cmd.Process.Signal(sig)
 }
 
-// GoSpawn runs workers as goroutines of the launcher process — same
-// control protocol over real TCP, no fork. Tests (and -local mode) use
-// it; note msgs/sec/core degenerates because every "process" shares one
-// rusage domain, and chaos schedules cannot touch goroutine workers.
-func GoSpawn() SpawnFunc {
-	return func(index int, controlAddr string) (Proc, error) {
-		p := &procGo{done: make(chan struct{})}
-		go func() {
-			p.err = RunWorker(controlAddr, index)
-			close(p.done)
-		}()
-		return p, nil
-	}
-}
-
-type procGo struct {
-	done chan struct{}
-	err  error
-}
-
-func (p *procGo) Wait() error { <-p.done; return p.err }
-func (p *procGo) Kill()       {} // exits when its control conn closes
-
 // phaseTimeout bounds each control-plane phase (worker registration,
 // setup/ready, sink drain): a worker that cannot even register is detected
 // in seconds, not PointTimeout.
@@ -117,7 +93,7 @@ const phaseTimeout = 30 * time.Second
 // Options tunes a Run.
 type Options struct {
 	// Spawn starts workers. Nil panics — commands pass ReexecSpawn with
-	// their worker flag spelling, tests pass GoSpawn.
+	// their worker flag spelling; tests run workers as goroutines.
 	Spawn SpawnFunc
 	// PointTimeout bounds one experiment point's load phase end to end.
 	// Default 5min.

@@ -247,6 +247,29 @@ func TestHistEmptyAndTail(t *testing.T) {
 	}
 }
 
+// GoSpawn runs workers as goroutines of the test process — the same control
+// protocol over real TCP, no fork. msgs/sec/core degenerates because every
+// "process" shares one rusage domain, and a goroutine worker cannot be
+// signaled (no chaos brownouts).
+func GoSpawn() SpawnFunc {
+	return func(index int, controlAddr string) (Proc, error) {
+		p := &procGo{done: make(chan struct{})}
+		go func() {
+			p.err = RunWorker(controlAddr, index)
+			close(p.done)
+		}()
+		return p, nil
+	}
+}
+
+type procGo struct {
+	done chan struct{}
+	err  error
+}
+
+func (p *procGo) Wait() error { <-p.done; return p.err }
+func (p *procGo) Kill()       {} // exits when its control conn closes
+
 func TestGoSpawnKill(t *testing.T) {
 	// Shrink the dial-retry budget so the unreachable address fails fast.
 	old := dialControlBudget

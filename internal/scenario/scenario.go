@@ -522,19 +522,6 @@ func maxPerHost(sp Spec) int {
 	return max
 }
 
-// Search runs seeds [start, start+n) under ov and stops at the first
-// violating one, returning its shrunken overrides and result. ok is false
-// when every seed passes.
-func Search(start int64, n int, ov Overrides) (seed int64, min Overrides, res Result, ok bool) {
-	for s := start; s < start+int64(n); s++ {
-		if r := Run(s, ov); r.Count > 0 {
-			min, res = Shrink(s, ov)
-			return s, min, res, true
-		}
-	}
-	return 0, ov, Result{}, false
-}
-
 // Row is what a `mtpexp -exp scenario` row binds (the grammar is in
 // internal/platform's package comment): the first seed, how many consecutive
 // seeds to run, and the caps, whose keys let a shrunken repro replay exactly.

@@ -137,10 +137,14 @@ func TestScenarioShrinksInjectedBug(t *testing.T) {
 	simnet.SetBrokenExcludeFilter(true)
 	defer simnet.SetBrokenExcludeFilter(false)
 
-	seed, min, res, ok := Search(1, 200, NoOverrides())
-	if !ok {
+	// The first violating seed of 200, shrunk.
+	seed := int64(1)
+	for ; seed <= 200 && Run(seed, NoOverrides()).Count == 0; seed++ {
+	}
+	if seed > 200 {
 		t.Fatal("injected exclude-filter bug escaped 200 seeded scenarios")
 	}
+	min, res := Shrink(seed, NoOverrides())
 	exclude := false
 	for _, v := range res.Violations {
 		if v.Rule == "exclude" {

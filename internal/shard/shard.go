@@ -262,14 +262,6 @@ type RunStats struct {
 	Wall time.Duration
 }
 
-// EventsPerSec is the aggregate event throughput.
-func (st RunStats) EventsPerSec() float64 {
-	if st.Wall <= 0 {
-		return 0
-	}
-	return float64(st.Events) / st.Wall.Seconds()
-}
-
 // Run executes the cluster to the horizon (inclusive, matching
 // sim.Engine.Run semantics) and returns aggregate statistics. One goroutine
 // per shard; Run returns when every shard has passed the horizon.

@@ -148,15 +148,6 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Pending reports whether the timer's event is still scheduled.
-func (t Timer) Pending() bool {
-	if t.en == nil {
-		return false
-	}
-	ev := &t.en.arena[t.slot]
-	return ev.gen == t.gen && ev.bkt >= 0
-}
-
 // Engine is a discrete-event simulator instance.
 type Engine struct {
 	now   Time
@@ -262,9 +253,6 @@ func (e *Engine) Reserve(n int) {
 		}
 	}
 }
-
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return e.pending }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (run as soon as control returns to the loop). It returns a Timer

@@ -137,7 +137,7 @@ func (m *engineModel) stop(id int) bool {
 		return false // a callback's "nearby" event before the first
 	}
 	ev := m.events[id]
-	if t := ev.t; t.Pending() && ev.lane >= 0 {
+	if t := ev.t; isPending(t) && ev.lane >= 0 {
 		ln, pos := &m.e.lanes[ev.lane], m.e.arena[t.slot].pos
 		switch pos {
 		case ln.head:
@@ -151,13 +151,13 @@ func (m *engineModel) stop(id int) bool {
 	return ev.t.Stop()
 }
 
-func (m *engineModel) timerPending(id int) bool  { return m.events[id].t.Pending() }
+func (m *engineModel) timerPending(id int) bool  { return isPending(m.events[id].t) }
 func (m *engineModel) run(until Time)            { m.e.Run(until) }
 func (m *engineModel) runBefore(limit Time) Time { return m.e.RunBefore(limit) }
 func (m *engineModel) runAll()                   { m.e.RunAll(1 << 30) }
 func (m *engineModel) tighten(limit Time)        { m.e.TightenRunLimit(limit) }
 func (m *engineModel) peek() (Time, bool)        { return m.e.NextEventAt() }
-func (m *engineModel) pending() int              { return m.e.Pending() }
+func (m *engineModel) pending() int              { return m.e.pending }
 
 type refEvent struct {
 	at       Time

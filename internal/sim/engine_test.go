@@ -50,8 +50,8 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	if end != time.Millisecond {
 		t.Fatalf("Run returned %v, want 1ms", end)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("pending = %d", e.pending)
 	}
 	// Continue: now the event fires.
 	e.Run(3 * time.Millisecond)
@@ -258,7 +258,7 @@ func TestLaneRearmChurn(t *testing.T) {
 	if len(e.arena) != warm {
 		t.Fatalf("over %d re-arms the arena grew from %d to %d slots", rearms, warm, len(e.arena))
 	}
-	e.RunAll(uint64(e.Pending()))
+	e.RunAll(uint64(e.pending))
 	if fired != packets+1 {
 		t.Fatalf("%d events fired, want the %d packets and the last timer", fired, packets)
 	}
@@ -277,7 +277,7 @@ func TestReserveOneLane(t *testing.T) {
 	// queued counts the slots in use: pending events, and stopped ones whose
 	// entries are still in a lane.
 	queued := func() int {
-		q := e.Pending()
+		q := e.pending
 		for i := range e.lanes {
 			ln := &e.lanes[i]
 			for k := int32(0); k < ln.n; k++ {
@@ -298,7 +298,7 @@ func TestReserveOneLane(t *testing.T) {
 		lane = e.arena[timers[len(timers)-1].slot].bkt - laneBkt
 		most = max(most, int(e.lanes[lane].n))
 		for k := len(timers) - 2; k > len(timers)-n/2; k -= 3 {
-			if ev := &e.arena[timers[k].slot]; timers[k].Pending() && ev.bkt >= laneBkt {
+			if ev := &e.arena[timers[k].slot]; isPending(timers[k]) && ev.bkt >= laneBkt {
 				ln := &e.lanes[ev.bkt-laneBkt]
 				if ev.pos != ln.head && ev.pos != (ln.head+ln.n-1)&int32(len(ln.buf)-1) {
 					held++
@@ -560,4 +560,13 @@ func BenchmarkEngineHopMix(b *testing.B) {
 // events always pending, each rescheduling itself 1 ns to 1 µs ahead.
 func BenchmarkEngineUniform(b *testing.B) {
 	churn(b, NewEngine(1), 4096, func(r uint32) (Time, uint64) { return Time(1 + r>>22), 0 })
+}
+
+// isPending reports whether t's event is still scheduled.
+func isPending(t Timer) bool {
+	if t.en == nil {
+		return false
+	}
+	ev := &t.en.arena[t.slot]
+	return ev.gen == t.gen && ev.bkt >= 0
 }

@@ -322,9 +322,6 @@ func (l *Link) AddUpstream(up *Link) {
 // Pauses returns the number of pause events this link has issued.
 func (l *Link) Pauses() uint64 { return l.pauses }
 
-// Paused reports whether the link is currently paused by a downstream.
-func (l *Link) Paused() bool { return l.paused }
-
 // pauseUpstream stops the registered upstream transmitters.
 func (l *Link) pauseUpstream() {
 	for _, up := range l.upstream {

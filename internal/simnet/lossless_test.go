@@ -70,7 +70,7 @@ func TestLosslessBackpressurePropagates(t *testing.T) {
 	// uplink itself holds packets (congestion spreading — PFC's cost).
 	var midPaused, upHeld bool
 	eng.Schedule(400*us(1), func() {
-		midPaused = mid.Paused() || mid.QueueLen() > 0
+		midPaused = mid.paused || mid.QueueLen() > 0
 		upHeld = up.QueueLen() > 0
 	})
 	eng.Run(50 * time.Millisecond)

@@ -71,6 +71,3 @@ type Observer interface {
 // SetObserver attaches obs to the network (nil detaches). Exactly one
 // observer is supported; it sees events from every link, switch, and host.
 func (n *Network) SetObserver(obs Observer) { n.obs = obs }
-
-// Observer returns the attached observer, or nil.
-func (n *Network) Observer() Observer { return n.obs }

@@ -53,8 +53,8 @@ func (c LeafSpineConfig) withDefaults() LeafSpineConfig {
 // leaf routes local hosts via their access link and every remote host via
 // all Spines uplinks (the policy picks among them); each spine routes every
 // host via its one downlink to the host's leaf — exactly the equal-cost
-// shortest paths, so routing is loop-free by construction and
-// CountPaths(i,j) == Spines for inter-rack pairs.
+// shortest paths, so routing is loop-free by construction and every
+// inter-rack pair has exactly Spines paths.
 func NewLeafSpine(cfg LeafSpineConfig) *Fabric {
 	f, _ := NewLeafSpineShard(cfg, PlanLeafSpineShards(cfg, 1), 0, nil)
 	return f

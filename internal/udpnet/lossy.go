@@ -39,14 +39,6 @@ type Lossy struct {
 	drops, dups, reorders int
 }
 
-// Counts reports injected events so far. Safe to call while traffic flows
-// (node close still trickles ACKs after a test's send phase ends).
-func (l *Lossy) Counts() (drops, dups, reorders int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.drops, l.dups, l.reorders
-}
-
 // NewLossy wraps pc with deterministic fault injection seeded by seed.
 func NewLossy(pc net.PacketConn, seed int64) *Lossy {
 	conn, ok := pc.(addrPortConn)

@@ -110,19 +110,6 @@ type Feedback struct {
 	val  [8]byte
 }
 
-// Value returns the entry's raw value bytes. The slice aliases the entry's
-// inline storage; callers must copy it if they outlive f.
-func (f *Feedback) Value() []byte { return f.val[:f.vlen] }
-
-// SetValue replaces the entry's value bytes. It panics if v exceeds
-// MaxFeedbackValue bytes.
-func (f *Feedback) SetValue(v []byte) {
-	if len(v) > MaxFeedbackValue {
-		panic("wire: feedback value exceeds MaxFeedbackValue")
-	}
-	f.vlen = uint8(copy(f.val[:], v))
-}
-
 // ECNFeedback constructs an ECN mark feedback entry.
 func ECNFeedback(p PathTC, marked bool) Feedback {
 	f := Feedback{Path: p, Type: FeedbackECN, vlen: 1}
@@ -181,15 +168,6 @@ func (f Feedback) DelayNanos() uint64 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(f.val[:])
-}
-
-// QueueLen returns the queue occupancy of a QLEN entry, or 0 if not
-// applicable.
-func (f Feedback) QueueLen() uint32 {
-	if f.Type != FeedbackQueueLen || f.vlen != 4 {
-		return 0
-	}
-	return binary.BigEndian.Uint32(f.val[:])
 }
 
 // Header flag bits (the Flags field). They carry the offload fault-tolerance
@@ -305,15 +283,14 @@ const (
 	MaxFeedbackValue = 8
 )
 
-// Errors returned by Decode.
+// Errors returned by DecodeInto.
 var (
-	ErrShortBuffer   = errors.New("wire: buffer too short")
-	ErrBadVersion    = errors.New("wire: unsupported version")
-	ErrBadType       = errors.New("wire: invalid packet type")
-	ErrListTooLong   = errors.New("wire: list exceeds MaxListEntries")
-	ErrValueTooLong  = errors.New("wire: feedback value exceeds MaxFeedbackValue")
-	ErrTrailingBytes = errors.New("wire: trailing bytes after header")
-	ErrBadChecksum   = errors.New("wire: header checksum mismatch")
+	ErrShortBuffer  = errors.New("wire: buffer too short")
+	ErrBadVersion   = errors.New("wire: unsupported version")
+	ErrBadType      = errors.New("wire: invalid packet type")
+	ErrListTooLong  = errors.New("wire: list exceeds MaxListEntries")
+	ErrValueTooLong = errors.New("wire: feedback value exceeds MaxFeedbackValue")
+	ErrBadChecksum  = errors.New("wire: header checksum mismatch")
 )
 
 // crcTable is the Castagnoli polynomial table used for the header checksum
@@ -434,18 +411,6 @@ func (d *decoder) u16() uint16 { v := binary.BigEndian.Uint16(d.b[d.off:]); d.of
 func (d *decoder) u32() uint32 { v := binary.BigEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
 func (d *decoder) u64() uint64 { v := binary.BigEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
 
-// Decode parses an encoded header from b. It returns the parsed header and
-// the number of bytes consumed; the remainder of b is the packet payload.
-// Decoded slices alias freshly allocated memory, never b.
-func Decode(b []byte) (*Header, int, error) {
-	h := &Header{}
-	n, err := DecodeInto(h, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return h, n, nil
-}
-
 // DecodeInto parses an encoded header from b into h, reusing the capacity of
 // h's list slices so a header decoded repeatedly into the same struct
 // allocates only when a list outgrows every previous packet. Every field of h
@@ -561,19 +526,6 @@ func (d *decoder) refList(out []PacketRef) ([]PacketRef, error) {
 		out = append(out, PacketRef{MsgID: d.u64(), PktNum: d.u32()})
 	}
 	return out, nil
-}
-
-// DecodeFull parses b, which must contain exactly one header and nothing
-// else. It is a convenience for control packets with no payload.
-func DecodeFull(b []byte) (*Header, error) {
-	h, n, err := Decode(b)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(b) {
-		return nil, ErrTrailingBytes
-	}
-	return h, nil
 }
 
 // Clone returns a deep copy of h. Network devices that mutate headers (e.g.
