@@ -30,7 +30,7 @@ func main() {
 		p := pathlet
 		return simnet.LinkConfig{
 			Rate: rate, Delay: delay, QueueCap: 512, ECNThreshold: 64,
-			Pathlet: &p, StampECN: true, StampQueueLen: true,
+			Pathlet: &p, StampECN: true,
 		}
 	}
 
@@ -111,6 +111,6 @@ func main() {
 
 	fmt.Println("\nclient pathlet table (learned from stamped feedback):")
 	for _, st := range c.EP.Table().States() {
-		fmt.Printf("  pathlet %-5v window=%7.0fB srtt=%v\n", st.Path, st.Algo.Window(), st.SRTT)
+		fmt.Printf("  pathlet %-5v window=%7.0fB\n", st.Path, st.Algo.Window())
 	}
 }

@@ -55,16 +55,6 @@ func NewCoupler(kind Coupling, cfg cc.Config, n int) *Coupler {
 // Sub returns subflow i's window algorithm (plugs into SenderConfig.Algo).
 func (c *Coupler) Sub(i int) *CoupledWindow { return c.subs[i] }
 
-func (c *Coupler) clamp(w float64) float64 {
-	if w < float64(c.cfg.MSS) {
-		w = float64(c.cfg.MSS)
-	}
-	if c.cfg.MaxWindow > 0 && w > c.cfg.MaxWindow {
-		w = c.cfg.MaxWindow
-	}
-	return w
-}
-
 // CoupledWindow is one subflow's view of a Coupler. It implements
 // cc.Algorithm so it drops into the unmodified Sender via
 // SenderConfig.Algo; slow start and multiplicative decrease stay
@@ -75,10 +65,7 @@ type CoupledWindow struct {
 
 	cwnd     float64
 	ssthresh float64
-
-	srtt    time.Duration
-	lastCut time.Duration
-	hasCut  bool
+	gate     cc.Gate
 
 	// OLIA's transmitted-bytes bookkeeping: l1 counts bytes acked since the
 	// last loss on this path, l2 the bytes between the previous two losses;
@@ -98,13 +85,7 @@ func (w *CoupledWindow) Rate() (float64, bool) { return 0, false }
 
 // OnAck implements cc.Algorithm.
 func (w *CoupledWindow) OnAck(now time.Duration, s cc.Signal) {
-	if s.RTT > 0 {
-		if w.srtt == 0 {
-			w.srtt = s.RTT
-		} else {
-			w.srtt = (7*w.srtt + s.RTT) / 8
-		}
-	}
+	w.gate.Observe(s.RTT)
 	if s.ECN {
 		w.cut(now)
 		return
@@ -113,7 +94,7 @@ func (w *CoupledWindow) OnAck(now time.Duration, s cc.Signal) {
 	if w.cwnd < w.ssthresh {
 		// Slow start is uncoupled (RFC 6356 §3): the window grows by the
 		// bytes acknowledged, exactly like a single-path flow.
-		w.cwnd = w.c.clamp(w.cwnd + float64(s.AckedBytes))
+		w.cwnd = w.c.cfg.Clamp(w.cwnd + float64(s.AckedBytes))
 		return
 	}
 	switch w.c.kind {
@@ -131,26 +112,17 @@ func (w *CoupledWindow) OnLoss(now time.Duration) { w.cut(now) }
 // 6356 leaves the decrease untouched) and rotates OLIA's inter-loss byte
 // counters.
 func (w *CoupledWindow) cut(now time.Duration) {
-	if w.hasCut && now-w.lastCut < w.rtt() {
+	if !w.gate.Cut(now) {
 		return
 	}
-	w.hasCut = true
-	w.lastCut = now
-	w.cwnd = w.c.clamp(w.cwnd / 2)
+	w.cwnd = w.c.cfg.Clamp(w.cwnd / 2)
 	w.ssthresh = w.cwnd
 	w.prevLoss = w.sinceLoss
 	w.sinceLoss = 0
 }
 
-func (w *CoupledWindow) rtt() time.Duration {
-	if w.srtt == 0 {
-		return 100 * time.Microsecond
-	}
-	return w.srtt
-}
-
 func (w *CoupledWindow) rttSeconds() float64 {
-	return w.rtt().Seconds()
+	return w.gate.RTT().Seconds()
 }
 
 // liaIncrease applies the RFC 6356 coupled increase:
@@ -183,7 +155,7 @@ func (w *CoupledWindow) liaIncrease(acked int) {
 	if own := float64(acked) * mss / w.cwnd; own < inc {
 		inc = own
 	}
-	w.cwnd = w.c.clamp(w.cwnd + inc)
+	w.cwnd = w.c.cfg.Clamp(w.cwnd + inc)
 }
 
 // oliaIncrease applies the OLIA increase (Khalili et al., CoNEXT'12):
@@ -255,5 +227,5 @@ func (w *CoupledWindow) oliaIncrease(acked int) {
 	r := w.rttSeconds()
 	mss := float64(w.c.cfg.MSS)
 	inc := (w.cwnd/(r*r)/(denom*denom) + alpha/w.cwnd) * float64(acked) * mss
-	w.cwnd = w.c.clamp(w.cwnd + inc)
+	w.cwnd = w.c.cfg.Clamp(w.cwnd + inc)
 }

@@ -145,7 +145,7 @@ func TestCoupledAggregateBound(t *testing.T) {
 				for i, w := range []float64{tc.w0, tc.w1} {
 					c.Sub(i).cwnd = w
 					c.Sub(i).ssthresh = w
-					c.Sub(i).srtt = rtt
+					c.Sub(i).gate.Observe(rtt)
 				}
 				single := cc.NewAIMD(cc.Config{MSS: cmss, InitWindow: tc.w0 + tc.w1})
 				singleLoss := time.Duration(0)

@@ -29,9 +29,8 @@ type MPTCP struct {
 	subs     []*msub
 	coupler  *Coupler
 
-	total  int64
-	next   int64 // next global offset to assign
-	closed bool
+	total int64
+	next  int64 // next global offset to assign
 
 	// ackedGlobal accumulates acked global byte ranges across subflows
 	// (reinjection can ack the same range on two subflows; the span set

@@ -23,9 +23,8 @@ type ProxyConfig struct {
 	// SendBuffer bounds bytes queued on the server-side connection before
 	// the proxy stops consuming from the client. Default 256 KiB.
 	SendBuffer int64
-	// MSS/CC/RTO configure the server-side sender.
+	// MSS/RTO configure the server-side sender, which runs DCTCP.
 	MSS int
-	CC  string
 	RTO time.Duration
 	// Tenant tags relayed packets.
 	Tenant int

@@ -73,7 +73,6 @@ type Sender struct {
 	finAcked    bool
 
 	dupAcks    int
-	lastAckNo  int64
 	srtt       time.Duration
 	segSentAt  map[int64]time.Duration // seq -> first-send time for RTT
 	globalAt   map[int64]int64         // local offset -> MPTCP global offset

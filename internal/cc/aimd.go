@@ -7,83 +7,20 @@ import "time"
 // multiplicative halving at most once per RTT on congestion (ECN mark or
 // loss). It is the "TCP" point of comparison when MTP is configured with a
 // single network-wide pathlet.
-type AIMD struct {
-	cfg      Config
-	cwnd     float64
-	ssthresh float64
-
-	lastCut time.Duration // time of the last multiplicative decrease
-	hasCut  bool
-	srtt    time.Duration
-}
+type AIMD struct{ window }
 
 // NewAIMD returns a Reno-style algorithm.
-func NewAIMD(cfg Config) *AIMD {
-	cfg = cfg.withDefaults()
-	return &AIMD{
-		cfg:      cfg,
-		cwnd:     cfg.InitWindow,
-		ssthresh: 1 << 30,
-	}
-}
+func NewAIMD(cfg Config) *AIMD { return &AIMD{newWindow(cfg, 1<<30)} }
 
 // Name implements Algorithm.
 func (a *AIMD) Name() string { return string(KindAIMD) }
 
-// Window implements Algorithm.
-func (a *AIMD) Window() float64 { return a.cwnd }
-
-// Rate implements Algorithm: AIMD is purely window based.
-func (a *AIMD) Rate() (float64, bool) { return 0, false }
-
 // OnAck implements Algorithm.
 func (a *AIMD) OnAck(now time.Duration, s Signal) {
-	if s.RTT > 0 {
-		a.updateRTT(s.RTT)
-	}
+	a.gate.Observe(s.RTT)
 	if s.ECN {
-		a.cut(now)
+		a.OnLoss(now)
 		return
 	}
-	if a.cwnd < a.ssthresh {
-		// Slow start: window grows by the bytes acknowledged.
-		a.cwnd = a.cfg.clamp(a.cwnd + float64(s.AckedBytes))
-		return
-	}
-	// Congestion avoidance: +MSS per window's worth of ACKed bytes.
-	if a.cwnd > 0 {
-		a.cwnd = a.cfg.clamp(a.cwnd + float64(a.cfg.MSS)*float64(s.AckedBytes)/a.cwnd)
-	}
-}
-
-// OnLoss implements Algorithm.
-func (a *AIMD) OnLoss(now time.Duration) {
-	a.cut(now)
-}
-
-func (a *AIMD) cut(now time.Duration) {
-	// At most one multiplicative decrease per RTT so a burst of marks from
-	// one congested window is treated as a single event.
-	if a.hasCut && now-a.lastCut < a.rtt() {
-		return
-	}
-	a.hasCut = true
-	a.lastCut = now
-	a.cwnd = a.cfg.clamp(a.cwnd / 2)
-	a.ssthresh = a.cwnd
-}
-
-func (a *AIMD) updateRTT(sample time.Duration) {
-	if a.srtt == 0 {
-		a.srtt = sample
-		return
-	}
-	a.srtt = (7*a.srtt + sample) / 8
-}
-
-func (a *AIMD) rtt() time.Duration {
-	if a.srtt == 0 {
-		return 100 * time.Microsecond
-	}
-	return a.srtt
+	a.grow(s.AckedBytes)
 }

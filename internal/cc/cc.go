@@ -28,8 +28,12 @@ type Signal struct {
 	// HasDelay/Delay carry a measured queueing delay (Swift-style).
 	HasDelay bool
 	Delay    time.Duration
-	// RTT is the endpoint's smoothed estimate of round-trip time on this
-	// pathlet, used to pace window evolution.
+	// RTT is one round-trip-time sample, or zero when the acknowledgement
+	// yields none; the algorithm smooths it itself (Gate). MTP's endpoint
+	// passes the largest sample among the packets this acknowledgement
+	// newly covers, retransmissions excluded; the TCP-like rivals in
+	// internal/baseline pass their own smoothed RTT, so their algorithm
+	// smooths it a second time.
 	RTT time.Duration
 }
 
@@ -79,8 +83,8 @@ func (c Config) withDefaults() Config {
 // bound-asserting tests.
 func (c Config) Normalized() Config { return c.withDefaults() }
 
-// clamp bounds a window to [one MSS, MaxWindow] (no cap when MaxWindow is 0).
-func (c Config) clamp(w float64) float64 {
+// Clamp bounds a window to [one MSS, MaxWindow] (no cap when MaxWindow is 0).
+func (c Config) Clamp(w float64) float64 {
 	if w < float64(c.MSS) {
 		w = float64(c.MSS)
 	}

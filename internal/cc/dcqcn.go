@@ -37,7 +37,7 @@ type DCQCN struct {
 	lastAlphaUpd time.Duration
 	recoveries   int // fast-recovery stages since last decrease
 
-	srtt time.Duration
+	gate Gate
 }
 
 // NewDCQCN returns a DCQCN controller.
@@ -61,25 +61,12 @@ func (d *DCQCN) Name() string { return string(KindDCQCN) }
 // Rate implements Algorithm: DCQCN is rate based.
 func (d *DCQCN) Rate() (float64, bool) { return d.rc, true }
 
-// Window implements Algorithm: a 2×BDP backstop on top of pacing.
-func (d *DCQCN) Window() float64 {
-	rtt := d.srtt
-	if rtt == 0 {
-		rtt = 100 * time.Microsecond
-	}
-	w := 2*d.rc/8*rtt.Seconds() + 4*float64(d.cfg.MSS)
-	return d.cfg.clamp(w)
-}
+// Window implements Algorithm: the rate's backstop window on top of pacing.
+func (d *DCQCN) Window() float64 { return d.cfg.backstop(d.rc, d.gate.RTT()) }
 
 // OnAck implements Algorithm.
 func (d *DCQCN) OnAck(now time.Duration, s Signal) {
-	if s.RTT > 0 {
-		if d.srtt == 0 {
-			d.srtt = s.RTT
-		} else {
-			d.srtt = (7*d.srtt + s.RTT) / 8
-		}
-	}
+	d.gate.Observe(s.RTT)
 	if s.ECN {
 		// Alpha rises and the rate cuts, at most once per period.
 		if now-d.lastAlphaUpd >= dcqcnPeriod {

@@ -11,8 +11,8 @@ type RCP struct {
 	cfg Config
 
 	rateBps float64
-	srtt    time.Duration
 	hasRate bool
+	gate    Gate
 }
 
 // NewRCP returns an explicit-rate algorithm. Until the first rate feedback
@@ -29,9 +29,7 @@ func (r *RCP) Name() string { return string(KindRCP) }
 
 // OnAck implements Algorithm.
 func (r *RCP) OnAck(now time.Duration, s Signal) {
-	if s.RTT > 0 {
-		r.updateRTT(s.RTT)
-	}
+	r.gate.Observe(s.RTT)
 	if !s.HasRate || s.RateBps <= 0 {
 		return
 	}
@@ -51,16 +49,13 @@ func (r *RCP) OnLoss(time.Duration) {
 	}
 }
 
-// Window implements Algorithm. Rate-based senders are paced by Rate; the
-// window is only a backstop against feedback loss, so it carries 2× the
-// bandwidth-delay product plus slack rather than the exact BDP (which would
-// double-limit a paced sender on every RTT jitter).
+// Window implements Algorithm: the initial window until the first rate
+// feedback, then the rate's backstop window.
 func (r *RCP) Window() float64 {
 	if !r.hasRate {
 		return r.cfg.InitWindow
 	}
-	w := 2*r.rateBps/8*r.rtt().Seconds() + 4*float64(r.cfg.MSS)
-	return r.cfg.clamp(w)
+	return r.cfg.backstop(r.rateBps, r.gate.RTT())
 }
 
 // Rate implements Algorithm.
@@ -69,19 +64,4 @@ func (r *RCP) Rate() (float64, bool) {
 		return 0, false
 	}
 	return r.rateBps, true
-}
-
-func (r *RCP) updateRTT(sample time.Duration) {
-	if r.srtt == 0 {
-		r.srtt = sample
-		return
-	}
-	r.srtt = (7*r.srtt + sample) / 8
-}
-
-func (r *RCP) rtt() time.Duration {
-	if r.srtt == 0 {
-		return 100 * time.Microsecond
-	}
-	return r.srtt
 }

@@ -114,7 +114,6 @@ type epInfo struct {
 // Finalize. The zero value is not usable; use New.
 type Checker struct {
 	eng *sim.Engine
-	net *simnet.Network
 
 	violations []Violation
 	total      int
@@ -271,7 +270,6 @@ func (c *Checker) takeDelivery(key msgKey) (*msgRec, int) {
 func New(eng *sim.Engine, net *simnet.Network) *Checker {
 	c := &Checker{
 		eng:  eng,
-		net:  net,
 		pkts: make(map[*simnet.Packet]pktState),
 		msgs: make(map[msgKey]*msgRec),
 		eps:  make(map[*core.Endpoint]*epInfo),

@@ -242,7 +242,6 @@ type Endpoint struct {
 	// same reason inflowOrder exists: map iteration order is random.
 	pendingAcks map[Addr]*ackBatch
 	ackOrder    []Addr
-	unacked     int
 	// inBatch is set between BeginBatch and EndBatch: ACK flushes and the
 	// sender's post-ACK trySend wait for EndBatch. sendDue records that an
 	// ACK packet arrived inside the bracket.

@@ -243,9 +243,6 @@ func TestPathletFeedbackBuildsState(t *testing.T) {
 	if !ok {
 		t.Fatal("pathlet state not created from feedback")
 	}
-	if st.SRTT == 0 {
-		t.Fatal("no RTT estimate on pathlet")
-	}
 	if a.Table().Current().Path != path {
 		t.Fatalf("current pathlet = %v", a.Table().Current().Path)
 	}

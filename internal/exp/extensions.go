@@ -154,7 +154,6 @@ func (r MultiAlgoResult) String() string {
 type PriorityResult struct {
 	FIFOp99us     float64
 	PriorityP99us float64
-	Messages      int
 }
 
 // RunPriority executes the probe.

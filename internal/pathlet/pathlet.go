@@ -23,10 +23,6 @@ type State struct {
 	// pathlet by the sender.
 	Inflight int
 
-	// SRTT is the smoothed round-trip time measured via acknowledgements
-	// attributed to this pathlet.
-	SRTT time.Duration
-
 	// LastFeedback is when feedback for this pathlet last arrived.
 	LastFeedback time.Duration
 
@@ -130,7 +126,7 @@ func (t *Table) SetCurrent(p wire.PathTC) {
 }
 
 // OnAck applies one acknowledgement's feedback to the table: it updates every
-// referenced pathlet's algorithm and RTT, marks the most recent feedback's
+// referenced pathlet's algorithm, marks the most recent feedback's
 // pathlet as current, and returns the set of pathlets that were updated.
 // The returned slice is reused by the next OnAck call; callers must not
 // retain it.
@@ -141,7 +137,6 @@ func (t *Table) OnAck(now time.Duration, entries []wire.Feedback, ackedBytes int
 		s := t.Get(DefaultPath)
 		s.Algo.OnAck(now, cc.Signal{AckedBytes: ackedBytes, RTT: rtt})
 		s.LastFeedback = now
-		s.updateRTT(rtt)
 		t.updScratch = append(t.updScratch[:0], s)
 		return t.updScratch
 	}
@@ -174,8 +169,6 @@ func (t *Table) OnAck(now time.Duration, entries []wire.Feedback, ackedBytes int
 		case wire.FeedbackDelay:
 			sg.HasDelay = true
 			sg.Delay = time.Duration(f.DelayNanos())
-		case wire.FeedbackQueueLen:
-			// Queue occupancy is advisory; expose as delay-free signal.
 		case wire.FeedbackTrim:
 			// Trimming indicates severe congestion: treat as a mark.
 			sg.ECN = true
@@ -188,7 +181,6 @@ func (t *Table) OnAck(now time.Duration, entries []wire.Feedback, ackedBytes int
 		s := t.Get(sigs[i].path)
 		s.Algo.OnAck(now, sigs[i].sig)
 		s.LastFeedback = now
-		s.updateRTT(rtt)
 		updated = append(updated, s)
 	}
 	t.updScratch = updated
@@ -258,7 +250,7 @@ func (t *Table) RemoveInflight(p wire.PathTC, n int) {
 }
 
 // ResetAlgorithms replaces every pathlet's congestion-control instance with
-// a fresh one from the factory (back to slow start) and clears RTT estimates.
+// a fresh one from the factory (back to slow start, with no RTT estimate).
 // Inflight attribution is deliberately preserved: it tracks packets currently
 // attributed by the sender across all peers, and resetting it would corrupt
 // the add/remove pairing of packets still in flight. Used when a peer restart
@@ -267,7 +259,6 @@ func (t *Table) RemoveInflight(p wire.PathTC, n int) {
 func (t *Table) ResetAlgorithms() {
 	for _, s := range t.states {
 		s.Algo = t.factory(s.Path)
-		s.SRTT = 0
 	}
 }
 
@@ -320,15 +311,4 @@ func (t *Table) States() []*State {
 		return a.TC < b.TC
 	})
 	return out
-}
-
-func (s *State) updateRTT(sample time.Duration) {
-	if sample <= 0 {
-		return
-	}
-	if s.SRTT == 0 {
-		s.SRTT = sample
-		return
-	}
-	s.SRTT = (7*s.SRTT + sample) / 8
 }

@@ -18,11 +18,6 @@ type MTPHost struct {
 	Host *simnet.Host
 	EP   *core.Endpoint
 
-	// ChecksumDrops counts arriving packets discarded because an injected
-	// fault corrupted them (the wire checksum catches this on real sockets;
-	// the simulator models the same drop without materializing bit flips).
-	ChecksumDrops uint64
-
 	eng   *sim.Engine
 	net   *simnet.Network
 	timer sim.Timer
@@ -41,7 +36,9 @@ func AttachMTP(net *simnet.Network, host *simnet.Host, cfg core.Config) *MTPHost
 			return
 		}
 		if pkt.Corrupted {
-			mh.ChecksumDrops++
+			// An injected fault corrupted the packet. The wire checksum
+			// drops it on real sockets; the simulator models the same drop
+			// without materializing bit flips.
 			return
 		}
 		mh.EP.OnPacket(&core.Inbound{

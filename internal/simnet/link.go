@@ -33,12 +33,11 @@ type LinkConfig struct {
 	// from the packet's own TC so per-(pathlet,TC) state forms at senders.
 	Pathlet *uint32
 
-	// StampECN/StampRate/StampDelay/StampQueueLen select which feedback
-	// types the link writes into MTP headers (multi-algorithm CC).
-	StampECN      bool
-	StampRate     bool
-	StampDelay    bool
-	StampQueueLen bool
+	// StampECN/StampRate/StampDelay select which feedback types the link
+	// writes into MTP headers (multi-algorithm CC).
+	StampECN   bool
+	StampRate  bool
+	StampDelay bool
 
 	// Trim, when set, truncates the payload of packets that would be
 	// dropped (NDP-style) instead of discarding them, stamping trim
@@ -141,13 +140,12 @@ type Link struct {
 	dst  Node
 	name string
 
-	queues  []pktRing
-	rrNext  int
-	busy    bool
-	qlen    int // packets queued across queues
-	qbytes  int // their bytes
-	stats   LinkStats
-	minWire time.Duration // serialization time of a 1-byte packet, for sanity
+	queues []pktRing
+	rrNext int
+	busy   bool
+	qlen   int // packets queued across queues
+	qbytes int // their bytes
+	stats  LinkStats
 
 	// flow accounting for RCP-style fair-rate feedback
 	flowSeen   map[uint64]time.Duration
@@ -613,9 +611,6 @@ func (l *Link) stampOnDequeue(pkt *Packet) {
 			wait = 0
 		}
 		pkt.Hdr.AddPathFeedback(wire.DelayFeedback(p, uint64(wait)))
-	}
-	if l.cfg.StampQueueLen {
-		pkt.Hdr.AddPathFeedback(wire.QueueLenFeedback(p, uint32(l.QueueLen())))
 	}
 	if l.cfg.StampRate {
 		pkt.Hdr.AddPathFeedback(wire.RateFeedback(p, uint64(l.fairRate(now))))

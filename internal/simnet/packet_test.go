@@ -17,7 +17,7 @@ func fullHeader() *wire.Header {
 		Type: wire.TypeAck, SrcPort: 1, DstPort: 2, MsgID: 42, PktNum: 3,
 		PathExclude:     []wire.PathTC{p},
 		PathFeedback:    []wire.Feedback{wire.ECNFeedback(p, true)},
-		AckPathFeedback: []wire.Feedback{wire.QueueLenFeedback(p, 9)},
+		AckPathFeedback: []wire.Feedback{wire.DelayFeedback(p, 9)},
 		SACK:            []wire.PacketRef{{MsgID: 42, PktNum: 1}, {MsgID: 42, PktNum: 2}},
 		NACK:            []wire.PacketRef{{MsgID: 42, PktNum: 0}},
 	}
@@ -40,7 +40,7 @@ func TestSetHeaderOwnsItsCopy(t *testing.T) {
 	// The endpoint rewrites its scratch in place.
 	src.PathExclude[0].PathID = 99
 	src.PathFeedback[0] = wire.ECNFeedback(wire.PathTC{PathID: 99}, false)
-	src.AckPathFeedback[0] = wire.QueueLenFeedback(wire.PathTC{PathID: 99}, 0)
+	src.AckPathFeedback[0] = wire.DelayFeedback(wire.PathTC{PathID: 99}, 0)
 	src.SACK[1].PktNum = 99
 	src.NACK[0].PktNum = 99
 	if !reflect.DeepEqual(p.Hdr, want) {

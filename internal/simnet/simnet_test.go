@@ -118,7 +118,7 @@ func TestMTPPathletStamping(t *testing.T) {
 	path := uint32(42)
 	eng, a, b, col := pipe(t, LinkConfig{
 		Rate: 1e9, Delay: us(1), QueueCap: 100, ECNThreshold: 2,
-		Pathlet: &path, StampECN: true, StampDelay: true, StampQueueLen: true,
+		Pathlet: &path, StampECN: true, StampDelay: true,
 	})
 	for i := 0; i < 6; i++ {
 		hdr := &wire.Header{Type: wire.TypeData, MsgID: uint64(i), MsgPkts: 1, TC: 3, PktLen: 1000}

@@ -64,8 +64,9 @@ const (
 	// FeedbackTrim marks a packet whose payload was trimmed by a switch
 	// (NDP-style); the value is the original payload length (4 bytes).
 	FeedbackTrim
-	// FeedbackQueueLen is a 4-byte instantaneous queue length in packets,
-	// useful for replica-selection style feedback.
+	// FeedbackQueueLen is a 4-byte instantaneous queue length in packets.
+	// No device here stamps it and no sender reads it; it is decoded like
+	// any other entry and echoed back unread.
 	FeedbackQueueLen
 )
 
@@ -130,13 +131,6 @@ func RateFeedback(p PathTC, bps uint64) Feedback {
 func DelayFeedback(p PathTC, nanos uint64) Feedback {
 	f := Feedback{Path: p, Type: FeedbackDelay, vlen: 8}
 	binary.BigEndian.PutUint64(f.val[:], nanos)
-	return f
-}
-
-// QueueLenFeedback constructs a queue-occupancy feedback entry (packets).
-func QueueLenFeedback(p PathTC, pkts uint32) Feedback {
-	f := Feedback{Path: p, Type: FeedbackQueueLen, vlen: 4}
-	binary.BigEndian.PutUint32(f.val[:], pkts)
 	return f
 }
 

@@ -51,6 +51,13 @@ func Decode(b []byte) (*Header, int, error) {
 	return h, n, nil
 }
 
+// QueueLenFeedback constructs a queue-occupancy feedback entry (packets).
+func QueueLenFeedback(p PathTC, pkts uint32) Feedback {
+	f := Feedback{Path: p, Type: FeedbackQueueLen, vlen: 4}
+	binary.BigEndian.PutUint32(f.val[:], pkts)
+	return f
+}
+
 // decodeAll decodes b, which must hold one header and nothing else.
 func decodeAll(t *testing.T, b []byte) *Header {
 	t.Helper()

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // The paper's first messaging mode is RPC: every request is one MTP message
@@ -31,9 +30,8 @@ const (
 // ErrRPCRemote wraps an error string returned by the remote handler.
 var ErrRPCRemote = errors.New("mtp: remote handler error")
 
-// rpcState tracks outstanding calls on a node.
+// rpcState tracks outstanding calls on a node, under the node's mutex.
 type rpcState struct {
-	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan rpcResult
 }
