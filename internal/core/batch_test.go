@@ -88,8 +88,8 @@ func TestBatchCompletionInsideBracket(t *testing.T) {
 	if len(got) != 1 || !sameRefs(got[0].SACK, refs(1, 0, 1, 2)) || len(got[0].NACK) != 0 {
 		t.Fatalf("EndBatch emitted %v, want one ACK with SACK 1:{0,1,2}", got)
 	}
-	if ep.Stats.AcksSent != 1 || len(ep.pendingAcks) != 0 {
-		t.Fatalf("AcksSent=%d pending=%d", ep.Stats.AcksSent, len(ep.pendingAcks))
+	if ep.Stats.AcksSent != 1 || len(ep.ackOrder) != 0 {
+		t.Fatalf("AcksSent=%d pending=%d", ep.Stats.AcksSent, len(ep.ackOrder))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestGapNackScansToHighWaterMark(t *testing.T) {
 	if got := env.take(); len(got) != 1 || !sameRefs(got[0].NACK, refs(1, 0, 1, 2, 3, 4)) {
 		t.Fatalf("first sighting emitted %v, want NACK 1:{0,1,2,3,4}", got)
 	}
-	env.now += ep.rto(nil)/2 + time.Microsecond
+	env.now += ep.cfg.RTO/2 + time.Microsecond
 	ep.OnPacket(dataPkt(1, 2, 6))
 	if got := env.take(); len(got) != 1 || !sameRefs(got[0].NACK, refs(1, 0, 1, 3, 4)) {
 		t.Fatalf("late packet emitted %v, want NACK 1:{0,1,3,4}", got)
@@ -222,7 +222,7 @@ func runBracketed(t *testing.T, seed int64, bracketed bool) uint64 {
 		for _, te := range []*testEnv{ea, eb} {
 			te.bracket = func() int { return 1 + sizes.Intn(32) }
 			te.afterBracket = func() {
-				if n := len(te.ep.pendingAcks); n != 0 {
+				if n := len(te.ep.ackOrder); n != 0 {
 					t.Fatalf("seed %d: %d ack batches pending after EndBatch", seed, n)
 				}
 			}

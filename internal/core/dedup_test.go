@@ -66,7 +66,7 @@ func TestFloorPrunesDedupState(t *testing.T) {
 		// The sender's floor trails one message behind its newest.
 		ep.OnPacket(dedupData(1, id, id))
 	}
-	pd := ep.peerDones[peerKey{from: "peer", srcPort: 1}]
+	pd := ep.peers["peer"].dedup(1)
 	if pd == nil {
 		t.Fatal("no per-peer dedup state allocated")
 	}
@@ -92,7 +92,7 @@ func TestFloorlessPeerBestEffort(t *testing.T) {
 	for id := uint64(1); id <= total; id++ {
 		ep.OnPacket(dedupData(1, id, 0))
 	}
-	pd := ep.peerDones[peerKey{from: "peer", srcPort: 1}]
+	pd := ep.peers["peer"].dedup(1)
 	if len(pd.done) > doneCap {
 		t.Fatalf("floorless done set unbounded: %d entries", len(pd.done))
 	}

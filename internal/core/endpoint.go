@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mtp/internal/cc"
@@ -147,9 +146,9 @@ type OutMessage struct {
 
 	data []byte // nil for synthetic messages
 	pkts []outPkt
-	// rtt is the destination's estimator, looked up once at Send so no packet
+	// peer is the destination's record, looked up once at Send so no packet
 	// pays a map access for its timeout.
-	rtt *peerRTT
+	peer *peer
 	// nextNew indexes the first never-sent packet.
 	nextNew int
 	// ackedPkts counts acknowledged packets.
@@ -223,25 +222,19 @@ type Endpoint struct {
 	// Pacing state for rate-based pathlets.
 	nextSendAt time.Duration
 
+	// peers holds one record per remote address (peer.go): the only map
+	// keyed by Addr.
+	peers map[Addr]*peer
+
 	// Receiver state. inflowOrder tracks partial messages in arrival order:
-	// every timer-driven scan walks it instead of ranging over the map, so
-	// packet emission order is deterministic run to run.
+	// every scan walks it instead of ranging over the map, so packet emission
+	// order is deterministic run to run.
 	inflows     map[inKey]*inMsg
 	inflowOrder []*inMsg
-	// peerDones remembers completed inbound messages per sending endpoint to
-	// suppress duplicate delivery caused by retransmissions. Senders advertise
-	// their fully-acknowledged message floor in every data header, which lets
-	// the receiver keep EXACT dedup state bounded by each sender's in-flight
-	// window — a shared LRU cache is not safe here, because heavy cross
-	// traffic can evict a slow sender's entries before it processes its ACKs
-	// (e.g. a host frozen mid-run), turning its retransmissions into double
-	// deliveries. Allocated on first delivery: send-only endpoints never pay.
-	peerDones map[peerKey]*peerDone
 
-	// ack batching. ackOrder mirrors pendingAcks in creation order for the
-	// same reason inflowOrder exists: map iteration order is random.
-	pendingAcks map[Addr]*ackBatch
-	ackOrder    []Addr
+	// ackOrder lists the peers with a pending ACK in batch-creation order,
+	// the order they are flushed in.
+	ackOrder []*peer
 	// inBatch is set between BeginBatch and EndBatch: ACK flushes and the
 	// sender's post-ACK trySend wait for EndBatch. sendDue records that an
 	// ACK packet arrived inside the bracket.
@@ -250,10 +243,6 @@ type Endpoint struct {
 
 	excluder *autoExcluder
 	fo       *failoverState
-
-	// peerEpochs tracks the last-seen incarnation epoch per peer (Config.
-	// Epoch != 0 only). Allocated on first epoch-carrying packet.
-	peerEpochs map[Addr]uint32
 
 	// Hot-path scratch and pools. The engine drives the endpoint from a
 	// single goroutine (or under the owner's lock), so plain slices suffice.
@@ -269,14 +258,9 @@ type Endpoint struct {
 	ackHdr  wire.Header // scratch header for ACK packets
 	// event is the one Event handed to the Observer (see observe).
 	event Event
-
-	// Retransmission clock: one RFC 6298 estimator per peer sent to, created
-	// by the first Send toward it. A shared estimator would floor on the
-	// nearest peer and resend everything bound for a far one before its ACK
-	// could return. backedOff is OnTimer's scratch of the peers whose packets
-	// expired in one firing.
-	peerRTTs  map[Addr]*peerRTT
-	backedOff []*peerRTT
+	// backedOff is OnTimer's scratch of the peers whose packets expired in
+	// one firing.
+	backedOff []*peer
 
 	// Stats counts protocol events.
 	Stats EndpointStats
@@ -332,7 +316,7 @@ type EndpointStats struct {
 }
 
 type inKey struct {
-	from    Addr
+	peer    *peer
 	srcPort uint16
 	msgID   uint64
 }
@@ -371,12 +355,12 @@ type ackBatch struct {
 func NewEndpoint(env Env, cfg Config) *Endpoint {
 	cfg = cfg.withDefaults()
 	e := &Endpoint{
-		cfg:         cfg,
-		env:         env,
-		byID:        make(map[uint64]*OutMessage),
-		inflows:     make(map[inKey]*inMsg),
-		pendingAcks: make(map[Addr]*ackBatch),
-		nextID:      1,
+		cfg:     cfg,
+		env:     env,
+		byID:    make(map[uint64]*OutMessage),
+		peers:   make(map[Addr]*peer),
+		inflows: make(map[inKey]*inMsg),
+		nextID:  1,
 	}
 	factory := cfg.CCFactory
 	if factory == nil {
@@ -442,8 +426,9 @@ func (e *Endpoint) newMessage(dst Addr, dstPort uint16, size int, opts SendOptio
 		TC:      e.cfg.TC,
 		Size:    size,
 		Created: e.env.Now(),
-		rtt:     e.peerRTTFor(dst),
+		peer:    e.peerFor(dst),
 	}
+	m.peer.sent = true
 	e.nextID++
 	npkts := (size + e.cfg.MSS - 1) / e.cfg.MSS
 	if npkts == 1 {
@@ -516,166 +501,6 @@ func (e *Endpoint) Release(m *OutMessage) bool {
 	return true
 }
 
-// peerRTT is the RFC 6298 estimator toward one peer: smoothed RTT, its
-// variance, and the current (possibly backed-off) timeout.
-type peerRTT struct {
-	srtt   time.Duration
-	rttvar time.Duration
-	rto    time.Duration
-}
-
-// peerRTTFor returns the estimator toward dst, creating it at the initial
-// Config.RTO on the first Send.
-func (e *Endpoint) peerRTTFor(dst Addr) *peerRTT {
-	pr := e.peerRTTs[dst]
-	if pr == nil {
-		if e.peerRTTs == nil {
-			e.peerRTTs = make(map[Addr]*peerRTT)
-		}
-		pr = &peerRTT{rto: e.cfg.RTO}
-		e.peerRTTs[dst] = pr
-	}
-	return pr
-}
-
-// PeerRTT reports the smoothed RTT and the effective retransmission timeout
-// toward a peer. ok is false when no estimator exists for it: nothing was
-// ever sent there. srtt is zero until the first sample.
-func (e *Endpoint) PeerRTT(peer Addr) (srtt, rto time.Duration, ok bool) {
-	pr := e.peerRTTs[peer]
-	if pr == nil {
-		return 0, 0, false
-	}
-	return pr.srtt, pr.rto, true
-}
-
-// rto returns the effective retransmission timeout toward the peer pr
-// estimates, or Config.RTO when there is no estimator (a peer this endpoint
-// only receives from).
-func (e *Endpoint) rto(pr *peerRTT) time.Duration {
-	if pr == nil {
-		return e.cfg.RTO
-	}
-	return pr.rto
-}
-
-// sampleRTT feeds one fresh (never-retransmitted) RTT measurement into the
-// peer's estimator and recomputes its RTO, collapsing any exponential
-// backoff.
-func (e *Endpoint) sampleRTT(pr *peerRTT, s time.Duration) {
-	if pr == nil || s <= 0 {
-		return
-	}
-	if pr.srtt == 0 {
-		pr.srtt = s
-		pr.rttvar = s / 2
-	} else {
-		d := pr.srtt - s
-		if d < 0 {
-			d = -d
-		}
-		pr.rttvar = (3*pr.rttvar + d) / 4
-		pr.srtt = (7*pr.srtt + s) / 8
-	}
-	pr.rto = min(max(pr.srtt+4*pr.rttvar, e.cfg.MinRTO), e.cfg.MaxRTO)
-}
-
-// backoffRTO doubles the peer's RTO after a timeout round, up to MaxRTO.
-func (e *Endpoint) backoffRTO(pr *peerRTT) {
-	if pr.rto >= e.cfg.MaxRTO {
-		return
-	}
-	pr.rto = min(2*pr.rto, e.cfg.MaxRTO)
-	e.Stats.RTOBackoffs++
-}
-
-// peerKey identifies one sending endpoint: peer address plus the source port
-// its messages carry. Duplicate-suppression state is kept at this granularity
-// because message IDs are only unique per sending endpoint.
-type peerKey struct {
-	from    Addr
-	srcPort uint16
-}
-
-// peerDone is one sender's duplicate-suppression state. Every delivered
-// message ID at or above floor is in done; every ID below floor was fully
-// acknowledged end to end (the sender said so in its data headers), so its
-// membership is implied and the entry can be discarded.
-type peerDone struct {
-	floor uint64
-	done  map[uint64]struct{}
-}
-
-// doneCap bounds the done set of a sender that never advertises a floor
-// (in-network devices, foreign stacks). Such peers get best-effort dedup:
-// when the set overflows, the oldest half of the IDs is evicted WITHOUT
-// advancing the floor — an evicted ID becomes deliverable again rather than
-// a false duplicate. Floor-advertising senders never hit this cap: their set
-// is bounded by their own in-flight window.
-const doneCap = 8192
-
-// peerDoneFor returns the dedup state for a sending endpoint, creating it on
-// first use. The map itself is also lazy: send-only endpoints — the
-// overwhelming majority in a large fabric — never allocate receiver dedup
-// state, which matters when a k=64 build instantiates 65k endpoints.
-func (e *Endpoint) peerDoneFor(from Addr, srcPort uint16) *peerDone {
-	pk := peerKey{from: from, srcPort: srcPort}
-	pd := e.peerDones[pk]
-	if pd == nil {
-		if e.peerDones == nil {
-			e.peerDones = make(map[peerKey]*peerDone)
-		}
-		pd = &peerDone{done: make(map[uint64]struct{})}
-		e.peerDones[pk] = pd
-	}
-	return pd
-}
-
-// advanceFloor raises the sender's acknowledged floor and drops the done
-// entries it makes redundant.
-func (pd *peerDone) advanceFloor(floor uint64) {
-	if floor <= pd.floor {
-		return
-	}
-	pd.floor = floor
-	for id := range pd.done {
-		if id < floor {
-			delete(pd.done, id)
-		}
-	}
-}
-
-// isDone reports whether the sender's message id was already delivered.
-func (pd *peerDone) isDone(id uint64) bool {
-	if id < pd.floor {
-		return true
-	}
-	_, ok := pd.done[id]
-	return ok
-}
-
-// rememberDone records a completed inbound message so retransmissions of it
-// are re-acked but not re-delivered.
-func (e *Endpoint) rememberDone(k inKey) {
-	pd := e.peerDoneFor(k.from, k.srcPort)
-	if k.msgID < pd.floor {
-		return
-	}
-	pd.done[k.msgID] = struct{}{}
-	if pd.floor == 0 && len(pd.done) > doneCap {
-		// Floorless sender overflow: sort the IDs and forget the oldest
-		// half. O(n log n) every doneCap/2 deliveries, amortized O(log n).
-		ids := make([]uint64, 0, len(pd.done))
-		for id := range pd.done {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids[:len(ids)/2] {
-			delete(pd.done, id)
-		}
-	}
-}
-
 // msgFloor returns the sender-side acknowledged-message floor advertised in
 // outgoing data headers: the smallest unfinished message ID, or the next ID
 // to be assigned when nothing is in flight. e.active is kept in Send order
@@ -709,10 +534,11 @@ func (e *Endpoint) allocInMsg(key inKey, npkts int) *inMsg {
 	return f
 }
 
-// releaseInMsg recycles receiver message state (and drops it from the
-// ordered scan list). The payload buffer is handed off to the delivered
+// releaseInMsg recycles receiver message state (and drops it from the map and
+// the ordered scan list). The payload buffer is handed off to the delivered
 // InMessage (never reused), everything else is kept.
 func (e *Endpoint) releaseInMsg(f *inMsg) {
+	delete(e.inflows, f.key)
 	for i, g := range e.inflowOrder {
 		if g == f {
 			e.inflowOrder = append(e.inflowOrder[:i], e.inflowOrder[i+1:]...)
@@ -730,6 +556,19 @@ func (e *Endpoint) releaseInMsg(f *inMsg) {
 	f.lastSeen = 0
 	clear(f.nacked)
 	e.inMsgPool = append(e.inMsgPool, f)
+}
+
+// dropInMsgs releases every partial message drop selects, scanning in
+// arrival order. releaseInMsg removes the entry from inflowOrder, so only
+// survivors advance the scan.
+func (e *Endpoint) dropInMsgs(drop func(*inMsg) bool) {
+	for i := 0; i < len(e.inflowOrder); {
+		if f := e.inflowOrder[i]; drop(f) {
+			e.releaseInMsg(f)
+		} else {
+			i++
+		}
+	}
 }
 
 // allocBatch returns an empty ack batch, recycling pooled structs and the

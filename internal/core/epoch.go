@@ -10,13 +10,10 @@ import (
 // a newer one (serial-number comparison, so a wrapping millisecond-derived
 // epoch space still orders) proves the peer restarted and triggers a full
 // per-peer state reset before the packet is processed.
-func (e *Endpoint) admitEpoch(from Addr, ep uint32) bool {
-	last, ok := e.peerEpochs[from]
-	if !ok {
-		if e.peerEpochs == nil {
-			e.peerEpochs = make(map[Addr]uint32)
-		}
-		e.peerEpochs[from] = ep
+func (e *Endpoint) admitEpoch(p *peer, ep uint32) bool {
+	last := p.epoch
+	if last == 0 {
+		p.epoch = ep
 		return true
 	}
 	if ep == last {
@@ -26,10 +23,10 @@ func (e *Endpoint) admitEpoch(from Addr, ep uint32) bool {
 		e.Stats.StaleEpochDrops++
 		return false
 	}
-	e.peerEpochs[from] = ep
+	p.epoch = ep
 	e.Stats.EpochBumps++
 	e.emit(KindEpochBump, 0, 0, uint64(ep), uint64(last))
-	e.resetPeer(from)
+	e.resetPeer(p)
 	return true
 }
 
@@ -54,44 +51,36 @@ func (e *Endpoint) admitEpoch(from Addr, ep uint32) bool {
 //     restart is rare and safety beats warmth.
 //     In-flight attribution is preserved except for the rewound packets,
 //     whose attribution is released here.
-func (e *Endpoint) resetPeer(from Addr) {
-	// Receiver state: partial reassembly and duplicate suppression.
-	for key, f := range e.inflows {
-		if key.from == from {
-			delete(e.inflows, key)
-			e.releaseInMsg(f)
-		}
-	}
-	for key := range e.peerDones {
-		if key.from == from {
-			delete(e.peerDones, key)
-		}
-	}
-	if b := e.pendingAcks[from]; b != nil {
-		e.dropBatch(from, b)
+func (e *Endpoint) resetPeer(p *peer) {
+	// Receiver state: partial reassembly, duplicate suppression, the pending
+	// ACK.
+	e.dropInMsgs(func(f *inMsg) bool { return f.key.peer == p })
+	p.dones = nil
+	if p.ack != nil {
+		e.dropBatch(p)
 	}
 
 	// Sender state: rewind every unfinished message toward the peer.
 	for _, m := range e.active {
-		if m.Dst != from {
+		if m.peer != p {
 			continue
 		}
 		for i := range m.pkts {
-			p := &m.pkts[i]
-			if p.attributed {
-				e.table.RemoveInflight(p.path, int(p.length))
-				p.attributed = false
+			pk := &m.pkts[i]
+			if pk.attributed {
+				e.table.RemoveInflight(pk.path, int(pk.length))
+				pk.attributed = false
 			}
-			p.sent = false
-			p.acked = false
-			p.inRtx = false
-			p.delegated = false
+			pk.sent = false
+			pk.acked = false
+			pk.inRtx = false
+			pk.delegated = false
 			// Karn's rule: the resend of a previously transmitted packet must
 			// not feed the RTT estimator.
-			if p.rtxs > 0 || p.sentAt != 0 {
-				p.retxPkt = true
+			if pk.rtxs > 0 || pk.sentAt != 0 {
+				pk.retxPkt = true
 			}
-			p.sentAt = 0
+			pk.sentAt = 0
 		}
 		m.nextNew = 0
 		m.ackedPkts = 0
@@ -99,10 +88,8 @@ func (e *Endpoint) resetPeer(from Addr) {
 	}
 
 	// Estimates: this peer's RTO back to its initial value — in place, the
-	// rewound messages above hold the pointer — and slow start everywhere.
-	if pr := e.peerRTTs[from]; pr != nil {
-		*pr = peerRTT{rto: e.cfg.RTO}
-	}
+	// rewound messages above hold the record — and slow start everywhere.
+	p.rtt = peerRTT{rto: e.cfg.RTO}
 	e.table.ResetAlgorithms()
 
 	e.trySend()

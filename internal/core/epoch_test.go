@@ -18,10 +18,10 @@ func TestEpochStamping(t *testing.T) {
 	if !m.Done() {
 		t.Fatal("message did not complete")
 	}
-	if got := b.peerEpochs["a"]; got != 5 {
+	if got := b.peers["a"].epoch; got != 5 {
 		t.Fatalf("b recorded epoch %d for a, want 5", got)
 	}
-	if got := a.peerEpochs["b"]; got != 9 {
+	if got := a.peers["b"].epoch; got != 9 {
 		t.Fatalf("a recorded epoch %d for b, want 9", got)
 	}
 	if a.Stats.EpochBumps != 0 || b.Stats.EpochBumps != 0 {
@@ -43,8 +43,8 @@ func TestEpochZeroDisablesGate(t *testing.T) {
 	}
 	// Epoch-carrying packets pass the (disabled) gate and never record state.
 	ep.OnPacket(&Inbound{From: "peer", Hdr: &wire.Header{Type: wire.TypeData, Epoch: 77, MsgID: 1, MsgPkts: 1, PktLen: 1}})
-	if ep.peerEpochs != nil {
-		t.Fatal("disabled gate allocated peer epoch state")
+	if ep.peers["peer"].epoch != 0 {
+		t.Fatal("disabled gate recorded a peer epoch")
 	}
 	if ep.Stats.StaleEpochDrops != 0 {
 		t.Fatal("disabled gate dropped a packet")
@@ -186,5 +186,61 @@ func TestEpochBumpOnOldIncarnationData(t *testing.T) {
 	ep.OnPacket(ack(50))
 	if ep.Stats.StaleEpochDrops != 1 {
 		t.Fatalf("StaleEpochDrops = %d, want 1", ep.Stats.StaleEpochDrops)
+	}
+}
+
+// TestPeerRestartKeepsOtherPeersReceiveState checks that a restart of one
+// peer resets only that peer's receive side. Peers A and B each have one
+// delivered and one half-received message; A's epoch bumps inside a batch
+// bracket in which both had data acknowledged. B's half message must still
+// complete, B's delivered ID must still be suppressed, and B's pending ACK
+// must still leave at EndBatch while A's is dropped.
+func TestPeerRestartKeepsOtherPeersReceiveState(t *testing.T) {
+	env := &captureEnv{}
+	var got []*InMessage
+	ep := NewEndpoint(env, Config{LocalPort: 2, Epoch: 1, OnMessage: func(m *InMessage) { got = append(got, m) }})
+	epochs := map[string]uint32{"A": 10, "B": 20}
+	data := func(from string, msgID uint64, pkts, pktNum uint32) *Inbound {
+		return &Inbound{From: from, Hdr: &wire.Header{
+			Type: wire.TypeData, SrcPort: 1, DstPort: 2, Epoch: epochs[from],
+			MsgID: msgID, MsgBytes: pkts, MsgPkts: pkts, PktNum: pktNum,
+			PktOffset: pktNum, PktLen: 1,
+		}, Data: []byte("x")}
+	}
+	for _, from := range []string{"A", "B"} {
+		ep.OnPacket(data(from, 1, 1, 0)) // delivered
+		ep.OnPacket(data(from, 2, 2, 0)) // half received
+	}
+	if len(got) != 2 || len(ep.inflows) != 2 {
+		t.Fatalf("delivered %d, partial %d; want 2 and 2", len(got), len(ep.inflows))
+	}
+
+	env.pkts = nil
+	ep.BeginBatch()
+	ep.OnPacket(data("A", 3, 2, 0))
+	ep.OnPacket(data("B", 3, 2, 0))
+	epochs["A"] = 11 // A restarts; its first packet is an empty ACK
+	ep.OnPacket(&Inbound{From: "A", Hdr: &wire.Header{Type: wire.TypeAck, SrcPort: 1, DstPort: 2, Epoch: 11}})
+	if ep.Stats.EpochBumps != 1 {
+		t.Fatalf("EpochBumps = %d, want 1", ep.Stats.EpochBumps)
+	}
+	ep.EndBatch()
+	if len(env.pkts) != 1 || env.pkts[0].Dst != "B" || !sameRefs(env.pkts[0].Hdr.SACK, refs(3, 0)) {
+		t.Fatalf("EndBatch emitted %d packets (first %+v), want B's ACK with SACK 3:{0}", len(env.pkts), env.pkts)
+	}
+	for _, f := range ep.inflowOrder {
+		if f.key.peer.addr != "B" {
+			t.Fatalf("A's partial message %d survived its restart", f.key.msgID)
+		}
+	}
+
+	ep.OnPacket(data("B", 2, 2, 1))
+	if n := len(got); n != 3 || got[2].From != "B" || got[2].MsgID != 2 {
+		t.Fatalf("B's half message did not complete across A's restart (%d delivered)", n)
+	}
+	dups := ep.Stats.PktsDuplicate
+	ep.OnPacket(data("B", 1, 1, 0))
+	if len(got) != 3 || ep.Stats.PktsDuplicate != dups+1 {
+		t.Fatalf("B's delivered message 1 was not suppressed (delivered %d)", len(got))
 	}
 }

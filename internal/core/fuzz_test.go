@@ -140,7 +140,7 @@ func runReassembly(t *testing.T, npktsB byte, script []byte, bracketed bool) (ma
 			return
 		}
 		ep.EndBatch()
-		if n := len(ep.pendingAcks); n != 0 {
+		if n := len(ep.ackOrder); n != 0 {
 			t.Fatalf("%d ack batches pending after EndBatch", n)
 		}
 	}

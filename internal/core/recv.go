@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"mtp/internal/wire"
@@ -15,12 +16,19 @@ func (e *Endpoint) OnPacket(in *Inbound) {
 	// and a newer epoch resets that peer's state before processing. Packets
 	// without an epoch (devices, legacy peers) always pass — the machinery
 	// only engages between epoch-aware endpoints.
-	if e.cfg.Epoch != 0 && in.Hdr.Epoch != 0 && !e.admitEpoch(in.From, in.Hdr.Epoch) {
-		return
+	var p *peer
+	if e.cfg.Epoch != 0 && in.Hdr.Epoch != 0 {
+		p = e.peerFor(in.From)
+		if !e.admitEpoch(p, in.Hdr.Epoch) {
+			return
+		}
 	}
 	switch in.Hdr.Type {
 	case wire.TypeData:
-		e.onDataPacket(in)
+		if p == nil {
+			p = e.peerFor(in.From)
+		}
+		e.onDataPacket(p, in)
 	case wire.TypeAck, wire.TypeNack:
 		e.onAckPacket(in)
 	case wire.TypeControl:
@@ -30,16 +38,15 @@ func (e *Endpoint) OnPacket(in *Inbound) {
 }
 
 // onDataPacket runs the receiver side: reassembly, SACK/NACK generation,
-// feedback echo, delivery.
-func (e *Endpoint) onDataPacket(in *Inbound) {
+// feedback echo, delivery. p is the record of the sending address.
+func (e *Endpoint) onDataPacket(p *peer, in *Inbound) {
 	now := e.env.Now()
 	hdr := in.Hdr
 	e.Stats.PktsReceived++
-	key := inKey{from: in.From, srcPort: hdr.SrcPort, msgID: hdr.MsgID}
-	batch := e.batchFor(in.From, hdr.SrcPort, hdr.DstPort)
+	key := inKey{peer: p, srcPort: hdr.SrcPort, msgID: hdr.MsgID}
+	batch := e.batchFor(p, hdr.SrcPort, hdr.DstPort)
 
-	pd := e.peerDones[peerKey{from: in.From, srcPort: hdr.SrcPort}]
-	if pd != nil {
+	if pd := p.dedup(hdr.SrcPort); pd != nil {
 		if hdr.MsgFloor != 0 {
 			pd.advanceFloor(hdr.MsgFloor)
 		}
@@ -49,7 +56,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 			e.Stats.PktsDuplicate++
 			batch.sack = append(batch.sack, wire.PacketRef{MsgID: hdr.MsgID, PktNum: hdr.PktNum})
 			e.mergeFeedback(batch, hdr.PathFeedback)
-			e.maybeFlush(in.From, batch)
+			e.maybeFlush(p)
 			return
 		}
 	}
@@ -60,7 +67,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 		batch.nack = append(batch.nack, wire.PacketRef{MsgID: hdr.MsgID, PktNum: hdr.PktNum})
 		e.Stats.NacksSent++
 		e.mergeFeedback(batch, hdr.PathFeedback)
-		e.maybeFlush(in.From, batch)
+		e.maybeFlush(p)
 		return
 	}
 
@@ -93,7 +100,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 		// Malformed or stale-header packet; ignore beyond acking.
 		batch.sack = append(batch.sack, wire.PacketRef{MsgID: hdr.MsgID, PktNum: hdr.PktNum})
 		e.mergeFeedback(batch, hdr.PathFeedback)
-		e.maybeFlush(in.From, batch)
+		e.maybeFlush(p)
 		return
 	}
 
@@ -143,7 +150,6 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 
 	// Delivery on completion.
 	if f.gotPkts == len(f.got) {
-		delete(e.inflows, key)
 		defer e.releaseInMsg(f)
 		e.rememberDone(key)
 		e.Stats.MsgsDelivered++
@@ -170,7 +176,7 @@ func (e *Endpoint) onDataPacket(in *Inbound) {
 			e.cfg.OnMessage(msg)
 		}
 	}
-	e.maybeFlush(in.From, batch)
+	e.maybeFlush(p)
 }
 
 // collectNacks NACKs every hole below the highest packet received, in
@@ -184,7 +190,7 @@ func (e *Endpoint) collectNacks(now time.Duration, f *inMsg, batch *ackBatch) {
 			continue
 		}
 		pkt := uint32(i)
-		if t, ok := f.nacked[pkt]; ok && now-t < e.rto(e.peerRTTs[f.key.from])/2 {
+		if t, ok := f.nacked[pkt]; ok && now-t < f.key.peer.rtt.rto/2 {
 			continue
 		}
 		if f.nacked == nil {
@@ -199,14 +205,12 @@ func (e *Endpoint) collectNacks(now time.Duration, f *inMsg, batch *ackBatch) {
 
 // batchFor returns the pending ack batch toward a peer, creating it with the
 // port pair of the data it acknowledges.
-func (e *Endpoint) batchFor(from Addr, srcPort, dstPort uint16) *ackBatch {
-	b := e.pendingAcks[from]
-	if b == nil {
-		b = e.allocBatch(srcPort, dstPort)
-		e.pendingAcks[from] = b
-		e.ackOrder = append(e.ackOrder, from)
+func (e *Endpoint) batchFor(p *peer, srcPort, dstPort uint16) *ackBatch {
+	if p.ack == nil {
+		p.ack = e.allocBatch(srcPort, dstPort)
+		e.ackOrder = append(e.ackOrder, p)
 	}
-	return b
+	return p.ack
 }
 
 // mergeFeedback folds the data packet's forward feedback into the batch,
@@ -260,19 +264,20 @@ func (e *Endpoint) EndBatch() {
 	}
 }
 
-// maybeFlush is the one flush rule: inside a bracket the batch waits for
-// EndBatch; otherwise it goes out now.
-func (e *Endpoint) maybeFlush(to Addr, b *ackBatch) {
+// maybeFlush is the one flush rule: inside a bracket the peer's batch waits
+// for EndBatch; otherwise it goes out now.
+func (e *Endpoint) maybeFlush(p *peer) {
 	if !e.inBatch {
-		e.flush(to, b)
+		e.flush(p)
 	}
 }
 
-// flush emits one ACK packet carrying the batch and retires it; a batch
-// that is still empty is retired silently.
-func (e *Endpoint) flush(to Addr, b *ackBatch) {
+// flush emits one ACK packet carrying the peer's pending batch and retires
+// it; a batch that is still empty is retired silently.
+func (e *Endpoint) flush(p *peer) {
+	b := p.ack
 	if len(b.sack) == 0 && len(b.nack) == 0 && len(b.feedback) == 0 {
-		e.dropBatch(to, b)
+		e.dropBatch(p)
 		return
 	}
 	hdr := &e.ackHdr
@@ -291,27 +296,23 @@ func (e *Endpoint) flush(to Addr, b *ackBatch) {
 	}
 	e.Stats.AcksSent++
 	e.emit(KindSendAck, 0, 0, uint64(len(b.sack)), uint64(len(b.nack)))
-	e.output(to, hdr, nil, hdr.EncodedLen()+headerOverhead)
-	e.dropBatch(to, b)
+	e.output(p.addr, hdr, nil, hdr.EncodedLen()+headerOverhead)
+	e.dropBatch(p)
 }
 
-// dropBatch removes a batch from the pending set and recycles it.
-func (e *Endpoint) dropBatch(to Addr, b *ackBatch) {
-	delete(e.pendingAcks, to)
-	for i, a := range e.ackOrder {
-		if a == to {
-			e.ackOrder = append(e.ackOrder[:i], e.ackOrder[i+1:]...)
-			break
-		}
+// dropBatch takes the peer's pending batch off ackOrder and recycles it.
+func (e *Endpoint) dropBatch(p *peer) {
+	if i := slices.Index(e.ackOrder, p); i >= 0 {
+		e.ackOrder = slices.Delete(e.ackOrder, i, i+1)
 	}
-	e.releaseBatch(b)
+	e.releaseBatch(p.ack)
+	p.ack = nil
 }
 
 // flushAllAcks drains every pending batch (EndBatch and the re-NACK timer
 // pass) in batch-creation order.
 func (e *Endpoint) flushAllAcks() {
 	for len(e.ackOrder) > 0 {
-		to := e.ackOrder[0]
-		e.flush(to, e.pendingAcks[to])
+		e.flush(e.ackOrder[0])
 	}
 }

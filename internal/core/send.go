@@ -28,7 +28,7 @@ func (e *Endpoint) trySend() {
 			// acks arrive; make sure some timer is armed so the endpoint
 			// cannot deadlock if every in-flight packet is lost.
 			if e.timerAt == 0 || e.timerAt <= now {
-				e.setTimer(now + e.rto(m.rtt))
+				e.setTimer(now + m.peer.rtt.rto)
 			}
 			return
 		}
@@ -135,7 +135,7 @@ func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC
 	}
 
 	e.output(m.Dst, hdr, data, hdr.EncodedLen()+headerOverhead+int(p.length))
-	e.setTimer(now + e.rto(m.rtt))
+	e.setTimer(now + m.peer.rtt.rto)
 }
 
 // onAckPacket processes an arriving ACK/NACK packet at the sender.
@@ -148,7 +148,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 
 	ackedBytes := 0
 	var rttSample time.Duration
-	var rttPeer *peerRTT // estimator of the message rttSample came from
+	var rttPeer *peer // destination of the message rttSample came from
 	completed := e.completed[:0]
 
 	// A delegated ACK (spoofed by an in-network device) is provisional when
@@ -181,7 +181,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 			}
 			if !p.retxPkt {
 				if s := now - p.sentAt; s > rttSample {
-					rttSample, rttPeer = s, m.rtt
+					rttSample, rttPeer = s, m.peer
 				}
 			}
 			delegArmed = true
@@ -197,7 +197,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 			ackedBytes += int(p.length)
 			if !p.retxPkt {
 				if s := now - p.sentAt; s > rttSample {
-					rttSample, rttPeer = s, m.rtt
+					rttSample, rttPeer = s, m.peer
 				}
 			}
 		}
@@ -337,13 +337,13 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 				}
 				continue
 			}
-			deadline := p.sentAt + e.rto(m.rtt)
+			deadline := p.sentAt + m.peer.rtt.rto
 			if deadline <= now {
 				p.inRtx = true
 				m.rtxQueue = append(m.rtxQueue, i)
 				e.Stats.Timeouts++
-				if !slices.Contains(backedOff, m.rtt) {
-					backedOff = append(backedOff, m.rtt)
+				if !slices.Contains(backedOff, m.peer) {
+					backedOff = append(backedOff, m.peer)
 				}
 				e.emit(KindTimeout, m.ID, uint32(i), 0, 0)
 				if !pathSeen(lossPaths, p.path) {
@@ -375,23 +375,13 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 	// arrival order (not map order) for determinism.
 	for _, f := range e.inflowOrder {
 		if f.prefix < f.high {
-			e.collectNacks(now, f, e.batchFor(f.key.from, f.srcPort, f.dstPort))
+			e.collectNacks(now, f, e.batchFor(f.key.peer, f.srcPort, f.dstPort))
 		}
 	}
 	e.flushAllAcks()
 
-	// Receive-side GC of stale partial messages, in arrival order.
-	// releaseInMsg removes the entry from inflowOrder, so only advance on
-	// survivors.
-	for i := 0; i < len(e.inflowOrder); {
-		f := e.inflowOrder[i]
-		if now-f.lastSeen > receiveTimeout {
-			delete(e.inflows, f.key)
-			e.releaseInMsg(f)
-		} else {
-			i++
-		}
-	}
+	// Receive-side GC of stale partial messages.
+	e.dropInMsgs(func(f *inMsg) bool { return now-f.lastSeen > receiveTimeout })
 
 	e.trySend()
 	if next != 0 {

@@ -70,7 +70,7 @@ func NewFatTreeShard(cfg FatTreeConfig, plan ShardPlan, shard int, remote simnet
 	// the c-th core attached to the a-th agg of every pod.
 	cores := make([]*simnet.Switch, half*half)
 	for i := range cores {
-		cores[i] = f.addSwitch(plan.CoreShard[i] == shard, TierSpine, -1, cfg.Policy)
+		cores[i] = f.addSwitch(plan.CoreShard[i] == shard, TierSpine, cfg.Policy)
 	}
 	aggs := make([][]*simnet.Switch, k)  // [pod][a]
 	edges := make([][]*simnet.Switch, k) // [pod][e]
@@ -78,21 +78,21 @@ func NewFatTreeShard(cfg FatTreeConfig, plan ShardPlan, shard int, remote simnet
 		aggs[p] = make([]*simnet.Switch, half)
 		edges[p] = make([]*simnet.Switch, half)
 		for a := 0; a < half; a++ {
-			aggs[p][a] = f.addSwitch(ownPod(p), TierAgg, p, cfg.Policy)
+			aggs[p][a] = f.addSwitch(ownPod(p), TierAgg, cfg.Policy)
 		}
 		for e := 0; e < half; e++ {
-			edges[p][e] = f.addSwitch(ownPod(p), TierLeaf, p, cfg.Policy)
+			edges[p][e] = f.addSwitch(ownPod(p), TierLeaf, cfg.Policy)
 		}
 	}
 	// Unowned switches keep their positional IDs for cut-link bookkeeping.
 	core := func(ci int) trunkEnd {
-		return trunkEnd{cores[ci], simnet.NodeID(ci), plan.CoreShard[ci], TierSpine}
+		return trunkEnd{cores[ci], simnet.NodeID(ci), plan.CoreShard[ci]}
 	}
 	agg := func(p, a int) trunkEnd {
-		return trunkEnd{aggs[p][a], simnet.NodeID(half*half + p*k + a), plan.PodShard[p], TierAgg}
+		return trunkEnd{aggs[p][a], simnet.NodeID(half*half + p*k + a), plan.PodShard[p]}
 	}
 	edge := func(p, e int) trunkEnd {
-		return trunkEnd{edges[p][e], simnet.NodeID(half*half + p*k + half + e), plan.PodShard[p], TierLeaf}
+		return trunkEnd{edges[p][e], simnet.NodeID(half*half + p*k + half + e), plan.PodShard[p]}
 	}
 
 	for p := 0; p < k; p++ {
@@ -122,15 +122,15 @@ func NewFatTreeShard(cfg FatTreeConfig, plan ShardPlan, shard int, remote simnet
 		}
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				edgeUp[p][e][a] = f.addTrunk(cfg.FabricLink, edge(p, e), agg(p, a), p, fmt.Sprintf("p%d-edge%d-agg%d", p, e, a))
-				aggDown[p][a][e] = f.addTrunk(cfg.FabricLink, agg(p, a), edge(p, e), p, fmt.Sprintf("p%d-agg%d-edge%d", p, a, e))
+				edgeUp[p][e][a] = f.addTrunk(cfg.FabricLink, edge(p, e), agg(p, a), fmt.Sprintf("p%d-edge%d-agg%d", p, e, a))
+				aggDown[p][a][e] = f.addTrunk(cfg.FabricLink, agg(p, a), edge(p, e), fmt.Sprintf("p%d-agg%d-edge%d", p, a, e))
 			}
 		}
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
 				ci := a*half + c
-				aggUp[p][a][c] = f.addTrunk(cfg.FabricLink, agg(p, a), core(ci), p, fmt.Sprintf("p%d-agg%d-core%d", p, a, ci))
-				coreDown[ci][p] = f.addTrunk(cfg.FabricLink, core(ci), agg(p, a), p, fmt.Sprintf("core%d-p%d-agg%d", ci, p, a))
+				aggUp[p][a][c] = f.addTrunk(cfg.FabricLink, agg(p, a), core(ci), fmt.Sprintf("p%d-agg%d-core%d", p, a, ci))
+				coreDown[ci][p] = f.addTrunk(cfg.FabricLink, core(ci), agg(p, a), fmt.Sprintf("core%d-p%d-agg%d", ci, p, a))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"mtp/internal/simnet"
 )
@@ -11,33 +12,26 @@ import (
 // Hosts returns all hosts in construction order.
 func (f *Fabric) Hosts() []*simnet.Host { return f.hosts }
 
-// SwitchPod returns the pod a switch belongs to, or -1 for spine/core.
-func (f *Fabric) SwitchPod(sw *simnet.Switch) int {
-	if pod, ok := f.switchPod[sw]; ok {
-		return pod
-	}
-	return -1
-}
-
-// TierTrunks returns the trunks whose transmitting side is the given tier
-// (TierLeaf selects uplinks into the fabric, TierSpine the downlinks out of
-// it).
+// TierTrunks returns the trunks whose transmitting switch is of the given
+// tier (TierLeaf selects uplinks into the fabric, TierSpine the downlinks out
+// of it).
 func (f *Fabric) TierTrunks(from Tier) []*Trunk {
 	var out []*Trunk
 	for _, tr := range f.trunks {
-		if tr.FromTier == from {
+		if slices.Contains(f.switches[from], tr.From) {
 			out = append(out, tr)
 		}
 	}
 	return out
 }
 
-// PodTrunks returns the trunks touching the given pod (one rack or one
-// fat-tree pod).
+// PodTrunks returns the trunks touching one rack of a full leaf-spine build,
+// where pod i is leaf i.
 func (f *Fabric) PodTrunks(pod int) []*Trunk {
+	leaf := f.switches[TierLeaf][pod]
 	var out []*Trunk
 	for _, tr := range f.trunks {
-		if tr.Pod == pod {
+		if tr.From == leaf || tr.To == leaf {
 			out = append(out, tr)
 		}
 	}

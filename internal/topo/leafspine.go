@@ -76,18 +76,18 @@ func NewLeafSpineShard(cfg LeafSpineConfig, plan ShardPlan, shard int, remote si
 	// Switches first, in tier order, so IDs and pathlets are stable.
 	spines := make([]*simnet.Switch, cfg.Spines)
 	for si := range spines {
-		spines[si] = f.addSwitch(plan.CoreShard[si] == shard, TierSpine, -1, cfg.Policy)
+		spines[si] = f.addSwitch(plan.CoreShard[si] == shard, TierSpine, cfg.Policy)
 	}
 	leaves := make([]*simnet.Switch, cfg.Leaves)
 	for li := range leaves {
-		leaves[li] = f.addSwitch(plan.PodShard[li] == shard, TierLeaf, li, cfg.Policy)
+		leaves[li] = f.addSwitch(plan.PodShard[li] == shard, TierLeaf, cfg.Policy)
 	}
 	// Unowned switches keep their positional IDs for cut-link bookkeeping.
 	spine := func(si int) trunkEnd {
-		return trunkEnd{spines[si], simnet.NodeID(si), plan.CoreShard[si], TierSpine}
+		return trunkEnd{spines[si], simnet.NodeID(si), plan.CoreShard[si]}
 	}
 	leaf := func(li int) trunkEnd {
-		return trunkEnd{leaves[li], simnet.NodeID(cfg.Spines + li), plan.PodShard[li], TierLeaf}
+		return trunkEnd{leaves[li], simnet.NodeID(cfg.Spines + li), plan.PodShard[li]}
 	}
 
 	for li := range leaves {
@@ -103,8 +103,8 @@ func NewLeafSpineShard(cfg LeafSpineConfig, plan ShardPlan, shard int, remote si
 		ups[li] = make([]*simnet.Link, cfg.Spines)
 		downs[li] = make([]*simnet.Link, cfg.Spines)
 		for si := range spines {
-			ups[li][si] = f.addTrunk(cfg.FabricLink, leaf(li), spine(si), li, fmt.Sprintf("leaf%d-spine%d", li, si))
-			downs[li][si] = f.addTrunk(cfg.FabricLink, spine(si), leaf(li), li, fmt.Sprintf("spine%d-leaf%d", si, li))
+			ups[li][si] = f.addTrunk(cfg.FabricLink, leaf(li), spine(si), fmt.Sprintf("leaf%d-spine%d", li, si))
+			downs[li][si] = f.addTrunk(cfg.FabricLink, spine(si), leaf(li), fmt.Sprintf("spine%d-leaf%d", si, li))
 		}
 	}
 

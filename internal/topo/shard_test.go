@@ -71,11 +71,13 @@ func TestPlanLeafSpineShards(t *testing.T) {
 	}
 }
 
-// shardFabric names one fabric's constructors for checkShardSlices.
+// shardFabric names one fabric's constructors for checkShardSlices, and
+// the pod of a switch from its positional ID (-1 for the top tier).
 type shardFabric struct {
 	full  func() *Fabric
 	plan  func(shards int) ShardPlan
 	build func(plan ShardPlan, s int) (*Fabric, *ShardCut)
+	pod   func(id simnet.NodeID) int
 }
 
 // TestFatTreeShardSlices checks that the union of the fat-tree shard builds
@@ -86,6 +88,13 @@ func TestFatTreeShardSlices(t *testing.T) {
 		full:  func() *Fabric { return NewFatTree(cfg) },
 		plan:  func(shards int) ShardPlan { return PlanFatTreeShards(cfg, shards) },
 		build: func(plan ShardPlan, s int) (*Fabric, *ShardCut) { return NewFatTreeShard(cfg, plan, s, nullHook{}) },
+		// Cores first, then each pod's aggs and edges (k switches per pod).
+		pod: func(id simnet.NodeID) int {
+			if cores := cfg.K * cfg.K / 4; int(id) >= cores {
+				return (int(id) - cores) / cfg.K
+			}
+			return -1
+		},
 	})
 
 	if got, want := TierLeaf.String(), "leaf"; got != want {
@@ -107,6 +116,13 @@ func TestLeafSpineShardSlices(t *testing.T) {
 		full:  func() *Fabric { return NewLeafSpine(cfg) },
 		plan:  func(shards int) ShardPlan { return PlanLeafSpineShards(cfg, shards) },
 		build: func(plan ShardPlan, s int) (*Fabric, *ShardCut) { return NewLeafSpineShard(cfg, plan, s, nullHook{}) },
+		// Spines first, then one leaf per rack.
+		pod: func(id simnet.NodeID) int {
+			if int(id) >= cfg.Spines {
+				return int(id) - cfg.Spines
+			}
+			return -1
+		},
 	})
 }
 
@@ -157,13 +173,13 @@ func checkShardSlices(t *testing.T, fc shardFabric) {
 			for s, fab := range fabs {
 				for _, tier := range []Tier{TierLeaf, TierAgg} {
 					for _, sw := range fab.Switches(tier) {
-						if pod := fab.SwitchPod(sw); plan.PodShard[pod] != s {
+						if pod := fc.pod(sw.ID()); pod < 0 || plan.PodShard[pod] != s {
 							t.Fatalf("shard %d built %v for pod %d owned by %d", s, tier, pod, plan.PodShard[pod])
 						}
 					}
 				}
 				for _, sw := range fab.Switches(TierSpine) {
-					if fab.SwitchPod(sw) != -1 {
+					if fc.pod(sw.ID()) != -1 {
 						t.Fatal("top-tier switch reports a pod")
 					}
 				}

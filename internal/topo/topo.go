@@ -95,12 +95,6 @@ func (t Tier) String() string {
 type Trunk struct {
 	Link     *simnet.Link
 	From, To *simnet.Switch
-	// FromTier/ToTier locate the trunk (leaf→spine is an uplink,
-	// spine→leaf a downlink, and so on).
-	FromTier, ToTier Tier
-	// Pod is the pod of the pod-side endpoint (leaf index in a leaf-spine),
-	// or -1 for trunks that touch no pod.
-	Pod int
 	// Pathlet is the stable ID stamped into MTP headers on this trunk. IDs
 	// are unique per (switch, egress) fabric-wide and assigned in
 	// construction order, so rebuilding the same config reproduces them.
@@ -123,8 +117,7 @@ type Fabric struct {
 	// IDs whether or not the node is materialized.
 	hostIDs []simnet.NodeID
 
-	switches  map[Tier][]*simnet.Switch
-	switchPod map[*simnet.Switch]int
+	switches map[Tier][]*simnet.Switch
 
 	trunks      []*Trunk
 	nextPathlet uint32
@@ -182,7 +175,6 @@ func newFabric(seed int64, lookahead time.Duration, remote simnet.RemoteHook) *F
 		Eng:         eng,
 		Net:         simnet.NewNetwork(eng),
 		switches:    make(map[Tier][]*simnet.Switch),
-		switchPod:   make(map[*simnet.Switch]int),
 		nextPathlet: 1,
 		cut: &ShardCut{
 			Out:       make(map[*simnet.Link]CutPort),
@@ -195,7 +187,7 @@ func newFabric(seed int64, lookahead time.Duration, remote simnet.RemoteHook) *F
 
 // addSwitch materializes the next switch when this shard owns it; otherwise
 // it only reserves the switch's positional ID and returns nil.
-func (f *Fabric) addSwitch(own bool, t Tier, pod int, policy PolicyFunc) *simnet.Switch {
+func (f *Fabric) addSwitch(own bool, t Tier, policy PolicyFunc) *simnet.Switch {
 	if !own {
 		f.Net.SkipIDs(1)
 		return nil
@@ -208,9 +200,6 @@ func (f *Fabric) addSwitch(own bool, t Tier, pod int, policy PolicyFunc) *simnet
 	}
 	sw := simnet.NewSwitch(f.Net, p)
 	f.switches[t] = append(f.switches[t], sw)
-	if pod >= 0 {
-		f.switchPod[sw] = pod
-	}
 	return sw
 }
 
@@ -249,13 +238,12 @@ func (f *Fabric) addHost(pod int, leaf *simnet.Switch, spec LinkSpec) {
 }
 
 // trunkEnd is one side of a trunk as a shard's walk sees it: the switch (nil
-// when another shard owns it), its positional ID and owning shard (which
-// name the far end of a boundary crossing), and its tier.
+// when another shard owns it) and its positional ID and owning shard, which
+// name the far end of a boundary crossing.
 type trunkEnd struct {
 	sw    *simnet.Switch
 	id    simnet.NodeID
 	shard int
-	tier  Tier
 }
 
 // addTrunk wires the directed trunk from→to with the next pathlet ID and
@@ -268,7 +256,7 @@ type trunkEnd struct {
 // the same name, config and rank, so injected deliveries are
 // indistinguishable from local ones; it is not a Trunk (its queue is always
 // empty here). The cut indexes both.
-func (f *Fabric) addTrunk(spec LinkSpec, from, to trunkEnd, pod int, name string) *simnet.Link {
+func (f *Fabric) addTrunk(spec LinkSpec, from, to trunkEnd, name string) *simnet.Link {
 	id := f.nextPathlet
 	f.nextPathlet++
 	rank := f.allocRank()
@@ -292,10 +280,7 @@ func (f *Fabric) addTrunk(spec LinkSpec, from, to trunkEnd, pod int, name string
 		f.cut.Out[l] = CutPort{Rank: rank, DstShard: to.shard}
 	}
 	from.sw.AddEgress(l)
-	f.trunks = append(f.trunks, &Trunk{
-		Link: l, From: from.sw, To: to.sw,
-		FromTier: from.tier, ToTier: to.tier, Pod: pod, Pathlet: id,
-	})
+	f.trunks = append(f.trunks, &Trunk{Link: l, From: from.sw, To: to.sw, Pathlet: id})
 	return l
 }
 

@@ -106,7 +106,7 @@ func TestPathletIDsUniqueAndStable(t *testing.T) {
 	for i, tr := range f.Trunks() {
 		gr := g.Trunks()[i]
 		if tr.Pathlet != gr.Pathlet || tr.Link.Name() != gr.Link.Name() ||
-			tr.FromTier != gr.FromTier || tr.Pod != gr.Pod {
+			tr.From.ID() != gr.From.ID() || tr.To.ID() != gr.To.ID() {
 			t.Fatalf("trunk %d differs across rebuilds: %+v vs %+v", i, tr, gr)
 		}
 	}
