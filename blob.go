@@ -35,7 +35,7 @@ type blobState struct {
 	sender *core.BlobSender
 	reasm  *core.BlobReassembler
 	// staged completed blobs, drained outside the node lock.
-	inbox []Blob
+	inbox inbox[Blob]
 }
 
 // SendBlob transmits data as MTP's bulk-data mode: the blob is chopped into
@@ -72,30 +72,10 @@ func (n *Node) SendBlob(addr string, dstPort uint16, data []byte) (*BlobOutgoing
 func (n *Node) feedBlob(m *core.InMessage) {
 	if n.blob.reasm == nil {
 		n.blob.reasm = core.NewBlobReassembler(func(b *core.Blob) {
-			n.blob.inbox = append(n.blob.inbox, Blob{From: n.fromAddr(b.From), ID: b.ID, Data: b.Data})
+			n.blob.inbox.staged = append(n.blob.inbox.staged, Blob{From: n.fromAddr(b.From), ID: b.ID, Data: b.Data})
 		})
 	}
 	// Malformed chunks are dropped; transport-level integrity already
 	// guaranteed delivery of what the sender sent.
 	_ = n.blob.reasm.Feed(m)
-}
-
-// drainBlobInbox invokes OnBlob for staged blobs. Must be called without mu.
-func (n *Node) drainBlobInbox() {
-	if n.cfg.OnBlob == nil {
-		return
-	}
-	for {
-		n.mu.Lock()
-		if len(n.blob.inbox) == 0 {
-			n.mu.Unlock()
-			return
-		}
-		pending := n.blob.inbox
-		n.blob.inbox = nil
-		n.mu.Unlock()
-		for _, b := range pending {
-			n.cfg.OnBlob(b)
-		}
-	}
 }

@@ -79,10 +79,10 @@ func TestDelegatedAckIgnoredWhenFeatureDisabled(t *testing.T) {
 // ACK, then crashes before forwarding: the sender's delegate timer must
 // revert the packet and resend it flagged to bypass in-network compute.
 func TestDelegateTimeoutRetransmitsWithBypass(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, _, ea, _ := pair(3, us(10),
 		Config{LocalPort: 1, RTO: 500 * time.Microsecond, DelegateTimeout: 2 * time.Millisecond},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 
 	// The "device": consume first-attempt data packets and spoof a delegated

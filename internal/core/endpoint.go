@@ -68,11 +68,15 @@ type Config struct {
 	// default) treats delegated ACKs as final, like any other ACK.
 	DelegateTimeout time.Duration
 
-	// OnMessage delivers completed inbound messages.
+	// OnMessage delivers completed inbound messages. m is the endpoint's
+	// one delivery slot, valid only during the call and zeroed after it (the
+	// contract Inbound has): copy the struct to keep it. m.Data is the
+	// reassembly buffer, handed over to the callee, which may keep it.
 	OnMessage func(m *InMessage)
 
 	// OnMessageSent is invoked when an outbound message is fully
-	// acknowledged.
+	// acknowledged. Once it returns the endpoint drops the message's payload
+	// and packet state: m.Data() reads nil afterwards.
 	OnMessageSent func(m *OutMessage)
 
 	// AutoExclude enables the sender policy that asks the network to avoid
@@ -169,7 +173,8 @@ type OutMessage struct {
 func (m *OutMessage) Done() bool { return m.done }
 
 // Data returns the message's application payload (nil for synthetic
-// messages). Exposed for invariant checking; callers must not mutate it.
+// messages, and once the message completed). Exposed for invariant checking;
+// callers must not mutate it.
 func (m *OutMessage) Data() []byte { return m.data }
 
 type outPkt struct {
@@ -194,7 +199,9 @@ type outPkt struct {
 	attributed bool
 }
 
-// InMessage is a completed inbound message.
+// InMessage is a completed inbound message. The endpoint hands out one
+// reused InMessage (Config.OnMessage, Event.In); Data is the only part that
+// outlives the call.
 type InMessage struct {
 	From     Addr
 	SrcPort  uint16
@@ -258,6 +265,9 @@ type Endpoint struct {
 	ackHdr  wire.Header // scratch header for ACK packets
 	// event is the one Event handed to the Observer (see observe).
 	event Event
+	// delivery is the one InMessage handed to the Observer and OnMessage
+	// for each completed message, zeroed after both return.
+	delivery InMessage
 	// backedOff is OnTimer's scratch of the peers whose packets expired in
 	// one firing.
 	backedOff []*peer
@@ -400,25 +410,35 @@ type SendOptions struct {
 
 // Send queues data as one message to dst:dstPort and returns its handle.
 func (e *Endpoint) Send(dst Addr, dstPort uint16, data []byte, opts SendOptions) *OutMessage {
-	m := e.newMessage(dst, dstPort, len(data), opts)
+	m := new(OutMessage)
+	e.SendInto(m, dst, dstPort, data, opts)
+	return m
+}
+
+// SendInto is Send into storage the caller provides, so a caller that wraps
+// the message in its own handle allocates one object, not two. m is
+// overwritten; it belongs to the endpoint from this call until the message
+// completes (OnMessageSent, or Release) and must not be reused before.
+func (e *Endpoint) SendInto(m *OutMessage, dst Addr, dstPort uint16, data []byte, opts SendOptions) {
+	e.initMessage(m, dst, dstPort, len(data), opts)
 	m.data = data
 	e.push(m)
-	return m
 }
 
 // SendSynthetic queues a message of the given size whose payload bytes are
 // not materialized — the tool for high-rate throughput experiments.
 func (e *Endpoint) SendSynthetic(dst Addr, dstPort uint16, size int, opts SendOptions) *OutMessage {
-	m := e.newMessage(dst, dstPort, size, opts)
+	m := new(OutMessage)
+	e.initMessage(m, dst, dstPort, size, opts)
 	e.push(m)
 	return m
 }
 
-func (e *Endpoint) newMessage(dst Addr, dstPort uint16, size int, opts SendOptions) *OutMessage {
+func (e *Endpoint) initMessage(m *OutMessage, dst Addr, dstPort uint16, size int, opts SendOptions) {
 	if size <= 0 {
 		panic("core: empty message")
 	}
-	m := &OutMessage{
+	*m = OutMessage{
 		ID:      e.nextID,
 		Dst:     dst,
 		DstPort: dstPort,
@@ -445,7 +465,6 @@ func (e *Endpoint) newMessage(dst Addr, dstPort uint16, size int, opts SendOptio
 		m.pkts[i] = outPkt{offset: uint32(off), length: uint16(l)}
 		off += l
 	}
-	return m
 }
 
 func (e *Endpoint) push(m *OutMessage) {
@@ -488,17 +507,24 @@ func (e *Endpoint) Release(m *OutMessage) bool {
 			m.ackedPkts++
 		}
 	}
-	m.rtxQueue = nil
 	m.done = true
 	e.removeCompleted()
 	e.Stats.MsgsReleased++
+	e.finish(m)
+	e.trySend()
+	return true
+}
+
+// finish reports a message that completed and was taken off the active list,
+// then lets go of its payload and packet state: the handle may outlive the
+// message (package mtp's Outgoing holds it), the payload must not.
+func (e *Endpoint) finish(m *OutMessage) {
 	e.Stats.MsgsCompleted++
 	e.emit(KindComplete, m.ID, 0, uint64(m.Size), 0)
 	if e.cfg.OnMessageSent != nil {
 		e.cfg.OnMessageSent(m)
 	}
-	e.trySend()
-	return true
+	m.data, m.pkts, m.rtxQueue = nil, nil, nil
 }
 
 // msgFloor returns the sender-side acknowledged-message floor advertised in
@@ -597,6 +623,7 @@ func (e *Endpoint) releaseBatch(b *ackBatch) {
 func (e *Endpoint) output(dst Addr, hdr *wire.Header, data []byte, size int) {
 	e.outScratch = Outbound{Dst: dst, Hdr: hdr, Data: data, Size: size}
 	e.env.Output(&e.outScratch)
+	e.outScratch.Data = nil // hold no payload past the call
 }
 
 // setTimer coalesces timer requests to the earliest pending deadline.

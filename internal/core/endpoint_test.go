@@ -14,11 +14,11 @@ import (
 func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 
 func TestSingleMessageRoundTrip(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	var sentDone []*OutMessage
 	w, a, _, _, _ := pair(1, us(10),
 		Config{LocalPort: 100, OnMessageSent: func(m *OutMessage) { sentDone = append(sentDone, m) }},
-		Config{LocalPort: 200, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 200, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	data := []byte("hello, in-network world")
 	m := a.Send("b", 200, data, SendOptions{Priority: 3})
@@ -46,10 +46,10 @@ func TestSingleMessageRoundTrip(t *testing.T) {
 }
 
 func TestMultiPacketMessageIntegrity(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, _, _, _ := pair(2, us(5),
 		Config{LocalPort: 1, MSS: 1000},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	data := make([]byte, 100*1000+137) // 101 packets, ragged tail
 	r := rand.New(rand.NewSource(7))
@@ -69,10 +69,10 @@ func TestMultiPacketMessageIntegrity(t *testing.T) {
 }
 
 func TestSyntheticMessage(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, b, _, _ := pair(3, us(5),
 		Config{LocalPort: 1},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	a.SendSynthetic("b", 2, 1<<20, SendOptions{})
 	w.eng.Run(500 * time.Millisecond)
@@ -88,10 +88,10 @@ func TestSyntheticMessage(t *testing.T) {
 }
 
 func TestLossRecoveryViaNack(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, _, ea, _ := pair(4, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: time.Millisecond},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	n := 0
 	ea.drop = func(pkt *Outbound) bool {
@@ -120,10 +120,10 @@ func TestLossRecoveryViaNack(t *testing.T) {
 }
 
 func TestLossRecoveryViaRTOOnly(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, _, ea, eb := pair(5, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: 500 * time.Microsecond},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	// Every ACK that carries a NACK is lost, so only the RTO can recover.
 	eb.drop = func(pkt *Outbound) bool { return len(pkt.Hdr.NACK) > 0 }
@@ -151,10 +151,10 @@ func TestLossRecoveryViaRTOOnly(t *testing.T) {
 }
 
 func TestAckLossCausesDuplicateSuppression(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, b, _, eb := pair(6, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: 500 * time.Microsecond},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	n := 0
 	eb.drop = func(pkt *Outbound) bool {
@@ -197,10 +197,10 @@ func TestPrioritySchedulingUnderTinyWindow(t *testing.T) {
 }
 
 func TestMutationSinglePacket(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, _, ea, _ := pair(8, us(5),
 		Config{LocalPort: 1},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	// An in-network "compressor" halves the payload of every data packet.
 	ea.mutate = func(pkt *Outbound) {
@@ -279,10 +279,10 @@ func TestMarkedPathletShrinksOnlyItself(t *testing.T) {
 // TestAckBatching: a receiver whose arrivals come in brackets of up to eight
 // packets sends fewer ACK packets than it receives data packets.
 func TestAckBatching(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, b, _, eb := pair(11, us(5),
 		Config{LocalPort: 1, MSS: 1000},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	eb.bracket = func() int { return 8 }
 	a.SendSynthetic("b", 2, 64*1000, SendOptions{})
@@ -298,9 +298,9 @@ func TestAckBatching(t *testing.T) {
 func TestReceiverGC(t *testing.T) {
 	w := newWorld(12)
 	env := w.env("r", 0)
-	var got []*InMessage
+	var got []InMessage
 	ep := NewEndpoint(env, Config{LocalPort: 2,
-		OnMessage: func(m *InMessage) { got = append(got, m) }})
+		OnMessage: func(m *InMessage) { got = append(got, *m) }})
 	env.ep = ep
 
 	// Inject 1 of 2 packets of a message, then let time pass.
@@ -328,10 +328,10 @@ func TestReceiverGC(t *testing.T) {
 }
 
 func TestTrimmedPacketNacked(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, b, ea, _ := pair(13, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: 10 * time.Millisecond},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	// Trim the third data packet once.
 	trimmed := false
@@ -359,10 +359,10 @@ func TestTrimmedPacketNacked(t *testing.T) {
 
 // TestGapNackedOnFirstSighting: a hole is NACKed on the first later arrival.
 func TestGapNackedOnFirstSighting(t *testing.T) {
-	var got []*InMessage
+	var got []InMessage
 	w, a, b, ea, _ := pair(62, us(5),
 		Config{LocalPort: 1, MSS: 1000, RTO: 5 * time.Millisecond},
-		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+		Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 	)
 	dropped := false
 	ea.drop = func(pkt *Outbound) bool {
@@ -397,10 +397,10 @@ func ccTiny() cc.Config {
 func TestQuickReliableDelivery(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		var got []*InMessage
+		var got []InMessage
 		w, a, _, ea, eb := pair(seed, time.Duration(1+r.Intn(20))*time.Microsecond,
 			Config{LocalPort: 1, MSS: 500 + r.Intn(1500), RTO: 300 * time.Microsecond},
-			Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, m) }},
+			Config{LocalPort: 2, OnMessage: func(m *InMessage) { got = append(got, *m) }},
 		)
 		lossPct := r.Intn(20)
 		dropRand := rand.New(rand.NewSource(seed + 1))

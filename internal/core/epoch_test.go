@@ -197,8 +197,8 @@ func TestEpochBumpOnOldIncarnationData(t *testing.T) {
 // must still leave at EndBatch while A's is dropped.
 func TestPeerRestartKeepsOtherPeersReceiveState(t *testing.T) {
 	env := &captureEnv{}
-	var got []*InMessage
-	ep := NewEndpoint(env, Config{LocalPort: 2, Epoch: 1, OnMessage: func(m *InMessage) { got = append(got, m) }})
+	var got []InMessage
+	ep := NewEndpoint(env, Config{LocalPort: 2, Epoch: 1, OnMessage: func(m *InMessage) { got = append(got, *m) }})
 	epochs := map[string]uint32{"A": 10, "B": 20}
 	data := func(from string, msgID uint64, pkts, pktNum uint32) *Inbound {
 		return &Inbound{From: from, Hdr: &wire.Header{

@@ -96,7 +96,9 @@ type Event struct {
 	Path wire.PathTC
 	// Out, In and State are the one object a kind carries: the queued
 	// message (KindQueued), the delivered message (KindDeliver), the
-	// updated pathlet (KindPathletUpdated). Nil for every other kind.
+	// updated pathlet (KindPathletUpdated). Nil for every other kind. In is
+	// the endpoint's delivery slot, the one OnMessage gets next: valid only
+	// during the call and zeroed after OnMessage returns.
 	Out   *OutMessage
 	In    *InMessage
 	State *pathlet.State

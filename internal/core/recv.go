@@ -153,7 +153,8 @@ func (e *Endpoint) onDataPacket(p *peer, in *Inbound) {
 		defer e.releaseInMsg(f)
 		e.rememberDone(key)
 		e.Stats.MsgsDelivered++
-		msg := &InMessage{
+		msg := &e.delivery
+		*msg = InMessage{
 			From:     in.From,
 			SrcPort:  hdr.SrcPort,
 			DstPort:  hdr.DstPort,
@@ -175,6 +176,7 @@ func (e *Endpoint) onDataPacket(p *peer, in *Inbound) {
 		if e.cfg.OnMessage != nil {
 			e.cfg.OnMessage(msg)
 		}
+		*msg = InMessage{} // a kept pointer reads an empty message, not the next one
 	}
 	e.maybeFlush(p)
 }

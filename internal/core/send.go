@@ -262,11 +262,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 	if len(completed) > 0 {
 		e.removeCompleted()
 		for _, m := range completed {
-			e.Stats.MsgsCompleted++
-			e.emit(KindComplete, m.ID, 0, uint64(m.Size), 0)
-			if e.cfg.OnMessageSent != nil {
-				e.cfg.OnMessageSent(m)
-			}
+			e.finish(m)
 		}
 	}
 	e.completed = completed[:0]

@@ -213,16 +213,16 @@ func probeMutationMTP() Table1Cell {
 	a, b := hosts[0], hosts[1]
 	comp := offload.NewCompressor(sw)
 
-	var got *core.InMessage
+	var got core.InMessage
 	sender := simhost.AttachMTP(r.net, a, core.Config{LocalPort: 1, MSS: 1000})
-	simhost.AttachMTP(r.net, b, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) { got = m }})
+	simhost.AttachMTP(r.net, b, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) { got = *m }})
 	data := make([]byte, 50*1000+123)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
 	sender.EP.Send(b.ID(), 2, data, core.SendOptions{})
 	r.eng.Run(50 * time.Millisecond)
-	ok := got != nil && string(got.Data) == string(offload.CompressBytes(data)) && sender.EP.Pending() == 0
+	ok := got.Size > 0 && string(got.Data) == string(offload.CompressBytes(data)) && sender.EP.Pending() == 0
 	return Table1Cell{
 		Feature:  table1Features[0],
 		Pass:     ok,

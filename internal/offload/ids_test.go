@@ -15,10 +15,10 @@ func TestIDSDetectsAcrossPacketBoundary(t *testing.T) {
 	client, server := hosts[0], hosts[1]
 	ids := NewIDS(sw, [][]byte{[]byte("EVIL-SIGNATURE")}, false)
 
-	var got []*core.InMessage
+	var got []core.InMessage
 	c := simhost.AttachMTP(net, client, core.Config{LocalPort: 9, MSS: 1000})
 	simhost.AttachMTP(net, server, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
-		got = append(got, m)
+		got = append(got, *m)
 	}})
 
 	// Place the signature straddling the packet boundary at offset 995.
@@ -45,10 +45,10 @@ func TestIDSInlineBlocksFlaggedMessageOnly(t *testing.T) {
 	client, server := hosts[0], hosts[1]
 	ids := NewIDS(sw, [][]byte{[]byte("ATTACK")}, true)
 
-	var got []*core.InMessage
+	var got []core.InMessage
 	c := simhost.AttachMTP(net, client, core.Config{LocalPort: 9, MSS: 1000, RTO: 2 * time.Millisecond})
 	simhost.AttachMTP(net, server, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
-		got = append(got, m)
+		got = append(got, *m)
 	}})
 
 	benign := make([]byte, 3000)

@@ -250,10 +250,10 @@ func TestCompressorEndToEnd(t *testing.T) {
 	client, server := hosts[0], hosts[1]
 	comp := NewCompressor(sw)
 
-	var got []*core.InMessage
+	var got []core.InMessage
 	c := simhost.AttachMTP(net, client, core.Config{LocalPort: 9, MSS: 1000})
 	simhost.AttachMTP(net, server, core.Config{LocalPort: 7, OnMessage: func(m *core.InMessage) {
-		got = append(got, m)
+		got = append(got, *m)
 	}})
 
 	data := make([]byte, 10*1000+777)

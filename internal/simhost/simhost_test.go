@@ -27,9 +27,9 @@ func TestMTPOverSimnet(t *testing.T) {
 	}, "a->b"))
 	hb.SetUplink(net.Connect(ha, simnet.LinkConfig{Rate: 10e9, Delay: us(5), QueueCap: 256}, "b->a"))
 
-	var got []*core.InMessage
+	var got []core.InMessage
 	a := AttachMTP(net, ha, core.Config{LocalPort: 1})
-	AttachMTP(net, hb, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) { got = append(got, m) }})
+	AttachMTP(net, hb, core.Config{LocalPort: 2, OnMessage: func(m *core.InMessage) { got = append(got, *m) }})
 
 	data := make([]byte, 256<<10)
 	rand.New(rand.NewSource(1)).Read(data)

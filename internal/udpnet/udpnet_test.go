@@ -490,12 +490,13 @@ func TestNodeAcksPerReceiveBatch(t *testing.T) {
 // real sockets. The transport itself is allocation-free at steady state
 // (pooled send buffers, fixed receive buffers, reused headers, syscall
 // callbacks built once); what remains is the public-API cost per message
-// (Outgoing handle, done channel, sender and receiver message state, the
-// reassembly buffer, completed-message delivery) plus this loop's own
-// time.After. The budgets are the measured 9 and 11 plus 3 for scheduler
-// noise. The 64 KB message is 55 packets and costs two allocations more than
-// the one-packet message (its packet-state slice, and a send buffer now and
-// then: 64 KB reassembly buffers bring GCs, and a GC empties the sync.Pool).
+// (the Outgoing handle, which holds the sender's message state, its done
+// channel, and the reassembly buffer) plus this loop's own time.After. The
+// budgets are the measured 6 and 8 plus 3 for scheduler noise (the race
+// detector reads 7 on 512 B). The 64 KB message is 55 packets and costs two
+// allocations more than the one-packet message (its packet-state slice, and a
+// send buffer now and then: 64 KB reassembly buffers bring GCs, and a GC
+// empties the sync.Pool).
 // Nothing is allocated per packet, per ACK or per syscall, or the budget
 // would be blown 55 times over. The lossy case puts both sockets behind a
 // Lossy that injects nothing, so the transport takes the portable connIO
@@ -509,9 +510,9 @@ func TestUDPEnvSteadyStateAllocs(t *testing.T) {
 		budget float64
 		lossy  bool
 	}{
-		{"512B", 512, 2000, 12, false},
-		{"512B/lossy", 512, 2000, 12, true},
-		{"64KB", 64 << 10, 300, 14, false},
+		{"512B", 512, 2000, 9, false},
+		{"512B/lossy", 512, 2000, 9, true},
+		{"64KB", 64 << 10, 300, 11, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if raceEnabled && tc.size > 512 {

@@ -115,7 +115,8 @@ type Message struct {
 	Priority uint8
 	// TC is the sender's traffic class.
 	TC uint8
-	// Data is the reassembled payload.
+	// Data is the reassembled payload. It belongs to the application: the
+	// node keeps no reference to it once OnMessage is called.
 	Data []byte
 }
 
@@ -125,6 +126,10 @@ type Outgoing struct {
 	done chan struct{}
 	// blob is set instead of done for a chunk of a SendBlob blob.
 	blob *BlobOutgoing
+	// msg is the engine's send state for the message (core.SendInto), held
+	// here so one allocation serves both; unused for a blob chunk. The
+	// engine drops its payload on completion, so a kept handle pins none.
+	msg core.OutMessage
 }
 
 // Done is closed when every packet of the message has been acknowledged.
@@ -178,7 +183,7 @@ type Node struct {
 	// inbox stages completed messages while mu is held; they are handed to
 	// cfg.OnMessage after the lock is released so the handler may call
 	// Send and friends.
-	inbox []Message
+	inbox inbox[Message]
 	blob  blobState
 	// trace is the event ring behind TraceDump; nil unless
 	// Config.TraceEvents is set.
@@ -446,12 +451,13 @@ func (n *Node) SendPriority(addr string, dstPort uint16, data []byte, priority u
 	if err != nil {
 		return nil, err
 	}
-	m := n.ep.Send(key, dstPort, data, core.SendOptions{Priority: priority})
-	out := &Outgoing{ID: m.ID, done: make(chan struct{})}
-	if m.Done() {
+	out := &Outgoing{done: make(chan struct{})}
+	n.ep.SendInto(&out.msg, key, dstPort, data, core.SendOptions{Priority: priority})
+	out.ID = out.msg.ID
+	if out.msg.Done() {
 		close(out.done) // tiny message fully acked already (loopback)
 	} else {
-		n.waiters[m.ID] = out
+		n.waiters[out.ID] = out
 	}
 	return out, nil
 }
@@ -524,7 +530,7 @@ func (n *Node) deliver(m *core.InMessage) {
 		return
 	}
 	from := n.fromAddr(m.From)
-	n.inbox = append(n.inbox, Message{
+	n.inbox.staged = append(n.inbox.staged, Message{
 		From:     from,
 		SrcPort:  m.SrcPort,
 		DstPort:  m.DstPort,
@@ -535,33 +541,58 @@ func (n *Node) deliver(m *core.InMessage) {
 	})
 }
 
-// drainInbox invokes the user callback for staged messages. Must be called
-// without holding mu.
-func (n *Node) drainInbox() {
+// inbox stages what the engine completes while Node.mu is held, for
+// handling after the lock is released.
+type inbox[T any] struct {
+	staged []T
+	// spare is a handled, cleared slice the next drain pass stages into, so
+	// a steady stream reuses two slices instead of growing a new one.
+	spare []T
+}
+
+// drain hands staged items to handle until none are left, taking mu once
+// per pass: each pass swaps staged for spare and returns the slice the last
+// pass handled, cleared so it pins nothing. Two goroutines may drain at once;
+// each hands back only a slice it handled itself. Must be called without mu.
+func (b *inbox[T]) drain(mu *sync.Mutex, handle func(T)) {
+	var handled []T
 	for {
-		n.mu.Lock()
-		if len(n.inbox) == 0 {
-			n.mu.Unlock()
+		mu.Lock()
+		if handled != nil {
+			b.spare = handled
+		}
+		pending := b.staged
+		if len(pending) == 0 {
+			mu.Unlock()
 			return
 		}
-		pending := n.inbox
-		n.inbox = nil
-		n.mu.Unlock()
-		for _, m := range pending {
-			if n.handleRPC(m) {
-				continue
-			}
-			if n.cfg.OnMessage != nil {
-				n.cfg.OnMessage(m)
-			}
+		b.staged, b.spare = b.spare, nil
+		mu.Unlock()
+		for _, it := range pending {
+			handle(it)
 		}
+		clear(pending)
+		handled = pending[:0]
 	}
 }
 
-// drainAll flushes both message and blob staging areas.
+// dispatch hands one staged message to the RPC layer or cfg.OnMessage.
+func (n *Node) dispatch(m Message) {
+	if n.handleRPC(m) {
+		return
+	}
+	if n.cfg.OnMessage != nil {
+		n.cfg.OnMessage(m)
+	}
+}
+
+// drainAll flushes both message and blob staging areas. Must be called
+// without mu.
 func (n *Node) drainAll() {
-	n.drainInbox()
-	n.drainBlobInbox()
+	n.inbox.drain(&n.mu, n.dispatch)
+	if n.cfg.OnBlob != nil {
+		n.blob.inbox.drain(&n.mu, n.cfg.OnBlob)
+	}
 }
 
 // --- core.Env implementation (wall-clock) ---
