@@ -108,18 +108,18 @@ func TestQUICStreamFlowControl(t *testing.T) {
 	snd.OpenStream(1, size)
 	snd.OpenStream(2, 8<<10)
 	eng.Run(10 * time.Millisecond)
-	if got := rcv.streams[1].got.contiguous(); got != 0 {
+	if got := rcv.streams[1].got.Prefix(); got != 0 {
 		t.Fatalf("stream 1 contiguous prefix %d behind a held hole", got)
 	}
-	if hi := fuzzMaxTo(&rcv.streams[1].got); hi != quicStreamWindow {
-		t.Fatalf("stream 1 received up to offset %d; flow control should stall it at %d", hi, quicStreamWindow)
+	if _, last, _ := rcv.streams[1].got.Bounds(); last+1 != quicStreamWindow {
+		t.Fatalf("stream 1 received up to offset %d; flow control should stall it at %d", last+1, quicStreamWindow)
 	}
 	if rcv.StreamsDone != 1 || rcv.Delivered != 8<<10 {
 		t.Fatalf("stream 2 (within credit) should have completed: done=%d delivered=%d", rcv.StreamsDone, rcv.Delivered)
 	}
 	hold = false
 	eng.Run(40 * time.Millisecond)
-	if got := rcv.streams[1].got.contiguous(); got != size {
+	if got := rcv.streams[1].got.Prefix(); got != size {
 		t.Fatalf("stream 1 stuck at %d after the hole filled", got)
 	}
 	if rcv.StreamsDone != 2 {
@@ -195,57 +195,5 @@ func TestQUICDeterminism(t *testing.T) {
 	want := fmt.Sprintf("done=4 delivered=%d", 4*(128<<10))
 	if !strings.Contains(one, want) {
 		t.Fatalf("lossy run did not deliver everything (want %q): %s", want, one)
-	}
-}
-
-// TestSpanSet unit-tests the shared reassembly structure directly:
-// merging, adjacency, duplicate suppression, contiguity, and rejection of
-// malformed ranges.
-func TestSpanSet(t *testing.T) {
-	var ss spanSet
-	if got := ss.add(0, 10); got != 10 {
-		t.Fatalf("add(0,10) = %d", got)
-	}
-	if got := ss.add(20, 30); got != 10 {
-		t.Fatalf("add(20,30) = %d", got)
-	}
-	if got := ss.contiguous(); got != 10 {
-		t.Fatalf("contiguous = %d", got)
-	}
-	// Overlapping both ends plus the gap.
-	if got := ss.add(5, 25); got != 10 {
-		t.Fatalf("add(5,25) added %d, want 10", got)
-	}
-	if got := ss.contiguous(); got != 30 {
-		t.Fatalf("contiguous = %d, want 30", got)
-	}
-	if len(ss.spans) != 1 {
-		t.Fatalf("spans not merged: %v", ss.spans)
-	}
-	// Duplicates add nothing.
-	if got := ss.add(0, 30); got != 0 {
-		t.Fatalf("duplicate added %d", got)
-	}
-	// Adjacent spans merge.
-	if got := ss.add(30, 40); got != 10 {
-		t.Fatalf("adjacent add = %d", got)
-	}
-	if len(ss.spans) != 1 || ss.contiguous() != 40 {
-		t.Fatalf("adjacency merge failed: %v", ss.spans)
-	}
-	// Malformed ranges are rejected.
-	for _, bad := range [][2]int64{{-1, 5}, {5, 5}, {9, 3}, {-10, -2}} {
-		if got := ss.add(bad[0], bad[1]); got != 0 {
-			t.Fatalf("add(%d,%d) = %d, want 0", bad[0], bad[1], got)
-		}
-	}
-	if got := ss.covered(); got != 40 {
-		t.Fatalf("covered = %d", got)
-	}
-	// Non-zero start means zero contiguous.
-	var tail spanSet
-	tail.add(10, 20)
-	if got := tail.contiguous(); got != 0 {
-		t.Fatalf("contiguous of [10,20) = %d", got)
 	}
 }
