@@ -43,12 +43,9 @@ type Receiver struct {
 	finished  bool
 
 	// Stats
-	SegsRcvd   uint64
-	OooSegs    uint64
-	AcksSent   uint64
-	DupSegs    uint64
-	MaxBuffer  int64
-	PeakOooLen int
+	OooSegs  uint64
+	AcksSent uint64
+	DupSegs  uint64
 }
 
 // NewReceiver builds a receiver that sends ACKs through port.
@@ -106,7 +103,6 @@ func (r *Receiver) OnPacket(pkt *simnet.Packet) {
 		r.sendAck(Segment{Conn: r.cfg.Conn, Ack: true, SynAck: true, Syn: true, Wnd: r.window()})
 		return
 	}
-	r.SegsRcvd++
 	if pkt.CE {
 		r.ceSeen = true
 	}
@@ -129,15 +125,9 @@ func (r *Receiver) OnPacket(pkt *simnet.Packet) {
 		// Out of order: buffer and send a duplicate ACK.
 		r.OooSegs++
 		r.ooo[seg.Seq] = seg.Len
-		if len(r.ooo) > r.PeakOooLen {
-			r.PeakOooLen = len(r.ooo)
-		}
 	default:
 		// Already received (retransmission overlap).
 		r.DupSegs++
-	}
-	if b := r.Buffered(); b > r.MaxBuffer {
-		r.MaxBuffer = b
 	}
 	r.sendAck(Segment{Conn: r.cfg.Conn, Ack: true, AckNo: r.rcvNxt, Wnd: r.window(), ECNEcho: r.ceSeen})
 	r.ceSeen = false
