@@ -51,13 +51,15 @@ scenario:
 	SCENARIO_SEEDS=$(SCENARIO_SEEDS) $(GO) test ./internal/scenario -run Scenario -count=1 -v
 
 # fuzz runs the native fuzz targets (reassembly state machine, duplicate
-# suppression against a reference model, range set against a bitmap, wire
-# decoder, QUIC-baseline stream reassembly, event order against a sorted
-# oracle) for FUZZTIME each.
+# suppression against a reference model, the pathlet exclusion policies
+# against their invariants, range set against a bitmap, wire decoder,
+# QUIC-baseline stream reassembly, event order against a sorted oracle) for
+# FUZZTIME each.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzReassembly -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz FuzzDedup -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run XXX -fuzz FuzzPathletPolicy -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz FuzzSet -fuzztime $(FUZZTIME) ./internal/span
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzQUICStreamReassembly -fuzztime $(FUZZTIME) ./internal/baseline
