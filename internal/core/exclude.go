@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"mtp/internal/pathlet"
 	"mtp/internal/wire"
 )
 
@@ -27,53 +28,40 @@ const (
 	excludeMinPathlets = 2
 )
 
-// autoExcluder tracks per-pathlet mark rates and drives the table's
-// exclusion list.
-type autoExcluder struct {
-	counts map[wire.PathTC]*markWindow
-	until  map[wire.PathTC]time.Duration
+// syncExcluded applies the one exclusion rule to s: a pathlet is excluded
+// exactly while failover holds it dead or an unexpired auto-exclusion covers
+// it.
+func (e *Endpoint) syncExcluded(s *pathlet.State) {
+	e.table.SetExcluded(s.Path, s.Dead || s.AutoExcludedUntil != 0)
 }
 
-type markWindow struct {
-	events int
-	marked int
-}
-
-func newAutoExcluder() *autoExcluder {
-	return &autoExcluder{
-		counts: make(map[wire.PathTC]*markWindow),
-		until:  make(map[wire.PathTC]time.Duration),
-	}
-}
-
-// observe feeds one ACK's feedback entries and applies policy to the table.
-func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Feedback) {
-	// Expire stale exclusions first.
-	for p, t := range a.until {
-		if now >= t {
-			delete(a.until, p)
-			e.table.SetExcluded(p, false)
-			e.emitPath(KindUnexclude, p)
+// autoExclude feeds one ACK's feedback entries to the auto-exclude policy.
+func (e *Endpoint) autoExclude(now time.Duration, entries []wire.Feedback) {
+	// Expire stale exclusions first, in exclude-list order. The list ranged
+	// over is not edited by the SetExcluded calls, which replace it.
+	for _, p := range e.table.ExcludeList() {
+		s := e.table.Get(p)
+		if s.AutoExcludedUntil == 0 || now < s.AutoExcludedUntil {
+			continue
 		}
+		s.AutoExcludedUntil = 0
+		e.syncExcluded(s)
+		e.emitPath(KindUnexclude, p)
 	}
 	for _, f := range entries {
 		if f.Type != wire.FeedbackECN && f.Type != wire.FeedbackTrim {
 			continue
 		}
-		w := a.counts[f.Path]
-		if w == nil {
-			w = &markWindow{}
-			a.counts[f.Path] = w
-		}
-		w.events++
+		s := e.table.Get(f.Path)
+		s.WindowEvents++
 		if f.ECNMarked() || f.Type == wire.FeedbackTrim {
-			w.marked++
+			s.WindowMarks++
 		}
-		if w.events < excludeWindow {
+		if s.WindowEvents < excludeWindow {
 			continue
 		}
-		frac := float64(w.marked) / float64(w.events)
-		w.events, w.marked = 0, 0
+		frac := float64(s.WindowMarks) / float64(s.WindowEvents)
+		s.WindowEvents, s.WindowMarks = 0, 0
 		if frac < excludeMarkFraction {
 			continue
 		}
@@ -93,11 +81,12 @@ func (a *autoExcluder) observe(e *Endpoint, now time.Duration, entries []wire.Fe
 		if observed < excludeMinPathlets || healthy == 0 {
 			continue
 		}
-		if _, already := a.until[f.Path]; !already {
-			e.table.SetExcluded(f.Path, true)
+		fresh := s.AutoExcludedUntil == 0
+		s.AutoExcludedUntil = now + excludeDuration
+		if fresh {
+			e.syncExcluded(s)
 			e.Stats.Exclusions++
 			e.emitPath(KindExclude, f.Path)
 		}
-		a.until[f.Path] = now + excludeDuration
 	}
 }

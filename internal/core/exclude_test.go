@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -82,5 +83,46 @@ func TestAutoExcludeNeverExcludesOnlyPath(t *testing.T) {
 	w.eng.Run(10 * time.Millisecond)
 	if a.Stats.Exclusions != 0 {
 		t.Fatalf("excluded the only pathlet (%d exclusions)", a.Stats.Exclusions)
+	}
+}
+
+// TestAutoExcludeExpiresInPathOrder: auto-exclusions that expire on one ACK
+// are lifted in (PathID, TC) order, not the order they were issued in. The
+// case runs fifty times, so an expiry order that varies from run to run
+// shows.
+func TestAutoExcludeExpiresInPathOrder(t *testing.T) {
+	healthy := wire.PathTC{PathID: 3}
+	issued := []wire.PathTC{{PathID: 2}, {PathID: 1, TC: 7}, {PathID: 1, TC: 2}}
+	want := []wire.PathTC{{PathID: 1, TC: 2}, {PathID: 1, TC: 7}, {PathID: 2}}
+	for run := 0; run < 50; run++ {
+		rec := &pathEvents{}
+		env := &policyEnv{now: time.Microsecond}
+		e := NewEndpoint(env, Config{LocalPort: 1, AutoExclude: true, Observer: rec})
+		ack := func(p wire.PathTC, marked bool) {
+			fb := make([]wire.Feedback, excludeWindow)
+			for i := range fb {
+				fb[i] = wire.ECNFeedback(p, marked)
+			}
+			e.OnPacket(&Inbound{From: "b", Hdr: &wire.Header{Type: wire.TypeAck, SrcPort: 2, DstPort: 1, AckPathFeedback: fb}})
+		}
+		ack(healthy, false)
+		for _, p := range issued {
+			ack(p, true)
+		}
+		if got := e.Table().ExcludeList(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: excluded %v, want %v", run, got, want)
+		}
+		rec.events = rec.events[:0]
+		env.now += excludeDuration
+		ack(healthy, false)
+		var lifted []wire.PathTC
+		for _, ev := range rec.events {
+			if ev.Kind == KindUnexclude {
+				lifted = append(lifted, ev.Path)
+			}
+		}
+		if !slices.Equal(lifted, want) {
+			t.Fatalf("run %d: exclusions lifted in order %v, want %v", run, lifted, want)
+		}
 	}
 }

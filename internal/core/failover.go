@@ -1,14 +1,15 @@
 package core
 
 import (
+	"slices"
 	"sort"
-	"time"
 
+	"mtp/internal/pathlet"
 	"mtp/internal/wire"
 )
 
-// failoverState implements end-to-end pathlet failure recovery (the flip
-// side of Section 3.1.3's path exclusion): a pathlet that eats
+// Pathlet failure recovery (the flip side of Section 3.1.3's path
+// exclusion), enabled by Config.FailoverRTOs: a pathlet that eats
 // Config.FailoverRTOs consecutive retransmission-timeout rounds without any
 // returning feedback is declared dead. The sender then (1) pushes it onto
 // the wire path-exclude list so the network routes around it, (2) sweeps
@@ -17,55 +18,31 @@ import (
 // packet — and (3) re-points the window prediction at the healthiest
 // surviving pathlet. Dead pathlets are probed every Config.ProbeInterval by
 // omitting them from one packet's exclude list; any fresh feedback from a
-// dead pathlet readmits it.
-type failoverState struct {
-	// rtoRuns counts consecutive timeout rounds per pathlet since the last
-	// feedback from it.
-	rtoRuns map[wire.PathTC]int
-	// dead holds the declared-dead pathlets in deterministic (declaration)
-	// order with their next probe deadline.
-	dead []deadPathlet
-}
+// dead pathlet readmits it. A pathlet's timeout run, death and probe time
+// live in its pathlet.State; Endpoint.dead lists the dead ones in
+// declaration order, the order they are probed in.
 
-type deadPathlet struct {
-	path        wire.PathTC
-	nextProbeAt time.Duration
-}
-
-func newFailoverState() *failoverState {
-	return &failoverState{rtoRuns: make(map[wire.PathTC]int)}
-}
-
-func (f *failoverState) isDead(p wire.PathTC) bool {
-	for _, d := range f.dead {
-		if d.path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// noteTimeoutPath records one timeout round on pathlet p and reports whether
-// the pathlet just crossed the death threshold.
+// noteTimeoutPath records one timeout round on pathlet p and declares it dead
+// once the run reaches Config.FailoverRTOs.
 func (e *Endpoint) noteTimeoutPath(p wire.PathTC) {
-	f := e.fo
-	if f == nil || f.isDead(p) {
+	s := e.table.Get(p)
+	if s.Dead {
 		return
 	}
-	f.rtoRuns[p]++
-	if f.rtoRuns[p] < e.cfg.FailoverRTOs {
-		return
+	s.TimeoutRun++
+	if s.TimeoutRun >= e.cfg.FailoverRTOs {
+		e.failPathlet(s)
 	}
-	e.failPathlet(p)
 }
 
-// failPathlet declares p dead and fails surviving traffic over.
-func (e *Endpoint) failPathlet(p wire.PathTC) {
-	now := e.env.Now()
-	f := e.fo
-	f.dead = append(f.dead, deadPathlet{path: p, nextProbeAt: now + e.cfg.ProbeInterval})
-	delete(f.rtoRuns, p)
-	e.table.SetExcluded(p, true)
+// failPathlet declares s dead and fails surviving traffic over.
+func (e *Endpoint) failPathlet(s *pathlet.State) {
+	p := s.Path
+	s.Dead = true
+	s.NextProbeAt = e.env.Now() + e.cfg.ProbeInterval
+	s.TimeoutRun = 0
+	e.dead = append(e.dead, s)
+	e.syncExcluded(s)
 	e.Stats.Failovers++
 	e.emitPath(KindFailover, p)
 
@@ -95,26 +72,21 @@ func (e *Endpoint) failPathlet(p wire.PathTC) {
 	}
 }
 
-// noteFeedbackPath records returning feedback from pathlet p: it clears the
-// consecutive-timeout run and readmits p if it was declared dead (a probe
+// noteFeedbackPath records returning feedback from pathlet s: it clears the
+// consecutive-timeout run and readmits s if it was declared dead (a probe
 // made it across and back, so the pathlet works again).
-func (e *Endpoint) noteFeedbackPath(p wire.PathTC) {
-	f := e.fo
-	if f == nil {
+func (e *Endpoint) noteFeedbackPath(s *pathlet.State) {
+	e.emitPath(KindFeedback, s.Path)
+	s.TimeoutRun = 0
+	if !s.Dead {
 		return
 	}
-	e.emitPath(KindFeedback, p)
-	delete(f.rtoRuns, p)
-	for i, d := range f.dead {
-		if d.path != p {
-			continue
-		}
-		f.dead = append(f.dead[:i], f.dead[i+1:]...)
-		e.table.SetExcluded(p, false)
-		e.Stats.Readmissions++
-		e.emitPath(KindReadmit, p)
-		return
-	}
+	s.Dead = false
+	i := slices.Index(e.dead, s)
+	e.dead = slices.Delete(e.dead, i, i+1)
+	e.syncExcluded(s)
+	e.Stats.Readmissions++
+	e.emitPath(KindReadmit, s.Path)
 }
 
 // sendExcludeList returns the path-exclude list for one outgoing data
@@ -125,22 +97,20 @@ func (e *Endpoint) noteFeedbackPath(p wire.PathTC) {
 // At most one pathlet is probed per packet so a probe loss costs one RTO.
 func (e *Endpoint) sendExcludeList() []wire.PathTC {
 	list := e.table.ExcludeList()
-	f := e.fo
-	if f == nil || len(f.dead) == 0 {
+	if len(e.dead) == 0 {
 		return list
 	}
 	now := e.env.Now()
-	for i := range f.dead {
-		d := &f.dead[i]
-		if now < d.nextProbeAt {
+	for _, d := range e.dead {
+		if now < d.NextProbeAt {
 			continue
 		}
-		d.nextProbeAt = now + e.cfg.ProbeInterval
+		d.NextProbeAt = now + e.cfg.ProbeInterval
 		e.Stats.ProbesSent++
-		e.emitPath(KindProbe, d.path)
+		e.emitPath(KindProbe, d.Path)
 		kept := make([]wire.PathTC, 0, len(list))
 		for _, p := range list {
-			if p != d.path {
+			if p != d.Path {
 				kept = append(kept, p)
 			}
 		}

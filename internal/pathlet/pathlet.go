@@ -7,14 +7,16 @@
 package pathlet
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"mtp/internal/cc"
 	"mtp/internal/wire"
 )
 
-// State is the sender-side congestion state for one (pathlet, TC).
+// State is everything the sender knows about one (pathlet, TC): its
+// congestion state and what the exclusion policies hold about it.
 type State struct {
 	Path wire.PathTC
 	Algo cc.Algorithm
@@ -28,8 +30,20 @@ type State struct {
 
 	// Excluded reports whether the sender is currently asking the network
 	// to avoid this pathlet. Written by Table.SetExcluded only, which keeps
-	// the table's count of exclusions in step.
+	// the table's exclude list in step.
 	Excluded bool
+
+	// The auto-exclude policy's record: the feedback events and marks of the
+	// current observation window, and when the pathlet's auto-exclusion
+	// expires (0 while none covers it).
+	WindowEvents, WindowMarks int
+	AutoExcludedUntil         time.Duration
+
+	// Failover's record: the consecutive timeout rounds since the pathlet's
+	// last feedback, whether it is held dead, and when it is next probed.
+	TimeoutRun  int
+	Dead        bool
+	NextProbeAt time.Duration
 }
 
 // CanSend reports whether the window admits sending n more bytes.
@@ -52,10 +66,10 @@ type Table struct {
 	current    wire.PathTC
 	hasCurrent bool
 
-	// excluded counts states with Excluded set, so ExcludeList — called for
-	// every outgoing packet — skips the table walk in the common case of no
-	// exclusions.
-	excluded int
+	// exclude lists the states with Excluded set, sorted by (PathID, TC).
+	// ExcludeList hands it out for every outgoing packet, so SetExcluded
+	// replaces it rather than editing it: a list handed out stays valid.
+	exclude []wire.PathTC
 
 	// sigScratch and updScratch are reused across OnAck calls so the
 	// per-acknowledgement path allocates nothing. The slice returned by
@@ -187,7 +201,7 @@ func (t *Table) OnAck(now time.Duration, entries []wire.Feedback, ackedBytes int
 	// Deterministic order: insertion sort by (PathID, TC) — the list is
 	// tiny and this avoids sort.Slice's closure allocation.
 	for i := 1; i < len(updated); i++ {
-		for j := i; j > 0 && pathLess(updated[j].Path, updated[j-1].Path); j-- {
+		for j := i; j > 0 && comparePath(updated[j].Path, updated[j-1].Path) < 0; j-- {
 			updated[j], updated[j-1] = updated[j-1], updated[j]
 		}
 	}
@@ -201,12 +215,9 @@ func (t *Table) OnAck(now time.Duration, entries []wire.Feedback, ackedBytes int
 	return updated
 }
 
-// pathLess orders (pathlet, TC) pairs lexicographically.
-func pathLess(a, b wire.PathTC) bool {
-	if a.PathID != b.PathID {
-		return a.PathID < b.PathID
-	}
-	return a.TC < b.TC
+// comparePath orders (pathlet, TC) pairs lexicographically.
+func comparePath(a, b wire.PathTC) int {
+	return cmp.Or(cmp.Compare(a.PathID, b.PathID), cmp.Compare(a.TC, b.TC))
 }
 
 // FailoverFrom picks the best alternative to a dead pathlet: the
@@ -262,40 +273,30 @@ func (t *Table) ResetAlgorithms() {
 	}
 }
 
-// SetExcluded marks or clears a pathlet exclusion request.
+// SetExcluded marks or clears a pathlet exclusion request. A change puts a
+// new exclude list in place of the old one.
 func (t *Table) SetExcluded(p wire.PathTC, excluded bool) {
 	s := t.Get(p)
 	if s.Excluded == excluded {
 		return
 	}
 	s.Excluded = excluded
-	if excluded {
-		t.excluded++
-	} else {
-		t.excluded--
+	i, _ := slices.BinarySearchFunc(t.exclude, p, comparePath)
+	switch {
+	case excluded:
+		t.exclude = slices.Insert(slices.Clip(t.exclude), i, p)
+	case len(t.exclude) == 1:
+		t.exclude = nil
+	default:
+		t.exclude = slices.Concat(t.exclude[:i], t.exclude[i+1:])
 	}
 }
 
 // ExcludeList returns the pathlets the sender wants the network to avoid,
-// in deterministic order, for inclusion in outgoing headers.
-func (t *Table) ExcludeList() []wire.PathTC {
-	if t.excluded == 0 {
-		return nil
-	}
-	var out []wire.PathTC
-	for _, s := range t.states {
-		if s.Excluded {
-			out = append(out, s.Path)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PathID != out[j].PathID {
-			return out[i].PathID < out[j].PathID
-		}
-		return out[i].TC < out[j].TC
-	})
-	return out
-}
+// sorted by (PathID, TC), for inclusion in outgoing headers; nil when there
+// are none. The list stays valid after later exclusion changes and must not
+// be modified.
+func (t *Table) ExcludeList() []wire.PathTC { return t.exclude }
 
 // States returns all pathlet states in deterministic order.
 func (t *Table) States() []*State {
@@ -303,12 +304,6 @@ func (t *Table) States() []*State {
 	for _, s := range t.states {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Path, out[j].Path
-		if a.PathID != b.PathID {
-			return a.PathID < b.PathID
-		}
-		return a.TC < b.TC
-	})
+	slices.SortFunc(out, func(a, b *State) int { return comparePath(a.Path, b.Path) })
 	return out
 }

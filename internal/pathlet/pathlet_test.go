@@ -2,6 +2,7 @@ package pathlet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -191,12 +192,14 @@ func TestExcludeList(t *testing.T) {
 
 // TestQuickExcludeListMatchesWalk: after every step of a random on/off
 // sequence (repeats and never-seen pathlets included), ExcludeList equals the
-// sorted set of states whose Excluded flag is set — the exclusion count that
-// short-circuits the walk never drifts from the flags.
+// sorted set of states whose Excluded flag is set, and is nil when that set is
+// empty; a list handed out earlier reads as it did when handed out, whatever
+// changed since; and while exclusions exist, ExcludeList allocates nothing.
 func TestQuickExcludeListMatchesWalk(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tb := newTable()
+		var held, heldCopy []wire.PathTC // a list handed out earlier
 		for i := 0; i < 200; i++ {
 			p := wire.PathTC{PathID: uint32(r.Intn(6)), TC: uint8(r.Intn(2))}
 			switch r.Intn(3) {
@@ -214,14 +217,22 @@ func TestQuickExcludeListMatchesWalk(t *testing.T) {
 				}
 			}
 			got := tb.ExcludeList()
-			if (got == nil) != (want == nil) || len(got) != len(want) {
+			if (got == nil) != (want == nil) || !slices.Equal(got, want) {
 				return false
 			}
-			for j := range want {
-				if got[j] != want[j] {
-					return false
-				}
+			if !slices.Equal(held, heldCopy) {
+				t.Errorf("seed %d step %d: a list handed out earlier changed from %v to %v", seed, i, heldCopy, held)
+				return false
 			}
+			if r.Intn(4) == 0 {
+				held, heldCopy = got, slices.Clone(got)
+			}
+		}
+		tb.SetExcluded(wire.PathTC{PathID: 7}, true)
+		tb.SetExcluded(wire.PathTC{PathID: 8, TC: 1}, true)
+		if n := testing.AllocsPerRun(100, func() { held = tb.ExcludeList() }); n != 0 {
+			t.Errorf("ExcludeList with %d exclusions: %.1f allocations per call", len(held), n)
+			return false
 		}
 		return true
 	}
