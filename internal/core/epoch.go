@@ -71,15 +71,15 @@ func (e *Endpoint) resetPeer(p *peer) {
 				e.table.RemoveInflight(pk.path, int(pk.length))
 				pk.attributed = false
 			}
+			// Karn's rule: the resend of a previously transmitted packet must
+			// not feed the RTT estimator.
+			if pk.sent {
+				pk.retxPkt = true
+			}
 			pk.sent = false
 			pk.acked = false
 			pk.inRtx = false
 			pk.delegated = false
-			// Karn's rule: the resend of a previously transmitted packet must
-			// not feed the RTT estimator.
-			if pk.rtxs > 0 || pk.sentAt != 0 {
-				pk.retxPkt = true
-			}
 			pk.sentAt = 0
 		}
 		m.nextNew = 0

@@ -167,6 +167,35 @@ func TestSenderRecoversAcrossPeerRestart(t *testing.T) {
 	}
 }
 
+// TestRewoundPacketSentAtZeroSkipsRTT: Karn's rule across a peer restart
+// holds for a packet first sent at time 0. The epoch bump rewinds it, the
+// sender resends it, and the ACK that follows could be for either copy, so it
+// must not feed the RTT estimator.
+func TestRewoundPacketSentAtZeroSkipsRTT(t *testing.T) {
+	env := &captureEnv{}
+	ep := NewEndpoint(env, Config{LocalPort: 1, Epoch: 1})
+	ack := func(epoch uint32, sack ...wire.PacketRef) {
+		ep.OnPacket(&Inbound{From: "peer", Hdr: &wire.Header{
+			Type: wire.TypeAck, SrcPort: 2, DstPort: 1, Epoch: epoch, SACK: sack,
+		}})
+	}
+	m := ep.Send("peer", 2, []byte("x"), SendOptions{}) // sent at t=0
+	ack(10)
+	env.now = 5 * time.Millisecond
+	ack(11) // the peer restarted: the packet is rewound and sent again
+	if ep.Stats.EpochBumps != 1 {
+		t.Fatalf("EpochBumps = %d, want 1", ep.Stats.EpochBumps)
+	}
+	env.now = 7 * time.Millisecond
+	ack(11, wire.PacketRef{MsgID: m.ID, PktNum: 0})
+	if !m.Done() {
+		t.Fatal("message not acknowledged")
+	}
+	if srtt, _, _ := ep.PeerRTT("peer"); srtt != 0 {
+		t.Fatalf("srtt = %v after an ambiguous ACK, want 0", srtt)
+	}
+}
+
 // TestEpochBumpOnOldIncarnationData checks a sender-side stale drop: data the
 // dead incarnation had in flight arrives after the new incarnation was seen.
 func TestEpochBumpOnOldIncarnationData(t *testing.T) {
