@@ -46,16 +46,17 @@ func (e *Endpoint) failPathlet(s *pathlet.State) {
 	e.Stats.Failovers++
 	e.emitPath(KindFailover, p)
 
-	// Fail surviving messages over: every packet still unacknowledged on the
-	// dead pathlet is presumed lost and queued for retransmission on whatever
+	// Fail surviving messages over: every packet in flight on the dead
+	// pathlet is presumed lost and queued for retransmission on whatever
 	// pathlet the (now filtered) network provides. Acknowledged packets are
-	// never resent — reliability is per packet, not go-back-N.
+	// never resent — reliability is per packet, not go-back-N — and a
+	// delegated one waits on its own confirmation deadline.
 	for _, m := range e.active {
 		queued := false
 		for i := range m.pkts {
 			pk := &m.pkts[i]
-			if pk.sent && !pk.acked && !pk.inRtx && pk.path == p {
-				pk.inRtx = true
+			if pk.state == pktInFlight && pk.path == p {
+				pk.state = pktLost
 				m.rtxQueue = append(m.rtxQueue, i)
 				queued = true
 			}
