@@ -251,13 +251,11 @@ func (t *Table) AddInflight(p wire.PathTC, n int) {
 	t.Get(p).Inflight += n
 }
 
-// RemoveInflight releases n in-flight bytes from pathlet p, clamping at 0.
+// RemoveInflight releases n in-flight bytes from pathlet p. It does not clamp:
+// a release with no matching attribution drives Inflight negative, which the
+// invariant checker (internal/check) reports.
 func (t *Table) RemoveInflight(p wire.PathTC, n int) {
-	s := t.Get(p)
-	s.Inflight -= n
-	if s.Inflight < 0 {
-		s.Inflight = 0
-	}
+	t.Get(p).Inflight -= n
 }
 
 // ResetAlgorithms replaces every pathlet's congestion-control instance with
