@@ -268,7 +268,7 @@ func TestCoupledMPTCPTransfer(t *testing.T) {
 				Coupling:   kind,
 				OnComplete: func(now time.Duration) { doneAt = now },
 			})
-			r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
+			r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns)
 			snd.SetHandler(func(pkt *simnet.Packet) {
 				for _, s := range m.Subflows() {
 					s.OnPacket(pkt)
@@ -312,7 +312,7 @@ func TestSchedulerChoiceDeterminism(t *testing.T) {
 			Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond,
 			CCConfig: cc.Config{MaxWindow: 256 << 10},
 		})
-		r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
+		r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns)
 		snd.SetHandler(func(pkt *simnet.Packet) {
 			for _, s := range m.Subflows() {
 				s.OnPacket(pkt)

@@ -71,12 +71,10 @@ type MPTCPConfig struct {
 	Conns []uint64
 	// Dst is the destination node.
 	Dst simnet.NodeID
-	// MSS, CC, CCConfig, RTO, Tenant as in SenderConfig.
-	MSS      int
+	// CC, CCConfig, RTO as in SenderConfig.
 	CC       cc.Kind
 	CCConfig cc.Config
 	RTO      time.Duration
-	Tenant   int
 	// Coupling selects coupled congestion control across the subflows
 	// (CouplingLIA, CouplingOLIA); empty keeps independent windows.
 	Coupling Coupling
@@ -100,17 +98,14 @@ func NewMPTCP(eng *sim.Engine, port Port, cfg MPTCPConfig) *MPTCP {
 	}
 	if cfg.Coupling != CouplingNone {
 		ccCfg := cfg.CCConfig
-		ccCfg.MSS = cfg.MSS
-		if ccCfg.MSS <= 0 {
-			ccCfg.MSS = 1460
-		}
+		ccCfg.MSS = mss
 		m.coupler = NewCoupler(cfg.Coupling, ccCfg, len(cfg.Conns))
 	}
 	for i, conn := range cfg.Conns {
 		i := i
 		sc := SenderConfig{
-			Conn: conn, Dst: cfg.Dst, MSS: cfg.MSS, CC: cfg.CC, CCConfig: cfg.CCConfig,
-			RTO: cfg.RTO, Tenant: cfg.Tenant, SkipHandshake: true,
+			Conn: conn, Dst: cfg.Dst, CC: cfg.CC, CCConfig: cfg.CCConfig,
+			RTO: cfg.RTO, SkipHandshake: true,
 			// Re-stripe whenever a subflow's window opens, and track acked
 			// global coverage for completion.
 			OnAcked:   func(now time.Duration, _ int64) { m.onSubAcked(i, now) },
@@ -166,11 +161,7 @@ func (m *MPTCP) pump() {
 		if idx != nil {
 			i = idx[i]
 		}
-		s := m.subs[i].s
-		chunk := int64(s.cfg.MSS)
-		if m.total-m.next < chunk {
-			chunk = m.total - m.next
-		}
+		chunk := min(int64(mss), m.total-m.next)
 		m.assign(i, m.next, chunk)
 		m.next += chunk
 		// Stop once every live subflow is saturated well past its window,
@@ -348,10 +339,10 @@ type mergeSeg struct {
 
 // NewMPTCPReceiver builds the receiving half. Subflow receivers ack through
 // port toward src.
-func NewMPTCPReceiver(eng *sim.Engine, port Port, src simnet.NodeID, conns []uint64, tenant int) *MPTCPReceiver {
+func NewMPTCPReceiver(eng *sim.Engine, port Port, src simnet.NodeID, conns []uint64) *MPTCPReceiver {
 	r := &MPTCPReceiver{subflows: make(map[uint64]*subRecv)}
 	for _, conn := range conns {
-		sub := NewReceiver(eng, port, ReceiverConfig{Conn: conn, Src: src, Tenant: tenant})
+		sub := NewReceiver(eng, port, ReceiverConfig{Conn: conn, Src: src})
 		r.subflows[conn] = &subRecv{r: sub, segs: make(map[int64]mergeSeg)}
 	}
 	return r

@@ -47,7 +47,7 @@ func TestMPTCPUsesBothPaths(t *testing.T) {
 	c1, c2 := splitConns(t)
 	conns := []uint64{c1, c2}
 	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)
@@ -78,7 +78,7 @@ func TestMPTCPPerPathWindows(t *testing.T) {
 	c1, c2 := splitConns(t)
 	conns := []uint64{c1, c2}
 	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)
@@ -108,7 +108,7 @@ func TestMPTCPMergePreservesOrderUnderLoss(t *testing.T) {
 	c1, c2 := splitConns(t)
 	conns := []uint64{c1, c2}
 	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns)
 	// Drop every 19th data packet at the sender host.
 	n := 0
 	snd.SetHandler(func(pkt *simnet.Packet) {
@@ -157,7 +157,7 @@ func TestMPTCPPathFlipStillSuffers(t *testing.T) {
 
 	conns := []uint64{1, 2}
 	m := NewMPTCP(eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: 2 * time.Millisecond, CCConfig: cc.Config{MaxWindow: 256 << 10}})
-	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns, 0)
+	r := NewMPTCPReceiver(eng, rcv, snd.ID(), conns)
 	snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)

@@ -23,11 +23,8 @@ type ProxyConfig struct {
 	// SendBuffer bounds bytes queued on the server-side connection before
 	// the proxy stops consuming from the client. Default 256 KiB.
 	SendBuffer int64
-	// MSS/RTO configure the server-side sender, which runs DCTCP.
-	MSS int
+	// RTO configures the server-side sender, which runs DCTCP.
 	RTO time.Duration
-	// Tenant tags relayed packets.
-	Tenant int
 	// Transform maps consumed client bytes to produced server bytes,
 	// modelling an application-level mutation (compression, re-encoding).
 	// Nil means identity. Termination makes mutation trivial — that is
@@ -52,16 +49,11 @@ func NewProxy(eng *sim.Engine, port Port, cfg ProxyConfig) *Proxy {
 	if cfg.SendBuffer <= 0 {
 		cfg.SendBuffer = 256 << 10
 	}
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1460
-	}
 	p := &Proxy{sendBuf: cfg.SendBuffer, transform: cfg.Transform}
 	p.Server = NewSender(eng, port, SenderConfig{
 		Conn:          cfg.ServerConn,
 		Dst:           cfg.ServerDst,
-		MSS:           cfg.MSS,
 		RTO:           cfg.RTO,
-		Tenant:        cfg.Tenant,
 		SkipHandshake: true,
 		OnAcked: func(now time.Duration, n int64) {
 			p.backlog -= n
@@ -72,7 +64,6 @@ func NewProxy(eng *sim.Engine, port Port, cfg ProxyConfig) *Proxy {
 		Conn:        cfg.ClientConn,
 		Src:         cfg.ClientSrc,
 		WindowLimit: cfg.ReceiveWindow,
-		Tenant:      cfg.Tenant,
 		OnDeliver: func(now time.Duration, n int) {
 			p.pump()
 		},

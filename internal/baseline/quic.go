@@ -83,25 +83,16 @@ type QUICSenderConfig struct {
 	Conn uint64
 	// Dst is the destination node.
 	Dst simnet.NodeID
-	// MSS is the stream payload bytes per packet. Default 1460.
-	MSS int
 	// CC picks the single connection-wide window algorithm. Default DCTCP.
 	CC       cc.Kind
 	CCConfig cc.Config
 	// RTO is the retransmission-timeout backstop. Default 1ms.
 	RTO time.Duration
-	// Tenant tags outgoing packets for per-entity policies.
-	Tenant int
 	// OnStreamComplete fires when every byte of a stream is acknowledged.
 	OnStreamComplete func(now time.Duration, stream uint64)
-	// OnAcked fires on newly acknowledged stream bytes.
-	OnAcked func(now time.Duration, n int64)
 }
 
 func (c QUICSenderConfig) withDefaults() QUICSenderConfig {
-	if c.MSS <= 0 {
-		c.MSS = 1460
-	}
 	if c.CC == "" {
 		c.CC = cc.KindDCTCP
 	}
@@ -171,7 +162,7 @@ type QUICSender struct {
 func NewQUICSender(eng *sim.Engine, port Port, cfg QUICSenderConfig) *QUICSender {
 	cfg = cfg.withDefaults()
 	ccCfg := cfg.CCConfig
-	ccCfg.MSS = cfg.MSS
+	ccCfg.MSS = mss
 	algo, err := cc.New(cfg.CC, ccCfg)
 	if err != nil {
 		panic("baseline: " + err.Error())
@@ -228,7 +219,7 @@ func (s *QUICSender) sendNext() bool {
 			continue
 		}
 		sp := st.rtx[0]
-		n := min(int64(s.cfg.MSS), sp.Last-sp.First+1)
+		n := min(int64(mss), sp.Last-sp.First+1)
 		if sp.First+n > sp.Last {
 			st.rtx = st.rtx[1:]
 		} else {
@@ -242,7 +233,7 @@ func (s *QUICSender) sendNext() bool {
 		if st == nil || st.done || st.next >= st.size || st.next >= st.credit {
 			continue
 		}
-		n := int64(s.cfg.MSS)
+		n := int64(mss)
 		if st.size-st.next < n {
 			n = st.size - st.next
 		}
@@ -274,7 +265,7 @@ func (s *QUICSender) sendFrame(st *qOutStream, off int64, n int, fin, rtx bool) 
 		Conn: s.cfg.Conn, PktNum: pn,
 		Stream: st.id, Offset: off, Len: n, Fin: fin,
 	}
-	pkt.ECNCapable, pkt.Tenant, pkt.FlowID = true, s.cfg.Tenant, s.cfg.Conn
+	pkt.ECNCapable, pkt.FlowID = true, s.cfg.Conn
 	s.port.Send(pkt)
 }
 
@@ -317,10 +308,7 @@ func (s *QUICSender) OnPacket(pkt *simnet.Packet) {
 			}
 		}
 		if st := s.streams[rec.stream]; st != nil && !st.done {
-			newly := st.acked.Add(rec.off, rec.off+int64(rec.n)-1)
-			if newly > 0 && s.cfg.OnAcked != nil {
-				s.cfg.OnAcked(now, newly)
-			}
+			st.acked.Add(rec.off, rec.off+int64(rec.n)-1)
 			if st.acked.Prefix() >= st.size {
 				s.completeStream(now, st)
 			}
@@ -442,8 +430,6 @@ type QUICReceiverConfig struct {
 	// OnStream fires when a stream completes (all bytes up to FIN
 	// contiguous).
 	OnStream func(now time.Duration, stream uint64, size int64)
-	// Tenant tags outgoing ACKs.
-	Tenant int
 }
 
 // qInStream is the receiving state of one stream.
@@ -590,6 +576,6 @@ func (r *QUICReceiver) sendAck(qp *QUICPacket) {
 	r.AcksSent++
 	pkt := r.port.AllocPacket()
 	pkt.Dst, pkt.Size, pkt.Payload = r.cfg.Src, quicAckSize, qp
-	pkt.ECNCapable, pkt.Tenant, pkt.FlowID = true, r.cfg.Tenant, r.cfg.Conn
+	pkt.ECNCapable, pkt.FlowID = true, r.cfg.Conn
 	r.port.Send(pkt)
 }

@@ -165,7 +165,7 @@ func (w *Wiring) Expect(m Msg) func() uint64 {
 	switch w.rival.kind {
 	case kindMPTCP:
 		conns := subflowConns(m.ID)
-		rcv := NewMPTCPReceiver(w.eng, dst, src, conns[:], 0)
+		rcv := NewMPTCPReceiver(w.eng, dst, src, conns[:])
 		if delivered != nil {
 			size, done := int64(m.Size), false
 			rcv.OnProgress = func(_ time.Duration, contiguous int64) {

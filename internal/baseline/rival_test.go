@@ -48,7 +48,7 @@ func handWired(rv Rival) []uint64 {
 		case kindMPTCP:
 			conns := []uint64{id << 1, id<<1 | 1}
 			m := NewMPTCP(fab.Eng, snd, MPTCPConfig{Conns: conns, Dst: rcv.ID(), RTO: time.Millisecond, Coupling: rv.coupling})
-			r := NewMPTCPReceiver(fab.Eng, rcv, snd.ID(), conns, 0)
+			r := NewMPTCPReceiver(fab.Eng, rcv, snd.ID(), conns)
 			for j, s := range m.Subflows() {
 				sd.Add(conns[j], s.OnPacket)
 				rd.Add(conns[j], r.OnPacket)

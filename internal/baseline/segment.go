@@ -100,6 +100,9 @@ func (s *Segment) String() string {
 }
 
 const (
+	// mss is the payload bytes per data segment (TCP, MPTCP subflow) and per
+	// QUIC packet.
+	mss = 1460
 	// headerBytes models TCP/IP header overhead on data and ack segments.
 	headerBytes = 40
 	// ackSize is the on-wire size of a pure ACK.

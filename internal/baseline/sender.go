@@ -16,11 +16,9 @@ type SenderConfig struct {
 	Conn uint64
 	// Dst is the destination node.
 	Dst simnet.NodeID
-	// MSS is the payload bytes per segment. Default 1460.
-	MSS int
 	// CC picks the window algorithm (AIMD ≈ Reno, DCTCP). Default DCTCP.
 	CC cc.Kind
-	// CCConfig tunes the algorithm; MSS is filled automatically.
+	// CCConfig tunes the algorithm; its MSS is set to mss.
 	CCConfig cc.Config
 	// Algo, when non-nil, supplies a pre-built congestion-control instance
 	// and overrides CC/CCConfig — how MPTCP injects one subflow of a
@@ -45,9 +43,6 @@ type SenderConfig struct {
 }
 
 func (c SenderConfig) withDefaults() SenderConfig {
-	if c.MSS <= 0 {
-		c.MSS = 1460
-	}
 	if c.CC == "" {
 		c.CC = cc.KindDCTCP
 	}
@@ -110,7 +105,7 @@ func NewSender(eng *sim.Engine, port Port, cfg SenderConfig) *Sender {
 	algo := cfg.Algo
 	if algo == nil {
 		ccCfg := cfg.CCConfig
-		ccCfg.MSS = cfg.MSS
+		ccCfg.MSS = mss
 		var err error
 		algo, err = cc.New(cfg.CC, ccCfg)
 		if err != nil {
@@ -173,7 +168,7 @@ func (s *Sender) pump() {
 		if s.sndNxt >= s.total || s.sndNxt-s.sndUna >= wnd {
 			break
 		}
-		n := int64(s.cfg.MSS)
+		n := int64(mss)
 		if s.total-s.sndNxt < n {
 			n = s.total - s.sndNxt
 		}
@@ -280,7 +275,7 @@ func (s *Sender) OnPacket(pkt *simnet.Packet) {
 
 // retransmitHead resends one MSS at sndUna.
 func (s *Sender) retransmitHead() {
-	n := int64(s.cfg.MSS)
+	n := int64(mss)
 	if s.total-s.sndUna < n {
 		n = s.total - s.sndUna
 	}

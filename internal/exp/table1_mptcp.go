@@ -33,7 +33,7 @@ func mptcpPair(seed int64, r1, r2 float64, d2 time.Duration, coupling baseline.C
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 		Coupling: coupling,
 	})
-	r := baseline.NewMPTCPReceiver(rig.eng, rig.rcv, rig.snd.ID(), conns, 0)
+	r := baseline.NewMPTCPReceiver(rig.eng, rig.rcv, rig.snd.ID(), conns)
 	rig.snd.SetHandler(func(pkt *simnet.Packet) {
 		for _, s := range m.Subflows() {
 			s.OnPacket(pkt)

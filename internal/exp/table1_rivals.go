@@ -35,7 +35,7 @@ func probeIsolationMPTCPCoupled() Table1Cell {
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
 		Coupling: baseline.CouplingOLIA,
 	})
-	mr := baseline.NewMPTCPReceiver(r.eng, rcv, snd.ID(), conns, 0)
+	mr := baseline.NewMPTCPReceiver(r.eng, rcv, snd.ID(), conns)
 	tcp := baseline.NewSender(r.eng, snd, baseline.SenderConfig{
 		Conn: 20, Dst: rcv.ID(), SkipHandshake: true, RTO: 2 * time.Millisecond,
 		CCConfig: cc.Config{MaxWindow: 256 << 10},
