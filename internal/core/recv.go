@@ -35,6 +35,10 @@ func (e *Endpoint) OnPacket(in *Inbound) {
 		// Control packets carry only feedback lists.
 		e.onAckPacket(in)
 	}
+	if e.sendDue && !e.inBatch {
+		e.sendDue = false
+		e.trySend()
+	}
 }
 
 // onDataPacket runs the receiver side: reassembly, SACK/NACK generation,
@@ -252,8 +256,8 @@ func (e *Endpoint) mergeFeedback(b *ackBatch, fb []wire.Feedback) {
 func (e *Endpoint) BeginBatch() { e.inBatch = true }
 
 // EndBatch closes the bracket: it settles every pending ack batch, in
-// batch-creation order, and resumes sending if an ACK arrived. Without an
-// open bracket it does nothing.
+// batch-creation order, and resumes sending if an ACK or a peer restart
+// released sends. Without an open bracket it does nothing.
 func (e *Endpoint) EndBatch() {
 	if !e.inBatch {
 		return
