@@ -252,3 +252,36 @@ func runBracketed(t *testing.T, seed int64, bracketed bool) uint64 {
 	}
 	return b.Stats.AcksSent
 }
+
+// Resends released at EndBatch go out lowest packet index first, whatever
+// order the NACKs arrived in, and a SACK that reaches a lost packet before
+// EndBatch cancels its resend.
+func TestBatchResendsLowestIndexFirst(t *testing.T) {
+	env := &recEnv{}
+	ep := NewEndpoint(env, Config{LocalPort: 7, MSS: 64, RTO: time.Millisecond})
+	m := ep.SendSynthetic("peer", 9, 64*8, SendOptions{})
+	if sent := len(env.take()); sent < 6 {
+		t.Fatalf("initial window sent %d packets, want packets 0-5 in flight", sent)
+	}
+	ep.BeginBatch()
+	for _, ack := range []*wire.Header{
+		{NACK: refs(m.ID, 5)},
+		{NACK: refs(m.ID, 3)},
+		{NACK: refs(m.ID, 4)},
+		{SACK: refs(m.ID, 4)}, // reaches 4 before its resend
+	} {
+		ack.Type, ack.SrcPort, ack.DstPort = wire.TypeAck, 9, 7
+		ep.OnPacket(&Inbound{From: "peer", Hdr: ack})
+	}
+	if got := env.take(); len(got) != 0 {
+		t.Fatalf("%d packets transmitted inside the bracket", len(got))
+	}
+	ep.EndBatch()
+	var pkts []uint32
+	for _, h := range env.take() {
+		pkts = append(pkts, h.PktNum)
+	}
+	if ep.Stats.PktsRetx != 2 || len(pkts) < 2 || pkts[0] != 3 || pkts[1] != 5 {
+		t.Fatalf("EndBatch sent packets %v with %d resends, want resends of 3 then 5 first", pkts, ep.Stats.PktsRetx)
+	}
+}

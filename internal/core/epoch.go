@@ -80,7 +80,7 @@ func (e *Endpoint) resetPeer(p *peer) {
 		}
 		m.nextNew = 0
 		m.ackedPkts = 0
-		m.rtxQueue = m.rtxQueue[:0]
+		m.lost = 0
 	}
 
 	// Estimates: this peer's RTO back to its initial value — in place, the

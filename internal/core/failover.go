@@ -2,7 +2,7 @@ package core
 
 import (
 	"slices"
-	"sort"
+	"time"
 
 	"mtp/internal/pathlet"
 	"mtp/internal/wire"
@@ -12,10 +12,9 @@ import (
 // exclusion), enabled by Config.FailoverRTOs: a pathlet that eats
 // Config.FailoverRTOs consecutive retransmission-timeout rounds without any
 // returning feedback is declared dead. The sender then (1) pushes it onto
-// the wire path-exclude list so the network routes around it, (2) sweeps
-// every unacknowledged packet attributed to it into the retransmission
-// queue — already-delivered packets stay delivered, SACK state is per
-// packet — and (3) re-points the window prediction at the healthiest
+// the wire path-exclude list so the network routes around it, (2) marks
+// every packet in flight on it lost, to be resent — already-delivered
+// packets stay delivered, SACK state is per packet — and (3) re-points the window prediction at the healthiest
 // surviving pathlet. Dead pathlets are probed every Config.ProbeInterval by
 // omitting them from one packet's exclude list; any fresh feedback from a
 // dead pathlet readmits it. A pathlet's timeout run, death and probe time
@@ -47,22 +46,15 @@ func (e *Endpoint) failPathlet(s *pathlet.State) {
 	e.emitPath(KindFailover, p)
 
 	// Fail surviving messages over: every packet in flight on the dead
-	// pathlet is presumed lost and queued for retransmission on whatever
-	// pathlet the (now filtered) network provides. Acknowledged packets are
-	// never resent — reliability is per packet, not go-back-N — and a
-	// delegated one waits on its own confirmation deadline.
+	// pathlet is presumed lost and resent on whatever pathlet the (now
+	// filtered) network provides. Acknowledged packets are never resent —
+	// reliability is per packet, not go-back-N — and a delegated one waits on
+	// its own confirmation deadline.
 	for _, m := range e.active {
-		queued := false
 		for i := range m.pkts {
-			pk := &m.pkts[i]
-			if pk.state == pktInFlight && pk.path == p {
-				pk.state = pktLost
-				m.rtxQueue = append(m.rtxQueue, i)
-				queued = true
+			if pk := &m.pkts[i]; pk.state == pktInFlight && pk.path == p {
+				m.lose(i)
 			}
-		}
-		if queued && len(m.rtxQueue) > 1 {
-			sort.Ints(m.rtxQueue)
 		}
 	}
 
@@ -96,12 +88,11 @@ func (e *Endpoint) noteFeedbackPath(s *pathlet.State) {
 // the pathlet still works, the network may route the packet over it and its
 // feedback readmits it; if not, the packet is recovered like any other loss.
 // At most one pathlet is probed per packet so a probe loss costs one RTO.
-func (e *Endpoint) sendExcludeList() []wire.PathTC {
+func (e *Endpoint) sendExcludeList(now time.Duration) []wire.PathTC {
 	list := e.table.ExcludeList()
 	if len(e.dead) == 0 {
 		return list
 	}
-	now := e.env.Now()
 	for _, d := range e.dead {
 		if now < d.NextProbeAt {
 			continue

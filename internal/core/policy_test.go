@@ -52,7 +52,8 @@ func (r *pathEvents) Observe(_ *Endpoint, ev *Event) {
 
 // pktView is what checkPackets reads of one packet of an active message:
 // whether its bytes count in its pathlet's in-flight window, whether it waits
-// in its message's rtxQueue, and whether it is finally acknowledged.
+// for its resend (counted in its message's lost), and whether it is finally
+// acknowledged.
 type pktView struct{ attributed, queued, acked bool }
 
 func viewPkt(p *outPkt) pktView {
@@ -61,9 +62,8 @@ func viewPkt(p *outPkt) pktView {
 
 // checkPackets checks the sender's packet accounting: every pathlet's
 // Inflight is the bytes of the attributed packets on it, and 0 when no
-// message is active; a queued packet is attributed; each rtxQueue holds
-// exactly its message's queued packets, each once; ackedPkts counts the
-// acknowledged ones.
+// message is active; a queued packet is attributed; lost counts a message's
+// queued packets and ackedPkts its acknowledged ones.
 func checkPackets(t *testing.T, e *Endpoint) {
 	t.Helper()
 	inflight := map[wire.PathTC]int{}
@@ -80,16 +80,13 @@ func checkPackets(t *testing.T, e *Endpoint) {
 			}
 			if v.queued {
 				queued++
-				if n := countInts(m.rtxQueue, i); n != 1 {
-					t.Fatalf("msg %d pkt %d: queued, in rtxQueue %d times (%v)", m.ID, i, n, m.rtxQueue)
-				}
 			}
 			if v.acked {
 				acked++
 			}
 		}
-		if queued != len(m.rtxQueue) {
-			t.Fatalf("msg %d: %d packets queued, rtxQueue %v", m.ID, queued, m.rtxQueue)
+		if queued != m.lost {
+			t.Fatalf("msg %d: %d packets queued, lost %d", m.ID, queued, m.lost)
 		}
 		if acked != m.ackedPkts {
 			t.Fatalf("msg %d: %d packets acknowledged, ackedPkts %d", m.ID, acked, m.ackedPkts)
@@ -107,16 +104,6 @@ func checkPackets(t *testing.T, e *Endpoint) {
 	if len(inflight) != 0 {
 		t.Fatalf("packets attributed to unknown pathlets %v", inflight)
 	}
-}
-
-func countInts(s []int, x int) int {
-	n := 0
-	for _, y := range s {
-		if y == x {
-			n++
-		}
-	}
-	return n
 }
 
 // policyPathlets are the three pathlets FuzzPathletPolicy's feedback names.
@@ -287,7 +274,7 @@ func runPolicy(t *testing.T, mode byte, script []byte) {
 		}
 		for id, n := range completions {
 			want := 1
-			if _, active := e.byID[id]; active {
+			if e.lookup(id) != nil {
 				want = 0
 			}
 			if n != want {

@@ -120,3 +120,23 @@ func TestPeerRestartKeepsOtherPeersRTO(t *testing.T) {
 		t.Fatalf("other peer: srtt %v rto %v, want %v %v untouched", srtt, rto, nearSRTT, nearRTO)
 	}
 }
+
+// A send at the instant the pending timer is due keeps that deadline: the
+// firing on its way is not pushed one RTO later.
+func TestSendAtDueInstantKeepsTimer(t *testing.T) {
+	env := &recEnv{}
+	ep := NewEndpoint(env, Config{LocalPort: 1, RTO: time.Millisecond})
+	ep.Send("peer", 2, []byte("x"), SendOptions{})
+	due := env.timerAt
+	if due != time.Millisecond {
+		t.Fatalf("first send armed the timer at %v, want %v", due, time.Millisecond)
+	}
+	env.now = due
+	ep.Send("peer", 2, []byte("y"), SendOptions{})
+	if ep.Stats.PktsSent != 2 {
+		t.Fatalf("sent %d packets, want 2", ep.Stats.PktsSent)
+	}
+	if env.timerAt != due {
+		t.Fatalf("send at the due instant moved the timer from %v to %v", due, env.timerAt)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"mtp/internal/wire"
@@ -27,7 +26,7 @@ func (e *Endpoint) trySend() {
 			// Window-limited on the current pathlet. Progress resumes when
 			// acks arrive; make sure some timer is armed so the endpoint
 			// cannot deadlock if every in-flight packet is lost.
-			if e.timerAt == 0 || e.timerAt <= now {
+			if e.timerAt == 0 {
 				e.setTimer(now + m.peer.rtt.rto)
 			}
 			return
@@ -44,18 +43,19 @@ func (e *Endpoint) trySend() {
 			}
 			e.nextSendAt += interval
 		}
-		e.transmit(m, idx, isRtx, st.Path)
+		e.transmit(now, m, idx, isRtx, st.Path)
 	}
 }
 
 // nextPacket picks the next packet to send: any pending retransmission
-// first (oldest message first), otherwise the first unsent packet of the
-// best (priority, arrival) message.
+// first (oldest message first, lowest index first), otherwise the first
+// unsent packet of the best (priority, arrival) message.
 func (e *Endpoint) nextPacket() (*OutMessage, int, bool) {
 	var best *OutMessage
 	for _, m := range e.active {
-		if len(m.rtxQueue) > 0 {
-			return m, m.rtxQueue[0], true
+		if m.lost > 0 {
+			i := slices.IndexFunc(m.pkts, func(p outPkt) bool { return p.state == pktLost })
+			return m, i, true
 		}
 		if m.nextNew < len(m.pkts) {
 			if best == nil || m.Pri > best.Pri {
@@ -69,8 +69,14 @@ func (e *Endpoint) nextPacket() (*OutMessage, int, bool) {
 	return best, best.nextNew, false
 }
 
-// transmit emits one data packet and updates send state.
-func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC) {
+// lose presumes packet i of m lost: it waits for its resend.
+func (m *OutMessage) lose(i int) {
+	m.pkts[i].state = pktLost
+	m.lost++
+}
+
+// transmit emits one data packet at now and updates send state.
+func (e *Endpoint) transmit(now time.Duration, m *OutMessage, idx int, isRtx bool, path wire.PathTC) {
 	p := &m.pkts[idx]
 	hdr := &e.dataHdr
 	*hdr = wire.Header{
@@ -87,7 +93,7 @@ func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC
 		PktNum:      uint32(idx),
 		PktOffset:   p.offset,
 		PktLen:      p.length,
-		PathExclude: e.sendExcludeList(),
+		PathExclude: e.sendExcludeList(now),
 	}
 	if m.bypass {
 		// A delegated ACK for this message went unconfirmed: ask in-network
@@ -98,11 +104,10 @@ func (e *Endpoint) transmit(m *OutMessage, idx int, isRtx bool, path wire.PathTC
 	if m.data != nil {
 		data = m.data[p.offset : int(p.offset)+int(p.length)]
 	}
-	now := e.env.Now()
 	if isRtx {
 		// A lost packet still counts in flight on the pathlet it was lost
 		// on: move its bytes to the one it leaves on now.
-		m.rtxQueue = m.rtxQueue[1:]
+		m.lost--
 		p.resent = true
 		e.table.RemoveInflight(p.path, int(p.length))
 		e.Stats.PktsRetx++
@@ -147,7 +152,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 	delegArmed := false
 
 	for _, ref := range hdr.SACK {
-		m := e.byID[ref.MsgID]
+		m := e.lookup(ref.MsgID)
 		if m == nil || int(ref.PktNum) >= len(m.pkts) {
 			continue
 		}
@@ -169,7 +174,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 				}
 			}
 			if p.state == pktLost {
-				m.unqueue(int(ref.PktNum))
+				m.lost--
 			}
 			e.table.RemoveInflight(p.path, int(p.length))
 		}
@@ -218,7 +223,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 	// replaces a per-ACK map allocation.
 	lossPaths := e.lossPaths[:0]
 	for _, ref := range hdr.NACK {
-		m := e.byID[ref.MsgID]
+		m := e.lookup(ref.MsgID)
 		if m == nil || int(ref.PktNum) >= len(m.pkts) {
 			continue
 		}
@@ -226,8 +231,7 @@ func (e *Endpoint) onAckPacket(in *Inbound) {
 		if p.state != pktInFlight {
 			continue
 		}
-		p.state = pktLost
-		m.rtxQueue = append(m.rtxQueue, int(ref.PktNum))
+		m.lose(int(ref.PktNum))
 		e.emit(KindNackIn, ref.MsgID, ref.PktNum, 0, 0)
 		if !pathSeen(lossPaths, p.path) {
 			lossPaths = append(lossPaths, p.path)
@@ -256,20 +260,11 @@ func pathSeen(list []wire.PathTC, p wire.PathTC) bool {
 	return false
 }
 
-// unqueue takes lost packet i off m's rtxQueue: an ACK reached it before its
-// resend went out.
-func (m *OutMessage) unqueue(i int) {
-	j := slices.Index(m.rtxQueue, i)
-	m.rtxQueue = slices.Delete(m.rtxQueue, j, j+1)
-}
-
 func (e *Endpoint) removeCompleted() {
 	kept := e.active[:0]
 	for _, m := range e.active {
 		if !m.done {
 			kept = append(kept, m)
-		} else {
-			delete(e.byID, m.ID)
 		}
 	}
 	// Clear the tail so completed messages can be collected.
@@ -309,8 +304,7 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 				continue
 			}
 			delegated := p.state == pktDelegated
-			p.state = pktLost
-			m.rtxQueue = append(m.rtxQueue, i)
+			m.lose(i)
 			if delegated {
 				// The device that acknowledged on the destination's behalf
 				// never confirmed end to end — presume it dead. The packet
@@ -337,10 +331,6 @@ func (e *Endpoint) OnTimer(now time.Duration) {
 					e.noteTimeoutPath(p.path)
 				}
 			}
-		}
-		// Keep retransmissions in packet order for cache-friendly receive.
-		if len(m.rtxQueue) > 1 {
-			sort.Ints(m.rtxQueue)
 		}
 	}
 	e.lossPaths = lossPaths[:0]
