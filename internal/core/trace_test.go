@@ -96,11 +96,10 @@ func failoverRun(t *testing.T, snd *recorder) {
 		return routeVia(pkt) == path1 && now >= time.Millisecond && now < 10*time.Millisecond
 	}
 	ea.stampECN = func(pkt *Outbound) (wire.PathTC, bool, bool) { return routeVia(pkt), false, true }
-	// The period is no divisor of the RTO: a Send at the very instant a
-	// timeout is due pushes that timer a whole RTO out (setTimer keeps a
-	// pending deadline only while it lies in the future), and a trickle in
-	// step with the RTO would never time out at all.
-	for at := time.Duration(0); at < 20*time.Millisecond; at += 700 * time.Microsecond {
+	// The trickle runs in step with the RTO: a Send lands at the very instant
+	// each timeout is due, and the due deadline must stay put for the
+	// blackholed packets to time out at all.
+	for at := time.Duration(0); at < 20*time.Millisecond; at += 500 * time.Microsecond {
 		w.eng.ScheduleAt(at, func() { a.SendSynthetic("b", 2, 4000, SendOptions{}) })
 	}
 	w.eng.Run(100 * time.Millisecond)
